@@ -6,10 +6,10 @@ use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
 use archytas_math::kernels::sub_scaled;
 use archytas_math::{BlockSparseSystem, Cholesky, DMat, SchurScratch};
-use archytas_par::{counters, Pool};
+use archytas_par::counters;
 use archytas_slam::{
     build_block_normal_equations, build_normal_equations, schur_linear_solver, solve,
-    solve_in_workspace, FactorWeights, LmConfig, SlidingWindow, SolverWorkspace,
+    FactorWeights, LmConfig, SlidingWindow,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -62,11 +62,9 @@ fn bench_solver(c: &mut Criterion) {
     sys.damp(1e-3, 1e-9);
     let mut scratch = SchurScratch::default();
     let mut delta = archytas_math::DVec::zeros(0);
-    let pool = Pool::global();
     group.bench_function("block_schur_linear_solve", |b| {
         b.iter(|| {
-            sys.solve_into(&mut scratch, &pool, &mut delta)
-                .expect("solvable");
+            sys.solve_into(&mut scratch, &mut delta).expect("solvable");
             black_box(&delta);
         })
     });
@@ -216,13 +214,13 @@ fn bench_solver(c: &mut Criterion) {
     let mut chol = Cholesky::factor(&spd).expect("SPD");
     group.bench_function("kernel_panel_factor", |b| {
         b.iter(|| {
-            chol.refactor_with(black_box(&spd), &pool).expect("SPD");
+            chol.refactor(black_box(&spd)).expect("SPD");
             black_box(&mut chol);
         })
     });
 
-    // Per-phase attribution of the full LM windows below: the counters are
-    // live for exactly the two end-to-end benches, and their totals are
+    // Per-phase attribution of the full LM window below: the counters are
+    // live for exactly the end-to-end bench, and their totals are
     // printed as a PERFJSON line that bench_smoke.sh folds into
     // BENCH_solver.json.
     counters::reset();
@@ -232,23 +230,6 @@ fn bench_solver(c: &mut Criterion) {
         b.iter(|| {
             let mut w = window.clone();
             solve(&mut w, &weights, None, &LmConfig::with_iterations(6))
-        })
-    });
-
-    // Cross-window workspace reuse (the pipeline's steady state): every
-    // buffer — block system, Schur scratch, increment, candidate window —
-    // survives between solves.
-    let mut ws = SolverWorkspace::new();
-    group.bench_function("lm_full_window_reused_workspace", |b| {
-        b.iter(|| {
-            let mut w = window.clone();
-            solve_in_workspace(
-                &mut ws,
-                &mut w,
-                &weights,
-                None,
-                &LmConfig::with_iterations(6),
-            )
         })
     });
 

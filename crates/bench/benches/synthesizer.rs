@@ -1,10 +1,10 @@
 //! Criterion bench for Sec. 7.3: time for the synthesizer to identify a
 //! design in the ~90,000-point space (paper: seconds vs 15 years of
-//! synthesis-in-the-loop search), plus the re-synthesis paths the fleet
-//! layer leans on — warm-started search and the memoized `SynthCache`.
+//! synthesis-in-the-loop search), plus the memoized `SynthCache` the fleet
+//! layer leans on for re-synthesis.
 //!
 //! Every case runs one untimed warmup search first so one-time process
-//! state (pool calibration, allocator warmup, lazy platform tables) is paid
+//! state (allocator warmup, lazy platform tables) is paid
 //! outside the sampling loop — `zc706_min_latency`'s historical
 //! 748 µs-on-3.8 ms stddev was exactly this first-sample pollution.
 //!
@@ -12,9 +12,7 @@
 //! `SYNTHJSON {...}` lines that `bench_smoke.sh` folds into
 //! `BENCH_par.json`'s `synth_search` section.
 
-use archytas_core::{
-    synthesize, synthesize_warm, DesignSpec, Objective, SynthCache, SynthesizedDesign,
-};
+use archytas_core::{synthesize, DesignSpec, Objective, SynthCache, SynthesizedDesign};
 use archytas_hw::FpgaPlatform;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -71,21 +69,6 @@ fn bench_synthesizer(c: &mut Criterion) {
             &synthesize(&spec).expect("feasible"),
         ));
         b.iter(|| synthesize(black_box(&spec)).expect("feasible"))
-    });
-
-    group.bench_function("virtex7_min_latency_warm_resynthesis", |b| {
-        // The fleet re-optimization path: a neighboring deployment (same
-        // board, drifted workload) supplies its optimum as the prior.
-        let spec = virtex7_min_latency_spec();
-        let mut drifted = spec.clone();
-        drifted.shape.features += 30;
-        drifted.shape.marginalized_features += 5;
-        let prior = synthesize(&drifted).expect("feasible");
-        counters.push(synthjson(
-            "virtex7_min_latency_warm_resynthesis",
-            &synthesize_warm(&spec, &prior).expect("feasible"),
-        ));
-        b.iter(|| synthesize_warm(black_box(&spec), black_box(&prior)).expect("feasible"))
     });
 
     group.bench_function("synth_cache_hit", |b| {

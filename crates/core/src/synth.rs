@@ -39,12 +39,10 @@
 //!    [`SynthesizedDesign::candidates_examined`] /
 //!    [`SynthesizedDesign::candidates_pruned`] counters are diagnostics,
 //!    deterministic only on a 1-thread pool).
-//! 3. **Warm starts and per-class memoization.** [`synthesize_warm`] seeds
-//!    the incumbent from a neighboring deployment's optimum and scans
-//!    stripes outward from its lattice coordinates; [`SynthCache`] memoizes
-//!    whole searches per canonicalized spec with exactly-once fill
-//!    semantics (mirroring `GatingCache`), so a fleet re-evaluation tick
-//!    over K traffic classes performs at most K model-backed searches.
+//! 3. **Per-class memoization.** [`SynthCache`] memoizes whole searches per
+//!    canonicalized spec with exactly-once fill semantics (mirroring
+//!    `GatingCache`), so a fleet re-evaluation tick over K traffic classes
+//!    performs at most K model-backed searches.
 
 use archytas_hw::{
     window_cycles, AcceleratorConfig, FpgaPlatform, LatencyTables, PowerModel, ResourceModel,
@@ -134,7 +132,7 @@ pub struct SynthesizedDesign {
 impl SynthesizedDesign {
     /// `true` when `other` selects the same configuration with bit-equal
     /// modelled latency, power and resources — the equivalence contract of
-    /// the pruned/warm/cached paths against [`synthesize_exhaustive`]
+    /// the pruned and cached paths against [`synthesize_exhaustive`]
     /// (the search counters are run-dependent and deliberately excluded).
     pub fn same_design(&self, other: &SynthesizedDesign) -> bool {
         self.config == other.config
@@ -267,8 +265,8 @@ fn scan_stripe_exhaustive(
 /// evaluated directly against the Eq. 13–17 models in `(nd, nm, s)` order,
 /// with no tables, no pruning and no parallelism.
 ///
-/// This is the semantic oracle of the synthesizer — the pruned, warm-started
-/// and cached paths all promise to return a design for which
+/// This is the semantic oracle of the synthesizer — the pruned and cached
+/// paths both promise to return a design for which
 /// [`SynthesizedDesign::same_design`] holds against this scan's result
 /// (and, on infeasible specs, a bit-equal
 /// [`SynthesisError::Infeasible`] latency). It is deliberately kept in the
@@ -403,22 +401,11 @@ impl<'a> Search<'a> {
         true
     }
 
-    /// Seeds the incumbent bound before the sweep: the warm-start prior (if
-    /// supplied and feasible on this spec), then a deterministic coarse
-    /// probe grid over the lattice corners and the Cholesky sweet spot.
-    /// Returns `(model evaluations spent, warm-start stripe center)`.
-    fn seed(&self, warm: Option<&SynthesizedDesign>) -> (usize, Option<usize>) {
+    /// Seeds the incumbent bound before the sweep with a deterministic
+    /// coarse probe grid over the lattice corners and the Cholesky sweet
+    /// spot. Returns the model evaluations spent.
+    fn seed(&self) -> usize {
         let mut examined = 0usize;
-        let mut center = None;
-        if let Some(prior) = warm {
-            let c = prior.config;
-            if self.probe(c.nd, c.nm, c.s) {
-                examined += 1;
-                if self.bound().is_finite() {
-                    center = Some(c.nd);
-                }
-            }
-        }
         let s_star = self.tables.best_s_hint();
         let mut nd_probes = [
             self.nd_max,
@@ -455,7 +442,7 @@ impl<'a> Search<'a> {
                 }
             }
         }
-        (examined, center)
+        examined
     }
 
     /// Total resource-feasible extent of one stripe — the points a bound
@@ -603,37 +590,48 @@ impl<'a> Search<'a> {
     }
 }
 
-/// The pruned search shared by the cold, warm and cached entry points.
-fn search_with(
+/// Runs the synthesizer on the global pool.
+///
+/// # Errors
+///
+/// Returns [`SynthesisError::Infeasible`] when no configuration meets the
+/// constraints on the target platform.
+pub fn synthesize(spec: &DesignSpec) -> Result<SynthesizedDesign, SynthesisError> {
+    synthesize_with(spec, &Pool::global())
+}
+
+/// Runs the synthesizer on an explicit pool.
+///
+/// The lattice is striped over `nd`; each stripe runs the pruned `(nm, s)`
+/// scan against the shared incumbent bound, and the per-stripe winners are
+/// folded in ascending `nd` order with the same strict [`beats`] predicate
+/// as the serial best-so-far loop. Returns a design for which
+/// [`SynthesizedDesign::same_design`] holds against
+/// [`synthesize_exhaustive`], for any thread count.
+///
+/// # Errors
+///
+/// Returns [`SynthesisError::Infeasible`] when no configuration meets the
+/// constraints on the target platform.
+pub fn synthesize_with(
     spec: &DesignSpec,
     pool: &Pool,
-    warm: Option<&SynthesizedDesign>,
 ) -> Result<SynthesizedDesign, SynthesisError> {
     let search = Search::new(spec);
-    let (probe_examined, center) = search.seed(warm);
-    let mut nds: Vec<usize> = (1..=search.nd_max).collect();
-    if let Some(c) = center {
-        // Warm start: scan outward from the prior's stripe so near
-        // neighbors — where the new optimum almost certainly lives —
-        // tighten the bound before the far stripes are even looked at.
-        nds.sort_by_key(|&nd| (nd.abs_diff(c), nd));
-    }
+    let probe_examined = search.seed();
+    let nds: Vec<usize> = (1..=search.nd_max).collect();
     // A stripe is up to ~nm_max·s_max model evaluations — far above any
     // sensible per-item threshold — so gate only on "more than one stripe".
     let stripes = pool
         .with_serial_threshold(pool.serial_threshold().min(2))
         .par_map(&nds, |&nd| search.scan_stripe(nd));
 
-    // The fold must replay the strict serial order, so re-sort the
-    // (possibly outward-ordered) stripes back to ascending nd first.
-    let mut tagged: Vec<(usize, StripeScan)> = nds.into_iter().zip(stripes).collect();
-    tagged.sort_by_key(|&(nd, _)| nd);
-
+    // Stripes come back in ascending nd, the strict serial fold order.
     let mut examined = probe_examined;
     let mut pruned = 0usize;
     let mut best: Option<SynthesizedDesign> = None;
     let mut best_latency_any = f64::INFINITY;
-    for (_, stripe) in tagged {
+    for stripe in stripes {
         examined += stripe.examined;
         pruned += stripe.pruned;
         best_latency_any = best_latency_any.min(stripe.best_latency_any);
@@ -662,71 +660,6 @@ fn search_with(
             best_achievable_latency_ms: best_latency_any,
         }),
     }
-}
-
-/// Runs the synthesizer on the global pool.
-///
-/// # Errors
-///
-/// Returns [`SynthesisError::Infeasible`] when no configuration meets the
-/// constraints on the target platform.
-pub fn synthesize(spec: &DesignSpec) -> Result<SynthesizedDesign, SynthesisError> {
-    synthesize_with(spec, &Pool::global())
-}
-
-/// Runs the synthesizer on an explicit pool.
-///
-/// The lattice is striped over `nd`; each stripe runs the pruned `(nm, s)`
-/// scan against the shared incumbent bound, and the per-stripe winners are
-/// folded in ascending `nd` order with the same strict [`beats`] predicate
-/// as the serial best-so-far loop. Returns a design for which
-/// [`SynthesizedDesign::same_design`] holds against
-/// [`synthesize_exhaustive`], for any thread count.
-///
-/// # Errors
-///
-/// Returns [`SynthesisError::Infeasible`] when no configuration meets the
-/// constraints on the target platform.
-pub fn synthesize_with(
-    spec: &DesignSpec,
-    pool: &Pool,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    search_with(spec, pool, None)
-}
-
-/// Warm-started re-synthesis on the global pool: seeds the incumbent bound
-/// from `prior` — a neighboring deployment's optimum, or this class's
-/// previous design before a workload drift — and scans stripes outward from
-/// its lattice coordinates, so nearly all of the lattice is cut by the
-/// already-tight bound. Falls back to the cold pruned sweep (probe-seeded,
-/// ascending stripes) when the prior is infeasible on `spec`.
-///
-/// The result is exactly [`synthesize`]'s: the prior only contributes an
-/// achieved objective value to prune against, never a candidate of its own.
-///
-/// # Errors
-///
-/// Returns [`SynthesisError::Infeasible`] when no configuration meets the
-/// constraints on the target platform.
-pub fn synthesize_warm(
-    spec: &DesignSpec,
-    prior: &SynthesizedDesign,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    synthesize_warm_with(spec, prior, &Pool::global())
-}
-
-/// [`synthesize_warm`] on an explicit pool.
-///
-/// # Errors
-///
-/// Returns [`SynthesisError::Infeasible`] when no configuration meets the
-/// constraints on the target platform.
-pub fn synthesize_warm_with(
-    spec: &DesignSpec,
-    prior: &SynthesizedDesign,
-    pool: &Pool,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    search_with(spec, pool, Some(prior))
 }
 
 /// Grid the [`SynthCache`] snaps `MinPowerUnderLatency` bounds onto
@@ -1124,45 +1057,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn warm_start_matches_cold_and_prunes_more() {
-        let spec = DesignSpec {
-            objective: Objective::MinLatency,
-            ..DesignSpec::zc706_power_optimal(0.0)
-        };
-        let cold = synthesize(&spec).expect("feasible");
-        // A neighboring deployment: same board, slightly drifted workload.
-        let mut drifted = spec.clone();
-        drifted.shape.features += 20;
-        drifted.shape.marginalized_features += 3;
-        let neighbor = synthesize(&drifted).expect("feasible");
-        let warm = synthesize_warm(&spec, &neighbor).expect("feasible");
-        assert!(warm.same_design(&cold));
-        assert!(
-            warm.candidates_examined < cold.candidates_examined,
-            "warm start must examine less: {} vs {}",
-            warm.candidates_examined,
-            cold.candidates_examined
-        );
-    }
-
-    #[test]
-    fn infeasible_prior_falls_back_to_cold_sweep() {
-        let spec = DesignSpec::zc706_power_optimal(3.0);
-        // A prior from a much larger board: its knobs exceed the ZC706
-        // lattice entirely, so warm seeding must be skipped.
-        let big = DesignSpec {
-            platform: FpgaPlatform::virtex7_690t(),
-            objective: Objective::MinLatency,
-            ..DesignSpec::zc706_power_optimal(0.0)
-        };
-        let prior = synthesize(&big).expect("feasible");
-        assert!(prior.config.nd > ND_MAX);
-        let warm = synthesize_warm(&spec, &prior).expect("feasible");
-        let oracle = synthesize_exhaustive(&spec).expect("feasible");
-        assert!(warm.same_design(&oracle));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Equivalence suite for the pruned design-space search.
 //!
 //! The optimized synthesizer paths — incumbent-bound pruned
-//! ([`synthesize_with`]), warm-started ([`synthesize_warm_with`]) and
-//! memoized ([`SynthCache`]) — all promise the **bitwise-identical design**
+//! ([`synthesize_with`]) and memoized ([`SynthCache`]) — both promise the **bitwise-identical design**
 //! the exhaustive serial scan ([`synthesize_exhaustive`]) returns: same
 //! configuration, bit-equal modelled latency, power and resources, at any
 //! pool size; infeasible specs must report a bit-equal best-achievable
@@ -10,8 +9,8 @@
 //! both objectives and pools of 1, 2 and 8 threads.
 
 use archytas_core::{
-    synthesize_exhaustive, synthesize_warm_with, synthesize_with, DesignSpec, Objective,
-    SynthCache, SynthesisError, SynthesizedDesign,
+    synthesize_exhaustive, synthesize_with, DesignSpec, Objective, SynthCache, SynthesisError,
+    SynthesizedDesign,
 };
 use archytas_hw::FpgaPlatform;
 use archytas_mdfg::ProblemShape;
@@ -104,24 +103,6 @@ proptest! {
         for pool in pools() {
             let got = synthesize_with(&spec, &pool);
             assert_same_outcome(&got, &oracle, &format!("{} threads", pool.threads()));
-        }
-    }
-
-    /// Warm-starting from a drifted neighbour's optimum (or from the exact
-    /// same spec's optimum — the tightest possible prior) never changes
-    /// the outcome.
-    #[test]
-    fn warm_search_is_bitwise_exhaustive(spec in specs(), drift in 0usize..60) {
-        let oracle = synthesize_exhaustive(&spec);
-        let mut neighbour = spec.clone();
-        neighbour.shape.features += drift;
-        let prior = match synthesize_with(&neighbour, &Pool::with_threads(1)) {
-            Ok(d) => d,
-            Err(_) => return Ok(()), // no prior to warm from
-        };
-        for pool in pools() {
-            let got = synthesize_warm_with(&spec, &prior, &pool);
-            assert_same_outcome(&got, &oracle, &format!("warm, {} threads", pool.threads()));
         }
     }
 

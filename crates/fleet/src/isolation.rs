@@ -77,35 +77,23 @@ pub struct FailureRecord {
     pub restarts_before: usize,
 }
 
-/// How step deadlines are measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineClock {
-    /// Deterministic frame-count budgets: a window's cost is the number of
-    /// scheduler rounds it consumed (1 + stall rounds), and the deadline is
-    /// `multiplier` rounds. Both sides of the Eq. 13 comparison scale by
-    /// the modelled window latency, so the modelled budget cancels to a
-    /// pure round count — bit-reproducible at any pool size. The default,
-    /// and the only mode tests use.
-    Logical,
-    /// Production mode: measured step wall time against
-    /// `window_latency_ms × multiplier` from the Eq. 13 model. Timing-
-    /// dependent by construction; never part of the determinism contract.
-    WallClock,
-}
-
 /// Step-deadline policy: the soft deadline is the Eq. 13 modelled window
 /// latency times `multiplier`.
+///
+/// Deadlines are measured on a logical clock: a window's cost is the number
+/// of scheduler rounds it consumed (1 + stall rounds), and the deadline is
+/// `multiplier` rounds. Both sides of the Eq. 13 comparison scale by the
+/// modelled window latency, so the modelled budget cancels to a pure round
+/// count — bit-reproducible at any pool size.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlinePolicy {
-    /// Deadline as a multiple of the modelled window latency (Logical: the
-    /// round budget per window).
+    /// Deadline as a multiple of the modelled window latency: the round
+    /// budget per window.
     pub multiplier: f64,
     /// Consecutive misses that escalate `SlowSuspect` → `Quarantined`.
     pub misses_to_quarantine: usize,
     /// Clean windows needed to demote `SlowSuspect` → `Nominal`.
     pub recovery_steps: usize,
-    /// Logical (deterministic) or wall-clock measurement.
-    pub clock: DeadlineClock,
 }
 
 impl Default for DeadlinePolicy {
@@ -114,7 +102,6 @@ impl Default for DeadlinePolicy {
             multiplier: 8.0,
             misses_to_quarantine: 2,
             recovery_steps: 2,
-            clock: DeadlineClock::Logical,
         }
     }
 }

@@ -31,10 +31,9 @@
 //! from their last checkpoint after a capped exponential backoff
 //! (measured in scheduler rounds — deterministic and seedable), and a
 //! [`DeadlinePolicy`] escalates slow sessions `Nominal → SlowSuspect →
-//! Quarantined` on a logical frame-count clock by default (wall-clock is
-//! a production opt-in). The `archytas-faults` crate's `ChaosPlan` is the
-//! adversary: seeded panics, stalls, poisoned observations, and worker
-//! jitter for proving all of the above.
+//! Quarantined` on a logical frame-count clock. The `archytas-faults`
+//! crate's `ChaosPlan` is the adversary: seeded panics, stalls, poisoned
+//! observations, and worker jitter for proving all of the above.
 //!
 //! # Example
 //!
@@ -67,8 +66,8 @@ mod session;
 pub use admission::{plan as plan_admission, AdmissionDecision};
 pub use archytas_telemetry::{FleetTelemetry, PowerEnvelope, SessionTelemetry, TrafficClass};
 pub use isolation::{
-    fnv1a, DeadlineClock, DeadlinePolicy, DeadlineVerdict, DeadlineWatchdog, FailureCause,
-    FailureRecord, RestartPolicy, SessionPhase,
+    fnv1a, DeadlinePolicy, DeadlineVerdict, DeadlineWatchdog, FailureCause, FailureRecord,
+    RestartPolicy, SessionPhase,
 };
 pub use pool::ScratchStats;
 pub use scheduler::SchedulerStats;
@@ -111,7 +110,7 @@ pub struct FleetConfig {
     /// injector and its workers steal within the shard before crossing).
     /// `0` selects the default (4).
     pub shard_size: usize,
-    /// Step-deadline policy (logical frame-count clock by default).
+    /// Step-deadline policy (logical frame-count clock).
     pub deadline: DeadlinePolicy,
     /// Restart ladder for quarantined sessions.
     pub restart: RestartPolicy,

@@ -35,8 +35,8 @@ use archytas_slam::{FactorWeights, Pose, SolverWorkspace, TrajectoryMetrics};
 use archytas_telemetry::{SessionTelemetry, TrafficClass};
 
 use crate::isolation::{
-    fnv1a, DeadlineClock, DeadlinePolicy, DeadlineVerdict, DeadlineWatchdog, FailureCause,
-    FailureRecord, RestartPolicy, SessionPhase,
+    fnv1a, DeadlinePolicy, DeadlineVerdict, DeadlineWatchdog, FailureCause, FailureRecord,
+    RestartPolicy, SessionPhase,
 };
 use crate::FleetConfig;
 
@@ -470,10 +470,9 @@ struct Core {
 
 impl Core {
     /// Processes the next frame (front-end, health-fed runtime decision,
-    /// f32 accelerator solve). Returns `(done, window latency)` where the
-    /// latency is `Some` iff a window closed this frame. Purely a function
-    /// of the session's own state — no observable dependence on what other
-    /// sessions are doing.
+    /// f32 accelerator solve). Returns `(done, window_closed)`. Purely a
+    /// function of the session's own state — no observable dependence on
+    /// what other sessions are doing.
     ///
     /// `inject_panic` fires the chaos panic *after* the front-end ingests
     /// the frame, so the unwind genuinely tears mid-assembly state (a
@@ -484,18 +483,17 @@ impl Core {
         model: &CachedAcceleratorModel,
         workspace: &mut SolverWorkspace,
         inject_panic: bool,
-    ) -> (bool, Option<f64>) {
+    ) -> (bool, bool) {
         if self.cursor >= frames.len() {
             // Zero-frame stream (a churn leaver truncated to nothing):
             // complete immediately.
-            return (true, None);
+            return (true, false);
         }
         let produced = self.pipeline.push_frame(&frames[self.cursor]);
         self.cursor += 1;
         if inject_panic {
             panic!("chaos: injected session panic at frame {}", self.cursor - 1);
         }
-        let mut window_latency = None;
         if produced {
             let features = self.pipeline.window().num_landmarks();
             let healthy = !self.pipeline.health().is_suspect();
@@ -528,9 +526,8 @@ impl Core {
                 .record(&result.estimate, &result.ground_truth, 0.0);
             self.estimates.push(result.estimate);
             self.iterations.push(decision.iterations);
-            window_latency = Some(latency_ms);
         }
-        (self.cursor >= frames.len(), window_latency)
+        (self.cursor >= frames.len(), produced)
     }
 }
 
@@ -730,17 +727,12 @@ impl SessionState {
                 );
                 StepOutcome::Failed
             }
-            Ok((done, window)) => {
+            Ok((done, window_closed)) => {
                 self.frame_wall_ns.push(wall_ns);
-                if let Some(latency_ms) = window {
+                if window_closed {
                     let rounds = 1 + self.core.stalls_since_window;
                     self.core.stalls_since_window = 0;
-                    let missed = match self.deadline.clock {
-                        DeadlineClock::Logical => rounds as f64 > self.deadline.multiplier,
-                        DeadlineClock::WallClock => {
-                            wall_ns as f64 > latency_ms * self.deadline.multiplier * 1e6
-                        }
-                    };
+                    let missed = rounds as f64 > self.deadline.multiplier;
                     if missed {
                         self.deadline_misses_total += 1;
                     }

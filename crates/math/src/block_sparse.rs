@@ -20,7 +20,7 @@
 //!
 //! For a system whose dense image ([`BlockSparseSystem::to_dense`]) is handed
 //! to [`SchurSystem`](crate::SchurSystem), [`BlockSparseSystem::solve_into`]
-//! returns the *bit-identical* increment, for any thread count. This holds
+//! returns the *bit-identical* increment. This holds
 //! because every floating-point operation of the dense path is replayed with
 //! the same operands in the same order, except for additions of structural
 //! zeros — and those are exact no-ops: assembled entries are accumulated sums
@@ -46,7 +46,6 @@ use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::vector::Vector;
 use archytas_par::counters::{self, Phase};
-use archytas_par::Pool;
 
 /// Normal equations `[U Wᵀ; W V]·δp = [bx; by]` in block-sparse form.
 ///
@@ -500,7 +499,7 @@ impl<T: Scalar> BlockSparseSystem<T> {
     fn w_entry_mut(&mut self, lm: usize, r: usize) -> &mut T {
         let b0 = r - r % self.stride;
         let local = r - b0;
-        debug_assert!(
+        assert!(
             local < self.kb,
             "w row {r} falls outside the {}-high block starting at {b0}",
             self.kb
@@ -572,31 +571,21 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// (`δp = [δpx; δpy]`), using `scratch` for every intermediate buffer.
     ///
     /// Bit-identical to [`SchurSystem::solve`](crate::SchurSystem::solve) on
-    /// the dense image of this system, for any `pool` configuration (see the
-    /// module docs). The `q × q` outer-product accumulation — the dominant
-    /// cost — is row-parallel with a FLOP-weighted dispatch gate, so small
-    /// windows never pay a fork/join.
+    /// the dense image of this system (see the module docs).
     ///
     /// # Errors
     ///
     /// Returns [`MathError::SingularDiagonal`] when a `U` entry is zero or
     /// not finite, and [`MathError::NotPositiveDefinite`] when the reduced
     /// system fails to factor (the LM loop responds by raising λ).
-    pub fn solve_into(
-        &self,
-        scratch: &mut SchurScratch<T>,
-        pool: &Pool,
-        out: &mut Vector<T>,
-    ) -> Result<()> {
+    pub fn solve_into(&self, scratch: &mut SchurScratch<T>, out: &mut Vector<T>) -> Result<()> {
         let (p, q, kb) = (self.p, self.q, self.kb);
-        counters::time(Phase::SchurProduct, || self.schur_reduce(scratch, pool))?;
+        counters::time(Phase::SchurProduct, || self.schur_reduce(scratch))?;
         // The reduced system S = V − prod is factored straight from its two
         // operands — never materialized — with the identical per-element
         // subtraction the explicit Schur matrix would have stored.
         counters::time(Phase::Factorization, || {
-            scratch
-                .chol
-                .refactor_diff_with(&self.v, &scratch.prod, pool)
+            scratch.chol.refactor_diff(&self.v, &scratch.prod)
         })?;
         counters::time(Phase::BackSubstitution, || {
             let SchurScratch {
@@ -644,19 +633,14 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// `scratch` with `U⁻¹`, the elimination product `W·U⁻¹·Wᵀ` and the
     /// reduced right-hand side. The reduced system `S = V − W·U⁻¹·Wᵀ` itself
     /// is never materialized — the factorization seeds its work buffer with
-    /// the difference directly ([`Cholesky::refactor_diff_with`]).
+    /// the difference directly ([`Cholesky::refactor_diff`]).
     ///
-    /// Two equivalent elimination kernels share this function. The serial
-    /// one sweeps landmark-major — for each landmark, one rank-1 update of
-    /// the block pattern with fused `kb`-wide row writes — and needs no
-    /// auxiliary index at all. The row-parallel one (taken when the
-    /// FLOP-weighted gate fires) partitions `prod` by pose row and gathers
-    /// through a flat CSR transpose index built on demand. Per output cell
-    /// both orders are the same: contributions arrive in ascending landmark
-    /// order — the dense kernel's `i-k-j` order restricted to the nonzero
-    /// pattern — with identical operands, so the two kernels (and the dense
-    /// path) agree bit for bit.
-    fn schur_reduce(&self, scratch: &mut SchurScratch<T>, pool: &Pool) -> Result<()> {
+    /// The elimination sweeps landmark-major: for each landmark, one rank-1
+    /// update of the block pattern with fused `kb`-wide row writes. Per
+    /// output cell, contributions arrive in ascending landmark order — the
+    /// dense kernel's `i-k-j` order restricted to the nonzero pattern — with
+    /// identical operands, so the result matches the dense path bit for bit.
+    fn schur_reduce(&self, scratch: &mut SchurScratch<T>) -> Result<()> {
         let (p, q, kb) = (self.p, self.q, self.kb);
         // U⁻¹, with DiagMat::inverse's exact singularity test.
         scratch.uinv.clear();
@@ -666,13 +650,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
             }
             scratch.uinv.push(T::ONE / d);
         }
-        // Exact multiply-accumulate count of the elimination — landmark `lm`
-        // contributes (nnz_lm·kb)² — which the dispatch decision weighs.
-        let mut mac_ops = 0usize;
-        for lm in 0..p {
-            let nnz = self.w_rows[lm].len() * kb;
-            mac_ops += nnz * nnz;
-        }
         // Reduced RHS scaling: s2 = U⁻¹·bx.
         scratch.s2.clear();
         scratch
@@ -681,173 +658,85 @@ impl<T: Scalar> BlockSparseSystem<T> {
 
         scratch.prod.reset_zeros(q, q);
         scratch.rhs.resize_fill(q, T::ZERO);
-        if pool.should_parallelize_work(q * q, mac_ops) {
-            // Row-parallel path: the same gate par_chunks_mut_weighted
-            // applies to the prod buffer below, pre-checked here so the
-            // transpose index is only built when it will actually be used.
-            self.build_row_index(scratch);
-            let SchurScratch {
-                uinv,
-                s2,
-                row_ptr,
-                row_ent,
-                prod,
-                rhs,
-                ..
-            } = scratch;
-            let uinv: &[T] = uinv;
-            let row_ptr: &[u32] = row_ptr;
-            let row_ent: &[(u32, u32)] = row_ent;
-            let w_rows = &self.w_rows;
-            let w_vals = &self.w_vals;
-            pool.par_chunks_mut_weighted(prod.as_mut_slice(), q, mac_ops, |r, prow| {
-                for &(lm, off) in &row_ent[row_ptr[r] as usize..row_ptr[r + 1] as usize] {
-                    let lm = lm as usize;
-                    // Same operand order as the dense path: (w·u⁻¹) first,
-                    // and the same skip as try_mul's zero-multiplicand test.
-                    let s = w_vals[lm][off as usize] * uinv[lm];
-                    if s == T::ZERO {
-                        continue;
-                    }
-                    let vals = &w_vals[lm];
-                    for (bi, &c0) in w_rows[lm].iter().enumerate() {
-                        let c0 = c0 as usize;
-                        kernels::add_scaled(
-                            &mut prow[c0..c0 + kb],
-                            &vals[bi * kb..(bi + 1) * kb],
-                            s,
-                        );
-                    }
-                }
-            });
-            // Reduced RHS: by − W·s2, row-major through the same index.
-            let rhs = rhs.as_mut_slice();
-            for r in 0..q {
-                let mut acc = T::ZERO;
-                for &(lm, off) in &row_ent[row_ptr[r] as usize..row_ptr[r + 1] as usize] {
-                    acc += w_vals[lm as usize][off as usize] * s2[lm as usize];
-                }
-                rhs[r] = self.by[r] - acc;
-            }
-        } else {
-            // Landmark-major blocked SYRK. `s` is computed once per W row
-            // instead of once per (pose row, landmark) gather, and every
-            // inner write is a fused kb-wide row run.
-            let prod = &mut scratch.prod;
-            let prod_s = prod.as_mut_slice();
-            for lm in 0..p {
-                let rows = &self.w_rows[lm];
-                let vals = &self.w_vals[lm];
-                let ui = scratch.uinv[lm];
-                if kb == 6 {
-                    // The sliding window's block height: the whole 6-high
-                    // block-pair update runs through the unrolled
-                    // fixed-width SYRK kernel. Per destination cell one
-                    // landmark contributes exactly one multiply-add, so the
-                    // kernel's block-column-major loop order is
-                    // bit-identical to the row-major fallback below (see
-                    // `fixed::syrk_scatter`); the per-row scale is the same
-                    // `(w·u⁻¹)`-first product, with zero rows skipped like
-                    // the fallback's `continue`.
-                    for (bi, &r0) in rows.iter().enumerate() {
-                        let r0 = r0 as usize;
-                        let s: [T; 6] = core::array::from_fn(|t| vals[bi * 6 + t] * ui);
-                        fixed::syrk_scatter::<T, 6>(
-                            &mut prod_s[r0 * q..(r0 + 6) * q],
-                            q,
-                            &s,
-                            rows,
-                            vals,
-                        );
-                    }
-                } else {
-                    for (bi, &r0) in rows.iter().enumerate() {
-                        let r0 = r0 as usize;
-                        for t in 0..kb {
-                            // Same operand order as the dense path: (w·u⁻¹)
-                            // first, and the same skip as try_mul's
-                            // zero-multiplicand test.
-                            let s = vals[bi * kb + t] * ui;
-                            if s == T::ZERO {
-                                continue;
-                            }
-                            let prow = &mut prod_s[(r0 + t) * q..(r0 + t + 1) * q];
-                            for (bj, &c0) in rows.iter().enumerate() {
-                                let c0 = c0 as usize;
-                                kernels::add_scaled(
-                                    &mut prow[c0..c0 + kb],
-                                    &vals[bj * kb..(bj + 1) * kb],
-                                    s,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            // Reduced RHS by the same landmark-major sweep: racc[r] gathers
-            // its terms in ascending-lm order — exactly the order the
-            // row-major loop above adds them into its scalar accumulator —
-            // and the single closing subtraction lands on by, so the bits
-            // match the indexed path.
-            scratch.racc.clear();
-            scratch.racc.resize(q, T::ZERO);
-            for lm in 0..p {
-                let s2 = scratch.s2[lm];
-                let vals = &self.w_vals[lm];
-                for (bi, &r0) in self.w_rows[lm].iter().enumerate() {
+        // Landmark-major blocked SYRK: `s` is computed once per W row and
+        // every inner write is a fused kb-wide row run.
+        let prod_s = scratch.prod.as_mut_slice();
+        for lm in 0..p {
+            let rows = &self.w_rows[lm];
+            let vals = &self.w_vals[lm];
+            let ui = scratch.uinv[lm];
+            if kb == 6 {
+                // The sliding window's block height: the whole 6-high
+                // block-pair update runs through the unrolled
+                // fixed-width SYRK kernel. Per destination cell one
+                // landmark contributes exactly one multiply-add, so the
+                // kernel's block-column-major loop order is
+                // bit-identical to the row-major fallback below (see
+                // `fixed::syrk_scatter`); the per-row scale is the same
+                // `(w·u⁻¹)`-first product, with zero rows skipped like
+                // the fallback's `continue`.
+                for (bi, &r0) in rows.iter().enumerate() {
                     let r0 = r0 as usize;
-                    if kb == 6 {
-                        // Unrolled, with the sweep's src-first operand order.
-                        fixed::Vec::<T, 6>::from_mut_slice(&mut scratch.racc[r0..])
-                            .axpy_src_s(fixed::Vec::from_slice(&vals[bi * 6..]), s2);
-                    } else {
-                        for t in 0..kb {
-                            scratch.racc[r0 + t] += vals[bi * kb + t] * s2;
+                    let s: [T; 6] = core::array::from_fn(|t| vals[bi * 6 + t] * ui);
+                    fixed::syrk_scatter::<T, 6>(
+                        &mut prod_s[r0 * q..(r0 + 6) * q],
+                        q,
+                        &s,
+                        rows,
+                        vals,
+                    );
+                }
+            } else {
+                for (bi, &r0) in rows.iter().enumerate() {
+                    let r0 = r0 as usize;
+                    for t in 0..kb {
+                        // Same operand order as the dense path: (w·u⁻¹)
+                        // first, and the same skip as try_mul's
+                        // zero-multiplicand test.
+                        let s = vals[bi * kb + t] * ui;
+                        if s == T::ZERO {
+                            continue;
+                        }
+                        let prow = &mut prod_s[(r0 + t) * q..(r0 + t + 1) * q];
+                        for (bj, &c0) in rows.iter().enumerate() {
+                            let c0 = c0 as usize;
+                            kernels::add_scaled(
+                                &mut prow[c0..c0 + kb],
+                                &vals[bj * kb..(bj + 1) * kb],
+                                s,
+                            );
                         }
                     }
                 }
             }
-            let rhs = scratch.rhs.as_mut_slice();
-            for ((rh, &b), &acc) in rhs.iter_mut().zip(&self.by).zip(&scratch.racc) {
-                *rh = b - acc;
+        }
+        // Reduced RHS by the same landmark-major sweep: racc[r] gathers its
+        // terms in ascending-lm order — the order a row-major `W·s2` adds
+        // them into its scalar accumulator — and the single closing
+        // subtraction lands on by.
+        scratch.racc.clear();
+        scratch.racc.resize(q, T::ZERO);
+        for lm in 0..p {
+            let s2 = scratch.s2[lm];
+            let vals = &self.w_vals[lm];
+            for (bi, &r0) in self.w_rows[lm].iter().enumerate() {
+                let r0 = r0 as usize;
+                if kb == 6 {
+                    // Unrolled, with the sweep's src-first operand order.
+                    fixed::Vec::<T, 6>::from_mut_slice(&mut scratch.racc[r0..])
+                        .axpy_src_s(fixed::Vec::from_slice(&vals[bi * 6..]), s2);
+                } else {
+                    for t in 0..kb {
+                        scratch.racc[r0 + t] += vals[bi * kb + t] * s2;
+                    }
+                }
             }
+        }
+        let rhs = scratch.rhs.as_mut_slice();
+        for ((rh, &b), &acc) in rhs.iter_mut().zip(&self.by).zip(&scratch.racc) {
+            *rh = b - acc;
         }
         Ok(())
-    }
-
-    /// Builds the flat (CSR) transpose index of the `W` pattern into
-    /// `scratch`: for each pose row, the landmarks whose blocks cover it —
-    /// in ascending order — with the offset of their value for that row.
-    /// Counting sort over the block lists: O(nnz), no per-row vectors.
-    fn build_row_index(&self, scratch: &mut SchurScratch<T>) {
-        let (p, q, kb) = (self.p, self.q, self.kb);
-        let cur = &mut scratch.row_cur;
-        cur.clear();
-        cur.resize(q + 1, 0u32);
-        for lm in 0..p {
-            for &r0 in &self.w_rows[lm] {
-                for t in 0..kb {
-                    cur[r0 as usize + t + 1] += 1;
-                }
-            }
-        }
-        for r in 0..q {
-            cur[r + 1] += cur[r];
-        }
-        scratch.row_ptr.clear();
-        scratch.row_ptr.extend_from_slice(cur);
-        let total = cur[q] as usize;
-        scratch.row_ent.clear();
-        scratch.row_ent.resize(total, (0, 0));
-        for lm in 0..p {
-            for (bi, &r0) in self.w_rows[lm].iter().enumerate() {
-                for t in 0..kb {
-                    let r = r0 as usize + t;
-                    scratch.row_ent[cur[r] as usize] = (lm as u32, (bi * kb + t) as u32);
-                    cur[r] += 1;
-                }
-            }
-        }
     }
 
     /// Materializes the dense `(A, b)` this system represents (symmetric,
@@ -891,14 +780,8 @@ impl<T: Scalar> BlockSparseSystem<T> {
 pub struct SchurScratch<T: Scalar> {
     uinv: Vec<T>,
     s2: Vec<T>,
-    /// RHS gather buffer of the landmark-major (serial) elimination kernel.
+    /// RHS gather buffer of the landmark-major elimination.
     racc: Vec<T>,
-    /// Flat (CSR) transpose index of the `W` pattern — row pointers, fill
-    /// cursors and `(landmark, value-offset)` entries — built only when the
-    /// row-parallel elimination path runs.
-    row_ptr: Vec<u32>,
-    row_cur: Vec<u32>,
-    row_ent: Vec<(u32, u32)>,
     prod: Matrix<T>,
     rhs: Vector<T>,
     chol: Cholesky<T>,
@@ -914,9 +797,6 @@ impl<T: Scalar> Default for SchurScratch<T> {
             uinv: Vec::new(),
             s2: Vec::new(),
             racc: Vec::new(),
-            row_ptr: Vec::new(),
-            row_cur: Vec::new(),
-            row_ent: Vec::new(),
             prod: Matrix::zeros(0, 0),
             rhs: Vector::zeros(0),
             chol: Cholesky::default(),
@@ -972,14 +852,8 @@ mod tests {
         let reference = SchurSystem::new(&a, &b, spec).unwrap().solve().unwrap();
         let mut scratch = SchurScratch::default();
         let mut out = Vector::zeros(0);
-        for pool in [
-            Pool::with_threads(1),
-            Pool::with_threads(2).with_serial_threshold(0),
-            Pool::with_threads(8).with_serial_threshold(0),
-        ] {
-            s.solve_into(&mut scratch, &pool, &mut out).unwrap();
-            assert_eq!(out.as_slice(), reference.as_slice());
-        }
+        s.solve_into(&mut scratch, &mut out).unwrap();
+        assert_eq!(out.as_slice(), reference.as_slice());
     }
 
     #[test]
@@ -1019,12 +893,7 @@ mod tests {
             .unwrap();
         let mut scratch = SchurScratch::default();
         let mut out = Vector::zeros(0);
-        s.solve_into(
-            &mut scratch,
-            &Pool::with_threads(4).with_serial_threshold(0),
-            &mut out,
-        )
-        .unwrap();
+        s.solve_into(&mut scratch, &mut out).unwrap();
         assert_eq!(out.as_slice(), reference.as_slice());
     }
 
@@ -1042,8 +911,7 @@ mod tests {
         let reference = Cholesky::factor(&a).unwrap().solve(&b);
         let mut scratch = SchurScratch::default();
         let mut out = Vector::zeros(0);
-        s.solve_into(&mut scratch, &Pool::with_threads(1), &mut out)
-            .unwrap();
+        s.solve_into(&mut scratch, &mut out).unwrap();
         assert_eq!(out.as_slice(), reference.as_slice());
     }
 
@@ -1064,14 +932,13 @@ mod tests {
         }
         let mut scratch = SchurScratch::default();
         let mut out = Vector::zeros(0);
-        let pool = Pool::with_threads(1);
-        s1.solve_into(&mut scratch, &pool, &mut out).unwrap();
+        s1.solve_into(&mut scratch, &mut out).unwrap();
         let (a, b) = s2.to_dense();
         let reference = SchurSystem::new(&a, &b, BlockSpec::new(1, 8).unwrap())
             .unwrap()
             .solve()
             .unwrap();
-        s2.solve_into(&mut scratch, &pool, &mut out).unwrap();
+        s2.solve_into(&mut scratch, &mut out).unwrap();
         assert_eq!(out.as_slice(), reference.as_slice());
     }
 
@@ -1081,11 +948,7 @@ mod tests {
         s.reset(2, 7, 4, 7);
         s.add_u(0, 3.0); // landmark 1 left at zero
         assert!(matches!(
-            s.solve_into(
-                &mut SchurScratch::default(),
-                &Pool::with_threads(1),
-                &mut Vector::zeros(0)
-            ),
+            s.solve_into(&mut SchurScratch::default(), &mut Vector::zeros(0)),
             Err(MathError::SingularDiagonal { index: 1 })
         ));
     }

@@ -14,10 +14,9 @@ use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::triangular::{solve_lower, solve_upper};
 use crate::vector::Vector;
-use archytas_par::Pool;
 
 /// Column-panel width of the blocked trailing update in
-/// [`Cholesky::refactor_with`]. Eight columns per sweep lets the update
+/// [`Cholesky::refactor`]. Eight columns per sweep lets the update
 /// kernel apply a rank-8 modification per trailing-row traversal — an 8×
 /// reduction in trailing-matrix memory traffic over the unblocked loop —
 /// while the const-generic [`fixed::sub_scaled_panel`] keeps the per-element
@@ -55,7 +54,7 @@ pub struct CholeskyOpCounts {
 
 impl<T: Scalar> Default for Cholesky<T> {
     /// An empty (0-dimensional) factorization, as a reusable-buffer seed for
-    /// [`Cholesky::refactor_with`].
+    /// [`Cholesky::refactor`].
     fn default() -> Self {
         Self {
             l: Matrix::zeros(0, 0),
@@ -85,57 +84,41 @@ impl<T: Scalar> Cholesky<T> {
     }
 
     /// Factors `a` and reports the per-phase operation counts used by the
-    /// hardware latency model. Uses the global pool.
+    /// hardware latency model.
+    ///
+    /// The Evaluate phase is inherently sequential (each pivot depends on all
+    /// previous updates); the Update phase's trailing rows are mutually
+    /// independent — the property the hardware template's parallel Update
+    /// lanes exploit (paper Fig. 8). [`CholeskyOpCounts`] carries the exact
+    /// closed form `(n−k−1)(n−k)/2` per Update iteration.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Cholesky::factor`].
     pub fn factor_counting(a: &Matrix<T>) -> Result<(Self, CholeskyOpCounts)> {
-        Self::factor_counting_with(a, &Pool::global())
-    }
-
-    /// Factors `a` on an explicit pool.
-    ///
-    /// The Evaluate phase is inherently sequential (each pivot depends on all
-    /// previous updates), but the Update phase's trailing rows are mutually
-    /// independent — the same property the hardware template's parallel
-    /// Update lanes exploit (paper Fig. 8) — so they are distributed across
-    /// the pool's workers. Each element receives the single multiply-subtract
-    /// it would in the serial loop, so the factor is bit-identical for any
-    /// thread count, and [`CholeskyOpCounts`] is unchanged: the Update count
-    /// per iteration is the exact closed form `(n−k−1)(n−k)/2` the serial
-    /// increments sum to.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cholesky::factor`].
-    pub fn factor_counting_with(a: &Matrix<T>, pool: &Pool) -> Result<(Self, CholeskyOpCounts)> {
-        let mut fact = Self {
-            l: Matrix::zeros(0, 0),
-            lt: Matrix::zeros(0, 0),
-        };
-        let counts = fact.refactor_with(a, pool)?;
+        let mut fact = Self::default();
+        let counts = fact.refactor(a)?;
         Ok((fact, counts))
     }
 
     /// Re-runs the factorization on `a`, reusing this value's buffers — no
     /// allocation when `a` has the shape of the previous factorization. The
-    /// arithmetic is identical to [`Cholesky::factor_counting_with`].
+    /// arithmetic is identical to [`Cholesky::factor_counting`].
     ///
     /// On error the value is left in an unspecified (but safe) state; run
-    /// another `refactor_with` before using it again.
+    /// another `refactor` before using it again.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Cholesky::factor`].
-    pub fn refactor_with(&mut self, a: &Matrix<T>, pool: &Pool) -> Result<CholeskyOpCounts> {
+    pub fn refactor(&mut self, a: &Matrix<T>) -> Result<CholeskyOpCounts> {
         let n = a.rows();
         // The trailing sub-matrix S_k is stored TRANSPOSED (see
         // `refactor_seeded`); seeding it from `a`'s rows reads the upper
         // triangle (symmetry is assumed). `self.l` doubles as the buffer; it
         // is overwritten with the final row-major factor afterwards.
         self.l.clone_from(a);
-        self.refactor_seeded(n, pool)
+        self.refactor_seeded(n)
     }
 
     /// Factors the difference `v − prod` without materializing it: the
@@ -145,18 +128,13 @@ impl<T: Scalar> Cholesky<T> {
     ///
     /// Each seeded element is the identical single rounded `v[i] − prod[i]`
     /// a materialized subtraction would store, so the factor is bit-identical
-    /// to `refactor_with` on the explicit difference.
+    /// to `refactor` on the explicit difference.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Cholesky::factor`] (the difference must be
     /// square, symmetric and positive definite).
-    pub fn refactor_diff_with(
-        &mut self,
-        v: &Matrix<T>,
-        prod: &Matrix<T>,
-        pool: &Pool,
-    ) -> Result<CholeskyOpCounts> {
+    pub fn refactor_diff(&mut self, v: &Matrix<T>, prod: &Matrix<T>) -> Result<CholeskyOpCounts> {
         if !v.is_square() {
             return Err(MathError::DimensionMismatch {
                 op: "cholesky",
@@ -166,12 +144,12 @@ impl<T: Scalar> Cholesky<T> {
         }
         let n = v.rows();
         self.l.set_sub_of(v, prod);
-        self.refactor_seeded(n, pool)
+        self.refactor_seeded(n)
     }
 
     /// The shared factorization body: `self.l` holds the seeded work matrix
     /// (the input, upper triangle valid), `self.lt` receives the factor.
-    fn refactor_seeded(&mut self, n: usize, pool: &Pool) -> Result<CholeskyOpCounts> {
+    fn refactor_seeded(&mut self, n: usize) -> Result<CholeskyOpCounts> {
         // The factor is accumulated as `Lᵀ` (row-major): the Evaluate phase
         // then writes column k of `L` into one contiguous row, and the Update
         // phase reads that same row sequentially — the strided column
@@ -198,8 +176,7 @@ impl<T: Scalar> Cholesky<T> {
         // the exact operands of the serial formulation. The blocking only
         // changes *when* a subtraction happens, never its inputs or its
         // position in the element's subtraction sequence, so the factor is
-        // identical bit for bit (and so is the parallel row distribution, as
-        // before).
+        // identical bit for bit.
         let mut k0 = 0;
         while k0 < n {
             let kend = (k0 + PANEL).min(n);
@@ -235,35 +212,19 @@ impl<T: Scalar> Cholesky<T> {
             // --- Update phase: S ← S − L_panel·L_panelᵀ on rows kend..n ---
             // Transposed row j of the trailing block only reads rows
             // k0..kend of Lᵀ (fully written above) and writes elements
-            // (i, j) for i ≥ j, so rows update in parallel; chunks of one
-            // row keep the borrow regions disjoint. The weight is the
-            // panel's share of multiply-subtracts on those rows — small
-            // trailing blocks (every iteration of a window-sized Schur
-            // complement) never pay a fork/join.
-            if kend < n {
-                let nb = kend - k0;
-                let rows_below = n - kend;
-                let sweep_ops = nb * rows_below * (rows_below + 1) / 2;
-                let lt = &self.lt;
-                pool.par_chunks_mut_weighted(
-                    &mut work.as_mut_slice()[kend * n..],
-                    n,
-                    sweep_ops,
-                    |c, wr| {
-                        let j = kend + c;
-                        let w = &mut wr[j..];
-                        if nb == PANEL {
-                            let srcs: [&[T]; PANEL] =
-                                core::array::from_fn(|kk| &lt.row(k0 + kk)[j..]);
-                            let a: [T; PANEL] = core::array::from_fn(|kk| lt.get(k0 + kk, j));
-                            fixed::sub_scaled_panel::<T, PANEL>(w, &srcs, &a);
-                        } else {
-                            for kk in k0..kend {
-                                kernels::sub_scaled(w, &lt.row(kk)[j..], lt.get(kk, j));
-                            }
-                        }
-                    },
-                );
+            // (i, j) for i ≥ j.
+            let nb = kend - k0;
+            for j in kend..n {
+                let w = &mut work.row_mut(j)[j..];
+                if nb == PANEL {
+                    let srcs: [&[T]; PANEL] = core::array::from_fn(|kk| &self.lt.row(k0 + kk)[j..]);
+                    let a: [T; PANEL] = core::array::from_fn(|kk| self.lt.get(k0 + kk, j));
+                    fixed::sub_scaled_panel::<T, PANEL>(w, &srcs, &a);
+                } else {
+                    for kk in k0..kend {
+                        kernels::sub_scaled(w, &self.lt.row(kk)[j..], self.lt.get(kk, j));
+                    }
+                }
             }
             k0 = kend;
         }

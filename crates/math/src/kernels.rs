@@ -9,7 +9,7 @@
 //! # Bit-identity rules
 //!
 //! The callers of these kernels promise bit-identical results across code
-//! paths (dense vs. block-sparse, serial vs. parallel — see the
+//! paths (dense vs. block-sparse, blocked vs. unblocked — see the
 //! `block_sparse` module docs), so each kernel documents its floating-point
 //! contract precisely:
 //!

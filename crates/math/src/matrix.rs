@@ -3,14 +3,8 @@
 use crate::error::{MathError, Result};
 use crate::scalar::Scalar;
 use crate::vector::Vector;
-use archytas_par::Pool;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
-
-/// Row-block granularity for the parallel product/Gram kernels: each worker
-/// task computes this many output rows, amortizing chunk-claim overhead while
-/// still load-balancing tall matrices.
-const ROW_BLOCK: usize = 8;
 
 /// Dense row-major matrix over a [`Scalar`].
 ///
@@ -234,26 +228,15 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Matrix product, dimension-checked, on the global pool.
+    /// Matrix product, dimension-checked.
+    ///
+    /// i-k-j order keeps both streams sequential in row-major storage; a
+    /// zero multiplicand skips its whole `rhs` row.
     ///
     /// # Errors
     ///
     /// Returns [`MathError::DimensionMismatch`] when `self.cols != rhs.rows`.
     pub fn try_mul(&self, rhs: &Self) -> Result<Self> {
-        self.try_mul_with(rhs, &Pool::global())
-    }
-
-    /// Matrix product on an explicit pool.
-    ///
-    /// Output rows are independent, so they are computed in [`ROW_BLOCK`]
-    /// blocks across the pool's workers. Within each output row the i-k-j
-    /// accumulation order is exactly the serial kernel's, so the result is
-    /// bit-identical for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when `self.cols != rhs.rows`.
-    pub fn try_mul_with(&self, rhs: &Self, pool: &Pool) -> Result<Self> {
         if self.cols != rhs.rows {
             return Err(MathError::DimensionMismatch {
                 op: "mat_mul",
@@ -266,24 +249,16 @@ impl<T: Scalar> Matrix<T> {
         if n == 0 {
             return Ok(out);
         }
-        // One multiply-accumulate per (i, k, j) triple.
-        let est_ops = self.rows * self.cols * n;
-        pool.par_chunks_mut_weighted(&mut out.data, ROW_BLOCK * n, est_ops, |blk, out_block| {
-            let i0 = blk * ROW_BLOCK;
-            for (r, out_row) in out_block.chunks_mut(n).enumerate() {
-                let a_row = self.row(i0 + r);
-                // i-k-j order keeps both streams sequential in row-major
-                // storage; k ascends exactly as in the serial kernel.
-                for (k, &a) in a_row.iter().enumerate() {
-                    if a == T::ZERO {
-                        continue;
-                    }
-                    for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
-                        *o += a * b;
-                    }
+        for (a_row, out_row) in self.rows_iter().zip(out.data.chunks_mut(n)) {
+            for (k, &a) in a_row.iter().enumerate() {
+                if a == T::ZERO {
+                    continue;
+                }
+                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
+                    *o += a * b;
                 }
             }
-        });
+        }
         Ok(out)
     }
 
@@ -324,42 +299,28 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
-    /// Gram product `selfᵀ · self` (the information-matrix kernel `H = JᵀJ`)
-    /// on the global pool.
-    pub fn gram(&self) -> Self {
-        self.gram_with(&Pool::global())
-    }
-
-    /// Gram product on an explicit pool.
+    /// Gram product `selfᵀ · self` (the information-matrix kernel `H = JᵀJ`).
     ///
-    /// Each output row `i` holds `out[i][j] = Σ_k self[k][i]·self[k][j]`
-    /// (upper triangle, mirrored afterwards); rows are independent and are
-    /// computed in [`ROW_BLOCK`] blocks across the pool's workers. `k`
-    /// ascends per output element exactly as in a serial rank-1-update
-    /// formulation, so the result is bit-identical for any thread count.
-    pub fn gram_with(&self, pool: &Pool) -> Self {
+    /// Output row `i` holds `out[i][j] = Σ_k self[k][i]·self[k][j]` with `k`
+    /// ascending; only the upper triangle is accumulated and it is mirrored
+    /// afterwards.
+    pub fn gram(&self) -> Self {
         let n = self.cols;
         let mut out = Self::zeros(n, n);
         if n == 0 {
             return out;
         }
-        // Upper triangle only: one multiply-accumulate per (i ≤ j, k) triple.
-        let est_ops = n * (n + 1) / 2 * self.rows;
-        pool.par_chunks_mut_weighted(&mut out.data, ROW_BLOCK * n, est_ops, |blk, out_block| {
-            let i0 = blk * ROW_BLOCK;
-            for (r, out_row) in out_block.chunks_mut(n).enumerate() {
-                let i = i0 + r;
-                for row in self.rows_iter() {
-                    let a = row[i];
-                    if a == T::ZERO {
-                        continue;
-                    }
-                    for (o, &b) in out_row[i..].iter_mut().zip(&row[i..]) {
-                        *o += a * b;
-                    }
+        for (i, out_row) in out.data.chunks_mut(n).enumerate() {
+            for row in self.rows_iter() {
+                let a = row[i];
+                if a == T::ZERO {
+                    continue;
+                }
+                for (o, &b) in out_row[i..].iter_mut().zip(&row[i..]) {
+                    *o += a * b;
                 }
             }
-        });
+        }
         // Mirror the upper triangle.
         for i in 0..n {
             for j in 0..i {
@@ -725,19 +686,5 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], &[1.0, 2.0, 3.0]);
         assert_eq!(rows[1], &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn explicit_pool_kernels_match_serial() {
-        use archytas_par::Pool;
-        let a = M::from_fn(37, 23, |i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
-        let b = M::from_fn(23, 29, |i, j| ((i * 7 + j * 11) % 17) as f64 * 0.25);
-        let serial = Pool::with_threads(1);
-        let forced = Pool::with_threads(4).with_serial_threshold(0);
-        assert_eq!(
-            a.try_mul_with(&b, &serial).unwrap(),
-            a.try_mul_with(&b, &forced).unwrap()
-        );
-        assert_eq!(a.gram_with(&serial), a.gram_with(&forced));
     }
 }

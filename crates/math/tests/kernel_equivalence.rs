@@ -5,9 +5,7 @@
 //! results to the paths they replaced. These properties stress that promise
 //! over random shapes (including empty and sub-`PANEL` edge cases), operand
 //! sets with a deliberate mass of exact zeros (so every zero-skip guard
-//! fires), and overlapping scatter destinations — at pool shapes {1, 2, 8}
-//! with the serial threshold forced to zero, so the parallel code paths run
-//! even on tiny inputs.
+//! fires), and overlapping scatter destinations.
 
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
 use archytas_math::kernels::{
@@ -17,19 +15,7 @@ use archytas_math::kernels::{
 use archytas_math::{
     BlockSparseSystem, BlockSpec, Cholesky, DMat, DVec, SchurScratch, SchurSystem,
 };
-use archytas_par::Pool;
 use proptest::prelude::*;
-
-/// The three pool shapes of the determinism contract: serial, small
-/// parallel, oversubscribed parallel. Threshold 0 forces the parallel path
-/// regardless of problem size.
-fn pools() -> [Pool; 3] {
-    [
-        Pool::with_threads(1),
-        Pool::with_threads(2).with_serial_threshold(0),
-        Pool::with_threads(8).with_serial_threshold(0),
-    ]
-}
 
 /// Kernel operand values: signed, scale-diverse, with a deliberate mass of
 /// exact zeros so the zero-skip guards actually take both branches.
@@ -295,7 +281,7 @@ fn spd_strategy(n: usize) -> impl Strategy<Value = DMat> {
 }
 
 /// Textbook unblocked column-at-a-time Cholesky in the same transposed
-/// formulation as [`Cholesky::refactor_with`]: evaluate column `k`, then
+/// formulation as [`Cholesky::refactor`]: evaluate column `k`, then
 /// immediately apply it to every trailing row. Returns `Lᵀ`. This is the
 /// pre-blocking reference the `PANEL`-wide fused sweeps must reproduce bit
 /// for bit.
@@ -319,19 +305,39 @@ fn unblocked_cholesky_lt(a: &DMat) -> DMat {
     lt
 }
 
+/// `factor_counting` equals the unblocked loop bitwise and reports the
+/// closed-form op counts of an `n x n` factorization: `n` iterations,
+/// `n(n+1)/2` column evaluations and `sum_k (n-k-1)(n-k)/2` trailing updates.
+fn assert_cholesky_matches_unblocked(a: &DMat) -> std::result::Result<(), TestCaseError> {
+    let n = a.rows();
+    let reference = unblocked_cholesky_lt(a).transpose();
+    let (ch, counts) = Cholesky::factor_counting(a).unwrap();
+    assert_bits_eq(ch.l().as_slice(), reference.as_slice())?;
+    prop_assert_eq!(counts.iterations, n);
+    prop_assert_eq!(counts.evaluate_ops, n * (n + 1) / 2);
+    prop_assert_eq!(
+        counts.update_ops,
+        (0..n).map(|k| (n - k - 1) * (n - k) / 2).sum::<usize>()
+    );
+    Ok(())
+}
+
+#[test]
+fn blocked_cholesky_matches_unblocked_on_many_panels() {
+    // n = 90 spans eleven 8-wide panels plus a ragged tail.
+    let n = 90;
+    let b = DMat::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 23) as f64 - 11.0);
+    assert_cholesky_matches_unblocked(&b.gram().add_diagonal(n as f64)).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The panel-blocked, kernel-fused, row-parallel factorization equals the
-    /// unblocked serial loop bitwise — for sizes straddling the panel width
-    /// and at every pool shape.
+    /// The panel-blocked, kernel-fused factorization equals the unblocked
+    /// loop bitwise — for sizes straddling the panel width.
     #[test]
-    fn blocked_cholesky_matches_unblocked_bitwise(a in (1usize..=12).prop_flat_map(spd_strategy)) {
-        let reference = unblocked_cholesky_lt(&a).transpose();
-        for pool in pools() {
-            let (ch, _) = Cholesky::factor_counting_with(&a, &pool).unwrap();
-            assert_bits_eq(ch.l().as_slice(), reference.as_slice())?;
-        }
+    fn blocked_cholesky_matches_unblocked_bitwise(a in (1usize..=24).prop_flat_map(spd_strategy)) {
+        assert_cholesky_matches_unblocked(&a)?;
     }
 
     /// The buffer-reusing triangular solve equals the allocating one bitwise,
@@ -373,7 +379,7 @@ struct BlockProblem {
 /// generic slice path, plus a weighted share of the deployed SLAM layout
 /// (15-row pose blocks, 6-high observation blocks) so the `kb == 6`
 /// fixed-width dispatch in assembly, Schur elimination and back-substitution
-/// runs under the same dense-reference check at every pool.
+/// runs under the same dense-reference check.
 fn block_shape_strategy() -> impl Strategy<Value = (usize, usize, usize, usize)> {
     (0u8..4, (1usize..=5, 1usize..=3, 1usize..=4), 0usize..=2).prop_map(
         |(sel, (p, nblocks, kb), extra)| {
@@ -493,7 +499,7 @@ proptest! {
     /// The block-sparse Schur solve — assembled through the kernel-backed
     /// elimination and triangular paths — equals the dense `SchurSystem`
     /// reference bitwise for random shapes, sparsity patterns (including
-    /// empty `W` rows and partial edge blocks) and damping, at every pool.
+    /// empty `W` rows and partial edge blocks) and damping.
     #[test]
     fn block_solve_matches_dense_schur_bitwise(pb in block_problem_strategy()) {
         let s = build_system(&pb);
@@ -502,10 +508,8 @@ proptest! {
         let reference = SchurSystem::new(&a, &b, spec).unwrap().solve().unwrap();
         let mut scratch = SchurScratch::default();
         let mut out = DVec::zeros(0);
-        for pool in pools() {
-            s.solve_into(&mut scratch, &pool, &mut out).unwrap();
-            assert_bits_eq(out.as_slice(), reference.as_slice())?;
-        }
+        s.solve_into(&mut scratch, &mut out).unwrap();
+        assert_bits_eq(out.as_slice(), reference.as_slice())?;
     }
 }
 

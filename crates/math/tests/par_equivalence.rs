@@ -1,17 +1,11 @@
-//! Parallel kernels must be bit-identical to serial execution for every
-//! thread count — the determinism contract of `archytas-par` applied to the
-//! `archytas-math` hot paths.
+//! Serial oracles for the dense `archytas-math` hot paths: the product and
+//! Gram kernels must equal naive reference loops bit for bit. The references
+//! spell out the accumulation order the kernels promise (i-k-j with the same
+//! zero-skip), so any reordering inside a kernel shows up as a bit
+//! difference. The Cholesky oracle lives in `kernel_equivalence.rs`.
 
-use archytas_math::{Cholesky, DMat, DVec, Scalar};
-use archytas_par::Pool;
+use archytas_math::{DMat, DVec, Scalar};
 use proptest::prelude::*;
-
-/// Pools covering the serial path, an even split, and heavy oversubscription
-/// (the container may have a single core — oversubscription is exactly what
-/// must NOT change results). Threshold 0 forces the parallel code path.
-fn pools() -> [Pool; 3] {
-    [1, 2, 8].map(|t| Pool::with_threads(t).with_serial_threshold(0))
-}
 
 fn bits(m: &DMat) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -29,38 +23,71 @@ fn fill(rows: usize, cols: usize, seed: u64) -> DMat {
     })
 }
 
+/// `a` with every third entry (by a seed-shifted diagonal pattern) zeroed,
+/// so the zero-skip guards take both branches.
+fn sparsify(mut a: DMat, seed: u64) -> DMat {
+    for i in 0..a.rows() {
+        for j in 0..a.cols() {
+            if (i + j + seed as usize).is_multiple_of(3) {
+                a.set(i, j, f64::ZERO);
+            }
+        }
+    }
+    a
+}
+
+/// `a·b` in i-k-j order, skipping zero multiplicands of `a`.
+fn naive_mul(a: &DMat, b: &DMat) -> DMat {
+    let mut out = DMat::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for k in 0..a.cols() {
+            let x = a.get(i, k);
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..b.cols() {
+                out.set(i, j, out.get(i, j) + x * b.get(k, j));
+            }
+        }
+    }
+    out
+}
+
+/// `aᵀ·a`: upper triangle in i-k-j order (skipping zero `a[k][i]`), then
+/// mirrored.
+fn naive_gram(a: &DMat) -> DMat {
+    let n = a.cols();
+    let mut out = DMat::zeros(n, n);
+    for i in 0..n {
+        for k in 0..a.rows() {
+            let x = a.get(k, i);
+            if x == 0.0 {
+                continue;
+            }
+            for j in i..n {
+                out.set(i, j, out.get(i, j) + x * a.get(k, j));
+            }
+        }
+    }
+    for i in 0..n {
+        for j in 0..i {
+            out.set(i, j, out.get(j, i));
+        }
+    }
+    out
+}
+
 #[test]
-fn mul_bit_identical_across_pools() {
-    let a = fill(67, 45, 1);
+fn mul_matches_serial_oracle() {
+    let a = sparsify(fill(67, 45, 1), 1);
     let b = fill(45, 53, 2);
-    let reference = bits(&a.try_mul_with(&b, &pools()[0]).unwrap());
-    for pool in &pools()[1..] {
-        assert_eq!(bits(&a.try_mul_with(&b, pool).unwrap()), reference);
-    }
+    assert_eq!(bits(&a.try_mul(&b).unwrap()), bits(&naive_mul(&a, &b)));
 }
 
 #[test]
-fn gram_bit_identical_across_pools() {
-    let a = fill(91, 40, 3);
-    let reference = bits(&a.gram_with(&pools()[0]));
-    for pool in &pools()[1..] {
-        assert_eq!(bits(&a.gram_with(pool)), reference);
-    }
-}
-
-#[test]
-fn cholesky_bit_identical_across_pools() {
-    // n = 90 keeps early trailing blocks (≈ n² elements) above the
-    // factorization's internal parallelism floor, so the Update phase truly
-    // runs on the workers for multi-thread pools.
-    let n = 90;
-    let spd = fill(n, n, 4).gram().add_diagonal(n as f64);
-    let (l0, c0) = Cholesky::factor_counting_with(&spd, &pools()[0]).unwrap();
-    for pool in &pools()[1..] {
-        let (l, c) = Cholesky::factor_counting_with(&spd, pool).unwrap();
-        assert_eq!(bits(l.l()), bits(l0.l()));
-        assert_eq!(c, c0, "op counts must not depend on the thread count");
-    }
+fn gram_matches_serial_oracle() {
+    let a = sparsify(fill(91, 40, 3), 3);
+    assert_eq!(bits(&a.gram()), bits(&naive_gram(&a)));
 }
 
 #[test]
@@ -81,57 +108,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn mul_equivalence_random_shapes(
+    fn mul_oracle_random_shapes(
         (r, k, c) in (1usize..28, 1usize..28, 1usize..28),
         seed in 0u64..1_000_000,
     ) {
         let a = fill(r, k, seed);
         let b = fill(k, c, seed ^ 0xDEAD_BEEF);
-        let reference = bits(&a.try_mul_with(&b, &pools()[0]).unwrap());
-        for pool in &pools()[1..] {
-            prop_assert_eq!(bits(&a.try_mul_with(&b, pool).unwrap()), reference.clone());
-        }
+        prop_assert_eq!(bits(&a.try_mul(&b).unwrap()), bits(&naive_mul(&a, &b)));
     }
 
     #[test]
-    fn gram_equivalence_random_shapes(
+    fn gram_oracle_random_shapes(
         (r, c) in (1usize..40, 1usize..32),
         seed in 0u64..1_000_000,
     ) {
         let a = fill(r, c, seed);
-        let reference = bits(&a.gram_with(&pools()[0]));
-        for pool in &pools()[1..] {
-            prop_assert_eq!(bits(&a.gram_with(pool)), reference.clone());
-        }
-        // And the parallel Gram still equals the explicit product shape-wise.
-        prop_assert_eq!(a.gram_with(&pools()[2]).shape(), (c, c));
-    }
-
-    #[test]
-    fn cholesky_equivalence_random_sizes(n in 1usize..24, seed in 0u64..1_000_000) {
-        let spd = fill(n, n, seed).gram().add_diagonal(n as f64 + 1.0);
-        let (l0, c0) = Cholesky::factor_counting_with(&spd, &pools()[0]).unwrap();
-        for pool in &pools()[1..] {
-            let (l, cts) = Cholesky::factor_counting_with(&spd, pool).unwrap();
-            prop_assert_eq!(bits(l.l()), bits(l0.l()));
-            prop_assert_eq!(cts, c0);
-        }
+        let g = a.gram();
+        prop_assert_eq!(g.shape(), (c, c));
+        prop_assert_eq!(bits(&g), bits(&naive_gram(&a)));
     }
 
     #[test]
     fn zero_skip_never_changes_results(r in 1usize..20, c in 1usize..20, seed in 0u64..1000) {
-        // Sparse-ish matrices exercise the a == 0 fast path.
-        let mut a = fill(r, c, seed);
+        // Skipping a zero multiplicand must equal accumulating `0·b`.
+        let a = sparsify(fill(r, c, seed), seed);
+        let b = fill(c, r, seed ^ 0x5EED);
+        let mut full = DMat::zeros(r, r);
         for i in 0..r {
-            for j in 0..c {
-                if (i + j + seed as usize).is_multiple_of(3) {
-                    a.set(i, j, f64::ZERO);
+            for k in 0..c {
+                for j in 0..r {
+                    full.set(i, j, full.get(i, j) + a.get(i, k) * b.get(k, j));
                 }
             }
         }
-        let reference = bits(&a.gram_with(&pools()[0]));
-        for pool in &pools()[1..] {
-            prop_assert_eq!(bits(&a.gram_with(pool)), reference.clone());
-        }
+        prop_assert_eq!(bits(&a.try_mul(&b).unwrap()), bits(&full));
+        prop_assert_eq!(bits(&a.gram()), bits(&naive_gram(&a)));
     }
 }

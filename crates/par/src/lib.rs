@@ -1,82 +1,40 @@
 //! Std-only parallel execution layer for the Archytas reproduction.
 //!
 //! The paper's software baseline is a *multithreaded* ceres-based solver
-//! (Sec. 7.1) and its hardware template wins by exploiting parallel Update
-//! lanes and MAC arrays; this crate is the software-side analogue: a scoped
-//! worker pool over [`std::thread::scope`] (no external dependencies —
-//! DESIGN.md's sanctioned set has no threading crate) that the math kernels,
-//! the synthesizer and the experiment sweeps all share.
+//! (Sec. 7.1); this crate is the software-side analogue for the sweeps that
+//! actually profit from threads: a scoped worker pool over
+//! [`std::thread::scope`] (no external dependencies — DESIGN.md's sanctioned
+//! set has no threading crate) with one combinator, [`Pool::par_map`]. Its
+//! callers are the synthesizer's `nd` stripes, the Pareto sweeps and the
+//! experiment suite sweeps. The solver kernels in `archytas-math` are serial:
+//! a window-sized kernel is far below the cost of one fork/join.
 //!
 //! # Determinism contract
 //!
-//! Every combinator preserves *serial semantics bit-for-bit*:
-//!
-//! * [`Pool::par_map`] returns results in input order; each element is
-//!   computed by exactly one closure call, so any thread count (including 1)
-//!   yields the identical `Vec`.
-//! * [`Pool::par_chunks_mut`] hands out disjoint chunks; each chunk sees the
-//!   same serial computation it would in a plain loop.
-//! * [`Pool::par_reduce`] partitions by a *fixed* chunk size (independent of
-//!   thread count) and folds partials in chunk order, so even non-associative
-//!   floating-point reductions are reproducible across `ARCHYTAS_THREADS`
-//!   settings.
+//! [`Pool::par_map`] returns results in input order and computes each
+//! element by exactly one closure call, so any thread count (including 1)
+//! yields the identical `Vec`.
 //!
 //! # Thread-count knob
 //!
 //! [`Pool::global`] reads `ARCHYTAS_THREADS` (0 or unset → hardware
-//! parallelism via [`std::thread::available_parallelism`]). Work below a
-//! tunable threshold ([`Pool::with_serial_threshold`], default
-//! [`DEFAULT_SERIAL_THRESHOLD`], env `ARCHYTAS_PAR_THRESHOLD`) runs serially
-//! so tiny matrices pay zero overhead. Nested calls (a parallel kernel
-//! invoked from inside a worker) automatically degrade to serial — on the
-//! inner level only; the enclosing region keeps its workers.
+//! parallelism via [`std::thread::available_parallelism`], measured once per
+//! process). Maps shorter than a tunable threshold
+//! ([`Pool::with_serial_threshold`], default [`DEFAULT_SERIAL_THRESHOLD`],
+//! env `ARCHYTAS_PAR_THRESHOLD`) run serially. Nested calls (a map invoked
+//! from inside a worker, or inside [`run_as_worker`]) automatically degrade
+//! to serial — on the inner level only; the enclosing region keeps its
+//! workers.
 //!
-//! # Granularity-aware dispatch
-//!
-//! Item count alone is a poor proxy for work: the solver's Cholesky Update
-//! phases touch thousands of elements but execute one fused multiply-subtract
-//! per element, so spawning scoped workers costs more than the arithmetic
-//! saves. Kernels that can estimate their scalar-operation count pass it
-//! through [`Pool::should_parallelize_work`] /
-//! [`Pool::par_chunks_mut_weighted`]; jobs below the work floor
-//! ([`Pool::with_min_work`], default [`DEFAULT_MIN_PARALLEL_WORK`], env
-//! `ARCHYTAS_PAR_MIN_WORK`) stay serial regardless of their element count.
-//! [`Pool::calibrated`] replaces the static floor with a once-per-process
-//! *measured* break-even point (see [`calibrate`]) so the decision tracks the
-//! machine's actual fork/join cost instead of a hand-tuned guess.
+//! The crate also hosts [`Memo`], the exactly-once cache the hardware model
+//! and synthesizer share, and [`counters`], the per-phase solver timers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod calibrate;
 pub mod counters;
 mod memo;
 mod pool;
 
-pub use calibrate::{calibration, Calibration};
 pub use memo::{Memo, MemoStats};
-pub use pool::{run_as_worker, Pool, DEFAULT_MIN_PARALLEL_WORK, DEFAULT_SERIAL_THRESHOLD};
-
-/// [`Pool::par_map`] on the [`Pool::global`] pool.
-pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    Pool::global().par_map(items, f)
-}
-
-/// [`Pool::par_chunks_mut`] on the [`Pool::global`] pool.
-pub fn par_chunks_mut<T: Send>(
-    data: &mut [T],
-    chunk_size: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    Pool::global().par_chunks_mut(data, chunk_size, f);
-}
-
-/// [`Pool::par_reduce`] on the [`Pool::global`] pool.
-pub fn par_reduce<T: Sync, A: Send>(
-    items: &[T],
-    chunk_size: usize,
-    map: impl Fn(usize, &[T]) -> A + Sync,
-    fold: impl FnMut(A, A) -> A,
-) -> Option<A> {
-    Pool::global().par_reduce(items, chunk_size, map, fold)
-}
+pub use pool::{run_as_worker, Pool, DEFAULT_SERIAL_THRESHOLD};

@@ -2,38 +2,16 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Default minimum number of work items before a combinator goes parallel.
-///
-/// Below this, thread spawn + synchronization overhead dwarfs the work for the
-/// small dense blocks the solver produces; the combinators run serially and
-/// are still bit-identical.
+/// Default minimum number of work items before [`Pool::par_map`] goes
+/// parallel. Below this, thread spawn + synchronization overhead dwarfs the
+/// work; the map runs serially and is still bit-identical.
 pub const DEFAULT_SERIAL_THRESHOLD: usize = 64;
 
-/// Default minimum *estimated scalar operations* before a weighted dispatch
-/// goes parallel.
-///
-/// Item count alone is a poor granularity signal: a Cholesky Update phase on
-/// a 120-dim Schur complement touches thousands of elements but performs only
-/// one fused multiply-subtract per element — far less work than one scoped
-/// spawn/join costs. Kernels that know their FLOP count pass it through
-/// [`Pool::should_parallelize_work`]; jobs estimated below this many scalar
-/// operations stay serial.
-///
-/// The floor is calibrated against the dispatch cost, not the arithmetic
-/// rate: one scoped spawn/join of a few workers costs on the order of
-/// 0.1–0.2 ms, so a kernel must bring several *milliseconds* of serial
-/// arithmetic (≥ tens of megaflops) before splitting it wins. Notably this
-/// keeps every per-window solver kernel of the benchmark sliding window
-/// (≤ ~7 Mflop dense products, ≤ ~0.25 Mflop block-Schur products) serial —
-/// measured 4-thread regressions, not wins — while the synthesizer's lattice
-/// scan and other sweep-scale jobs still fan out. Tune per machine with
-/// `ARCHYTAS_PAR_MIN_WORK`.
-pub const DEFAULT_MIN_PARALLEL_WORK: usize = 16_000_000;
-
 thread_local! {
-    // Set while a closure runs inside one of our workers; nested par_* calls
-    // observe it and degrade to serial instead of oversubscribing the
+    // Set while a closure runs inside one of our workers; nested par_map
+    // calls observe it and degrade to serial instead of oversubscribing the
     // machine with scopes-within-scopes.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
@@ -57,15 +35,15 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// Runs `f` with this thread marked as a pool worker, so any nested `par_*`
-/// call inside `f` degrades to serial.
+/// Runs `f` with this thread marked as a pool worker, so any nested
+/// [`Pool::par_map`] inside `f` degrades to serial.
 ///
 /// This is for *embedding* schedulers (e.g. the fleet serving layer) that
 /// spawn their own threads outside this crate: each of their workers already
-/// occupies a core, so letting a solver kernel fork another scope inside one
+/// occupies a core, so letting a nested sweep fork another scope inside one
 /// would oversubscribe the machine. Marking the thread costs one
-/// thread-local write and changes no results — every combinator is
-/// bit-identical serial vs parallel by contract.
+/// thread-local write and changes no results — `par_map` is bit-identical
+/// serial vs parallel by contract.
 pub fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
     let _guard = WorkerGuard::enter();
     f()
@@ -75,17 +53,24 @@ fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 
+/// Hardware thread count, measured once per process:
+/// [`std::thread::available_parallelism`] re-reads cgroup files on every
+/// call.
+fn hardware_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// A scoped worker pool.
 ///
 /// The pool is a *policy* object (thread count + serial threshold), not a set
-/// of persistent threads: each combinator spawns scoped workers for its own
-/// call and joins them before returning, so borrows of caller data need no
-/// `'static` lifetime and no shutdown protocol.
+/// of persistent threads: each [`Pool::par_map`] spawns scoped workers for
+/// its own call and joins them before returning, so borrows of caller data
+/// need no `'static` lifetime and no shutdown protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
     serial_threshold: usize,
-    min_work: usize,
 }
 
 impl Default for Pool {
@@ -95,23 +80,21 @@ impl Default for Pool {
 }
 
 impl Pool {
-    /// The environment-configured pool: `ARCHYTAS_THREADS` threads (0 or
-    /// unset → [`std::thread::available_parallelism`]), an
+    /// The environment-configured pool: `ARCHYTAS_THREADS` threads (0,
+    /// unset or garbage → the hardware thread count) and an
     /// `ARCHYTAS_PAR_THRESHOLD` serial-fallback threshold (default
-    /// [`DEFAULT_SERIAL_THRESHOLD`]) and an `ARCHYTAS_PAR_MIN_WORK` weighted
-    /// dispatch floor (default [`DEFAULT_MIN_PARALLEL_WORK`]).
+    /// [`DEFAULT_SERIAL_THRESHOLD`]). Both variables are re-read on every
+    /// call; the hardware thread count is measured once per process.
     pub fn global() -> Pool {
         let threads = match env_usize("ARCHYTAS_THREADS") {
             Some(n) if n > 0 => n,
-            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            _ => hardware_threads(),
         };
         let serial_threshold =
             env_usize("ARCHYTAS_PAR_THRESHOLD").unwrap_or(DEFAULT_SERIAL_THRESHOLD);
-        let min_work = env_usize("ARCHYTAS_PAR_MIN_WORK").unwrap_or(DEFAULT_MIN_PARALLEL_WORK);
         Pool {
             threads,
             serial_threshold,
-            min_work,
         }
     }
 
@@ -120,7 +103,6 @@ impl Pool {
         Pool {
             threads: threads.max(1),
             serial_threshold: DEFAULT_SERIAL_THRESHOLD,
-            min_work: DEFAULT_MIN_PARALLEL_WORK,
         }
     }
 
@@ -139,53 +121,20 @@ impl Pool {
         self.threads
     }
 
-    /// Returns this pool with a different weighted-dispatch work floor
-    /// (estimated scalar operations). `0` disables the work gate, leaving
-    /// only the item-count threshold.
-    pub fn with_min_work(self, min_work: usize) -> Pool {
-        Pool { min_work, ..self }
-    }
-
     /// Configured serial-fallback threshold (work items).
     pub fn serial_threshold(&self) -> usize {
         self.serial_threshold
-    }
-
-    /// Configured weighted-dispatch work floor (estimated scalar operations).
-    pub fn min_work(&self) -> usize {
-        self.min_work
     }
 
     /// Whether a job of `work_items` independent items takes the parallel
     /// path on this pool (more than one thread, enough work, and not already
     /// inside a worker).
     ///
-    /// Nested dispatch degrades to serial on the *inner* level only: a kernel
+    /// Nested dispatch degrades to serial on the *inner* level only: a map
     /// called from inside one of this crate's workers sees `false` here, but
     /// the enclosing (outer) parallel region is unaffected.
     pub fn should_parallelize(&self, work_items: usize) -> bool {
         self.threads > 1 && work_items >= self.serial_threshold.max(2) && !in_worker()
-    }
-
-    /// Work-size–aware dispatch decision: like [`Pool::should_parallelize`]
-    /// but additionally requiring `estimated_ops` (scalar arithmetic
-    /// operations the whole job will execute, as estimated by the caller) to
-    /// clear the pool's work floor.
-    ///
-    /// This is the granularity gate the solver kernels use: a job can touch
-    /// many elements yet perform almost no arithmetic per element (e.g. one
-    /// trailing-update phase of a small Cholesky), in which case fork/join
-    /// overhead dominates and the job must stay serial no matter its item
-    /// count. A `serial_threshold` of 0 (the equivalence-test mode) forces
-    /// the parallel path regardless of the estimate.
-    pub fn should_parallelize_work(&self, work_items: usize, estimated_ops: usize) -> bool {
-        if self.threads <= 1 || work_items < 2 || in_worker() {
-            return false;
-        }
-        if self.serial_threshold == 0 {
-            return true; // forced-parallel testing mode
-        }
-        work_items >= self.serial_threshold.max(2) && estimated_ops >= self.min_work
     }
 
     /// Maps `f` over `items`, returning results in input order.
@@ -234,127 +183,6 @@ impl Pool {
         }
         out
     }
-
-    /// Runs `f(chunk_index, chunk)` over disjoint `chunk_size` chunks of
-    /// `data`, in parallel. Equivalent to a serial
-    /// `data.chunks_mut(chunk_size).enumerate()` loop: chunks are disjoint,
-    /// so any interleaving produces the same final contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `chunk_size == 0`.
-    pub fn par_chunks_mut<T: Send>(
-        &self,
-        data: &mut [T],
-        chunk_size: usize,
-        f: impl Fn(usize, &mut [T]) + Sync,
-    ) {
-        let go_parallel = self.should_parallelize(data.len());
-        self.chunks_mut_dispatch(data, chunk_size, go_parallel, f);
-    }
-
-    /// [`Pool::par_chunks_mut`] with a caller-supplied work estimate:
-    /// `estimated_ops` is the number of scalar operations the whole job will
-    /// perform, gated through [`Pool::should_parallelize_work`]. Kernels that
-    /// know their FLOP count (matrix products, Cholesky updates) use this so
-    /// that arithmetic-sparse jobs never pay fork/join overhead.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `chunk_size == 0`.
-    pub fn par_chunks_mut_weighted<T: Send>(
-        &self,
-        data: &mut [T],
-        chunk_size: usize,
-        estimated_ops: usize,
-        f: impl Fn(usize, &mut [T]) + Sync,
-    ) {
-        let go_parallel = self.should_parallelize_work(data.len(), estimated_ops);
-        self.chunks_mut_dispatch(data, chunk_size, go_parallel, f);
-    }
-
-    fn chunks_mut_dispatch<T: Send>(
-        &self,
-        data: &mut [T],
-        chunk_size: usize,
-        go_parallel: bool,
-        f: impl Fn(usize, &mut [T]) + Sync,
-    ) {
-        assert!(chunk_size > 0, "par_chunks_mut: chunk_size must be > 0");
-        let n_chunks = data.len().div_ceil(chunk_size);
-        if !go_parallel || n_chunks < 2 {
-            for (c, chunk) in data.chunks_mut(chunk_size).enumerate() {
-                f(c, chunk);
-            }
-            return;
-        }
-        let f = &f;
-        std::thread::scope(|s| {
-            // Static round-robin-by-contiguous-run distribution: worker w
-            // takes chunks [w*per, (w+1)*per). split_at_mut keeps borrows
-            // disjoint without unsafe.
-            let workers = self.threads.min(n_chunks);
-            let per = n_chunks.div_ceil(workers);
-            let mut rest = data;
-            let mut base = 0usize;
-            for w in 0..workers {
-                let take = (per * chunk_size).min(rest.len());
-                if take == 0 {
-                    break;
-                }
-                let (mine, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let first_chunk = w * per;
-                let _ = base;
-                base += take;
-                s.spawn(move || {
-                    let _guard = WorkerGuard::enter();
-                    for (k, chunk) in mine.chunks_mut(chunk_size).enumerate() {
-                        f(first_chunk + k, chunk);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Maps fixed-size chunks of `items` through `map(chunk_index, chunk)`
-    /// and folds the partials **in chunk order** with `fold`.
-    ///
-    /// The partition depends only on `chunk_size`, never on the thread count,
-    /// and the fold is performed serially left-to-right — so floating-point
-    /// reductions are bit-identical across any `ARCHYTAS_THREADS` setting.
-    /// Returns `None` when `items` is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `chunk_size == 0`.
-    pub fn par_reduce<T: Sync, A: Send>(
-        &self,
-        items: &[T],
-        chunk_size: usize,
-        map: impl Fn(usize, &[T]) -> A + Sync,
-        fold: impl FnMut(A, A) -> A,
-    ) -> Option<A> {
-        assert!(chunk_size > 0, "par_reduce: chunk_size must be > 0");
-        if items.is_empty() {
-            return None;
-        }
-        let partials: Vec<A> = if self.should_parallelize(items.len()) {
-            // Reuse par_map's ordered machinery over the chunk list.
-            let bounds: Vec<(usize, usize)> = (0..items.len().div_ceil(chunk_size))
-                .map(|c| (c * chunk_size, ((c + 1) * chunk_size).min(items.len())))
-                .collect();
-            let map = &map;
-            self.par_map(&bounds, |&(lo, hi)| map(lo / chunk_size, &items[lo..hi]))
-        } else {
-            items
-                .chunks(chunk_size)
-                .enumerate()
-                .map(|(c, chunk)| map(c, chunk))
-                .collect()
-        };
-        partials.into_iter().reduce(fold)
-    }
 }
 
 #[cfg(test)]
@@ -383,71 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_matches_serial() {
-        for threads in [1, 2, 5, 8] {
-            let mut par: Vec<f64> = (0..517).map(|i| i as f64).collect();
-            let mut ser = par.clone();
-            let f = |c: usize, chunk: &mut [f64]| {
-                for v in chunk.iter_mut() {
-                    *v = v.sin() * (c as f64 + 1.0);
-                }
-            };
-            forced(threads).par_chunks_mut(&mut par, 13, f);
-            for (c, chunk) in ser.chunks_mut(13).enumerate() {
-                f(c, chunk);
-            }
-            let same = par
-                .iter()
-                .zip(&ser)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_reduce_is_thread_count_invariant() {
-        // A deliberately non-associative float sum: chunk partials differ
-        // from a flat sum, so this fails if the partition or fold order ever
-        // depends on the thread count.
-        let items: Vec<f64> = (0..997).map(|i| (i as f64 * 0.7).tan()).collect();
-        let reference = forced(1)
-            .par_reduce(&items, 32, |_, c| c.iter().sum::<f64>(), |a, b| a + b)
-            .unwrap();
-        for threads in [2, 3, 8] {
-            let got = forced(threads)
-                .par_reduce(&items, 32, |_, c| c.iter().sum::<f64>(), |a, b| a + b)
-                .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads = {threads}");
-        }
-        let empty: Vec<f64> = Vec::new();
-        assert!(forced(4)
-            .par_reduce(&empty, 8, |_, c| c.len(), |a, b| a + b)
-            .is_none());
-    }
-
-    #[test]
-    fn par_reduce_chunk_indices_are_correct() {
-        let items: Vec<usize> = (0..100).collect();
-        let got = forced(8)
-            .par_reduce(
-                &items,
-                7,
-                |c, chunk| vec![(c, chunk.to_vec())],
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            )
-            .unwrap();
-        let want: Vec<(usize, Vec<usize>)> = items
-            .chunks(7)
-            .enumerate()
-            .map(|(c, chunk)| (c, chunk.to_vec()))
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn nested_calls_degrade_to_serial() {
         let outer: Vec<usize> = (0..64).collect();
         let got = forced(4).par_map(&outer, |&i| {
@@ -465,51 +228,5 @@ mod tests {
         assert!(!p.should_parallelize(49));
         assert!(p.should_parallelize(50));
         assert!(!Pool::with_threads(1).should_parallelize(1_000_000));
-    }
-
-    #[test]
-    fn work_floor_gates_weighted_dispatch() {
-        let p = Pool::with_threads(8)
-            .with_serial_threshold(50)
-            .with_min_work(10_000);
-        // Many items but almost no arithmetic: stays serial.
-        assert!(!p.should_parallelize_work(1_000_000, 9_999));
-        // Enough items *and* enough work: parallel.
-        assert!(p.should_parallelize_work(1_000_000, 10_000));
-        // Item-count threshold still applies.
-        assert!(!p.should_parallelize_work(49, 1_000_000_000));
-        // Threshold 0 forces the parallel path regardless of the estimate.
-        let forced = p.with_serial_threshold(0);
-        assert!(forced.should_parallelize_work(2, 0));
-        assert!(!forced.should_parallelize_work(1, 1_000_000));
-        // One thread is always serial.
-        assert!(!Pool::with_threads(1)
-            .with_min_work(0)
-            .should_parallelize_work(1_000_000, 1_000_000_000));
-    }
-
-    #[test]
-    fn weighted_chunks_match_serial() {
-        for (threads, min_work) in [(1, 0), (4, 0), (4, usize::MAX)] {
-            let mut par: Vec<f64> = (0..311).map(|i| i as f64 * 0.3).collect();
-            let mut ser = par.clone();
-            let f = |c: usize, chunk: &mut [f64]| {
-                for v in chunk.iter_mut() {
-                    *v = v.cos() + c as f64;
-                }
-            };
-            Pool::with_threads(threads)
-                .with_serial_threshold(1)
-                .with_min_work(min_work)
-                .par_chunks_mut_weighted(&mut par, 7, 311, f);
-            for (c, chunk) in ser.chunks_mut(7).enumerate() {
-                f(c, chunk);
-            }
-            let same = par
-                .iter()
-                .zip(&ser)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "threads = {threads}, min_work = {min_work}");
-        }
     }
 }

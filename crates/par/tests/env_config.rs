@@ -2,7 +2,7 @@
 //! tests in a file share a process, and `set_var` must not race another
 //! test's `Pool::global()` call.
 
-use archytas_par::{Pool, DEFAULT_MIN_PARALLEL_WORK, DEFAULT_SERIAL_THRESHOLD};
+use archytas_par::{Pool, DEFAULT_SERIAL_THRESHOLD};
 
 #[test]
 fn global_pool_reads_environment() {
@@ -31,20 +31,6 @@ fn global_pool_reads_environment() {
     assert_eq!(Pool::global().serial_threshold(), 7);
     std::env::remove_var("ARCHYTAS_PAR_THRESHOLD");
     assert_eq!(Pool::global().serial_threshold(), DEFAULT_SERIAL_THRESHOLD);
-
-    std::env::set_var("ARCHYTAS_PAR_MIN_WORK", "123");
-    let tuned = Pool::global();
-    assert_eq!(tuned.min_work(), 123);
-    // The work gate honors the env-configured floor: below it, weighted
-    // dispatch stays serial even with many items.
-    if tuned.threads() > 1 {
-        assert!(!tuned.should_parallelize_work(1_000, 122));
-        assert!(tuned.should_parallelize_work(1_000, 123));
-    }
-    std::env::set_var("ARCHYTAS_PAR_MIN_WORK", "garbage");
-    assert_eq!(Pool::global().min_work(), DEFAULT_MIN_PARALLEL_WORK);
-    std::env::remove_var("ARCHYTAS_PAR_MIN_WORK");
-    assert_eq!(Pool::global().min_work(), DEFAULT_MIN_PARALLEL_WORK);
 
     // The env-configured pool behaves identically to an explicit one.
     std::env::set_var("ARCHYTAS_THREADS", "3");

@@ -1,5 +1,5 @@
-//! Property tests: every combinator is bit-identical to its serial
-//! counterpart for arbitrary inputs and thread counts.
+//! Property test: `par_map` is bit-identical to a serial map for arbitrary
+//! inputs and thread counts.
 
 use archytas_par::Pool;
 use proptest::prelude::*;
@@ -22,51 +22,6 @@ proptest! {
         prop_assert_eq!(par.len(), ser.len());
         for (a, b) in par.iter().zip(&ser) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_equals_serial(
-        xs in proptest::collection::vec(-1e3f64..1e3, 1..400),
-        chunk in 1usize..48,
-        threads in 1usize..9,
-    ) {
-        let f = |c: usize, chunk: &mut [f64]| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = (*v + c as f64).sqrt().abs() + k as f64;
-            }
-        };
-        let mut par = xs.clone();
-        forced(threads).par_chunks_mut(&mut par, chunk, f);
-        let mut ser = xs;
-        for (c, ch) in ser.chunks_mut(chunk).enumerate() {
-            f(c, ch);
-        }
-        for (a, b) in par.iter().zip(&ser) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn par_reduce_equals_serial_fold(
-        xs in proptest::collection::vec(-1e3f64..1e3, 0..400),
-        chunk in 1usize..48,
-        threads in 1usize..9,
-    ) {
-        // Float addition is non-associative, so this only passes if the
-        // partition and fold order are thread-count independent.
-        let map = |_: usize, c: &[f64]| c.iter().sum::<f64>();
-        let fold = |a: f64, b: f64| a + b;
-        let par = forced(threads).par_reduce(&xs, chunk, map, fold);
-        let ser = xs
-            .chunks(chunk)
-            .enumerate()
-            .map(|(c, ch)| map(c, ch))
-            .reduce(fold);
-        match (par, ser) {
-            (None, None) => prop_assert!(xs.is_empty()),
-            (Some(p), Some(s)) => prop_assert_eq!(p.to_bits(), s.to_bits()),
-            (p, s) => prop_assert!(false, "mismatch: {p:?} vs {s:?}"),
         }
     }
 }

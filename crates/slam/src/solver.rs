@@ -16,7 +16,6 @@ use archytas_math::{
     BlockSparseSystem, BlockSpec, Cholesky, DVec, MathError, SchurScratch, SchurSystem,
 };
 use archytas_par::counters::{self, Phase};
-use archytas_par::Pool;
 use std::fmt;
 
 /// Diagonal floor of the Marquardt damping `A + λ·max(diag(A), floor)`.
@@ -302,7 +301,7 @@ pub fn solve(
 /// the acceptance test is a reused buffer swapped in on accept rather than a
 /// fresh clone per retry. Every floating-point operation matches the dense
 /// reference, so the report and the optimized window are bit-identical to
-/// [`solve`]'s documented behavior for any `ARCHYTAS_THREADS` setting.
+/// [`solve`]'s documented behavior.
 pub fn solve_in_workspace(
     ws: &mut SolverWorkspace,
     window: &mut SlidingWindow,
@@ -310,11 +309,6 @@ pub fn solve_in_workspace(
     prior: Option<&Prior>,
     config: &LmConfig,
 ) -> SolveReport {
-    // Calibrated dispatch: the work floor is this machine's measured
-    // fork/join break-even (ARCHYTAS_PAR_MIN_WORK still overrides), so
-    // window-sized kernels never fork into a slowdown. Dispatch changes
-    // timing only — every kernel is bit-identical serial vs. parallel.
-    let pool = Pool::calibrated();
     let mut lambda = config.initial_lambda;
     let mut report = SolveReport {
         iterations: 0,
@@ -343,11 +337,7 @@ pub fn solve_in_workspace(
         let mut accepted = false;
         for _ in 0..=config.max_retries {
             counters::time(Phase::Damp, || ws.sys.damp(lambda, DAMP_FLOOR));
-            if ws
-                .sys
-                .solve_into(&mut ws.scratch, &pool, &mut ws.delta)
-                .is_err()
-            {
+            if ws.sys.solve_into(&mut ws.scratch, &mut ws.delta).is_err() {
                 tracker.solve_failed = true;
                 lambda *= config.lambda_up;
                 continue;

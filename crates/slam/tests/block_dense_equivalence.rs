@@ -5,10 +5,9 @@
 //! must produce bit-for-bit the same reports and optimized windows as the
 //! dense path (`solve_with` + `schur_linear_solver`), on fixed and
 //! property-generated window shapes, with and without an IMU/marginalization
-//! prior, and for every pool configuration.
+//! prior.
 
 use archytas_math::{BlockSparseSystem, DMat, SchurScratch};
-use archytas_par::Pool;
 use archytas_slam::{
     build_block_normal_equations, build_normal_equations, marginalize_oldest, schur_linear_solver,
     solve_in_workspace, solve_with, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
@@ -138,12 +137,6 @@ fn make_imu_window() -> SlidingWindow {
     w
 }
 
-fn pools() -> [Pool; 3] {
-    // serial_threshold 0 forces the parallel path even for tiny systems, so
-    // 2- and 8-thread pools genuinely exercise multi-threaded dispatch.
-    [1, 2, 8].map(|t| Pool::with_threads(t).with_serial_threshold(0))
-}
-
 /// Dense reference damping, replicating the solver's in-place rule
 /// `d + λ·max(d, floor)` on a fresh copy of `a`.
 fn damp_dense(a: &DMat, lambda: f64) -> DMat {
@@ -223,7 +216,7 @@ fn block_assembly_matches_dense_bitwise() {
 }
 
 #[test]
-fn damped_linear_solve_matches_dense_across_pools() {
+fn damped_linear_solve_matches_dense() {
     let w = make_window(4, 14, 9);
     let weights = FactorWeights::default();
     let ne = build_normal_equations(&w, &weights, None);
@@ -241,18 +234,15 @@ fn damped_linear_solve_matches_dense_across_pools() {
             schur_linear_solver(&damped, &ne.b, ne.num_landmarks).expect("dense solve succeeds");
 
         sys.damp(lambda, DAMP_FLOOR);
-        for pool in pools() {
-            sys.solve_into(&mut scratch, &pool, &mut out)
-                .expect("block solve succeeds");
-            assert_eq!(out.len(), reference.len());
-            for i in 0..out.len() {
-                assert_eq!(
-                    out[i].to_bits(),
-                    reference[i].to_bits(),
-                    "x[{i}] differs at lambda={lambda} threads={}",
-                    pool.threads()
-                );
-            }
+        sys.solve_into(&mut scratch, &mut out)
+            .expect("block solve succeeds");
+        assert_eq!(out.len(), reference.len());
+        for i in 0..out.len() {
+            assert_eq!(
+                out[i].to_bits(),
+                reference[i].to_bits(),
+                "x[{i}] differs at lambda={lambda}"
+            );
         }
     }
 }

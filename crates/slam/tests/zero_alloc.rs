@@ -11,7 +11,7 @@
 //! iterations (assembly, damping, Schur elimination, Cholesky, triangular
 //! solves, cost evaluation, candidate bookkeeping) perform zero heap
 //! allocations. Per-solve fixed costs that don't scale with iterations
-//! (`Pool::global`'s environment reads) cancel out of the delta.
+//! cancel out of the delta.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,18 +180,17 @@ fn lm_iterations_allocate_nothing_after_warmup() {
     let mut sys = archytas_math::BlockSparseSystem::new();
     let mut scratch = archytas_math::SchurScratch::default();
     let mut delta = archytas_math::DVec::zeros(0);
-    let pool = archytas_par::Pool::global();
     let weights2 = FactorWeights::default();
     archytas_slam::build_block_normal_equations(&window, &weights2, None, &mut sys);
     sys.damp(1e-3, 1e-9);
-    sys.solve_into(&mut scratch, &pool, &mut delta).unwrap();
+    sys.solve_into(&mut scratch, &mut delta).unwrap();
 
     let mut direct_best = u64::MAX;
     for _ in 0..5 {
         let before = allocations();
         archytas_slam::build_block_normal_equations(&window, &weights2, None, &mut sys);
         sys.damp(1e-3, 1e-9);
-        sys.solve_into(&mut scratch, &pool, &mut delta).unwrap();
+        sys.solve_into(&mut scratch, &mut delta).unwrap();
         direct_best = direct_best.min(allocations() - before);
     }
     assert_eq!(

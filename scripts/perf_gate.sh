@@ -13,7 +13,6 @@
 # the re-synthesis latency ceilings the fleet re-optimization path relies
 # on (1-thread means):
 #   - cold virtex7 scaled-lattice sweep   <= 60 ms
-#   - warm-started virtex7 re-synthesis   <= 10 ms
 #   - SynthCache hit                      <= 10 us
 #
 # Stage 3 — fleet_scaling: compares the `scaling` sweep and `admission`
@@ -182,8 +181,6 @@ if not fresh:
 def phase(name):
     """Maps a synthesizer record to the search path it measures."""
     case = name.split("/", 1)[-1]
-    if "warm" in case:
-        return "warm-resynthesis"
     if "cache" in case:
         return "cache"
     return "cold-sweep"
@@ -193,7 +190,6 @@ def phase(name):
 # hard latency budgets rather than relative drift checks.
 CEILINGS_NS = {
     "synthesizer/virtex7_min_latency_scaled_lattice": 60e6,
-    "synthesizer/virtex7_min_latency_warm_resynthesis": 10e6,
     "synthesizer/synth_cache_hit": 10e3,
 }
 
