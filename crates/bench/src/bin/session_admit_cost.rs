@@ -10,9 +10,10 @@
 //! sampled session by stepping it to its first optimized window, exactly
 //! the per-session residency of the pre-pooling fleet layer.
 //!
-//! Emits one `ADMITJSON {...}` line; `scripts/fleet_smoke.sh` folds it
-//! into `BENCH_fleet.json` (gating `ratio_pct < 10`) and
-//! `scripts/perf_gate.sh` regresses the committed numbers.
+//! Emits one `REC` line (mode `admit`) and exits 1 when idle bytes reach
+//! [`ADMIT_MAX_PCT`] of the former per-session cost. A separate bin from
+//! `serve` because its counting global allocator would meter every
+//! serving mode.
 //!
 //! Usage: `session_admit_cost [--sessions N] [--sample K] [--seconds S]`
 
@@ -21,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use archytas_bench::json::JsonLine;
-use archytas_bench::scaling_fleet_specs;
-use archytas_fleet::{AdmittedSession, FleetConfig, FleetServices};
+use archytas_bench::serve::{rec_line, Args};
+use archytas_fleet::{scaling_fleet_specs, AdmittedSession, FleetConfig, FleetServices};
 use archytas_slam::SolverWorkspace;
 
 /// Allocator wrapper keeping a live-bytes counter. Alloc/dealloc symmetry
@@ -56,6 +57,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
+/// Ceiling on admitted-idle bytes as a percentage of the former private
+/// per-session cost.
+const ADMIT_MAX_PCT: f64 = 10.0;
+
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -64,35 +69,20 @@ fn live() -> u64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut sessions: usize = 2000;
-    let mut sample: usize = 16;
-    let mut seconds = 1.2f64;
-    let mut it = args.iter().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--sessions" => {
-                sessions = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sessions needs an unsigned integer");
-            }
-            "--sample" => {
-                sample = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sample needs an unsigned integer");
-            }
-            "--seconds" => {
-                seconds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seconds needs a number");
-            }
-            other => panic!("unknown argument {other}"),
+    let args = Args::from_env(
+        "session_admit_cost [--sessions N] [--sample K] [--seconds S]",
+        &["--sessions", "--sample", "--seconds"],
+    );
+    let sessions = match args.sessions.as_deref() {
+        None => 2000,
+        Some(&[n]) => n,
+        Some(_) => {
+            eprintln!("error: --sessions takes one value");
+            std::process::exit(2);
         }
-    }
-    sample = sample.clamp(1, sessions);
+    };
+    let sample = args.sample.unwrap_or(16).min(sessions);
+    let seconds = args.seconds.unwrap_or(1.2);
 
     let specs = scaling_fleet_specs(sessions, seconds);
     let services = FleetServices::new(&FleetConfig::default());
@@ -136,7 +126,7 @@ fn main() {
     let ratio_pct = idle_bytes as f64 / former_bytes as f64 * 100.0;
     drop(grown);
 
-    let line = JsonLine::new()
+    let timing = JsonLine::new()
         .uint("sessions", sessions as u64)
         .uint("sample", sample as u64)
         .float("seconds", seconds, 2)
@@ -147,10 +137,15 @@ fn main() {
         .uint("workspace_bytes_per_session", workspace_bytes)
         .uint("former_bytes_per_session", former_bytes)
         .float("ratio_pct", ratio_pct, 2);
-    println!("ADMITJSON {}", line.finish());
+    println!("{}", rec_line("admit", "admit", "{}", &timing.finish()));
     eprintln!(
         "admitted-idle: {admit_ns} ns, {idle_bytes} B/session; former \
          (activation {activation_bytes} B + workspace {workspace_bytes} B): \
-         {former_bytes} B/session — idle is {ratio_pct:.2}% of former"
+         {former_bytes} B/session — idle is {ratio_pct:.2}% of former \
+         (ceiling {ADMIT_MAX_PCT}%)"
     );
+    if ratio_pct >= ADMIT_MAX_PCT {
+        eprintln!("admission gate FAILED: idle/former {ratio_pct:.2}% >= {ADMIT_MAX_PCT}%");
+        std::process::exit(1);
+    }
 }

@@ -1,12 +1,10 @@
 //! One-line JSON record builder shared by the bench binaries.
 //!
-//! The smoke scripts (`scripts/*_smoke.sh`) sed-extract prefixed lines
-//! (`FLEETJSON {...}`, `CHAOSDET {...}`, `OBSJSON {...}`, ...) and paste
-//! them into larger documents, so every record must be a single line of
-//! valid JSON with a stable field order. Before this module each binary
-//! hand-rolled its records in one giant `format!` — identical escaping
-//! bugs waiting to happen in four places. [`JsonLine`] centralizes the
-//! quoting rules; field order is insertion order.
+//! The serving bins print `REC {...}` lines that `scripts/serve_smoke.sh`
+//! strips into a JSON-lines file, and their gates byte-compare the `det`
+//! payloads across pool sizes, so every record must be a single line of
+//! valid JSON with a stable field order. [`JsonLine`] holds the quoting
+//! rules; field order is insertion order.
 
 use std::fmt::Write;
 

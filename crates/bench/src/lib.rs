@@ -6,65 +6,21 @@
 
 use archytas_baselines::{CachedCpuPlatform, CpuPlatform};
 use archytas_dataset::{euroc_sequences, kitti_sequences, SequenceData, SequenceSpec};
-use archytas_faults::{FaultKind, FaultPlan};
-use archytas_fleet::{Priority, SessionSpec};
 use archytas_hw::{AcceleratorModel, CachedAcceleratorModel, FpgaPlatform, HIGH_PERF, LOW_POWER};
 use archytas_mdfg::ProblemShape;
 use archytas_par::Pool;
 use archytas_slam::mean_stdev;
 
 pub mod json;
-
-/// The standard 8-vehicle serving batch shared by the `fleet`, `chaos` and
-/// `obs` binaries: four cars, two drones, mixed priorities, and two
-/// vehicles hitting sensor faults mid-sequence. Durations truncate to
-/// `seconds`, except the faulted pair which needs at least 4 s so their
-/// frame-24..28 fault windows actually land (10 Hz).
-pub fn standard_fleet_specs(seconds: f64) -> Vec<SessionSpec> {
-    let kitti = kitti_sequences();
-    let euroc = euroc_sequences();
-    let fault_len = seconds.max(4.0);
-    vec![
-        SessionSpec::new("car-0", kitti[0].truncated(seconds), Priority::High),
-        SessionSpec::new("car-1", kitti[1].truncated(seconds), Priority::Normal),
-        SessionSpec::new("car-2", kitti[2].truncated(seconds), Priority::Low),
-        SessionSpec::new("drone-0", euroc[0].truncated(seconds), Priority::Normal),
-        SessionSpec::new("drone-1", euroc[1].truncated(seconds), Priority::Low),
-        SessionSpec::new("car-3", kitti[3].truncated(seconds), Priority::Normal),
-        SessionSpec::new("car-flaky", kitti[1].truncated(fault_len), Priority::High)
-            .with_faults(FaultPlan::new(11).with(FaultKind::VisionDropout, 24, 28)),
-        SessionSpec::new("drone-flaky", euroc[0].truncated(fault_len), Priority::Low)
-            .with_faults(FaultPlan::new(13).with(FaultKind::ImuNan { probability: 0.3 }, 24, 27)),
-    ]
-}
-
-/// A deterministic `n`-vehicle batch for the scaling sweep: sequences
-/// cycle through the KITTI-like and EuRoC-like sets, priorities cycle
-/// High/Normal/Normal/Low, durations truncate to `seconds`. A pure
-/// function of `(n, seconds)`, so every sweep point and every pool size
-/// serves byte-identical work.
-pub fn scaling_fleet_specs(n: usize, seconds: f64) -> Vec<SessionSpec> {
-    let kitti = kitti_sequences();
-    let euroc = euroc_sequences();
-    (0..n)
-        .map(|i| {
-            let (kind, seq) = if i % 3 == 2 {
-                ("drone", &euroc[(i / 3) % euroc.len()])
-            } else {
-                ("car", &kitti[i % kitti.len()])
-            };
-            let priority = match i % 4 {
-                0 => Priority::High,
-                3 => Priority::Low,
-                _ => Priority::Normal,
-            };
-            SessionSpec::new(format!("{kind}-{i:04}"), seq.truncated(seconds), priority)
-        })
-        .collect()
-}
+pub mod serve;
 
 /// Prints a fixed-width text table (header + separator + rows).
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", table(headers, rows));
+}
+
+/// Renders a fixed-width text table (header + separator + rows).
+pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -79,14 +35,15 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             .enumerate()
             .map(|(i, c)| format!("{c:>width$}", width = widths[i]))
             .collect();
-        println!("  {}", joined.join("  "));
+        format!("  {}\n", joined.join("  "))
     };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    let mut out = line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
     let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    line(&sep);
+    out += &line(&sep);
     for row in rows {
-        line(row);
+        out += &line(row);
     }
+    out
 }
 
 /// Prints an experiment banner.

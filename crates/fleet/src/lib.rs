@@ -72,10 +72,12 @@ pub use isolation::{
 pub use pool::ScratchStats;
 pub use scheduler::SchedulerStats;
 pub use session::{
-    fleet_pipeline_config, AdmittedSession, FleetServices, Priority, SessionOutcome, SessionReport,
-    SessionSpec,
+    fleet_pipeline_config, silence_chaos_panics, AdmittedSession, FleetServices, Priority,
+    SessionOutcome, SessionReport, SessionSpec,
 };
 
+use archytas_dataset::{euroc_sequences, kitti_sequences};
+use archytas_faults::{FaultKind, FaultPlan};
 use archytas_hw::{AcceleratorConfig, FpgaPlatform, HIGH_PERF};
 use session::{SessionState, StepOutcome};
 use std::time::Instant;
@@ -136,6 +138,52 @@ impl Default for FleetConfig {
             checkpoint_interval: 8,
         }
     }
+}
+
+/// The standard 8-vehicle serving batch: four cars, two drones, mixed
+/// priorities, and two vehicles hitting sensor faults mid-sequence.
+/// Durations truncate to `seconds`, except the faulted pair, which needs
+/// at least 4 s so their frame-24..28 fault windows land (10 Hz).
+pub fn standard_fleet_specs(seconds: f64) -> Vec<SessionSpec> {
+    let kitti = kitti_sequences();
+    let euroc = euroc_sequences();
+    let fault_len = seconds.max(4.0);
+    vec![
+        SessionSpec::new("car-0", kitti[0].truncated(seconds), Priority::High),
+        SessionSpec::new("car-1", kitti[1].truncated(seconds), Priority::Normal),
+        SessionSpec::new("car-2", kitti[2].truncated(seconds), Priority::Low),
+        SessionSpec::new("drone-0", euroc[0].truncated(seconds), Priority::Normal),
+        SessionSpec::new("drone-1", euroc[1].truncated(seconds), Priority::Low),
+        SessionSpec::new("car-3", kitti[3].truncated(seconds), Priority::Normal),
+        SessionSpec::new("car-flaky", kitti[1].truncated(fault_len), Priority::High)
+            .with_faults(FaultPlan::new(11).with(FaultKind::VisionDropout, 24, 28)),
+        SessionSpec::new("drone-flaky", euroc[0].truncated(fault_len), Priority::Low)
+            .with_faults(FaultPlan::new(13).with(FaultKind::ImuNan { probability: 0.3 }, 24, 27)),
+    ]
+}
+
+/// A deterministic `n`-vehicle batch for scaling runs: sequences cycle
+/// through the KITTI-like and EuRoC-like sets, priorities cycle
+/// High/Normal/Normal/Low, durations truncate to `seconds`. A pure
+/// function of `(n, seconds)`, so every pool size serves identical work.
+pub fn scaling_fleet_specs(n: usize, seconds: f64) -> Vec<SessionSpec> {
+    let kitti = kitti_sequences();
+    let euroc = euroc_sequences();
+    (0..n)
+        .map(|i| {
+            let (kind, seq) = if i % 3 == 2 {
+                ("drone", &euroc[(i / 3) % euroc.len()])
+            } else {
+                ("car", &kitti[i % kitti.len()])
+            };
+            let priority = match i % 4 {
+                0 => Priority::High,
+                3 => Priority::Low,
+                _ => Priority::Normal,
+            };
+            SessionSpec::new(format!("{kind}-{i:04}"), seq.truncated(seconds), priority)
+        })
+        .collect()
 }
 
 /// Latency percentiles over every frame served by the fleet (host

@@ -468,6 +468,29 @@ struct Core {
     stalls_since_window: usize,
 }
 
+/// Payload prefix of every injected chaos panic.
+const CHAOS_PANIC_PREFIX: &str = "chaos:";
+
+/// Installs (once per process) a panic hook that swallows injected chaos
+/// panics — their payload starts with `chaos:` — and forwards every other
+/// panic to the previous hook, so real failures stay loud. Idempotent and
+/// race-free: tests and bins that inject panics call it before serving.
+pub fn silence_chaos_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let chaos = info
+                .payload()
+                .downcast_ref::<String>()
+                .is_some_and(|s| s.starts_with(CHAOS_PANIC_PREFIX));
+            if !chaos {
+                default(info);
+            }
+        }));
+    });
+}
+
 impl Core {
     /// Processes the next frame (front-end, health-fed runtime decision,
     /// f32 accelerator solve). Returns `(done, window_closed)`. Purely a
@@ -492,7 +515,10 @@ impl Core {
         let produced = self.pipeline.push_frame(&frames[self.cursor]);
         self.cursor += 1;
         if inject_panic {
-            panic!("chaos: injected session panic at frame {}", self.cursor - 1);
+            panic!(
+                "{CHAOS_PANIC_PREFIX} injected session panic at frame {}",
+                self.cursor - 1
+            );
         }
         if produced {
             let features = self.pipeline.window().num_landmarks();
@@ -903,25 +929,6 @@ mod tests {
     use super::*;
     use archytas_dataset::kitti_sequences;
     use archytas_faults::ChaosKind;
-
-    /// Installs (once) a panic hook that swallows injected-chaos panics but
-    /// forwards everything else — real failures stay loud, and tests that
-    /// panic in parallel never race on hook ownership.
-    fn silence_chaos_panics() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            let default = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let chaos = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .is_some_and(|s| s.starts_with("chaos:"));
-                if !chaos {
-                    default(info);
-                }
-            }));
-        });
-    }
 
     #[test]
     fn digest_is_sensitive_to_every_deterministic_field() {

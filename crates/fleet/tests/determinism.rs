@@ -3,51 +3,13 @@
 //! admission order, and under backpressure.
 
 use archytas_dataset::{euroc_sequences, kitti_sequences};
-use archytas_faults::{ChaosKind, ChaosPlan, FaultKind, FaultPlan};
+use archytas_faults::{ChaosKind, ChaosPlan};
 use archytas_fleet::{
-    run_fleet, run_session_alone, DeadlinePolicy, FailureCause, FleetConfig, Priority,
-    RestartPolicy, SessionOutcome, SessionPhase, SessionReport, SessionSpec,
+    run_fleet, run_session_alone, silence_chaos_panics, standard_fleet_specs, DeadlinePolicy,
+    FailureCause, FleetConfig, Priority, RestartPolicy, SessionOutcome, SessionPhase,
+    SessionReport, SessionSpec,
 };
 use std::collections::HashMap;
-
-/// Installs (once) a panic hook that swallows injected-chaos panics but
-/// forwards everything else, so assertion failures stay loud and tests
-/// never race on hook ownership.
-fn silence_chaos_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let chaos = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.starts_with("chaos:"));
-            if !chaos {
-                default(info);
-            }
-        }));
-    });
-}
-
-/// The standard 8-vehicle batch: cars and drones, mixed priorities, two
-/// vehicles hitting sensor faults mid-sequence.
-fn fleet_specs() -> Vec<SessionSpec> {
-    let kitti = kitti_sequences();
-    let euroc = euroc_sequences();
-    vec![
-        SessionSpec::new("car-0", kitti[0].truncated(2.5), Priority::High),
-        SessionSpec::new("car-1", kitti[1].truncated(2.5), Priority::Normal),
-        SessionSpec::new("car-2", kitti[2].truncated(2.5), Priority::Low),
-        SessionSpec::new("drone-0", euroc[0].truncated(2.5), Priority::Normal),
-        SessionSpec::new("drone-1", euroc[1].truncated(2.5), Priority::Low),
-        SessionSpec::new("car-3", kitti[3].truncated(2.5), Priority::Normal),
-        // Faults land at frames 24–28, so these need ≥ 4 s (10 Hz).
-        SessionSpec::new("car-flaky", kitti[1].truncated(4.0), Priority::High)
-            .with_faults(FaultPlan::new(11).with(FaultKind::VisionDropout, 24, 28)),
-        SessionSpec::new("drone-flaky", euroc[0].truncated(4.0), Priority::Low)
-            .with_faults(FaultPlan::new(13).with(FaultKind::ImuNan { probability: 0.3 }, 24, 27)),
-    ]
-}
 
 fn base_config() -> FleetConfig {
     FleetConfig::default()
@@ -62,7 +24,7 @@ fn alone_reports(specs: &[SessionSpec]) -> HashMap<String, SessionReport> {
 
 #[test]
 fn fleet_matches_serial_alone_at_any_pool_size_and_admission_order() {
-    let specs = fleet_specs();
+    let specs = standard_fleet_specs(2.5);
     let alone = alone_reports(&specs);
 
     let mut reversed = specs.clone();
@@ -101,7 +63,7 @@ fn fleet_matches_serial_alone_at_any_pool_size_and_admission_order() {
 
 #[test]
 fn shared_caches_are_filled_once_for_the_whole_fleet() {
-    let specs = fleet_specs();
+    let specs = standard_fleet_specs(2.5);
     let report = run_fleet(
         &specs,
         &FleetConfig {
@@ -162,12 +124,12 @@ fn restart_ladder_is_deterministic_at_every_pool_size() {
     // car-3 panics at frame 15 but holds one restart: it must complete,
     // replaying from its checkpoint to the exact bits of a chaos-free run —
     // at every pool size and admission order, like everyone else.
-    let mut specs = fleet_specs();
+    let mut specs = standard_fleet_specs(2.5);
     let victim = 5; // car-3
     specs[victim] = specs[victim]
         .clone()
         .with_chaos(ChaosPlan::new(41).with(ChaosKind::SessionPanic { frame: 15 }));
-    let alone = alone_reports(&fleet_specs()); // chaos-free reference bits
+    let alone = alone_reports(&standard_fleet_specs(2.5)); // chaos-free reference bits
 
     let mut reversed = specs.clone();
     reversed.reverse();
@@ -200,11 +162,11 @@ fn restart_ladder_is_deterministic_at_every_pool_size() {
 #[test]
 fn panic_without_restart_budget_quarantines_only_the_victim() {
     silence_chaos_panics();
-    let mut specs = fleet_specs();
+    let mut specs = standard_fleet_specs(2.5);
     specs[1] = specs[1]
         .clone()
         .with_chaos(ChaosPlan::new(7).with(ChaosKind::SessionPanic { frame: 10 }));
-    let alone = alone_reports(&fleet_specs());
+    let alone = alone_reports(&standard_fleet_specs(2.5));
     let config = FleetConfig {
         restart: RestartPolicy {
             max_restarts: 0,
@@ -245,7 +207,7 @@ fn stall_escalates_on_the_logical_clock_identically_at_every_pool_size() {
     // threshold: the watchdog must quarantine deterministically (logical
     // clock), with the same verdict and the same completed-window prefix
     // at every pool size, in fleet and alone.
-    let mut specs = fleet_specs();
+    let mut specs = standard_fleet_specs(2.5);
     specs[3] = specs[3]
         .clone()
         .with_chaos(ChaosPlan::new(5).with(ChaosKind::StepStall {
@@ -264,7 +226,7 @@ fn stall_escalates_on_the_logical_clock_identically_at_every_pool_size() {
         },
         ..base_config()
     };
-    let alone_clean = alone_reports(&fleet_specs());
+    let alone_clean = alone_reports(&standard_fleet_specs(2.5));
     let alone_stalled = run_session_alone(&specs[3], &config);
     assert_eq!(alone_stalled.outcome, SessionOutcome::Quarantined);
     assert_eq!(
@@ -298,7 +260,7 @@ fn stalls_and_jitter_within_budget_never_change_bits() {
     // Chaos that only shapes timing (a short stall under the deadline
     // budget, worker jitter) must leave every output bit — including the
     // victim's — identical to the chaos-free run.
-    let mut specs = fleet_specs();
+    let mut specs = standard_fleet_specs(2.5);
     specs[0] = specs[0].clone().with_chaos(
         ChaosPlan::new(9)
             .with(ChaosKind::StepStall {
@@ -307,7 +269,7 @@ fn stalls_and_jitter_within_budget_never_change_bits() {
             })
             .with(ChaosKind::WorkerJitter { max_spins: 400 }),
     );
-    let alone = alone_reports(&fleet_specs());
+    let alone = alone_reports(&standard_fleet_specs(2.5));
     for threads in [1usize, 4] {
         let report = run_fleet(
             &specs,

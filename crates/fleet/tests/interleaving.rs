@@ -8,7 +8,8 @@ use archytas_core::{GatingCache, IterCounter, IterPolicy, RuntimeDecision, Runti
 use archytas_dataset::kitti_sequences;
 use archytas_faults::{ChaosKind, ChaosPlan};
 use archytas_fleet::{
-    run_fleet, run_session_alone, FleetConfig, Priority, SessionOutcome, SessionSpec,
+    run_fleet, run_session_alone, silence_chaos_panics, FleetConfig, Priority, SessionOutcome,
+    SessionSpec,
 };
 use archytas_hw::{FpgaPlatform, HIGH_PERF};
 use archytas_mdfg::ProblemShape;
@@ -168,19 +169,7 @@ fn racing_panics_on_a_saturated_pool_leave_survivors_bit_exact() {
     // be caught inside the slot's critical section (no poisoned locks, no
     // worker death), quarantine exactly its own session, and leave every
     // survivor's bits untouched.
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let chaos = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.starts_with("chaos:"));
-            if !chaos {
-                default(info);
-            }
-        }));
-    });
+    silence_chaos_panics();
     let kitti = kitti_sequences();
     let specs: Vec<SessionSpec> = (0..8)
         .map(|i| {

@@ -167,7 +167,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(index, count)`, ascending — the sparse form
-    /// the OBSJSON writer serializes.
+    /// the `serve obs` scope records serialize.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()

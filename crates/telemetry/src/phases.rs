@@ -1,11 +1,11 @@
 //! Per-phase wall-time observability, hooked into `archytas-par`'s global
 //! counters.
 //!
-//! Phase wall time is *timing*, not determinism: it belongs in the OBSJSON
-//! superset line and the human table, never in the byte-diff-gated
-//! aggregate records. This module wraps the counters' snapshot into rows
-//! with derived shares so every consumer (the `obs` bin, future
-//! dashboards) computes percentages the same way.
+//! Phase wall time is *timing*, not determinism: it belongs in the `timing`
+//! half of `serve obs` run records and the human table, never in the
+//! byte-compared `det` aggregates. This module wraps the counters'
+//! snapshot into rows with derived shares so every consumer computes
+//! percentages the same way.
 
 use archytas_par::counters;
 

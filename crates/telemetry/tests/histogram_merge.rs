@@ -2,7 +2,7 @@
 //! commutative (all-integer state), and a canonical-order fold of
 //! per-worker partial aggregates is byte-identical no matter how many
 //! workers the sessions were sharded across — the property the fleet's
-//! 1-worker vs 8-worker OBSJSON byte-diff gate rests on.
+//! byte-compare of `serve obs` scope records across pool sizes rests on.
 
 use archytas_telemetry::{
     bucket_index, bucket_lower_bound, FleetTelemetry, Histogram, ScopeAggregate, SessionTelemetry,

@@ -1,21 +1,17 @@
 #!/usr/bin/env bash
-# Quick benchmark smoke: runs the synthesizer criterion bench in --quick
-# mode at ARCHYTAS_THREADS=1 and ARCHYTAS_THREADS=4 (its `nd` stripes fan
-# out over the pool), the solver-iteration and accelerator-simulation
-# benches once (their kernels are serial), and collects the BENCHJSON lines
-# the vendored criterion harness emits into BENCH_par.json.
+# Quick benchmark smoke: formatting and lint gates, then the synthesizer
+# criterion bench in --quick mode at ARCHYTAS_THREADS=1 and =4 (its `nd`
+# stripes fan out over the pool) and the solver-iteration and
+# accelerator-simulation benches once (their kernels are serial). The
+# BENCHJSON lines the vendored criterion harness emits go to BENCH_par.json;
+# the solver-path records (every `solver/*` case plus the accelerator's
+# `f32_functional_solve`) are also extracted into BENCH_solver.json. The
+# synthesizer's SYNTHJSON search counters (candidates examined/pruned, cache
+# hit/miss) go to BENCH_par.json's `synth_search` section.
 #
-# It additionally extracts the solver-path records (every `solver/*` case
-# plus the accelerator's `f32_functional_solve`) into BENCH_solver.json and
-# enforces the absolute regression gate (scripts/perf_gate.sh): the fresh
-# 1-thread solver means must stay within 1.15x of the checked-in
-# BENCH_solver.json baseline, and the synthesizer records must stay within
-# tolerance of the checked-in BENCH_par.json plus the absolute re-synthesis
-# latency ceilings (cold sweep / cache hit).
-#
-# The synthesizer bench also prints SYNTHJSON search-counter lines
-# (candidates examined/pruned per case, cache hit/miss); these are folded
-# into BENCH_par.json's `synth_search` section.
+# Then the serving smoke (scripts/serve_smoke.sh --quick, which writes
+# BENCH_serve.jsonl and runs every serving gate) and the baseline
+# regression gate (scripts/perf_gate.sh) over all three files.
 #
 # Usage: scripts/bench_smoke.sh [output.json] [solver-output.json]
 set -euo pipefail
@@ -83,60 +79,13 @@ done
 count="$(wc -l < "$TMP")"
 echo "wrote $OUT ($count records)" >&2
 
-# Solver extract.
-python3 - "$OUT" "$SOLVER_OUT" <<'PY'
-import json
-import sys
+# Solver extract: the criterion records are one JSON object per line.
+{
+    echo '{"schema":"archytas-bench-solver-v1","records":['
+    grep -E '"name":"(solver/|[^"]*f32_functional_solve")' "$TMP" | paste -sd, -
+    echo ']}'
+} > "$SOLVER_OUT"
+echo "wrote $SOLVER_OUT" >&2
 
-src, dst = sys.argv[1], sys.argv[2]
-doc = json.load(open(src))
-
-def is_solver(rec):
-    name = rec["result"]["name"]
-    return name.startswith("solver/") or name.endswith("f32_functional_solve")
-
-records = [r for r in doc["records"] if is_solver(r)]
-json.dump(
-    {"schema": "archytas-bench-solver-v1", "records": records},
-    open(dst, "w"),
-    indent=1,
-)
-print(f"wrote {dst} ({len(records)} records)", file=sys.stderr)
-PY
-
-# Absolute regression gate: the fresh solver means must stay within
-# tolerance of the committed BENCH_solver.json baseline, and the fresh
-# synthesizer records within tolerance of the committed BENCH_par.json
-# plus the re-synthesis latency ceilings. The fleet stage is skipped ("-")
-# here: BENCH_fleet.json is regenerated by fleet_smoke.sh below, and gating
-# the stale working-tree copy would compare the baseline against itself.
-scripts/perf_gate.sh "$SOLVER_OUT" "" "$OUT" "" -
-
-# Fault-matrix robustness smoke rides along (writes BENCH_faults.json and
-# enforces the 3x-nominal RMSE and pool-size determinism gates).
-scripts/fault_smoke.sh
-
-# Fleet serving smoke (writes BENCH_fleet.json: 1-vs-4 worker determinism
-# byte-diff, the workers x sessions scaling sweep with a per-point
-# efficiency gate that never skips, the churn soak at pools {1,2,8}, and
-# the 2000-session admission-cost bench). SCALING_QUICK=1 trims the sweep
-# to {1,4} workers x {8,64} sessions so the smoke stays fast; run
-# scripts/fleet_smoke.sh directly for the full curve.
-SCALING_QUICK=1 scripts/fleet_smoke.sh
-
-# Fleet scaling regression: the fresh sweep points and admission cost must
-# stay within tolerance of the committed BENCH_fleet.json (solver and
-# synthesizer stages skipped — gated above).
-scripts/perf_gate.sh - "" - "" BENCH_fleet.json
-
-# Chaos-harness smoke (writes BENCH_chaos.json; enforces the in-process
-# quarantine/bitwise gates at pools {1,2,8} and the 1-vs-4 worker
-# determinism byte-diff; the parallel-racing verdict self-skips loudly
-# below 4 CPUs with a stamped "gate_reason").
-scripts/chaos_smoke.sh
-
-# Observability smoke (writes BENCH_obs.json; enforces the 1-vs-4 worker
-# OBSREC/OBSENV byte-diff — telemetry aggregates and power-envelope
-# admission decisions must not depend on pool size — and stamps the
-# parallel-interleaving verdict, "skipped" below 4 CPUs).
-scripts/obs_smoke.sh
+scripts/serve_smoke.sh --quick
+scripts/perf_gate.sh "$SOLVER_OUT" "$OUT" BENCH_serve.jsonl
