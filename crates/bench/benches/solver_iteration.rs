@@ -1,6 +1,6 @@
 //! Criterion bench of the software solver — the native execution behind the
 //! CPU baselines of Figs. 15–16: per-window linearization, Schur solve, and
-//! a full LM pass.
+//! a full LM pass at f64 and at the served f32 precision.
 
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
@@ -9,7 +9,7 @@ use archytas_math::{BlockSparseSystem, Cholesky, DMat, SchurScratch};
 use archytas_par::counters;
 use archytas_slam::{
     build_block_normal_equations, build_normal_equations, schur_linear_solver, solve,
-    FactorWeights, LmConfig, SlidingWindow,
+    FactorWeights, LmConfig, Precision, SlidingWindow,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -219,8 +219,8 @@ fn bench_solver(c: &mut Criterion) {
         })
     });
 
-    // Per-phase attribution of the full LM window below: the counters are
-    // live for exactly the end-to-end bench, and their totals are
+    // Per-phase attribution of the f64 full LM window below: the counters
+    // are live for exactly that end-to-end bench, and their totals are
     // printed as a PERFJSON line that bench_smoke.sh folds into
     // BENCH_solver.json.
     counters::reset();
@@ -232,10 +232,23 @@ fn bench_solver(c: &mut Criterion) {
             solve(&mut w, &weights, None, &LmConfig::with_iterations(6))
         })
     });
+    counters::disable();
+    let perfjson = counters::perfjson();
+    // The served precision: the same window through the accelerator's f32
+    // datapath (f64 assembly and damping, cast, f32 block Schur solve).
+    let served = LmConfig {
+        precision: Precision::F32,
+        ..LmConfig::with_iterations(6)
+    };
+    group.bench_function("lm_full_window_6_iterations_f32", |b| {
+        b.iter(|| {
+            let mut w = window.clone();
+            solve(&mut w, &weights, None, &served)
+        })
+    });
 
     group.finish();
-    counters::disable();
-    println!("PERFJSON {}", counters::perfjson());
+    println!("PERFJSON {perfjson}");
 }
 
 criterion_group!(benches, bench_solver);

@@ -14,9 +14,9 @@
 use archytas_bench::{banner, print_table};
 use archytas_core::{AdaptiveIterPolicy, GatingTable, IterCounter, IterPolicy, ITER_CAP};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
-use archytas_hw::{f32_linear_solver, AcceleratorModel, FpgaPlatform, PowerModel, HIGH_PERF};
+use archytas_hw::{AcceleratorModel, FpgaPlatform, PowerModel, HIGH_PERF};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::TrajectoryMetrics;
+use archytas_slam::{Precision, TrajectoryMetrics};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Policy {
@@ -41,7 +41,10 @@ fn run(policy: Policy) -> (f64, f64, f64) {
     let mut counter = IterCounter::new(ITER_CAP);
     let mut adaptive = AdaptiveIterPolicy::default();
 
-    let mut pipeline = VioPipeline::new(PipelineConfig::default());
+    let mut pipeline = VioPipeline::new(PipelineConfig {
+        precision: Precision::F32,
+        ..PipelineConfig::default()
+    });
     let mut metrics = TrajectoryMetrics::new();
     let mut energy = 0.0;
     let mut iter_sum = 0usize;
@@ -57,7 +60,7 @@ fn run(policy: Policy) -> (f64, f64, f64) {
             Policy::ProfiledLut => counter.observe(lut.iterations_for(features)),
             Policy::Adaptive => adaptive.iterations_for(features),
         };
-        let result = pipeline.optimize_and_slide_with(iterations, &f32_linear_solver);
+        let result = pipeline.optimize_and_slide(iterations);
         if policy == Policy::Adaptive {
             adaptive.observe(features, &result.report);
         }

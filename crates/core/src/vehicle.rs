@@ -10,9 +10,9 @@
 use crate::runtime::{IterationProfile, RuntimeSystem, ITER_CAP};
 use archytas_baselines::CpuPlatform;
 use archytas_dataset::{DegradationCause, HealthState, PipelineConfig, SequenceData, VioPipeline};
-use archytas_hw::{f32_linear_solver, AcceleratorModel};
+use archytas_hw::AcceleratorModel;
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{relative_error, schur_linear_solver, Pose, TrajectoryMetrics};
+use archytas_slam::{relative_error, Pose, Precision, TrajectoryMetrics};
 
 /// Who executes the per-window optimization.
 ///
@@ -155,7 +155,15 @@ impl RunSummary {
 
 /// Runs one sequence end-to-end under the given executor.
 pub fn run_sequence(data: &SequenceData, executor: &mut Executor) -> RunSummary {
-    let mut pipeline = VioPipeline::new(PipelineConfig::default());
+    // The accelerator solves each window in its f32 datapath, the CPU in f64.
+    let precision = match executor {
+        Executor::Accelerator { .. } => Precision::F32,
+        Executor::Cpu { .. } => Precision::F64,
+    };
+    let mut pipeline = VioPipeline::new(PipelineConfig {
+        precision,
+        ..PipelineConfig::default()
+    });
     let mut records = Vec::new();
     let mut metrics = TrajectoryMetrics::new();
     let mut total_time = 0.0;
@@ -175,26 +183,22 @@ pub fn run_sequence(data: &SequenceData, executor: &mut Executor) -> RunSummary 
         // capacity.
         let healthy = !pipeline.health().is_suspect();
 
-        // Decide iterations / power / solver per executor.
-        let (iterations, power_w, is_accel, watchdog_engaged) = match executor {
+        // Decide iterations / power per executor.
+        let (iterations, power_w, watchdog_engaged) = match executor {
             Executor::Accelerator { model, runtime } => match runtime {
                 Some(rt) => {
                     let d = rt.step_with_health(features, healthy);
-                    (d.iterations, d.gated_power_w, true, rt.watchdog().engaged())
+                    (d.iterations, d.gated_power_w, rt.watchdog().engaged())
                 }
-                None => (ITER_CAP, model.power_w(), true, false),
+                None => (ITER_CAP, model.power_w(), false),
             },
             Executor::Cpu {
                 platform,
                 iterations,
-            } => (*iterations, platform.power_w, false, false),
+            } => (*iterations, platform.power_w, false),
         };
 
-        let result = if is_accel {
-            pipeline.optimize_and_slide_with(iterations, &f32_linear_solver)
-        } else {
-            pipeline.optimize_and_slide_with(iterations, &schur_linear_solver)
-        };
+        let result = pipeline.optimize_and_slide(iterations);
 
         let shape = ProblemShape::from_workload(&result.workload);
         let latency_ms = match executor {

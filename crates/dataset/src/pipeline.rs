@@ -9,8 +9,8 @@
 use crate::frontend::Frame;
 use archytas_slam::{
     drop_oldest, try_marginalize_oldest, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
-    Landmark, LmConfig, Observation, Pose, Preintegration, Prior, SlidingWindow, SolveReport,
-    SolverWorkspace, WindowWorkload, GRAVITY,
+    Landmark, LmConfig, Observation, Pose, Precision, Preintegration, Prior, SlidingWindow,
+    SolveReport, SolverWorkspace, WindowWorkload, GRAVITY,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -210,6 +210,9 @@ pub struct PipelineConfig {
     pub init_mode: InitMode,
     /// Degradation-ladder thresholds (see [`HealthConfig`]).
     pub health: HealthConfig,
+    /// Arithmetic width of the window solve: `F32` for windows served on the
+    /// accelerator, `F64` for the host software solver.
+    pub precision: Precision,
 }
 
 impl Default for PipelineConfig {
@@ -223,6 +226,7 @@ impl Default for PipelineConfig {
             max_landmark_depth: 35.0,
             init_mode: InitMode::ImuPropagation,
             health: HealthConfig::default(),
+            precision: Precision::F64,
         }
     }
 }
@@ -467,46 +471,17 @@ impl VioPipeline {
         workspace: &mut SolverWorkspace,
         iterations: usize,
     ) -> WindowResult {
-        assert!(
-            self.window.num_keyframes() >= self.config.window_size,
-            "optimize_and_slide: window not full"
-        );
-        let prior = if self.config.use_prior {
-            self.prior.as_ref()
-        } else {
-            None
-        };
-        let report = archytas_slam::solve_in_workspace(
-            workspace,
-            &mut self.window,
-            &self.config.weights,
-            prior,
-            &LmConfig::with_iterations(iterations),
-        );
-        self.slide(report)
-    }
-
-    /// Like [`VioPipeline::optimize_and_slide`] but with a caller-provided
-    /// linear solver — the hook through which the accelerator's
-    /// single-precision functional model executes the window. Scratch comes
-    /// from the same per-thread [`SolverWorkspace`] as the default path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before the window is full.
-    pub fn optimize_and_slide_with(
-        &mut self,
-        iterations: usize,
-        linear_solver: archytas_slam::LinearSolver<'_>,
-    ) -> WindowResult {
-        SCRATCH.with(|ws| {
-            self.optimize_and_slide_with_in(&mut ws.borrow_mut(), iterations, linear_solver)
+        self.solve_and_slide(iterations, |window, weights, prior, config| {
+            archytas_slam::solve_in_workspace(workspace, window, weights, prior, config)
         })
     }
 
-    /// [`VioPipeline::optimize_and_slide_with`] with caller-provided solver
-    /// scratch — the combination the fleet layer uses: accelerator linear
-    /// solver plus a workspace checked out of its bounded scratch pool.
+    /// [`VioPipeline::optimize_and_slide_in`] through the dense reference
+    /// path with a caller-provided linear solver (see
+    /// [`archytas_slam::solve_with_in_workspace`]); `PipelineConfig::precision`
+    /// is unused, the solver decides. Bit-identical to the block-sparse path
+    /// when `linear_solver` is the dense solver of the configured precision,
+    /// which lets callers wrap (time, count) each linear solve.
     ///
     /// # Panics
     ///
@@ -517,6 +492,25 @@ impl VioPipeline {
         iterations: usize,
         linear_solver: archytas_slam::LinearSolver<'_>,
     ) -> WindowResult {
+        self.solve_and_slide(iterations, |window, weights, prior, config| {
+            archytas_slam::solve_with_in_workspace(
+                workspace,
+                window,
+                weights,
+                prior,
+                config,
+                linear_solver,
+            )
+        })
+    }
+
+    /// Optimizes the full window through `solve` with the configured
+    /// iteration budget and precision, then slides it.
+    fn solve_and_slide(
+        &mut self,
+        iterations: usize,
+        solve: impl FnOnce(&mut SlidingWindow, &FactorWeights, Option<&Prior>, &LmConfig) -> SolveReport,
+    ) -> WindowResult {
         assert!(
             self.window.num_keyframes() >= self.config.window_size,
             "optimize_and_slide: window not full"
@@ -526,14 +520,11 @@ impl VioPipeline {
         } else {
             None
         };
-        let report = archytas_slam::solve_with_in_workspace(
-            workspace,
-            &mut self.window,
-            &self.config.weights,
-            prior,
-            &LmConfig::with_iterations(iterations),
-            linear_solver,
-        );
+        let config = LmConfig {
+            precision: self.config.precision,
+            ..LmConfig::with_iterations(iterations)
+        };
+        let report = solve(&mut self.window, &self.config.weights, prior, &config);
         self.slide(report)
     }
 

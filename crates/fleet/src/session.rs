@@ -27,11 +27,9 @@ use archytas_dataset::{
     DegradationCause, Frame, HealthState, PipelineConfig, SequenceSpec, VioPipeline,
 };
 use archytas_faults::{ChaosPlan, FaultPlan};
-use archytas_hw::{
-    f32_linear_solver, AcceleratorConfig, AcceleratorModel, CachedAcceleratorModel, FpgaPlatform,
-};
+use archytas_hw::{AcceleratorConfig, AcceleratorModel, CachedAcceleratorModel, FpgaPlatform};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{FactorWeights, Pose, SolverWorkspace, TrajectoryMetrics};
+use archytas_slam::{FactorWeights, Pose, Precision, SolverWorkspace, TrajectoryMetrics};
 use archytas_telemetry::{SessionTelemetry, TrafficClass};
 
 use crate::isolation::{
@@ -413,10 +411,12 @@ impl FleetServices {
 
 /// The pipeline configuration every fleet session runs: the default VIO
 /// stack with a Huber robust kernel, matching the fault-injection matrix so
-/// faulted sessions stay well-conditioned.
+/// faulted sessions stay well-conditioned, solving each window in the
+/// accelerator's f32 datapath.
 pub fn fleet_pipeline_config() -> PipelineConfig {
     PipelineConfig {
         weights: FactorWeights::default().with_huber(0.004),
+        precision: Precision::F32,
         ..PipelineConfig::default()
     }
 }
@@ -527,11 +527,9 @@ impl Core {
             if self.runtime.watchdog().engaged() {
                 self.watchdog_windows += 1;
             }
-            let result = self.pipeline.optimize_and_slide_with_in(
-                workspace,
-                decision.iterations,
-                &f32_linear_solver,
-            );
+            let result = self
+                .pipeline
+                .optimize_and_slide_in(workspace, decision.iterations);
             let shape = ProblemShape::from_workload(&result.workload);
             let latency_ms = model.window_latency_ms(&shape, decision.iterations);
             let energy_mj = latency_ms * decision.gated_power_w;

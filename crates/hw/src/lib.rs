@@ -42,7 +42,7 @@ pub use blocks::{
 };
 pub use cyclesim::{cholesky_timeline, simulate_window, BlockActivity, WindowSimResult};
 pub use energy::{window_energy_breakdown, EnergyBreakdown};
-pub use funcsim::{accelerated_solve, f32_linear_solver};
+pub use funcsim::f32_linear_solver;
 pub use latency::{
     marginalization_cycles, nls_iteration_cycles, window_cycles, LatencyTables,
     ITERATION_OVERHEAD_CYCLES, S_BLOCK, WINDOW_OVERHEAD_CYCLES,

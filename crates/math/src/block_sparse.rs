@@ -739,6 +739,41 @@ impl<T: Scalar> BlockSparseSystem<T> {
         Ok(())
     }
 
+    /// Casts the system elementwise into `out` at another scalar width (the
+    /// f64 → f32 hand-off to the accelerator datapath), reusing `out`'s
+    /// buffers: allocation-free once `out` has held a system this large.
+    ///
+    /// The current diagonal is copied as is, damping included; `out` starts
+    /// undamped. Casting is elementwise, so the dense image of `out` is the
+    /// cast of this system's dense image and [`BlockSparseSystem::solve_into`]
+    /// on `out` replays the dense solve of that cast bit for bit.
+    pub fn cast_into<U: Scalar>(&self, out: &mut BlockSparseSystem<U>) {
+        let cast = |v: &T| U::from_f64(v.to_f64());
+        let p = self.p;
+        out.p = p;
+        out.q = self.q;
+        out.kb = self.kb;
+        out.stride = self.stride;
+        out.u.clear();
+        out.u.extend(self.u[..p].iter().map(cast));
+        if out.w_rows.len() < p {
+            out.w_rows.resize_with(p, Vec::new);
+            out.w_vals.resize_with(p, Vec::new);
+        }
+        for lm in 0..p {
+            out.w_rows[lm].clone_from(&self.w_rows[lm]);
+            out.w_vals[lm].clear();
+            out.w_vals[lm].extend(self.w_vals[lm].iter().map(cast));
+        }
+        self.v.cast_into(&mut out.v);
+        out.bx.clear();
+        out.bx.extend(self.bx.iter().map(cast));
+        out.by.clear();
+        out.by.extend(self.by.iter().map(cast));
+        out.damp_saved = false;
+        out.w_memo = (usize::MAX, 0, 0);
+    }
+
     /// Materializes the dense `(A, b)` this system represents (symmetric,
     /// with `X = Wᵀ` filled in) — the input the dense
     /// [`SchurSystem`](crate::SchurSystem) path partitions. For tests and the
@@ -894,6 +929,31 @@ mod tests {
         let mut scratch = SchurScratch::default();
         let mut out = Vector::zeros(0);
         s.solve_into(&mut scratch, &mut out).unwrap();
+        assert_eq!(out.as_slice(), reference.as_slice());
+    }
+
+    #[test]
+    fn f32_twin_solve_matches_dense_solve_of_the_cast() {
+        let mut s = build();
+        s.damp(0.37, 1e-9);
+        let (a, b) = s.to_dense();
+        let (a32, b32) = (a.cast::<f32>(), b.cast::<f32>());
+        let reference = SchurSystem::new(&a32, &b32, BlockSpec::new(s.p(), s.dim()).unwrap())
+            .unwrap()
+            .solve()
+            .unwrap();
+        // A twin that last held a larger system: stale blocks must not leak.
+        let mut twin = BlockSparseSystem::<f32>::new();
+        let mut big = Sys::new();
+        big.reset(5, 21, 4, 7);
+        big.cast_into(&mut twin);
+        s.cast_into(&mut twin);
+        let (ta, tb) = twin.to_dense();
+        assert_eq!(ta.as_slice(), a32.as_slice());
+        assert_eq!(tb.as_slice(), b32.as_slice());
+        let mut scratch = SchurScratch::default();
+        let mut out = Vector::zeros(0);
+        twin.solve_into(&mut scratch, &mut out).unwrap();
         assert_eq!(out.as_slice(), reference.as_slice());
     }
 

@@ -19,7 +19,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 /// let b = a.transpose();
 /// assert_eq!(b.get(0, 1), 3.0);
 /// ```
-#[derive(PartialEq)]
+#[derive(PartialEq, Default)]
 pub struct Matrix<T: Scalar> {
     rows: usize,
     cols: usize,

@@ -16,7 +16,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 /// let c = &a + &b;
 /// assert_eq!(c.as_slice(), &[4.0, 6.0]);
 /// ```
-#[derive(PartialEq)]
+#[derive(PartialEq, Default)]
 pub struct Vector<T: Scalar> {
     data: Vec<T>,
 }

@@ -34,7 +34,8 @@ use std::time::Instant;
 pub enum Phase {
     /// Normal-equation assembly (linearization + scatter).
     Assembly = 0,
-    /// Marquardt damping of the assembled system.
+    /// Marquardt damping of the assembled system (at f32 precision, plus
+    /// its cast into the f32 twin).
     Damp,
     /// Schur-complement product `S = V − W·U⁻¹·Wᵀ` and reduced RHS.
     SchurProduct,

@@ -67,8 +67,8 @@ pub use problem::{
     BlockNormalEqInfo, NormalEquations, POSE_TANGENT_DIM,
 };
 pub use solver::{
-    schur_linear_solver, solve, solve_in_workspace, solve_with, solve_with_in_workspace,
-    DegradeReason, LinearSolver, LmConfig, SolveError, SolveOutcome, SolveReport, SolverWorkspace,
+    schur_linear_solver, solve, solve_in_workspace, solve_with_in_workspace, DegradeReason,
+    LinearSolver, LmConfig, Precision, SolveError, SolveOutcome, SolveReport, SolverWorkspace,
 };
 pub use window::{
     ImuConstraint, KeyframeState, Landmark, Observation, SlidingWindow, WindowWorkload, STATE_DIM,

@@ -3,17 +3,20 @@
 //!
 //! Each iteration performs the paper's three steps: linearize (Jacobians),
 //! prepare `A·δp = b`, and solve the linear system — the solve going through
-//! the D-type Schur elimination of `archytas_math::SchurSystem`, exactly the
-//! structure the generated hardware implements.
+//! the D-type Schur elimination of the block-sparse normal equations, exactly
+//! the structure the generated hardware implements. One loop serves both
+//! datapath widths: [`LmConfig::precision`] picks the f64 host solve or the
+//! accelerator's f32 solve (Sec. 7.6).
 
 use crate::factors::FactorWeights;
 use crate::prior::Prior;
 use crate::problem::{
     apply_increment, build_block_normal_equations, build_normal_equations, evaluate_cost,
+    NormalEquations,
 };
 use crate::window::SlidingWindow;
 use archytas_math::{
-    BlockSparseSystem, BlockSpec, Cholesky, DVec, MathError, SchurScratch, SchurSystem,
+    BlockSparseSystem, BlockSpec, Cholesky, DMat, DVec, FVec, MathError, SchurScratch, SchurSystem,
 };
 use archytas_par::counters::{self, Phase};
 use std::fmt;
@@ -37,6 +40,21 @@ pub struct LmConfig {
     pub cost_tolerance: f64,
     /// Maximum consecutive rejected steps before giving up an iteration.
     pub max_retries: usize,
+    /// Arithmetic width of the linear solve.
+    pub precision: Precision,
+}
+
+/// Arithmetic width of the LM loop's linear solve. Assembly, damping, the
+/// step-acceptance test and the state update are f64 either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Precision {
+    /// Double precision: the host software solver.
+    #[default]
+    F64,
+    /// Single precision: the accelerator datapath. The damped system is cast
+    /// to f32 and solved there; a failed f32 factorization or a non-finite
+    /// f32 increment counts as a failed solve, as on the FPGA.
+    F32,
 }
 
 impl Default for LmConfig {
@@ -48,6 +66,7 @@ impl Default for LmConfig {
             lambda_down: 0.5,
             cost_tolerance: 1e-6,
             max_retries: 5,
+            precision: Precision::F64,
         }
     }
 }
@@ -219,54 +238,129 @@ impl OutcomeTracker {
     }
 }
 
-/// A pluggable linear solver for the damped normal equations.
+/// A pluggable dense linear solver for the damped normal equations.
 ///
 /// Arguments are `(A_damped, b, num_landmarks)`; `None` signals a
-/// factorization failure (the LM loop responds by raising λ). The default is
-/// [`schur_linear_solver`]; the hardware functional model substitutes its
-/// single-precision datapath here.
-pub type LinearSolver<'a> = &'a dyn Fn(&archytas_math::DMat, &DVec, usize) -> Option<DVec>;
+/// factorization failure (the LM loop responds by raising λ). This is the
+/// dense reference path of [`solve_with_in_workspace`]: [`schur_linear_solver`]
+/// in f64, or the accelerator's f32 functional model. Served windows pick
+/// their precision with [`LmConfig::precision`] instead.
+pub type LinearSolver<'a> = &'a dyn Fn(&DMat, &DVec, usize) -> Option<DVec>;
 
-/// Reusable buffers for the block-sparse LM solve path: the block-structured
-/// normal equations, the Schur-elimination scratch, the increment vector and
-/// the candidate window of the step-acceptance test.
+/// Reusable buffers for the LM solve: the block-structured normal equations,
+/// the Schur-elimination scratch and increment at both precisions, the
+/// candidate window of the step-acceptance test, and the damped matrix of the
+/// dense reference path.
 ///
 /// Allocate once and pass to [`solve_in_workspace`] for every window — all
 /// buffers grow to the largest window seen and stay allocated, so steady-state
 /// iterations perform no per-iteration (or per-retry) heap allocation for the
-/// linear-system side.
-#[derive(Debug, Clone)]
+/// linear-system side, at either [`Precision`].
+#[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
     sys: BlockSparseSystem<f64>,
     scratch: SchurScratch<f64>,
     delta: DVec,
+    /// f32 twin of `sys` with its scratch and increment, used by
+    /// [`Precision::F32`].
+    sys32: BlockSparseSystem<f32>,
+    scratch32: SchurScratch<f32>,
+    delta32: FVec,
     candidate: SlidingWindow,
-    /// Damped dense normal matrix of the custom-linear-solver path
+    /// Normal equations and damped matrix of the dense reference path
     /// ([`solve_with_in_workspace`]); unused by the block-sparse path.
-    dense_damped: archytas_math::DMat,
-}
-
-impl Default for SolverWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
+    dense: Option<NormalEquations>,
+    dense_damped: DMat,
 }
 
 impl SolverWorkspace {
     /// Creates an empty workspace.
     pub fn new() -> Self {
-        Self {
-            sys: BlockSparseSystem::new(),
-            scratch: SchurScratch::default(),
-            delta: DVec::zeros(0),
-            candidate: SlidingWindow::new(),
-            dense_damped: archytas_math::DMat::zeros(0, 0),
+        Self::default()
+    }
+
+    /// Linearizes `window` for `backend` and returns the cost at the current
+    /// estimate.
+    fn linearize(
+        &mut self,
+        backend: Backend<'_>,
+        window: &SlidingWindow,
+        weights: &FactorWeights,
+        prior: Option<&Prior>,
+    ) -> f64 {
+        counters::time(Phase::Assembly, || match backend {
+            Backend::Block(_) => {
+                build_block_normal_equations(window, weights, prior, &mut self.sys).cost
+            }
+            Backend::Dense(_) => {
+                let ne = build_normal_equations(window, weights, prior);
+                // Copied once per linearization; each retry rewrites only the
+                // diagonal (see `damp_in_place`).
+                self.dense_damped.clone_from(&ne.a);
+                self.dense.insert(ne).cost
+            }
+        })
+    }
+
+    /// Damps the linearized system at `lambda` and solves it into
+    /// `self.delta`.
+    fn solve_damped(&mut self, backend: Backend<'_>, lambda: f64) -> Result<(), Rejection> {
+        match backend {
+            Backend::Block(precision) => {
+                counters::time(Phase::Damp, || self.sys.damp(lambda, DAMP_FLOOR));
+                match precision {
+                    Precision::F64 => self
+                        .sys
+                        .solve_into(&mut self.scratch, &mut self.delta)
+                        .map_err(|_| Rejection::SolveFailed)?,
+                    Precision::F32 => {
+                        counters::time(Phase::Damp, || self.sys.cast_into(&mut self.sys32));
+                        // Like the accelerator, a failed f32 factorization
+                        // and a non-finite f32 increment both mean "no
+                        // solution at this damping".
+                        let solved = self
+                            .sys32
+                            .solve_into(&mut self.scratch32, &mut self.delta32);
+                        if solved.is_err() || !self.delta32.all_finite() {
+                            return Err(Rejection::SolveFailed);
+                        }
+                        self.delta32.cast_into(&mut self.delta);
+                    }
+                }
+            }
+            Backend::Dense(linear_solver) => {
+                let ne = self.dense.as_ref().expect("linearized before solving");
+                damp_in_place(&mut self.dense_damped, &ne.a, lambda);
+                self.delta = linear_solver(&self.dense_damped, &ne.b, ne.num_landmarks)
+                    .ok_or(Rejection::SolveFailed)?;
+            }
+        }
+        if self.delta.all_finite() {
+            Ok(())
+        } else {
+            Err(Rejection::NonFinite)
         }
     }
 }
 
-/// Solves the sliding-window MAP problem in place using the default
-/// double-precision D-type Schur linear solver.
+/// How the LM loop assembles and solves its damped normal equations.
+#[derive(Clone, Copy)]
+enum Backend<'a> {
+    /// Block-sparse assembly and D-type Schur solve at this precision.
+    Block(Precision),
+    /// Dense assembly handed to a caller's linear solver (the reference path).
+    Dense(LinearSolver<'a>),
+}
+
+/// Why a damping retry produced no usable increment.
+enum Rejection {
+    /// The linear solve failed (non-SPD system, or no finite f32 solution).
+    SolveFailed,
+    /// The increment was non-finite.
+    NonFinite,
+}
+
+/// Solves the sliding-window MAP problem in place at `config.precision`.
 ///
 /// Returns a [`SolveReport`]; the window's keyframes and landmarks are left
 /// at the optimized estimate.
@@ -276,8 +370,9 @@ impl SolverWorkspace {
 /// buffers instead of re-faulting ~1 MB of fresh pages per solve; callers
 /// who want explicit control of the buffers' lifetime should hold a
 /// workspace and call [`solve_in_workspace`]. Either way the result is
-/// bit-identical to the dense reference path ([`solve_with`] +
-/// [`schur_linear_solver`]): every buffer is fully overwritten before use.
+/// bit-identical to the dense reference path ([`solve_with_in_workspace`]
+/// with [`schur_linear_solver`] at f64, or the accelerator's f32 solver at
+/// f32): every buffer is fully overwritten before use.
 pub fn solve(
     window: &mut SlidingWindow,
     weights: &FactorWeights,
@@ -292,22 +387,52 @@ pub fn solve(
 }
 
 /// Solves the sliding-window MAP problem through the block-sparse normal
-/// equations, reusing `ws` for every buffer.
+/// equations at `config.precision`, reusing `ws` for every buffer.
 ///
-/// The LM loop is the same as [`solve_with`]'s; the differences are purely
-/// mechanical: the normal equations are assembled block-sparse (never
-/// materializing the dense `A`), damping is applied in place with
-/// snapshot-undo instead of cloning the matrix, and the candidate window of
-/// the acceptance test is a reused buffer swapped in on accept rather than a
-/// fresh clone per retry. Every floating-point operation matches the dense
-/// reference, so the report and the optimized window are bit-identical to
-/// [`solve`]'s documented behavior.
+/// The normal equations are assembled block-sparse (never materializing the
+/// dense `A`) and damped in place with snapshot-undo in f64. At
+/// [`Precision::F32`] the damped blocks are then cast into the workspace's
+/// f32 twin, solved there and the increment cast back. The candidate window
+/// of the acceptance test is a reused buffer swapped in on accept. Every
+/// floating-point operation matches the dense reference, so the report and
+/// the optimized window are bit-identical to [`solve_with_in_workspace`]'s.
 pub fn solve_in_workspace(
     ws: &mut SolverWorkspace,
     window: &mut SlidingWindow,
     weights: &FactorWeights,
     prior: Option<&Prior>,
     config: &LmConfig,
+) -> SolveReport {
+    let backend = Backend::Block(config.precision);
+    lm_loop(ws, window, weights, prior, config, backend)
+}
+
+/// The dense reference path: the same LM loop, with the normal equations
+/// assembled dense and each damped system handed to `linear_solver` (see
+/// [`LinearSolver`]); `config.precision` is unused, the callback decides.
+///
+/// Kept as the oracle the block-sparse path is tested against, and for
+/// callers that time or replace the linear solve itself.
+pub fn solve_with_in_workspace(
+    ws: &mut SolverWorkspace,
+    window: &mut SlidingWindow,
+    weights: &FactorWeights,
+    prior: Option<&Prior>,
+    config: &LmConfig,
+    linear_solver: LinearSolver<'_>,
+) -> SolveReport {
+    let backend = Backend::Dense(linear_solver);
+    lm_loop(ws, window, weights, prior, config, backend)
+}
+
+/// The one Levenberg–Marquardt loop behind both entry points.
+fn lm_loop(
+    ws: &mut SolverWorkspace,
+    window: &mut SlidingWindow,
+    weights: &FactorWeights,
+    prior: Option<&Prior>,
+    config: &LmConfig,
+    backend: Backend<'_>,
 ) -> SolveReport {
     let mut lambda = config.initial_lambda;
     let mut report = SolveReport {
@@ -326,24 +451,19 @@ pub fn solve_in_workspace(
 
     for _ in 0..config.max_iterations {
         tracker.begin_iteration();
-        let info = counters::time(Phase::Assembly, || {
-            build_block_normal_equations(window, weights, prior, &mut ws.sys)
-        });
+        let cost = ws.linearize(backend, window, weights, prior);
         if report.initial_cost.is_nan() {
-            report.initial_cost = info.cost;
+            report.initial_cost = cost;
         }
-        report.final_cost = info.cost;
+        report.final_cost = cost;
 
         let mut accepted = false;
         for _ in 0..=config.max_retries {
-            counters::time(Phase::Damp, || ws.sys.damp(lambda, DAMP_FLOOR));
-            if ws.sys.solve_into(&mut ws.scratch, &mut ws.delta).is_err() {
-                tracker.solve_failed = true;
-                lambda *= config.lambda_up;
-                continue;
-            }
-            if !ws.delta.all_finite() {
-                tracker.non_finite = true;
+            if let Err(rejection) = ws.solve_damped(backend, lambda) {
+                match rejection {
+                    Rejection::SolveFailed => tracker.solve_failed = true,
+                    Rejection::NonFinite => tracker.non_finite = true,
+                }
                 lambda *= config.lambda_up;
                 continue;
             }
@@ -355,122 +475,10 @@ pub fn solve_in_workspace(
             if !new_cost.is_finite() {
                 tracker.non_finite = true;
             }
-            if new_cost.is_finite() && new_cost < info.cost {
+            if new_cost.is_finite() && new_cost < cost {
                 std::mem::swap(window, &mut ws.candidate);
                 lambda = (lambda * config.lambda_down).max(1e-12);
                 report.last_step_norm = ws.delta.norm();
-                report.step_norms.push(report.last_step_norm);
-                report.final_cost = new_cost;
-                accepted = true;
-                break;
-            }
-            lambda *= config.lambda_up;
-        }
-        tracker.accepted = accepted;
-        report.iterations += 1;
-        report.lambda = lambda;
-        if !accepted {
-            break;
-        }
-        let decrease = (report.initial_cost - report.final_cost).abs();
-        let rel = decrease / report.initial_cost.max(1e-30);
-        if report.final_cost <= config.cost_tolerance
-            || (report.iterations > 1 && rel < config.cost_tolerance)
-        {
-            report.converged = true;
-            break;
-        }
-    }
-    if report.initial_cost.is_nan() {
-        report.initial_cost = 0.0;
-        report.final_cost = 0.0;
-    }
-    report.outcome = tracker.classify(&report, report.iterations > 0);
-    report
-}
-
-/// Solves the sliding-window MAP problem with a caller-provided linear
-/// solver (see [`LinearSolver`]).
-///
-/// Allocates a transient [`SolverWorkspace`]; callers solving many windows
-/// (the VIO pipeline, the fleet serving layer) should hold a workspace and
-/// call [`solve_with_in_workspace`] to reuse its buffers.
-pub fn solve_with(
-    window: &mut SlidingWindow,
-    weights: &FactorWeights,
-    prior: Option<&Prior>,
-    config: &LmConfig,
-    linear_solver: LinearSolver<'_>,
-) -> SolveReport {
-    let mut ws = SolverWorkspace::new();
-    solve_with_in_workspace(&mut ws, window, weights, prior, config, linear_solver)
-}
-
-/// [`solve_with`] reusing `ws` for the damped normal matrix and the
-/// acceptance-test candidate window — the custom-linear-solver twin of
-/// [`solve_in_workspace`]. Bit-identical to [`solve_with`]: the buffers are
-/// fully overwritten (`clone_from`) before every use, so their previous
-/// contents never reach an arithmetic instruction.
-pub fn solve_with_in_workspace(
-    ws: &mut SolverWorkspace,
-    window: &mut SlidingWindow,
-    weights: &FactorWeights,
-    prior: Option<&Prior>,
-    config: &LmConfig,
-    linear_solver: LinearSolver<'_>,
-) -> SolveReport {
-    let mut lambda = config.initial_lambda;
-    let mut report = SolveReport {
-        iterations: 0,
-        initial_cost: f64::NAN,
-        final_cost: f64::NAN,
-        converged: false,
-        lambda,
-        last_step_norm: 0.0,
-        step_norms: Vec::with_capacity(config.max_iterations),
-        outcome: SolveOutcome::Converged,
-    };
-    let mut tracker = OutcomeTracker::default();
-    // Reused across iterations, damping retries and (through `ws`) whole
-    // windows: `damped` is copied from `ne.a` once per linearization and
-    // only its diagonal is rewritten per retry (in-place damping with
-    // undo-by-rewrite, instead of a full-matrix clone per retry);
-    // `candidate` is the acceptance-test window buffer.
-    let damped = &mut ws.dense_damped;
-    let candidate = &mut ws.candidate;
-
-    for _ in 0..config.max_iterations {
-        tracker.begin_iteration();
-        let ne = build_normal_equations(window, weights, prior);
-        if report.initial_cost.is_nan() {
-            report.initial_cost = ne.cost;
-        }
-        report.final_cost = ne.cost;
-        damped.clone_from(&ne.a);
-
-        let mut accepted = false;
-        for _ in 0..=config.max_retries {
-            damp_in_place(damped, &ne.a, lambda);
-            let Some(delta) = linear_solver(damped, &ne.b, ne.num_landmarks) else {
-                tracker.solve_failed = true;
-                lambda *= config.lambda_up;
-                continue;
-            };
-            if !delta.all_finite() {
-                tracker.non_finite = true;
-                lambda *= config.lambda_up;
-                continue;
-            }
-            candidate.clone_from(window);
-            apply_increment(candidate, &delta);
-            let new_cost = evaluate_cost(candidate, weights, prior);
-            if !new_cost.is_finite() {
-                tracker.non_finite = true;
-            }
-            if new_cost.is_finite() && new_cost < ne.cost {
-                std::mem::swap(window, candidate);
-                lambda = (lambda * config.lambda_down).max(1e-12);
-                report.last_step_norm = delta.norm();
                 report.step_norms.push(report.last_step_norm);
                 report.final_cost = new_cost;
                 accepted = true;
@@ -507,7 +515,7 @@ pub fn solve_with_in_workspace(
 /// Rewriting the diagonal from the undamped source each call makes re-damping
 /// at a new λ (after a rejected step) its own undo — no full-matrix clone per
 /// retry, same bits as the historical clone-based `damp()`.
-fn damp_in_place(out: &mut archytas_math::DMat, a: &archytas_math::DMat, lambda: f64) {
+fn damp_in_place(out: &mut DMat, a: &DMat, lambda: f64) {
     for i in 0..a.rows() {
         let d = a.get(i, i);
         out.set(i, i, d + lambda * d.max(DAMP_FLOOR));
@@ -517,11 +525,7 @@ fn damp_in_place(out: &mut archytas_math::DMat, a: &archytas_math::DMat, lambda:
 /// The default linear solver: D-type Schur elimination when landmarks are
 /// present, dense Cholesky otherwise. Returns `None` when the system is not
 /// positive definite at this damping level.
-pub fn schur_linear_solver(
-    a: &archytas_math::DMat,
-    b: &DVec,
-    num_landmarks: usize,
-) -> Option<DVec> {
+pub fn schur_linear_solver(a: &DMat, b: &DVec, num_landmarks: usize) -> Option<DVec> {
     if num_landmarks == 0 {
         return Cholesky::factor(a).ok().map(|ch| ch.solve(b));
     }
@@ -561,8 +565,8 @@ mod tests {
                 bearing,
                 inv_depth: 1.0 / depth,
             });
-            for kf in 1..num_kf {
-                let p_c = gt_poses[kf].inverse_transform(&p_w);
+            for (kf, pose) in gt_poses.iter().enumerate().skip(1) {
+                let p_c = pose.inverse_transform(&p_w);
                 if p_c.z() > 0.1 {
                     w.observations.push(Observation {
                         landmark: l,

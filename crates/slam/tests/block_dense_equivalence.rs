@@ -3,16 +3,16 @@
 //!
 //! The block-sparse assembler + reused-workspace solve (`solve_in_workspace`)
 //! must produce bit-for-bit the same reports and optimized windows as the
-//! dense path (`solve_with` + `schur_linear_solver`), on fixed and
+//! dense path (`solve_with_in_workspace` + `schur_linear_solver`), on fixed and
 //! property-generated window shapes, with and without an IMU/marginalization
 //! prior.
 
 use archytas_math::{BlockSparseSystem, DMat, SchurScratch};
 use archytas_slam::{
     build_block_normal_equations, build_normal_equations, marginalize_oldest, schur_linear_solver,
-    solve_in_workspace, solve_with, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
-    Landmark, LmConfig, Observation, Pose, Preintegration, Prior, Quat, SlidingWindow, SolveReport,
-    SolverWorkspace, Vec3, GRAVITY,
+    solve_in_workspace, solve_with_in_workspace, FactorWeights, ImuConstraint, ImuSample,
+    KeyframeState, Landmark, LmConfig, Observation, Pose, Preintegration, Prior, Quat,
+    SlidingWindow, SolveReport, SolverWorkspace, Vec3, GRAVITY,
 };
 use proptest::prelude::*;
 
@@ -68,8 +68,8 @@ fn make_window(num_kf: usize, num_lm: usize, seed: u64) -> SlidingWindow {
             bearing,
             inv_depth,
         });
-        for kf in (anchor + 1)..num_kf {
-            let p_c = poses[kf].inverse_transform(&p_w);
+        for (kf, pose) in poses.iter().enumerate().skip(anchor + 1) {
+            let p_c = pose.inverse_transform(&p_w);
             if p_c.z() > 0.1 {
                 w.observations.push(Observation {
                     landmark: l,
@@ -148,12 +148,30 @@ fn damp_dense(a: &DMat, lambda: f64) -> DMat {
     out
 }
 
+/// The dense reference solve in a fresh workspace.
+fn dense_solve(
+    window: &mut SlidingWindow,
+    weights: &FactorWeights,
+    prior: Option<&Prior>,
+    config: &LmConfig,
+) -> SolveReport {
+    let mut ws = SolverWorkspace::new();
+    solve_with_in_workspace(
+        &mut ws,
+        window,
+        weights,
+        prior,
+        config,
+        &schur_linear_solver,
+    )
+}
+
 /// Asserts both solves agree bit-for-bit: report and optimized states.
 fn assert_solve_equivalent(window: &SlidingWindow, prior: Option<&Prior>, config: &LmConfig) {
     let weights = FactorWeights::default();
 
     let mut dense_w = window.clone();
-    let dense_report = solve_with(&mut dense_w, &weights, prior, config, &schur_linear_solver);
+    let dense_report = dense_solve(&mut dense_w, &weights, prior, config);
 
     let mut block_w = window.clone();
     let mut ws = SolverWorkspace::new();
@@ -283,7 +301,7 @@ fn workspace_reuse_across_window_shapes() {
         let template = make_window(num_kf, num_lm, seed);
 
         let mut dense_w = template.clone();
-        let dense_report = solve_with(&mut dense_w, &weights, None, &config, &schur_linear_solver);
+        let dense_report = dense_solve(&mut dense_w, &weights, None, &config);
 
         let mut block_w = template.clone();
         let block_report = solve_in_workspace(&mut ws, &mut block_w, &weights, None, &config);

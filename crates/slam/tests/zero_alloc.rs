@@ -12,13 +12,18 @@
 //! solves, cost evaluation, candidate bookkeeping) perform zero heap
 //! allocations. Per-solve fixed costs that don't scale with iterations
 //! cancel out of the delta.
+//!
+//! The same proof covers the served precision: at [`Precision::F32`] the
+//! extra iterations (now including the cast into the workspace's f32 twin)
+//! and extra damping retries allocate nothing either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use archytas_slam::{
-    solve_in_workspace, FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, LmConfig,
-    Observation, Pose, Preintegration, Quat, SlidingWindow, SolverWorkspace, Vec3,
+    solve_in_workspace, DegradeReason, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
+    Landmark, LmConfig, Observation, Pose, Precision, Preintegration, Quat, SlidingWindow,
+    SolveOutcome, SolveReport, SolverWorkspace, Vec3,
 };
 
 struct CountingAlloc;
@@ -72,8 +77,8 @@ fn make_window(num_kf: usize, num_lm: usize) -> SlidingWindow {
             bearing,
             inv_depth: 1.0 / depth,
         });
-        for kf in 1..num_kf {
-            let p_c = gt_poses[kf].inverse_transform(&p_w);
+        for (kf, pose) in gt_poses.iter().enumerate().skip(1) {
+            let p_c = pose.inverse_transform(&p_w);
             if p_c.z() > 0.1 {
                 w.observations.push(Observation {
                     landmark: l,
@@ -109,66 +114,103 @@ fn make_window(num_kf: usize, num_lm: usize) -> SlidingWindow {
     w
 }
 
+/// Allocations of one warmed solve of `window` under `config`: the minimum
+/// over repeats. The counter is process-global, so a concurrent harness
+/// thread can leak stray allocations into a measured region; the solver
+/// itself is deterministic and noise only ever *adds*, so the minimum is the
+/// solver's true count. The input window is cloned outside the measured
+/// region.
+fn measure(
+    ws: &mut SolverWorkspace,
+    window: &SlidingWindow,
+    weights: &FactorWeights,
+    config: &LmConfig,
+) -> (u64, SolveReport) {
+    let mut best = u64::MAX;
+    let mut report = None;
+    for _ in 0..5 {
+        let mut w = window.clone();
+        let before = allocations();
+        let r = solve_in_workspace(ws, &mut w, weights, None, config);
+        best = best.min(allocations() - before);
+        report = Some(r);
+    }
+    (best, report.expect("measured at least once"))
+}
+
+/// Asserts that the LM iterations beyond the first allocate nothing at
+/// `precision`: a warmed 6-iteration solve allocates exactly as much as a
+/// 1-iteration solve of the same window.
+fn assert_iterations_allocate_nothing(
+    ws: &mut SolverWorkspace,
+    window: &SlidingWindow,
+    weights: &FactorWeights,
+    precision: Precision,
+) {
+    let config = |iterations| LmConfig {
+        precision,
+        ..LmConfig::with_iterations(iterations)
+    };
+    // Warmup: grow every workspace buffer (block system, Schur scratch,
+    // Cholesky, f32 twin, candidate window, increment) to this window's
+    // shape.
+    let r = solve_in_workspace(ws, &mut window.clone(), weights, None, &config(6));
+    assert!(r.iterations >= 1);
+
+    let (short_allocs, short) = measure(ws, window, weights, &config(1));
+    let (long_allocs, long) = measure(ws, window, weights, &config(6));
+
+    // Both solves must have actually iterated (same window, same warmed
+    // workspace — the only difference is the iteration budget).
+    assert_eq!(short.iterations, 1);
+    assert!(
+        long.iterations > short.iterations,
+        "{precision:?}: long solve stopped after {} iterations",
+        long.iterations
+    );
+    assert_eq!(
+        long_allocs,
+        short_allocs,
+        "{precision:?}: the {} extra LM iterations allocated {} times \
+         (1-iter solve: {short_allocs}, {}-iter solve: {long_allocs})",
+        long.iterations - short.iterations,
+        long_allocs as i64 - short_allocs as i64,
+        long.iterations,
+    );
+}
+
 #[test]
 fn lm_iterations_allocate_nothing_after_warmup() {
     let weights = FactorWeights::default();
     let window = make_window(6, 60);
     let mut ws = SolverWorkspace::new();
+    assert_iterations_allocate_nothing(&mut ws, &window, &weights, Precision::F64);
+    assert_iterations_allocate_nothing(&mut ws, &window, &weights, Precision::F32);
 
-    // Warmup: grow every workspace buffer (block system, Schur scratch,
-    // Cholesky, candidate window, increment) to this window's shape.
-    let mut warm = window.clone();
-    let r = solve_in_workspace(
-        &mut ws,
-        &mut warm,
-        &weights,
-        None,
-        &LmConfig::with_iterations(6),
-    );
-    assert!(r.iterations >= 1);
-
-    // The counter is process-global, so a concurrent harness thread can leak
-    // stray allocations into a measured region. The solver itself is
-    // deterministic, and noise only ever *adds* — so measure each budget
-    // several times (cloning the input window outside the measured region)
-    // and take the minimum, which is the solver's true count.
-    let mut measure = |iterations: usize| -> (u64, usize) {
-        let mut best = u64::MAX;
-        let mut iters_ran = 0;
-        for _ in 0..5 {
-            let mut w = window.clone();
-            let before = allocations();
-            let r = solve_in_workspace(
-                &mut ws,
-                &mut w,
-                &weights,
-                None,
-                &LmConfig::with_iterations(iterations),
-            );
-            best = best.min(allocations() - before);
-            iters_ran = r.iterations;
-        }
-        (best, iters_ran)
+    // F32 damping retries. One observation 1e34 off its projection puts
+    // right-hand-side entries beyond f32 range, so every retry runs the full
+    // damp → cast → Schur → Cholesky → substitution cycle and then rejects
+    // the non-finite f32 increment. Five extra retries must allocate exactly
+    // as much as none.
+    let mut overflowing = window.clone();
+    overflowing.observations[0].uv = [1e34, -1e34];
+    let retries = |max_retries| LmConfig {
+        max_retries,
+        precision: Precision::F32,
+        ..LmConfig::with_iterations(6)
     };
-
-    let (short_allocs, short_iters) = measure(1);
-    let (long_allocs, long_iters) = measure(6);
-
-    // Both solves must have actually iterated (same window, same warmed
-    // workspace — the only difference is the iteration budget).
-    assert_eq!(short_iters, 1);
-    assert!(
-        long_iters > short_iters,
-        "long solve stopped after {long_iters} iterations"
-    );
-
+    let (none_allocs, none) = measure(&mut ws, &overflowing, &weights, &retries(0));
+    let (five_allocs, five) = measure(&mut ws, &overflowing, &weights, &retries(5));
+    let failed = SolveOutcome::Degraded {
+        reason: DegradeReason::LinearSolveFailed,
+    };
+    assert_eq!((none.outcome, five.outcome), (failed, failed));
+    assert!(five.lambda > none.lambda * 1e4, "five retries ran");
     assert_eq!(
-        long_allocs,
-        short_allocs,
-        "the {} extra LM iterations allocated {} times \
-         (1-iter solve: {short_allocs}, {long_iters}-iter solve: {long_allocs})",
-        long_iters - short_iters,
-        long_allocs as i64 - short_allocs as i64,
+        five_allocs,
+        none_allocs,
+        "5 extra F32 damping retries allocated {} times",
+        five_allocs as i64 - none_allocs as i64,
     );
 
     // The fixed-width dispatch path in isolation: on this window the block
@@ -177,24 +219,32 @@ fn lm_iterations_allocate_nothing_after_warmup() {
     // a warmed assemble→damp→solve cycle must not allocate at all — not
     // merely "no more than a 1-iteration solve". Same minimum-over-repeats
     // discipline as above for counter noise.
+    // The f32 leg repeats it through the cast: damp in f64, cast into the
+    // warmed f32 twin, solve there, cast the increment back.
     let mut sys = archytas_math::BlockSparseSystem::new();
     let mut scratch = archytas_math::SchurScratch::default();
     let mut delta = archytas_math::DVec::zeros(0);
-    let weights2 = FactorWeights::default();
-    archytas_slam::build_block_normal_equations(&window, &weights2, None, &mut sys);
-    sys.damp(1e-3, 1e-9);
-    sys.solve_into(&mut scratch, &mut delta).unwrap();
+    let mut sys32 = archytas_math::BlockSparseSystem::<f32>::new();
+    let mut scratch32 = archytas_math::SchurScratch::default();
+    let mut delta32 = archytas_math::FVec::zeros(0);
+    let mut cycle = |sys: &mut archytas_math::BlockSparseSystem<f64>| {
+        archytas_slam::build_block_normal_equations(&window, &weights, None, sys);
+        sys.damp(1e-3, 1e-9);
+        sys.solve_into(&mut scratch, &mut delta).unwrap();
+        sys.cast_into(&mut sys32);
+        sys32.solve_into(&mut scratch32, &mut delta32).unwrap();
+        delta32.cast_into(&mut delta);
+    };
+    cycle(&mut sys);
 
     let mut direct_best = u64::MAX;
     for _ in 0..5 {
         let before = allocations();
-        archytas_slam::build_block_normal_equations(&window, &weights2, None, &mut sys);
-        sys.damp(1e-3, 1e-9);
-        sys.solve_into(&mut scratch, &mut delta).unwrap();
+        cycle(&mut sys);
         direct_best = direct_best.min(allocations() - before);
     }
     assert_eq!(
         direct_best, 0,
-        "warmed fixed-width assemble/damp/solve cycle allocated {direct_best} times"
+        "warmed fixed-width assemble/damp/solve/cast cycle allocated {direct_best} times"
     );
 }

@@ -31,11 +31,12 @@ echo "checking formatting (cargo fmt --check)..." >&2
 cargo fmt --check
 
 # Lint gate: surface clippy findings across the workspace, and hold the
-# crates carrying bit-identity contracts — the math kernels plus the
+# crates carrying bit-identity contracts — the math kernels, the LM loop and
+# f32 datapath that served windows run through (slam, hw), plus the
 # fleet/faults isolation layer — to zero warnings across all build targets.
 echo "linting (cargo clippy)..." >&2
 cargo clippy -q --workspace
-cargo clippy -q -p archytas-math -p archytas-fleet -p archytas-faults -p archytas-telemetry -p archytas-bench --all-targets -- -D warnings
+cargo clippy -q -p archytas-math -p archytas-slam -p archytas-hw -p archytas-fleet -p archytas-faults -p archytas-telemetry -p archytas-bench --all-targets -- -D warnings
 
 echo "building benches (release)..." >&2
 cargo build -q --release -p archytas-bench --benches
