@@ -1,15 +1,19 @@
 //! Criterion bench of the software solver — the native execution behind the
-//! CPU baselines of Figs. 15–16: per-window linearization, Schur solve, and
-//! a full LM pass at f64 and at the served f32 precision.
+//! CPU baselines of Figs. 15–16: per-window linearization, Schur solve, a
+//! full LM pass at f64 and at the served f32 precision, and a served
+//! steady-state window (with its marginalization prior) solved and then
+//! marginalized.
 
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
+use archytas_fleet::fleet_pipeline_config;
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
 use archytas_math::kernels::sub_scaled;
 use archytas_math::{BlockSparseSystem, Cholesky, DMat, SchurScratch};
 use archytas_par::counters;
 use archytas_slam::{
     build_block_normal_equations, build_normal_equations, schur_linear_solver, solve,
-    FactorWeights, LmConfig, Precision, SlidingWindow,
+    solve_in_workspace, try_marginalize_oldest_in, FactorWeights, LmConfig, Precision, Prior,
+    SlidingWindow, SolverWorkspace,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -24,6 +28,25 @@ fn realistic_window() -> SlidingWindow {
         }
     }
     pipeline.window().clone()
+}
+
+/// A served steady-state window: the same sequence through the fleet's
+/// pipeline configuration, taken at the first full window after the
+/// pipeline has slid once, so it carries a marginalization prior.
+fn steady_window_with_prior() -> (PipelineConfig, SlidingWindow, Prior) {
+    let data = kitti_sequences()[2].truncated(4.0).build();
+    let config = fleet_pipeline_config();
+    let mut pipeline = VioPipeline::new(config);
+    for frame in &data.frames {
+        if !pipeline.push_frame(frame) {
+            continue;
+        }
+        if let Some(prior) = pipeline.prior() {
+            return (config, pipeline.window().clone(), prior.clone());
+        }
+        pipeline.optimize_and_slide(6);
+    }
+    panic!("sequence too short to slide a window");
 }
 
 fn bench_solver(c: &mut Criterion) {
@@ -244,6 +267,30 @@ fn bench_solver(c: &mut Criterion) {
         b.iter(|| {
             let mut w = window.clone();
             solve(&mut w, &weights, None, &served)
+        })
+    });
+
+    // The served shape: a steady-state window with its prior, solved at the
+    // fleet's f32 precision through a reused workspace, then marginalized
+    // into the same workspace. Each iteration clones the window (and, for
+    // the marginalization, the prior it rebuilds in place).
+    let (config, steady, prior) = steady_window_with_prior();
+    let mut ws = SolverWorkspace::new();
+    let steady_lm = LmConfig {
+        precision: config.precision,
+        ..LmConfig::with_iterations(6)
+    };
+    group.bench_function("lm_steady_window_with_prior_f32", |b| {
+        b.iter(|| {
+            let mut w = steady.clone();
+            solve_in_workspace(&mut ws, &mut w, &config.weights, Some(&prior), &steady_lm)
+        })
+    });
+    group.bench_function("marginalize_oldest", |b| {
+        b.iter(|| {
+            let mut w = steady.clone();
+            let mut slot = Some(prior.clone());
+            try_marginalize_oldest_in(&mut ws, &mut w, &config.weights, &mut slot).expect("SPD")
         })
     });
 

@@ -8,7 +8,7 @@
 
 use crate::frontend::Frame;
 use archytas_slam::{
-    drop_oldest, try_marginalize_oldest, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
+    drop_oldest, try_marginalize_oldest_in, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
     Landmark, LmConfig, Observation, Pose, Precision, Preintegration, Prior, SlidingWindow,
     SolveReport, SolverWorkspace, WindowWorkload, GRAVITY,
 };
@@ -471,9 +471,13 @@ impl VioPipeline {
         workspace: &mut SolverWorkspace,
         iterations: usize,
     ) -> WindowResult {
-        self.solve_and_slide(iterations, |window, weights, prior, config| {
-            archytas_slam::solve_in_workspace(workspace, window, weights, prior, config)
-        })
+        self.solve_and_slide(
+            workspace,
+            iterations,
+            |ws, window, weights, prior, config| {
+                archytas_slam::solve_in_workspace(ws, window, weights, prior, config)
+            },
+        )
     }
 
     /// [`VioPipeline::optimize_and_slide_in`] through the dense reference
@@ -492,24 +496,35 @@ impl VioPipeline {
         iterations: usize,
         linear_solver: archytas_slam::LinearSolver<'_>,
     ) -> WindowResult {
-        self.solve_and_slide(iterations, |window, weights, prior, config| {
-            archytas_slam::solve_with_in_workspace(
-                workspace,
-                window,
-                weights,
-                prior,
-                config,
-                linear_solver,
-            )
-        })
+        self.solve_and_slide(
+            workspace,
+            iterations,
+            |ws, window, weights, prior, config| {
+                archytas_slam::solve_with_in_workspace(
+                    ws,
+                    window,
+                    weights,
+                    prior,
+                    config,
+                    linear_solver,
+                )
+            },
+        )
     }
 
     /// Optimizes the full window through `solve` with the configured
     /// iteration budget and precision, then slides it.
     fn solve_and_slide(
         &mut self,
+        workspace: &mut SolverWorkspace,
         iterations: usize,
-        solve: impl FnOnce(&mut SlidingWindow, &FactorWeights, Option<&Prior>, &LmConfig) -> SolveReport,
+        solve: impl FnOnce(
+            &mut SolverWorkspace,
+            &mut SlidingWindow,
+            &FactorWeights,
+            Option<&Prior>,
+            &LmConfig,
+        ) -> SolveReport,
     ) -> WindowResult {
         assert!(
             self.window.num_keyframes() >= self.config.window_size,
@@ -524,18 +539,20 @@ impl VioPipeline {
             precision: self.config.precision,
             ..LmConfig::with_iterations(iterations)
         };
-        let report = solve(&mut self.window, &self.config.weights, prior, &config);
-        self.slide(report)
+        let report = solve(
+            workspace,
+            &mut self.window,
+            &self.config.weights,
+            prior,
+            &config,
+        );
+        self.slide(workspace, report)
     }
 
     /// Records the optimized window's result, marginalizes the oldest
-    /// keyframe, and slides the window (shared tail of both optimize paths).
-    fn slide(&mut self, report: SolveReport) -> WindowResult {
-        let prior = if self.config.use_prior {
-            self.prior.as_ref()
-        } else {
-            None
-        };
+    /// keyframe, and slides the window in place (shared tail of both
+    /// optimize paths).
+    fn slide(&mut self, workspace: &mut SolverWorkspace, report: SolveReport) -> WindowResult {
         let am = self
             .window
             .landmarks
@@ -550,20 +567,23 @@ impl VioPipeline {
         let ground_truth = self.gt_window[newest].pose;
         let outcome_degraded = report.outcome.is_degraded();
 
-        match try_marginalize_oldest(&self.window, &self.config.weights, prior) {
-            Ok(marg) => {
-                self.window = marg.window;
-                self.prior = self.config.use_prior.then_some(marg.prior);
-            }
+        // Without `use_prior` the new prior is still computed (its failure
+        // is a health event) and then discarded.
+        let mut prior = self.prior.take().filter(|_| self.config.use_prior);
+        match try_marginalize_oldest_in(
+            workspace,
+            &mut self.window,
+            &self.config.weights,
+            &mut prior,
+        ) {
+            Ok(_) => self.prior = prior.filter(|_| self.config.use_prior),
             Err(_) => {
                 // The marginalized block was not factorizable (numerically
                 // poisoned window): drop the oldest keyframe and its
                 // landmarks outright and reset the prior rather than carry a
                 // corrupt one into every subsequent window.
                 self.health.note_event(DegradationCause::PriorReset);
-                let (shrunk, _) = drop_oldest(&self.window);
-                self.window = shrunk;
-                self.prior = None;
+                drop_oldest(&mut self.window);
             }
         }
         self.gt_window.remove(0);

@@ -121,6 +121,31 @@ impl<T: Scalar> Cholesky<T> {
         self.refactor_seeded(n)
     }
 
+    /// [`Cholesky::refactor`] of `a + alpha·I` without materializing the
+    /// shifted matrix: the work buffer is seeded with `a` and each diagonal
+    /// element receives the single rounded `a[i][i] + alpha` that
+    /// [`Matrix::add_diagonal`] stores, so the factor is bit-identical to
+    /// `refactor(&a.add_diagonal(alpha))`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Cholesky::factor`].
+    pub fn refactor_shifted(&mut self, a: &Matrix<T>, alpha: T) -> Result<CholeskyOpCounts> {
+        if !a.is_square() {
+            return Err(MathError::DimensionMismatch {
+                op: "cholesky",
+                lhs: a.shape(),
+                rhs: a.shape(),
+            });
+        }
+        let n = a.rows();
+        self.l.clone_from(a);
+        for i in 0..n {
+            self.l.add_at(i, i, alpha);
+        }
+        self.refactor_seeded(n)
+    }
+
     /// Factors the difference `v − prod` without materializing it: the
     /// work buffer is seeded with the elementwise difference directly, so
     /// the Schur complement `S = V − W·U⁻¹·Wᵀ` never exists as a separate
@@ -213,17 +238,30 @@ impl<T: Scalar> Cholesky<T> {
             // Transposed row j of the trailing block only reads rows
             // k0..kend of Lᵀ (fully written above) and writes elements
             // (i, j) for i ≥ j.
-            let nb = kend - k0;
-            for j in kend..n {
-                let w = &mut work.row_mut(j)[j..];
-                if nb == PANEL {
-                    let srcs: [&[T]; PANEL] = core::array::from_fn(|kk| &self.lt.row(k0 + kk)[j..]);
-                    let a: [T; PANEL] = core::array::from_fn(|kk| self.lt.get(k0 + kk, j));
-                    fixed::sub_scaled_panel::<T, PANEL>(w, &srcs, &a);
-                } else {
+            // A full panel updates two trailing rows per sweep, sharing the
+            // panel's source loads (`sub_scaled_panel_pair`: per element
+            // the same sequence as one row at a time).
+            let mut j = kend;
+            while j < n {
+                if kend - k0 < PANEL {
+                    let w = &mut work.row_mut(j)[j..];
                     for kk in k0..kend {
                         kernels::sub_scaled(w, &self.lt.row(kk)[j..], self.lt.get(kk, j));
                     }
+                    j += 1;
+                    continue;
+                }
+                let srcs: [&[T]; PANEL] = core::array::from_fn(|kk| &self.lt.row(k0 + kk)[j..]);
+                let a: [T; PANEL] = core::array::from_fn(|kk| self.lt.get(k0 + kk, j));
+                if j + 1 < n {
+                    let a1: [T; PANEL] = core::array::from_fn(|kk| self.lt.get(k0 + kk, j + 1));
+                    let (head, tail) = work.as_mut_slice().split_at_mut((j + 1) * n);
+                    let (w0, w1) = (&mut head[j * n + j..], &mut tail[j + 1..n]);
+                    fixed::sub_scaled_panel_pair::<T, PANEL>(w0, w1, &srcs, &a, &a1);
+                    j += 2;
+                } else {
+                    fixed::sub_scaled_panel::<T, PANEL>(&mut work.row_mut(j)[j..], &srcs, &a);
+                    j += 1;
                 }
             }
             k0 = kend;
@@ -235,6 +273,12 @@ impl<T: Scalar> Cholesky<T> {
     /// The lower-triangular factor `L`.
     pub fn l(&self) -> &Matrix<T> {
         &self.l
+    }
+
+    /// The transposed factor `Lᵀ` (upper triangular, zeros below the
+    /// diagonal): a square-root information `J` with `JᵀJ = L·Lᵀ`.
+    pub fn lt(&self) -> &Matrix<T> {
+        &self.lt
     }
 
     /// Consumes the factorization and returns `L`.
@@ -276,17 +320,66 @@ impl<T: Scalar> Cholesky<T> {
     /// be inverted (paper Eq. 5 resolves this to two smaller inversions, but
     /// the recursion bottoms out here).
     pub fn inverse(&self) -> Matrix<T> {
+        let mut inv = Matrix::zeros(0, 0);
+        self.inverse_into(&mut inv);
+        inv
+    }
+
+    /// [`Cholesky::inverse`] into a caller-owned matrix, allocation-free once
+    /// `inv` has grown.
+    ///
+    /// Column `j` is bit for bit `self.solve(e_j)`: each element runs the
+    /// forward and backward substitutions' exact multiply-subtract chain.
+    /// Two things change, neither of them a result bit. Four columns are
+    /// solved side by side, so four independent chains overlap instead of
+    /// one chain's latency bounding the loop. And the forward substitution
+    /// starts at the block's first column `j0`: rows above it are exactly
+    /// `+0` (the identity's leading zeros), so the skipped terms are
+    /// `l·(+0) = ±0`, and subtracting `±0` from an accumulator that started
+    /// at `+0` or `1` never changes its bits (`l` is finite once the
+    /// factorization succeeded). The backward substitution runs in place
+    /// over the forward results.
+    pub fn inverse_into(&self, inv: &mut Matrix<T>) {
+        const COLS: usize = 4;
         let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut e = Vector::zeros(n);
-            e[j] = T::ONE;
-            let col = self.solve(&e);
-            for i in 0..n {
-                inv.set(i, j, col[i]);
+        inv.reset_zeros(n, n);
+        for j0 in (0..n).step_by(COLS) {
+            let w = COLS.min(n - j0);
+            // Forward: L·Y = E[:, j0..j0+w]; rows above j0 stay +0.
+            for i in j0..n {
+                let lrow = self.l.row(i);
+                let mut acc = [T::ZERO; COLS];
+                if i < j0 + w {
+                    acc[i - j0] = T::ONE;
+                }
+                for (k, &lik) in lrow.iter().enumerate().take(i).skip(j0) {
+                    let yk = &inv.row(k)[j0..j0 + w];
+                    for (a, &y) in acc.iter_mut().zip(yk) {
+                        *a -= lik * y;
+                    }
+                }
+                let d = lrow[i];
+                for (out, a) in inv.row_mut(i)[j0..j0 + w].iter_mut().zip(acc) {
+                    *out = a / d;
+                }
+            }
+            // Backward: Lᵀ·X = Y, overwriting Y.
+            for i in (0..n).rev() {
+                let urow = self.lt.row(i);
+                let mut acc = [T::ZERO; COLS];
+                acc[..w].copy_from_slice(&inv.row(i)[j0..j0 + w]);
+                for (k, &uik) in urow.iter().enumerate().skip(i + 1) {
+                    let xk = &inv.row(k)[j0..j0 + w];
+                    for (a, &x) in acc.iter_mut().zip(xk) {
+                        *a -= uik * x;
+                    }
+                }
+                let d = urow[i];
+                for (out, a) in inv.row_mut(i)[j0..j0 + w].iter_mut().zip(acc) {
+                    *out = a / d;
+                }
             }
         }
-        inv
     }
 
     /// Log-determinant of `A` (`2·Σ log Lᵢᵢ`), useful for covariance sanity
@@ -344,6 +437,58 @@ mod tests {
         let inv = Cholesky::factor(&a).unwrap().inverse();
         let eye = a.try_mul(&inv).unwrap();
         assert!((&eye - &M::identity(5)).max_abs() < 1e-10);
+    }
+
+    /// Column `j` of the inverse, solved the plain way.
+    fn inverse_by_columns(ch: &Cholesky<f64>) -> M {
+        let n = ch.dim();
+        let mut inv = M::zeros(n, n);
+        for j in 0..n {
+            let mut e = V::zeros(n);
+            e[j] = 1.0;
+            let col = ch.solve(&e);
+            for i in 0..n {
+                inv.set(i, j, col[i]);
+            }
+        }
+        inv
+    }
+
+    fn bits(m: &M) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn inverse_into_matches_column_solves_bitwise() {
+        // Dense SPD matrices of every width remainder, and an M-type block
+        // (diagonal leading block, dense coupling) whose zeros the blocked
+        // forward substitution skips.
+        let mut inv = M::zeros(0, 0);
+        for n in [1, 2, 3, 4, 5, 7, 9, 16, 29] {
+            let ch = Cholesky::factor(&spd(n)).unwrap();
+            ch.inverse_into(&mut inv);
+            assert_eq!(bits(&inv), bits(&inverse_by_columns(&ch)), "n = {n}");
+        }
+        let mtype = M::from_fn(21, 21, |i, j| match (i < 6, j < 6) {
+            (true, true) if i == j => 2.0 + i as f64,
+            (true, true) => 0.0,
+            _ if i == j => 30.0,
+            _ => ((i * 3 + j * 5) % 7) as f64 * 0.1 - 0.3,
+        });
+        let ch = Cholesky::factor(&mtype).unwrap();
+        ch.inverse_into(&mut inv);
+        assert_eq!(bits(&inv), bits(&inverse_by_columns(&ch)));
+        assert_eq!(bits(&ch.inverse()), bits(&inv));
+    }
+
+    #[test]
+    fn refactor_shifted_matches_refactor_of_add_diagonal() {
+        let a = spd(11);
+        let mut shifted = Cholesky::default();
+        shifted.refactor_shifted(&a, 1e-3).unwrap();
+        let plain = Cholesky::factor(&a.add_diagonal(1e-3)).unwrap();
+        assert_eq!(bits(shifted.l()), bits(plain.l()));
+        assert_eq!(bits(shifted.lt()), bits(&plain.l().transpose()));
     }
 
     #[test]

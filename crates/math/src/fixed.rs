@@ -235,6 +235,26 @@ pub fn syrk_scatter<F: Scalar, const K: usize>(
     }
 }
 
+/// Fused rank-`K` accumulation — `K` sequential [`crate::kernels::add_scaled`]
+/// calls in one traversal of `dst`.
+///
+/// Per element the `K` multiply-adds happen in slice order (`w += a[0]·srcs[0]`,
+/// then `a[1]·srcs[1]`, …), each with its own rounding and no zero skip, so
+/// the result is bit-identical to the sequential calls while `dst` is loaded
+/// and stored once instead of `K` times.
+#[inline]
+pub fn add_scaled_panel<F: Scalar, const K: usize>(dst: &mut [F], srcs: &[&[F]; K], a: &[F; K]) {
+    let n = dst.len();
+    let srcs: [&[F]; K] = core::array::from_fn(|k| &srcs[k][..n]);
+    for i in 0..n {
+        let mut w = dst[i];
+        for k in 0..K {
+            w += a[k] * srcs[k][i];
+        }
+        dst[i] = w;
+    }
+}
+
 /// Fused rank-`K` trailing-update kernel — [`crate::kernels::sub_scaled4`]
 /// generalized to a const panel width, for the blocked Cholesky.
 ///
@@ -252,6 +272,49 @@ pub fn sub_scaled_panel<F: Scalar, const K: usize>(dst: &mut [F], srcs: &[&[F]; 
             w -= srcs[k][i] * a[k];
         }
         dst[i] = w;
+    }
+}
+
+/// [`sub_scaled_panel`] on two consecutive trailing rows of the blocked
+/// Cholesky at once, sharing each source load between them.
+///
+/// `dst0` is row `j` of the transposed trailing block from its diagonal on
+/// (`n` elements) and `dst1` row `j + 1` from its diagonal on (`n − 1`
+/// elements), so `dst1[t − 1]` sits above `dst0[t]` and both read
+/// `srcs[k][t]`. Each element gets exactly the subtraction sequence of its
+/// own [`sub_scaled_panel`] call (`a0` for row `j`, `a1` for row `j + 1`),
+/// so the pair is bit-identical to the two calls.
+///
+/// # Panics
+///
+/// Panics when `dst0` is empty, `dst1` is shorter than `dst0.len() − 1`, or
+/// a source is shorter than `dst0`.
+#[inline]
+pub fn sub_scaled_panel_pair<F: Scalar, const K: usize>(
+    dst0: &mut [F],
+    dst1: &mut [F],
+    srcs: &[&[F]; K],
+    a0: &[F; K],
+    a1: &[F; K],
+) {
+    let n = dst0.len();
+    let srcs: [&[F]; K] = core::array::from_fn(|k| &srcs[k][..n]);
+    let dst1 = &mut dst1[..n - 1];
+    let mut w = dst0[0];
+    for k in 0..K {
+        w -= srcs[k][0] * a0[k];
+    }
+    dst0[0] = w;
+    for t in 1..n {
+        let mut x = dst0[t];
+        let mut y = dst1[t - 1];
+        for k in 0..K {
+            let s = srcs[k][t];
+            x -= s * a0[k];
+            y -= s * a1[k];
+        }
+        dst0[t] = x;
+        dst1[t - 1] = y;
     }
 }
 

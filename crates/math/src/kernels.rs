@@ -61,6 +61,34 @@ pub fn add_scaled<T: Scalar>(dst: &mut [T], src: &[T], s: T) {
     }
 }
 
+/// Applies every `(src, s)` row, in iteration order, to `dst` exactly as
+/// sequential [`add_scaled`] calls would (`dst[i] += s * src[i]`, no zero
+/// skip), four rows per traversal through [`fixed::add_scaled_panel`]. Per
+/// element the multiply-adds keep their sequence, so the result is
+/// bit-identical to the sequential calls. Each `src` must be at least as
+/// long as `dst`.
+#[inline]
+pub fn add_scaled_rows<'a, T: Scalar + 'a>(
+    dst: &mut [T],
+    rows: impl IntoIterator<Item = (&'a [T], T)>,
+) {
+    let mut srcs: [&[T]; 4] = [&[]; 4];
+    let mut s = [T::ZERO; 4];
+    let mut k = 0;
+    for (src, sk) in rows {
+        srcs[k] = src;
+        s[k] = sk;
+        k += 1;
+        if k == 4 {
+            fixed::add_scaled_panel(dst, &srcs, &s);
+            k = 0;
+        }
+    }
+    for j in 0..k {
+        add_scaled(dst, srcs[j], s[j]);
+    }
+}
+
 /// [`add_scaled`] with a compile-time length, for fully unrolled fixed-size
 /// block runs (`N = 6` is the `W` block height of the sliding window).
 ///

@@ -219,11 +219,25 @@ impl<T: Scalar> Matrix<T> {
 
     /// Writes this matrix's transpose into `out`, reshaping and reusing its
     /// allocation.
+    ///
+    /// Every element of `out` is overwritten, so its old contents are not
+    /// zeroed first; the copy walks `16 × 16` blocks so the strided reads of
+    /// a block stay in cache while its output rows are written in order.
     pub fn transpose_into(&self, out: &mut Self) {
-        out.reset_zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
+        const B: usize = 16;
+        let (rows, cols) = (self.rows, self.cols);
+        out.rows = cols;
+        out.cols = rows;
+        out.data.resize(rows * cols, T::ZERO);
+        for j0 in (0..cols).step_by(B) {
+            for i0 in (0..rows).step_by(B) {
+                let i1 = (i0 + B).min(rows);
+                for j in j0..(j0 + B).min(cols) {
+                    let dst = &mut out.data[j * rows + i0..j * rows + i1];
+                    for (d, i) in dst.iter_mut().zip(i0..i1) {
+                        *d = self.data[i * cols + j];
+                    }
+                }
             }
         }
     }
@@ -268,16 +282,43 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Panics when `self.cols != v.len()`.
     pub fn mat_vec(&self, v: &Vector<T>) -> Vector<T> {
+        let mut out = Vector::zeros(0);
+        self.mat_vec_into(v, &mut out);
+        out
+    }
+
+    /// [`Matrix::mat_vec`] into a caller-owned vector (resized to fit),
+    /// without allocating once `out` has grown.
+    ///
+    /// Element `i` is the iterator `sum()` of row `i`'s products `a·b` in
+    /// column order, starting from `sum`'s own identity. Four rows are
+    /// summed side by side: each keeps its serial add chain (so its bits),
+    /// and the four independent chains overlap instead of one chain's
+    /// latency bounding the loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `self.cols != v.len()`.
+    pub fn mat_vec_into(&self, v: &Vector<T>, out: &mut Vector<T>) {
         assert_eq!(self.cols, v.len(), "mat_vec: dimension mismatch");
-        (0..self.rows)
-            .map(|i| {
-                self.row(i)
-                    .iter()
-                    .zip(v.as_slice())
-                    .map(|(&a, &b)| a * b)
-                    .sum()
-            })
-            .collect()
+        let identity: T = std::iter::empty::<T>().sum();
+        out.resize_fill(self.rows, identity);
+        let (out, v) = (out.as_mut_slice(), v.as_slice());
+        let mut i = 0;
+        while i + 4 <= self.rows {
+            let rows: [&[T]; 4] = std::array::from_fn(|k| self.row(i + k));
+            let mut acc = [identity; 4];
+            for (j, &x) in v.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(rows) {
+                    *a += row[j] * x;
+                }
+            }
+            out[i..i + 4].copy_from_slice(&acc);
+            i += 4;
+        }
+        for (o, row) in out[i..].iter_mut().zip(self.rows_iter().skip(i)) {
+            *o = row.iter().zip(v).map(|(&a, &b)| a * b).sum();
+        }
     }
 
     /// `selfᵀ · v` without materializing the transpose.
@@ -286,8 +327,20 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Panics when `self.rows != v.len()`.
     pub fn transpose_mat_vec(&self, v: &Vector<T>) -> Vector<T> {
+        let mut out = Vector::zeros(0);
+        self.transpose_mat_vec_into(v, &mut out);
+        out
+    }
+
+    /// [`Matrix::transpose_mat_vec`] into a caller-owned vector (resized and
+    /// zeroed first), allocation-free once `out` has grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `self.rows != v.len()`.
+    pub fn transpose_mat_vec_into(&self, v: &Vector<T>, out: &mut Vector<T>) {
         assert_eq!(self.rows, v.len(), "transpose_mat_vec: dimension mismatch");
-        let mut out = Vector::zeros(self.cols);
+        out.resize_fill(self.cols, T::ZERO);
         for (row, &vi) in self.rows_iter().zip(v.as_slice()) {
             if vi == T::ZERO {
                 continue;
@@ -296,7 +349,6 @@ impl<T: Scalar> Matrix<T> {
                 *o += a * vi;
             }
         }
-        out
     }
 
     /// Gram product `selfᵀ · self` (the information-matrix kernel `H = JᵀJ`).
@@ -305,21 +357,27 @@ impl<T: Scalar> Matrix<T> {
     /// ascending; only the upper triangle is accumulated and it is mirrored
     /// afterwards.
     pub fn gram(&self) -> Self {
+        let mut out = Self::zeros(0, 0);
+        self.gram_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::gram`] into a caller-owned matrix (reshaped and zeroed
+    /// first): the same accumulation, allocation-free once `out` has grown.
+    pub fn gram_into(&self, out: &mut Self) {
         let n = self.cols;
-        let mut out = Self::zeros(n, n);
+        out.reset_zeros(n, n);
         if n == 0 {
-            return out;
+            return;
         }
+        // Four source rows per traversal of the output row; per element the
+        // multiply-adds keep their ascending-`k` order (`add_scaled_rows`).
         for (i, out_row) in out.data.chunks_mut(n).enumerate() {
-            for row in self.rows_iter() {
-                let a = row[i];
-                if a == T::ZERO {
-                    continue;
-                }
-                for (o, &b) in out_row[i..].iter_mut().zip(&row[i..]) {
-                    *o += a * b;
-                }
-            }
+            let rows = self
+                .rows_iter()
+                .filter(|row| row[i] != T::ZERO)
+                .map(|row| (&row[i..], row[i]));
+            crate::kernels::add_scaled_rows(&mut out_row[i..], rows);
         }
         // Mirror the upper triangle.
         for i in 0..n {
@@ -328,7 +386,6 @@ impl<T: Scalar> Matrix<T> {
                 out.set(i, j, v);
             }
         }
-        out
     }
 
     /// Copies the `rows × cols` sub-matrix starting at `(row0, col0)`.
@@ -401,7 +458,9 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
-    /// Maximum absolute element, or zero for an empty matrix.
+    /// Maximum absolute element, or zero for an empty matrix. NaN elements
+    /// never win the comparison, so check [`Matrix::all_finite`] first where
+    /// a NaN must not pass.
     pub fn max_abs(&self) -> T {
         self.data
             .iter()
@@ -554,6 +613,56 @@ mod tests {
 
     fn sample() -> M {
         M::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]])
+    }
+
+    #[test]
+    fn transpose_into_overwrites_a_stale_buffer() {
+        // Shapes around the 16-wide blocking, into a buffer holding a larger,
+        // differently shaped matrix.
+        for (r, c) in [(1, 1), (3, 17), (17, 3), (16, 16), (33, 20)] {
+            let m = M::from_fn(r, c, |i, j| (i * 100 + j) as f64 - 0.5);
+            let mut out = M::from_fn(40, 40, |_, _| f64::NAN);
+            m.transpose_into(&mut out);
+            assert_eq!(out.shape(), (c, r));
+            for i in 0..r {
+                for j in 0..c {
+                    assert_eq!(out.get(j, i).to_bits(), m.get(i, j).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mat_vec_into_matches_per_row_sums_bitwise() {
+        // Row counts around the four-row interleave, signed zeros (an
+        // all-zero product row must keep the sign the serial `sum` gives)
+        // and scale-diverse values.
+        for rows in [0, 1, 3, 4, 5, 8, 11] {
+            for cols in [0, 1, 7] {
+                let m = M::from_fn(rows, cols, |i, j| match (i + 2 * j) % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    k => (k as f64 - 2.5) * 10f64.powi((i * 3 + j) as i32 % 9 - 4),
+                });
+                for v in [
+                    V::zeros(cols),
+                    (0..cols)
+                        .map(|j| if j % 2 == 0 { -0.0 } else { 1.5 })
+                        .collect(),
+                    (0..cols).map(|j| 0.3 - j as f64).collect(),
+                ] {
+                    let serial: Vec<u64> = m
+                        .rows_iter()
+                        .map(|row| {
+                            let s: f64 = row.iter().zip(v.as_slice()).map(|(&a, &b)| a * b).sum();
+                            s.to_bits()
+                        })
+                        .collect();
+                    let got: Vec<u64> = m.mat_vec(&v).iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, serial, "{rows}x{cols}");
+                }
+            }
+        }
     }
 
     #[test]

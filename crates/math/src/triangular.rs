@@ -32,12 +32,14 @@ pub fn solve_lower_into<T: Scalar>(l: &Matrix<T>, b: &Vector<T>, x: &mut Vector<
     let n = l.rows();
     assert_eq!(b.len(), n, "solve_lower: rhs length mismatch");
     x.resize_fill(n, T::ZERO);
+    let x = x.as_mut_slice();
     for i in 0..n {
+        let row = l.row(i);
         let mut acc = b[i];
-        for j in 0..i {
-            acc -= l.get(i, j) * x[j];
+        for (&lij, &xj) in row[..i].iter().zip(&x[..i]) {
+            acc -= lij * xj;
         }
-        let d = l.get(i, i);
+        let d = row[i];
         assert!(d != T::ZERO, "solve_lower: zero diagonal at {i}");
         x[i] = acc / d;
     }
@@ -69,12 +71,14 @@ pub fn solve_upper_into<T: Scalar>(u: &Matrix<T>, b: &Vector<T>, x: &mut Vector<
     let n = u.rows();
     assert_eq!(b.len(), n, "solve_upper: rhs length mismatch");
     x.resize_fill(n, T::ZERO);
+    let x = x.as_mut_slice();
     for i in (0..n).rev() {
+        let row = u.row(i);
         let mut acc = b[i];
-        for j in (i + 1)..n {
-            acc -= u.get(i, j) * x[j];
+        for (&uij, &xj) in row[i + 1..].iter().zip(&x[i + 1..]) {
+            acc -= uij * xj;
         }
-        let d = u.get(i, i);
+        let d = row[i];
         assert!(d != T::ZERO, "solve_upper: zero diagonal at {i}");
         x[i] = acc / d;
     }

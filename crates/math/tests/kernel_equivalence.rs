@@ -9,8 +9,8 @@
 
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
 use archytas_math::kernels::{
-    add_scaled, add_scaled_fixed, add_scaled_skip, add_scaled_skip2, add_scaled_skip_rows,
-    sub_scaled, sub_scaled4,
+    add_scaled, add_scaled_fixed, add_scaled_rows, add_scaled_skip, add_scaled_skip2,
+    add_scaled_skip_rows, sub_scaled, sub_scaled4,
 };
 use archytas_math::{
     BlockSparseSystem, BlockSpec, Cholesky, DMat, DVec, SchurScratch, SchurSystem,
@@ -269,6 +269,50 @@ proptest! {
             sub_scaled(&mut seq, &srcs[k], a[k]);
         }
         assert_bits_eq(&fused, &seq)?;
+    }
+
+    /// `add_scaled_rows` (four rows per traversal, then the remainder)
+    /// equals one `add_scaled` per row in order, bitwise, for every row count
+    /// around the fused width.
+    #[test]
+    fn add_scaled_rows_matches_sequential_bitwise(
+        (dst, srcs, s) in (0usize..=40, 0usize..=9).prop_flat_map(|(n, rows)| {
+            (vals(n), proptest::collection::vec(vals(n), rows), vals(rows))
+        })
+    ) {
+        let mut fused = dst.clone();
+        let mut seq = dst;
+        add_scaled_rows(&mut fused, srcs.iter().map(Vec::as_slice).zip(s.iter().copied()));
+        for (src, &sk) in srcs.iter().zip(&s) {
+            add_scaled(&mut seq, src, sk);
+        }
+        assert_bits_eq(&fused, &seq)?;
+    }
+
+    /// The two-row trailing update equals a `sub_scaled_panel` call per row
+    /// bitwise, the second row reading the sources one element in.
+    #[test]
+    fn sub_scaled_panel_pair_matches_two_panel_calls(
+        (dst0, dst1, srcs, a) in (1usize..=40).prop_flat_map(|n| {
+            (
+                vals(n),
+                vals(n - 1),
+                proptest::collection::vec(vals(n), 8),
+                proptest::collection::vec(vals(8usize), 2),
+            )
+        })
+    ) {
+        let refs: [&[f64]; 8] = std::array::from_fn(|k| srcs[k].as_slice());
+        let shifted: [&[f64]; 8] = std::array::from_fn(|k| &srcs[k][1..]);
+        let a0: &[f64; 8] = a[0].as_slice().try_into().unwrap();
+        let a1: &[f64; 8] = a[1].as_slice().try_into().unwrap();
+        let (mut pair0, mut pair1) = (dst0.clone(), dst1.clone());
+        let (mut seq0, mut seq1) = (dst0, dst1);
+        fixed::sub_scaled_panel_pair::<f64, 8>(&mut pair0, &mut pair1, &refs, a0, a1);
+        sub_scaled_panel::<f64, 8>(&mut seq0, &refs, a0);
+        sub_scaled_panel::<f64, 8>(&mut seq1, &shifted, a1);
+        assert_bits_eq(&pair0, &seq0)?;
+        assert_bits_eq(&pair1, &seq1)?;
     }
 }
 

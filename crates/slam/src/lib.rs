@@ -58,7 +58,8 @@ pub use factors::{
 pub use geometry::{Mat3, Pose, Quat, Vec3};
 pub use imu::{ImuSample, Preintegration, GRAVITY};
 pub use marginalization::{
-    drop_oldest, marginalize_oldest, try_marginalize_oldest, MarginalizationResult,
+    drop_oldest, marginalize_oldest, try_marginalize_oldest, try_marginalize_oldest_in,
+    MarginalizationResult,
 };
 pub use metrics::{mean_stdev, relative_error, rmse_translation, TrajectoryMetrics};
 pub use prior::Prior;

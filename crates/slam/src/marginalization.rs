@@ -10,11 +10,18 @@
 //! diagonal `M₁₁`, which is exactly the landmark sub-block here).
 
 use crate::factors::{evaluate_imu, evaluate_visual, FactorWeights};
-use crate::prior::Prior;
-use crate::solver::SolveError;
+use crate::prior::{Prior, PriorFactor, PriorScratch};
+use crate::solver::{SolveError, SolverWorkspace};
 use crate::window::{SlidingWindow, STATE_DIM};
-use archytas_math::{BlockSpec, Blocked2x2, Cholesky, DMat, DVec};
+use archytas_math::{kernels, Cholesky, DMat, DVec};
 use archytas_par::counters::{self, Phase};
+
+/// Diagonal regularization of the marginalized block `M` (it can be gauge
+/// deficient when landmarks have few observations).
+const M_REG: f64 = 1e-9;
+
+/// Starting regularization of the new prior's information.
+const PRIOR_EPS: f64 = 1e-9;
 
 /// Outcome of marginalizing the oldest keyframe out of a window.
 #[derive(Debug, Clone)]
@@ -26,6 +33,41 @@ pub struct MarginalizationResult {
     pub prior: Prior,
     /// Number of landmarks marginalized (`am` in the paper's Eq. 10/15).
     pub marginalized_landmarks: usize,
+}
+
+/// Reused buffers of [`try_marginalize_oldest_in`], held inside
+/// [`SolverWorkspace`]: the local information system, the M-type Schur
+/// blocks and the new prior's factorization. Every buffer is rewritten
+/// before it is read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MargWorkspace {
+    /// Landmark index → its column in the local ordering (`usize::MAX` for
+    /// landmarks that stay).
+    slot: Vec<usize>,
+    /// Local information `H` over `[landmarks | kf0 | kept keyframes]` and
+    /// the matching right-hand side `g`.
+    h: DMat,
+    g: DVec,
+    /// `M = U + 1e-9·I`, its factorization and inverse.
+    m: DMat,
+    m_chol: Cholesky<f64>,
+    m_inv: DMat,
+    /// Kept states whose row of `W` has a non-zero, ascending.
+    coupled: Vec<usize>,
+    /// `W·M⁻¹` over the coupled rows (`c × m`).
+    w_minv: DMat,
+    /// `Wᵀ` over the coupled columns (`m × c`).
+    wt: DMat,
+    /// One coupled row of `W·M⁻¹·Wᵀ`.
+    prod_row: Vec<f64>,
+    /// `M⁻¹·bx`.
+    minv_bx: Vec<f64>,
+    /// The Schur complement `(Hp, rp)` over the kept keyframes.
+    hp: DMat,
+    rp: DVec,
+    new_prior: PriorFactor,
+    /// Landmark index → index after the shrink.
+    new_index: Vec<usize>,
 }
 
 /// Marginalizes keyframe 0 (and every landmark anchored there) out of
@@ -54,6 +96,9 @@ pub fn marginalize_oldest(
 /// instead of panicking, letting the pipeline drop the prior and continue
 /// (see [`drop_oldest`] for the prior-free window shrink).
 ///
+/// A copying convenience over [`try_marginalize_oldest_in`], with the same
+/// bits.
+///
 /// # Panics
 ///
 /// Still panics when the window has fewer than two keyframes — a programmer
@@ -63,50 +108,98 @@ pub fn try_marginalize_oldest(
     weights: &FactorWeights,
     prior: Option<&Prior>,
 ) -> Result<MarginalizationResult, SolveError> {
-    counters::time(Phase::Marginalization, || {
-        try_marginalize_oldest_impl(window, weights, prior)
+    let mut window = window.clone();
+    let mut slot = prior.cloned();
+    let am =
+        try_marginalize_oldest_in(&mut SolverWorkspace::new(), &mut window, weights, &mut slot)?;
+    Ok(MarginalizationResult {
+        window,
+        prior: slot.expect("marginalization fills the prior on success"),
+        marginalized_landmarks: am,
     })
 }
 
-fn try_marginalize_oldest_impl(
+/// Marginalizes keyframe 0 and its landmarks in place: `prior` (the
+/// previous window's prior, if any) is folded in and then replaced by the
+/// new prior over the remaining keyframes, reusing its buffers, and
+/// `window` is shrunk. Returns the number of marginalized landmarks.
+///
+/// All scratch lives in `ws`, so once its buffers and the prior's have grown
+/// to the window's shape the whole marginalize-and-slide allocates nothing.
+/// On `Err` neither `window` nor `prior` is touched.
+///
+/// # Panics
+///
+/// Panics when the window has fewer than two keyframes.
+pub fn try_marginalize_oldest_in(
+    ws: &mut SolverWorkspace,
+    window: &mut SlidingWindow,
+    weights: &FactorWeights,
+    prior: &mut Option<Prior>,
+) -> Result<usize, SolveError> {
+    counters::time(Phase::Marginalization, || {
+        let marg = &mut ws.marg;
+        let am = local_schur(marg, window, weights, prior.as_ref(), &mut ws.prior_scratch)?;
+        Prior::rebuild(
+            prior,
+            &mut marg.new_prior,
+            &marg.hp,
+            &marg.rp,
+            &window.keyframes[1..],
+            PRIOR_EPS,
+        )?;
+        shrink(window, &mut marg.new_index);
+        Ok(am)
+    })
+}
+
+/// Builds the local information system of keyframe 0's factors and
+/// reduces it to the Schur complement `(ws.hp, ws.rp)` over the kept
+/// keyframes. Returns the number of marginalized landmarks.
+fn local_schur(
+    ws: &mut MargWorkspace,
     window: &SlidingWindow,
     weights: &FactorWeights,
     prior: Option<&Prior>,
-) -> Result<MarginalizationResult, SolveError> {
+    prior_scratch: &mut PriorScratch,
+) -> Result<usize, SolveError> {
     let b = window.num_keyframes();
     assert!(b >= 2, "marginalize_oldest: need at least two keyframes");
 
     // Landmarks anchored at keyframe 0 are marginalized with it.
-    let marg_landmarks: Vec<usize> = (0..window.landmarks.len())
-        .filter(|&l| window.landmarks[l].anchor == 0)
-        .collect();
-    let am = marg_landmarks.len();
-    let lm_slot: std::collections::HashMap<usize, usize> = marg_landmarks
-        .iter()
-        .enumerate()
-        .map(|(slot, &l)| (l, slot))
-        .collect();
+    ws.slot.clear();
+    let mut am = 0;
+    for lm in &window.landmarks {
+        if lm.anchor == 0 {
+            ws.slot.push(am);
+            am += 1;
+        } else {
+            ws.slot.push(usize::MAX);
+        }
+    }
 
     // Local ordering: [marginalized landmarks (am) | kf0 (15) | kept keyframes ((b−1)·15)].
-    let marg_dim = am + STATE_DIM;
-    let dim = marg_dim + (b - 1) * STATE_DIM;
+    let m = am + STATE_DIM;
+    let dim = m + (b - 1) * STATE_DIM;
     let kf_off = |k: usize| -> usize {
         if k == 0 {
             am
         } else {
-            marg_dim + (k - 1) * STATE_DIM
+            m + (k - 1) * STATE_DIM
         }
     };
-
-    let mut h = DMat::zeros(dim, dim);
-    let mut g = DVec::zeros(dim);
+    let h = &mut ws.h;
+    let g = &mut ws.g;
+    h.reset_zeros(dim, dim);
+    g.resize_fill(dim, 0.0);
 
     // --- visual factors of marginalized landmarks ---
     let wv2 = weights.visual * weights.visual;
     for obs in &window.observations {
-        let Some(&slot) = lm_slot.get(&obs.landmark) else {
+        let slot = ws.slot[obs.landmark];
+        if slot == usize::MAX {
             continue;
-        };
+        }
         let lm = &window.landmarks[obs.landmark];
         if obs.keyframe == lm.anchor {
             continue;
@@ -126,17 +219,14 @@ fn try_marginalize_oldest_impl(
             None => wv2,
             Some(_) => wv2 * weights.visual_robust_scale(ev.residual[0], ev.residual[1]),
         };
-        let col_rho = slot;
         let col_anchor = kf_off(0);
         let col_obs = kf_off(obs.keyframe);
         for r in 0..2 {
-            let e = ev.residual[r];
             // Fixed-size gather (1 rho + interleaved anchor/observer pose
-            // columns, preserving the historical accumulation order) — no
-            // per-row heap allocation.
+            // columns, preserving the historical accumulation order).
             let mut cols = [0usize; 13];
             let mut vals = [0f64; 13];
-            cols[0] = col_rho;
+            cols[0] = slot;
             vals[0] = ev.j_rho[r];
             for c in 0..6 {
                 cols[1 + 2 * c] = col_anchor + c;
@@ -144,7 +234,7 @@ fn try_marginalize_oldest_impl(
                 cols[2 + 2 * c] = col_obs + c;
                 vals[2 + 2 * c] = ev.j_obs[r][c];
             }
-            accumulate(&mut h, &mut g, &cols, &vals, e, w2);
+            accumulate(h, g, &cols, &vals, ev.residual[r], w2);
         }
     }
 
@@ -159,7 +249,6 @@ fn try_marginalize_oldest_impl(
         let off_j = kf_off(1);
         for r in 0..15 {
             let w = weights.imu_row(r);
-            let e = ev.residual[r];
             let mut cols = [0usize; 30];
             let mut vals = [0f64; 30];
             for c in 0..15 {
@@ -168,23 +257,23 @@ fn try_marginalize_oldest_impl(
                 cols[2 * c + 1] = off_j + c;
                 vals[2 * c + 1] = ev.j_j[r][c];
             }
-            accumulate(&mut h, &mut g, &cols, &vals, e, w * w);
+            accumulate(h, g, &cols, &vals, ev.residual[r], w * w);
         }
     }
 
     // --- previous prior (touches kf0 and the kept keyframes) ---
     if let Some(p) = prior {
         // The prior's own ordering is [kf0, kf1, ...]; shift past the
-        // landmark slots of the local marginalization ordering.
-        let hp = p.information();
-        let jt_r = p.gradient(window);
+        // landmark slots of the local ordering. Its information is the
+        // cached `JᵀJ`.
+        let grad = p.gradient_in(window, prior_scratch);
+        let info = p.information();
         let pdim = p.dim();
         for i in 0..pdim {
-            let gi = map_prior_index(i, am);
-            g[gi] -= jt_r[i];
-            for j in 0..pdim {
-                let gj = map_prior_index(j, am);
-                h.add_at(gi, gj, hp.get(i, j));
+            g[am + i] -= grad[i];
+            let row = &mut h.row_mut(am + i)[am..am + pdim];
+            for (hv, &iv) in row.iter_mut().zip(info.row(i)) {
+                *hv += iv;
             }
         }
     } else {
@@ -196,45 +285,112 @@ fn try_marginalize_oldest_impl(
         }
     }
 
-    // --- Schur complement: keep the trailing (b−1)·15 block ---
-    // The `expect`s below are shape invariants of the local ordering built
-    // above (programmer errors); the data-dependent failures are the
-    // factorizations, which return `Err`.
-    let spec = BlockSpec::new(marg_dim, dim).expect("valid split");
-    let blocked = Blocked2x2::partition(&h, spec).expect("partition");
-    let (bx, by) = archytas_math::split_vector(&g, spec).expect("split");
-    // Regularize the marginalized block before inversion (it can be gauge
-    // deficient when landmarks have few observations). `M` is factored once
-    // and the inverse shared between the Schur complement and the reduced
-    // right-hand side — historically `dense_schur_complement` and the `rp`
-    // computation each ran their own O(n³) factorization of the same matrix.
-    let m = blocked.u.add_diagonal(1e-9);
-    let m_inv = Cholesky::factor(&m)?.inverse();
-    let lm_inv = blocked
-        .w
-        .try_mul(&m_inv)
-        .expect("marginal block shapes agree");
-    let prod = lm_inv
-        .try_mul(&blocked.w.transpose())
-        .expect("marginal block shapes agree");
-    let hp = &blocked.v - &prod;
-    let rp = &by - &blocked.w.mat_vec(&m_inv.mat_vec(&bx));
+    reduce(ws, m)?;
+    Ok(am)
+}
 
-    let lin_states = window.keyframes[1..].to_vec();
-    let new_prior = Prior::try_from_information(&hp, &rp, lin_states, 1e-9)?;
+/// The M-type Schur complement of `ws.h` onto its trailing `n` rows,
+/// `Hp = V − W·M⁻¹·Wᵀ` and `rp = by − W·M⁻¹·bx` with
+/// `M = U + 1e-9·I` the leading `m × m` block.
+///
+/// `M` is factored and inverted densely. The update `W·M⁻¹·Wᵀ` is
+/// confined to the *coupled* kept states, those whose row of `W` is not
+/// all zero. `U`'s landmark block is diagonal (each landmark touches
+/// only its own inverse depth), so a landmark couples only to the pose
+/// rows of the keyframes that observe it, and keyframe 0 only to those
+/// pose rows, keyframe 1 (through the IMU factor) and whatever the
+/// incoming prior couples: about half of the kept states. Over the
+/// coupled states both products run the dense `Matrix::try_mul`
+/// sequence (ascending `k`, `a = 0` skipped), so those elements are
+/// bit-identical. Every other element of the dense product is a sum of
+/// `a·0 = ±0` terms from `+0` (its `a` is finite, checked), which is
+/// `+0`; `V − (+0)` is `V`, so those elements of `Hp` are copied from
+/// `V` without arithmetic.
+fn reduce(ws: &mut MargWorkspace, m: usize) -> Result<(), SolveError> {
+    let h = &ws.h;
+    let n = h.rows() - m;
 
-    // --- shrink the window ---
-    let window_out = shrink_window(window, &marg_landmarks);
+    // M = U + 1e-9·I, factored once and inverted column by column.
+    ws.m.reset_zeros(m, m);
+    for i in 0..m {
+        ws.m.row_mut(i).copy_from_slice(&h.row(i)[..m]);
+        ws.m.add_at(i, i, M_REG);
+    }
+    ws.m_chol.refactor(&ws.m)?;
+    ws.m_chol.inverse_into(&mut ws.m_inv);
 
-    Ok(MarginalizationResult {
-        window: window_out,
-        prior: new_prior,
-        marginalized_landmarks: am,
-    })
+    // The coupled kept states.
+    let w_row = |i: usize| &h.row(m + i)[..m];
+    ws.coupled.clear();
+    ws.coupled
+        .extend((0..n).filter(|&i| w_row(i).iter().any(|&v| v != 0.0)));
+    let c = ws.coupled.len();
+
+    // W·M⁻¹ over the coupled rows (the `try_mul` order and skip); the
+    // other rows are exactly zero.
+    ws.w_minv.reset_zeros(c, m);
+    for (ii, &i) in ws.coupled.iter().enumerate() {
+        let rows = w_row(i)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &a)| a != 0.0)
+            .map(|(k, &a)| (ws.m_inv.row(k), a));
+        kernels::add_scaled_rows(ws.w_minv.row_mut(ii), rows);
+    }
+    if !ws.w_minv.all_finite() {
+        return Err(SolveError::NonFinite);
+    }
+
+    // Wᵀ over the coupled columns.
+    ws.wt.reset_zeros(m, c);
+    for (jj, &j) in ws.coupled.iter().enumerate() {
+        for (k, &v) in w_row(j).iter().enumerate() {
+            ws.wt.set(k, jj, v);
+        }
+    }
+
+    // Hp = V, then V − (W·M⁻¹)·Wᵀ on the coupled block, one row at a
+    // time in the `try_mul` order (four rows of Wᵀ per traversal).
+    ws.hp.reset_zeros(n, n);
+    for i in 0..n {
+        ws.hp.row_mut(i).copy_from_slice(&h.row(m + i)[m..]);
+    }
+    ws.prod_row.resize(c, 0.0);
+    for (ii, &i) in ws.coupled.iter().enumerate() {
+        ws.prod_row.fill(0.0);
+        let a_row = ws.w_minv.row(ii);
+        let rows = (0..m)
+            .filter(|&k| a_row[k] != 0.0)
+            .map(|k| (ws.wt.row(k), a_row[k]));
+        kernels::add_scaled_rows(&mut ws.prod_row, rows);
+        let hp_row = ws.hp.row_mut(i);
+        for (&j, &p) in ws.coupled.iter().zip(&ws.prod_row) {
+            hp_row[j] -= p;
+        }
+    }
+
+    // rp = by − W·(M⁻¹·bx), as two `mat_vec` sums.
+    let (bx, by) = ws.g.as_slice().split_at(m);
+    ws.minv_bx.clear();
+    for k in 0..m {
+        let t: f64 = ws.m_inv.row(k).iter().zip(bx).map(|(&a, &b)| a * b).sum();
+        ws.minv_bx.push(t);
+    }
+    ws.rp.resize_fill(n, 0.0);
+    for (i, (r, &byi)) in ws.rp.as_mut_slice().iter_mut().zip(by).enumerate() {
+        let t: f64 = h.row(m + i)[..m]
+            .iter()
+            .zip(&ws.minv_bx)
+            .map(|(&a, &b)| a * b)
+            .sum();
+        *r = byi - t;
+    }
+    Ok(())
 }
 
 /// Shrinks the window without computing a prior: keyframe 0 and its anchored
-/// landmarks are simply discarded.
+/// landmarks are simply discarded, in place. Returns the number of landmarks
+/// dropped.
 ///
 /// This is the degradation fallback when [`try_marginalize_oldest`] fails —
 /// the departed keyframe's information is lost (the next window re-fixes the
@@ -244,25 +400,19 @@ fn try_marginalize_oldest_impl(
 /// # Panics
 ///
 /// Panics when the window has fewer than two keyframes.
-pub fn drop_oldest(window: &SlidingWindow) -> (SlidingWindow, usize) {
+pub fn drop_oldest(window: &mut SlidingWindow) -> usize {
     assert!(
         window.num_keyframes() >= 2,
         "drop_oldest: need at least two keyframes"
     );
-    let marg_landmarks: Vec<usize> = (0..window.landmarks.len())
-        .filter(|&l| window.landmarks[l].anchor == 0)
-        .collect();
-    let am = marg_landmarks.len();
-    (shrink_window(window, &marg_landmarks), am)
+    shrink(window, &mut Vec::new())
 }
 
-/// Maps an index of the prior's ordering (`[kf0 | kf1..]`) into the local
-/// marginalization ordering (`[lms | kf0 | kf1..]`).
-fn map_prior_index(i: usize, am: usize) -> usize {
-    am + i
-}
-
+/// Rank-1 update `H += w2·vᵀv`, `g −= w2·e·v` of one residual row over the
+/// distinct columns `cols`, skipping zero entries of `v`.
 fn accumulate(h: &mut DMat, g: &mut DVec, cols: &[usize], vals: &[f64], e: f64, w2: f64) {
+    let dim = h.cols();
+    let h = h.as_mut_slice();
     for (k, (&ci, &vi)) in cols.iter().zip(vals).enumerate() {
         if vi == 0.0 {
             continue;
@@ -273,55 +423,54 @@ fn accumulate(h: &mut DMat, g: &mut DVec, cols: &[usize], vals: &[f64], e: f64, 
                 continue;
             }
             let contrib = w2 * vi * vj;
-            h.add_at(ci, cj, contrib);
+            h[ci * dim + cj] += contrib;
             if ci != cj {
-                h.add_at(cj, ci, contrib);
+                h[cj * dim + ci] += contrib;
             }
         }
     }
 }
 
-/// Removes keyframe 0 and the given landmarks, re-basing all indices.
-fn shrink_window(window: &SlidingWindow, marg_landmarks: &[usize]) -> SlidingWindow {
-    let is_marged: std::collections::HashSet<usize> = marg_landmarks.iter().copied().collect();
-    let mut new_index = vec![usize::MAX; window.landmarks.len()];
-    let mut landmarks = Vec::new();
-    for (l, lm) in window.landmarks.iter().enumerate() {
-        if is_marged.contains(&l) {
-            continue;
+/// Removes keyframe 0 and the landmarks anchored there in place, re-basing
+/// all indices (`new_index` is scratch). Returns the number of landmarks
+/// removed.
+fn shrink(window: &mut SlidingWindow, new_index: &mut Vec<usize>) -> usize {
+    new_index.clear();
+    let mut kept = 0;
+    for lm in &window.landmarks {
+        if lm.anchor == 0 {
+            new_index.push(usize::MAX);
+        } else {
+            new_index.push(kept);
+            kept += 1;
         }
-        let mut lm = *lm;
+    }
+    let removed = window.landmarks.len() - kept;
+    window.landmarks.retain_mut(|lm| {
+        if lm.anchor == 0 {
+            return false;
+        }
         lm.anchor -= 1;
-        new_index[l] = landmarks.len();
-        landmarks.push(lm);
-    }
-    let observations = window
-        .observations
-        .iter()
-        .filter(|o| !is_marged.contains(&o.landmark) && o.keyframe != 0)
-        .map(|o| {
-            let mut o = *o;
-            o.landmark = new_index[o.landmark];
-            o.keyframe -= 1;
-            o
-        })
-        .collect();
-    let imu = window
-        .imu
-        .iter()
-        .filter(|c| c.first != 0)
-        .map(|c| {
-            let mut c = c.clone();
-            c.first -= 1;
-            c
-        })
-        .collect();
-    SlidingWindow {
-        keyframes: window.keyframes[1..].to_vec(),
-        landmarks,
-        observations,
-        imu,
-    }
+        true
+    });
+    window.observations.retain_mut(|o| {
+        let l = new_index[o.landmark];
+        if l == usize::MAX || o.keyframe == 0 {
+            return false;
+        }
+        o.landmark = l;
+        o.keyframe -= 1;
+        true
+    });
+    window.imu.retain_mut(|c| {
+        if c.first == 0 {
+            return false;
+        }
+        c.first -= 1;
+        true
+    });
+    window.keyframes.remove(0);
+    removed
 }
 
 #[cfg(test)]
@@ -446,7 +595,8 @@ mod tests {
     fn drop_oldest_matches_marginalize_shrink() {
         let w = build_window();
         let full = marginalize_oldest(&w, &FactorWeights::default(), None);
-        let (dropped, am) = drop_oldest(&w);
+        let mut dropped = w.clone();
+        let am = drop_oldest(&mut dropped);
         assert_eq!(am, full.marginalized_landmarks);
         assert_eq!(dropped.num_keyframes(), full.window.num_keyframes());
         assert_eq!(dropped.num_landmarks(), full.window.num_landmarks());

@@ -11,7 +11,7 @@
 //! counts still match the M-DFG cost model in `archytas-mdfg`.
 
 use crate::factors::{evaluate_imu, evaluate_visual, evaluate_visual_residual, FactorWeights};
-use crate::prior::Prior;
+use crate::prior::{Prior, PriorScratch};
 use crate::window::{SlidingWindow, STATE_DIM};
 use archytas_math::{kernels, BlockSparseSystem, DMat, DVec};
 
@@ -368,6 +368,7 @@ pub fn build_normal_equations(
             a: &mut a,
             b: &mut b,
         },
+        &mut PriorScratch::default(),
     );
     NormalEquations {
         a,
@@ -404,6 +405,18 @@ pub fn build_block_normal_equations(
     prior: Option<&Prior>,
     sys: &mut BlockSparseSystem<f64>,
 ) -> BlockNormalEqInfo {
+    build_block_normal_equations_in(window, weights, prior, sys, &mut PriorScratch::default())
+}
+
+/// [`build_block_normal_equations`] with the prior's temporaries in `scratch`
+/// (the LM loop's allocation-free form).
+pub(crate) fn build_block_normal_equations_in(
+    window: &SlidingWindow,
+    weights: &FactorWeights,
+    prior: Option<&Prior>,
+    sys: &mut BlockSparseSystem<f64>,
+    scratch: &mut PriorScratch,
+) -> BlockNormalEqInfo {
     let num_l = window.num_landmarks();
     sys.reset(
         num_l,
@@ -411,7 +424,8 @@ pub fn build_block_normal_equations(
         POSE_TANGENT_DIM,
         STATE_DIM,
     );
-    let (cost, used) = assemble(window, weights, prior, &mut BlockSink { sys, p: num_l });
+    let sink = &mut BlockSink { sys, p: num_l };
+    let (cost, used) = assemble(window, weights, prior, sink, scratch);
     BlockNormalEqInfo {
         cost,
         num_landmarks: num_l,
@@ -426,6 +440,7 @@ fn assemble<S: NormalEqSink>(
     weights: &FactorWeights,
     prior: Option<&Prior>,
     sink: &mut S,
+    scratch: &mut PriorScratch,
 ) -> (f64, usize) {
     let mut cost = 0.0;
     let mut used = 0;
@@ -518,7 +533,7 @@ fn assemble<S: NormalEqSink>(
 
     // --- marginalization prior ---
     if let Some(p) = prior {
-        cost += p.add_to_sink(window, sink);
+        cost += p.add_to_sink(window, sink, scratch);
     } else {
         // Gauge fixation: strongly pin keyframe 0's pose (and weakly its
         // velocity/biases so the very first window is well-conditioned).
@@ -696,6 +711,16 @@ pub fn evaluate_cost(
     weights: &FactorWeights,
     prior: Option<&Prior>,
 ) -> f64 {
+    evaluate_cost_in(window, weights, prior, &mut PriorScratch::default())
+}
+
+/// [`evaluate_cost`] with the prior's temporaries in `scratch`.
+pub(crate) fn evaluate_cost_in(
+    window: &SlidingWindow,
+    weights: &FactorWeights,
+    prior: Option<&Prior>,
+    scratch: &mut PriorScratch,
+) -> f64 {
     let mut cost = 0.0;
     let wv2 = weights.visual * weights.visual;
     for obs in &window.observations {
@@ -733,7 +758,7 @@ pub fn evaluate_cost(
         }
     }
     if let Some(p) = prior {
-        cost += p.cost(window);
+        cost += p.cost_in(window, scratch);
     }
     cost
 }

@@ -9,9 +9,10 @@
 //! accelerator's f32 solve (Sec. 7.6).
 
 use crate::factors::FactorWeights;
-use crate::prior::Prior;
+use crate::marginalization::MargWorkspace;
+use crate::prior::{Prior, PriorScratch};
 use crate::problem::{
-    apply_increment, build_block_normal_equations, build_normal_equations, evaluate_cost,
+    apply_increment, build_block_normal_equations_in, build_normal_equations, evaluate_cost_in,
     NormalEquations,
 };
 use crate::window::SlidingWindow;
@@ -249,13 +250,15 @@ pub type LinearSolver<'a> = &'a dyn Fn(&DMat, &DVec, usize) -> Option<DVec>;
 
 /// Reusable buffers for the LM solve: the block-structured normal equations,
 /// the Schur-elimination scratch and increment at both precisions, the
-/// candidate window of the step-acceptance test, and the damped matrix of the
-/// dense reference path.
+/// candidate window of the step-acceptance test, the prior's residual and
+/// gradient temporaries, the damped matrix of the dense reference path, and
+/// the marginalization buffers of [`crate::try_marginalize_oldest_in`].
 ///
 /// Allocate once and pass to [`solve_in_workspace`] for every window — all
 /// buffers grow to the largest window seen and stay allocated, so steady-state
 /// iterations perform no per-iteration (or per-retry) heap allocation for the
-/// linear-system side, at either [`Precision`].
+/// linear-system side, at either [`Precision`], and a steady-state
+/// marginalize-and-slide allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
     sys: BlockSparseSystem<f64>,
@@ -267,6 +270,8 @@ pub struct SolverWorkspace {
     scratch32: SchurScratch<f32>,
     delta32: FVec,
     candidate: SlidingWindow,
+    pub(crate) prior_scratch: PriorScratch,
+    pub(crate) marg: MargWorkspace,
     /// Normal equations and damped matrix of the dense reference path
     /// ([`solve_with_in_workspace`]); unused by the block-sparse path.
     dense: Option<NormalEquations>,
@@ -290,7 +295,14 @@ impl SolverWorkspace {
     ) -> f64 {
         counters::time(Phase::Assembly, || match backend {
             Backend::Block(_) => {
-                build_block_normal_equations(window, weights, prior, &mut self.sys).cost
+                build_block_normal_equations_in(
+                    window,
+                    weights,
+                    prior,
+                    &mut self.sys,
+                    &mut self.prior_scratch,
+                )
+                .cost
             }
             Backend::Dense(_) => {
                 let ne = build_normal_equations(window, weights, prior);
@@ -470,7 +482,7 @@ fn lm_loop(
             let new_cost = counters::time(Phase::CostEvaluation, || {
                 ws.candidate.clone_from(window);
                 apply_increment(&mut ws.candidate, &ws.delta);
-                evaluate_cost(&ws.candidate, weights, prior)
+                evaluate_cost_in(&ws.candidate, weights, prior, &mut ws.prior_scratch)
             });
             if !new_cost.is_finite() {
                 tracker.non_finite = true;

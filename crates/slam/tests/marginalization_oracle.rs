@@ -1,0 +1,543 @@
+//! The M-type marginalization against the dense oracle it replaced, bit for
+//! bit.
+//!
+//! [`dense_marginalize`] is the dense marginalization kept as a test oracle:
+//! a dense local `H`, a full `(am+15)²` inverse through the identity columns,
+//! two dense products, and a prior built from `add_diagonal → cholesky →
+//! into_l().transpose()` with its information recomputed by `gram()`. The
+//! library's [`try_marginalize_oldest`] must give `to_bits`-equal `J`, `r0`
+//! and information, and the same shrunk window, on generated windows that
+//! cover the structural corners: no marginalized landmarks, landmarks seen
+//! only by their anchor (all-zero `W` columns), with and without an incoming
+//! prior, Huber on and off, and a chained second marginalization.
+
+use std::collections::HashSet;
+
+use archytas_math::{split_vector, BlockSpec, Blocked2x2, Cholesky, DMat, DVec};
+use archytas_slam::{
+    evaluate_imu, evaluate_visual, try_marginalize_oldest, try_marginalize_oldest_in,
+    FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, Observation, Pose,
+    Preintegration, Prior, Quat, SlidingWindow, SolveError, SolverWorkspace, Vec3, STATE_DIM,
+};
+
+/// What the dense oracle produces: the new prior's `J` and `r0` and the
+/// shrunk window.
+struct Dense {
+    jacobian: DMat,
+    residual0: DVec,
+    window: SlidingWindow,
+    am: usize,
+}
+
+/// The dense marginalization, verbatim in its arithmetic.
+fn dense_marginalize(
+    window: &SlidingWindow,
+    weights: &FactorWeights,
+    prior: Option<&Prior>,
+) -> Result<Dense, SolveError> {
+    let b = window.num_keyframes();
+    let marg_landmarks: Vec<usize> = (0..window.landmarks.len())
+        .filter(|&l| window.landmarks[l].anchor == 0)
+        .collect();
+    let am = marg_landmarks.len();
+    let lm_slot: std::collections::HashMap<usize, usize> = marg_landmarks
+        .iter()
+        .enumerate()
+        .map(|(slot, &l)| (l, slot))
+        .collect();
+    let marg_dim = am + STATE_DIM;
+    let dim = marg_dim + (b - 1) * STATE_DIM;
+    let kf_off = |k: usize| -> usize {
+        if k == 0 {
+            am
+        } else {
+            marg_dim + (k - 1) * STATE_DIM
+        }
+    };
+    let mut h = DMat::zeros(dim, dim);
+    let mut g = DVec::zeros(dim);
+
+    let wv2 = weights.visual * weights.visual;
+    for obs in &window.observations {
+        let Some(&slot) = lm_slot.get(&obs.landmark) else {
+            continue;
+        };
+        let lm = &window.landmarks[obs.landmark];
+        if obs.keyframe == lm.anchor {
+            continue;
+        }
+        let Some(ev) = evaluate_visual(
+            &window.keyframes[lm.anchor].pose,
+            &window.keyframes[obs.keyframe].pose,
+            &lm.bearing,
+            lm.inv_depth,
+            obs.uv,
+        ) else {
+            continue;
+        };
+        let w2 = match weights.huber_delta {
+            None => wv2,
+            Some(_) => wv2 * weights.visual_robust_scale(ev.residual[0], ev.residual[1]),
+        };
+        for r in 0..2 {
+            let mut cols = [0usize; 13];
+            let mut vals = [0f64; 13];
+            cols[0] = slot;
+            vals[0] = ev.j_rho[r];
+            for c in 0..6 {
+                cols[1 + 2 * c] = kf_off(0) + c;
+                vals[1 + 2 * c] = ev.j_anchor[r][c];
+                cols[2 + 2 * c] = kf_off(obs.keyframe) + c;
+                vals[2 + 2 * c] = ev.j_obs[r][c];
+            }
+            accumulate(&mut h, &mut g, &cols, &vals, ev.residual[r], w2);
+        }
+    }
+    for cons in window.imu.iter().filter(|c| c.first == 0) {
+        let ev = evaluate_imu(
+            &window.keyframes[0],
+            &window.keyframes[1],
+            &cons.preintegration,
+        );
+        for r in 0..15 {
+            let w = weights.imu_row(r);
+            let mut cols = [0usize; 30];
+            let mut vals = [0f64; 30];
+            for c in 0..15 {
+                cols[2 * c] = kf_off(0) + c;
+                vals[2 * c] = ev.j_i[r][c];
+                cols[2 * c + 1] = kf_off(1) + c;
+                vals[2 * c + 1] = ev.j_j[r][c];
+            }
+            accumulate(&mut h, &mut g, &cols, &vals, ev.residual[r], w * w);
+        }
+    }
+    if let Some(p) = prior {
+        let hp = p.jacobian().gram();
+        let jt_r = p.gradient(window);
+        for i in 0..p.dim() {
+            g[am + i] -= jt_r[i];
+            for j in 0..p.dim() {
+                h.add_at(am + i, am + j, hp.get(i, j));
+            }
+        }
+    } else {
+        for c in 0..STATE_DIM {
+            let w2 = if c < 6 { 1e8 } else { 1e2 };
+            h.add_at(kf_off(0) + c, kf_off(0) + c, w2);
+        }
+    }
+
+    let spec = BlockSpec::new(marg_dim, dim).unwrap();
+    let blocked = Blocked2x2::partition(&h, spec).unwrap();
+    let (bx, by) = split_vector(&g, spec).unwrap();
+    let m = blocked.u.add_diagonal(1e-9);
+    // The inverse as it used to be taken: one `solve` per identity column.
+    let m_chol = Cholesky::factor(&m)?;
+    let mut m_inv = DMat::zeros(marg_dim, marg_dim);
+    for j in 0..marg_dim {
+        let mut e = DVec::zeros(marg_dim);
+        e[j] = 1.0;
+        let col = m_chol.solve(&e);
+        for i in 0..marg_dim {
+            m_inv.set(i, j, col[i]);
+        }
+    }
+    let lm_inv = blocked.w.try_mul(&m_inv).unwrap();
+    let prod = lm_inv.try_mul(&blocked.w.transpose()).unwrap();
+    let hp = &blocked.v - &prod;
+    let rp = &by - &blocked.w.mat_vec(&m_inv.mat_vec(&bx));
+
+    // The prior in square-root form, as it used to be built.
+    if !rp.all_finite() {
+        return Err(SolveError::NonFinite);
+    }
+    let mut eps: f64 = 1e-9;
+    let scale = hp.max_abs().max(1.0);
+    if !scale.is_finite() {
+        return Err(SolveError::NonFinite);
+    }
+    let l = loop {
+        match hp.add_diagonal(eps).cholesky() {
+            Ok(chol) => break chol.into_l(),
+            Err(e) => {
+                eps *= 100.0;
+                if eps > scale * 10.0 {
+                    return Err(SolveError::Linear(e));
+                }
+            }
+        }
+    };
+    Ok(Dense {
+        jacobian: l.transpose(),
+        residual0: archytas_math::solve_lower(&l, &(-&rp)),
+        window: dense_shrink(window, &marg_landmarks),
+        am,
+    })
+}
+
+fn accumulate(h: &mut DMat, g: &mut DVec, cols: &[usize], vals: &[f64], e: f64, w2: f64) {
+    for (k, (&ci, &vi)) in cols.iter().zip(vals).enumerate() {
+        if vi == 0.0 {
+            continue;
+        }
+        g[ci] -= w2 * vi * e;
+        for (&cj, &vj) in cols[k..].iter().zip(&vals[k..]) {
+            if vj == 0.0 {
+                continue;
+            }
+            let contrib = w2 * vi * vj;
+            h.add_at(ci, cj, contrib);
+            if ci != cj {
+                h.add_at(cj, ci, contrib);
+            }
+        }
+    }
+}
+
+fn dense_shrink(window: &SlidingWindow, marg_landmarks: &[usize]) -> SlidingWindow {
+    let is_marged: HashSet<usize> = marg_landmarks.iter().copied().collect();
+    let mut new_index = vec![usize::MAX; window.landmarks.len()];
+    let mut landmarks = Vec::new();
+    for (l, lm) in window.landmarks.iter().enumerate() {
+        if is_marged.contains(&l) {
+            continue;
+        }
+        let mut lm = *lm;
+        lm.anchor -= 1;
+        new_index[l] = landmarks.len();
+        landmarks.push(lm);
+    }
+    let observations = window
+        .observations
+        .iter()
+        .filter(|o| !is_marged.contains(&o.landmark) && o.keyframe != 0)
+        .map(|o| {
+            let mut o = *o;
+            o.landmark = new_index[o.landmark];
+            o.keyframe -= 1;
+            o
+        })
+        .collect();
+    let imu = window
+        .imu
+        .iter()
+        .filter(|c| c.first != 0)
+        .map(|c| {
+            let mut c = c.clone();
+            c.first -= 1;
+            c
+        })
+        .collect();
+    SlidingWindow {
+        keyframes: window.keyframes[1..].to_vec(),
+        landmarks,
+        observations,
+        imu,
+    }
+}
+
+fn bits(m: &DMat) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn vbits(v: &DVec) -> Vec<u64> {
+    v.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Debug formatting prints every float in its shortest round-trip form
+/// (signed zeros included), so equal strings mean bit-equal windows.
+fn window_repr(w: &SlidingWindow) -> String {
+    format!("{w:?}")
+}
+
+/// Asserts the cached information is bit for bit a fresh `gram()`, on the
+/// prior and on a clone of it (fleet checkpoints clone priors).
+fn assert_information_cached(prior: &Prior, case: &str) {
+    assert_eq!(
+        bits(prior.information()),
+        bits(&prior.jacobian().gram()),
+        "{case}: cached information != gram()"
+    );
+    let cloned = prior.clone();
+    assert_eq!(
+        bits(cloned.information()),
+        bits(&cloned.jacobian().gram()),
+        "{case}: cloned information != gram()"
+    );
+}
+
+/// Marginalizes `window` both ways and asserts bit-equality; returns the
+/// library's result for chaining.
+fn check(
+    window: &SlidingWindow,
+    weights: &FactorWeights,
+    prior: Option<&Prior>,
+    case: &str,
+) -> Option<(SlidingWindow, Prior)> {
+    let dense = dense_marginalize(window, weights, prior);
+    let fast = try_marginalize_oldest(window, weights, prior);
+    let (dense, fast) = match (dense, fast) {
+        (Ok(d), Ok(f)) => (d, f),
+        (Err(_), Err(_)) => return None,
+        (d, f) => panic!(
+            "{case}: dense ok={} but structured ok={}",
+            d.is_ok(),
+            f.is_ok()
+        ),
+    };
+    assert_eq!(dense.am, fast.marginalized_landmarks, "{case}: am");
+    assert_eq!(
+        bits(&dense.jacobian),
+        bits(fast.prior.jacobian()),
+        "{case}: J differs"
+    );
+    assert_eq!(
+        vbits(&dense.residual0),
+        vbits(fast.prior.residual0()),
+        "{case}: r0 differs"
+    );
+    assert_eq!(
+        bits(&dense.jacobian.gram()),
+        bits(fast.prior.information()),
+        "{case}: information differs"
+    );
+    assert_information_cached(&fast.prior, case);
+    assert_eq!(
+        window_repr(&dense.window),
+        window_repr(&fast.window),
+        "{case}: shrunk window differs"
+    );
+    assert!(fast.window.validate(), "{case}: shrunk window invalid");
+    Some((fast.window, fast.prior))
+}
+
+/// Deterministic generator (64-bit LCG, top bits as a unit float).
+struct Lcg(u64);
+
+impl Lcg {
+    fn unit(&mut self) -> f64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * self.unit()
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        ((self.unit() * n as f64) as usize).min(n - 1)
+    }
+}
+
+/// Shape of a generated window.
+struct Shape {
+    keyframes: usize,
+    /// Landmarks anchored at keyframe 0 and observed downstream.
+    kf0_landmarks: usize,
+    /// Landmarks anchored at keyframe 0 and observed by nothing else.
+    anchor_only: usize,
+    /// Landmarks anchored at later keyframes.
+    later_landmarks: usize,
+}
+
+/// A perturbed visual-inertial window of the given shape: noisy
+/// projections with a few gross outliers, an IMU chain, and keyframe
+/// states off their ground truth so residuals (and the prior's δ) are
+/// non-zero.
+fn gen_window(seed: u64, shape: &Shape) -> SlidingWindow {
+    let mut rng = Lcg(seed);
+    let mut w = SlidingWindow::new();
+    let mut truth = Vec::new();
+    for i in 0..shape.keyframes {
+        let pose = Pose::new(
+            Quat::exp(&Vec3::new(
+                rng.range(-0.02, 0.02),
+                0.03 * i as f64,
+                rng.range(-0.02, 0.02),
+            )),
+            Vec3::new(
+                0.4 * i as f64,
+                rng.range(-0.05, 0.05),
+                rng.range(-0.05, 0.05),
+            ),
+        );
+        truth.push(pose);
+        let mut kf = KeyframeState::at_pose(pose, 0.1 * i as f64);
+        kf.velocity = Vec3::new(4.0, 0.0, 0.0);
+        w.keyframes.push(kf);
+    }
+    let anchors = (0..shape.kf0_landmarks)
+        .map(|_| (0, true))
+        .chain((0..shape.anchor_only).map(|_| (0, false)))
+        .chain((0..shape.later_landmarks).map(|_| (1 + rng.below(shape.keyframes - 1), true)));
+    let anchors: Vec<(usize, bool)> = anchors.collect();
+    for (id, &(anchor, observed)) in anchors.iter().enumerate() {
+        let bearing = Vec3::new(rng.range(-0.4, 0.4), rng.range(-0.3, 0.3), 1.0);
+        let depth = rng.range(3.0, 12.0);
+        let p_w = truth[anchor].transform(&(bearing * depth));
+        w.landmarks.push(Landmark {
+            id: id as u64,
+            anchor,
+            bearing,
+            inv_depth: 1.0 / depth * rng.range(0.9, 1.1),
+        });
+        for (kf, pose) in truth.iter().enumerate() {
+            // The anchor's own observation is present (and skipped by the
+            // factors); others are seen with probability 0.7.
+            if kf != anchor && (!observed || rng.unit() > 0.7) {
+                continue;
+            }
+            let p_c = pose.inverse_transform(&p_w);
+            if p_c.z() <= 0.1 {
+                continue;
+            }
+            let outlier = rng.unit() < 0.05;
+            let noise = if outlier { 0.05 } else { 0.002 };
+            w.observations.push(Observation {
+                landmark: id,
+                keyframe: kf,
+                uv: [
+                    p_c.x() / p_c.z() + rng.range(-noise, noise),
+                    p_c.y() / p_c.z() + rng.range(-noise, noise),
+                ],
+            });
+        }
+    }
+    for i in 0..shape.keyframes - 1 {
+        let samples: Vec<ImuSample> = (0..20)
+            .map(|_| ImuSample {
+                gyro: Vec3::new(rng.range(-0.01, 0.01), 0.3, rng.range(-0.01, 0.01)),
+                accel: Vec3::new(rng.range(-0.1, 0.1), rng.range(-0.1, 0.1), 9.81),
+                dt: 0.005,
+            })
+            .collect();
+        w.imu.push(ImuConstraint {
+            first: i,
+            preintegration: Preintegration::integrate(&samples, Vec3::ZERO, Vec3::ZERO),
+        });
+    }
+    for kf in w.keyframes.iter_mut().skip(1) {
+        let mut d = [0.0; STATE_DIM];
+        for v in d.iter_mut() {
+            *v = rng.range(-0.01, 0.01);
+        }
+        *kf = kf.boxplus(&d);
+    }
+    w
+}
+
+fn shape(keyframes: usize, kf0: usize, anchor_only: usize, later: usize) -> Shape {
+    Shape {
+        keyframes,
+        kf0_landmarks: kf0,
+        anchor_only,
+        later_landmarks: later,
+    }
+}
+
+fn weight_sets() -> [(&'static str, FactorWeights); 2] {
+    [
+        ("plain", FactorWeights::default()),
+        ("huber", FactorWeights::default().with_huber(0.004)),
+    ]
+}
+
+#[test]
+fn structured_marginalization_matches_dense_oracle() {
+    let shapes = [
+        ("am=0", shape(6, 0, 0, 25)),
+        ("anchor-only", shape(6, 4, 5, 20)),
+        ("served", shape(10, 15, 2, 60)),
+    ];
+    for (wname, weights) in weight_sets() {
+        for (sname, sh) in &shapes {
+            for seed in 1..=3u64 {
+                let case = format!("{wname}/{sname}/seed {seed}");
+                let window = gen_window(seed, sh);
+
+                // Without an incoming prior, then chained through the prior
+                // it produced.
+                let (w1, p1) = check(&window, &weights, None, &format!("{case}/no prior"))
+                    .expect("generated window marginalizes");
+                check(&w1, &weights, Some(&p1), &format!("{case}/chained"))
+                    .expect("chained marginalization succeeds");
+
+                // With an incoming prior over every keyframe, and over all
+                // but the newest one (the served shape), each linearized
+                // away from the window's states so δ ≠ 0.
+                for (pname, prior_kfs) in
+                    [("full prior", sh.keyframes), ("prior", sh.keyframes - 1)]
+                {
+                    let source = gen_window(seed + 100, &shape(prior_kfs + 1, 3, 0, 10));
+                    let (_, p) = check(&source, &weights, None, &format!("{case}/{pname} source"))
+                        .expect("source window marginalizes");
+                    assert_eq!(p.num_keyframes(), prior_kfs);
+                    let (w2, p2) = check(&window, &weights, Some(&p), &format!("{case}/{pname}"))
+                        .expect("window with a prior marginalizes");
+                    check(&w2, &weights, Some(&p2), &format!("{case}/{pname} chained"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn workspace_reuse_across_shapes_keeps_bits() {
+    // One workspace marginalizing windows of changing shape (growing, then
+    // shrinking) must give what a fresh workspace gives: every buffer is
+    // rewritten before it is read.
+    let weights = FactorWeights::default().with_huber(0.004);
+    let mut ws = SolverWorkspace::new();
+    for (seed, sh) in [
+        (7, shape(10, 15, 2, 60)),
+        (8, shape(5, 2, 1, 10)),
+        (9, shape(8, 0, 0, 30)),
+        (10, shape(10, 20, 3, 50)),
+    ] {
+        let window = gen_window(seed, &sh);
+        let fresh = try_marginalize_oldest(&window, &weights, None).expect("marginalizes");
+        let mut w = window.clone();
+        let mut slot = None;
+        let am =
+            try_marginalize_oldest_in(&mut ws, &mut w, &weights, &mut slot).expect("marginalizes");
+        let reused = slot.expect("prior set");
+        assert_eq!(am, fresh.marginalized_landmarks);
+        assert_eq!(bits(reused.jacobian()), bits(fresh.prior.jacobian()));
+        assert_eq!(vbits(reused.residual0()), vbits(fresh.prior.residual0()));
+        assert_eq!(window_repr(&w), window_repr(&fresh.window));
+        assert_information_cached(&reused, "reused");
+    }
+}
+
+#[test]
+fn failed_marginalization_leaves_state_untouched() {
+    let weights = FactorWeights::default();
+    let mut window = gen_window(3, &shape(6, 4, 1, 20));
+    for obs in &mut window.observations {
+        obs.uv = [f64::NAN, f64::NAN];
+    }
+    assert!(dense_marginalize(&window, &weights, None).is_err());
+    let (_, prior) = check(
+        &gen_window(4, &shape(6, 2, 0, 10)),
+        &weights,
+        None,
+        "source",
+    )
+    .expect("source marginalizes");
+    let before = window_repr(&window);
+    let mut slot = Some(prior.clone());
+    let r = try_marginalize_oldest_in(
+        &mut SolverWorkspace::new(),
+        &mut window,
+        &weights,
+        &mut slot,
+    );
+    assert!(r.is_err(), "NaN measurements must surface as SolveError");
+    assert_eq!(window_repr(&window), before, "window touched on error");
+    let kept = slot.expect("prior kept on error");
+    assert_eq!(bits(kept.jacobian()), bits(prior.jacobian()));
+}

@@ -15,15 +15,20 @@
 //!
 //! The same proof covers the served precision: at [`Precision::F32`] the
 //! extra iterations (now including the cast into the workspace's f32 twin)
-//! and extra damping retries allocate nothing either.
+//! and extra damping retries allocate nothing either. It also covers the
+//! served shape, a window carrying a marginalization prior (whose residual
+//! and gradient temporaries live in the workspace), and the
+//! marginalize-and-slide that follows each served window, which must not
+//! allocate at all once the workspace and the prior have grown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use archytas_slam::{
-    solve_in_workspace, DegradeReason, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
-    Landmark, LmConfig, Observation, Pose, Precision, Preintegration, Quat, SlidingWindow,
-    SolveOutcome, SolveReport, SolverWorkspace, Vec3,
+    marginalize_oldest, solve_in_workspace, try_marginalize_oldest_in, DegradeReason,
+    FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, LmConfig, Observation, Pose,
+    Precision, Preintegration, Prior, Quat, SlidingWindow, SolveOutcome, SolveReport,
+    SolverWorkspace, Vec3,
 };
 
 struct CountingAlloc;
@@ -53,7 +58,9 @@ fn allocations() -> u64 {
 
 /// A visual+inertial window shaped like the benchmark's (several keyframes,
 /// dozens of landmarks, IMU chain), perturbed so LM actually iterates.
-fn make_window(num_kf: usize, num_lm: usize) -> SlidingWindow {
+/// Landmark `l` is anchored at keyframe `l % anchors` and observed from every
+/// other keyframe that sees it.
+fn make_window(num_kf: usize, num_lm: usize, anchors: usize) -> SlidingWindow {
     let mut gt_poses = Vec::new();
     let mut w = SlidingWindow::new();
     for i in 0..num_kf {
@@ -70,14 +77,18 @@ fn make_window(num_kf: usize, num_lm: usize) -> SlidingWindow {
         let fy = ((l * 7 % num_lm) as f64 / num_lm as f64 - 0.5) * 0.5;
         let depth = 4.0 + (l % 5) as f64;
         let bearing = Vec3::new(fx, fy, 1.0);
-        let p_w = gt_poses[0].transform(&(bearing * depth));
+        let anchor = l % anchors;
+        let p_w = gt_poses[anchor].transform(&(bearing * depth));
         w.landmarks.push(Landmark {
             id: l as u64,
-            anchor: 0,
+            anchor,
             bearing,
             inv_depth: 1.0 / depth,
         });
-        for (kf, pose) in gt_poses.iter().enumerate().skip(1) {
+        for (kf, pose) in gt_poses.iter().enumerate() {
+            if kf == anchor {
+                continue;
+            }
             let p_c = pose.inverse_transform(&p_w);
             if p_c.z() > 0.1 {
                 w.observations.push(Observation {
@@ -123,6 +134,7 @@ fn make_window(num_kf: usize, num_lm: usize) -> SlidingWindow {
 fn measure(
     ws: &mut SolverWorkspace,
     window: &SlidingWindow,
+    prior: Option<&Prior>,
     weights: &FactorWeights,
     config: &LmConfig,
 ) -> (u64, SolveReport) {
@@ -131,7 +143,7 @@ fn measure(
     for _ in 0..5 {
         let mut w = window.clone();
         let before = allocations();
-        let r = solve_in_workspace(ws, &mut w, weights, None, config);
+        let r = solve_in_workspace(ws, &mut w, weights, prior, config);
         best = best.min(allocations() - before);
         report = Some(r);
     }
@@ -140,10 +152,11 @@ fn measure(
 
 /// Asserts that the LM iterations beyond the first allocate nothing at
 /// `precision`: a warmed 6-iteration solve allocates exactly as much as a
-/// 1-iteration solve of the same window.
+/// 1-iteration solve of the same window (and prior).
 fn assert_iterations_allocate_nothing(
     ws: &mut SolverWorkspace,
     window: &SlidingWindow,
+    prior: Option<&Prior>,
     weights: &FactorWeights,
     precision: Precision,
 ) {
@@ -154,25 +167,27 @@ fn assert_iterations_allocate_nothing(
     // Warmup: grow every workspace buffer (block system, Schur scratch,
     // Cholesky, f32 twin, candidate window, increment) to this window's
     // shape.
-    let r = solve_in_workspace(ws, &mut window.clone(), weights, None, &config(6));
+    let r = solve_in_workspace(ws, &mut window.clone(), weights, prior, &config(6));
     assert!(r.iterations >= 1);
 
-    let (short_allocs, short) = measure(ws, window, weights, &config(1));
-    let (long_allocs, long) = measure(ws, window, weights, &config(6));
+    let (short_allocs, short) = measure(ws, window, prior, weights, &config(1));
+    let (long_allocs, long) = measure(ws, window, prior, weights, &config(6));
 
     // Both solves must have actually iterated (same window, same warmed
     // workspace — the only difference is the iteration budget).
     assert_eq!(short.iterations, 1);
     assert!(
         long.iterations > short.iterations,
-        "{precision:?}: long solve stopped after {} iterations",
+        "{precision:?} (prior: {}): long solve stopped after {} iterations",
+        prior.is_some(),
         long.iterations
     );
     assert_eq!(
         long_allocs,
         short_allocs,
-        "{precision:?}: the {} extra LM iterations allocated {} times \
+        "{precision:?} (prior: {}): the {} extra LM iterations allocated {} times \
          (1-iter solve: {short_allocs}, {}-iter solve: {long_allocs})",
+        prior.is_some(),
         long.iterations - short.iterations,
         long_allocs as i64 - short_allocs as i64,
         long.iterations,
@@ -182,10 +197,39 @@ fn assert_iterations_allocate_nothing(
 #[test]
 fn lm_iterations_allocate_nothing_after_warmup() {
     let weights = FactorWeights::default();
-    let window = make_window(6, 60);
+    let window = make_window(6, 60, 1);
     let mut ws = SolverWorkspace::new();
-    assert_iterations_allocate_nothing(&mut ws, &window, &weights, Precision::F64);
-    assert_iterations_allocate_nothing(&mut ws, &window, &weights, Precision::F32);
+    assert_iterations_allocate_nothing(&mut ws, &window, None, &weights, Precision::F64);
+    assert_iterations_allocate_nothing(&mut ws, &window, None, &weights, Precision::F32);
+
+    // The served shape: a window that has slid once and carries the prior
+    // its marginalization produced.
+    let slid = marginalize_oldest(&make_window(8, 80, 4), &weights, None);
+    let (served, prior) = (slid.window, slid.prior);
+    assert!(served.num_landmarks() > 0 && prior.dim() > 0);
+    for precision in [Precision::F64, Precision::F32] {
+        assert_iterations_allocate_nothing(&mut ws, &served, Some(&prior), &weights, precision);
+    }
+
+    // Steady-state marginalize-and-slide into the warmed workspace: the
+    // window shrinks in place and the new prior reuses the old one's
+    // buffers, so nothing is allocated. Inputs are cloned outside the
+    // measured region; minimum over repeats, as above.
+    let marginalize = |ws: &mut SolverWorkspace| {
+        let mut w = served.clone();
+        let mut slot = Some(prior.clone());
+        let before = allocations();
+        let am = try_marginalize_oldest_in(ws, &mut w, &weights, &mut slot).expect("SPD");
+        let allocated = allocations() - before;
+        assert!(am > 0 && w.num_keyframes() + 1 == served.num_keyframes());
+        allocated
+    };
+    marginalize(&mut ws);
+    let slide_best = (0..5).map(|_| marginalize(&mut ws)).min().unwrap();
+    assert_eq!(
+        slide_best, 0,
+        "warmed marginalize-and-slide allocated {slide_best} times"
+    );
 
     // F32 damping retries. One observation 1e34 off its projection puts
     // right-hand-side entries beyond f32 range, so every retry runs the full
@@ -199,8 +243,8 @@ fn lm_iterations_allocate_nothing_after_warmup() {
         precision: Precision::F32,
         ..LmConfig::with_iterations(6)
     };
-    let (none_allocs, none) = measure(&mut ws, &overflowing, &weights, &retries(0));
-    let (five_allocs, five) = measure(&mut ws, &overflowing, &weights, &retries(5));
+    let (none_allocs, none) = measure(&mut ws, &overflowing, None, &weights, &retries(0));
+    let (five_allocs, five) = measure(&mut ws, &overflowing, None, &weights, &retries(5));
     let failed = SolveOutcome::Degraded {
         reason: DegradeReason::LinearSolveFailed,
     };

@@ -32,11 +32,12 @@ cargo fmt --check
 
 # Lint gate: surface clippy findings across the workspace, and hold the
 # crates carrying bit-identity contracts — the math kernels, the LM loop and
-# f32 datapath that served windows run through (slam, hw), plus the
-# fleet/faults isolation layer — to zero warnings across all build targets.
+# f32 datapath that served windows run through (slam, hw), the pipeline's
+# marginalize-and-slide (dataset), plus the fleet/faults isolation layer — to
+# zero warnings across all build targets.
 echo "linting (cargo clippy)..." >&2
 cargo clippy -q --workspace
-cargo clippy -q -p archytas-math -p archytas-slam -p archytas-hw -p archytas-fleet -p archytas-faults -p archytas-telemetry -p archytas-bench --all-targets -- -D warnings
+cargo clippy -q -p archytas-math -p archytas-slam -p archytas-hw -p archytas-fleet -p archytas-faults -p archytas-telemetry -p archytas-dataset -p archytas-bench --all-targets -- -D warnings
 
 echo "building benches (release)..." >&2
 cargo build -q --release -p archytas-bench --benches
