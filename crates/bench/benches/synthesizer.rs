@@ -1,7 +1,6 @@
 //! Criterion bench for Sec. 7.3: time for the synthesizer to identify a
 //! design in the ~90,000-point space (paper: seconds vs 15 years of
-//! synthesis-in-the-loop search), plus the memoized `SynthCache` the fleet
-//! layer leans on for re-synthesis.
+//! synthesis-in-the-loop search).
 //!
 //! Every case runs one untimed warmup search first so one-time process
 //! state (allocator warmup, lazy platform tables) is paid
@@ -12,7 +11,7 @@
 //! `SYNTHJSON {...}` lines that `bench_smoke.sh` folds into
 //! `BENCH_par.json`'s `synth_search` section.
 
-use archytas_core::{synthesize, DesignSpec, Objective, SynthCache, SynthesizedDesign};
+use archytas_core::{synthesize, DesignSpec, Objective, SynthesizedDesign};
 use archytas_hw::FpgaPlatform;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -69,20 +68,6 @@ fn bench_synthesizer(c: &mut Criterion) {
             &synthesize(&spec).expect("feasible"),
         ));
         b.iter(|| synthesize(black_box(&spec)).expect("feasible"))
-    });
-
-    group.bench_function("synth_cache_hit", |b| {
-        // Steady-state fleet tick: the class's canonical spec is already
-        // cached, so a lookup must cost microseconds, not a search.
-        let cache = SynthCache::new();
-        let spec = virtex7_min_latency_spec();
-        cache.synthesize(&spec).expect("feasible");
-        b.iter(|| cache.synthesize(black_box(&spec)).expect("feasible"));
-        counters.push(format!(
-            "SYNTHJSON {{\"case\":\"synth_cache_hit\",\"cache_hits\":{},\"cache_misses\":{}}}",
-            cache.hits(),
-            cache.searches()
-        ));
     });
 
     group.finish();

@@ -185,10 +185,7 @@ pub fn run_timing(r: &FleetReport) -> JsonLine {
         .uint("gating_builds", r.gating_builds as u64)
         .uint("gating_hits", r.gating_hits as u64)
         .uint("quanta", sched.quanta as u64)
-        .uint("shards", sched.shards as u64)
         .uint("steals", sched.steals as u64)
-        .uint("shard_steals", sched.shard_steals as u64)
-        .uint("cross_steals", sched.cross_steals as u64)
         .uint("contended_probes", sched.contended_probes as u64)
         .uint("deferrals", sched.deferrals as u64)
         .uint("envelope_deferrals", sched.envelope_deferrals as u64)
@@ -317,10 +314,7 @@ mod tests {
             "gating_builds",
             "gating_hits",
             "quanta",
-            "shards",
             "steals",
-            "shard_steals",
-            "cross_steals",
             "contended_probes",
             "deferrals",
             "envelope_deferrals",

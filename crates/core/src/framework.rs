@@ -2,7 +2,7 @@
 //! algorithm description → M-DFG → schedule → synthesized configuration →
 //! synthesizable Verilog.
 
-use crate::synth::{synthesize, DesignSpec, SynthCache, SynthesisError, SynthesizedDesign};
+use crate::synth::{synthesize, DesignSpec, SynthesisError, SynthesizedDesign};
 use crate::verilog::{emit_verilog, VerilogDesign};
 use archytas_mdfg::{build_mdfg, schedule, BuiltMdfg, ProblemShape, Schedule};
 
@@ -136,37 +136,6 @@ impl Archytas {
             verilog,
         })
     }
-
-    /// [`Archytas::generate`] with the design-space search served through a
-    /// shared [`SynthCache`]: a fleet tick regenerating accelerators for K
-    /// traffic classes pays at most K searches, and repeat requests skip
-    /// straight to M-DFG construction and Verilog emission.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SynthesisError`] when no configuration meets the spec on
-    /// the target platform.
-    pub fn generate_cached(
-        description: &AlgorithmDescription,
-        spec: &DesignSpec,
-        cache: &SynthCache,
-    ) -> Result<GeneratedAccelerator, SynthesisError> {
-        let spec = DesignSpec {
-            shape: description.shape,
-            ..spec.clone()
-        };
-        let mdfg = build_mdfg(&description.shape);
-        let sched = schedule(&mdfg);
-        let design = cache.synthesize(&spec)?;
-        let verilog = emit_verilog(&design.config);
-        Ok(GeneratedAccelerator {
-            description: description.clone(),
-            mdfg,
-            schedule: sched,
-            design,
-            verilog,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -202,21 +171,6 @@ mod tests {
             assert!(acc.verilog.structural_check().is_clean());
             assert!(!desc.marginalization || !acc.mdfg.marginalization.is_empty());
         }
-    }
-
-    #[test]
-    fn cached_generation_matches_and_reuses_searches() {
-        let cache = SynthCache::new();
-        let desc = AlgorithmDescription::slam_typical();
-        let spec = DesignSpec::zc706_power_optimal(5.0);
-        let direct = Archytas::generate(&desc, &spec).expect("feasible");
-        let first = Archytas::generate_cached(&desc, &spec, &cache).expect("feasible");
-        let second = Archytas::generate_cached(&desc, &spec, &cache).expect("feasible");
-        assert!(first.design.same_design(&direct.design));
-        assert!(second.design.same_design(&direct.design));
-        assert_eq!(cache.searches(), 1, "second generation must hit the cache");
-        assert_eq!(cache.hits(), 1);
-        assert!(second.verilog.structural_check().is_clean());
     }
 
     #[test]

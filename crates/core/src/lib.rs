@@ -42,8 +42,8 @@ pub use runtime::{
 };
 pub use synth::{
     knob_bounds, pareto_frontier, pareto_frontier_with, synthesize, synthesize_exhaustive,
-    synthesize_with, validate_by_perturbation, DesignSpec, Objective, ParetoPoint, SynthCache,
-    SynthesisError, SynthesizedDesign, LATENCY_QUANTUM_MS, ND_MAX, NM_MAX, S_MAX,
+    synthesize_with, validate_by_perturbation, DesignSpec, Objective, ParetoPoint, SynthesisError,
+    SynthesizedDesign, ND_MAX, NM_MAX, S_MAX,
 };
 pub use vehicle::{run_sequence, Executor, RunSummary, WindowRecord};
 pub use verilog::{emit_verilog, StructuralReport, VerilogDesign, VerilogFile};

@@ -743,7 +743,7 @@ mod tests {
         // A relapse resets the streak.
         assert!(w.observe(false));
         assert!(w.observe(true));
-        assert!(w.observe(true) == false, "two clean windows must release");
+        assert!(!w.observe(true), "two clean windows must release");
         assert!(!w.engaged());
     }
 

@@ -10,15 +10,15 @@
 //! (`nd ∈ 1..=30`, `nm ∈ 1..=24`, `s ∈ 1..=125`) on the ZC706, scaling to
 //! millions of points on larger fabrics. The paper solves the relaxation
 //! with YALMIP in milliseconds; an exact search is both strictly optimal
-//! and — with the structure below — fast enough to re-run *at serving
-//! time*, against the ~15 *years* an exhaustive search through FPGA
-//! synthesis would take (Sec. 7.3).
+//! and — with the structure below — takes milliseconds too, against the
+//! ~15 *years* an exhaustive search through FPGA synthesis would take
+//! (Sec. 7.3). Synthesis runs once per deployment, offline; run-time
+//! re-optimization is the gating-LUT lookup of Sec. 6, not a new search.
 //!
 //! # Search structure
 //!
-//! Three compounding layers make re-synthesis cheap enough for fleet-wide
-//! dynamic re-optimization (ROADMAP item 4), while every path returns the
-//! **bitwise-identical design** the exhaustive serial scan
+//! Two compounding layers make the search fast, while every path returns
+//! the **bitwise-identical design** the exhaustive serial scan
 //! ([`synthesize_exhaustive`]) returns:
 //!
 //! 1. **Memoized per-knob models.** Eq. 13's summands each depend on a
@@ -39,17 +39,13 @@
 //!    [`SynthesizedDesign::candidates_examined`] /
 //!    [`SynthesizedDesign::candidates_pruned`] counters are diagnostics,
 //!    deterministic only on a 1-thread pool).
-//! 3. **Per-class memoization.** [`SynthCache`] memoizes whole searches per
-//!    canonicalized spec with exactly-once fill semantics (mirroring
-//!    `GatingCache`), so a fleet re-evaluation tick over K traffic classes
-//!    performs at most K model-backed searches.
 
 use archytas_hw::{
     window_cycles, AcceleratorConfig, FpgaPlatform, LatencyTables, PowerModel, ResourceModel,
     ResourceVector, S_BLOCK,
 };
 use archytas_mdfg::ProblemShape;
-use archytas_par::{Memo, MemoStats, Pool};
+use archytas_par::Pool;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,7 +128,7 @@ pub struct SynthesizedDesign {
 impl SynthesizedDesign {
     /// `true` when `other` selects the same configuration with bit-equal
     /// modelled latency, power and resources — the equivalence contract of
-    /// the pruned and cached paths against [`synthesize_exhaustive`]
+    /// the pruned path against [`synthesize_exhaustive`]
     /// (the search counters are run-dependent and deliberately excluded).
     pub fn same_design(&self, other: &SynthesizedDesign) -> bool {
         self.config == other.config
@@ -265,8 +261,8 @@ fn scan_stripe_exhaustive(
 /// evaluated directly against the Eq. 13–17 models in `(nd, nm, s)` order,
 /// with no tables, no pruning and no parallelism.
 ///
-/// This is the semantic oracle of the synthesizer — the pruned and cached
-/// paths both promise to return a design for which
+/// This is the semantic oracle of the synthesizer — the pruned path
+/// promises to return a design for which
 /// [`SynthesizedDesign::same_design`] holds against this scan's result
 /// (and, on infeasible specs, a bit-equal
 /// [`SynthesisError::Infeasible`] latency). It is deliberately kept in the
@@ -662,141 +658,6 @@ pub fn synthesize_with(
     }
 }
 
-/// Grid the [`SynthCache`] snaps `MinPowerUnderLatency` bounds onto
-/// (milliseconds): traffic classes whose constraints differ by less than
-/// one quantum share a cache entry (and therefore a design).
-pub const LATENCY_QUANTUM_MS: f64 = 0.01;
-
-/// Cache key: the full canonicalized input of a search. Platforms are
-/// identified by name, clock bits and capacity bits so no float rounding or
-/// custom board can alias two different lattices; the objective is keyed by
-/// discriminant plus the (already quantized) bound's bit pattern.
-type SynthKey = (ProblemShape, usize, &'static str, u64, [u64; 4], u8, u64);
-
-/// Exactly-once memoization of whole design-space searches, shared across
-/// a serving fleet.
-///
-/// A fleet re-evaluation tick maps K traffic classes onto a design
-/// portfolio; without caching, every class pays a full lattice search per
-/// tick despite most classes resolving to identical specs. This cache keys
-/// searches by canonicalized spec — platform identity, workload shape,
-/// iteration budget, objective with the latency constraint quantized to
-/// [`LATENCY_QUANTUM_MS`] — and computes each exactly once (an
-/// [`archytas_par::Memo`], safe under concurrent re-evaluation ticks,
-/// mirroring `GatingCache`), so at most K model-backed searches run
-/// fleet-wide and repeat lookups return in microseconds.
-///
-/// Canonicalization always *floors* the latency bound onto the grid, so a
-/// cached design also satisfies the original (looser-or-equal) constraint;
-/// the design returned is the exact [`synthesize_exhaustive`]-identical
-/// optimum *of the canonical spec* (asserted by the equivalence suite).
-/// Infeasible outcomes are cached too — re-asking for an impossible spec
-/// is exactly the case a fleet tick must not pay a full sweep for.
-#[derive(Debug, Default)]
-pub struct SynthCache {
-    searches: Memo<SynthKey, Result<SynthesizedDesign, SynthesisError>>,
-}
-
-impl SynthCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The spec a request is cached (and synthesized) under: identical to
-    /// `spec` except that a `MinPowerUnderLatency` bound is floored onto
-    /// the [`LATENCY_QUANTUM_MS`] grid. Bounds below one quantum are kept
-    /// verbatim rather than floored to an always-infeasible zero.
-    pub fn canonical_spec(spec: &DesignSpec) -> DesignSpec {
-        let objective = match spec.objective {
-            Objective::MinLatency => Objective::MinLatency,
-            Objective::MinPowerUnderLatency(bound) => {
-                let ticks = (bound / LATENCY_QUANTUM_MS).floor();
-                let mut snapped = ticks * LATENCY_QUANTUM_MS;
-                if snapped > bound {
-                    // Guard against the floor/multiply round-trip rounding
-                    // up past the requested bound (e.g. 2.5 / 0.01).
-                    snapped = (ticks - 1.0) * LATENCY_QUANTUM_MS;
-                }
-                if ticks >= 1.0 {
-                    Objective::MinPowerUnderLatency(snapped)
-                } else {
-                    Objective::MinPowerUnderLatency(bound)
-                }
-            }
-        };
-        DesignSpec {
-            objective,
-            ..spec.clone()
-        }
-    }
-
-    fn key(spec: &DesignSpec) -> SynthKey {
-        let (tag, bound_bits) = match spec.objective {
-            Objective::MinPowerUnderLatency(b) => (0u8, b.to_bits()),
-            Objective::MinLatency => (1u8, 0u64),
-        };
-        let cap = &spec.platform.capacity;
-        (
-            spec.shape,
-            spec.iterations,
-            spec.platform.name,
-            spec.platform.clock_mhz.to_bits(),
-            [
-                cap.lut.to_bits(),
-                cap.ff.to_bits(),
-                cap.bram.to_bits(),
-                cap.dsp.to_bits(),
-            ],
-            tag,
-            bound_bits,
-        )
-    }
-
-    /// The design for `spec`'s canonical form, synthesized on the global
-    /// pool on first request and served from the cache afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns the (equally cached) [`SynthesisError::Infeasible`] when the
-    /// canonical spec admits no design.
-    pub fn synthesize(&self, spec: &DesignSpec) -> Result<SynthesizedDesign, SynthesisError> {
-        self.synthesize_with(spec, &Pool::global())
-    }
-
-    /// [`SynthCache::synthesize`] on an explicit pool (used only on a
-    /// miss; hits never touch the pool).
-    ///
-    /// # Errors
-    ///
-    /// Returns the cached [`SynthesisError::Infeasible`] when the canonical
-    /// spec admits no design.
-    pub fn synthesize_with(
-        &self,
-        spec: &DesignSpec,
-        pool: &Pool,
-    ) -> Result<SynthesizedDesign, SynthesisError> {
-        let canon = Self::canonical_spec(spec);
-        self.searches
-            .get_or_compute(Self::key(&canon), || synthesize_with(&canon, pool))
-    }
-
-    /// Searches actually run (== distinct canonical specs requested).
-    pub fn searches(&self) -> usize {
-        self.searches.misses()
-    }
-
-    /// Requests served from the cache.
-    pub fn hits(&self) -> usize {
-        self.searches.hits()
-    }
-
-    /// Point-in-time counter snapshot for bench/serving telemetry.
-    pub fn stats(&self) -> MemoStats {
-        self.searches.stats()
-    }
-}
-
 /// One point of the latency-vs-power Pareto frontier (Fig. 14).
 #[derive(Debug, Clone)]
 pub struct ParetoPoint {
@@ -1075,40 +936,6 @@ mod tests {
                 },
             ) = (&pruned, &oracle);
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn synth_cache_serves_repeat_requests_without_searching() {
-        let cache = SynthCache::new();
-        let spec = DesignSpec::zc706_power_optimal(5.0);
-        let first = cache.synthesize(&spec).expect("feasible");
-        let again = cache.synthesize(&spec).expect("feasible");
-        assert!(first.same_design(&again));
-        assert_eq!(cache.searches(), 1);
-        assert_eq!(cache.hits(), 1);
-        // A bound within the same quantum shares the entry...
-        let near = DesignSpec::zc706_power_optimal(5.0 + LATENCY_QUANTUM_MS / 4.0);
-        cache.synthesize(&near).expect("feasible");
-        assert_eq!(cache.searches(), 1, "same quantum must not re-search");
-        // ...while a genuinely different constraint does not.
-        cache
-            .synthesize(&DesignSpec::zc706_power_optimal(7.0))
-            .expect("feasible");
-        assert_eq!(cache.searches(), 2);
-        assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn canonical_bound_never_exceeds_the_request() {
-        for bound in [2.5, 5.0, 5.004999, 0.001, 33.333333, 20.0] {
-            let spec = DesignSpec::zc706_power_optimal(bound);
-            let canon = SynthCache::canonical_spec(&spec);
-            let Objective::MinPowerUnderLatency(snapped) = canon.objective else {
-                panic!("objective kind must be preserved");
-            };
-            assert!(snapped <= bound, "{snapped} > requested {bound}");
-            assert!(bound - snapped <= LATENCY_QUANTUM_MS, "over-tightened");
         }
     }
 

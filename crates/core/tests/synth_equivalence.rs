@@ -1,15 +1,15 @@
 //! Equivalence suite for the pruned design-space search.
 //!
-//! The optimized synthesizer paths — incumbent-bound pruned
-//! ([`synthesize_with`]) and memoized ([`SynthCache`]) — both promise the **bitwise-identical design**
-//! the exhaustive serial scan ([`synthesize_exhaustive`]) returns: same
+//! The incumbent-bound pruned synthesizer ([`synthesize_with`]) promises
+//! the **bitwise-identical design** the exhaustive serial scan
+//! ([`synthesize_exhaustive`]) returns: same
 //! configuration, bit-equal modelled latency, power and resources, at any
 //! pool size; infeasible specs must report a bit-equal best-achievable
 //! latency. These properties are exercised over random workload shapes,
 //! both objectives and pools of 1, 2 and 8 threads.
 
 use archytas_core::{
-    synthesize_exhaustive, synthesize_with, DesignSpec, Objective, SynthCache, SynthesisError,
+    synthesize_exhaustive, synthesize_with, DesignSpec, Objective, SynthesisError,
     SynthesizedDesign,
 };
 use archytas_hw::FpgaPlatform;
@@ -105,27 +105,6 @@ proptest! {
             assert_same_outcome(&got, &oracle, &format!("{} threads", pool.threads()));
         }
     }
-
-    /// The cache returns the exact exhaustive optimum *of the canonical
-    /// spec* (the spec with its latency bound floored onto the cache grid),
-    /// and the canonical design still satisfies the original bound.
-    #[test]
-    fn cached_search_is_bitwise_exhaustive_of_canonical(spec in specs()) {
-        let canon = SynthCache::canonical_spec(&spec);
-        let oracle = synthesize_exhaustive(&canon);
-        for pool in pools() {
-            let cache = SynthCache::new();
-            let got = cache.synthesize_with(&spec, &pool);
-            assert_same_outcome(&got, &oracle, &format!("cached, {} threads", pool.threads()));
-            if let (Ok(d), Objective::MinPowerUnderLatency(bound)) = (&got, spec.objective) {
-                prop_assert!(
-                    d.latency_ms <= bound,
-                    "canonical design violates the original bound: {} > {bound}",
-                    d.latency_ms
-                );
-            }
-        }
-    }
 }
 
 /// The virtex7 scaled lattice (5.76M points) is the cold-sweep perf target;
@@ -153,27 +132,4 @@ fn virtex7_cold_sweep_prunes_most_of_the_lattice() {
         "pruned only {} of {lattice}",
         pruned.candidates_pruned
     );
-}
-
-/// Racing lookups of one spec through a shared [`SynthCache`] must run the
-/// search exactly once — the `GatingCache` exactly-once contract, applied
-/// to whole design-space searches.
-#[test]
-fn synth_cache_racing_fill_is_exactly_once() {
-    let cache = SynthCache::new();
-    let spec = DesignSpec::zc706_power_optimal(5.0);
-    let lookups: Vec<usize> = (0..64).collect();
-    let pool = Pool::with_threads(8).with_serial_threshold(0);
-    let designs = pool.par_map(&lookups, |_| {
-        // Misses synthesize on the global pool; the nested-parallelism
-        // guard keeps those searches serial inside these workers.
-        cache.synthesize(&spec).expect("feasible")
-    });
-    assert_eq!(cache.searches(), 1, "racing fill must search exactly once");
-    assert_eq!(cache.hits(), 63);
-    let first = &designs[0];
-    assert!(designs.iter().all(|d| d.same_design(first)));
-    let stats = cache.stats();
-    assert_eq!(stats.entries, 1);
-    assert_eq!(stats.lookups(), 64);
 }

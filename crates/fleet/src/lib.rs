@@ -3,7 +3,7 @@
 //!
 //! The paper generates one accelerator per vehicle; this crate serves a
 //! *fleet*. `N` independent vehicle sessions are admitted, scheduled onto
-//! a sharded work-stealing worker pool, and throttled by bounded
+//! a work-stealing worker pool, and throttled by bounded
 //! backpressure. Per-session state is deliberately small — the estimator
 //! `Core` (a [`archytas_dataset::VioPipeline`] shell plus the private
 //! iteration counter + watchdog of its [`archytas_core::RuntimeSystem`]):
@@ -85,7 +85,7 @@ use std::time::Instant;
 /// Deployment-wide configuration of the serving layer.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Worker threads (0 ⇒ all available cores).
+    /// Worker threads (`0` runs as `1`).
     pub threads: usize,
     /// The accelerator design every vehicle in the fleet deploys.
     pub design: AcceleratorConfig,
@@ -108,16 +108,10 @@ pub struct FleetConfig {
     pub defer_watermark: usize,
     /// Frames one scheduler quantum processes before requeueing.
     pub frames_per_quantum: usize,
-    /// Workers per scheduler shard (each shard has its own activation
-    /// injector and its workers steal within the shard before crossing).
-    /// `0` selects the default (4).
-    pub shard_size: usize,
     /// Step-deadline policy (logical frame-count clock).
     pub deadline: DeadlinePolicy,
     /// Restart ladder for quarantined sessions.
     pub restart: RestartPolicy,
-    /// Windows between session checkpoints (restart granularity).
-    pub checkpoint_interval: usize,
 }
 
 impl Default for FleetConfig {
@@ -132,10 +126,8 @@ impl Default for FleetConfig {
             power_envelope_w: f64::INFINITY,
             defer_watermark: usize::MAX,
             frames_per_quantum: 4,
-            shard_size: 0,
             deadline: DeadlinePolicy::default(),
             restart: RestartPolicy::default(),
-            checkpoint_interval: 8,
         }
     }
 }
@@ -203,7 +195,7 @@ pub struct LatencyPercentiles {
 pub struct FleetReport {
     /// Per-session reports, in submission order (shed sessions included).
     pub sessions: Vec<SessionReport>,
-    /// Worker threads used.
+    /// Worker threads the pool ran with.
     pub threads: usize,
     /// Wall-clock serving time (s), excluding sequence construction.
     pub serving_wall_s: f64,
@@ -252,11 +244,7 @@ pub struct FleetReport {
 /// sessions against shared services, runs them on the worker pool, and
 /// gathers per-session reports plus fleet-level metrics.
 pub fn run_fleet(specs: &[SessionSpec], config: &FleetConfig) -> FleetReport {
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        config.threads
-    };
+    let threads = config.threads.max(1);
     let envelope = PowerEnvelope::new(config.power_envelope_w, &config.design, &config.platform);
     let decisions = admission::plan(specs, config.max_active, config.shed_watermark, &envelope);
     let services = FleetServices::new(config);
@@ -283,7 +271,6 @@ pub fn run_fleet(specs: &[SessionSpec], config: &FleetConfig) -> FleetReport {
             max_active: config.max_active,
             frames_per_quantum: config.frames_per_quantum,
             defer_watermark: config.defer_watermark,
-            shard_size: config.shard_size,
         },
     );
     let serving_wall_s = started.elapsed().as_secs_f64();

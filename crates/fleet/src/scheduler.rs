@@ -1,31 +1,27 @@
-//! The fleet scheduler: a sharded work-stealing pool that time-slices many
+//! The fleet scheduler: a work-stealing pool that time-slices many
 //! sessions over a few worker threads.
 //!
-//! # Sharding
+//! # Queues
 //!
-//! Workers are grouped into **shards** of [`DEFAULT_SHARD_SIZE`] (config
-//! overridable). Each shard owns its own activation injector, and a worker
-//! looks for work close to home first — its own deque, then its shard —
-//! before crossing shards. One global `Mutex<VecDeque>` injector was fine
-//! for 8 sessions; at 1000-session scale every activation and every
-//! overflow pop would serialize the whole pool on one lock. Sharding keeps
-//! the common path (local deque, shard injector) contended only by
-//! `shard_size` workers, and steal probes use `try_lock` so a busy victim
-//! costs a counter bump, not a convoy. The canonical pop order lives on
-//! [`acquire`] — the *only* statement of it; everything else links here.
+//! Each worker owns a local deque; activations land on one shared
+//! injector. A worker looks for work close to home first — its own deque,
+//! then its siblings' — before it takes the injector lock. Steal probes use
+//! `try_lock`, so a busy victim costs a counter bump, not a convoy. The
+//! canonical pop order lives on [`acquire`] — the *only* statement of it;
+//! everything else links here.
 //!
 //! # Why any schedule produces the same bits
 //!
 //! A session index lives in **exactly one** place at a time — one worker's
-//! local deque, a shard injector, the deferred queue, the resurrect queue,
+//! local deque, the injector, the deferred queue, the resurrect queue,
 //! or held by the worker currently executing a quantum. Workers therefore
 //! never run two quanta of the same session concurrently, and a session's
 //! frames are processed strictly in order. Since a quantum is a pure
 //! function of the session's own state (sessions share only immutable
 //! caches, and solver scratch from the bounded pool is rewritten before it
 //! is read), the stream of per-session results is independent of which
-//! worker ran which quantum, of steal order, of shard count, and of the
-//! pool size. Scheduling decides only *interleaving*, and interleaving is
+//! worker ran which quantum, of steal order, and of the pool size.
+//! Scheduling decides only *interleaving*, and interleaving is
 //! unobservable to a session.
 //!
 //! # Backpressure
@@ -64,11 +60,6 @@ use std::sync::{Mutex, TryLockError};
 use crate::pool::{ScratchPool, ScratchStats};
 use crate::session::{Priority, SessionReport, SessionState, StepOutcome};
 
-/// Workers per shard when the config does not pin one (`shard_size == 0`).
-/// Four keeps a shard's queues contended by at most four threads while
-/// still giving within-shard stealing enough victims to balance load.
-pub(crate) const DEFAULT_SHARD_SIZE: usize = 4;
-
 /// Knobs the scheduler needs (a subset of [`crate::FleetConfig`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SchedulerConfig {
@@ -76,23 +67,16 @@ pub(crate) struct SchedulerConfig {
     pub max_active: usize,
     pub frames_per_quantum: usize,
     pub defer_watermark: usize,
-    /// Workers per shard; `0` selects [`DEFAULT_SHARD_SIZE`].
-    pub shard_size: usize,
 }
 
 /// Counters describing how the run was scheduled (timing-dependent;
 /// excluded from the determinism contract).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedulerStats {
-    /// Quanta stolen from another worker's deque (shard + cross-shard).
+    /// Quanta stolen from another worker's deque.
     pub steals: usize,
-    /// Steals from a sibling within the thief's own shard.
-    pub shard_steals: usize,
-    /// Steals that had to cross a shard boundary (every queue in the
-    /// thief's shard was dry).
-    pub cross_steals: usize,
-    /// Steal/cross-injector probes skipped because the victim's lock was
-    /// busy (`try_lock` miss) — the contention the sharding absorbs.
+    /// Steal probes skipped because the victim's lock was busy (`try_lock`
+    /// miss).
     pub contended_probes: usize,
     /// Times a `Low` session was parked on the deferred queue.
     pub deferrals: usize,
@@ -103,8 +87,6 @@ pub struct SchedulerStats {
     /// Sessions whose *start* was deferred by the power envelope: on first
     /// activation they park on the deferred queue instead of an injector.
     pub envelope_deferrals: usize,
-    /// Number of injector shards the pool ran with.
-    pub shards: usize,
     /// Solver-scratch pool traffic (checkouts / workspaces ever created).
     pub scratch: ScratchStats,
 }
@@ -117,12 +99,6 @@ enum QuantumVerdict {
     Done,
     /// The session failed (panic or deadline quarantine).
     Failed,
-}
-
-/// One injector shard: the activation/overflow queue shared by the
-/// `shard_size` workers of that shard.
-struct Shard {
-    injector: Mutex<VecDeque<usize>>,
 }
 
 struct Shared {
@@ -138,10 +114,8 @@ struct Shared {
     arrival: Vec<AtomicUsize>,
     /// Per-worker local deques.
     locals: Vec<Mutex<VecDeque<usize>>>,
-    /// Per-shard activation/overflow injectors.
-    shards: Vec<Shard>,
-    /// Round-robin cursor distributing activations across shards.
-    next_shard: AtomicUsize,
+    /// Activation injector shared by every worker.
+    injector: Mutex<VecDeque<usize>>,
     /// Backpressured `Low` sessions.
     deferred: Mutex<VecDeque<usize>>,
     /// Failed sessions awaiting restart: `(slot, ready_at_quanta)`.
@@ -153,8 +127,6 @@ struct Shared {
     /// Bounded solver-scratch pool; workers check out one workspace per
     /// executed quantum, so residency is one workspace per worker.
     scratch: ScratchPool,
-    /// Effective workers per shard (for shard-membership arithmetic).
-    shard_size: usize,
     threads: usize,
     /// Sessions currently activated and unfinished.
     active: AtomicUsize,
@@ -162,8 +134,7 @@ struct Shared {
     live: AtomicUsize,
     /// Runnable sessions: enqueued in a local deque or an injector.
     runnable: AtomicUsize,
-    shard_steals: AtomicUsize,
-    cross_steals: AtomicUsize,
+    steals: AtomicUsize,
     contended_probes: AtomicUsize,
     deferrals: AtomicUsize,
     quanta: AtomicUsize,
@@ -180,13 +151,6 @@ impl Shared {
         cfg: &SchedulerConfig,
     ) -> Self {
         let threads = cfg.threads.max(1);
-        let shard_size = if cfg.shard_size == 0 {
-            DEFAULT_SHARD_SIZE
-        } else {
-            cfg.shard_size
-        }
-        .min(threads);
-        let num_shards = threads.div_ceil(shard_size);
         let live = order.len();
         let slot_count = sessions.len();
         Self {
@@ -196,39 +160,21 @@ impl Shared {
             arrival: arrival.into_iter().map(AtomicUsize::new).collect(),
             defer_at_start: defer_at_start.into_iter().map(AtomicBool::new).collect(),
             locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            shards: (0..num_shards)
-                .map(|_| Shard {
-                    injector: Mutex::new(VecDeque::new()),
-                })
-                .collect(),
-            next_shard: AtomicUsize::new(0),
+            injector: Mutex::new(VecDeque::new()),
             deferred: Mutex::new(VecDeque::new()),
             resurrect: Mutex::new(Vec::new()),
             scratch: ScratchPool::new(threads),
-            shard_size,
             threads,
             active: AtomicUsize::new(0),
             live: AtomicUsize::new(live),
             runnable: AtomicUsize::new(0),
-            shard_steals: AtomicUsize::new(0),
-            cross_steals: AtomicUsize::new(0),
+            steals: AtomicUsize::new(0),
             contended_probes: AtomicUsize::new(0),
             deferrals: AtomicUsize::new(0),
             quanta: AtomicUsize::new(0),
             resurrections: AtomicUsize::new(0),
             envelope_deferrals: AtomicUsize::new(0),
         }
-    }
-
-    /// The shard worker `w` belongs to.
-    fn shard_of(&self, w: usize) -> usize {
-        w / self.shard_size
-    }
-
-    /// Worker indices of shard `s`.
-    fn shard_members(&self, s: usize) -> std::ops::Range<usize> {
-        let first = s * self.shard_size;
-        first..((s + 1) * self.shard_size).min(self.threads)
     }
 }
 
@@ -274,18 +220,13 @@ pub(crate) fn run(
         });
     }
 
-    let shard_steals = shared.shard_steals.load(Ordering::Relaxed);
-    let cross_steals = shared.cross_steals.load(Ordering::Relaxed);
     let stats = SchedulerStats {
-        steals: shard_steals + cross_steals,
-        shard_steals,
-        cross_steals,
+        steals: shared.steals.load(Ordering::Relaxed),
         contended_probes: shared.contended_probes.load(Ordering::Relaxed),
         deferrals: shared.deferrals.load(Ordering::Relaxed),
         quanta: shared.quanta.load(Ordering::Relaxed),
         resurrections: shared.resurrections.load(Ordering::Relaxed),
         envelope_deferrals: shared.envelope_deferrals.load(Ordering::Relaxed),
-        shards: shared.shards.len(),
         scratch: shared.scratch.stats(),
     };
     let reports = shared
@@ -395,8 +336,7 @@ fn promote_resurrections(sh: &Shared) {
 
 /// Activates arrival-eligible waiting sessions while the active set has
 /// capacity. `active` is only incremented under the `waiting` lock, so the
-/// cap holds. Activations distribute round-robin across the shard
-/// injectors.
+/// cap holds. Activations go to the back of the injector.
 ///
 /// An envelope-deferred session activates into the *deferred* queue (its
 /// one-shot flag clears here): it consumes an active slot — so completion
@@ -417,8 +357,7 @@ fn admit_up_to_capacity(sh: &Shared, cfg: &SchedulerConfig) {
             sh.deferred.lock().unwrap().push_back(i);
             sh.envelope_deferrals.fetch_add(1, Ordering::Relaxed);
         } else {
-            let s = sh.next_shard.fetch_add(1, Ordering::Relaxed) % sh.shards.len();
-            sh.shards[s].injector.lock().unwrap().push_back(i);
+            sh.injector.lock().unwrap().push_back(i);
             sh.runnable.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -472,67 +411,36 @@ fn fast_forward_if_idle(sh: &Shared) {
 /// Takes the next session for worker `w`.
 ///
 /// **Canonical pop order** (the single authoritative statement — module
-/// docs, DESIGN.md and the `pop_order_is_canonical_on_the_sharded_path`
-/// test all defer to this list):
+/// docs, DESIGN.md and the `pop_order_is_canonical` test all defer to this
+/// list):
 ///
 /// 1. own local deque (front: newest-first FIFO for cache warmth);
-/// 2. steal from a shard sibling's deque (back — the oldest, coldest
-///    work), probing with `try_lock` so a contended victim is skipped and
-///    counted rather than waited on;
-/// 3. own shard's injector (front);
-/// 4. cross-shard, ring order from the next shard: that shard's injector
-///    (front), then steals from its members' deques (back);
-/// 5. the deferred queue (front), only once the runnable backlog has
+/// 2. steal from a sibling's deque (back — the oldest, coldest work), in
+///    ring order `(w + k) % threads`, probing with `try_lock` so a
+///    contended victim is skipped and counted rather than waited on;
+/// 3. the injector (front);
+/// 4. the deferred queue (front), only once the runnable backlog has
 ///    drained below the resume watermark.
-///
-/// Tiers 1–3 touch only queues shared by the worker's own shard; tiers
-/// 4–5 run only when the entire shard is dry.
 fn acquire(sh: &Shared, w: usize, cfg: &SchedulerConfig) -> Option<usize> {
     // 1. own deque.
     if let Some(i) = sh.locals[w].lock().unwrap().pop_front() {
         sh.runnable.fetch_sub(1, Ordering::SeqCst);
         return Some(i);
     }
-    let s = sh.shard_of(w);
-    // 2. shard siblings, ring order after `w`.
-    let members = sh.shard_members(s);
-    let span = members.len();
-    for k in 1..span {
-        let victim = members.start + (w - members.start + k) % span;
+    // 2. siblings, ring order after `w`.
+    for k in 1..sh.threads {
+        let victim = (w + k) % sh.threads;
         if let Some(i) = try_steal(sh, &sh.locals[victim]) {
-            sh.shard_steals.fetch_add(1, Ordering::Relaxed);
+            sh.steals.fetch_add(1, Ordering::Relaxed);
             return Some(i);
         }
     }
-    // 3. own shard's injector.
-    if let Some(i) = sh.shards[s].injector.lock().unwrap().pop_front() {
+    // 3. injector.
+    if let Some(i) = sh.injector.lock().unwrap().pop_front() {
         sh.runnable.fetch_sub(1, Ordering::SeqCst);
         return Some(i);
     }
-    // 4. cross-shard: injector first, then member deques.
-    let num_shards = sh.shards.len();
-    for k in 1..num_shards {
-        let t = (s + k) % num_shards;
-        match sh.shards[t].injector.try_lock() {
-            Ok(mut q) => {
-                if let Some(i) = q.pop_front() {
-                    sh.runnable.fetch_sub(1, Ordering::SeqCst);
-                    return Some(i);
-                }
-            }
-            Err(TryLockError::WouldBlock) => {
-                sh.contended_probes.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TryLockError::Poisoned(e)) => panic!("poisoned injector: {e}"),
-        }
-        for victim in sh.shard_members(t) {
-            if let Some(i) = try_steal(sh, &sh.locals[victim]) {
-                sh.cross_steals.fetch_add(1, Ordering::Relaxed);
-                return Some(i);
-            }
-        }
-    }
-    // 5. deferred, below the resume watermark only.
+    // 4. deferred, below the resume watermark only.
     if sh.runnable.load(Ordering::SeqCst) < resume_watermark(cfg) {
         if let Some(i) = sh.deferred.lock().unwrap().pop_front() {
             return Some(i);
@@ -543,8 +451,8 @@ fn acquire(sh: &Shared, w: usize, cfg: &SchedulerConfig) -> Option<usize> {
 
 /// One steal probe: `try_lock` the victim's deque and take its oldest
 /// entry. A busy victim is skipped (counted as a contended probe) — the
-/// thief has other tiers to try, and waiting here is exactly the lock
-/// convoy sharding exists to avoid.
+/// thief has other tiers to try, and waiting here would convoy workers
+/// behind one lock.
 fn try_steal(sh: &Shared, victim: &Mutex<VecDeque<usize>>) -> Option<usize> {
     match victim.try_lock() {
         Ok(mut q) => {
@@ -588,43 +496,37 @@ mod tests {
         Shared::new(Vec::new(), Vec::new(), Vec::new(), VecDeque::new(), cfg)
     }
 
-    /// Single-quantum, single-thread replay of [`acquire`]'s canonical pop
-    /// order on the sharded path: one candidate is planted in each tier and
-    /// the drain order must match the documented list exactly —
-    /// deterministically, every run.
+    /// Single-thread replay of [`acquire`]'s canonical pop order at 8
+    /// workers: candidates are planted in the own deque, two siblings, the
+    /// injector and the deferred queue, and the drain order must match the
+    /// documented list exactly — deterministically, every run.
     #[test]
-    fn pop_order_is_canonical_on_the_sharded_path() {
+    fn pop_order_is_canonical() {
         let cfg = SchedulerConfig {
             threads: 8,
             max_active: 8,
             frames_per_quantum: 1,
             defer_watermark: 16,
-            shard_size: 4,
         };
         let sh = test_shared(&cfg);
-        assert_eq!(sh.shards.len(), 2);
-        assert_eq!(sh.shard_members(0), 0..4);
-        assert_eq!(sh.shard_members(1), 4..8);
 
-        // One entry per tier, from worker 0's point of view.
-        sh.locals[0].lock().unwrap().push_back(1); // tier 1: own deque
-        sh.locals[2].lock().unwrap().push_back(2); // tier 2: shard sibling
-        sh.shards[0].injector.lock().unwrap().push_back(3); // tier 3: shard injector
-        sh.shards[1].injector.lock().unwrap().push_back(4); // tier 4a: cross injector
-        sh.locals[5].lock().unwrap().push_back(5); // tier 4b: cross steal
-        sh.deferred.lock().unwrap().push_back(6); // tier 5: deferred
-        sh.runnable.store(5, Ordering::SeqCst);
+        // From worker 5's point of view: ring order visits 6, 7, 0, ..., 4.
+        sh.locals[5].lock().unwrap().push_back(1); // tier 1: own deque
+        sh.locals[1].lock().unwrap().push_back(3); // tier 2: later in the ring
+        sh.locals[7].lock().unwrap().push_back(2); // tier 2: earlier in the ring
+        sh.injector.lock().unwrap().push_back(4); // tier 3: injector
+        sh.deferred.lock().unwrap().push_back(5); // tier 4: deferred
+        sh.runnable.store(4, Ordering::SeqCst);
 
-        let drained: Vec<Option<usize>> = (0..7).map(|_| acquire(&sh, 0, &cfg)).collect();
+        let drained: Vec<Option<usize>> = (0..6).map(|_| acquire(&sh, 5, &cfg)).collect();
         assert_eq!(
             drained,
-            vec![Some(1), Some(2), Some(3), Some(4), Some(5), Some(6), None],
-            "pop order must be: own deque, shard steal, shard injector, \
-             cross injector, cross steal, deferred"
+            vec![Some(1), Some(2), Some(3), Some(4), Some(5), None],
+            "pop order must be: own deque, sibling steals in ring order, \
+             injector, deferred"
         );
         assert_eq!(sh.runnable.load(Ordering::SeqCst), 0);
-        assert_eq!(sh.shard_steals.load(Ordering::Relaxed), 1);
-        assert_eq!(sh.cross_steals.load(Ordering::Relaxed), 1);
+        assert_eq!(sh.steals.load(Ordering::Relaxed), 2);
         assert_eq!(sh.contended_probes.load(Ordering::Relaxed), 0);
     }
 
@@ -637,10 +539,8 @@ mod tests {
             max_active: 8,
             frames_per_quantum: 1,
             defer_watermark: 4,
-            shard_size: 0,
         };
         let sh = test_shared(&cfg);
-        assert_eq!(sh.shards.len(), 1, "1 worker collapses to 1 shard");
         sh.deferred.lock().unwrap().push_back(9);
         sh.runnable.store(2, Ordering::SeqCst); // watermark/2 = 2: fenced
         assert_eq!(acquire(&sh, 0, &cfg), None);

@@ -26,8 +26,9 @@
 //! to serial — on the inner level only; the enclosing region keeps its
 //! workers.
 //!
-//! The crate also hosts [`Memo`], the exactly-once cache the hardware model
-//! and synthesizer share, and [`counters`], the per-phase solver timers.
+//! The crate also hosts [`Memo`], the exactly-once cache behind the
+//! accelerator model, the gating-LUT cache and the CPU baseline, and
+//! [`counters`], the per-phase solver timers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -36,5 +37,5 @@ pub mod counters;
 mod memo;
 mod pool;
 
-pub use memo::{Memo, MemoStats};
+pub use memo::Memo;
 pub use pool::{run_as_worker, Pool, DEFAULT_SERIAL_THRESHOLD};

@@ -41,42 +41,10 @@ impl<K, V> Default for Memo<K, V> {
     }
 }
 
-/// A consistent point-in-time view of a [`Memo`]'s counters, for stamping
-/// into bench/serving telemetry (`BENCH_par.json` cache attribution) without
-/// three racing loads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Lookups served from the cache.
-    pub hits: usize,
-    /// Lookups that ran the compute closure (== distinct keys requested).
-    pub misses: usize,
-    /// Distinct keys currently cached.
-    pub entries: usize,
-}
-
-impl MemoStats {
-    /// Total lookups observed (`hits + misses`).
-    pub fn lookups(&self) -> usize {
-        self.hits + self.misses
-    }
-}
-
 impl<K, V> Memo<K, V> {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Snapshot of the hit/miss/entry counters. The three fields are read
-    /// under the slot lock, so a snapshot taken while the cache is quiescent
-    /// is exact; under concurrent fills it is a consistent lower bound.
-    pub fn stats(&self) -> MemoStats {
-        let entries = self.slots.lock().expect("memo poisoned").len();
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries,
-        }
     }
 
     /// Number of distinct keys cached so far.
@@ -101,19 +69,6 @@ impl<K, V> Memo<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
-    /// Returns the cached value for `key` without computing anything:
-    /// `None` when the key was never requested or its first computation has
-    /// not finished yet. Touches neither counter, so exactly-once
-    /// assertions over [`Memo::hits`]/[`Memo::misses`] stay exact across
-    /// probe-heavy readers (fleet statistics, debug dumps).
-    pub fn probe(&self, key: &K) -> Option<V> {
-        let slot = {
-            let slots = self.slots.lock().expect("memo poisoned");
-            slots.get(key).cloned()
-        };
-        slot.and_then(|s| s.get().cloned())
-    }
-
     /// Returns the cached value for `key`, computing it with `compute` on
     /// first use. `compute` runs at most once per key across all threads.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
@@ -175,31 +130,5 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 16, "one compute per key");
         assert_eq!(memo.misses(), 16);
         assert_eq!(memo.hits() + memo.misses(), 512);
-    }
-
-    #[test]
-    fn stats_snapshot_matches_counters() {
-        let memo: Memo<u32, u32> = Memo::new();
-        for i in [1u32, 2, 1, 3, 1] {
-            memo.get_or_compute(i, || i + 100);
-        }
-        let s = memo.stats();
-        assert_eq!(s.misses, 3);
-        assert_eq!(s.hits, 2);
-        assert_eq!(s.entries, 3);
-        assert_eq!(s.lookups(), 5);
-    }
-
-    #[test]
-    fn probe_never_computes_and_never_counts() {
-        let memo: Memo<u32, u32> = Memo::new();
-        assert_eq!(memo.probe(&1), None);
-        memo.get_or_compute(1, || 10);
-        assert_eq!(memo.probe(&1), Some(10));
-        assert_eq!(memo.probe(&2), None);
-        // Probes left the counters exactly where get_or_compute put them.
-        assert_eq!(memo.misses(), 1);
-        assert_eq!(memo.hits(), 0);
-        assert_eq!(memo.len(), 1);
     }
 }

@@ -7,10 +7,9 @@
 #   phase(s)                       source                          limit
 #   assembly, micro-kernels,       BENCH_solver.json mean_ns       1.15x baseline
 #     linear-solve, end-to-end
-#   cold-sweep, cache              BENCH_par.json synthesizer/*    1.15x baseline
-#                                  mean_ns, plus absolute ceilings (1 thread):
-#                                  cold virtex7 scaled-lattice sweep <= 60 ms,
-#                                  SynthCache hit <= 10 us
+#   cold-sweep                     BENCH_par.json synthesizer/*    1.15x baseline
+#                                  mean_ns, plus an absolute ceiling (1 thread):
+#                                  cold virtex7 scaled-lattice sweep <= 60 ms
 #   fleet_scaling                  BENCH_serve.jsonl sweep points  1.30x baseline
 #                                  throughput per (workers, sessions)
 #   admission                      BENCH_serve.jsonl admit record  admit ns 1.30x,
@@ -41,7 +40,6 @@ fresh_paths = dict(zip(("BENCH_solver.json", "BENCH_par.json", "BENCH_serve.json
 BENCH_TOL, FLEET_TOL, IDLE_BYTES_TOL = 1.15, 1.30, 1.10
 CEILINGS_NS = {
     "synthesizer/virtex7_min_latency_scaled_lattice": 60e6,
-    "synthesizer/synth_cache_hit": 10e3,
 }
 
 
@@ -83,7 +81,7 @@ def parse(name, text):
         if name == "BENCH_par.json":
             if not rname.startswith("synthesizer/"):
                 continue
-            phase = "cache" if "cache" in case else "cold-sweep"
+            phase = "cold-sweep"
         elif "build" in case:
             phase = "assembly"
         elif "kernel_" in case:
@@ -114,8 +112,7 @@ for name in fresh_paths:
     if name == "BENCH_par.json":
         for rname, ceiling in sorted(CEILINGS_NS.items()):
             value = fresh.get(f"{rname} (1t)", (0, 0, float("inf")))[2]
-            phase = "cache" if "cache" in rname else "cold-sweep"
-            checks.append((phase, f"{rname} (1t) ceiling", 1, value, ceiling, False,
+            checks.append(("cold-sweep", f"{rname} (1t) ceiling", 1, value, ceiling, False,
                            "absolute ceiling"))
 
 failures = {}
