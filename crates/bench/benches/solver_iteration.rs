@@ -3,18 +3,26 @@
 //! full LM pass at f64 and at the served f32 precision, and a served
 //! steady-state window (with its marginalization prior) solved and then
 //! marginalized.
+//!
+//! Besides the criterion `case` records, the bench prints one timing-only
+//! `REC` line of kind `phases`: the per-phase wall time the
+//! `archytas_par::counters` attribute while the f64 full-window LM case
+//! runs. `scripts/bench_smoke.sh` collects both into
+//! `BENCH_criterion.jsonl`.
 
+use archytas_bench::json::{phase_array, rec_line, JsonLine};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_fleet::fleet_pipeline_config;
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
 use archytas_math::kernels::sub_scaled;
 use archytas_math::{BlockSparseSystem, Cholesky, DMat, SchurScratch};
-use archytas_par::counters;
+use archytas_par::{counters, Pool};
 use archytas_slam::{
     build_block_normal_equations, build_normal_equations, schur_linear_solver, solve,
     solve_in_workspace, try_marginalize_oldest_in, FactorWeights, LmConfig, Precision, Prior,
     SlidingWindow, SolverWorkspace,
 };
+use archytas_telemetry::phase_rows;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -94,7 +102,7 @@ fn bench_solver(c: &mut Criterion) {
 
     // Per-kernel microbenches: each deployed fixed-width form against an
     // open-coded replay of the slice predecessor on identical operands, so
-    // BENCH_solver.json records the two means side by side and the perf gate
+    // BENCH_criterion.jsonl records the two means side by side and the perf gate
     // tracks the kernels independently of the end-to-end phases.
     let n_blk6 = 64;
     let mut dst6 = vec![0.25f64; 6 * n_blk6];
@@ -243,9 +251,8 @@ fn bench_solver(c: &mut Criterion) {
     });
 
     // Per-phase attribution of the f64 full LM window below: the counters
-    // are live for exactly that end-to-end bench, and their totals are
-    // printed as a PERFJSON line that bench_smoke.sh folds into
-    // BENCH_solver.json.
+    // are live for exactly that end-to-end bench, and their totals become
+    // the `phases` record printed after the group.
     counters::reset();
     counters::enable();
 
@@ -256,7 +263,7 @@ fn bench_solver(c: &mut Criterion) {
         })
     });
     counters::disable();
-    let perfjson = counters::perfjson();
+    let phases = phase_rows();
     // The served precision: the same window through the accelerator's f32
     // datapath (f64 assembly and damping, cast, f32 block Schur solve).
     let served = LmConfig {
@@ -295,7 +302,11 @@ fn bench_solver(c: &mut Criterion) {
     });
 
     group.finish();
-    println!("PERFJSON {perfjson}");
+    let timing = JsonLine::new()
+        .uint("threads", Pool::global().threads() as u64)
+        .raw("phases", &phase_array(&phases))
+        .finish();
+    println!("{}", rec_line("criterion", "phases", "{}", &timing));
 }
 
 criterion_group!(benches, bench_solver);

@@ -7,12 +7,18 @@
 //! outside the sampling loop — `zc706_min_latency`'s historical
 //! 748 µs-on-3.8 ms stddev was exactly this first-sample pollution.
 //!
-//! After the timed runs, per-case search counters are printed as
-//! `SYNTHJSON {...}` lines that `bench_smoke.sh` folds into
-//! `BENCH_par.json`'s `synth_search` section.
+//! Each case also prints one `REC` line of kind `search`: the selected
+//! design (`nd`, `nm`, `s` and the latency and power bit patterns) in
+//! `det`, identical at every pool size, and the `examined`/`pruned` search
+//! counters in `timing`, which depend on thread timing (see
+//! `archytas_core::synth`). `scripts/bench_smoke.sh` collects them into
+//! `BENCH_criterion.jsonl` and byte-compares the `det` payloads of its
+//! 1-thread and 4-thread runs.
 
+use archytas_bench::json::{rec_line, JsonLine};
 use archytas_core::{synthesize, DesignSpec, Objective, SynthesizedDesign};
 use archytas_hw::FpgaPlatform;
+use archytas_par::Pool;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -31,49 +37,45 @@ fn virtex7_min_latency_spec() -> DesignSpec {
     }
 }
 
-fn synthjson(case: &str, d: &SynthesizedDesign) -> String {
-    format!(
-        "SYNTHJSON {{\"case\":\"{case}\",\"examined\":{},\"pruned\":{}}}",
-        d.candidates_examined, d.candidates_pruned
-    )
+fn search_rec(name: &str, d: &SynthesizedDesign) -> String {
+    let det = JsonLine::new()
+        .str("name", name)
+        .uint("nd", d.config.nd as u64)
+        .uint("nm", d.config.nm as u64)
+        .uint("s", d.config.s as u64)
+        .bits("latency_bits", d.latency_ms.to_bits())
+        .bits("power_bits", d.power_w.to_bits())
+        .finish();
+    let timing = JsonLine::new()
+        .uint("threads", Pool::global().threads() as u64)
+        .uint("examined", d.candidates_examined as u64)
+        .uint("pruned", d.candidates_pruned as u64)
+        .finish();
+    rec_line("criterion", "search", &det, &timing)
 }
 
 fn bench_synthesizer(c: &mut Criterion) {
+    let cases = [
+        (
+            "zc706_power_optimal_20ms",
+            DesignSpec::zc706_power_optimal(20.0),
+        ),
+        ("zc706_min_latency", zc706_min_latency_spec()),
+        (
+            "virtex7_min_latency_scaled_lattice",
+            virtex7_min_latency_spec(),
+        ),
+    ];
     let mut group = c.benchmark_group("synthesizer");
     group.sample_size(20);
-    let mut counters: Vec<String> = Vec::new();
-
-    group.bench_function("zc706_power_optimal_20ms", |b| {
-        let spec = DesignSpec::zc706_power_optimal(20.0);
-        counters.push(synthjson(
-            "zc706_power_optimal_20ms",
-            &synthesize(&spec).expect("feasible"),
-        ));
-        b.iter(|| synthesize(black_box(&spec)).expect("feasible"))
-    });
-
-    group.bench_function("zc706_min_latency", |b| {
-        let spec = zc706_min_latency_spec();
-        counters.push(synthjson(
-            "zc706_min_latency",
-            &synthesize(&spec).expect("feasible"),
-        ));
-        b.iter(|| synthesize(black_box(&spec)).expect("feasible"))
-    });
-
-    group.bench_function("virtex7_min_latency_scaled_lattice", |b| {
-        let spec = virtex7_min_latency_spec();
-        counters.push(synthjson(
-            "virtex7_min_latency_scaled_lattice",
-            &synthesize(&spec).expect("feasible"),
-        ));
-        b.iter(|| synthesize(black_box(&spec)).expect("feasible"))
-    });
-
-    group.finish();
-    for line in counters {
-        println!("{line}");
+    for (case, spec) in &cases {
+        group.bench_function(case, |b| {
+            let design = synthesize(spec).expect("feasible");
+            println!("{}", search_rec(&format!("synthesizer/{case}"), &design));
+            b.iter(|| synthesize(black_box(spec)).expect("feasible"))
+        });
     }
+    group.finish();
 }
 
 criterion_group!(benches, bench_synthesizer);

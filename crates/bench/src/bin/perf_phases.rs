@@ -3,15 +3,17 @@
 //!
 //! Runs the full LM solve with `archytas_par::counters` enabled, plus
 //! a component-level micro-timing pass (factor evaluation vs. scatter) that
-//! the aggregate phase counters cannot separate, and prints one `PERFJSON`
-//! line with everything.
+//! the aggregate phase counters cannot separate, and prints the phase
+//! totals as one timing-only `REC` line of kind `phases`.
 
+use archytas_bench::json::{phase_array, rec_line, JsonLine};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
-use archytas_par::counters;
+use archytas_par::{counters, Pool};
 use archytas_slam::{
     build_block_normal_equations, evaluate_cost, evaluate_imu, evaluate_visual, solve_in_workspace,
     FactorWeights, LmConfig, SlidingWindow, SolverWorkspace,
 };
+use archytas_telemetry::phase_rows;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -109,15 +111,18 @@ fn main() {
         "lm_6_iterations total: {:.0} ns/solve over {reps} solves",
         total_ns
     );
-    for ph in counters::snapshot() {
-        if ph.calls > 0 {
-            println!(
-                "  {:<18} {:>12.0} ns/solve  ({} calls)",
-                ph.name,
-                ph.ns as f64 / reps as f64,
-                ph.calls
-            );
-        }
+    let phases = phase_rows();
+    for ph in &phases {
+        println!(
+            "  {:<18} {:>12.0} ns/solve  ({} calls)",
+            ph.name,
+            ph.wall_ns as f64 / reps as f64,
+            ph.calls
+        );
     }
-    println!("PERFJSON {}", counters::perfjson());
+    let timing = JsonLine::new()
+        .uint("threads", Pool::global().threads() as u64)
+        .raw("phases", &phase_array(&phases))
+        .finish();
+    println!("{}", rec_line("perf_phases", "phases", "{}", &timing));
 }

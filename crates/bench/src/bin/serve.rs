@@ -27,8 +27,8 @@
 //! (default 4; chaos adds {2, 8}) and byte-compare the `det` payloads
 //! of each pool against the 1-worker run. Any gate break exits 1.
 
-use archytas_bench::json::{array, JsonLine};
-use archytas_bench::serve::{compare_det, cpus, rec_line, run_timing, session_det, Args};
+use archytas_bench::json::{array, phase_array, rec_line, JsonLine};
+use archytas_bench::serve::{compare_det, cpus, run_timing, session_det, Args};
 use archytas_bench::table;
 use archytas_faults::{long_horizon_scenarios, run_scenario, scenarios, ChaosKind, ChaosPlan};
 use archytas_fleet::{
@@ -259,14 +259,6 @@ fn obs(args: &Args) -> Vec<String> {
                     ("envelope", line.finish())
                 },
             ));
-            let phase_json = array(phases.iter().map(|p| {
-                JsonLine::new()
-                    .str("name", p.name)
-                    .uint("wall_ns", p.wall_ns)
-                    .uint("calls", p.calls)
-                    .float("share", p.share, 6)
-                    .finish()
-            }));
             let timing = run_timing(&report)
                 .float("fleet_power_w", report.fleet_power_w, 6)
                 .float("session_draw_w", draw, 6)
@@ -280,7 +272,7 @@ fn obs(args: &Args) -> Vec<String> {
                 )
                 .float("envelope_fleet_power_w", env_report.fleet_power_w, 6)
                 .uint("attributed_ns", counters::attributed_total_ns())
-                .raw("phases", &phase_json);
+                .raw("phases", &phase_array(&phases));
             Served {
                 det,
                 run: timing.finish(),

@@ -21,8 +21,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use archytas_bench::json::JsonLine;
-use archytas_bench::serve::{rec_line, Args};
+use archytas_bench::json::{rec_line, JsonLine};
+use archytas_bench::serve::Args;
 use archytas_fleet::{scaling_fleet_specs, AdmittedSession, FleetConfig, FleetServices};
 use archytas_slam::SolverWorkspace;
 

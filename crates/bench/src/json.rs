@@ -1,11 +1,16 @@
-//! One-line JSON record builder shared by the bench binaries.
+//! The one record line every measurement in this repo prints, and the
+//! single-line JSON builder behind it.
 //!
-//! The serving bins print `REC {...}` lines that `scripts/serve_smoke.sh`
-//! strips into a JSON-lines file, and their gates byte-compare the `det`
-//! payloads across pool sizes, so every record must be a single line of
-//! valid JSON with a stable field order. [`JsonLine`] holds the quoting
-//! rules; field order is insertion order.
+//! Every machine-readable line is
+//! `REC {"mode":…,"kind":…,"det":{…},"timing":{…}}` ([`rec_line`]): the
+//! serving bins, the criterion benches (cases, synthesizer `search`
+//! counters, solver `phases`) and the `perf_phases` bin. The smoke scripts
+//! strip the `REC ` prefix into JSON-lines files, and the determinism gates
+//! byte-compare `det` payloads across pool sizes, so every record must be a
+//! single line of valid JSON with a stable field order. [`JsonLine`] holds
+//! the quoting rules; field order is insertion order.
 
+use archytas_telemetry::PhaseRow;
 use std::fmt::Write;
 
 /// Builder for one single-line JSON object.
@@ -150,6 +155,30 @@ pub fn array(items: impl IntoIterator<Item = String>) -> String {
     buf
 }
 
+/// Renders one `REC` line from pre-rendered `det` and `timing` objects.
+pub fn rec_line(mode: &str, kind: &str, det: &str, timing: &str) -> String {
+    let payload = JsonLine::new()
+        .str("mode", mode)
+        .str("kind", kind)
+        .raw("det", det)
+        .raw("timing", timing)
+        .finish();
+    format!("REC {payload}")
+}
+
+/// Renders per-phase wall-time rows as the `phases` array of a timing
+/// payload: `[{"name":…,"wall_ns":…,"calls":…,"share":…},…]`.
+pub fn phase_array(rows: &[PhaseRow]) -> String {
+    array(rows.iter().map(|p| {
+        JsonLine::new()
+            .str("name", p.name)
+            .uint("wall_ns", p.wall_ns)
+            .uint("calls", p.calls)
+            .float("share", p.share, 6)
+            .finish()
+    }))
+}
+
 fn escape_into(buf: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -207,6 +236,30 @@ mod tests {
         let items = (0..3).map(|i| JsonLine::new().uint("i", i).finish());
         assert_eq!(array(items), "[{\"i\":0},{\"i\":1},{\"i\":2}]");
         assert_eq!(array(std::iter::empty()), "[]");
+    }
+
+    #[test]
+    fn phase_array_is_pinned() {
+        let rows = [
+            PhaseRow {
+                name: "assembly",
+                wall_ns: 36_827_372,
+                calls: 168,
+                share: 0.417_114_2,
+            },
+            PhaseRow {
+                name: "factorization",
+                wall_ns: 22_886_422,
+                calls: 168,
+                share: 0.25,
+            },
+        ];
+        assert_eq!(
+            phase_array(&rows),
+            "[{\"name\":\"assembly\",\"wall_ns\":36827372,\"calls\":168,\"share\":0.417114},\
+             {\"name\":\"factorization\",\"wall_ns\":22886422,\"calls\":168,\"share\":0.250000}]"
+        );
+        assert_eq!(phase_array(&[]), "[]");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Shared plumbing of the serving bins (`serve` and `session_admit_cost`):
-//! one argument parser, one record line, and the two record halves every
-//! serving mode builds its records from.
+//! one argument parser and the two record halves every serving mode builds
+//! its records from.
 //!
-//! Every machine-readable line is
-//! `REC {"mode":…,"kind":…,"det":{…},"timing":{…}}`. `det` holds exactly
-//! the fields the determinism gates byte-compare across pool sizes (digests,
-//! bit patterns, decisions, counts that are a pure function of the served
-//! work); `timing` holds wall-clock numbers and scheduler counters, which
-//! differ run to run by design. Human tables go to stderr, so stdout is
+//! Every machine-readable line is a [`crate::json::rec_line`]. `det` holds
+//! exactly the fields the determinism gates byte-compare across pool sizes
+//! (digests, bit patterns, decisions, counts that are a pure function of the
+//! served work); `timing` holds wall-clock numbers and scheduler counters,
+//! which differ run to run by design. Human tables go to stderr, so stdout is
 //! nothing but `REC` lines.
 
 use crate::json::JsonLine;
@@ -111,17 +110,6 @@ impl Args {
 /// 4-worker run on a 1-CPU box is timeslicing, not parallelism.
 pub fn cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Renders one `REC` line from pre-rendered `det` and `timing` objects.
-pub fn rec_line(mode: &str, kind: &str, det: &str, timing: &str) -> String {
-    let payload = JsonLine::new()
-        .str("mode", mode)
-        .str("kind", kind)
-        .raw("det", det)
-        .raw("timing", timing)
-        .finish();
-    format!("REC {payload}")
 }
 
 /// The deterministic payload of one session: its identity, outcome,

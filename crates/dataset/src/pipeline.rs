@@ -602,16 +602,6 @@ impl VioPipeline {
         }
     }
 
-    /// Ground-truth pose aligned with the newest keyframe.
-    pub fn newest_ground_truth(&self) -> Option<Pose> {
-        self.gt_window.last().map(|s| s.pose)
-    }
-
-    /// Estimated pose of the newest keyframe.
-    pub fn newest_estimate(&self) -> Option<Pose> {
-        self.window.keyframes.last().map(|s| s.pose)
-    }
-
     fn rebuild_landmark_map(&mut self) {
         self.landmark_of.clear();
         for (idx, lm) in self.window.landmarks.iter().enumerate() {

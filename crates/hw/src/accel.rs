@@ -3,7 +3,7 @@
 
 use crate::blocks::AcceleratorConfig;
 use crate::latency::window_cycles;
-use crate::platform::{FpgaPlatform, ResourceVector};
+use crate::platform::FpgaPlatform;
 use crate::power::PowerModel;
 use crate::resource::ResourceModel;
 use archytas_mdfg::ProblemShape;
@@ -64,11 +64,6 @@ impl AcceleratorModel {
     /// Energy of one window in millijoules.
     pub fn window_energy_mj(&self, shape: &ProblemShape, iterations: usize) -> f64 {
         self.window_latency_ms(shape, iterations) * self.power_w()
-    }
-
-    /// Total resource consumption.
-    pub fn resource_vector(&self) -> ResourceVector {
-        self.resources.resources(&self.config)
     }
 
     /// `true` when the design fits its platform.

@@ -42,7 +42,6 @@ pub mod kernels;
 mod matrix;
 mod scalar;
 mod schur;
-mod sym;
 mod triangular;
 mod vector;
 
@@ -54,7 +53,6 @@ pub use error::{MathError, Result};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use schur::{dense_schur_complement, diag_schur_complement, SchurSystem};
-pub use sym::SymMat;
 pub use triangular::{solve_lower, solve_lower_into, solve_upper, solve_upper_into};
 pub use vector::Vector;
 

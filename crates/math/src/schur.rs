@@ -121,18 +121,6 @@ impl<T: Scalar> SchurSystem<T> {
         })
     }
 
-    /// Builds the system directly from its blocks (the layout the hardware
-    /// buffers hold — `U` never exists in dense form on chip).
-    pub fn from_blocks(
-        u: DiagMat<T>,
-        w: Matrix<T>,
-        v: Matrix<T>,
-        bx: Vector<T>,
-        by: Vector<T>,
-    ) -> Self {
-        Self { u, w, v, bx, by }
-    }
-
     /// Size of the diagonal (eliminated) block.
     pub fn p(&self) -> usize {
         self.u.dim()

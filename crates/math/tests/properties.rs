@@ -2,7 +2,6 @@
 
 use archytas_math::{
     solve_lower, solve_upper, BlockSpec, Blocked2x2, Cholesky, DMat, DVec, DiagMat, SchurSystem,
-    SymMat,
 };
 use proptest::prelude::*;
 
@@ -127,16 +126,6 @@ proptest! {
         let x_schur = sys.solve().unwrap();
         let x_direct = Cholesky::factor(&a).unwrap().solve(&b);
         prop_assert!((&x_schur - &x_direct).norm() < 1e-6 * (1.0 + x_direct.norm()));
-    }
-
-    #[test]
-    fn symmat_matvec_matches_dense((a, v) in DIM.prop_flat_map(|n| {
-        (spd_strategy(n), vec_strategy(n))
-    })) {
-        let s = SymMat::from_dense(&a);
-        let fast = s.mul_vec(&v);
-        let dense = a.mat_vec(&v);
-        prop_assert!((&fast - &dense).norm() < 1e-9 * (1.0 + dense.norm()));
     }
 
     #[test]

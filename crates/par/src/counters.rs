@@ -17,9 +17,10 @@
 //! Timed scopes may nest; each phase accumulates its *inclusive* time, so a
 //! parent phase (e.g. a whole linear solve) can coexist with its children.
 //! The bench bins call [`reset`] + [`enable`] around their measurement loop
-//! and print [`perfjson`] — a single `PERFJSON {...}` line that
-//! `scripts/bench_smoke.sh` folds into the BENCH files, giving every archived
-//! benchmark run a per-phase cost table.
+//! and print the [`snapshot`] (as `archytas-telemetry` phase rows) in a
+//! timing-only `REC` line of kind `phases`, which `scripts/bench_smoke.sh`
+//! collects into `BENCH_criterion.jsonl`, giving every archived benchmark
+//! run a per-phase cost table.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -137,28 +138,6 @@ pub fn attributed_total_ns() -> u64 {
     NANOS.iter().map(|n| n.load(Ordering::Relaxed)).sum()
 }
 
-/// The payload of a `PERFJSON` line: phases with at least one recorded call,
-/// as a JSON object `{"phases":[{"name":…,"ns":…,"calls":…},…]}`.
-pub fn perfjson() -> String {
-    let mut out = String::from("{\"phases\":[");
-    let mut first = true;
-    for total in snapshot() {
-        if total.calls == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"ns\":{},\"calls\":{}}}",
-            total.name, total.ns, total.calls
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,22 +175,6 @@ mod tests {
         assert_eq!(snap[Phase::Assembly as usize].calls, 0);
         reset();
         assert!(snapshot().iter().all(|t| t.ns == 0 && t.calls == 0));
-    }
-
-    #[test]
-    fn perfjson_lists_only_touched_phases() {
-        let _guard = LOCK.lock().unwrap();
-        reset();
-        enable();
-        time(Phase::SchurProduct, || std::hint::black_box(7));
-        time(Phase::Other, || std::hint::black_box(7));
-        disable();
-        let json = perfjson();
-        assert!(json.starts_with("{\"phases\":["));
-        assert!(json.contains("\"schur_product\""));
-        assert!(json.contains("\"other\""));
-        assert!(!json.contains("\"assembly\""));
-        reset();
     }
 
     #[test]
