@@ -76,73 +76,6 @@ impl CpuPlatform {
     }
 }
 
-/// A [`CpuPlatform`] with a memoized window-time evaluation.
-///
-/// [`CpuPlatform::window_work_ops`] rebuilds the M-DFG for every call — by
-/// far the dominant cost of the Fig. 15/16 sweeps — yet depends only on
-/// `(shape, iterations)`. This wrapper evaluates each distinct key exactly
-/// once (energy derives from the cached time), mirrors
-/// `archytas_hw::CachedAcceleratorModel`, and exposes the same hit/miss
-/// counters for exactly-once assertions in tests.
-#[derive(Debug)]
-pub struct CachedCpuPlatform {
-    cpu: CpuPlatform,
-    time: archytas_par::Memo<(ProblemShape, usize), f64>,
-}
-
-// Shared across fleet sessions and sweep workers exactly like
-// `CachedAcceleratorModel`; keep the compiler holding us to `Sync`.
-const _: fn() = || {
-    fn assert_shareable<T: Send + Sync>() {}
-    assert_shareable::<CachedCpuPlatform>();
-};
-
-impl CachedCpuPlatform {
-    /// Wraps `cpu` with an empty cache.
-    pub fn new(cpu: CpuPlatform) -> Self {
-        Self {
-            cpu,
-            time: archytas_par::Memo::new(),
-        }
-    }
-
-    /// Wraps `cpu` for cross-thread sharing (mirror of
-    /// `archytas_hw::CachedAcceleratorModel::shared`): all holders of the
-    /// returned `Arc` fill each `(shape, iterations)` key exactly once.
-    pub fn shared(cpu: CpuPlatform) -> std::sync::Arc<Self> {
-        std::sync::Arc::new(Self::new(cpu))
-    }
-
-    /// The wrapped platform.
-    pub fn cpu(&self) -> &CpuPlatform {
-        &self.cpu
-    }
-
-    /// Memoized [`CpuPlatform::window_time_ms`].
-    pub fn window_time_ms(&self, shape: &ProblemShape, iterations: usize) -> f64 {
-        self.time.get_or_compute((*shape, iterations), || {
-            self.cpu.window_time_ms(shape, iterations)
-        })
-    }
-
-    /// Memoized [`CpuPlatform::window_energy_mj`] (reuses the cached time;
-    /// package power is shape-independent).
-    pub fn window_energy_mj(&self, shape: &ProblemShape, iterations: usize) -> f64 {
-        self.window_time_ms(shape, iterations) * self.cpu.power_w
-    }
-
-    /// Cost-model evaluations actually performed (== distinct
-    /// `(shape, iterations)` keys requested).
-    pub fn evaluations(&self) -> usize {
-        self.time.misses()
-    }
-
-    /// Lookups served from the cache without evaluation.
-    pub fn cache_hits(&self) -> usize {
-        self.time.hits()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,43 +146,5 @@ mod tests {
         let w6 = CpuPlatform::window_work_ops(&shape, 6);
         assert!(w6 > w1 * 3);
         assert!(w6 < w1 * 7);
-    }
-
-    #[test]
-    fn cached_cpu_matches_and_evaluates_once() {
-        let cpu = CpuPlatform::intel_comet_lake();
-        let cached = CachedCpuPlatform::new(cpu.clone());
-        let shape = typical();
-        for _ in 0..4 {
-            assert_eq!(
-                cached.window_time_ms(&shape, 6).to_bits(),
-                cpu.window_time_ms(&shape, 6).to_bits()
-            );
-            assert_eq!(
-                cached.window_energy_mj(&shape, 6).to_bits(),
-                cpu.window_energy_mj(&shape, 6).to_bits()
-            );
-        }
-        assert_eq!(cached.evaluations(), 1);
-        assert_eq!(cached.cache_hits(), 7);
-    }
-
-    #[test]
-    fn shared_cpu_fills_exactly_once_under_concurrency() {
-        let cpu = CpuPlatform::arm_a57();
-        let cached = CachedCpuPlatform::shared(cpu.clone());
-        let shape = typical();
-        let jobs: Vec<usize> = (0..256).collect();
-        let pool = archytas_par::Pool::with_threads(8).with_serial_threshold(0);
-        let shared = std::sync::Arc::clone(&cached);
-        let got = pool.par_map(&jobs, |_| shared.window_time_ms(&shape, 6));
-        let want = cpu.window_time_ms(&shape, 6);
-        assert!(got.iter().all(|v| v.to_bits() == want.to_bits()));
-        assert_eq!(
-            cached.evaluations(),
-            1,
-            "one fill despite 256 racing lookups"
-        );
-        assert_eq!(cached.cache_hits(), 255);
     }
 }

@@ -13,9 +13,7 @@
 mod cpu;
 mod prior_accel;
 
-pub use cpu::{
-    CachedCpuPlatform, CpuPlatform, OVERHEAD_OPS_PER_ITERATION, OVERHEAD_OPS_PER_WINDOW,
-};
+pub use cpu::{CpuPlatform, OVERHEAD_OPS_PER_ITERATION, OVERHEAD_OPS_PER_WINDOW};
 pub use prior_accel::{
     all_prior_accelerators, bax, pi_ba, pisces, zhang_vio, HlsCholesky, PriorAccelerator,
     HLS_REFERENCE_DIM, HLS_REFERENCE_LANES,

@@ -2,14 +2,15 @@
 //! designs over the Intel and Arm baselines on a KITTI trace.
 //!
 //! The frontier sweep itself fans out over the worker pool (one synthesis
-//! per latency bound), the CPU baselines are memoized, and the per-design
-//! evaluation rows are computed in parallel — all bit-identical to the
-//! serial path by `archytas-par`'s determinism contract.
+//! per latency bound), the CPU baselines are evaluated once per window
+//! outside the design loop, and the per-design evaluation rows are
+//! computed in parallel — all bit-identical to the serial path by
+//! `archytas-par`'s determinism contract.
 //!
 //! Run: `cargo run --release -p archytas-bench --bin fig15`
 
-use archytas_baselines::{CachedCpuPlatform, CpuPlatform};
-use archytas_bench::{banner, mean, print_table, sequence_shapes};
+use archytas_baselines::CpuPlatform;
+use archytas_bench::{banner, cpu_window_means, mean, print_table, sequence_shapes};
 use archytas_core::{pareto_frontier, DesignSpec};
 use archytas_dataset::kitti_sequences;
 use archytas_hw::{AcceleratorModel, FpgaPlatform};
@@ -23,59 +24,32 @@ fn main() {
 
     let data = kitti_sequences()[2].truncated(12.0).build();
     let shapes = sequence_shapes(&data, 10);
-    let intel = CachedCpuPlatform::new(CpuPlatform::intel_comet_lake());
-    let arm = CachedCpuPlatform::new(CpuPlatform::arm_a57());
 
     let base = DesignSpec::zc706_power_optimal(20.0);
     let frontier = pareto_frontier(&base, (2.2, 10.0), 12);
 
-    // The CPU means are design-independent; hoist them out of the loop
-    // (the caches would collapse the recomputation anyway).
-    let intel_ms = mean(
-        &shapes
-            .iter()
-            .map(|s| intel.window_time_ms(s, 6))
-            .collect::<Vec<_>>(),
-    );
-    let intel_mj = mean(
-        &shapes
-            .iter()
-            .map(|s| intel.window_energy_mj(s, 6))
-            .collect::<Vec<_>>(),
-    );
-    let arm_ms = mean(
-        &shapes
-            .iter()
-            .map(|s| arm.window_time_ms(s, 6))
-            .collect::<Vec<_>>(),
-    );
-    let arm_mj = mean(
-        &shapes
-            .iter()
-            .map(|s| arm.window_energy_mj(s, 6))
-            .collect::<Vec<_>>(),
-    );
+    // The CPU means are design-independent; hoist them out of the loop.
+    let (intel_ms, intel_mj) = cpu_window_means(&CpuPlatform::intel_comet_lake(), &shapes, 6);
+    let (arm_ms, arm_mj) = cpu_window_means(&CpuPlatform::arm_a57(), &shapes, 6);
 
     // One evaluation task per frontier design, fanned out over the pool.
-    let evals = Pool::global()
-        .with_serial_threshold(2)
-        .par_map(&frontier, |p| {
-            let model = AcceleratorModel::new(p.design.config, FpgaPlatform::zc706());
-            let accel_ms: Vec<f64> = shapes
-                .iter()
-                .map(|s| model.window_latency_ms(s, 6))
-                .collect();
-            let accel_mj: Vec<f64> = shapes
-                .iter()
-                .map(|s| model.window_energy_mj(s, 6))
-                .collect();
-            (
-                intel_ms / mean(&accel_ms),
-                intel_mj / mean(&accel_mj),
-                arm_ms / mean(&accel_ms),
-                arm_mj / mean(&accel_mj),
-            )
-        });
+    let evals = Pool::global().par_map(&frontier, |p| {
+        let model = AcceleratorModel::new(p.design.config, FpgaPlatform::zc706());
+        let accel_ms: Vec<f64> = shapes
+            .iter()
+            .map(|s| model.window_latency_ms(s, 6))
+            .collect();
+        let accel_mj: Vec<f64> = shapes
+            .iter()
+            .map(|s| model.window_energy_mj(s, 6))
+            .collect();
+        (
+            intel_ms / mean(&accel_ms),
+            intel_mj / mean(&accel_mj),
+            arm_ms / mean(&accel_ms),
+            arm_mj / mean(&accel_mj),
+        )
+    });
 
     let mut rows = Vec::new();
     let mut best = (0.0f64, 0.0f64, 0.0f64, 0.0f64);

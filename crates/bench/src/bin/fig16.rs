@@ -3,8 +3,8 @@
 //! on the full KITTI + EuRoC suites (no dynamic optimization).
 //!
 //! Sequences are generated in parallel (`ARCHYTAS_THREADS` controls the
-//! worker count) and every model evaluation is memoized, so each distinct
-//! `(shape, iterations)` key is costed exactly once per platform.
+//! worker count); each CPU's per-window time is computed once per
+//! sequence, and the designs are priced by direct model calls.
 //!
 //! Run: `cargo run --release -p archytas-bench --bin fig16`
 //! (`ARCHYTAS_FULL=1` for full-length sequences).
@@ -34,18 +34,6 @@ fn main() {
         &["design", "baseline", "speedup", "energy reduction"],
         &rows,
     );
-
-    println!();
-    println!(
-        "model cache: {} distinct (shape, iter) keys;",
-        result.distinct_keys
-    );
-    for s in &result.cache_stats {
-        println!(
-            "  {:<40} {} evaluations, {} cache hits",
-            s.name, s.evaluations, s.hits
-        );
-    }
 
     println!();
     println!("paper's Fig. 16: High-Perf 6.2x/74.0x (Intel), 39.7x/14.6x (Arm);");

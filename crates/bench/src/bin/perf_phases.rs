@@ -28,6 +28,24 @@ fn realistic_window() -> SlidingWindow {
     pipeline.window().clone()
 }
 
+const USAGE: &str = "perf_phases [REPS]   (REPS: repetitions per timing, at least 1; default 40)";
+
+/// The optional positional repetition count: absent → 40; zero, an
+/// unparseable value or a second argument is an error.
+fn reps_from_args(mut args: impl Iterator<Item = String>) -> Result<usize, String> {
+    let reps = match args.next() {
+        None => 40,
+        Some(a) => match a.parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => return Err(format!("REPS must be a positive integer, got {a:?}")),
+        },
+    };
+    match args.next() {
+        Some(extra) => Err(format!("unexpected argument {extra}")),
+        None => Ok(reps),
+    }
+}
+
 fn time_n(n: usize, mut f: impl FnMut()) -> f64 {
     let t = Instant::now();
     for _ in 0..n {
@@ -39,10 +57,10 @@ fn time_n(n: usize, mut f: impl FnMut()) -> f64 {
 fn main() {
     let window = realistic_window();
     let weights = FactorWeights::default();
-    let reps: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(40);
+    let reps = reps_from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {USAGE}");
+        std::process::exit(2);
+    });
 
     println!(
         "window: {} keyframes, {} landmarks, {} observations, {} imu factors",
@@ -125,4 +143,23 @@ fn main() {
         .raw("phases", &phase_array(&phases))
         .finish();
     println!("{}", rec_line("perf_phases", "phases", "{}", &timing));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<usize, String> {
+        reps_from_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn reps_must_be_a_positive_integer() {
+        assert_eq!(parse(&[]), Ok(40));
+        assert_eq!(parse(&["7"]), Ok(7));
+        assert!(parse(&["0"]).is_err(), "0 reps would divide by zero");
+        assert!(parse(&["abc"]).is_err());
+        assert!(parse(&["-3"]).is_err());
+        assert!(parse(&["5", "6"]).is_err());
+    }
 }

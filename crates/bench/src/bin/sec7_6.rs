@@ -74,9 +74,8 @@ fn main() {
         println!("\n--- {dname} (gating bound {bound} ms) ---");
         // Each pair runs the full estimator twice — by far enough work to
         // justify one worker per sequence. Rows come back in input order.
-        let rows: Vec<Vec<String>> = archytas_par::Pool::global()
-            .with_serial_threshold(2)
-            .par_map(&sequences, |s| run_pair(s, config, bound));
+        let rows: Vec<Vec<String>> =
+            archytas_par::Pool::global().par_map(&sequences, |s| run_pair(s, config, bound));
         print_table(
             &[
                 "sequence",

@@ -85,12 +85,9 @@ fn main() {
     let seconds = args.seconds.unwrap_or(1.2);
 
     let specs = scaling_fleet_specs(sessions, seconds);
+    // Builds the fleet-wide gating table and model outside the measured
+    // section: they are per-fleet costs, not per-session ones.
     let services = FleetServices::new(&FleetConfig::default());
-    // Warm the shared caches (gating LUT, latency model) outside the
-    // measured section: their fill is exactly-once per *fleet*, so
-    // charging it to the first session would misprice every batch after
-    // the first.
-    drop(services.runtime());
 
     // Admitted-idle cost: ns and live bytes per session, the new steady
     // state of a 2000-session fleet where most sessions await activation.

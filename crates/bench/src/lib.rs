@@ -4,9 +4,9 @@
 
 #![warn(missing_docs)]
 
-use archytas_baselines::{CachedCpuPlatform, CpuPlatform};
+use archytas_baselines::CpuPlatform;
 use archytas_dataset::{euroc_sequences, kitti_sequences, SequenceData, SequenceSpec};
-use archytas_hw::{AcceleratorModel, CachedAcceleratorModel, FpgaPlatform, HIGH_PERF, LOW_POWER};
+use archytas_hw::{AcceleratorModel, FpgaPlatform, HIGH_PERF, LOW_POWER};
 use archytas_mdfg::ProblemShape;
 use archytas_par::Pool;
 use archytas_slam::mean_stdev;
@@ -94,12 +94,10 @@ pub fn build_suite_shapes(
 ) -> Vec<(String, Vec<ProblemShape>)> {
     // Sequence generation dominates the sweep binaries; each build is
     // hundreds of frames of work, so parallelize per sequence.
-    Pool::global()
-        .with_serial_threshold(2)
-        .par_map(specs, |spec| {
-            let data = spec.build();
-            (spec.name.clone(), sequence_shapes(&data, window_size))
-        })
+    Pool::global().par_map(specs, |spec| {
+        let data = spec.build();
+        (spec.name.clone(), sequence_shapes(&data, window_size))
+    })
 }
 
 /// One row of the Fig. 16 table: a design compared against a CPU baseline
@@ -116,15 +114,21 @@ pub struct Fig16Row {
     pub energy_reduction: (f64, f64),
 }
 
-/// Cache counters of one memoized evaluator after the Fig. 16 sweep.
-#[derive(Debug, Clone)]
-pub struct EvalCacheStats {
-    /// Evaluator name.
-    pub name: String,
-    /// Cost-model evaluations performed (cache misses).
-    pub evaluations: usize,
-    /// Lookups served from the cache.
-    pub hits: usize,
+/// Mean per-window time (ms) and energy (mJ) of `cpu` over `shapes`. Each
+/// window's time is computed once; its energy is `time * power_w`, the
+/// expression [`CpuPlatform::window_energy_mj`] evaluates, so both means
+/// keep the bits of the per-call methods.
+pub fn cpu_window_means(
+    cpu: &CpuPlatform,
+    shapes: &[ProblemShape],
+    iterations: usize,
+) -> (f64, f64) {
+    let ms: Vec<f64> = shapes
+        .iter()
+        .map(|s| cpu.window_time_ms(s, iterations))
+        .collect();
+    let mj: Vec<f64> = ms.iter().map(|t| t * cpu.power_w).collect();
+    (mean(&ms), mean(&mj))
 }
 
 /// Full result of the Fig. 16 computation.
@@ -132,45 +136,37 @@ pub struct EvalCacheStats {
 pub struct Fig16Result {
     /// Table rows, one per (design, baseline) pair.
     pub rows: Vec<Fig16Row>,
-    /// Cache counters per evaluator (two accelerator designs, two CPUs).
-    pub cache_stats: Vec<EvalCacheStats>,
-    /// Distinct `(shape, iterations)` keys in the whole suite — the floor
-    /// (and, with the caches, the exact count) of model evaluations any
-    /// platform performs.
-    pub distinct_keys: usize,
 }
 
 /// Fig. 16 computation: mean speedup and energy reduction of the High-Perf
 /// and Low-Power designs over the Intel and Arm baselines across `specs`.
 ///
-/// Sequences are built in parallel ([`build_suite_shapes`]); every model
-/// evaluation is memoized per platform, so each of the `distinct_keys`
-/// `(shape, 6)` keys is evaluated exactly once per platform no matter how
-/// many designs, baselines, or repeated window shapes reference it.
+/// Sequences are built in parallel ([`build_suite_shapes`]). Each CPU's
+/// means ([`cpu_window_means`]) are computed once per sequence, outside
+/// the design loop (they are design-independent); the accelerator designs
+/// are priced by direct [`AcceleratorModel`] calls.
 pub fn fig16_result(specs: &[SequenceSpec]) -> Fig16Result {
     let iterations = 6;
     let suite_shapes = build_suite_shapes(specs, 10);
     let designs = [("High-Perf", HIGH_PERF), ("Low-Power", LOW_POWER)];
-    let models: Vec<(&'static str, CachedAcceleratorModel)> = designs
+    let cpus = [CpuPlatform::intel_comet_lake(), CpuPlatform::arm_a57()];
+    // Per sequence, per CPU: the design-independent (time, energy) means.
+    let cpu_means: Vec<Vec<(f64, f64)>> = suite_shapes
         .iter()
-        .map(|&(name, config)| {
-            (
-                name,
-                CachedAcceleratorModel::new(AcceleratorModel::new(config, FpgaPlatform::zc706())),
-            )
+        .map(|(_, shapes)| {
+            cpus.iter()
+                .map(|cpu| cpu_window_means(cpu, shapes, iterations))
+                .collect()
         })
         .collect();
-    let cpus = [
-        CachedCpuPlatform::new(CpuPlatform::intel_comet_lake()),
-        CachedCpuPlatform::new(CpuPlatform::arm_a57()),
-    ];
 
     let mut rows = Vec::new();
-    for (dname, model) in &models {
-        for cpu in &cpus {
+    for &(dname, config) in &designs {
+        let model = AcceleratorModel::new(config, FpgaPlatform::zc706());
+        for (c, cpu) in cpus.iter().enumerate() {
             let mut speedups = Vec::new();
             let mut energies = Vec::new();
-            for (_, shapes) in &suite_shapes {
+            for ((_, shapes), means) in suite_shapes.iter().zip(&cpu_means) {
                 if shapes.is_empty() {
                     continue;
                 }
@@ -179,43 +175,19 @@ pub fn fig16_result(specs: &[SequenceSpec]) -> Fig16Result {
                 };
                 let accel_ms = eval(&|s| model.window_latency_ms(s, iterations));
                 let accel_mj = eval(&|s| model.window_energy_mj(s, iterations));
-                let cpu_ms = eval(&|s| cpu.window_time_ms(s, iterations));
-                let cpu_mj = eval(&|s| cpu.window_energy_mj(s, iterations));
+                let (cpu_ms, cpu_mj) = means[c];
                 speedups.push(cpu_ms / accel_ms);
                 energies.push(cpu_mj / accel_mj);
             }
             rows.push(Fig16Row {
                 design: dname,
-                baseline: cpu.cpu().name,
+                baseline: cpu.name,
                 speedup: mean_stdev(&speedups),
                 energy_reduction: mean_stdev(&energies),
             });
         }
     }
-
-    let distinct_keys = suite_shapes
-        .iter()
-        .flat_map(|(_, shapes)| shapes.iter().map(|s| (*s, iterations)))
-        .collect::<std::collections::HashSet<_>>()
-        .len();
-    let mut cache_stats: Vec<EvalCacheStats> = models
-        .iter()
-        .map(|(name, m)| EvalCacheStats {
-            name: format!("accel/{name}"),
-            evaluations: m.evaluations(),
-            hits: m.cache_hits(),
-        })
-        .collect();
-    cache_stats.extend(cpus.iter().map(|c| EvalCacheStats {
-        name: format!("cpu/{}", c.cpu().name),
-        evaluations: c.evaluations(),
-        hits: c.cache_hits(),
-    }));
-    Fig16Result {
-        rows,
-        cache_stats,
-        distinct_keys,
-    }
+    Fig16Result { rows }
 }
 
 /// Mean of a slice (0 for empty).
@@ -277,28 +249,56 @@ mod tests {
     }
 
     #[test]
-    fn fig16_evaluates_each_key_exactly_once_per_platform() {
+    fn fig16_rows_match_direct_evaluation() {
         let specs: Vec<SequenceSpec> = vec![
             kitti_sequences()[1].truncated(4.0),
             euroc_sequences()[0].truncated(4.0),
         ];
         let result = fig16_result(&specs);
         assert_eq!(result.rows.len(), 4);
-        assert!(result.distinct_keys > 0);
-        // Repeated shapes exist in real traces, and every platform touches
-        // each key 4× (two ratio terms × two outer loops for its pair);
-        // the caches must collapse all of that to exactly one evaluation
-        // per distinct (shape, iterations) key per platform.
-        for stats in &result.cache_stats {
+        // Recompute every row from plain per-window model calls: the
+        // restructured sweep must keep every bit.
+        let seqs: Vec<Vec<ProblemShape>> = specs
+            .iter()
+            .map(|spec| sequence_shapes(&spec.build(), 10))
+            .collect();
+        let designs = [("High-Perf", HIGH_PERF), ("Low-Power", LOW_POWER)];
+        let cpus = [CpuPlatform::intel_comet_lake(), CpuPlatform::arm_a57()];
+        let mut want = Vec::new();
+        for (dname, config) in designs {
+            let model = AcceleratorModel::new(config, FpgaPlatform::zc706());
+            for cpu in &cpus {
+                let mut speedups = Vec::new();
+                let mut energies = Vec::new();
+                for shapes in seqs.iter().filter(|s| !s.is_empty()) {
+                    let per = |f: &dyn Fn(&ProblemShape) -> f64| {
+                        mean(&shapes.iter().map(f).collect::<Vec<_>>())
+                    };
+                    speedups.push(
+                        per(&|s| cpu.window_time_ms(s, 6))
+                            / per(&|s| model.window_latency_ms(s, 6)),
+                    );
+                    energies.push(
+                        per(&|s| cpu.window_energy_mj(s, 6))
+                            / per(&|s| model.window_energy_mj(s, 6)),
+                    );
+                }
+                want.push((
+                    dname,
+                    cpu.name,
+                    mean_stdev(&speedups),
+                    mean_stdev(&energies),
+                ));
+            }
+        }
+        let bits = |(m, s): (f64, f64)| (m.to_bits(), s.to_bits());
+        for (row, (dname, cname, speedup, energy)) in result.rows.iter().zip(want) {
+            assert_eq!((row.design, row.baseline), (dname, cname));
+            assert_eq!(bits(row.speedup), bits(speedup), "{dname} vs {cname}");
             assert_eq!(
-                stats.evaluations, result.distinct_keys,
-                "{}: {} evaluations for {} distinct keys",
-                stats.name, stats.evaluations, result.distinct_keys
-            );
-            assert!(
-                stats.hits > stats.evaluations,
-                "{}: caching is doing work",
-                stats.name
+                bits(row.energy_reduction),
+                bits(energy),
+                "{dname} vs {cname}"
             );
         }
         // Sanity on the numbers themselves: accelerator wins on speed,

@@ -168,10 +168,6 @@ pub fn run_timing(r: &FleetReport) -> JsonLine {
         .float("p50_us", r.latency.p50_ns as f64 / 1_000.0, 1)
         .float("p95_us", r.latency.p95_ns as f64 / 1_000.0, 1)
         .float("p99_us", r.latency.p99_ns as f64 / 1_000.0, 1)
-        .uint("model_evaluations", r.model_evaluations as u64)
-        .uint("model_cache_hits", r.model_cache_hits as u64)
-        .uint("gating_builds", r.gating_builds as u64)
-        .uint("gating_hits", r.gating_hits as u64)
         .uint("quanta", sched.quanta as u64)
         .uint("steals", sched.steals as u64)
         .uint("contended_probes", sched.contended_probes as u64)
@@ -297,10 +293,6 @@ mod tests {
             "p50_us",
             "p95_us",
             "p99_us",
-            "model_evaluations",
-            "model_cache_hits",
-            "gating_builds",
-            "gating_hits",
             "quanta",
             "steals",
             "contended_probes",

@@ -37,8 +37,8 @@ pub use adaptive::AdaptiveIterPolicy;
 pub use elaborate::{elaborate, Elaboration, Instance, Module, Port, PortDir};
 pub use framework::{AlgorithmDescription, AlgorithmKind, Archytas, GeneratedAccelerator};
 pub use runtime::{
-    GatingCache, GatingTable, IterCounter, IterPolicy, IterationProfile, RuntimeDecision,
-    RuntimeSystem, RuntimeWatchdog, ITER_CAP,
+    GatingTable, IterCounter, IterPolicy, IterationProfile, RuntimeDecision, RuntimeSystem,
+    RuntimeWatchdog, ITER_CAP,
 };
 pub use synth::{
     knob_bounds, pareto_frontier, pareto_frontier_with, synthesize, synthesize_exhaustive,

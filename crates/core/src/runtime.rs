@@ -14,7 +14,6 @@
 
 use archytas_hw::{window_cycles, AcceleratorConfig, FpgaPlatform, PowerModel};
 use archytas_mdfg::ProblemShape;
-use archytas_par::Memo;
 use std::sync::Arc;
 
 /// The paper caps the iteration knob at 6: beyond that accuracy stops
@@ -210,83 +209,6 @@ impl GatingTable {
     }
 }
 
-/// Exactly-once cache of [`GatingTable`]s, shared across sessions.
-///
-/// Building a gating table enumerates the whole `(nd, nm, s) × Iter`
-/// sub-lattice of the deployed design (Eq. 18) — a per-deployment cost the
-/// single-robot runtime pays once, but a fleet would pay once *per session*
-/// despite most sessions deploying the identical design on the identical
-/// platform. This cache keys tables by
-/// `(built, shape, latency bound, platform)` and builds each exactly once
-/// (an `archytas_par::Memo`, safe under concurrent session admission); the
-/// tables come out `Arc`-shared, so M same-design sessions hold one table.
-///
-/// Sharing cannot change behaviour: `GatingTable::build` is a pure function
-/// of the key, so a shared table is bitwise the table each session would
-/// have built alone.
-#[derive(Debug, Default)]
-pub struct GatingCache {
-    tables: Memo<GatingKey, Arc<GatingTable>>,
-}
-
-/// Cache key: the full input of [`GatingTable::build`]. Platforms are
-/// identified by name + clock bits; every built-in constructor gives a
-/// distinct name, and the latency bound is keyed by bit pattern so no
-/// float rounding can alias two different bounds.
-type GatingKey = (AcceleratorConfig, ProblemShape, u64, &'static str, u64);
-
-impl GatingCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shared gating table for a deployment, built on first request.
-    pub fn table_for(
-        &self,
-        built: &AcceleratorConfig,
-        shape: &ProblemShape,
-        latency_bound_ms: f64,
-        platform: &FpgaPlatform,
-    ) -> Arc<GatingTable> {
-        let key = (
-            *built,
-            *shape,
-            latency_bound_ms.to_bits(),
-            platform.name,
-            platform.clock_mhz.to_bits(),
-        );
-        self.tables.get_or_compute(key, || {
-            Arc::new(GatingTable::build(built, shape, latency_bound_ms, platform))
-        })
-    }
-
-    /// A [`RuntimeSystem`] whose gating table comes from this cache:
-    /// bit-identical decisions to [`RuntimeSystem::new`] with the same
-    /// arguments, at one table build per distinct deployment fleet-wide.
-    pub fn runtime(
-        &self,
-        built: AcceleratorConfig,
-        shape: &ProblemShape,
-        latency_bound_ms: f64,
-        platform: &FpgaPlatform,
-        policy: impl Into<Arc<IterPolicy>>,
-    ) -> RuntimeSystem {
-        let gating = self.table_for(&built, shape, latency_bound_ms, platform);
-        RuntimeSystem::with_shared_gating(gating, platform, policy)
-    }
-
-    /// Tables actually built (== distinct deployments requested).
-    pub fn builds(&self) -> usize {
-        self.tables.misses()
-    }
-
-    /// Requests served from the cache.
-    pub fn hits(&self) -> usize {
-        self.tables.hits()
-    }
-}
-
 /// Observed per-window iteration decisions — the runtime profiler.
 ///
 /// The dynamic optimizer's whole premise (Sec. 6) is that workload
@@ -427,7 +349,7 @@ pub struct RuntimeDecision {
 /// Mutable per-session state (the debounce counter and the watchdog) lives
 /// inline; the immutable lookup structures (iteration policy and gating
 /// table) are `Arc`-shared so a fleet of same-design sessions holds one
-/// copy — see [`GatingCache`].
+/// copy — see [`RuntimeSystem::with_shared_gating`].
 #[derive(Debug, Clone)]
 pub struct RuntimeSystem {
     policy: Arc<IterPolicy>,
@@ -535,46 +457,14 @@ impl RuntimeSystem {
 }
 
 #[cfg(test)]
-mod cache_tests {
+mod tests {
     use super::*;
-    use archytas_hw::{HIGH_PERF, LOW_POWER};
-
-    #[test]
-    fn gating_cache_builds_each_deployment_once() {
-        let cache = GatingCache::new();
-        let shape = ProblemShape::typical();
-        let platform = FpgaPlatform::zc706();
-        let a = cache.table_for(&HIGH_PERF, &shape, 2.5, &platform);
-        let b = cache.table_for(&HIGH_PERF, &shape, 2.5, &platform);
-        assert!(Arc::ptr_eq(&a, &b), "same deployment must share one table");
-        assert_eq!(cache.builds(), 1);
-        // Any key component change is a new deployment.
-        cache.table_for(&LOW_POWER, &shape, 2.5, &platform);
-        cache.table_for(&HIGH_PERF, &shape, 3.5, &platform);
-        cache.table_for(&HIGH_PERF, &shape, 2.5, &FpgaPlatform::virtex7_690t());
-        assert_eq!(cache.builds(), 4);
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn gating_cache_fills_exactly_once_under_concurrent_admission() {
-        let cache = GatingCache::new();
-        let shape = ProblemShape::typical();
-        let platform = FpgaPlatform::zc706();
-        let sessions: Vec<usize> = (0..64).collect();
-        let pool = archytas_par::Pool::with_threads(8).with_serial_threshold(0);
-        let tables = pool.par_map(&sessions, |_| {
-            cache.table_for(&HIGH_PERF, &shape, 2.5, &platform)
-        });
-        assert_eq!(cache.builds(), 1, "64 racing admissions, one build");
-        assert!(tables.iter().all(|t| Arc::ptr_eq(t, &tables[0])));
-    }
+    use archytas_hw::HIGH_PERF;
 
     #[test]
     fn shared_runtime_matches_owned_runtime_bitwise() {
         let shape = ProblemShape::typical();
         let platform = FpgaPlatform::zc706();
-        let cache = GatingCache::new();
         let mut owned = RuntimeSystem::new(
             HIGH_PERF,
             &shape,
@@ -582,10 +472,8 @@ mod cache_tests {
             &platform,
             IterPolicy::default_table(),
         );
-        let mut shared = cache.runtime(
-            HIGH_PERF,
-            &shape,
-            2.5,
+        let mut shared = RuntimeSystem::with_shared_gating(
+            Arc::new(GatingTable::build(&HIGH_PERF, &shape, 2.5, &platform)),
             &platform,
             IterPolicy::default_table(),
         );
@@ -601,12 +489,6 @@ mod cache_tests {
             assert_eq!(a.gated_power_w.to_bits(), b.gated_power_w.to_bits());
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use archytas_hw::HIGH_PERF;
 
     #[test]
     fn policy_maps_droughts_to_more_iterations() {

@@ -616,11 +616,7 @@ pub fn synthesize_with(
     let search = Search::new(spec);
     let probe_examined = search.seed();
     let nds: Vec<usize> = (1..=search.nd_max).collect();
-    // A stripe is up to ~nm_max·s_max model evaluations — far above any
-    // sensible per-item threshold — so gate only on "more than one stripe".
-    let stripes = pool
-        .with_serial_threshold(pool.serial_threshold().min(2))
-        .par_map(&nds, |&nd| search.scan_stripe(nd));
+    let stripes = pool.par_map(&nds, |&nd| search.scan_stripe(nd));
 
     // Stripes come back in ascending nd, the strict serial fold order.
     let mut examined = probe_examined;
@@ -694,18 +690,16 @@ pub fn pareto_frontier_with(
     let bounds: Vec<f64> = (0..steps)
         .map(|i| lo + (hi - lo) * i as f64 / (steps - 1) as f64)
         .collect();
-    let designs = pool
-        .with_serial_threshold(pool.serial_threshold().min(2))
-        .par_map(&bounds, |&bound| {
-            synthesize_with(
-                &DesignSpec {
-                    objective: Objective::MinPowerUnderLatency(bound),
-                    ..base.clone()
-                },
-                pool,
-            )
-            .ok()
-        });
+    let designs = pool.par_map(&bounds, |&bound| {
+        synthesize_with(
+            &DesignSpec {
+                objective: Objective::MinPowerUnderLatency(bound),
+                ..base.clone()
+            },
+            pool,
+        )
+        .ok()
+    });
     let mut out: Vec<ParetoPoint> = Vec::new();
     for (&bound, design) in bounds.iter().zip(designs) {
         let Some(design) = design else { continue };
@@ -745,45 +739,43 @@ pub fn validate_by_perturbation(
     let clock_khz = spec.platform.clock_mhz * 1e3;
     // Frontier points are validated independently; per-point results are
     // concatenated in frontier order, matching the serial construction.
-    let per_point = Pool::global()
-        .with_serial_threshold(2)
-        .par_map(frontier, |point| {
-            let mut perturbed = Vec::new();
-            let mut violations = 0usize;
-            let c = point.design.config;
-            for (dnd, dnm, ds) in [
-                (1i64, 0i64, 0i64),
-                (-1, 0, 0),
-                (0, 1, 0),
-                (0, -1, 0),
-                (0, 0, 4),
-                (0, 0, -4),
-                (1, 1, 4),
-                (-1, -1, -4),
-            ] {
-                let nd = c.nd as i64 + dnd;
-                let nm = c.nm as i64 + dnm;
-                let s = c.s as i64 + ds;
-                if nd < 1 || nm < 1 || s < 1 {
-                    continue;
-                }
-                let pc = AcceleratorConfig::new(nd as usize, nm as usize, s as usize);
-                if !resources.fits(&pc, &spec.platform) {
-                    continue;
-                }
-                let lat = window_cycles(&spec.shape, &pc, spec.iterations) / clock_khz;
-                let pw = power.power_w(&pc);
-                perturbed.push((lat, pw));
-                // Does this perturbation dominate any frontier point?
-                if frontier
-                    .iter()
-                    .any(|f| lat < f.design.latency_ms - 1e-9 && pw < f.design.power_w - 1e-9)
-                {
-                    violations += 1;
-                }
+    let per_point = Pool::global().par_map(frontier, |point| {
+        let mut perturbed = Vec::new();
+        let mut violations = 0usize;
+        let c = point.design.config;
+        for (dnd, dnm, ds) in [
+            (1i64, 0i64, 0i64),
+            (-1, 0, 0),
+            (0, 1, 0),
+            (0, -1, 0),
+            (0, 0, 4),
+            (0, 0, -4),
+            (1, 1, 4),
+            (-1, -1, -4),
+        ] {
+            let nd = c.nd as i64 + dnd;
+            let nm = c.nm as i64 + dnm;
+            let s = c.s as i64 + ds;
+            if nd < 1 || nm < 1 || s < 1 {
+                continue;
             }
-            (perturbed, violations)
-        });
+            let pc = AcceleratorConfig::new(nd as usize, nm as usize, s as usize);
+            if !resources.fits(&pc, &spec.platform) {
+                continue;
+            }
+            let lat = window_cycles(&spec.shape, &pc, spec.iterations) / clock_khz;
+            let pw = power.power_w(&pc);
+            perturbed.push((lat, pw));
+            // Does this perturbation dominate any frontier point?
+            if frontier
+                .iter()
+                .any(|f| lat < f.design.latency_ms - 1e-9 && pw < f.design.power_w - 1e-9)
+            {
+                violations += 1;
+            }
+        }
+        (perturbed, violations)
+    });
     let mut perturbed = Vec::new();
     let mut violations = 0usize;
     for (mut pts, v) in per_point {

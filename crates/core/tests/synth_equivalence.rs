@@ -18,13 +18,13 @@ use archytas_par::Pool;
 use proptest::prelude::*;
 
 /// The pool gamut every equivalence property runs under: serial, and
-/// oversubscribed parallel with the serial-fallback threshold disabled so
-/// the striped path really executes on worker threads.
+/// oversubscribed parallel so the striped path really executes on worker
+/// threads.
 fn pools() -> Vec<Pool> {
     vec![
         Pool::with_threads(1),
-        Pool::with_threads(2).with_serial_threshold(0),
-        Pool::with_threads(8).with_serial_threshold(0),
+        Pool::with_threads(2),
+        Pool::with_threads(8),
     ]
 }
 

@@ -9,10 +9,10 @@
 //! iteration counter + watchdog of its [`archytas_core::RuntimeSystem`]):
 //! the frame stream is materialized lazily at first activation, solver
 //! scratch is checked out of a bounded per-worker pool per quantum, and
-//! all read-only derived state is shared fleet-wide with exactly-once
-//! fill semantics — the accelerator latency/energy model
-//! ([`archytas_hw::CachedAcceleratorModel`]), the gating-LUT cache
-//! ([`archytas_core::GatingCache`]) and the iteration policy. That split
+//! all read-only derived state is built once per fleet and shared through
+//! an `Arc` — the accelerator latency/energy model
+//! ([`archytas_hw::AcceleratorModel`]), the deployment's gating table
+//! ([`archytas_core::GatingTable`]) and the iteration policy. That split
 //! is what makes 1000-session fleets cheap: admission costs a `Core`, not
 //! a sequence replay plus a ~1 MB solver workspace.
 //!
@@ -207,15 +207,15 @@ pub struct FleetReport {
     pub throughput_fps: f64,
     /// Pooled frame-latency percentiles.
     pub latency: LatencyPercentiles,
-    /// Distinct problem shapes the shared accelerator model evaluated.
+    /// Windows priced by the accelerator model (equal to
+    /// `windows_processed`: every window is priced by one direct call).
+    /// Kept only because the standalone benchmark reads it; removed with
+    /// the benchmark's next change.
     pub model_evaluations: usize,
-    /// Shared-model lookups served from cache.
+    /// Always 0: window pricing has no cache. Kept only because the
+    /// standalone benchmark reads it; removed with the benchmark's next
+    /// change.
     pub model_cache_hits: usize,
-    /// Gating tables built (== distinct deployments, so 1 for a
-    /// single-design fleet no matter how many sessions).
-    pub gating_builds: usize,
-    /// Gating-table requests served from the shared cache.
-    pub gating_hits: usize,
     /// Sessions that ended terminally quarantined.
     pub quarantined_sessions: usize,
     /// Restarts consumed across the fleet.
@@ -327,10 +327,8 @@ pub fn run_fleet(specs: &[SessionSpec], config: &FleetConfig) -> FleetReport {
             p95_ns: percentile_ns(&all_ns, 95.0),
             p99_ns: percentile_ns(&all_ns, 99.0),
         },
-        model_evaluations: services.model.evaluations(),
-        model_cache_hits: services.model.cache_hits(),
-        gating_builds: services.gating.builds(),
-        gating_hits: services.gating.hits(),
+        model_evaluations: windows_processed,
+        model_cache_hits: 0,
         quarantined_sessions,
         session_restarts,
         deadline_misses,

@@ -5,9 +5,10 @@
 //! iteration counter, watchdog — so the scheduler can migrate it freely
 //! between workers: whichever worker holds the session's lock sees exactly
 //! the state the previous quantum left behind. The only things a session
-//! shares with its neighbours are immutable, pure-function caches
-//! ([`CachedAcceleratorModel`], [`archytas_core::GatingCache`]), which is
-//! why fleet execution is bitwise identical to running each session alone.
+//! shares with its neighbours are immutable values built once per
+//! deployment ([`AcceleratorModel`], [`archytas_core::GatingTable`]), which
+//! is why fleet execution is bitwise identical to running each session
+//! alone.
 //!
 //! # Fault isolation
 //!
@@ -22,12 +23,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use archytas_core::{GatingCache, IterPolicy, RuntimeSystem};
+use archytas_core::{GatingTable, IterPolicy, RuntimeSystem};
 use archytas_dataset::{
     DegradationCause, Frame, HealthState, PipelineConfig, SequenceSpec, VioPipeline,
 };
 use archytas_faults::{ChaosPlan, FaultPlan};
-use archytas_hw::{AcceleratorConfig, AcceleratorModel, CachedAcceleratorModel, FpgaPlatform};
+use archytas_hw::AcceleratorModel;
 use archytas_mdfg::ProblemShape;
 use archytas_slam::{FactorWeights, Pose, Precision, SolverWorkspace, TrajectoryMetrics};
 use archytas_telemetry::{SessionTelemetry, TrafficClass};
@@ -358,53 +359,52 @@ impl SessionReport {
 }
 
 /// The immutable services every session shares: the accelerator latency
-/// model, the gating-table cache, and the iteration policy. All values are
-/// pure functions of their keys, so sharing them cannot change any
-/// session's numerics — it only removes redundant work.
+/// model, the gating table, and the iteration policy. A fleet serves one
+/// deployment, so each is built once here and every session holds an `Arc`
+/// to it; all are pure functions of the deployment, so sharing them cannot
+/// change any session's numerics.
 #[derive(Debug)]
 pub struct FleetServices {
-    /// Fleet-wide shared latency/energy model (exactly-once per shape).
-    pub model: Arc<CachedAcceleratorModel>,
-    /// Fleet-wide gating-LUT cache (exactly-once per deployment).
-    pub gating: Arc<GatingCache>,
+    /// The deployed design's latency/energy model; every window is priced
+    /// by a direct call.
+    pub model: Arc<AcceleratorModel>,
+    /// The deployment's gating table (paper Sec. 6), built once.
+    pub gating: Arc<GatingTable>,
     /// Shared iteration policy (immutable lookup table).
     pub policy: Arc<IterPolicy>,
     /// Step-deadline policy every session runs under.
     pub deadline: DeadlinePolicy,
     /// Restart/backoff ladder every session runs under.
     pub restart: RestartPolicy,
-    design: AcceleratorConfig,
-    platform: FpgaPlatform,
-    latency_bound_ms: f64,
 }
 
 impl FleetServices {
     /// Builds the shared services for one fleet deployment.
     pub fn new(config: &FleetConfig) -> Self {
         Self {
-            model: CachedAcceleratorModel::shared(AcceleratorModel::new(
+            model: Arc::new(AcceleratorModel::new(
                 config.design,
                 config.platform.clone(),
             )),
-            gating: Arc::new(GatingCache::new()),
+            gating: Arc::new(GatingTable::build(
+                &config.design,
+                &ProblemShape::typical(),
+                config.latency_bound_ms,
+                &config.platform,
+            )),
             policy: Arc::new(IterPolicy::default_table()),
             deadline: config.deadline,
             restart: config.restart,
-            design: config.design,
-            platform: config.platform.clone(),
-            latency_bound_ms: config.latency_bound_ms,
         }
     }
 
-    /// A per-session runtime instance drawing its gating table from the
-    /// shared cache. The `IterCounter` and `RuntimeWatchdog` inside are
-    /// private per-session state.
+    /// A per-session runtime instance over the shared gating table. The
+    /// `IterCounter` and `RuntimeWatchdog` inside are private per-session
+    /// state.
     pub fn runtime(&self) -> RuntimeSystem {
-        self.gating.runtime(
-            self.design,
-            &ProblemShape::typical(),
-            self.latency_bound_ms,
-            &self.platform,
+        RuntimeSystem::with_shared_gating(
+            Arc::clone(&self.gating),
+            &self.model.platform,
             Arc::clone(&self.policy),
         )
     }
@@ -504,7 +504,7 @@ impl Core {
     fn step_frame(
         &mut self,
         frames: &[Frame],
-        model: &CachedAcceleratorModel,
+        model: &AcceleratorModel,
         workspace: &mut SolverWorkspace,
         inject_panic: bool,
     ) -> (bool, bool) {
@@ -559,8 +559,8 @@ impl Core {
 /// Live state of one admitted session.
 ///
 /// Admission is cheap by design: an admitted-but-idle session holds only the
-/// estimator [`Core`] (pipeline shell, runtime handles into the shared
-/// caches, telemetry) plus the *spec* of its frame stream. The stream itself
+/// estimator [`Core`] (pipeline shell, runtime handles onto the shared
+/// services, telemetry) plus the *spec* of its frame stream. The stream itself
 /// — the dominant per-session allocation — is materialized lazily by
 /// [`SessionState::ensure_started`] on first activation, and solver scratch
 /// is never owned at all: every step borrows a [`SolverWorkspace`] from the
@@ -579,7 +579,7 @@ pub(crate) struct SessionState {
     /// `None` until first activation; immutable once built — restarts
     /// replay it from the checkpoint cursor.
     frames: Option<Vec<Frame>>,
-    model: Arc<CachedAcceleratorModel>,
+    model: Arc<AcceleratorModel>,
     deadline: DeadlinePolicy,
     restart: RestartPolicy,
     chaos: Option<ChaosPlan>,
@@ -601,8 +601,8 @@ pub(crate) struct SessionState {
 }
 
 impl SessionState {
-    /// Admits the session: wires a fresh pipeline to a runtime drawing from
-    /// the shared caches. Deliberately does *not* build the frame stream or
+    /// Admits the session: wires a fresh pipeline to a runtime over the
+    /// shared gating table. Deliberately does *not* build the frame stream or
     /// seed the restart checkpoint — both happen at first activation
     /// ([`SessionState::ensure_started`]), so admitting a session costs a
     /// [`Core`], not a sequence replay.
@@ -868,7 +868,7 @@ impl SessionState {
 ///
 /// [`AdmittedSession::admit`] performs exactly the work `run_fleet` does per
 /// admitted session before its first quantum: build the estimator [`Core`]
-/// against the shared caches. Frames and the restart checkpoint are
+/// against the shared services. Frames and the restart checkpoint are
 /// materialized by [`AdmittedSession::activate`]; solver scratch is borrowed
 /// per step, never owned.
 pub struct AdmittedSession {

@@ -62,36 +62,6 @@ fn fleet_matches_serial_alone_at_any_pool_size_and_admission_order() {
 }
 
 #[test]
-fn shared_caches_are_filled_once_for_the_whole_fleet() {
-    let specs = standard_fleet_specs(2.5);
-    let report = run_fleet(
-        &specs,
-        &FleetConfig {
-            threads: 4,
-            ..base_config()
-        },
-    );
-    // One design fleet-wide ⇒ exactly one gating-LUT build, every other
-    // session is a cache hit.
-    assert_eq!(report.gating_builds, 1);
-    assert_eq!(report.gating_hits, specs.len() - 1);
-    // Every optimized window performs exactly one model lookup; the shared
-    // model evaluates each distinct problem shape once and serves the rest
-    // from cache.
-    assert_eq!(
-        report.model_evaluations + report.model_cache_hits,
-        report.windows_processed
-    );
-    assert!(
-        report.model_evaluations < report.windows_processed,
-        "no cross-session model sharing happened ({} evaluations for {} windows)",
-        report.model_evaluations,
-        report.windows_processed
-    );
-    assert!(report.model_cache_hits > 0);
-}
-
-#[test]
 fn backpressure_defers_low_priority_without_changing_outputs() {
     let kitti = kitti_sequences();
     let specs = vec![

@@ -1,10 +1,9 @@
 //! No cross-session leakage through the runtime layer: `IterCounter`,
 //! `RuntimeWatchdog`, and full `RuntimeSystem` instances produce the same
 //! decision streams whether sessions step alone or interleaved in any
-//! order — including when every session draws its gating table and policy
-//! from one shared `GatingCache`.
+//! order — including when every session shares one `Arc<GatingTable>`.
 
-use archytas_core::{GatingCache, IterCounter, IterPolicy, RuntimeDecision, RuntimeSystem};
+use archytas_core::{GatingTable, IterCounter, IterPolicy, RuntimeDecision, RuntimeSystem};
 use archytas_dataset::kitti_sequences;
 use archytas_faults::{ChaosKind, ChaosPlan};
 use archytas_fleet::{
@@ -13,6 +12,7 @@ use archytas_fleet::{
 };
 use archytas_hw::{FpgaPlatform, HIGH_PERF};
 use archytas_mdfg::ProblemShape;
+use std::sync::Arc;
 
 /// Per-session synthetic workload: (feature count, healthy?) per window.
 /// Each session has a distinct rhythm so leakage would be visible; session
@@ -31,17 +31,13 @@ fn streams() -> Vec<Vec<(usize, bool)>> {
         .collect()
 }
 
-fn fresh_runtime(cache: Option<&GatingCache>) -> RuntimeSystem {
+fn fresh_runtime(gating: Option<&Arc<GatingTable>>) -> RuntimeSystem {
     let shape = ProblemShape::typical();
     let platform = FpgaPlatform::zc706();
-    match cache {
-        Some(c) => c.runtime(
-            HIGH_PERF,
-            &shape,
-            2.5,
-            &platform,
-            IterPolicy::default_table(),
-        ),
+    match gating {
+        Some(g) => {
+            RuntimeSystem::with_shared_gating(Arc::clone(g), &platform, IterPolicy::default_table())
+        }
         None => RuntimeSystem::new(
             HIGH_PERF,
             &shape,
@@ -71,9 +67,9 @@ fn alone_stream(stream: &[(usize, bool)]) -> Vec<(RuntimeDecision, bool)> {
 fn interleaved(
     streams: &[Vec<(usize, bool)>],
     schedule: impl Iterator<Item = usize>,
-    cache: Option<&GatingCache>,
+    gating: Option<&Arc<GatingTable>>,
 ) -> Vec<Vec<(RuntimeDecision, bool)>> {
-    let mut runtimes: Vec<RuntimeSystem> = streams.iter().map(|_| fresh_runtime(cache)).collect();
+    let mut runtimes: Vec<RuntimeSystem> = streams.iter().map(|_| fresh_runtime(gating)).collect();
     let mut cursors = vec![0usize; streams.len()];
     let mut out: Vec<Vec<(RuntimeDecision, bool)>> = streams
         .iter()
@@ -126,19 +122,22 @@ fn bursty_and_skewed_interleavings_match_alone() {
 }
 
 #[test]
-fn shared_gating_cache_interleaving_matches_owned_alone() {
-    // All sessions draw from ONE GatingCache (the fleet configuration);
+fn shared_gating_table_interleaving_matches_owned_alone() {
+    // All sessions share ONE gating table (the fleet configuration);
     // decisions must still be bitwise those of private runtimes.
     let streams = streams();
     let expected: Vec<_> = streams.iter().map(|s| alone_stream(s)).collect();
-    let cache = GatingCache::new();
+    let gating = Arc::new(GatingTable::build(
+        &HIGH_PERF,
+        &ProblemShape::typical(),
+        2.5,
+        &FpgaPlatform::zc706(),
+    ));
     let n = streams.len();
     let total: usize = streams.iter().map(Vec::len).sum();
     let schedule = (0..total * n).map(move |i| i % n);
-    let got = interleaved(&streams, schedule, Some(&cache));
+    let got = interleaved(&streams, schedule, Some(&gating));
     assert_eq!(got, expected);
-    assert_eq!(cache.builds(), 1, "one deployment, one table");
-    assert_eq!(cache.hits(), streams.len() - 1);
 }
 
 #[test]

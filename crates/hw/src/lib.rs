@@ -34,7 +34,7 @@ mod platform;
 mod power;
 mod resource;
 
-pub use accel::{AcceleratorModel, CachedAcceleratorModel, HIGH_PERF, LOW_POWER};
+pub use accel::{AcceleratorModel, HIGH_PERF, LOW_POWER};
 pub use blocks::{
     back_substitution_latency, cholesky_latency, dschur_feature_latency, feature_block_stages,
     jacobian_feature_latency, mschur_latency, AcceleratorConfig, CHOLESKY_EVALUATE_LATENCY,

@@ -17,8 +17,8 @@ use crate::graph::{MDfg, NodeId};
 use crate::node::{node_cost, Dims, NodeKind};
 
 /// Shape of one sliding-window problem, the input to every cost model.
-/// `Hash` lets shapes key memoized model evaluations (`archytas-par`'s
-/// `Memo`), since distinct windows frequently share a shape.
+/// `Hash` lets shapes key maps, since distinct windows frequently share a
+/// shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProblemShape {
     /// Number of feature points (`a`).

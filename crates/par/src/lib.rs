@@ -19,23 +19,17 @@
 //!
 //! [`Pool::global`] reads `ARCHYTAS_THREADS` (0 or unset → hardware
 //! parallelism via [`std::thread::available_parallelism`], measured once per
-//! process). Maps shorter than a tunable threshold
-//! ([`Pool::with_serial_threshold`], default [`DEFAULT_SERIAL_THRESHOLD`],
-//! env `ARCHYTAS_PAR_THRESHOLD`) run serially. Nested calls (a map invoked
-//! from inside a worker, or inside [`run_as_worker`]) automatically degrade
-//! to serial — on the inner level only; the enclosing region keeps its
-//! workers.
+//! process). A map of fewer than two items runs serially. Nested calls (a
+//! map invoked from inside a worker, or inside [`run_as_worker`])
+//! automatically degrade to serial — on the inner level only; the enclosing
+//! region keeps its workers.
 //!
-//! The crate also hosts [`Memo`], the exactly-once cache behind the
-//! accelerator model, the gating-LUT cache and the CPU baseline, and
-//! [`counters`], the per-phase solver timers.
+//! The crate also hosts [`counters`], the per-phase solver timers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod counters;
-mod memo;
 mod pool;
 
-pub use memo::Memo;
-pub use pool::{run_as_worker, Pool, DEFAULT_SERIAL_THRESHOLD};
+pub use pool::{run_as_worker, Pool};

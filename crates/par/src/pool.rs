@@ -4,11 +4,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Default minimum number of work items before [`Pool::par_map`] goes
-/// parallel. Below this, thread spawn + synchronization overhead dwarfs the
-/// work; the map runs serially and is still bit-identical.
-pub const DEFAULT_SERIAL_THRESHOLD: usize = 64;
-
 thread_local! {
     // Set while a closure runs inside one of our workers; nested par_map
     // calls observe it and degrade to serial instead of oversubscribing the
@@ -63,14 +58,13 @@ fn hardware_threads() -> usize {
 
 /// A scoped worker pool.
 ///
-/// The pool is a *policy* object (thread count + serial threshold), not a set
-/// of persistent threads: each [`Pool::par_map`] spawns scoped workers for
-/// its own call and joins them before returning, so borrows of caller data
-/// need no `'static` lifetime and no shutdown protocol.
+/// The pool is a *policy* object (a thread count), not a set of persistent
+/// threads: each [`Pool::par_map`] spawns scoped workers for its own call
+/// and joins them before returning, so borrows of caller data need no
+/// `'static` lifetime and no shutdown protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
-    serial_threshold: usize,
 }
 
 impl Default for Pool {
@@ -81,38 +75,21 @@ impl Default for Pool {
 
 impl Pool {
     /// The environment-configured pool: `ARCHYTAS_THREADS` threads (0,
-    /// unset or garbage → the hardware thread count) and an
-    /// `ARCHYTAS_PAR_THRESHOLD` serial-fallback threshold (default
-    /// [`DEFAULT_SERIAL_THRESHOLD`]). Both variables are re-read on every
-    /// call; the hardware thread count is measured once per process.
+    /// unset or garbage → the hardware thread count). The variable is
+    /// re-read on every call; the hardware thread count is measured once
+    /// per process.
     pub fn global() -> Pool {
         let threads = match env_usize("ARCHYTAS_THREADS") {
             Some(n) if n > 0 => n,
             _ => hardware_threads(),
         };
-        let serial_threshold =
-            env_usize("ARCHYTAS_PAR_THRESHOLD").unwrap_or(DEFAULT_SERIAL_THRESHOLD);
-        Pool {
-            threads,
-            serial_threshold,
-        }
+        Pool { threads }
     }
 
     /// A pool with an explicit thread count (minimum 1).
     pub fn with_threads(threads: usize) -> Pool {
         Pool {
             threads: threads.max(1),
-            serial_threshold: DEFAULT_SERIAL_THRESHOLD,
-        }
-    }
-
-    /// Returns this pool with a different serial-fallback threshold.
-    /// `0` forces every call down the parallel path (used by the
-    /// equivalence tests).
-    pub fn with_serial_threshold(self, serial_threshold: usize) -> Pool {
-        Pool {
-            serial_threshold,
-            ..self
         }
     }
 
@@ -121,20 +98,15 @@ impl Pool {
         self.threads
     }
 
-    /// Configured serial-fallback threshold (work items).
-    pub fn serial_threshold(&self) -> usize {
-        self.serial_threshold
-    }
-
     /// Whether a job of `work_items` independent items takes the parallel
-    /// path on this pool (more than one thread, enough work, and not already
-    /// inside a worker).
+    /// path on this pool (more than one thread, at least two items, and not
+    /// already inside a worker).
     ///
     /// Nested dispatch degrades to serial on the *inner* level only: a map
     /// called from inside one of this crate's workers sees `false` here, but
     /// the enclosing (outer) parallel region is unaffected.
     pub fn should_parallelize(&self, work_items: usize) -> bool {
-        self.threads > 1 && work_items >= self.serial_threshold.max(2) && !in_worker()
+        self.threads > 1 && work_items >= 2 && !in_worker()
     }
 
     /// Maps `f` over `items`, returning results in input order.
@@ -189,15 +161,11 @@ impl Pool {
 mod tests {
     use super::*;
 
-    fn forced(threads: usize) -> Pool {
-        Pool::with_threads(threads).with_serial_threshold(0)
-    }
-
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
         for threads in [1, 2, 3, 8] {
-            let got = forced(threads).par_map(&items, |&x| x * x);
+            let got = Pool::with_threads(threads).par_map(&items, |&x| x * x);
             let want: Vec<u64> = items.iter().map(|&x| x * x).collect();
             assert_eq!(got, want, "threads = {threads}");
         }
@@ -206,27 +174,29 @@ mod tests {
     #[test]
     fn par_map_handles_small_and_empty() {
         let empty: Vec<u32> = Vec::new();
-        assert!(forced(4).par_map(&empty, |&x| x).is_empty());
-        assert_eq!(forced(4).par_map(&[7u32], |&x| x + 1), vec![8]);
+        assert!(Pool::with_threads(4).par_map(&empty, |&x| x).is_empty());
+        assert_eq!(Pool::with_threads(4).par_map(&[7u32], |&x| x + 1), vec![8]);
     }
 
     #[test]
     fn nested_calls_degrade_to_serial() {
         let outer: Vec<usize> = (0..64).collect();
-        let got = forced(4).par_map(&outer, |&i| {
+        let got = Pool::with_threads(4).par_map(&outer, |&i| {
             // should_parallelize must report false inside a worker.
-            assert!(!forced(4).should_parallelize(1_000_000));
+            assert!(!Pool::with_threads(4).should_parallelize(1_000_000));
             let inner: Vec<usize> = (0..100).collect();
-            forced(4).par_map(&inner, move |&j| i * 1000 + j).len()
+            Pool::with_threads(4)
+                .par_map(&inner, move |&j| i * 1000 + j)
+                .len()
         });
         assert!(got.iter().all(|&n| n == 100));
     }
 
     #[test]
-    fn serial_threshold_gates_parallelism() {
-        let p = Pool::with_threads(8).with_serial_threshold(50);
-        assert!(!p.should_parallelize(49));
-        assert!(p.should_parallelize(50));
+    fn item_count_gates_parallelism() {
+        let p = Pool::with_threads(8);
+        assert!(!p.should_parallelize(1), "one item runs serially");
+        assert!(p.should_parallelize(2), "two items run in parallel");
         assert!(!Pool::with_threads(1).should_parallelize(1_000_000));
     }
 }

@@ -2,7 +2,7 @@
 //! tests in a file share a process, and `set_var` must not race another
 //! test's `Pool::global()` call.
 
-use archytas_par::{Pool, DEFAULT_SERIAL_THRESHOLD};
+use archytas_par::Pool;
 
 #[test]
 fn global_pool_reads_environment() {
@@ -27,16 +27,11 @@ fn global_pool_reads_environment() {
     std::env::remove_var("ARCHYTAS_THREADS");
     assert!(Pool::global().threads() >= 1);
 
-    std::env::set_var("ARCHYTAS_PAR_THRESHOLD", "7");
-    assert_eq!(Pool::global().serial_threshold(), 7);
-    std::env::remove_var("ARCHYTAS_PAR_THRESHOLD");
-    assert_eq!(Pool::global().serial_threshold(), DEFAULT_SERIAL_THRESHOLD);
-
     // The env-configured pool behaves identically to an explicit one.
     std::env::set_var("ARCHYTAS_THREADS", "3");
     let items: Vec<u64> = (0..500).collect();
-    let env_pool = Pool::global().with_serial_threshold(0);
-    let explicit = Pool::with_threads(3).with_serial_threshold(0);
+    let env_pool = Pool::global();
+    let explicit = Pool::with_threads(3);
     let a = env_pool.par_map(&items, |&x| x.wrapping_mul(x));
     let b = explicit.par_map(&items, |&x| x.wrapping_mul(x));
     assert_eq!(a, b);

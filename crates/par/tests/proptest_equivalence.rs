@@ -4,10 +4,6 @@
 use archytas_par::Pool;
 use proptest::prelude::*;
 
-fn forced(threads: usize) -> Pool {
-    Pool::with_threads(threads).with_serial_threshold(0)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -17,7 +13,7 @@ proptest! {
         threads in 1usize..9,
     ) {
         let f = |&x: &f64| (x * 0.25).sin() + x;
-        let par = forced(threads).par_map(&xs, f);
+        let par = Pool::with_threads(threads).par_map(&xs, f);
         let ser: Vec<f64> = xs.iter().map(f).collect();
         prop_assert_eq!(par.len(), ser.len());
         for (a, b) in par.iter().zip(&ser) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Quick benchmark smoke: formatting and lint gates, then the synthesizer
-# criterion bench in --quick mode at ARCHYTAS_THREADS=1 and =4 (its `nd`
-# stripes fan out over the pool) and the solver-iteration and
+# Quick benchmark smoke: formatting and lint gates, the standalone
+# benchmark's unit tests, then the synthesizer criterion bench in --quick
+# mode at ARCHYTAS_THREADS=1 and =4 (its `nd` stripes fan out over the
+# pool) and the solver-iteration and
 # accelerator-simulation benches once (their kernels are serial). Every
 # bench prints `REC {"mode":"criterion",...}` lines: one `case` per
 # benchmark, a `search` per synthesizer case and the solver bench's
@@ -31,6 +32,19 @@ cargo fmt --check
 # warnings.
 echo "linting (cargo clippy)..." >&2
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+# Benchmark compile gate: benchmark/ is a workspace of its own, so neither
+# gate above compiles it. Its unit tests include the catalog/BENCHMARK.json
+# byte check. Cargo rewrites benchmark/Cargo.lock when a workspace crate's
+# dependency list changed; the benchmark directory changes only on its
+# own, so the committed lock is put back afterwards.
+echo "testing the standalone benchmark (benchmark/)..." >&2
+LOCK_BACKUP="$(mktemp)"
+cp benchmark/Cargo.lock "$LOCK_BACKUP"
+trap 'mv "$LOCK_BACKUP" benchmark/Cargo.lock' EXIT
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+mv "$LOCK_BACKUP" benchmark/Cargo.lock
+trap - EXIT
 
 echo "building benches (release)..." >&2
 cargo build -q --release -p archytas-bench --benches
