@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release -p archytas-bench --bin fig12`
 
-use archytas_bench::{banner, print_table};
+use archytas_bench::{banner, full_run, print_table};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_slam::TrajectoryMetrics;
 
@@ -13,11 +13,7 @@ fn main() {
     // Sequence 00 includes the feature droughts that make the iteration
     // count matter (Fig. 11) — the same coupling the paper's run-time
     // system exploits.
-    let duration = if std::env::var("ARCHYTAS_FULL").is_ok() {
-        100.0
-    } else {
-        40.0
-    };
+    let duration = if full_run() { 100.0 } else { 40.0 };
     let data = kitti_sequences()[0].truncated(duration).build();
 
     let mut rows = Vec::new();

@@ -7,21 +7,17 @@
 //! Run: `cargo run --release -p archytas-bench --bin sec2_2`
 
 use archytas_baselines::CpuPlatform;
-use archytas_bench::{banner, print_table};
+use archytas_bench::{banner, full_run, print_table};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{EkfConfig, EkfVio, TrajectoryMetrics};
+use archytas_slam::{EkfVio, TrajectoryMetrics};
 
 fn main() {
     banner(
         "Sec. 2.2",
         "MAP vs non-linear filtering: accuracy per unit of computing time",
     );
-    let duration = if std::env::var("ARCHYTAS_FULL").is_ok() {
-        60.0
-    } else {
-        25.0
-    };
+    let duration = if full_run() { 60.0 } else { 25.0 };
     let data = kitti_sequences()[0].truncated(duration).build();
 
     // --- MAP (sliding-window LM, the paper's target) ---
@@ -38,7 +34,7 @@ fn main() {
     }
 
     // --- EKF (filtering baseline) ---
-    let mut ekf = EkfVio::new(data.frames[0].gt, EkfConfig::default());
+    let mut ekf = EkfVio::new(data.frames[0].gt);
     let mut ekf_metrics = TrajectoryMetrics::new();
     for frame in &data.frames {
         ekf.propagate(&frame.imu);

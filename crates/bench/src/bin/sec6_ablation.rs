@@ -11,7 +11,7 @@
 //!
 //! Run: `cargo run --release -p archytas-bench --bin sec6_ablation`
 
-use archytas_bench::{banner, print_table};
+use archytas_bench::{banner, full_run, print_table};
 use archytas_core::{AdaptiveIterPolicy, GatingTable, IterCounter, IterPolicy, ITER_CAP};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_hw::{AcceleratorModel, FpgaPlatform, PowerModel, HIGH_PERF};
@@ -26,11 +26,7 @@ enum Policy {
 }
 
 fn run(policy: Policy) -> (f64, f64, f64) {
-    let duration = if std::env::var("ARCHYTAS_FULL").is_ok() {
-        60.0
-    } else {
-        25.0
-    };
+    let duration = if full_run() { 60.0 } else { 25.0 };
     let data = kitti_sequences()[0].truncated(duration).build();
     let platform = FpgaPlatform::zc706();
     let model = AcceleratorModel::new(HIGH_PERF, platform.clone());

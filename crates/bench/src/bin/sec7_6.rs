@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p archytas-bench --bin sec7_6`
 
-use archytas_bench::{banner, print_table};
+use archytas_bench::{banner, full_run, print_table};
 use archytas_core::{run_sequence, Executor, IterPolicy, RuntimeSystem};
 use archytas_dataset::{euroc_sequences, kitti_sequences, SequenceSpec};
 use archytas_hw::{AcceleratorModel, FpgaPlatform, HIGH_PERF, LOW_POWER};
@@ -58,11 +58,7 @@ fn main() {
         "dynamic optimization: energy saving and accuracy impact (estimator actually runs)",
     );
 
-    let duration = if std::env::var("ARCHYTAS_FULL").is_ok() {
-        40.0
-    } else {
-        12.0
-    };
+    let duration = if full_run() { 40.0 } else { 12.0 };
     let sequences = [
         kitti_sequences()[0].truncated(duration),
         kitti_sequences()[4].truncated(duration),

@@ -393,10 +393,7 @@ struct ChaosCase {
 }
 
 fn chaos_cases() -> Vec<ChaosCase> {
-    let no_restart = RestartPolicy {
-        max_restarts: 0,
-        ..RestartPolicy::default()
-    };
+    let no_restart = RestartPolicy { max_restarts: 0 };
     vec![
         ChaosCase {
             name: "panic-restart",
@@ -434,7 +431,6 @@ fn chaos_cases() -> Vec<ChaosCase> {
             deadline: DeadlinePolicy {
                 multiplier: 4.0,
                 misses_to_quarantine: 1,
-                ..DeadlinePolicy::default()
             },
             restart: no_restart,
             expect_quarantined: vec!["drone-0"],

@@ -53,14 +53,17 @@ pub fn banner(id: &str, title: &str) {
     println!("==============================================================");
 }
 
+/// `true` when `ARCHYTAS_FULL` is set: experiments run their full-length
+/// sequences instead of the truncated defaults. The one reader of that
+/// variable.
+pub fn full_run() -> bool {
+    std::env::var("ARCHYTAS_FULL").is_ok()
+}
+
 /// Truncation (seconds) for suite runs; override with
 /// `ARCHYTAS_FULL=1` to run the full sequence durations.
 pub fn suite_truncation() -> Option<f64> {
-    if std::env::var("ARCHYTAS_FULL").is_ok() {
-        None
-    } else {
-        Some(15.0)
-    }
+    (!full_run()).then_some(15.0)
 }
 
 /// The benchmark suite: all KITTI-like and EuRoC-like sequences, truncated
@@ -199,14 +202,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean of strictly positive values (0 for empty input).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +218,6 @@ mod tests {
     fn means() {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -256,11 +256,6 @@ impl IterationProfile {
             .sum()
     }
 
-    /// Windows decided at exactly this budget.
-    pub fn count_for(&self, iterations: usize) -> u64 {
-        self.counts[iterations.min(ITER_CAP)]
-    }
-
     /// The raw per-budget counts (index = iteration budget).
     pub fn counts(&self) -> &[u64; ITER_CAP + 1] {
         &self.counts
@@ -733,7 +728,6 @@ mod tests {
     fn profile_clamps_to_cap() {
         let mut p = IterationProfile::new();
         p.record(100);
-        assert_eq!(p.count_for(ITER_CAP), 1);
         assert_eq!(p.windows(), 1);
         assert_eq!(p.total_iterations(), ITER_CAP as u64);
         assert_eq!(IterationProfile::new().mean(), 0.0);

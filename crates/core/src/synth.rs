@@ -600,7 +600,7 @@ pub fn synthesize(spec: &DesignSpec) -> Result<SynthesizedDesign, SynthesisError
 ///
 /// The lattice is striped over `nd`; each stripe runs the pruned `(nm, s)`
 /// scan against the shared incumbent bound, and the per-stripe winners are
-/// folded in ascending `nd` order with the same strict [`beats`] predicate
+/// folded in ascending `nd` order with the same strict `beats` predicate
 /// as the serial best-so-far loop. Returns a design for which
 /// [`SynthesizedDesign::same_design`] holds against
 /// [`synthesize_exhaustive`], for any thread count.

@@ -9,7 +9,10 @@
 
 use crate::trajectory::Trajectory;
 use crate::world::World;
-use archytas_slam::{ImuSample, KeyframeState, PinholeCamera, Vec3, GRAVITY};
+use archytas_slam::{
+    ImuSample, KeyframeState, PinholeCamera, Vec3, ACCEL_BIAS_WALK, ACCEL_NOISE, GRAVITY,
+    GYRO_BIAS_WALK, GYRO_NOISE,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,32 +47,31 @@ pub struct Frame {
     pub imu: Vec<ImuSample>,
 }
 
-/// Front-end configuration.
+/// Keyframe rate (Hz).
+const KEYFRAME_HZ: f64 = 10.0;
+
+/// IMU sample rate (Hz).
+const IMU_HZ: f64 = 200.0;
+
+/// Pixel-noise standard deviation (px).
+const PIXEL_NOISE_PX: f64 = 1.0;
+
+/// Initial gyro bias.
+const GYRO_BIAS: Vec3 = Vec3([0.003, -0.002, 0.001]);
+
+/// Initial accelerometer bias.
+const ACCEL_BIAS: Vec3 = Vec3([0.02, 0.015, -0.01]);
+
+/// Landmarks farther than this are not detected (m).
+const MAX_RANGE: f64 = 60.0;
+
+/// Front-end configuration. The sensor model (rates, noise, initial biases,
+/// detection range) is fixed; the IMU noise densities are shared with the
+/// estimators through `archytas_slam`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontendConfig {
-    /// Keyframe rate (Hz).
-    pub keyframe_hz: f64,
-    /// IMU sample rate (Hz).
-    pub imu_hz: f64,
     /// Maximum features tracked per frame.
     pub max_features: usize,
-    /// Pixel-noise standard deviation (px).
-    pub pixel_noise_px: f64,
-    /// Gyro white noise (rad/s, 1σ).
-    pub gyro_noise: f64,
-    /// Accelerometer white noise (m/s², 1σ).
-    pub accel_noise: f64,
-    /// Initial gyro bias.
-    pub gyro_bias: Vec3,
-    /// Initial accelerometer bias.
-    pub accel_bias: Vec3,
-    /// Gyro bias random-walk density (rad/s per √s) — the drift that makes
-    /// visual correction indispensable.
-    pub gyro_bias_walk: f64,
-    /// Accelerometer bias random-walk density (m/s² per √s).
-    pub accel_bias_walk: f64,
-    /// Landmarks farther than this are not detected (m).
-    pub max_range: f64,
     /// RNG seed for noise and feature selection.
     pub seed: u64,
 }
@@ -77,17 +79,7 @@ pub struct FrontendConfig {
 impl Default for FrontendConfig {
     fn default() -> Self {
         Self {
-            keyframe_hz: 10.0,
-            imu_hz: 200.0,
             max_features: 160,
-            pixel_noise_px: 1.0,
-            gyro_noise: 0.002,
-            accel_noise: 0.02,
-            gyro_bias: Vec3::new(0.003, -0.002, 0.001),
-            accel_bias: Vec3::new(0.02, 0.015, -0.01),
-            gyro_bias_walk: 4e-4,
-            accel_bias_walk: 4e-3,
-            max_range: 60.0,
             seed: 1,
         }
     }
@@ -101,17 +93,17 @@ pub fn generate_frames(
     config: &FrontendConfig,
 ) -> Vec<Frame> {
     let mut rng = SmallRng::seed_from_u64(config.seed);
-    let kf_dt = 1.0 / config.keyframe_hz;
-    let imu_dt = 1.0 / config.imu_hz;
+    let kf_dt = 1.0 / KEYFRAME_HZ;
+    let imu_dt = 1.0 / IMU_HZ;
     let n_frames = (trajectory.duration() / kf_dt).floor() as usize;
-    let noise_n = config.pixel_noise_px / camera.fx; // normalized-plane σ
+    let noise_n = PIXEL_NOISE_PX / camera.fx; // normalized-plane σ
 
     let mut frames = Vec::with_capacity(n_frames);
     let mut tracked_prev: Vec<u64> = Vec::new();
     // Biases random-walk at IMU rate; the per-frame ground truth snapshots
     // the walk so the estimator's bias states have a moving target.
-    let mut bg = config.gyro_bias;
-    let mut ba = config.accel_bias;
+    let mut bg = GYRO_BIAS;
+    let mut ba = ACCEL_BIAS;
 
     for index in 0..n_frames {
         let t = index as f64 * kf_dt;
@@ -119,7 +111,7 @@ pub fn generate_frames(
 
         // --- visual features ---
         let mut candidates: Vec<TrackedFeature> = Vec::new();
-        for wp in world.near(&kin.pose.trans, config.max_range) {
+        for wp in world.near(&kin.pose.trans, MAX_RANGE) {
             let p_cam = kin.pose.inverse_transform(&wp.position);
             if camera.project(&p_cam).is_none() {
                 continue;
@@ -154,11 +146,11 @@ pub fn generate_frames(
                     let ts = t_prev + k as f64 * imu_dt;
                     let s = trajectory.sample(ts);
                     let accel_body = s.pose.rot.inverse().rotate(&(s.acceleration - GRAVITY));
-                    bg = bg + noise_vec(&mut rng, config.gyro_bias_walk * imu_dt.sqrt());
-                    ba = ba + noise_vec(&mut rng, config.accel_bias_walk * imu_dt.sqrt());
+                    bg = bg + noise_vec(&mut rng, GYRO_BIAS_WALK * imu_dt.sqrt());
+                    ba = ba + noise_vec(&mut rng, ACCEL_BIAS_WALK * imu_dt.sqrt());
                     ImuSample {
-                        gyro: s.angular_velocity + bg + noise_vec(&mut rng, config.gyro_noise),
-                        accel: accel_body + ba + noise_vec(&mut rng, config.accel_noise),
+                        gyro: s.angular_velocity + bg + noise_vec(&mut rng, GYRO_NOISE),
+                        accel: accel_body + ba + noise_vec(&mut rng, ACCEL_NOISE),
                         dt: imu_dt,
                     }
                 })
@@ -254,7 +246,7 @@ mod tests {
         let (traj, world, cam, cfg) = small_setup();
         let frames = generate_frames(&traj, &world, &cam, &cfg);
         let (f0, f1) = (&frames[5], &frames[6]);
-        let pre = Preintegration::integrate(&f1.imu, cfg.gyro_bias, cfg.accel_bias);
+        let pre = Preintegration::integrate(&f1.imu, GYRO_BIAS, ACCEL_BIAS);
         // Predict f1's position from f0's ground truth.
         let dt = pre.dt;
         let predicted = f0.gt.pose.trans

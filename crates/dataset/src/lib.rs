@@ -37,8 +37,7 @@ mod world;
 
 pub use frontend::{generate_frames, Frame, FrontendConfig, TrackedFeature};
 pub use pipeline::{
-    DegradationCause, HealthConfig, HealthMonitor, HealthState, InitMode, PipelineConfig,
-    VioPipeline, WindowResult,
+    DegradationCause, HealthMonitor, HealthState, PipelineConfig, VioPipeline, WindowResult,
 };
 pub use sequence::{
     euroc_sequences, kitti_sequences, tunnel_sequences, DatasetFamily, SequenceData, SequenceSpec,

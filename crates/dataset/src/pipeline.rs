@@ -24,20 +24,34 @@ thread_local! {
     static SCRATCH: RefCell<SolverWorkspace> = RefCell::new(SolverWorkspace::new());
 }
 
-/// How each new keyframe's state estimate is initialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InitMode {
-    /// Dead reckoning through IMU preintegration (VINS-style).
-    #[default]
-    ImuPropagation,
-    /// Constant-velocity extrapolation of the previous estimate
-    /// (vision-dominant estimators; leaves more work to the NLS iterations).
-    ConstantVelocity,
-}
+/// Relative noise applied to the front-end depth initialization.
+const DEPTH_INIT_ERROR: f64 = 0.1;
+
+/// Sub-pixel refinement factor for the anchor bearing (0 = raw noisy
+/// detection, 1 = perfect). Anchor bearings are *fixed* parameters of the
+/// inverse-depth parameterization, so their noise — unlike observation
+/// noise — biases the estimate; front-ends refine anchor detections to
+/// sub-pixel accuracy for exactly this reason.
+const ANCHOR_REFINEMENT: f64 = 0.75;
+
+/// Landmarks deeper than this (m) are not instantiated: far features carry
+/// almost no parallax and their noise-induced depth bias drags the
+/// monocular scale (the standard front-end depth gate).
+const MAX_LANDMARK_DEPTH: f64 = 35.0;
+
+/// A frame with fewer tracked features counts as vision loss. One trips
+/// only on *total* dropout: natural feature droughts are part of the
+/// nominal workload (they are what the runtime layer provisions iterations
+/// for), not faults.
+const MIN_VISION_FEATURES: usize = 1;
+
+/// Consecutive clean windows required in `Recovering` before returning to
+/// `Nominal` (the degradation ladder's hysteresis).
+const RECOVERY_WINDOWS: usize = 2;
 
 /// Pipeline health, the degradation ladder's state machine: faults demote to
 /// `Degraded`, clean windows climb back through `Recovering` to `Nominal`
-/// with hysteresis (see [`HealthConfig::recovery_windows`]).
+/// with hysteresis (`RECOVERY_WINDOWS` clean windows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HealthState {
     /// Clean sensor stream, solver converging: full-featured operation.
@@ -45,7 +59,8 @@ pub enum HealthState {
     Nominal,
     /// A fault was observed this window (vision dropout, corrupted IMU,
     /// solver degradation, prior reset): landmark instantiation is
-    /// suppressed and state initialization falls back to IMU dead reckoning.
+    /// suppressed, so the window runs on IMU dead reckoning and the
+    /// landmarks it already holds.
     Degraded,
     /// Fault cleared; counting clean windows before resuming nominal
     /// operation.
@@ -71,37 +86,14 @@ pub enum DegradationCause {
     PriorReset,
 }
 
-/// Thresholds of the [`HealthMonitor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// A frame with fewer tracked features counts as vision loss. The
-    /// default of 1 trips only on *total* dropout: natural feature droughts
-    /// are part of the nominal workload (they are what the runtime layer
-    /// provisions iterations for), not faults.
-    pub min_vision_features: usize,
-    /// Consecutive clean windows required in `Recovering` before returning
-    /// to `Nominal` (the ladder's hysteresis).
-    pub recovery_windows: usize,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            min_vision_features: 1,
-            recovery_windows: 2,
-        }
-    }
-}
-
 /// Per-window health state machine of the VIO pipeline.
 ///
 /// Frame-level events (vision loss, non-finite IMU samples) and window-level
 /// events (degraded solve outcome, marginalization failure) are latched
 /// during the window and folded into one state transition when the window
 /// closes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthMonitor {
-    config: HealthConfig,
     state: HealthState,
     clean_windows: usize,
     /// Fault event latched since the last window closed (the first cause
@@ -112,17 +104,6 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// Creates a monitor in the `Nominal` state.
-    pub fn new(config: HealthConfig) -> Self {
-        Self {
-            config,
-            state: HealthState::Nominal,
-            clean_windows: 0,
-            window_cause: None,
-            degraded_windows: 0,
-        }
-    }
-
     /// Current ladder state.
     pub fn state(&self) -> HealthState {
         self.state
@@ -141,8 +122,7 @@ impl HealthMonitor {
 
     /// `true` while a fault is latched for the current window or the ladder
     /// has not yet climbed back to `Nominal` — the condition under which the
-    /// pipeline suppresses landmark instantiation and forces IMU
-    /// dead-reckoning initialization.
+    /// pipeline suppresses landmark instantiation.
     pub fn is_suspect(&self) -> bool {
         self.window_cause.is_some() || self.state != HealthState::Nominal
     }
@@ -173,7 +153,7 @@ impl HealthMonitor {
             HealthState::Degraded | HealthState::Recovering => {
                 self.state = HealthState::Recovering;
                 self.clean_windows += 1;
-                if self.clean_windows >= self.config.recovery_windows.max(1) {
+                if self.clean_windows >= RECOVERY_WINDOWS {
                     self.state = HealthState::Nominal;
                     self.clean_windows = 0;
                 }
@@ -188,28 +168,8 @@ impl HealthMonitor {
 pub struct PipelineConfig {
     /// Sliding-window capacity in keyframes (`b`).
     pub window_size: usize,
-    /// Relative noise applied to the front-end depth initialization.
-    pub depth_init_error: f64,
     /// Factor weights (the `Cᵢ` of Eq. 2).
     pub weights: FactorWeights,
-    /// Carry the marginalization prior between windows (the paper's
-    /// formulation). Disabling it is an ablation: windows lose the
-    /// information of departed keyframes.
-    pub use_prior: bool,
-    /// Sub-pixel refinement factor for the anchor bearing (0 = raw noisy
-    /// detection, 1 = perfect). Anchor bearings are *fixed* parameters of
-    /// the inverse-depth parameterization, so their noise — unlike
-    /// observation noise — biases the estimate; front-ends refine anchor
-    /// detections to sub-pixel accuracy for exactly this reason.
-    pub anchor_refinement: f64,
-    /// Landmarks deeper than this (m) are not instantiated: far features
-    /// carry almost no parallax and their noise-induced depth bias drags
-    /// the monocular scale (the standard front-end depth gate).
-    pub max_landmark_depth: f64,
-    /// Keyframe state initialization strategy.
-    pub init_mode: InitMode,
-    /// Degradation-ladder thresholds (see [`HealthConfig`]).
-    pub health: HealthConfig,
     /// Arithmetic width of the window solve: `F32` for windows served on the
     /// accelerator, `F64` for the host software solver.
     pub precision: Precision,
@@ -219,13 +179,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
             window_size: 10,
-            depth_init_error: 0.1,
             weights: FactorWeights::default(),
-            use_prior: true,
-            anchor_refinement: 0.75,
-            max_landmark_depth: 35.0,
-            init_mode: InitMode::ImuPropagation,
-            health: HealthConfig::default(),
             precision: Precision::F64,
         }
     }
@@ -281,7 +235,7 @@ impl VioPipeline {
             landmark_of: HashMap::new(),
             gt_window: Vec::new(),
             windows_processed: 0,
-            health: HealthMonitor::new(config.health),
+            health: HealthMonitor::default(),
             last_frame_features: Vec::new(),
             last_good_imu: None,
         }
@@ -327,7 +281,7 @@ impl VioPipeline {
         if let Some(s) = imu.last() {
             self.last_good_imu = Some(*s);
         }
-        if frame.features.len() < self.config.health.min_vision_features {
+        if frame.features.len() < MIN_VISION_FEATURES {
             // Vision dropout: the window from here on runs on IMU dead
             // reckoning and existing landmarks only.
             self.health.note_event(DegradationCause::SensorFault);
@@ -358,27 +312,8 @@ impl VioPipeline {
             frame.gt
         } else {
             let last = self.window.keyframes[kf_index - 1];
-            // While suspect, constant-velocity extrapolation (which trusts
-            // the last *vision-corrected* velocity) is overridden by IMU
-            // dead reckoning — the degradation ladder's fallback estimator.
-            let init_mode = if suspect {
-                InitMode::ImuPropagation
-            } else {
-                self.config.init_mode
-            };
-            match init_mode {
-                InitMode::ImuPropagation => {
-                    let pre = Preintegration::integrate(&imu, last.bg, last.ba);
-                    propagate(&last, &pre, frame.timestamp)
-                }
-                InitMode::ConstantVelocity => {
-                    let dt = frame.timestamp - last.timestamp;
-                    KeyframeState {
-                        pose: Pose::new(last.pose.rot, last.pose.trans + last.velocity * dt),
-                        ..last
-                    }
-                }
-            }
+            let pre = Preintegration::integrate(&imu, last.bg, last.ba);
+            propagate(&last, &pre, frame.timestamp)
         };
         self.window.keyframes.push(state);
         self.gt_window.push(frame.gt);
@@ -416,15 +351,15 @@ impl VioPipeline {
                 // surviving a fault episode are the least trustworthy, and a
                 // landmark anchored on a corrupted keyframe poisons every
                 // later window it is observed from.
-                None if !suspect && feat.depth <= self.config.max_landmark_depth => {
+                None if !suspect && feat.depth <= MAX_LANDMARK_DEPTH => {
                     // New landmark anchored at this keyframe. The bearing is
                     // the measured direction; depth comes from the front-end
                     // (noisy triangulation stand-in; zero-mean per-landmark
                     // error derived deterministically from the feature id).
                     let h = ((feat.id.wrapping_mul(2654435761) % 2000) as f64 / 1000.0) - 1.0;
-                    let depth = feat.depth * (1.0 + self.config.depth_init_error * h);
+                    let depth = feat.depth * (1.0 + DEPTH_INIT_ERROR * h);
                     let lm_idx = self.window.landmarks.len();
-                    let r = self.config.anchor_refinement.clamp(0.0, 1.0);
+                    let r = ANCHOR_REFINEMENT;
                     let bearing_uv = [
                         feat.uv[0] * (1.0 - r) + feat.uv_true[0] * r,
                         feat.uv[1] * (1.0 - r) + feat.uv_true[1] * r,
@@ -530,11 +465,6 @@ impl VioPipeline {
             self.window.num_keyframes() >= self.config.window_size,
             "optimize_and_slide: window not full"
         );
-        let prior = if self.config.use_prior {
-            self.prior.as_ref()
-        } else {
-            None
-        };
         let config = LmConfig {
             precision: self.config.precision,
             ..LmConfig::with_iterations(iterations)
@@ -543,7 +473,7 @@ impl VioPipeline {
             workspace,
             &mut self.window,
             &self.config.weights,
-            prior,
+            self.prior.as_ref(),
             &config,
         );
         self.slide(workspace, report)
@@ -567,24 +497,20 @@ impl VioPipeline {
         let ground_truth = self.gt_window[newest].pose;
         let outcome_degraded = report.outcome.is_degraded();
 
-        // Without `use_prior` the new prior is still computed (its failure
-        // is a health event) and then discarded.
-        let mut prior = self.prior.take().filter(|_| self.config.use_prior);
-        match try_marginalize_oldest_in(
+        let marginalized = try_marginalize_oldest_in(
             workspace,
             &mut self.window,
             &self.config.weights,
-            &mut prior,
-        ) {
-            Ok(_) => self.prior = prior.filter(|_| self.config.use_prior),
-            Err(_) => {
-                // The marginalized block was not factorizable (numerically
-                // poisoned window): drop the oldest keyframe and its
-                // landmarks outright and reset the prior rather than carry a
-                // corrupt one into every subsequent window.
-                self.health.note_event(DegradationCause::PriorReset);
-                drop_oldest(&mut self.window);
-            }
+            &mut self.prior,
+        );
+        if marginalized.is_err() {
+            // The marginalized block was not factorizable (numerically
+            // poisoned window): drop the oldest keyframe and its landmarks
+            // outright and reset the prior rather than carry a corrupt one
+            // into every subsequent window.
+            self.health.note_event(DegradationCause::PriorReset);
+            self.prior = None;
+            drop_oldest(&mut self.window);
         }
         self.gt_window.remove(0);
         self.rebuild_landmark_map();
@@ -938,10 +864,7 @@ mod tests {
 
     #[test]
     fn health_ladder_hysteresis() {
-        let mut m = HealthMonitor::new(HealthConfig {
-            min_vision_features: 1,
-            recovery_windows: 2,
-        });
+        let mut m = HealthMonitor::default();
         assert!(m.is_nominal());
         m.note_event(DegradationCause::SensorFault);
         assert!(m.is_suspect());

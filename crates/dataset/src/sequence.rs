@@ -118,7 +118,6 @@ impl SequenceSpec {
                 DatasetFamily::Kitti | DatasetFamily::Tunnel => 180,
                 DatasetFamily::Euroc => 140,
             },
-            ..FrontendConfig::default()
         };
         let seed = self.seed;
         let frames = match self.family {

@@ -7,7 +7,7 @@
 //!          deadline miss                 misses_to_quarantine
 //! Nominal ───────────────► SlowSuspect ─────────────────────► Quarantined
 //!    ▲                          │                                  │
-//!    │   recovery_steps clean   │          restart budget left     │
+//!    │   RECOVERY_STEPS clean   │          restart budget left     │
 //!    └──────────────────────────┘     ┌────────────────────────────┘
 //!                                     ▼
 //!                                Restarting ──► Nominal (first clean step)
@@ -17,6 +17,18 @@
 //! sessions with restart budget re-enter through admission control after a
 //! capped exponential backoff measured in *scheduler rounds* — a unit that
 //! is deterministic and seedable, unlike wall time.
+
+/// Clean windows needed to demote `SlowSuspect` → `Nominal`.
+const RECOVERY_STEPS: usize = 2;
+
+/// Base restart backoff in scheduler rounds; doubles per restart.
+const BACKOFF_BASE_ROUNDS: usize = 2;
+
+/// Restart backoff ceiling in scheduler rounds.
+const BACKOFF_CAP_ROUNDS: usize = 32;
+
+/// Seed of the deterministic backoff jitter.
+const BACKOFF_SEED: u64 = 0;
 
 /// Where a session sits in the fault-isolation state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,8 +104,6 @@ pub struct DeadlinePolicy {
     pub multiplier: f64,
     /// Consecutive misses that escalate `SlowSuspect` → `Quarantined`.
     pub misses_to_quarantine: usize,
-    /// Clean windows needed to demote `SlowSuspect` → `Nominal`.
-    pub recovery_steps: usize,
 }
 
 impl Default for DeadlinePolicy {
@@ -101,52 +111,38 @@ impl Default for DeadlinePolicy {
         Self {
             multiplier: 8.0,
             misses_to_quarantine: 2,
-            recovery_steps: 2,
         }
     }
 }
 
-/// Restart ladder: how many revivals a quarantined session gets and how
-/// long it backs off between them.
+/// Restart ladder: how many revivals a quarantined session gets. The
+/// backoff between them is fixed (`backoff_rounds`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartPolicy {
     /// Maximum restarts per session (0 disables the ladder entirely —
     /// quarantine is then terminal and no checkpoints are taken).
     pub max_restarts: usize,
-    /// Base backoff in scheduler rounds; doubles per restart.
-    pub backoff_base_rounds: usize,
-    /// Backoff ceiling in scheduler rounds.
-    pub backoff_cap_rounds: usize,
-    /// Seed of the deterministic backoff jitter.
-    pub seed: u64,
 }
 
 impl Default for RestartPolicy {
     fn default() -> Self {
-        Self {
-            max_restarts: 1,
-            backoff_base_rounds: 2,
-            backoff_cap_rounds: 32,
-            seed: 0,
-        }
+        Self { max_restarts: 1 }
     }
 }
 
-impl RestartPolicy {
-    /// Backoff before restart number `restart_n` (0-based), in scheduler
-    /// rounds: capped exponential plus seeded jitter keyed by the session
-    /// name hash, so two sessions quarantined in the same round do not
-    /// stampede the admission queue together. Deterministic — no wall
-    /// clock, no shared RNG state.
-    pub fn backoff_rounds(&self, name_hash: u64, restart_n: usize) -> usize {
-        let base = self.backoff_base_rounds.max(1);
-        let exp = base
-            .checked_shl(restart_n.min(63) as u32)
-            .unwrap_or(usize::MAX)
-            .min(self.backoff_cap_rounds.max(base));
-        let jitter = splitmix64(self.seed ^ name_hash ^ restart_n as u64) as usize % base;
-        exp + jitter
-    }
+/// Backoff before restart number `restart_n` (0-based), in scheduler
+/// rounds: capped exponential plus seeded jitter keyed by the session name
+/// hash, so two sessions quarantined in the same round do not stampede the
+/// admission queue together. Deterministic — no wall clock, no shared RNG
+/// state.
+pub(crate) fn backoff_rounds(name_hash: u64, restart_n: usize) -> usize {
+    // Doublings that reach the cap. Later restarts stay at the cap: the
+    // shift amount is saturated, so it never reaches the word width.
+    const MAX_DOUBLINGS: usize = (BACKOFF_CAP_ROUNDS / BACKOFF_BASE_ROUNDS).ilog2() as usize;
+    let exp = (BACKOFF_BASE_ROUNDS << restart_n.min(MAX_DOUBLINGS)).min(BACKOFF_CAP_ROUNDS);
+    let jitter =
+        splitmix64(BACKOFF_SEED ^ name_hash ^ restart_n as u64) as usize % BACKOFF_BASE_ROUNDS;
+    exp + jitter
 }
 
 /// FNV-1a over a byte string — the session-name hash feeding backoff
@@ -205,7 +201,7 @@ impl DeadlineWatchdog {
         self.consecutive_misses = 0;
         if self.slow {
             self.clean_streak += 1;
-            if self.clean_streak >= policy.recovery_steps.max(1) {
+            if self.clean_streak >= RECOVERY_STEPS {
                 self.slow = false;
                 self.clean_streak = 0;
                 return DeadlineVerdict::Ok;
@@ -229,7 +225,6 @@ mod tests {
     fn watchdog_escalates_and_recovers() {
         let policy = DeadlinePolicy {
             misses_to_quarantine: 2,
-            recovery_steps: 2,
             ..DeadlinePolicy::default()
         };
         let mut w = DeadlineWatchdog::default();
@@ -246,7 +241,6 @@ mod tests {
     fn watchdog_needs_recovery_steps_to_clear() {
         let policy = DeadlinePolicy {
             misses_to_quarantine: 3,
-            recovery_steps: 2,
             ..DeadlinePolicy::default()
         };
         let mut w = DeadlineWatchdog::default();
@@ -258,26 +252,26 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential_with_deterministic_jitter() {
-        let p = RestartPolicy {
-            max_restarts: 8,
-            backoff_base_rounds: 2,
-            backoff_cap_rounds: 32,
-            seed: 5,
-        };
         let h = fnv1a(b"car-3");
-        let rounds: Vec<usize> = (0..8).map(|n| p.backoff_rounds(h, n)).collect();
+        // Restarts past the shift width (63 and beyond) stay at the cap.
+        let restarts = [0, 1, 2, 3, 4, 5, 6, 7, 63, 200];
+        let rounds: Vec<usize> = restarts.iter().map(|&n| backoff_rounds(h, n)).collect();
         assert_eq!(
             rounds,
-            (0..8).map(|n| p.backoff_rounds(h, n)).collect::<Vec<_>>()
+            restarts
+                .iter()
+                .map(|&n| backoff_rounds(h, n))
+                .collect::<Vec<_>>()
         );
-        // Exponential portion: 2, 4, 8, 16, 32, 32, … plus jitter < base.
-        for (n, &r) in rounds.iter().enumerate() {
-            let exp = (2usize << n).min(32);
+        // Exponential portion plus jitter < base.
+        let exps = [2, 4, 8, 16, 32, 32, 32, 32, 32, 32];
+        for ((&n, &r), exp) in restarts.iter().zip(&rounds).zip(exps) {
             assert!(r >= exp && r < exp + 2, "restart {n}: {r} vs exp {exp}");
         }
         // Different sessions de-synchronize.
-        let other: Vec<usize> = (0..8)
-            .map(|n| p.backoff_rounds(fnv1a(b"drone-1"), n))
+        let other: Vec<usize> = restarts
+            .iter()
+            .map(|&n| backoff_rounds(fnv1a(b"drone-1"), n))
             .collect();
         assert_ne!(rounds, other);
     }

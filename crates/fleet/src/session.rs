@@ -34,8 +34,8 @@ use archytas_slam::{FactorWeights, Pose, Precision, SolverWorkspace, TrajectoryM
 use archytas_telemetry::{SessionTelemetry, TrafficClass};
 
 use crate::isolation::{
-    fnv1a, DeadlinePolicy, DeadlineVerdict, DeadlineWatchdog, FailureCause, FailureRecord,
-    RestartPolicy, SessionPhase,
+    backoff_rounds, fnv1a, DeadlinePolicy, DeadlineVerdict, DeadlineWatchdog, FailureCause,
+    FailureRecord, RestartPolicy, SessionPhase,
 };
 use crate::FleetConfig;
 
@@ -821,7 +821,7 @@ impl SessionState {
         self.phase = SessionPhase::Restarting;
         let n = self.restarts;
         self.restarts += 1;
-        Some(self.restart.backoff_rounds(fnv1a(self.name.as_bytes()), n))
+        Some(backoff_rounds(fnv1a(self.name.as_bytes()), n))
     }
 
     /// Consumes the session into its final report.
@@ -867,7 +867,7 @@ impl SessionState {
 /// the serving layer) uses to measure what admission actually costs.
 ///
 /// [`AdmittedSession::admit`] performs exactly the work `run_fleet` does per
-/// admitted session before its first quantum: build the estimator [`Core`]
+/// admitted session before its first quantum: build the estimator `Core`
 /// against the shared services. Frames and the restart checkpoint are
 /// materialized by [`AdmittedSession::activate`]; solver scratch is borrowed
 /// per step, never owned.
@@ -990,10 +990,7 @@ mod tests {
         )
         .with_chaos(ChaosPlan::new(1).with(ChaosKind::SessionPanic { frame: 12 }));
         let services = FleetServices::new(&FleetConfig {
-            restart: RestartPolicy {
-                max_restarts: 0,
-                ..RestartPolicy::default()
-            },
+            restart: RestartPolicy { max_restarts: 0 },
             ..FleetConfig::default()
         });
         let mut st = SessionState::new(&spec, &services);

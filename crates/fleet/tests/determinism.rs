@@ -138,10 +138,7 @@ fn panic_without_restart_budget_quarantines_only_the_victim() {
         .with_chaos(ChaosPlan::new(7).with(ChaosKind::SessionPanic { frame: 10 }));
     let alone = alone_reports(&standard_fleet_specs(2.5));
     let config = FleetConfig {
-        restart: RestartPolicy {
-            max_restarts: 0,
-            ..RestartPolicy::default()
-        },
+        restart: RestartPolicy { max_restarts: 0 },
         ..base_config()
     };
     for threads in [1usize, 2, 8] {
@@ -188,12 +185,8 @@ fn stall_escalates_on_the_logical_clock_identically_at_every_pool_size() {
         deadline: DeadlinePolicy {
             multiplier: 4.0,
             misses_to_quarantine: 1,
-            ..DeadlinePolicy::default()
         },
-        restart: RestartPolicy {
-            max_restarts: 0,
-            ..RestartPolicy::default()
-        },
+        restart: RestartPolicy { max_restarts: 0 },
         ..base_config()
     };
     let alone_clean = alone_reports(&standard_fleet_specs(2.5));

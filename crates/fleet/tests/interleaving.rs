@@ -192,10 +192,7 @@ fn racing_panics_on_a_saturated_pool_leave_survivors_bit_exact() {
     let config = FleetConfig {
         threads: 8,
         frames_per_quantum: 1, // maximize interleaving pressure
-        restart: archytas_fleet::RestartPolicy {
-            max_restarts: 0,
-            ..archytas_fleet::RestartPolicy::default()
-        },
+        restart: archytas_fleet::RestartPolicy { max_restarts: 0 },
         ..FleetConfig::default()
     };
     let report = run_fleet(&specs, &config);

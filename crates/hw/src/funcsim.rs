@@ -56,7 +56,7 @@ mod tests {
         build_normal_equations, schur_linear_solver, solve, solve_in_workspace,
         solve_with_in_workspace, DegradeReason, FactorWeights, KeyframeState, Landmark, LmConfig,
         Observation, Pose, Precision, Prior, Quat, SlidingWindow, SolveOutcome, SolveReport,
-        SolverWorkspace, Vec3,
+        SolverWorkspace, Vec3, INITIAL_LAMBDA, LAMBDA_UP,
     };
 
     fn spd_system(n: usize, landmarks: usize) -> (DMat, DVec) {
@@ -326,7 +326,7 @@ mod tests {
                 }
             );
             assert_eq!(r.iterations, 1);
-            let expected = config.initial_lambda * config.lambda_up.powi(max_retries as i32 + 1);
+            let expected = INITIAL_LAMBDA * LAMBDA_UP.powi(max_retries as i32 + 1);
             assert!((r.lambda / expected - 1.0).abs() < 1e-12, "λ {}", r.lambda);
         }
     }

@@ -131,11 +131,6 @@ impl FpgaPlatform {
         }
     }
 
-    /// Converts a cycle count to milliseconds at this platform's clock.
-    pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.clock_mhz * 1e3)
-    }
-
     /// Utilization fraction (0..1+) of one resource kind for an absolute
     /// amount.
     pub fn utilization(&self, kind: ResourceKind, amount: f64) -> f64 {
@@ -157,13 +152,6 @@ mod tests {
         assert!((util - 0.9433).abs() < 1e-3);
         let util = p.utilization(ResourceKind::Lut, 136_432.0);
         assert!((util - 0.6241).abs() < 1e-3);
-    }
-
-    #[test]
-    fn cycles_to_ms_at_143mhz() {
-        let p = FpgaPlatform::zc706();
-        // 143_000 cycles at 143 MHz = 1 ms.
-        assert!((p.cycles_to_ms(143_000) - 1.0).abs() < 1e-12);
     }
 
     #[test]

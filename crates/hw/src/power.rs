@@ -99,21 +99,6 @@ impl PowerModel {
         let gated_s = (built.s - active.s) as f64 * self.per_s_w;
         self.power_w(active) + LEAKAGE_FRACTION * (gated_nd + gated_nm + gated_s)
     }
-
-    /// Energy of one window served at the gated power: `latency × power`
-    /// (ms × W = mJ). The single expression every energy account in the
-    /// workspace uses, kept here so the fleet's per-window accumulation
-    /// and the telemetry layer's per-class accounting cannot drift by an
-    /// operation reordering.
-    #[inline]
-    pub fn gated_energy_mj(
-        &self,
-        latency_ms: f64,
-        built: &AcceleratorConfig,
-        active: &AcceleratorConfig,
-    ) -> f64 {
-        latency_ms * self.gated_power_w(built, active)
-    }
 }
 
 #[cfg(test)]
@@ -184,14 +169,6 @@ mod tests {
             gated > rebuilt,
             "gated design still leaks above a re-synthesized one"
         );
-    }
-
-    #[test]
-    fn gated_energy_is_latency_times_power_bitwise() {
-        let m = PowerModel::zc706();
-        let e = m.gated_energy_mj(2.5, &HIGH_PERF, &LOW_POWER);
-        let p = m.gated_power_w(&HIGH_PERF, &LOW_POWER);
-        assert_eq!(e.to_bits(), (2.5 * p).to_bits());
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl<T: Scalar> Cholesky<T> {
     /// The Evaluate phase is inherently sequential (each pivot depends on all
     /// previous updates); the Update phase's trailing rows are mutually
     /// independent — the property the hardware template's parallel Update
-    /// lanes exploit (paper Fig. 8). [`CholeskyOpCounts`] carries the exact
+    /// lanes exploit (paper Fig. 8). `CholeskyOpCounts` carries the exact
     /// closed form `(n−k−1)(n−k)/2` per Update iteration.
     ///
     /// # Errors
@@ -381,15 +381,6 @@ impl<T: Scalar> Cholesky<T> {
             }
         }
     }
-
-    /// Log-determinant of `A` (`2·Σ log Lᵢᵢ`), useful for covariance sanity
-    /// checks in tests.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim())
-            .map(|i| self.l.get(i, i).to_f64().ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -521,13 +512,6 @@ mod tests {
         assert_eq!(counts.iterations, n);
         assert_eq!(counts.evaluate_ops, expected_eval);
         assert_eq!(counts.update_ops, expected_update);
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let a = M::from_rows(&[&[4.0, 0.0], &[0.0, 9.0]]);
-        let ld = Cholesky::factor(&a).unwrap().log_det();
-        assert!((ld - (36.0f64).ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -468,11 +468,6 @@ impl<T: Scalar> Matrix<T> {
             .fold(T::ZERO, |acc, v| if v > acc { v } else { acc })
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> T {
-        self.data.iter().map(|&v| v * v).sum::<T>().sqrt()
-    }
-
     /// `true` when every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -753,7 +748,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = M::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert_eq!(m.frobenius_norm(), 5.0);
         assert_eq!(m.max_abs(), 4.0);
     }
 

@@ -159,50 +159,6 @@ impl MDfg {
         }
         h
     }
-
-    /// Renders the graph in Graphviz DOT format, one node per primitive with
-    /// its dimensions and cost, for inspection of the generated
-    /// implementation (the paper presents these graphs as Fig. 3b).
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut out = format!(
-            "digraph {name} {{\n  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n"
-        );
-        for (i, n) in self.nodes.iter().enumerate() {
-            let cost = node_cost(n.kind, n.dims);
-            out.push_str(&format!(
-                "  n{i} [label=\"{}\\n{}\\n{}x{} (k={})\\ncost {}\"];\n",
-                n.kind, n.label, n.dims.rows, n.dims.cols, n.dims.inner, cost
-            ));
-        }
-        for (i, succs) in self.edges.iter().enumerate() {
-            for &s in succs {
-                out.push_str(&format!("  n{i} -> n{s};\n"));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Finds pairs of structurally identical single nodes (same kind and
-    /// dims) between `self` and `other` — the seed of the scheduler's
-    /// hardware-sharing pass (Sec. 4.1: identical subgraphs are mapped to
-    /// the same hardware block).
-    pub fn matching_nodes<'a>(&'a self, other: &'a MDfg) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        let mut used = vec![false; other.nodes.len()];
-        for (i, a) in self.nodes.iter().enumerate() {
-            if let Some(j) = other
-                .nodes
-                .iter()
-                .enumerate()
-                .position(|(j, b)| !used[j] && a.kind == b.kind && a.dims == b.dims)
-            {
-                used[j] = true;
-                out.push((NodeId(i), NodeId(j)));
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for MDfg {
@@ -279,30 +235,11 @@ mod tests {
     }
 
     #[test]
-    fn matching_nodes_pairs_identical_shapes() {
-        let (g1, _) = diamond();
-        let (g2, _) = diamond();
-        let pairs = g1.matching_nodes(&g2);
-        assert_eq!(pairs.len(), 4);
-    }
-
-    #[test]
     fn predecessors_and_successors() {
         let (g, [a, _, _, d]) = diamond();
         assert_eq!(g.successors(a).count(), 2);
         assert_eq!(g.predecessors(d).count(), 2);
         assert_eq!(g.predecessors(a).count(), 0);
-    }
-
-    #[test]
-    fn dot_export_is_well_formed() {
-        let (g, _) = diamond();
-        let dot = g.to_dot("nls");
-        assert!(dot.starts_with("digraph nls {"));
-        assert!(dot.trim_end().ends_with('}'));
-        assert_eq!(dot.matches("->").count(), 4);
-        assert_eq!(dot.matches("[label=").count(), 4);
-        assert!(dot.contains("VJac"));
     }
 
     #[test]

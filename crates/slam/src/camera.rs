@@ -72,19 +72,9 @@ impl PinholeCamera {
         Some([p_cam.x() / p_cam.z(), p_cam.y() / p_cam.z()])
     }
 
-    /// Converts pixel coordinates to normalized image coordinates.
-    pub fn pixel_to_normalized(&self, uv: [f64; 2]) -> [f64; 2] {
-        [(uv[0] - self.cx) / self.fx, (uv[1] - self.cy) / self.fy]
-    }
-
     /// The bearing vector `[x, y, 1]` of a normalized observation.
     pub fn bearing(normalized: [f64; 2]) -> Vec3 {
         Vec3::new(normalized[0], normalized[1], 1.0)
-    }
-
-    /// Field of view half-angle in radians (horizontal).
-    pub fn half_fov_x(&self) -> f64 {
-        (f64::from(self.width) / (2.0 * self.fx)).atan()
     }
 }
 
@@ -116,27 +106,9 @@ mod tests {
     }
 
     #[test]
-    fn pixel_normalized_roundtrip() {
-        let cam = PinholeCamera::kitti_like();
-        let p = Vec3::new(1.0, -0.5, 4.0);
-        let uv = cam.project(&p).unwrap();
-        let n = cam.pixel_to_normalized(uv);
-        let expected = PinholeCamera::project_normalized(&p).unwrap();
-        assert!((n[0] - expected[0]).abs() < 1e-12);
-        assert!((n[1] - expected[1]).abs() < 1e-12);
-    }
-
-    #[test]
     fn bearing_has_unit_z() {
         let b = PinholeCamera::bearing([0.3, -0.2]);
         assert_eq!(b.z(), 1.0);
         assert_eq!(b.x(), 0.3);
-    }
-
-    #[test]
-    fn fov_is_plausible() {
-        let cam = PinholeCamera::euroc_like();
-        let fov = cam.half_fov_x().to_degrees() * 2.0;
-        assert!(fov > 60.0 && fov < 100.0, "fov {fov}");
     }
 }

@@ -12,42 +12,19 @@
 //! argument with an executable comparison (`sec2_2` experiment), not to be
 //! a state-of-the-art MSCKF.
 
-use crate::factors::{BA, BG, THETA, TRANS, VEL};
+use crate::factors::{BA, BG, THETA, TRANS, VEL, VISUAL_WEIGHT};
 use crate::geometry::{Mat3, Pose, Quat, Vec3};
-use crate::imu::{ImuSample, GRAVITY};
+use crate::imu::{ImuSample, ACCEL_BIAS_WALK, ACCEL_NOISE, GRAVITY, GYRO_BIAS_WALK, GYRO_NOISE};
 use crate::window::{KeyframeState, STATE_DIM};
 use archytas_math::{DMat, DVec};
 use std::collections::HashMap;
 
-/// EKF noise configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EkfConfig {
-    /// Gyro white-noise density (rad/s).
-    pub gyro_noise: f64,
-    /// Accelerometer white-noise density (m/s²).
-    pub accel_noise: f64,
-    /// Gyro bias random walk (rad/s per √s).
-    pub gyro_bias_walk: f64,
-    /// Accelerometer bias random walk (m/s² per √s).
-    pub accel_bias_walk: f64,
-    /// Visual measurement noise on the normalized plane (1σ).
-    pub visual_noise: f64,
-    /// Innovation gate in standard deviations.
-    pub gate_sigma: f64,
-}
+/// Visual measurement noise on the normalized plane (1σ): the inverse of the
+/// MAP estimator's visual weight, so both estimators trust a pixel equally.
+const VISUAL_NOISE: f64 = 1.0 / VISUAL_WEIGHT;
 
-impl Default for EkfConfig {
-    fn default() -> Self {
-        Self {
-            gyro_noise: 0.002,
-            accel_noise: 0.02,
-            gyro_bias_walk: 4e-4,
-            accel_bias_walk: 4e-3,
-            visual_noise: 1.0 / 460.0,
-            gate_sigma: 5.0,
-        }
-    }
-}
+/// Innovation gate in standard deviations.
+const GATE_SIGMA: f64 = 5.0;
 
 /// Error-state EKF visual–inertial estimator.
 #[derive(Debug, Clone)]
@@ -57,7 +34,6 @@ pub struct EkfVio {
     cov: DMat,
     /// Landmark map: world positions fixed at initialization.
     map: HashMap<u64, Vec3>,
-    config: EkfConfig,
     /// Scalar operations performed so far (the accuracy-per-compute
     /// denominator).
     ops: u64,
@@ -68,7 +44,7 @@ pub struct EkfVio {
 impl EkfVio {
     /// Creates a filter at the given initial state with a small initial
     /// uncertainty.
-    pub fn new(initial: KeyframeState, config: EkfConfig) -> Self {
+    pub fn new(initial: KeyframeState) -> Self {
         let mut cov = DMat::zeros(STATE_DIM, STATE_DIM);
         for i in 0..STATE_DIM {
             let sigma = match i {
@@ -83,7 +59,6 @@ impl EkfVio {
             state: initial,
             cov,
             map: HashMap::new(),
-            config,
             ops: 0,
             updates_applied: 0,
             updates_gated: 0,
@@ -150,16 +125,15 @@ impl EkfVio {
 
         let fp = f.try_mul(&self.cov).expect("15x15");
         self.cov = fp.try_mul(&f.transpose()).expect("15x15");
-        let c = &self.config;
         for i in 0..3 {
             self.cov
-                .add_at(THETA + i, THETA + i, (c.gyro_noise * c.gyro_noise) * dt);
+                .add_at(THETA + i, THETA + i, (GYRO_NOISE * GYRO_NOISE) * dt);
             self.cov
-                .add_at(VEL + i, VEL + i, (c.accel_noise * c.accel_noise) * dt);
+                .add_at(VEL + i, VEL + i, (ACCEL_NOISE * ACCEL_NOISE) * dt);
             self.cov
-                .add_at(BG + i, BG + i, (c.gyro_bias_walk * c.gyro_bias_walk) * dt);
+                .add_at(BG + i, BG + i, (GYRO_BIAS_WALK * GYRO_BIAS_WALK) * dt);
             self.cov
-                .add_at(BA + i, BA + i, (c.accel_bias_walk * c.accel_bias_walk) * dt);
+                .add_at(BA + i, BA + i, (ACCEL_BIAS_WALK * ACCEL_BIAS_WALK) * dt);
         }
         // 2 × (15³) products + additions.
         self.ops += 2 * 15 * 15 * 15 + 15 * 15;
@@ -213,7 +187,7 @@ impl EkfVio {
         // Innovation covariance S = H·P·Hᵀ + R (2×2), gate, gain, update.
         let ph_t = self.cov.try_mul(&h.transpose()).expect("15x2");
         let mut s_mat = h.try_mul(&ph_t).expect("2x2");
-        let r_meas = self.config.visual_noise * self.config.visual_noise;
+        let r_meas = VISUAL_NOISE * VISUAL_NOISE;
         s_mat.add_at(0, 0, r_meas);
         s_mat.add_at(1, 1, r_meas);
 
@@ -229,7 +203,7 @@ impl EkfVio {
         // χ² gate.
         let iv = DVec::from(vec![innovation[0], innovation[1]]);
         let mahal = iv.dot(&s_inv.mat_vec(&iv));
-        let gate = self.config.gate_sigma * self.config.gate_sigma;
+        let gate = GATE_SIGMA * GATE_SIGMA;
         if mahal > gate * 2.0 {
             self.updates_gated += 1;
             return;
@@ -298,10 +272,7 @@ mod tests {
 
     #[test]
     fn stationary_propagation_stays_put() {
-        let mut ekf = EkfVio::new(
-            KeyframeState::at_pose(Pose::IDENTITY, 0.0),
-            EkfConfig::default(),
-        );
+        let mut ekf = EkfVio::new(KeyframeState::at_pose(Pose::IDENTITY, 0.0));
         ekf.propagate(&stationary_samples(200));
         assert!(ekf.pose().trans.norm() < 1e-9);
         assert!(ekf.pose().rot.angle_to(&Quat::IDENTITY) < 1e-12);
@@ -311,10 +282,7 @@ mod tests {
 
     #[test]
     fn covariance_grows_during_dead_reckoning() {
-        let mut ekf = EkfVio::new(
-            KeyframeState::at_pose(Pose::IDENTITY, 0.0),
-            EkfConfig::default(),
-        );
+        let mut ekf = EkfVio::new(KeyframeState::at_pose(Pose::IDENTITY, 0.0));
         let s0 = ekf.position_sigma();
         ekf.propagate(&stationary_samples(100));
         let s1 = ekf.position_sigma();
@@ -325,10 +293,7 @@ mod tests {
 
     #[test]
     fn visual_updates_shrink_uncertainty() {
-        let mut ekf = EkfVio::new(
-            KeyframeState::at_pose(Pose::IDENTITY, 0.0),
-            EkfConfig::default(),
-        );
+        let mut ekf = EkfVio::new(KeyframeState::at_pose(Pose::IDENTITY, 0.0));
         // Initialize a grid of landmarks straight ahead.
         for (i, (x, y)) in [(0.2, 0.1), (-0.3, 0.05), (0.0, -0.2), (0.4, 0.3)]
             .iter()
@@ -354,7 +319,7 @@ mod tests {
     #[test]
     fn updates_correct_a_perturbed_state() {
         let truth = KeyframeState::at_pose(Pose::IDENTITY, 0.0);
-        let mut ekf = EkfVio::new(truth, EkfConfig::default());
+        let mut ekf = EkfVio::new(truth);
         // Map ten landmarks from the truth pose.
         let landmarks: Vec<(u64, [f64; 2], f64)> = (0..10)
             .map(|i| {
@@ -389,10 +354,7 @@ mod tests {
 
     #[test]
     fn gating_rejects_outliers() {
-        let mut ekf = EkfVio::new(
-            KeyframeState::at_pose(Pose::IDENTITY, 0.0),
-            EkfConfig::default(),
-        );
+        let mut ekf = EkfVio::new(KeyframeState::at_pose(Pose::IDENTITY, 0.0));
         ekf.visual_update(7, [0.1, 0.1], Some(5.0));
         let pose_before = ekf.pose();
         // A wildly inconsistent re-observation must be gated out.
@@ -403,10 +365,7 @@ mod tests {
 
     #[test]
     fn ops_counter_accumulates() {
-        let mut ekf = EkfVio::new(
-            KeyframeState::at_pose(Pose::IDENTITY, 0.0),
-            EkfConfig::default(),
-        );
+        let mut ekf = EkfVio::new(KeyframeState::at_pose(Pose::IDENTITY, 0.0));
         let o0 = ekf.ops();
         ekf.propagate(&stationary_samples(10));
         let o1 = ekf.ops();

@@ -230,24 +230,29 @@ pub fn evaluate_imu(si: &KeyframeState, sj: &KeyframeState, pre: &Preintegration
     ImuEval { residual, j_i, j_j }
 }
 
+/// Visual residual weight (≈ fx/σ_px): one-pixel noise at EuRoC-like focal
+/// length.
+pub const VISUAL_WEIGHT: f64 = 460.0;
+
+// IMU residual weights. They are matched to the synthetic IMU's actual
+// noise (information weights ≈ 1/σ of the preintegrated quantities);
+// under-weighting the IMU lets the monocular scale random-walk and inverts
+// the iteration-vs-accuracy trend of Fig. 12.
+const IMU_Q_WEIGHT: f64 = 2000.0;
+const IMU_P_WEIGHT: f64 = 1500.0;
+const IMU_V_WEIGHT: f64 = 800.0;
+const IMU_BIAS_WEIGHT: f64 = 700.0;
+
 /// Per-residual information weights (inverse standard deviations).
 ///
 /// These play the role of the covariance matrices `Cᵢ` in Eq. 2; the paper
 /// never evaluates covariance fidelity, so scalar weights per residual block
 /// are sufficient and keep the on-chip parameter footprint matching the
-/// hardware template.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// hardware template. The weights themselves are fixed
+/// ([`VISUAL_WEIGHT`], [`FactorWeights::imu_row`]); only the robust kernel
+/// is configurable.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FactorWeights {
-    /// Visual residual weight (≈ fx/σ_px).
-    pub visual: f64,
-    /// IMU rotation weight.
-    pub imu_q: f64,
-    /// IMU position weight.
-    pub imu_p: f64,
-    /// IMU velocity weight.
-    pub imu_v: f64,
-    /// Bias random-walk weight.
-    pub imu_bias: f64,
     /// Huber threshold for visual residuals, in normalized-plane units
     /// (`None` disables robust weighting — the exact historical quadratic
     /// path, bit for bit). Observations whose residual norm exceeds the
@@ -256,32 +261,15 @@ pub struct FactorWeights {
     pub huber_delta: Option<f64>,
 }
 
-impl Default for FactorWeights {
-    fn default() -> Self {
-        // The IMU weights are matched to the synthetic IMU's actual noise
-        // (they are information weights ≈ 1/σ of the preintegrated
-        // quantities); under-weighting the IMU lets the monocular scale
-        // random-walk and inverts the iteration-vs-accuracy trend of
-        // Fig. 12.
-        Self {
-            visual: 460.0, // one-pixel noise at EuRoC-like focal length
-            imu_q: 2000.0,
-            imu_p: 1500.0,
-            imu_v: 800.0,
-            imu_bias: 700.0,
-            huber_delta: None,
-        }
-    }
-}
-
 impl FactorWeights {
-    /// Weight of IMU residual row `r` (0-based within the 15-dim residual).
-    pub fn imu_row(&self, r: usize) -> f64 {
+    /// Weight of IMU residual row `r` (0-based within the 15-dim residual):
+    /// rotation, position, velocity, then the bias random walk.
+    pub fn imu_row(r: usize) -> f64 {
         match r {
-            0..=2 => self.imu_q,
-            3..=5 => self.imu_p,
-            6..=8 => self.imu_v,
-            _ => self.imu_bias,
+            0..=2 => IMU_Q_WEIGHT,
+            3..=5 => IMU_P_WEIGHT,
+            6..=8 => IMU_V_WEIGHT,
+            _ => IMU_BIAS_WEIGHT,
         }
     }
 
@@ -291,7 +279,6 @@ impl FactorWeights {
     pub fn with_huber(self, delta: f64) -> Self {
         Self {
             huber_delta: Some(delta),
-            ..self
         }
     }
 
@@ -545,10 +532,9 @@ mod tests {
 
     #[test]
     fn weights_rows() {
-        let w = FactorWeights::default();
-        assert_eq!(w.imu_row(0), w.imu_q);
-        assert_eq!(w.imu_row(4), w.imu_p);
-        assert_eq!(w.imu_row(8), w.imu_v);
-        assert_eq!(w.imu_row(14), w.imu_bias);
+        assert_eq!(FactorWeights::imu_row(0), IMU_Q_WEIGHT);
+        assert_eq!(FactorWeights::imu_row(4), IMU_P_WEIGHT);
+        assert_eq!(FactorWeights::imu_row(8), IMU_V_WEIGHT);
+        assert_eq!(FactorWeights::imu_row(14), IMU_BIAS_WEIGHT);
     }
 }

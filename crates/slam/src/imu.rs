@@ -11,6 +11,20 @@ use crate::geometry::{Mat3, Quat, Vec3};
 /// Standard gravity in the world frame (z-up).
 pub const GRAVITY: Vec3 = Vec3([0.0, 0.0, -9.81]);
 
+/// Gyro white-noise density of the modelled IMU (rad/s, 1σ): the noise the
+/// frame generator injects and the EKF's process model assumes.
+pub const GYRO_NOISE: f64 = 0.002;
+
+/// Accelerometer white-noise density of the modelled IMU (m/s², 1σ).
+pub const ACCEL_NOISE: f64 = 0.02;
+
+/// Gyro bias random-walk density (rad/s per √s) — the drift that makes
+/// visual correction indispensable.
+pub const GYRO_BIAS_WALK: f64 = 4e-4;
+
+/// Accelerometer bias random-walk density (m/s² per √s).
+pub const ACCEL_BIAS_WALK: f64 = 4e-3;
+
 /// One IMU sample: body-frame angular velocity and specific force over `dt`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImuSample {

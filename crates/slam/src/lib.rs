@@ -50,13 +50,15 @@ mod solver;
 mod window;
 
 pub use camera::PinholeCamera;
-pub use ekf::{EkfConfig, EkfVio};
+pub use ekf::EkfVio;
 pub use factors::{
     evaluate_imu, evaluate_visual, evaluate_visual_residual, FactorWeights, ImuEval, VisualEval,
-    BA, BG, THETA, TRANS, VEL,
+    BA, BG, THETA, TRANS, VEL, VISUAL_WEIGHT,
 };
 pub use geometry::{Mat3, Pose, Quat, Vec3};
-pub use imu::{ImuSample, Preintegration, GRAVITY};
+pub use imu::{
+    ImuSample, Preintegration, ACCEL_BIAS_WALK, ACCEL_NOISE, GRAVITY, GYRO_BIAS_WALK, GYRO_NOISE,
+};
 pub use marginalization::{
     drop_oldest, marginalize_oldest, try_marginalize_oldest, try_marginalize_oldest_in,
     MarginalizationResult,
@@ -70,6 +72,7 @@ pub use problem::{
 pub use solver::{
     schur_linear_solver, solve, solve_in_workspace, solve_with_in_workspace, DegradeReason,
     LinearSolver, LmConfig, Precision, SolveError, SolveOutcome, SolveReport, SolverWorkspace,
+    INITIAL_LAMBDA, LAMBDA_UP,
 };
 pub use window::{
     ImuConstraint, KeyframeState, Landmark, Observation, SlidingWindow, WindowWorkload, STATE_DIM,

@@ -9,7 +9,7 @@
 //! *partially* diagonal; the M-DFG builder picks the blocking with the
 //! diagonal `M₁₁`, which is exactly the landmark sub-block here).
 
-use crate::factors::{evaluate_imu, evaluate_visual, FactorWeights};
+use crate::factors::{evaluate_imu, evaluate_visual, FactorWeights, VISUAL_WEIGHT};
 use crate::prior::{Prior, PriorFactor, PriorScratch};
 use crate::solver::{SolveError, SolverWorkspace};
 use crate::window::{SlidingWindow, STATE_DIM};
@@ -194,7 +194,7 @@ fn local_schur(
     g.resize_fill(dim, 0.0);
 
     // --- visual factors of marginalized landmarks ---
-    let wv2 = weights.visual * weights.visual;
+    let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
     for obs in &window.observations {
         let slot = ws.slot[obs.landmark];
         if slot == usize::MAX {
@@ -248,7 +248,7 @@ fn local_schur(
         let off_i = kf_off(0);
         let off_j = kf_off(1);
         for r in 0..15 {
-            let w = weights.imu_row(r);
+            let w = FactorWeights::imu_row(r);
             let mut cols = [0usize; 30];
             let mut vals = [0f64; 30];
             for c in 0..15 {

@@ -50,7 +50,6 @@ pub fn relative_error(est_prev: &Pose, est_cur: &Pose, gt_prev: &Pose, gt_cur: &
 pub struct TrajectoryMetrics {
     sq_err_sum: f64,
     rel_err_sum: f64,
-    max_translation_err: f64,
     count: usize,
 }
 
@@ -66,9 +65,6 @@ impl TrajectoryMetrics {
         let d = est.translation_distance(gt);
         self.sq_err_sum += d * d;
         self.rel_err_sum += relative_err;
-        if d > self.max_translation_err {
-            self.max_translation_err = d;
-        }
         self.count += 1;
     }
 
@@ -98,11 +94,6 @@ impl TrajectoryMetrics {
         } else {
             self.rel_err_sum / self.count as f64
         }
-    }
-
-    /// Largest single translational error seen.
-    pub fn max_error(&self) -> f64 {
-        self.max_translation_err
     }
 }
 
@@ -159,7 +150,6 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert!((m.rmse() - (0.5f64).sqrt()).abs() < 1e-12);
         assert!((m.mean_relative_error() - 0.3).abs() < 1e-12);
-        assert_eq!(m.max_error(), 1.0);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! do) rather than materializing the global Jacobian; the per-factor flop
 //! counts still match the M-DFG cost model in `archytas-mdfg`.
 
-use crate::factors::{evaluate_imu, evaluate_visual, evaluate_visual_residual, FactorWeights};
+use crate::factors::{
+    evaluate_imu, evaluate_visual, evaluate_visual_residual, FactorWeights, VISUAL_WEIGHT,
+};
 use crate::prior::{Prior, PriorScratch};
 use crate::window::{SlidingWindow, STATE_DIM};
 use archytas_math::{kernels, BlockSparseSystem, DMat, DVec};
@@ -446,8 +448,7 @@ fn assemble<S: NormalEqSink>(
     let mut used = 0;
 
     // --- visual factors ---
-    let wv = weights.visual;
-    let wv2 = wv * wv;
+    let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
     for obs in &window.observations {
         let lm = &window.landmarks[obs.landmark];
         if lm.anchor == obs.keyframe {
@@ -517,7 +518,7 @@ fn assemble<S: NormalEqSink>(
         let off_j = window.kf_offset(cons.first + 1);
         let mut w2s = [0.0; STATE_DIM];
         for (r, w2) in w2s.iter_mut().enumerate() {
-            let w = weights.imu_row(r);
+            let w = FactorWeights::imu_row(r);
             *w2 = w * w;
             let e = ev.residual[r];
             cost += 0.5 * *w2 * e * e;
@@ -722,7 +723,7 @@ pub(crate) fn evaluate_cost_in(
     scratch: &mut PriorScratch,
 ) -> f64 {
     let mut cost = 0.0;
-    let wv2 = weights.visual * weights.visual;
+    let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
     for obs in &window.observations {
         let lm = &window.landmarks[obs.landmark];
         if lm.anchor == obs.keyframe {
@@ -753,7 +754,7 @@ pub(crate) fn evaluate_cost_in(
             &cons.preintegration,
         );
         for (r, e) in ev.residual.iter().enumerate() {
-            let w = weights.imu_row(r);
+            let w = FactorWeights::imu_row(r);
             cost += 0.5 * w * w * e * e;
         }
     }

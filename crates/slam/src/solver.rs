@@ -25,20 +25,24 @@ use std::fmt;
 /// Diagonal floor of the Marquardt damping `A + λ·max(diag(A), floor)`.
 const DAMP_FLOOR: f64 = 1e-9;
 
+/// Initial damping factor λ.
+pub const INITIAL_LAMBDA: f64 = 1e-4;
+
+/// Multiplier applied to λ after a rejected step.
+pub const LAMBDA_UP: f64 = 10.0;
+
+/// Multiplier applied to λ after an accepted step.
+const LAMBDA_DOWN: f64 = 0.5;
+
+/// Relative cost-decrease threshold for convergence.
+const COST_TOLERANCE: f64 = 1e-6;
+
 /// Configuration of the LM solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LmConfig {
     /// Maximum number of outer iterations (the paper's `Iter` knob; the
     /// run-time system tunes this between 1 and 6).
     pub max_iterations: usize,
-    /// Initial damping factor λ.
-    pub initial_lambda: f64,
-    /// Multiplier applied to λ after a rejected step.
-    pub lambda_up: f64,
-    /// Multiplier applied to λ after an accepted step.
-    pub lambda_down: f64,
-    /// Relative cost-decrease threshold for convergence.
-    pub cost_tolerance: f64,
     /// Maximum consecutive rejected steps before giving up an iteration.
     pub max_retries: usize,
     /// Arithmetic width of the linear solve.
@@ -62,10 +66,6 @@ impl Default for LmConfig {
     fn default() -> Self {
         Self {
             max_iterations: 6,
-            initial_lambda: 1e-4,
-            lambda_up: 10.0,
-            lambda_down: 0.5,
-            cost_tolerance: 1e-6,
             max_retries: 5,
             precision: Precision::F64,
         }
@@ -446,7 +446,7 @@ fn lm_loop(
     config: &LmConfig,
     backend: Backend<'_>,
 ) -> SolveReport {
-    let mut lambda = config.initial_lambda;
+    let mut lambda = INITIAL_LAMBDA;
     let mut report = SolveReport {
         iterations: 0,
         initial_cost: f64::NAN,
@@ -476,7 +476,7 @@ fn lm_loop(
                     Rejection::SolveFailed => tracker.solve_failed = true,
                     Rejection::NonFinite => tracker.non_finite = true,
                 }
-                lambda *= config.lambda_up;
+                lambda *= LAMBDA_UP;
                 continue;
             }
             let new_cost = counters::time(Phase::CostEvaluation, || {
@@ -489,14 +489,14 @@ fn lm_loop(
             }
             if new_cost.is_finite() && new_cost < cost {
                 std::mem::swap(window, &mut ws.candidate);
-                lambda = (lambda * config.lambda_down).max(1e-12);
+                lambda = (lambda * LAMBDA_DOWN).max(1e-12);
                 report.last_step_norm = ws.delta.norm();
                 report.step_norms.push(report.last_step_norm);
                 report.final_cost = new_cost;
                 accepted = true;
                 break;
             }
-            lambda *= config.lambda_up;
+            lambda *= LAMBDA_UP;
         }
         tracker.accepted = accepted;
         report.iterations += 1;
@@ -506,9 +506,7 @@ fn lm_loop(
         }
         let decrease = (report.initial_cost - report.final_cost).abs();
         let rel = decrease / report.initial_cost.max(1e-30);
-        if report.final_cost <= config.cost_tolerance
-            || (report.iterations > 1 && rel < config.cost_tolerance)
-        {
+        if report.final_cost <= COST_TOLERANCE || (report.iterations > 1 && rel < COST_TOLERANCE) {
             report.converged = true;
             break;
         }

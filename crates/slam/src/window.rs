@@ -97,19 +97,6 @@ pub struct Landmark {
     pub inv_depth: f64,
 }
 
-impl Landmark {
-    /// World-frame position implied by the current window estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the landmark's anchor index is out of range.
-    pub fn world_position(&self, keyframes: &[KeyframeState]) -> Vec3 {
-        let anchor = &keyframes[self.anchor];
-        let p_cam = self.bearing * (1.0 / self.inv_depth);
-        anchor.pose.transform(&p_cam)
-    }
-}
-
 /// One visual observation: a landmark seen from a (non-anchor) keyframe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
@@ -284,19 +271,6 @@ mod tests {
                 delta[i]
             );
         }
-    }
-
-    #[test]
-    fn landmark_world_position() {
-        let keyframes = vec![kf(0.0)];
-        let lm = Landmark {
-            id: 1,
-            anchor: 0,
-            bearing: Vec3::new(0.5, 0.0, 1.0),
-            inv_depth: 0.25, // depth 4 along bearing
-        };
-        let p = lm.world_position(&keyframes);
-        assert!((p - Vec3::new(2.0, 0.0, 4.0)).norm() < 1e-12);
     }
 
     #[test]

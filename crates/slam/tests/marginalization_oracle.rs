@@ -18,6 +18,7 @@ use archytas_slam::{
     evaluate_imu, evaluate_visual, try_marginalize_oldest, try_marginalize_oldest_in,
     FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, Observation, Pose,
     Preintegration, Prior, Quat, SlidingWindow, SolveError, SolverWorkspace, Vec3, STATE_DIM,
+    VISUAL_WEIGHT,
 };
 
 /// What the dense oracle produces: the new prior's `J` and `r0` and the
@@ -57,7 +58,7 @@ fn dense_marginalize(
     let mut h = DMat::zeros(dim, dim);
     let mut g = DVec::zeros(dim);
 
-    let wv2 = weights.visual * weights.visual;
+    let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
     for obs in &window.observations {
         let Some(&slot) = lm_slot.get(&obs.landmark) else {
             continue;
@@ -100,7 +101,7 @@ fn dense_marginalize(
             &cons.preintegration,
         );
         for r in 0..15 {
-            let w = weights.imu_row(r);
+            let w = FactorWeights::imu_row(r);
             let mut cols = [0usize; 30];
             let mut vals = [0f64; 30];
             for c in 0..15 {

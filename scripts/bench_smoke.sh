@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Quick benchmark smoke: formatting and lint gates, the standalone
+# Quick benchmark smoke: formatting, lint and rustdoc gates, the standalone
 # benchmark's unit tests, then the synthesizer criterion bench in --quick
 # mode at ARCHYTAS_THREADS=1 and =4 (its `nd` stripes fan out over the
 # pool) and the solver-iteration and
@@ -32,6 +32,13 @@ cargo fmt --check
 # warnings.
 echo "linting (cargo clippy)..." >&2
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+# Rustdoc gate: the archytas-* crates' docs build at zero warnings, so a
+# deletion cannot leave a stale intra-doc link behind. The vendored
+# stand-ins (criterion, proptest, rand) are not documented.
+echo "documenting (cargo doc)..." >&2
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace \
+    --exclude criterion --exclude proptest --exclude rand
 
 # Benchmark compile gate: benchmark/ is a workspace of its own, so neither
 # gate above compiles it. Its unit tests include the catalog/BENCHMARK.json
