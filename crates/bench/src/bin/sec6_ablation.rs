@@ -2,17 +2,21 @@
 //!
 //! 1. **static cap** — no run-time optimization (every window at Iter = 6);
 //! 2. **profiled LUT** — the paper's mechanism (offline table + 2-bit
-//!    saturating counter + memoized gating);
+//!    saturating counter + gating table);
 //! 3. **adaptive** — the paper's future-work suggestion, implemented: an
 //!    online-learned per-bucket requirement with no offline profiling.
 //!
-//! The estimator actually runs (f32 accelerator datapath); energy comes
-//! from the gating tables.
+//! The estimator actually runs (f32 accelerator datapath; the first two
+//! rows through `run_sequence`); energy comes from the gating tables.
 //!
 //! Run: `cargo run --release -p archytas-bench --bin sec6_ablation`
 
+use std::sync::Arc;
+
 use archytas_bench::{banner, full_run, print_table};
-use archytas_core::{AdaptiveIterPolicy, GatingTable, IterCounter, IterPolicy, ITER_CAP};
+use archytas_core::{
+    run_sequence, AdaptiveIterPolicy, Executor, GatingTable, IterPolicy, RuntimeSystem,
+};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_hw::{AcceleratorModel, FpgaPlatform, PowerModel, HIGH_PERF};
 use archytas_mdfg::ProblemShape;
@@ -25,18 +29,33 @@ enum Policy {
     Adaptive,
 }
 
+/// `(energy mJ, RMSE cm, mean iterations)` of one policy.
 fn run(policy: Policy) -> (f64, f64, f64) {
     let duration = if full_run() { 60.0 } else { 25.0 };
     let data = kitti_sequences()[0].truncated(duration).build();
     let platform = FpgaPlatform::zc706();
     let model = AcceleratorModel::new(HIGH_PERF, platform.clone());
+    if policy != Policy::Adaptive {
+        // The paper's mechanism is exactly the Sec. 6 run-time system.
+        let runtime = (policy == Policy::ProfiledLut).then(|| {
+            RuntimeSystem::new(
+                HIGH_PERF,
+                &ProblemShape::typical(),
+                2.5,
+                &platform,
+                IterPolicy::default_table(),
+            )
+        });
+        let model = Arc::new(model);
+        let s = run_sequence(&data, Executor::Accelerator { model, runtime });
+        return (s.total_energy_mj, s.rmse_m * 100.0, s.mean_iterations());
+    }
+
+    // The adaptive policy learns from each window's solver report, which no
+    // `Executor` sees, so it drives the pipeline itself.
     let power = PowerModel::for_platform(&platform);
     let gating = GatingTable::build(&HIGH_PERF, &ProblemShape::typical(), 2.5, &platform);
-
-    let lut = IterPolicy::default_table();
-    let mut counter = IterCounter::new(ITER_CAP);
     let mut adaptive = AdaptiveIterPolicy::default();
-
     let mut pipeline = VioPipeline::new(PipelineConfig {
         precision: Precision::F32,
         ..PipelineConfig::default()
@@ -51,22 +70,12 @@ fn run(policy: Policy) -> (f64, f64, f64) {
             continue;
         }
         let features = pipeline.window().num_landmarks();
-        let iterations = match policy {
-            Policy::StaticCap => ITER_CAP,
-            Policy::ProfiledLut => counter.observe(lut.iterations_for(features)),
-            Policy::Adaptive => adaptive.iterations_for(features),
-        };
+        let iterations = adaptive.iterations_for(features);
         let result = pipeline.optimize_and_slide(iterations);
-        if policy == Policy::Adaptive {
-            adaptive.observe(features, &result.report);
-        }
+        adaptive.observe(features, &result.report);
         let shape = ProblemShape::from_workload(&result.workload);
         let latency = model.window_latency_ms(&shape, iterations);
-        let p = match policy {
-            Policy::StaticCap => model.power_w(),
-            _ => power.gated_power_w(&HIGH_PERF, &gating.active_for(iterations)),
-        };
-        energy += latency * p;
+        energy += latency * power.gated_power_w(&HIGH_PERF, &gating.active_for(iterations));
         metrics.record(&result.estimate, &result.ground_truth, 0.0);
         iter_sum += iterations;
         windows += 1;

@@ -7,6 +7,8 @@
 //!
 //! Run: `cargo run --release -p archytas-bench --bin sec7_6`
 
+use std::sync::Arc;
+
 use archytas_bench::{banner, full_run, print_table};
 use archytas_core::{run_sequence, Executor, IterPolicy, RuntimeSystem};
 use archytas_dataset::{euroc_sequences, kitti_sequences, SequenceSpec};
@@ -21,14 +23,16 @@ fn run_pair(
     let data = spec.build();
     let platform = FpgaPlatform::zc706();
 
-    let mut static_exec = Executor::Accelerator {
-        model: AcceleratorModel::new(config, platform.clone()),
+    let model = Arc::new(AcceleratorModel::new(config, platform.clone()));
+
+    let static_exec = Executor::Accelerator {
+        model: Arc::clone(&model),
         runtime: None,
     };
-    let static_run = run_sequence(&data, &mut static_exec);
+    let static_run = run_sequence(&data, static_exec);
 
-    let mut dynamic_exec = Executor::Accelerator {
-        model: AcceleratorModel::new(config, platform.clone()),
+    let dynamic_exec = Executor::Accelerator {
+        model,
         runtime: Some(RuntimeSystem::new(
             config,
             &ProblemShape::typical(),
@@ -37,7 +41,7 @@ fn run_pair(
             IterPolicy::default_table(),
         )),
     };
-    let dynamic_run = run_sequence(&data, &mut dynamic_exec);
+    let dynamic_run = run_sequence(&data, dynamic_exec);
 
     let saving = (1.0 - dynamic_run.total_energy_mj / static_run.total_energy_mj) * 100.0;
     let d_rmse_cm = (dynamic_run.rmse_m - static_run.rmse_m) * 100.0;

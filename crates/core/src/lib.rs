@@ -7,7 +7,8 @@
 //! * `synth` — the constrained-optimization hardware synthesizer (Sec. 5),
 //! * `verilog` — emission of the synthesizable design (Fig. 1),
 //! * `runtime` — the on-line iteration/clock-gating optimizer (Sec. 6),
-//! * `vehicle` — the on-vehicle execution loop driving real workloads,
+//! * `vehicle` — the per-window step every end-to-end run, fleet session
+//!   and fault scenario closes its windows through,
 //! * `framework` — the end-to-end `Archytas::generate` entry point.
 //!
 //! # Example
@@ -45,5 +46,5 @@ pub use synth::{
     synthesize_with, validate_by_perturbation, DesignSpec, Objective, ParetoPoint, SynthesisError,
     SynthesizedDesign, ND_MAX, NM_MAX, S_MAX,
 };
-pub use vehicle::{run_sequence, Executor, RunSummary, WindowRecord};
+pub use vehicle::{run_sequence, Executor, RunSummary, Vehicle, WindowRecord};
 pub use verilog::{emit_verilog, StructuralReport, VerilogDesign, VerilogFile};

@@ -215,8 +215,9 @@ impl GatingTable {
 /// statistics drive cost; this is where those statistics are collected.
 /// One fixed slot per possible budget (`1..=ITER_CAP`; slot 0 stays
 /// empty), recorded on every decision with a single array increment, so
-/// profiling rides the hot path for free. The fleet telemetry layer and
-/// `RunSummary` read it back to attribute energy to iteration counts.
+/// profiling rides the hot path for free. [`RuntimeSystem::profile`] keeps
+/// one per runtime, and [`crate::run_sequence`] records every closed window
+/// into its `RunSummary`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IterationProfile {
     counts: [u64; ITER_CAP + 1],

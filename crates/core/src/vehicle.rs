@@ -2,32 +2,36 @@
 //! sliding-window estimator, executed either on a generated accelerator
 //! (with or without the run-time optimizer) or on a CPU baseline.
 //!
-//! This module is the engine behind the paper's end-to-end experiments
-//! (Figs. 15–16, Sec. 7.6): one sequence in, per-window latency / energy /
-//! accuracy records out, with the estimation arithmetic actually executed
-//! (f64 on the CPU path, f32 through the accelerator functional model).
+//! [`Vehicle`] is the per-window step of the paper's Sec. 6 run-time loop,
+//! with the estimation arithmetic actually executed. Its callers are
+//! [`run_sequence`] (`sec6_ablation`, `sec7_6`, the `drone_euroc` and
+//! `selfdriving_kitti` examples, the end-to-end tests), every served window
+//! of an `archytas-fleet` session, and the `archytas-faults` scenario matrix.
+
+use std::sync::Arc;
 
 use crate::runtime::{IterationProfile, RuntimeSystem, ITER_CAP};
 use archytas_baselines::CpuPlatform;
-use archytas_dataset::{DegradationCause, HealthState, PipelineConfig, SequenceData, VioPipeline};
+use archytas_dataset::{
+    DegradationCause, Frame, HealthState, PipelineConfig, SequenceData, VioPipeline,
+};
 use archytas_hw::AcceleratorModel;
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{relative_error, Pose, Precision, TrajectoryMetrics};
+use archytas_slam::{relative_error, Pose, Precision, SolverWorkspace, TrajectoryMetrics};
 
 /// Who executes the per-window optimization.
 ///
-/// One `Executor` exists per end-to-end run, so the size skew between the
-/// accelerator and CPU variants costs nothing; boxing would only add a
-/// pointer chase to the per-window latency lookup.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
+/// Every [`Vehicle`] holds one. The accelerator model is `Arc`-shared, so a
+/// fleet of sessions on one deployment holds one model and a session
+/// checkpoint copies a pointer, not the model.
+#[derive(Debug, Clone)]
 pub enum Executor {
     /// A generated accelerator; `runtime: Some(..)` enables the dynamic
     /// optimizer (Sec. 6), `None` runs the static design at the full
     /// iteration cap.
     Accelerator {
         /// The deployed design.
-        model: AcceleratorModel,
+        model: Arc<AcceleratorModel>,
         /// Optional run-time system.
         runtime: Option<RuntimeSystem>,
     },
@@ -54,9 +58,11 @@ pub struct WindowRecord {
     pub latency_ms: f64,
     /// Modelled energy (mJ).
     pub energy_mj: f64,
-    /// Translational error of the newest keyframe (m).
-    pub translation_error_m: f64,
-    /// Per-window relative error (Fig. 11's metric).
+    /// Estimated pose of the newest keyframe.
+    pub estimate: Pose,
+    /// Ground-truth pose of the newest keyframe.
+    pub ground_truth: Pose,
+    /// Per-window relative error (Fig. 11's metric); 0 for the first window.
     pub relative_error: f64,
     /// Degradation-ladder state after this window closed.
     pub health: HealthState,
@@ -68,6 +74,92 @@ pub struct WindowRecord {
     /// and all three from fleet-level quarantine, which is a per-session
     /// verdict recorded by `archytas-fleet`, never here.
     pub degradation_cause: Option<DegradationCause>,
+}
+
+/// One vehicle's estimator and the executor that runs it. The caller builds
+/// the pipeline, so precision and robust weighting stay its choice; all
+/// mutable state lives here, so a clone is a checkpoint.
+#[derive(Debug, Clone)]
+pub struct Vehicle {
+    pipeline: VioPipeline,
+    executor: Executor,
+    /// (estimate, ground truth) of the previous window.
+    prev: Option<(Pose, Pose)>,
+}
+
+impl Vehicle {
+    /// A vehicle that has seen no frame yet.
+    pub fn new(pipeline: VioPipeline, executor: Executor) -> Self {
+        Self {
+            pipeline,
+            executor,
+            prev: None,
+        }
+    }
+
+    /// Ingests one frame through the front-end. Returns `true` when the
+    /// window is full; the caller then closes it with
+    /// [`Vehicle::close_window`].
+    pub fn push_frame(&mut self, frame: &Frame) -> bool {
+        self.pipeline.push_frame(frame)
+    }
+
+    /// Closes the full window: health verdict, iteration budget and power
+    /// (runtime decision, static cap, or CPU budget), solve-and-slide in
+    /// `workspace`, Eq. 13/17 pricing, and relative error against the
+    /// previous window.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the window is not full.
+    pub fn close_window(&mut self, workspace: &mut SolverWorkspace) -> WindowRecord {
+        let features = self.pipeline.window().num_landmarks();
+        // The pre-solve health verdict feeds the runtime watchdog (the
+        // degradation ladder's runtime half): on a clean stream
+        // `step_with_health` is bit-identical to `step`, so nominal runs
+        // are unchanged, while a faulted window already runs at full
+        // capacity.
+        let healthy = !self.pipeline.health().is_suspect();
+        let (iterations, power_w, watchdog_engaged) = match &mut self.executor {
+            Executor::Accelerator { model, runtime } => match runtime {
+                Some(rt) => {
+                    let d = rt.step_with_health(features, healthy);
+                    (d.iterations, d.gated_power_w, rt.watchdog().engaged())
+                }
+                None => (ITER_CAP, model.power_w(), false),
+            },
+            Executor::Cpu {
+                platform,
+                iterations,
+            } => (*iterations, platform.power_w, false),
+        };
+
+        let result = self.pipeline.optimize_and_slide_in(workspace, iterations);
+
+        let shape = ProblemShape::from_workload(&result.workload);
+        let latency_ms = match &self.executor {
+            Executor::Accelerator { model, .. } => model.window_latency_ms(&shape, iterations),
+            Executor::Cpu { platform, .. } => platform.window_time_ms(&shape, iterations),
+        };
+        let relative_error = self.prev.map_or(0.0, |(pe, pg)| {
+            relative_error(&pe, &result.estimate, &pg, &result.ground_truth)
+        });
+        self.prev = Some((result.estimate, result.ground_truth));
+
+        WindowRecord {
+            window_id: result.window_id,
+            features,
+            iterations,
+            latency_ms,
+            energy_mj: latency_ms * power_w,
+            estimate: result.estimate,
+            ground_truth: result.ground_truth,
+            relative_error,
+            health: result.health,
+            watchdog_engaged,
+            degradation_cause: result.cause,
+        }
+    }
 }
 
 /// Aggregate result of one sequence run.
@@ -85,8 +177,6 @@ pub struct RunSummary {
     pub rmse_m: f64,
     /// Mean per-window relative error.
     pub mean_relative_error: f64,
-    /// Total NLS iterations across all windows.
-    pub total_iterations: u64,
     /// Per-budget window counts (index = iteration budget): the runtime
     /// profiler's view of the run, also populated on static-accelerator
     /// and CPU runs from each window's fixed budget.
@@ -129,115 +219,47 @@ impl RunSummary {
     pub fn watchdog_windows(&self) -> usize {
         self.windows.iter().filter(|w| w.watchdog_engaged).count()
     }
-
-    fn cause_windows(&self, cause: DegradationCause) -> usize {
-        self.windows
-            .iter()
-            .filter(|w| w.degradation_cause == Some(cause))
-            .count()
-    }
-
-    /// Windows degraded by a sanitized sensor fault.
-    pub fn sensor_fault_windows(&self) -> usize {
-        self.cause_windows(DegradationCause::SensorFault)
-    }
-
-    /// Windows degraded by the solver alone (no sensor fault latched).
-    pub fn solver_divergence_windows(&self) -> usize {
-        self.cause_windows(DegradationCause::SolverDivergence)
-    }
-
-    /// Windows degraded by a failed marginalization (prior reset).
-    pub fn prior_reset_windows(&self) -> usize {
-        self.cause_windows(DegradationCause::PriorReset)
-    }
 }
 
-/// Runs one sequence end-to-end under the given executor.
-pub fn run_sequence(data: &SequenceData, executor: &mut Executor) -> RunSummary {
+/// Runs one sequence end-to-end under the given executor: the
+/// [`Vehicle`] step over every frame, folded into a [`RunSummary`].
+pub fn run_sequence(data: &SequenceData, executor: Executor) -> RunSummary {
     // The accelerator solves each window in its f32 datapath, the CPU in f64.
     let precision = match executor {
         Executor::Accelerator { .. } => Precision::F32,
         Executor::Cpu { .. } => Precision::F64,
     };
-    let mut pipeline = VioPipeline::new(PipelineConfig {
+    let pipeline = VioPipeline::new(PipelineConfig {
         precision,
         ..PipelineConfig::default()
     });
-    let mut records = Vec::new();
+    let mut vehicle = Vehicle::new(pipeline, executor);
+    let mut workspace = SolverWorkspace::new();
+    let mut windows = Vec::new();
     let mut metrics = TrajectoryMetrics::new();
     let mut total_time = 0.0;
     let mut total_energy = 0.0;
     let mut profile = IterationProfile::new();
-    let mut prev_pair: Option<(Pose, Pose)> = None; // (est, gt)
 
     for frame in &data.frames {
-        if !pipeline.push_frame(frame) {
+        if !vehicle.push_frame(frame) {
             continue;
         }
-        let features = pipeline.window().num_landmarks();
-        // The pre-solve health verdict feeds the runtime watchdog (the
-        // degradation ladder's runtime half): on a clean stream
-        // `step_with_health` is bit-identical to `step`, so nominal runs
-        // are unchanged, while a faulted window already runs at full
-        // capacity.
-        let healthy = !pipeline.health().is_suspect();
-
-        // Decide iterations / power per executor.
-        let (iterations, power_w, watchdog_engaged) = match executor {
-            Executor::Accelerator { model, runtime } => match runtime {
-                Some(rt) => {
-                    let d = rt.step_with_health(features, healthy);
-                    (d.iterations, d.gated_power_w, rt.watchdog().engaged())
-                }
-                None => (ITER_CAP, model.power_w(), false),
-            },
-            Executor::Cpu {
-                platform,
-                iterations,
-            } => (*iterations, platform.power_w, false),
-        };
-
-        let result = pipeline.optimize_and_slide(iterations);
-
-        let shape = ProblemShape::from_workload(&result.workload);
-        let latency_ms = match executor {
-            Executor::Accelerator { model, .. } => model.window_latency_ms(&shape, iterations),
-            Executor::Cpu { platform, .. } => platform.window_time_ms(&shape, iterations),
-        };
-        let energy_mj = latency_ms * power_w;
-        total_time += latency_ms;
-        total_energy += energy_mj;
-        profile.record(iterations);
-
-        let rel = prev_pair.map_or(0.0, |(pe, pg)| {
-            relative_error(&pe, &result.estimate, &pg, &result.ground_truth)
-        });
-        prev_pair = Some((result.estimate, result.ground_truth));
-        metrics.record(&result.estimate, &result.ground_truth, rel);
-
-        records.push(WindowRecord {
-            window_id: result.window_id,
-            features,
-            iterations,
-            latency_ms,
-            energy_mj,
-            translation_error_m: result.estimate.translation_distance(&result.ground_truth),
-            relative_error: rel,
-            health: result.health,
-            watchdog_engaged,
-            degradation_cause: result.cause,
-        });
+        let w = vehicle.close_window(&mut workspace);
+        total_time += w.latency_ms;
+        total_energy += w.energy_mj;
+        profile.record(w.iterations);
+        metrics.record(&w.estimate, &w.ground_truth, w.relative_error);
+        windows.push(w);
     }
 
     RunSummary {
         sequence: data.spec.name.clone(),
-        windows: records,
+        windows,
         total_time_ms: total_time,
         total_energy_mj: total_energy,
         rmse_m: metrics.rmse(),
         mean_relative_error: metrics.mean_relative_error(),
-        total_iterations: profile.total_iterations(),
         iteration_profile: profile,
     }
 }
@@ -254,7 +276,7 @@ mod tests {
     }
 
     fn accel_executor(dynamic: bool) -> Executor {
-        let model = AcceleratorModel::new(HIGH_PERF, FpgaPlatform::zc706());
+        let model = Arc::new(AcceleratorModel::new(HIGH_PERF, FpgaPlatform::zc706()));
         let runtime = dynamic.then(|| {
             RuntimeSystem::new(
                 HIGH_PERF,
@@ -270,8 +292,7 @@ mod tests {
     #[test]
     fn accelerator_run_produces_records() {
         let data = short_sequence();
-        let mut exec = accel_executor(false);
-        let summary = run_sequence(&data, &mut exec);
+        let summary = run_sequence(&data, accel_executor(false));
         assert_eq!(summary.windows.len(), data.frames.len() - 9);
         assert!(summary.total_time_ms > 0.0);
         assert!(summary.rmse_m < 1.0, "rmse {}", summary.rmse_m);
@@ -281,8 +302,8 @@ mod tests {
     #[test]
     fn dynamic_runtime_cuts_energy_not_accuracy() {
         let data = short_sequence();
-        let static_summary = run_sequence(&data, &mut accel_executor(false));
-        let dynamic_summary = run_sequence(&data, &mut accel_executor(true));
+        let static_summary = run_sequence(&data, accel_executor(false));
+        let dynamic_summary = run_sequence(&data, accel_executor(true));
         assert!(
             dynamic_summary.total_energy_mj < static_summary.total_energy_mj,
             "dynamic {} mJ vs static {} mJ",
@@ -296,12 +317,14 @@ mod tests {
     #[test]
     fn cpu_run_is_slower_but_same_accuracy_class() {
         let data = short_sequence();
-        let accel = run_sequence(&data, &mut accel_executor(false));
-        let mut cpu_exec = Executor::Cpu {
-            platform: CpuPlatform::intel_comet_lake(),
-            iterations: ITER_CAP,
-        };
-        let cpu = run_sequence(&data, &mut cpu_exec);
+        let accel = run_sequence(&data, accel_executor(false));
+        let cpu = run_sequence(
+            &data,
+            Executor::Cpu {
+                platform: CpuPlatform::intel_comet_lake(),
+                iterations: ITER_CAP,
+            },
+        );
         assert!(cpu.total_time_ms > accel.total_time_ms * 2.0);
         assert!(cpu.total_energy_mj > accel.total_energy_mj * 10.0);
         // f32 accelerator datapath tracks the f64 software estimate.
@@ -314,7 +337,7 @@ mod tests {
         // the plain one: no degraded windows, watchdog never engaged, every
         // dynamic decision at or below the cap.
         let data = short_sequence();
-        let summary = run_sequence(&data, &mut accel_executor(true));
+        let summary = run_sequence(&data, accel_executor(true));
         assert_eq!(summary.degraded_windows(), 0);
         assert_eq!(summary.watchdog_windows(), 0);
         assert!(summary
@@ -326,7 +349,7 @@ mod tests {
     #[test]
     fn summary_statistics_consistent() {
         let data = short_sequence();
-        let summary = run_sequence(&data, &mut accel_executor(false));
+        let summary = run_sequence(&data, accel_executor(false));
         let sum: f64 = summary.windows.iter().map(|w| w.latency_ms).sum();
         assert!((sum - summary.total_time_ms).abs() < 1e-9);
         assert!(summary.mean_latency_ms() > 0.0);
@@ -337,9 +360,9 @@ mod tests {
     fn summary_iterations_match_window_records() {
         let data = short_sequence();
         for dynamic in [false, true] {
-            let summary = run_sequence(&data, &mut accel_executor(dynamic));
+            let summary = run_sequence(&data, accel_executor(dynamic));
             let from_windows: u64 = summary.windows.iter().map(|w| w.iterations as u64).sum();
-            assert_eq!(summary.total_iterations, from_windows);
+            assert_eq!(summary.iteration_profile.total_iterations(), from_windows);
             assert_eq!(
                 summary.iteration_profile.windows(),
                 summary.windows.len() as u64

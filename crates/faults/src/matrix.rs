@@ -2,14 +2,16 @@
 
 use crate::inject::apply;
 use crate::plan::{FaultKind, FaultPlan};
-use archytas_core::{IterPolicy, RuntimeSystem};
+use archytas_core::{Executor, IterPolicy, RuntimeSystem, Vehicle, WindowRecord};
 use archytas_dataset::{
-    kitti_sequences, tunnel_sequences, HealthState, PipelineConfig, SequenceSpec, VioPipeline,
+    kitti_sequences, tunnel_sequences, Frame, HealthState, PipelineConfig, SequenceSpec,
+    VioPipeline,
 };
-use archytas_hw::{FpgaPlatform, HIGH_PERF};
+use archytas_hw::{AcceleratorModel, FpgaPlatform, HIGH_PERF};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{rmse_translation, FactorWeights, Pose};
+use archytas_slam::{rmse_translation, FactorWeights, Pose, SolverWorkspace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// A named fault plan.
 #[derive(Debug, Clone)]
@@ -205,57 +207,44 @@ fn matrix_config() -> PipelineConfig {
     }
 }
 
-fn matrix_runtime() -> RuntimeSystem {
-    RuntimeSystem::new(
+/// Runs the pipeline + runtime stack over a frame stream, one record per
+/// window, on the HIGH_PERF design on a ZC706 (the design the runtime's
+/// gating table is built for).
+fn drive(frames: &[Frame]) -> Vec<WindowRecord> {
+    let platform = FpgaPlatform::zc706();
+    let runtime = RuntimeSystem::new(
         HIGH_PERF,
         &ProblemShape::typical(),
         2.5,
-        &FpgaPlatform::zc706(),
+        &platform,
         IterPolicy::default_table(),
-    )
-}
-
-struct Drive {
-    estimates: Vec<Pose>,
-    ground_truths: Vec<Pose>,
-    healths: Vec<HealthState>,
-    watchdog_windows: usize,
-    degraded_windows: usize,
-}
-
-/// Runs the pipeline + runtime stack over a frame stream.
-fn drive(frames: &[archytas_dataset::Frame]) -> Drive {
-    let mut pipeline = VioPipeline::new(matrix_config());
-    let mut rt = matrix_runtime();
-    let mut d = Drive {
-        estimates: Vec::new(),
-        ground_truths: Vec::new(),
-        healths: Vec::new(),
-        watchdog_windows: 0,
-        degraded_windows: 0,
+    );
+    let executor = Executor::Accelerator {
+        model: Arc::new(AcceleratorModel::new(HIGH_PERF, platform)),
+        runtime: Some(runtime),
     };
+    let mut vehicle = Vehicle::new(VioPipeline::new(matrix_config()), executor);
+    let mut workspace = SolverWorkspace::new();
+    let mut windows = Vec::new();
     for frame in frames {
-        if !pipeline.push_frame(frame) {
-            continue;
+        if vehicle.push_frame(frame) {
+            windows.push(vehicle.close_window(&mut workspace));
         }
-        let features = pipeline.window().num_landmarks();
-        // The pre-solve health verdict (which sees faults latched for the
-        // window about to be solved) feeds the runtime watchdog, so the
-        // very window a fault lands in already runs at full capacity.
-        let healthy = !pipeline.health().is_suspect();
-        let decision = rt.step_with_health(features, healthy);
-        if rt.watchdog().engaged() {
-            d.watchdog_windows += 1;
-        }
-        let result = pipeline.optimize_and_slide(decision.iterations);
-        if result.health == HealthState::Degraded {
-            d.degraded_windows += 1;
-        }
-        d.healths.push(result.health);
-        d.estimates.push(result.estimate);
-        d.ground_truths.push(result.ground_truth);
     }
-    d
+    windows
+}
+
+/// Estimates of a run's windows, with their trajectory RMSE (infinite when
+/// the run produced no window).
+fn trajectory(windows: &[WindowRecord]) -> (Vec<Pose>, f64) {
+    let (estimates, ground_truths): (Vec<Pose>, Vec<Pose>) =
+        windows.iter().map(|w| (w.estimate, w.ground_truth)).unzip();
+    let rmse_m = if windows.is_empty() {
+        f64::INFINITY
+    } else {
+        rmse_translation(&estimates, &ground_truths)
+    };
+    (estimates, rmse_m)
 }
 
 /// A fault-free reference run.
@@ -263,8 +252,6 @@ fn drive(frames: &[archytas_dataset::Frame]) -> Drive {
 pub struct NominalRun {
     /// Newest-keyframe estimates, one per window.
     pub estimates: Vec<Pose>,
-    /// Ground-truth poses aligned with `estimates`.
-    pub ground_truths: Vec<Pose>,
     /// Trajectory RMSE (m).
     pub rmse_m: f64,
 }
@@ -278,18 +265,9 @@ pub fn run_nominal(seconds: f64) -> NominalRun {
 /// fault-free reference for long-horizon scenarios pinned to their own
 /// sequence.
 pub fn run_nominal_on(spec: &SequenceSpec, seconds: f64) -> NominalRun {
-    let data = spec.truncated(seconds).build();
-    let d = drive(&data.frames);
-    let rmse_m = if d.estimates.is_empty() {
-        f64::INFINITY
-    } else {
-        rmse_translation(&d.estimates, &d.ground_truths)
-    };
-    NominalRun {
-        estimates: d.estimates,
-        ground_truths: d.ground_truths,
-        rmse_m,
-    }
+    let windows = drive(&spec.truncated(seconds).build().frames);
+    let (estimates, rmse_m) = trajectory(&windows);
+    NominalRun { estimates, rmse_m }
 }
 
 /// Runs one scenario over `seconds` of its sequence (the standard matrix
@@ -306,29 +284,25 @@ pub fn run_scenario(scenario: &Scenario, seconds: f64) -> ScenarioResult {
     let frames = apply(&scenario.plan, &data.frames);
 
     match catch_unwind(AssertUnwindSafe(|| drive(&frames))) {
-        Ok(d) => {
-            let rmse_m = if d.estimates.is_empty() {
-                f64::INFINITY
-            } else {
-                rmse_translation(&d.estimates, &d.ground_truths)
-            };
-            let last_degraded = d.healths.iter().rposition(|&h| h == HealthState::Degraded);
-            let recovery_latency_windows = last_degraded.and_then(|i| {
-                d.healths[i + 1..]
+        Ok(windows) => {
+            let (estimates, rmse_m) = trajectory(&windows);
+            let degraded = |w: &WindowRecord| w.health == HealthState::Degraded;
+            let recovery_latency_windows = windows.iter().rposition(degraded).and_then(|i| {
+                windows[i + 1..]
                     .iter()
-                    .position(|&h| h == HealthState::Nominal)
+                    .position(|w| w.health == HealthState::Nominal)
                     .map(|k| k + 1)
             });
             ScenarioResult {
                 name: scenario.name.clone(),
                 rmse_m,
                 nominal_rmse_m: nominal.rmse_m,
-                windows: d.estimates.len(),
-                degraded_windows: d.degraded_windows,
-                watchdog_windows: d.watchdog_windows,
+                windows: windows.len(),
+                degraded_windows: windows.iter().filter(|w| degraded(w)).count(),
+                watchdog_windows: windows.iter().filter(|w| w.watchdog_engaged).count(),
                 recovery_latency_windows,
                 completed: true,
-                estimates: d.estimates,
+                estimates,
             }
         }
         Err(_) => ScenarioResult {

@@ -1,5 +1,6 @@
-//! A vehicle session: one VIO pipeline plus its runtime instance, stepped
-//! frame-by-frame by the fleet scheduler.
+//! A vehicle session: one [`Vehicle`] (VIO pipeline plus its runtime
+//! instance, closing each window through the shared `archytas-core` step),
+//! stepped frame-by-frame by the fleet scheduler.
 //!
 //! A session owns *all* of its mutable state — pipeline, sliding window,
 //! iteration counter, watchdog — so the scheduler can migrate it freely
@@ -23,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use archytas_core::{GatingTable, IterPolicy, RuntimeSystem};
+use archytas_core::{Executor, GatingTable, IterPolicy, RuntimeSystem, Vehicle};
 use archytas_dataset::{
     DegradationCause, Frame, HealthState, PipelineConfig, SequenceSpec, VioPipeline,
 };
@@ -445,8 +446,7 @@ pub(crate) enum StepOutcome {
 #[derive(Debug, Clone)]
 struct Core {
     cursor: usize,
-    pipeline: VioPipeline,
-    runtime: RuntimeSystem,
+    vehicle: Vehicle,
     metrics: TrajectoryMetrics,
     estimates: Vec<Pose>,
     iterations: Vec<usize>,
@@ -493,10 +493,10 @@ pub fn silence_chaos_panics() {
 }
 
 impl Core {
-    /// Processes the next frame (front-end, health-fed runtime decision,
-    /// f32 accelerator solve). Returns `(done, window_closed)`. Purely a
-    /// function of the session's own state — no observable dependence on
-    /// what other sessions are doing.
+    /// Processes the next frame through the session's [`Vehicle`] and folds
+    /// a closed window's record into the report counters. Returns
+    /// `(done, window_closed)`. Purely a function of the session's own
+    /// state — no observable dependence on what other sessions are doing.
     ///
     /// `inject_panic` fires the chaos panic *after* the front-end ingests
     /// the frame, so the unwind genuinely tears mid-assembly state (a
@@ -504,7 +504,6 @@ impl Core {
     fn step_frame(
         &mut self,
         frames: &[Frame],
-        model: &AcceleratorModel,
         workspace: &mut SolverWorkspace,
         inject_panic: bool,
     ) -> (bool, bool) {
@@ -513,7 +512,7 @@ impl Core {
             // complete immediately.
             return (true, false);
         }
-        let produced = self.pipeline.push_frame(&frames[self.cursor]);
+        let produced = self.vehicle.push_frame(&frames[self.cursor]);
         self.cursor += 1;
         if inject_panic {
             panic!(
@@ -522,35 +521,23 @@ impl Core {
             );
         }
         if produced {
-            let features = self.pipeline.window().num_landmarks();
-            let healthy = !self.pipeline.health().is_suspect();
-            let decision = self.runtime.step_with_health(features, healthy);
-            if self.runtime.watchdog().engaged() {
-                self.watchdog_windows += 1;
-            }
-            let result = self
-                .pipeline
-                .optimize_and_slide_in(workspace, decision.iterations);
-            let shape = ProblemShape::from_workload(&result.workload);
-            let latency_ms = model.window_latency_ms(&shape, decision.iterations);
-            let energy_mj = latency_ms * decision.gated_power_w;
-            self.modelled_latency_ms += latency_ms;
-            self.modelled_energy_mj += energy_mj;
+            let w = self.vehicle.close_window(workspace);
+            self.modelled_latency_ms += w.latency_ms;
+            self.modelled_energy_mj += w.energy_mj;
             self.telemetry
-                .record_window(latency_ms, energy_mj, decision.iterations as u32);
-            if result.health == HealthState::Degraded {
-                self.degraded_windows += 1;
-            }
-            match result.cause {
+                .record_window(w.latency_ms, w.energy_mj, w.iterations as u32);
+            self.degraded_windows += usize::from(w.health == HealthState::Degraded);
+            self.watchdog_windows += usize::from(w.watchdog_engaged);
+            match w.degradation_cause {
                 Some(DegradationCause::SensorFault) => self.cause_windows[0] += 1,
                 Some(DegradationCause::SolverDivergence) => self.cause_windows[1] += 1,
                 Some(DegradationCause::PriorReset) => self.cause_windows[2] += 1,
                 None => {}
             }
             self.metrics
-                .record(&result.estimate, &result.ground_truth, 0.0);
-            self.estimates.push(result.estimate);
-            self.iterations.push(decision.iterations);
+                .record(&w.estimate, &w.ground_truth, w.relative_error);
+            self.estimates.push(w.estimate);
+            self.iterations.push(w.iterations);
         }
         (self.cursor >= frames.len(), produced)
     }
@@ -579,7 +566,6 @@ pub(crate) struct SessionState {
     /// `None` until first activation; immutable once built — restarts
     /// replay it from the checkpoint cursor.
     frames: Option<Vec<Frame>>,
-    model: Arc<AcceleratorModel>,
     deadline: DeadlinePolicy,
     restart: RestartPolicy,
     chaos: Option<ChaosPlan>,
@@ -607,10 +593,13 @@ impl SessionState {
     /// ([`SessionState::ensure_started`]), so admitting a session costs a
     /// [`Core`], not a sequence replay.
     pub(crate) fn new(spec: &SessionSpec, services: &FleetServices) -> Self {
+        let executor = Executor::Accelerator {
+            model: Arc::clone(&services.model),
+            runtime: Some(services.runtime()),
+        };
         let core = Core {
             cursor: 0,
-            pipeline: VioPipeline::new(fleet_pipeline_config()),
-            runtime: services.runtime(),
+            vehicle: Vehicle::new(VioPipeline::new(fleet_pipeline_config()), executor),
             metrics: TrajectoryMetrics::new(),
             estimates: Vec::new(),
             iterations: Vec::new(),
@@ -631,7 +620,6 @@ impl SessionState {
             fault_plan: spec.fault_plan.clone(),
             leave_after_frames: spec.leave_after_frames,
             frames: None,
-            model: Arc::clone(&services.model),
             deadline: services.deadline,
             restart: services.restart,
             chaos_fired: vec![false; spec.chaos.as_ref().map_or(0, |p| p.events.len())],
@@ -730,7 +718,6 @@ impl SessionState {
         let t0 = Instant::now();
         let core = &mut self.core;
         let frames = self.frames.as_deref().expect("ensure_started ran");
-        let model = &*self.model;
         // AssertUnwindSafe: a panic can leave `core` torn mid-assembly, but
         // a torn core is never observed afterwards — the failure path
         // either overwrites it with a checkpoint clone or quarantines the
@@ -738,7 +725,7 @@ impl SessionState {
         // inside the slot lock's critical section, so no Mutex is poisoned
         // and no other session can ever see the wreckage.
         let step = catch_unwind(AssertUnwindSafe(|| {
-            core.step_frame(frames, model, workspace, inject_panic)
+            core.step_frame(frames, workspace, inject_panic)
         }));
         let wall_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         match step {

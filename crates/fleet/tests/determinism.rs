@@ -2,14 +2,17 @@
 //! to running that session alone, serially — at any pool size, any
 //! admission order, and under backpressure.
 
-use archytas_dataset::{euroc_sequences, kitti_sequences};
+use archytas_core::{Executor, Vehicle};
+use archytas_dataset::{euroc_sequences, kitti_sequences, VioPipeline};
 use archytas_faults::{ChaosKind, ChaosPlan};
 use archytas_fleet::{
-    run_fleet, run_session_alone, silence_chaos_panics, standard_fleet_specs, DeadlinePolicy,
-    FailureCause, FleetConfig, Priority, RestartPolicy, SessionOutcome, SessionPhase,
-    SessionReport, SessionSpec,
+    fleet_pipeline_config, run_fleet, run_session_alone, silence_chaos_panics,
+    standard_fleet_specs, DeadlinePolicy, FailureCause, FleetConfig, FleetServices, Priority,
+    RestartPolicy, SessionOutcome, SessionPhase, SessionReport, SessionSpec,
 };
+use archytas_slam::SolverWorkspace;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn base_config() -> FleetConfig {
     FleetConfig::default()
@@ -59,6 +62,45 @@ fn fleet_matches_serial_alone_at_any_pool_size_and_admission_order() {
             assert!(flaky.watchdog_windows > 0, "watchdog never engaged");
         }
     }
+}
+
+#[test]
+fn served_session_is_the_bare_window_step_bit_for_bit() {
+    // Checkpointing, chaos hooks and the deadline watchdog wrap the shared
+    // window step but must add no arithmetic: on a clean stream a served
+    // session equals a bare `Vehicle` loop over the same frames.
+    let spec = &standard_fleet_specs(2.5)[0];
+    assert!(spec.fault_plan.is_none() && spec.chaos.is_none());
+    let served = run_session_alone(spec, &base_config());
+
+    let services = FleetServices::new(&base_config());
+    let executor = Executor::Accelerator {
+        model: Arc::clone(&services.model),
+        runtime: Some(services.runtime()),
+    };
+    let mut vehicle = Vehicle::new(VioPipeline::new(fleet_pipeline_config()), executor);
+    let mut workspace = SolverWorkspace::new();
+    let (mut estimates, mut iterations) = (Vec::new(), Vec::new());
+    let (mut latency_ms, mut energy_mj) = (0.0f64, 0.0f64);
+    for frame in &spec.sequence.build().frames {
+        if vehicle.push_frame(frame) {
+            let w = vehicle.close_window(&mut workspace);
+            estimates.push(w.estimate);
+            iterations.push(w.iterations);
+            latency_ms += w.latency_ms;
+            energy_mj += w.energy_mj;
+        }
+    }
+    assert!(!estimates.is_empty());
+    assert_eq!(served.outcome, SessionOutcome::Completed);
+    served.assert_bitwise_eq(&SessionReport {
+        windows: estimates.len(),
+        estimates,
+        iterations,
+        modelled_latency_ms: latency_ms,
+        modelled_energy_mj: energy_mj,
+        ..served.clone()
+    });
 }
 
 #[test]

@@ -9,6 +9,8 @@
 //!
 //! Run: `cargo run --release --example drone_euroc`
 
+use std::sync::Arc;
+
 use archytas_core::{run_sequence, Executor, IterPolicy, RuntimeSystem};
 use archytas_dataset::euroc_sequences;
 use archytas_hw::{window_energy_breakdown, AcceleratorModel, FpgaPlatform, PowerModel, LOW_POWER};
@@ -20,14 +22,16 @@ fn main() {
 
     let platform = FpgaPlatform::zc706();
 
-    let mut static_exec = Executor::Accelerator {
-        model: AcceleratorModel::new(LOW_POWER, platform.clone()),
+    let model = Arc::new(AcceleratorModel::new(LOW_POWER, platform.clone()));
+
+    let static_exec = Executor::Accelerator {
+        model: Arc::clone(&model),
         runtime: None,
     };
-    let static_run = run_sequence(&data, &mut static_exec);
+    let static_run = run_sequence(&data, static_exec);
 
-    let mut dynamic_exec = Executor::Accelerator {
-        model: AcceleratorModel::new(LOW_POWER, platform.clone()),
+    let dynamic_exec = Executor::Accelerator {
+        model,
         runtime: Some(RuntimeSystem::new(
             LOW_POWER,
             &ProblemShape::typical(),
@@ -36,7 +40,7 @@ fn main() {
             IterPolicy::default_table(),
         )),
     };
-    let dynamic_run = run_sequence(&data, &mut dynamic_exec);
+    let dynamic_run = run_sequence(&data, dynamic_exec);
 
     println!("\n{:<26}{:>12}{:>12}", "", "static", "dynamic");
     println!(

@@ -10,6 +10,8 @@
 //!
 //! Run: `cargo run --release --example selfdriving_kitti`
 
+use std::sync::Arc;
+
 use archytas_baselines::CpuPlatform;
 use archytas_core::{run_sequence, Executor, IterPolicy, RuntimeSystem, ITER_CAP};
 use archytas_dataset::kitti_sequences;
@@ -28,8 +30,8 @@ fn main() {
 
     // Accelerator with the dynamic optimizer (Sec. 6).
     let platform = FpgaPlatform::zc706();
-    let mut accel = Executor::Accelerator {
-        model: AcceleratorModel::new(HIGH_PERF, platform.clone()),
+    let accel = Executor::Accelerator {
+        model: Arc::new(AcceleratorModel::new(HIGH_PERF, platform.clone())),
         runtime: Some(RuntimeSystem::new(
             HIGH_PERF,
             &ProblemShape::typical(),
@@ -38,14 +40,14 @@ fn main() {
             IterPolicy::default_table(),
         )),
     };
-    let accel_run = run_sequence(&data, &mut accel);
+    let accel_run = run_sequence(&data, accel);
 
     // Software baseline on the 12-core Intel machine.
-    let mut cpu = Executor::Cpu {
+    let cpu = Executor::Cpu {
         platform: CpuPlatform::intel_comet_lake(),
         iterations: ITER_CAP,
     };
-    let cpu_run = run_sequence(&data, &mut cpu);
+    let cpu_run = run_sequence(&data, cpu);
 
     println!("\n{:<26}{:>14}{:>14}", "", "accelerator", "Intel CPU");
     println!(
@@ -92,7 +94,7 @@ fn main() {
     println!(
         "\nper-window NLS iterations chosen by the run-time system \
          ({} total over {} windows):",
-        accel_run.total_iterations,
+        accel_run.iteration_profile.total_iterations(),
         accel_run.iteration_profile.windows()
     );
     for (iter, &count) in accel_run

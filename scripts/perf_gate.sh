@@ -16,6 +16,11 @@
 #                                  throughput per (workers, sessions)
 #   admission                      `admit` record                  admit ns 1.30x,
 #                                                                  idle bytes 1.10x
+#   DET                            every serve record with a       equal to the
+#                                  non-empty `det`                 committed record
+#                                                                  at the same
+#                                                                  position of its
+#                                                                  (mode, kind)
 #
 # The other accel_sim cases, the synthesizer `search` counters and the
 # solver `phases` records are recorded but not gated.
@@ -23,7 +28,9 @@
 # Whole-fleet wall clock is noisier than a criterion mean, hence 1.30x;
 # heap layout is near-deterministic, hence 1.10x on idle bytes. A record
 # measured at N threads or N workers is gated only on a machine with >= N
-# CPUs; below that it is timeslicing noise and reported as "info".
+# CPUs; below that it is timeslicing noise and reported as "info". The DET
+# check is an equality, so it runs on any CPU count and fails on its own,
+# whatever the timing verdicts say.
 #
 # Usage: scripts/perf_gate.sh [criterion.jsonl] [serve.jsonl]
 #   (defaults BENCH_criterion.jsonl BENCH_serve.jsonl; "-" skips that
@@ -46,8 +53,8 @@ CEILINGS_NS = {
 }
 
 
-def load(name):
-    """Parsed fresh and committed documents of one source (None if absent)."""
+def load(name, parser):
+    """Fresh and committed documents of one source through `parser` (None if absent)."""
     path = fresh_paths[name]
     if path == "-":
         return None, None
@@ -58,8 +65,8 @@ def load(name):
     if base.returncode != 0:
         print(f"perf gate: no committed {name}, only absolute checks apply",
               file=sys.stderr)
-    committed = parse(base.stdout) if base.returncode == 0 else {}
-    return parse(open(path).read()), committed
+    committed = parser(base.stdout) if base.returncode == 0 else {}
+    return parser(open(path).read()), committed
 
 
 def case_phase(name):
@@ -100,10 +107,20 @@ def parse(text):
     return out
 
 
+def parse_det(text):
+    """Non-empty det payloads by (mode, kind), in file order, as JSON text."""
+    out = {}
+    for line in text.splitlines():
+        rec = json.loads(line)
+        if rec["det"]:
+            out.setdefault((rec["mode"], rec["kind"]), []).append(json.dumps(rec["det"]))
+    return out
+
+
 # checks: (phase, label, threads, fresh value, limit, higher_is_better, note)
 checks = []
 for name in fresh_paths:
-    fresh, base = load(name)
+    fresh, base = load(name, parse)
     if fresh is None:
         continue
     for label, (phase, threads, value, tol, higher) in sorted(fresh.items()):
@@ -121,7 +138,21 @@ for name in fresh_paths:
             checks.append(("cold-sweep", f"{rname} (1t) ceiling", 1, value, ceiling, False,
                            "absolute ceiling"))
 
-failures = {}
+# DET: a det payload is deterministic, so any change is a behaviour change,
+# and so is a record that appears or vanishes on either side. Skipped when
+# HEAD has no committed serve file (`load` then returns an empty baseline).
+det_bad = []
+fresh, base = load("BENCH_serve.jsonl", parse_det)
+for key in sorted((fresh or {}).keys() | base.keys()) if base else []:
+    dets, committed = fresh.get(key, []), base.get(key, [])
+    differ = [i for i, (a, b) in enumerate(zip(dets, committed)) if a != b]
+    bad = [f"#{i}" for i in differ]
+    if len(dets) != len(committed):
+        bad.append(f"{len(dets)} record(s) vs HEAD's {len(committed)}")
+    det_bad += [f"{key[0]}/{key[1]} {b}" for b in bad]
+    print(f"  {'FAIL' if bad else 'ok':<4}  [DET] {key[0]}/{key[1]}: {len(dets)} fresh vs "
+          f"{len(committed)} HEAD record(s), {len(differ)} differ", file=sys.stderr)
+failures = {"DET": det_bad} if det_bad else {}
 compared = 0
 for phase, label, threads, value, limit, higher, note in checks:
     gated = threads == 1 or cpus >= threads
@@ -133,8 +164,8 @@ for phase, label, threads, value, limit, higher, note in checks:
     if gated and bad:
         failures.setdefault(phase, []).append(label)
 
-if compared == 0:
-    print("perf gate SKIPPED: no comparable records", file=sys.stderr)
+if compared == 0 and not failures:
+    print("perf gate SKIPPED: no comparable timing records", file=sys.stderr)
     sys.exit(0)
 if failures:
     for phase in sorted(failures):

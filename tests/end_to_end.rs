@@ -2,6 +2,8 @@
 //! on-vehicle execution on a synthetic sequence, checked against the CPU
 //! baseline.
 
+use std::sync::Arc;
+
 use archytas_baselines::CpuPlatform;
 use archytas_core::{
     run_sequence, AlgorithmDescription, Archytas, DesignSpec, Executor, IterPolicy, RuntimeSystem,
@@ -21,11 +23,14 @@ fn generate_then_drive_kitti() {
 
     // Drive a short KITTI-like sequence through it.
     let data = kitti_sequences()[3].truncated(4.0).build();
-    let mut exec = Executor::Accelerator {
-        model: AcceleratorModel::new(acc.design.config, FpgaPlatform::zc706()),
+    let exec = Executor::Accelerator {
+        model: Arc::new(AcceleratorModel::new(
+            acc.design.config,
+            FpgaPlatform::zc706(),
+        )),
         runtime: None,
     };
-    let run = run_sequence(&data, &mut exec);
+    let run = run_sequence(&data, exec);
     assert!(!run.windows.is_empty());
     // Latency per window stays within the design constraint (the modelled
     // workload can only be easier than the spec's worst case).
@@ -45,17 +50,17 @@ fn generate_then_drive_kitti() {
 fn accelerator_beats_cpu_on_euroc() {
     let data = euroc_sequences()[0].truncated(4.0).build();
 
-    let mut accel = Executor::Accelerator {
-        model: AcceleratorModel::new(HIGH_PERF, FpgaPlatform::zc706()),
+    let accel = Executor::Accelerator {
+        model: Arc::new(AcceleratorModel::new(HIGH_PERF, FpgaPlatform::zc706())),
         runtime: None,
     };
-    let accel_run = run_sequence(&data, &mut accel);
+    let accel_run = run_sequence(&data, accel);
 
-    let mut cpu = Executor::Cpu {
+    let cpu = Executor::Cpu {
         platform: CpuPlatform::intel_comet_lake(),
         iterations: ITER_CAP,
     };
-    let cpu_run = run_sequence(&data, &mut cpu);
+    let cpu_run = run_sequence(&data, cpu);
 
     let speedup = cpu_run.total_time_ms / accel_run.total_time_ms;
     let energy = cpu_run.total_energy_mj / accel_run.total_energy_mj;
@@ -85,11 +90,11 @@ fn dynamic_runtime_saves_energy_end_to_end() {
                 IterPolicy::default_table(),
             )
         });
-        let mut exec = Executor::Accelerator {
-            model: AcceleratorModel::new(HIGH_PERF, platform.clone()),
+        let exec = Executor::Accelerator {
+            model: Arc::new(AcceleratorModel::new(HIGH_PERF, platform.clone())),
             runtime,
         };
-        run_sequence(&data, &mut exec)
+        run_sequence(&data, exec)
     };
     let static_run = run(false);
     let dynamic_run = run(true);
