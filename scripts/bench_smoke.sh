@@ -12,6 +12,9 @@
 # Determinism gate: the synthesizer's `search` det payloads (the selected
 # design) of the 1-thread and 4-thread runs must be byte-identical.
 #
+# Precision oracle: every suite sequence at f32 and at f64, each family's
+# |ΔRMSE| within its bound B (EXPERIMENTS.md Sec. 7.6).
+#
 # Then the serving smoke (scripts/serve_smoke.sh --quick, which writes
 # BENCH_serve.jsonl and runs every serving gate) and the baseline
 # regression gate (scripts/perf_gate.sh) over both files.
@@ -52,6 +55,9 @@ trap 'mv "$LOCK_BACKUP" benchmark/Cargo.lock' EXIT
 CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 mv "$LOCK_BACKUP" benchmark/Cargo.lock
 trap - EXIT
+
+echo "running the full-suite precision oracle (release)..." >&2
+cargo test -q --release -p archytas-bench --lib -- --ignored precision_oracle_full_suite
 
 echo "building benches (release)..." >&2
 cargo build -q --release -p archytas-bench --benches
