@@ -10,10 +10,10 @@
 
 use crate::factors::FactorWeights;
 use crate::marginalization::MargWorkspace;
-use crate::prior::{Prior, PriorScratch};
+use crate::prior::Prior;
 use crate::problem::{
     apply_increment, build_block_normal_equations_in, build_normal_equations, evaluate_cost_in,
-    NormalEquations,
+    LinScratch, NormalEquations,
 };
 use crate::window::SlidingWindow;
 use archytas_math::{
@@ -250,8 +250,8 @@ pub type LinearSolver<'a> = &'a dyn Fn(&DMat, &DVec, usize) -> Option<DVec>;
 
 /// Reusable buffers for the LM solve: the block-structured normal equations,
 /// the Schur-elimination scratch and increment at both precisions, the
-/// candidate window of the step-acceptance test, the prior's residual and
-/// gradient temporaries, the damped matrix of the dense reference path, and
+/// candidate window of the step-acceptance test, the linearization's
+/// rotation matrices and prior temporaries, the damped matrix of the dense reference path, and
 /// the marginalization buffers of [`crate::try_marginalize_oldest_in`].
 ///
 /// Allocate once and pass to [`solve_in_workspace`] for every window — all
@@ -270,7 +270,7 @@ pub struct SolverWorkspace {
     scratch32: SchurScratch<f32>,
     delta32: FVec,
     candidate: SlidingWindow,
-    pub(crate) prior_scratch: PriorScratch,
+    pub(crate) lin: LinScratch,
     pub(crate) marg: MargWorkspace,
     /// Normal equations and damped matrix of the dense reference path
     /// ([`solve_with_in_workspace`]); unused by the block-sparse path.
@@ -300,7 +300,7 @@ impl SolverWorkspace {
                     weights,
                     prior,
                     &mut self.sys,
-                    &mut self.prior_scratch,
+                    &mut self.lin,
                 )
                 .cost
             }
@@ -482,7 +482,7 @@ fn lm_loop(
             let new_cost = counters::time(Phase::CostEvaluation, || {
                 ws.candidate.clone_from(window);
                 apply_increment(&mut ws.candidate, &ws.delta);
-                evaluate_cost_in(&ws.candidate, weights, prior, &mut ws.prior_scratch)
+                evaluate_cost_in(&ws.candidate, weights, prior, &mut ws.lin.prior)
             });
             if !new_cost.is_finite() {
                 tracker.non_finite = true;
