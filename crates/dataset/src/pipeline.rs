@@ -666,11 +666,16 @@ mod tests {
     use crate::world::World;
     use archytas_slam::PinholeCamera;
 
-    fn run_pipeline(seconds: f64, iterations: usize) -> (Vec<WindowResult>, VioPipeline) {
+    /// Frames of a `seconds`-long KITTI-like drive.
+    fn kitti_frames(seconds: f64) -> Vec<Frame> {
         let traj = RoadTrajectory::kitti_like(seconds);
         let world = World::road_corridor(traj.sample(seconds).pose.trans.x() + 80.0, 5, |_| 1.0);
         let cam = PinholeCamera::kitti_like();
-        let frames = generate_frames(&traj, &world, &cam, &FrontendConfig::default());
+        generate_frames(&traj, &world, &cam, &FrontendConfig::default())
+    }
+
+    fn run_pipeline(seconds: f64, iterations: usize) -> (Vec<WindowResult>, VioPipeline) {
+        let frames = kitti_frames(seconds);
         let mut pipeline = VioPipeline::new(PipelineConfig::default());
         let mut results = Vec::new();
         for frame in &frames {
@@ -747,10 +752,7 @@ mod tests {
 
     #[test]
     fn vision_dropout_degrades_and_recovers() {
-        let traj = RoadTrajectory::kitti_like(6.0);
-        let world = World::road_corridor(traj.sample(6.0).pose.trans.x() + 80.0, 5, |_| 1.0);
-        let cam = PinholeCamera::kitti_like();
-        let mut frames = generate_frames(&traj, &world, &cam, &FrontendConfig::default());
+        let mut frames = kitti_frames(6.0);
         // Total vision dropout over frames 20..24.
         for frame in frames.iter_mut().skip(20).take(4) {
             frame.features.clear();
@@ -778,10 +780,7 @@ mod tests {
 
     #[test]
     fn non_finite_imu_is_sanitized_not_propagated() {
-        let traj = RoadTrajectory::kitti_like(4.0);
-        let world = World::road_corridor(traj.sample(4.0).pose.trans.x() + 80.0, 5, |_| 1.0);
-        let cam = PinholeCamera::kitti_like();
-        let mut frames = generate_frames(&traj, &world, &cam, &FrontendConfig::default());
+        let mut frames = kitti_frames(4.0);
         // Poison a few IMU samples mid-sequence.
         for s in frames[15].imu.iter_mut().take(3) {
             s.accel = archytas_slam::Vec3::new(f64::NAN, 0.0, f64::INFINITY);
@@ -860,6 +859,68 @@ mod tests {
             assert_eq!(s.gyro.y().to_bits(), samples[k].gyro.y().to_bits());
         }
         assert_eq!(fixed[8].accel.z().to_bits(), samples[8].accel.z().to_bits());
+    }
+
+    /// A 6 s KITTI-like drive; `poison` runs on the pipeline just before
+    /// window `at` is optimized. Returns every window's result.
+    fn run_poisoned(at: usize, poison: impl FnOnce(&mut VioPipeline)) -> Vec<WindowResult> {
+        let mut pipeline = VioPipeline::new(PipelineConfig::default());
+        let mut poison = Some(poison);
+        let mut results = Vec::new();
+        for frame in &kitti_frames(6.0) {
+            if pipeline.push_frame(frame) {
+                if results.len() == at {
+                    assert!(pipeline.prior().is_some(), "window {at} carries a prior");
+                    (poison.take().unwrap())(&mut pipeline);
+                }
+                results.push(pipeline.optimize_and_slide(6));
+            }
+        }
+        assert!(results.len() > at + RECOVERY_WINDOWS + 2);
+        results
+    }
+
+    #[test]
+    fn non_finite_prior_information_resets_the_prior() {
+        // A NaN velocity on keyframe 1 reaches the kept states' information
+        // through the IMU factor kf0–kf1: the marginalization returns
+        // `SolveError::NonFinite` and the window closes as a prior reset.
+        let results = run_poisoned(8, |p| {
+            p.window.keyframes[1].velocity = archytas_slam::Vec3::new(f64::NAN, 0.0, 0.0);
+        });
+        assert_eq!(results[8].cause, Some(DegradationCause::PriorReset));
+        assert_eq!(results[8].health, HealthState::Degraded);
+    }
+
+    #[test]
+    fn indefinite_prior_information_fails_the_lm_solve() {
+        // A prior whose information is far from positive definite is kept
+        // as given; every damping retry then fails to factorize, and the
+        // health ladder classifies the window. Later windows stay finite.
+        let results = run_poisoned(8, |p| {
+            let prior = p.prior.as_ref().unwrap();
+            let dim = prior.dim();
+            let hp = archytas_math::DMat::identity(dim).scale(-1e12);
+            let lin = p.window.keyframes[..prior.num_keyframes()].to_vec();
+            p.prior = Some(Prior::from_information(
+                &hp,
+                &archytas_math::DVec::zeros(dim),
+                lin,
+                1e-9,
+            ));
+        });
+        let bad = &results[8];
+        assert_eq!(
+            bad.report.outcome,
+            archytas_slam::SolveOutcome::Degraded {
+                reason: archytas_slam::DegradeReason::LinearSolveFailed
+            }
+        );
+        assert!(bad.cause.is_some(), "the ladder classifies the window");
+        assert_eq!(bad.health, HealthState::Degraded);
+        assert!(results[9..]
+            .iter()
+            .all(|r| r.estimate.trans.norm().is_finite()));
     }
 
     #[test]

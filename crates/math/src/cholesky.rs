@@ -121,31 +121,6 @@ impl<T: Scalar> Cholesky<T> {
         self.refactor_seeded(n)
     }
 
-    /// [`Cholesky::refactor`] of `a + alpha·I` without materializing the
-    /// shifted matrix: the work buffer is seeded with `a` and each diagonal
-    /// element receives the single rounded `a[i][i] + alpha` that
-    /// [`Matrix::add_diagonal`] stores, so the factor is bit-identical to
-    /// `refactor(&a.add_diagonal(alpha))`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cholesky::factor`].
-    pub fn refactor_shifted(&mut self, a: &Matrix<T>, alpha: T) -> Result<CholeskyOpCounts> {
-        if !a.is_square() {
-            return Err(MathError::DimensionMismatch {
-                op: "cholesky",
-                lhs: a.shape(),
-                rhs: a.shape(),
-            });
-        }
-        let n = a.rows();
-        self.l.clone_from(a);
-        for i in 0..n {
-            self.l.add_at(i, i, alpha);
-        }
-        self.refactor_seeded(n)
-    }
-
     /// Factors the difference `v − prod` without materializing it: the
     /// work buffer is seeded with the elementwise difference directly, so
     /// the Schur complement `S = V − W·U⁻¹·Wᵀ` never exists as a separate
@@ -276,14 +251,9 @@ impl<T: Scalar> Cholesky<T> {
     }
 
     /// The transposed factor `Lᵀ` (upper triangular, zeros below the
-    /// diagonal): a square-root information `J` with `JᵀJ = L·Lᵀ`.
+    /// diagonal).
     pub fn lt(&self) -> &Matrix<T> {
         &self.lt
-    }
-
-    /// Consumes the factorization and returns `L`.
-    pub fn into_l(self) -> Matrix<T> {
-        self.l
     }
 
     /// Matrix dimension.
@@ -312,74 +282,6 @@ impl<T: Scalar> Cholesky<T> {
     pub fn solve_into(&self, b: &Vector<T>, y: &mut Vector<T>, x: &mut Vector<T>) {
         crate::triangular::solve_lower_into(&self.l, b, y);
         crate::triangular::solve_upper_into(&self.lt, y, x);
-    }
-
-    /// Dense inverse `A⁻¹`, computed by solving against the identity columns.
-    ///
-    /// Used by the M-type Schur path when a generic (non-diagonal) block must
-    /// be inverted (paper Eq. 5 resolves this to two smaller inversions, but
-    /// the recursion bottoms out here).
-    pub fn inverse(&self) -> Matrix<T> {
-        let mut inv = Matrix::zeros(0, 0);
-        self.inverse_into(&mut inv);
-        inv
-    }
-
-    /// [`Cholesky::inverse`] into a caller-owned matrix, allocation-free once
-    /// `inv` has grown.
-    ///
-    /// Column `j` is bit for bit `self.solve(e_j)`: each element runs the
-    /// forward and backward substitutions' exact multiply-subtract chain.
-    /// Two things change, neither of them a result bit. Four columns are
-    /// solved side by side, so four independent chains overlap instead of
-    /// one chain's latency bounding the loop. And the forward substitution
-    /// starts at the block's first column `j0`: rows above it are exactly
-    /// `+0` (the identity's leading zeros), so the skipped terms are
-    /// `l·(+0) = ±0`, and subtracting `±0` from an accumulator that started
-    /// at `+0` or `1` never changes its bits (`l` is finite once the
-    /// factorization succeeded). The backward substitution runs in place
-    /// over the forward results.
-    pub fn inverse_into(&self, inv: &mut Matrix<T>) {
-        const COLS: usize = 4;
-        let n = self.dim();
-        inv.reset_zeros(n, n);
-        for j0 in (0..n).step_by(COLS) {
-            let w = COLS.min(n - j0);
-            // Forward: L·Y = E[:, j0..j0+w]; rows above j0 stay +0.
-            for i in j0..n {
-                let lrow = self.l.row(i);
-                let mut acc = [T::ZERO; COLS];
-                if i < j0 + w {
-                    acc[i - j0] = T::ONE;
-                }
-                for (k, &lik) in lrow.iter().enumerate().take(i).skip(j0) {
-                    let yk = &inv.row(k)[j0..j0 + w];
-                    for (a, &y) in acc.iter_mut().zip(yk) {
-                        *a -= lik * y;
-                    }
-                }
-                let d = lrow[i];
-                for (out, a) in inv.row_mut(i)[j0..j0 + w].iter_mut().zip(acc) {
-                    *out = a / d;
-                }
-            }
-            // Backward: Lᵀ·X = Y, overwriting Y.
-            for i in (0..n).rev() {
-                let urow = self.lt.row(i);
-                let mut acc = [T::ZERO; COLS];
-                acc[..w].copy_from_slice(&inv.row(i)[j0..j0 + w]);
-                for (k, &uik) in urow.iter().enumerate().skip(i + 1) {
-                    let xk = &inv.row(k)[j0..j0 + w];
-                    for (a, &x) in acc.iter_mut().zip(xk) {
-                        *a -= uik * x;
-                    }
-                }
-                let d = urow[i];
-                for (out, a) in inv.row_mut(i)[j0..j0 + w].iter_mut().zip(acc) {
-                    *out = a / d;
-                }
-            }
-        }
     }
 }
 
@@ -420,66 +322,6 @@ mod tests {
         let b: V = (0..10).map(|i| i as f64 - 4.0).collect();
         let x = Cholesky::factor(&a).unwrap().solve(&b);
         assert!((&a.mat_vec(&x) - &b).norm() < 1e-9);
-    }
-
-    #[test]
-    fn inverse_matches_identity() {
-        let a = spd(5);
-        let inv = Cholesky::factor(&a).unwrap().inverse();
-        let eye = a.try_mul(&inv).unwrap();
-        assert!((&eye - &M::identity(5)).max_abs() < 1e-10);
-    }
-
-    /// Column `j` of the inverse, solved the plain way.
-    fn inverse_by_columns(ch: &Cholesky<f64>) -> M {
-        let n = ch.dim();
-        let mut inv = M::zeros(n, n);
-        for j in 0..n {
-            let mut e = V::zeros(n);
-            e[j] = 1.0;
-            let col = ch.solve(&e);
-            for i in 0..n {
-                inv.set(i, j, col[i]);
-            }
-        }
-        inv
-    }
-
-    fn bits(m: &M) -> Vec<u64> {
-        m.as_slice().iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn inverse_into_matches_column_solves_bitwise() {
-        // Dense SPD matrices of every width remainder, and an M-type block
-        // (diagonal leading block, dense coupling) whose zeros the blocked
-        // forward substitution skips.
-        let mut inv = M::zeros(0, 0);
-        for n in [1, 2, 3, 4, 5, 7, 9, 16, 29] {
-            let ch = Cholesky::factor(&spd(n)).unwrap();
-            ch.inverse_into(&mut inv);
-            assert_eq!(bits(&inv), bits(&inverse_by_columns(&ch)), "n = {n}");
-        }
-        let mtype = M::from_fn(21, 21, |i, j| match (i < 6, j < 6) {
-            (true, true) if i == j => 2.0 + i as f64,
-            (true, true) => 0.0,
-            _ if i == j => 30.0,
-            _ => ((i * 3 + j * 5) % 7) as f64 * 0.1 - 0.3,
-        });
-        let ch = Cholesky::factor(&mtype).unwrap();
-        ch.inverse_into(&mut inv);
-        assert_eq!(bits(&inv), bits(&inverse_by_columns(&ch)));
-        assert_eq!(bits(&ch.inverse()), bits(&inv));
-    }
-
-    #[test]
-    fn refactor_shifted_matches_refactor_of_add_diagonal() {
-        let a = spd(11);
-        let mut shifted = Cholesky::default();
-        shifted.refactor_shifted(&a, 1e-3).unwrap();
-        let plain = Cholesky::factor(&a.add_diagonal(1e-3)).unwrap();
-        assert_eq!(bits(shifted.l()), bits(plain.l()));
-        assert_eq!(bits(shifted.lt()), bits(&plain.l().transpose()));
     }
 
     #[test]

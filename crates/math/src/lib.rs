@@ -52,7 +52,7 @@ pub use diag::DiagMat;
 pub use error::{MathError, Result};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
-pub use schur::{dense_schur_complement, diag_schur_complement, SchurSystem};
+pub use schur::{diag_schur_complement, SchurSystem};
 pub use triangular::{solve_lower, solve_lower_into, solve_upper, solve_upper_into};
 pub use vector::Vector;
 

@@ -327,20 +327,8 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Panics when `self.rows != v.len()`.
     pub fn transpose_mat_vec(&self, v: &Vector<T>) -> Vector<T> {
-        let mut out = Vector::zeros(0);
-        self.transpose_mat_vec_into(v, &mut out);
-        out
-    }
-
-    /// [`Matrix::transpose_mat_vec`] into a caller-owned vector (resized and
-    /// zeroed first), allocation-free once `out` has grown.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self.rows != v.len()`.
-    pub fn transpose_mat_vec_into(&self, v: &Vector<T>, out: &mut Vector<T>) {
         assert_eq!(self.rows, v.len(), "transpose_mat_vec: dimension mismatch");
-        out.resize_fill(self.cols, T::ZERO);
+        let mut out = Vector::zeros(self.cols);
         for (row, &vi) in self.rows_iter().zip(v.as_slice()) {
             if vi == T::ZERO {
                 continue;
@@ -349,6 +337,7 @@ impl<T: Scalar> Matrix<T> {
                 *o += a * vi;
             }
         }
+        out
     }
 
     /// Gram product `selfᵀ · self` (the information-matrix kernel `H = JᵀJ`).
@@ -357,18 +346,10 @@ impl<T: Scalar> Matrix<T> {
     /// ascending; only the upper triangle is accumulated and it is mirrored
     /// afterwards.
     pub fn gram(&self) -> Self {
-        let mut out = Self::zeros(0, 0);
-        self.gram_into(&mut out);
-        out
-    }
-
-    /// [`Matrix::gram`] into a caller-owned matrix (reshaped and zeroed
-    /// first): the same accumulation, allocation-free once `out` has grown.
-    pub fn gram_into(&self, out: &mut Self) {
         let n = self.cols;
-        out.reset_zeros(n, n);
+        let mut out = Self::zeros(n, n);
         if n == 0 {
-            return;
+            return out;
         }
         // Four source rows per traversal of the output row; per element the
         // multiply-adds keep their ascending-`k` order (`add_scaled_rows`).
@@ -386,6 +367,7 @@ impl<T: Scalar> Matrix<T> {
                 out.set(i, j, v);
             }
         }
+        out
     }
 
     /// Copies the `rows × cols` sub-matrix starting at `(row0, col0)`.

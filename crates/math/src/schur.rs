@@ -1,12 +1,11 @@
 //! Schur complements and Schur-elimination linear solves.
 //!
-//! Two flavours, mirroring the paper's hardware blocks (Sec. 3.2, Sec. 4.4):
-//!
-//! * **D-type** — `V − W·U⁻¹·Wᵀ` with a *diagonal* `U`: inversion costs
-//!   `O(p)` and the elimination is dominated by the rank-`p` outer-product
-//!   accumulation. This is the NLS-solver path.
-//! * **M-type** — `A − Λ·M⁻¹·Λᵀ` with a generic symmetric positive-definite
-//!   `M`, inverted through Cholesky. This is the marginalization path.
+//! This is the paper's **D-type** Schur (Sec. 3.2, Sec. 4.4):
+//! `V − W·U⁻¹·Wᵀ` with a *diagonal* `U`, so inversion costs `O(p)` and the
+//! elimination is dominated by the rank-`p` outer-product accumulation. The
+//! **M-type** Schur of marginalization, whose `M` is a diagonal landmark
+//! block bordered by one keyframe block, is `archytas_slam`'s
+//! marginalization.
 
 use crate::block::{split_vector, BlockSpec, Blocked2x2};
 use crate::cholesky::Cholesky;
@@ -45,31 +44,6 @@ pub fn diag_schur_complement<T: Scalar>(
     // D-type Schur hardware block.
     let prod = wu_inv.try_mul(&w.transpose())?;
     Ok(v - &prod)
-}
-
-/// M-type Schur complement `a − λ·m⁻¹·λᵀ` with a generic SPD `m`
-/// (paper Sec. 3.2.3).
-///
-/// # Errors
-///
-/// Returns [`MathError::NotPositiveDefinite`] when `m` is not SPD and
-/// [`MathError::DimensionMismatch`] when the block shapes disagree.
-pub fn dense_schur_complement<T: Scalar>(
-    m: &Matrix<T>,
-    lambda: &Matrix<T>,
-    a: &Matrix<T>,
-) -> Result<Matrix<T>> {
-    if lambda.cols() != m.rows() || a.rows() != lambda.rows() || !a.is_square() {
-        return Err(MathError::DimensionMismatch {
-            op: "dense_schur",
-            lhs: lambda.shape(),
-            rhs: a.shape(),
-        });
-    }
-    let m_inv = Cholesky::factor(m)?.inverse();
-    let lm = lambda.try_mul(&m_inv)?;
-    let prod = lm.try_mul(&lambda.transpose())?;
-    Ok(a - &prod)
 }
 
 /// A blocked symmetric linear system `A·δp = b` solved by Schur elimination
@@ -202,8 +176,13 @@ mod tests {
         assert!(blocked.leading_block_is_diagonal(0.0));
         let u = DiagMat::from_dense_diagonal(&blocked.u);
         let fast = diag_schur_complement(&u, &blocked.w, &blocked.v).unwrap();
-        // Reference: dense inversion path.
-        let dense = dense_schur_complement(&blocked.u, &blocked.w, &blocked.v).unwrap();
+        // Reference: V − Σₖ w_ik·w_jk / u_kk, element by element.
+        let dense = M::from_fn(3, 3, |i, j| {
+            let sum: f64 = (0..4)
+                .map(|k| blocked.w.get(i, k) * blocked.w.get(j, k) / blocked.u.get(k, k))
+                .sum();
+            blocked.v.get(i, j) - sum
+        });
         assert!((&fast - &dense).max_abs() < 1e-10);
     }
 
@@ -229,19 +208,6 @@ mod tests {
         let (s, rhs) = sys.reduced().unwrap();
         assert_eq!(s.shape(), (2, 2));
         assert_eq!(rhs.len(), 2);
-    }
-
-    #[test]
-    fn dense_schur_on_spd_m() {
-        // M-type: marginalize a 2-dim SPD block out of a 5-dim system.
-        let full = structured_spd(0, 5); // fully dense SPD
-        let m = full.submatrix(0, 0, 2, 2);
-        let lambda = full.submatrix(2, 0, 3, 2);
-        let a = full.submatrix(2, 2, 3, 3);
-        let s = dense_schur_complement(&m, &lambda, &a).unwrap();
-        // The Schur complement of an SPD matrix is SPD.
-        assert!(Cholesky::factor(&s).is_ok());
-        assert!(s.is_symmetric(1e-10));
     }
 
     #[test]

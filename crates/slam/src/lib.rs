@@ -60,8 +60,7 @@ pub use imu::{
     ImuSample, Preintegration, ACCEL_BIAS_WALK, ACCEL_NOISE, GRAVITY, GYRO_BIAS_WALK, GYRO_NOISE,
 };
 pub use marginalization::{
-    drop_oldest, marginalize_oldest, try_marginalize_oldest, try_marginalize_oldest_in,
-    MarginalizationResult,
+    drop_oldest, try_marginalize_oldest, try_marginalize_oldest_in, MarginalizationResult,
 };
 pub use metrics::{mean_stdev, relative_error, rmse_translation, TrajectoryMetrics};
 pub use prior::Prior;

@@ -1,65 +1,56 @@
-//! Marginalization prior in square-root form.
+//! Marginalization prior in information form.
 //!
-//! Marginalization (paper Sec. 3.1) produces an information matrix `Hp` and
-//! vector `rp` that constrain the next window. We store the prior in
-//! square-root (Jacobian/residual) form — `J = Lᵀ` with `L·Lᵀ = Hp` — so it
-//! behaves exactly like any other factor: it can be re-evaluated at new
-//! linearization points and contributes `JᵀJ` / `−Jᵀr` to the normal
-//! equations.
+//! Marginalization (paper Sec. 3.1) produces an information matrix `Hp`, a
+//! vector `rp` and a constant `c` that constrain the next window. The prior
+//! keeps them as they are: at the tangent `δ` of the window's keyframes
+//! relative to the linearization point its cost is `c − rpᵀδ + ½δᵀHpδ`
+//! and its gradient `Hp·δ − rp`. An LM assembly adds `Hp` to the keyframe
+//! block of `A` and subtracts the gradient from `b`: one row add per state
+//! and one mat-vec, with no factorization anywhere. A non-SPD `Hp`
+//! surfaces in the LM factorization, which the health ladder classifies.
 
 use crate::solver::SolveError;
 use crate::window::{KeyframeState, SlidingWindow, STATE_DIM};
-use archytas_math::{Cholesky, DMat, DVec};
+use archytas_math::{DMat, DVec};
 
 /// Prior over the keyframe states of a window, produced by marginalizing the
 /// previous window's oldest keyframe and its landmarks.
-///
-/// Besides `J` it holds the information `JᵀJ`, computed once when the prior
-/// is built: it never changes afterwards, and every LM assembly and the next
-/// marginalization read it.
 #[derive(Debug, Clone)]
 pub struct Prior {
-    /// Square-root information `J` (`dim × dim`, upper triangular).
-    jacobian: DMat,
-    /// `JᵀJ`, bit for bit `jacobian.gram()`.
+    /// `Hp + εI` (`dim × dim`).
     information: DMat,
-    /// Residual at the linearization point (`r0`, with `Jᵀr0 = −rp`).
-    residual0: DVec,
+    /// `rp`: the cost's gradient at the linearization point is `−rp`.
+    rp: DVec,
+    /// `c`: the cost at the linearization point.
+    cost0: f64,
     /// Keyframe states at which the prior was linearized, oldest first.
     lin_states: Vec<KeyframeState>,
 }
 
-/// Reused temporaries of the prior's residual and gradient, held by
+/// Reused temporaries of the prior's cost and gradient, held by
 /// [`crate::SolverWorkspace`] so the LM loop and marginalization evaluate
 /// the prior without allocating.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PriorScratch {
     delta: DVec,
-    residual: DVec,
+    /// `Hp·δ`, then the gradient `Hp·δ − rp` in place.
     gradient: DVec,
 }
 
-/// Reused buffers of the prior's factorization: the Cholesky of the
-/// regularized `Hp` and the negated `rp` of the `r0` solve.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PriorFactor {
-    chol: Cholesky<f64>,
-    neg_rp: DVec,
-}
-
 impl Prior {
-    /// Builds a prior from information form `(hp, rp)` over `lin_states`.
+    /// Builds a prior from information form `(hp, rp)` over `lin_states`,
+    /// with cost 0 at the linearization point.
     ///
-    /// `hp` must be `15·k × 15·k` where `k = lin_states.len()`; it is
-    /// regularized by `epsilon` on the diagonal before factorization so that
-    /// gauge-deficient information matrices remain factorizable.
+    /// `hp` must be `15·k × 15·k` where `k = lin_states.len()`; `epsilon`
+    /// (at least `1e-12`) is added to its diagonal so that gauge-deficient
+    /// information stays positive definite in the LM system.
     ///
     /// # Panics
     ///
-    /// Panics when the dimensions disagree or factorization fails even after
-    /// regularization. Callers that must survive a corrupted information
-    /// matrix (the pipeline's degradation ladder) use
-    /// [`Prior::try_from_information`] instead.
+    /// Panics when the dimensions disagree or `hp`/`rp` hold a non-finite
+    /// value. Callers that must survive a corrupted information matrix (the
+    /// pipeline's degradation ladder) use [`Prior::try_from_information`]
+    /// instead.
     pub fn from_information(
         hp: &DMat,
         rp: &DVec,
@@ -67,13 +58,13 @@ impl Prior {
         epsilon: f64,
     ) -> Self {
         Self::try_from_information(hp, rp, lin_states, epsilon)
-            .expect("prior: Hp not factorizable even after heavy regularization")
+            .expect("prior: non-finite information")
     }
 
     /// Fallible form of [`Prior::from_information`]: a non-finite `hp` or
-    /// `rp` is [`SolveError::NonFinite`], and an `Hp` that stays non-SPD
-    /// through the full regularization escalation comes back as
-    /// [`SolveError::Linear`], instead of a panic.
+    /// `rp` is [`SolveError::NonFinite`] instead of a panic. Definiteness is
+    /// not checked here: an indefinite `hp` fails the LM factorization of
+    /// the window it constrains.
     ///
     /// Dimension mismatches remain programmer errors and still panic.
     pub fn try_from_information(
@@ -85,69 +76,47 @@ impl Prior {
         let mut slot = None;
         Self::rebuild(
             &mut slot,
-            &mut PriorFactor::default(),
-            hp,
-            rp,
+            &mut hp.clone(),
+            &mut rp.clone(),
+            0.0,
             &lin_states,
             epsilon,
         )?;
         Ok(slot.expect("rebuild fills the slot on success"))
     }
 
-    /// [`Prior::try_from_information`] into `slot`, reusing the buffers of
-    /// the prior already there (and of `factor`): once they have grown, a
-    /// rebuild allocates nothing. On error `slot` is left untouched.
+    /// Moves `(hp + εI, rp, cost0)` over `lin_states` into `slot`. The
+    /// buffers of the prior already there are swapped back into `hp` and
+    /// `rp`, so a rebuild of an unchanged shape allocates nothing. On error
+    /// `slot`, `hp` and `rp` are left untouched.
     pub(crate) fn rebuild(
         slot: &mut Option<Prior>,
-        factor: &mut PriorFactor,
-        hp: &DMat,
-        rp: &DVec,
+        hp: &mut DMat,
+        rp: &mut DVec,
+        cost0: f64,
         lin_states: &[KeyframeState],
         epsilon: f64,
     ) -> Result<(), SolveError> {
         let dim = STATE_DIM * lin_states.len();
         assert_eq!(hp.shape(), (dim, dim), "prior: Hp dimension mismatch");
         assert_eq!(rp.len(), dim, "prior: rp dimension mismatch");
-        if !rp.all_finite() {
+        let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
+        if !cost0.is_finite() || !finite(rp.as_slice()) || !finite(hp.as_slice()) {
             return Err(SolveError::NonFinite);
         }
-        // One pass for finiteness and `hp.max_abs()` (the same fold, so the
-        // same scale); `max_abs` alone would let a NaN through.
-        let mut scale = 0.0f64;
-        for &v in hp.as_slice() {
-            if !v.is_finite() {
-                return Err(SolveError::NonFinite);
-            }
-            if v.abs() > scale {
-                scale = v.abs();
-            }
-        }
-        let scale = scale.max(1.0);
-        // Far from convergence the Schur complement can be indefinite by
-        // more than `epsilon`; escalate the regularization until the
-        // factorization succeeds (each step only weakens the prior, which is
-        // the conservative direction).
-        let mut eps = epsilon.max(1e-12);
-        while let Err(e) = factor.chol.refactor_shifted(hp, eps) {
-            eps *= 100.0;
-            if eps > scale * 10.0 {
-                return Err(SolveError::Linear(e));
-            }
-        }
-        // J = Lᵀ, r0 chosen so that Jᵀ·r0 = −rp  ⇒  L·r0 = −rp.
-        factor.neg_rp.resize_fill(dim, 0.0);
-        for (n, &r) in factor.neg_rp.as_mut_slice().iter_mut().zip(rp.iter()) {
-            *n = -r;
-        }
         let prior = slot.get_or_insert_with(|| Prior {
-            jacobian: DMat::zeros(0, 0),
             information: DMat::zeros(0, 0),
-            residual0: DVec::zeros(0),
+            rp: DVec::zeros(0),
+            cost0: 0.0,
             lin_states: Vec::new(),
         });
-        prior.jacobian.clone_from(factor.chol.lt());
-        archytas_math::solve_lower_into(factor.chol.l(), &factor.neg_rp, &mut prior.residual0);
-        prior.jacobian.gram_into(&mut prior.information);
+        std::mem::swap(&mut prior.information, hp);
+        std::mem::swap(&mut prior.rp, rp);
+        let eps = epsilon.max(1e-12);
+        for i in 0..dim {
+            prior.information.add_at(i, i, eps);
+        }
+        prior.cost0 = cost0;
         prior.lin_states.clear();
         prior.lin_states.extend_from_slice(lin_states);
         Ok(())
@@ -160,33 +129,26 @@ impl Prior {
 
     /// Error-state dimension of the prior.
     pub fn dim(&self) -> usize {
-        self.jacobian.cols()
+        self.information.cols()
     }
 
-    /// Square-root information `J` (`JᵀJ = Hp` up to the regularization).
-    pub fn jacobian(&self) -> &DMat {
-        &self.jacobian
-    }
-
-    /// Residual `r0` at the linearization point.
-    pub fn residual0(&self) -> &DVec {
-        &self.residual0
-    }
-
-    /// Information matrix `Hp = JᵀJ`, cached when the prior was built (bit
-    /// for bit `self.jacobian().gram()`).
+    /// Information matrix `Hp + εI`.
     pub fn information(&self) -> &DMat {
         &self.information
     }
 
-    /// Writes the current prior residual `r = r0 + J·δ` into `s.residual`,
-    /// with `δ` the tangent of the window's keyframes relative to the
-    /// linearization point.
+    /// Cost and gradient at the window's current estimate from one
+    /// mat-vec, through reused temporaries: returns the cost and the
+    /// gradient held in `s`.
     ///
     /// # Panics
     ///
     /// Panics when the window holds fewer keyframes than the prior covers.
-    fn residual_into(&self, window: &SlidingWindow, s: &mut PriorScratch) {
+    pub(crate) fn evaluate_in<'s>(
+        &self,
+        window: &SlidingWindow,
+        s: &'s mut PriorScratch,
+    ) -> (f64, &'s DVec) {
         assert!(
             window.num_keyframes() >= self.lin_states.len(),
             "prior: window has fewer keyframes than the prior covers"
@@ -196,54 +158,32 @@ impl Prior {
             let d = window.keyframes[i].boxminus(lin);
             s.delta.as_mut_slice()[i * STATE_DIM..(i + 1) * STATE_DIM].copy_from_slice(&d);
         }
-        self.jacobian.mat_vec_into(&s.delta, &mut s.residual);
-        for (r, &r0) in s
-            .residual
+        self.information.mat_vec_into(&s.delta, &mut s.gradient);
+        let mut cost = self.cost0;
+        for ((g, &d), &r) in s
+            .gradient
             .as_mut_slice()
             .iter_mut()
-            .zip(self.residual0.iter())
+            .zip(s.delta.iter())
+            .zip(self.rp.iter())
         {
-            *r += r0;
+            cost += d * (0.5 * *g - r);
+            *g -= r;
         }
+        (cost, &s.gradient)
     }
 
-    /// Current prior residual `r = r0 + J·δ`.
-    pub fn residual(&self, window: &SlidingWindow) -> DVec {
-        let mut s = PriorScratch::default();
-        self.residual_into(window, &mut s);
-        s.residual
-    }
-
-    /// Prior cost `½‖r‖²` at the window's current estimate.
+    /// Prior cost `c − rpᵀδ + ½δᵀHpδ` at the window's current estimate.
     pub fn cost(&self, window: &SlidingWindow) -> f64 {
-        self.cost_in(window, &mut PriorScratch::default())
+        self.evaluate_in(window, &mut PriorScratch::default()).0
     }
 
-    /// [`Prior::cost`] through reused temporaries.
-    pub(crate) fn cost_in(&self, window: &SlidingWindow, s: &mut PriorScratch) -> f64 {
-        self.residual_into(window, s);
-        0.5 * s.residual.norm_squared()
-    }
-
-    /// Gradient `Jᵀ·r` of the prior cost at the window's current estimate,
-    /// over the prior's own ordering (keyframes oldest first).
+    /// Gradient `Hp·δ − rp` of the prior cost at the window's current
+    /// estimate, over the prior's own ordering (keyframes oldest first).
     pub fn gradient(&self, window: &SlidingWindow) -> DVec {
         let mut s = PriorScratch::default();
-        self.gradient_in(window, &mut s);
+        self.evaluate_in(window, &mut s);
         s.gradient
-    }
-
-    /// [`Prior::gradient`] through reused temporaries; returns the gradient
-    /// held in `s`.
-    pub(crate) fn gradient_in<'s>(
-        &self,
-        window: &SlidingWindow,
-        s: &'s mut PriorScratch,
-    ) -> &'s DVec {
-        self.residual_into(window, s);
-        self.jacobian
-            .transpose_mat_vec_into(&s.residual, &mut s.gradient);
-        &s.gradient
     }
 
     /// Adds the prior's Gauss–Newton contribution to `(a, b)` and returns its
@@ -272,14 +212,14 @@ impl Prior {
         s: &mut PriorScratch,
     ) -> f64 {
         let off = window.kf_offset(0);
-        let grad = self.gradient_in(window, s);
+        let (cost, grad) = self.evaluate_in(window, s);
         for (i, &gi) in grad.iter().enumerate() {
             sink.sub_b(off + i, gi);
             // One dense run per row (scale 1 is exact; see the run method's
             // zero-skip note for why dropping `±0.0` entries is bit-safe).
             sink.add_a_row(off + i, off, self.information.row(i), 1.0);
         }
-        0.5 * s.residual.norm_squared()
+        cost
     }
 }
 
@@ -314,26 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_information_is_the_gram_of_j() {
-        let lin = states(2);
-        let hp = spd_info(2 * STATE_DIM);
-        let rp = DVec::from(
-            (0..2 * STATE_DIM)
-                .map(|i| i as f64 * 0.01)
-                .collect::<Vec<_>>(),
-        );
-        let prior = Prior::from_information(&hp, &rp, lin, 1e-9);
-        let bits = |m: &DMat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(prior.information()), bits(&prior.jacobian().gram()));
-        let cloned = prior.clone();
-        assert_eq!(bits(cloned.information()), bits(&cloned.jacobian().gram()));
-    }
-
-    #[test]
     fn rebuild_reuses_the_slot() {
         // Rebuilding into an occupied slot gives the same prior as building
         // a fresh one, down to the bits, and shrinks to a smaller prior.
-        let mut factor = PriorFactor::default();
         let mut slot = None;
         for k in [2, 2, 1] {
             let lin = states(k);
@@ -343,23 +266,52 @@ mod tests {
                     .map(|i| 0.5 - i as f64 * 0.02)
                     .collect::<Vec<_>>(),
             );
-            Prior::rebuild(&mut slot, &mut factor, &hp, &rp, &lin, 1e-9).unwrap();
+            Prior::rebuild(&mut slot, &mut hp.clone(), &mut rp.clone(), 0.0, &lin, 1e-9).unwrap();
+            let mut w = SlidingWindow::new();
+            w.keyframes = lin.clone();
             let fresh = Prior::from_information(&hp, &rp, lin, 1e-9);
             let reused = slot.as_ref().unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(reused.dim(), fresh.dim());
             assert_eq!(
-                bits(reused.jacobian().as_slice()),
-                bits(fresh.jacobian().as_slice())
-            );
-            assert_eq!(
-                bits(reused.residual0().as_slice()),
-                bits(fresh.residual0().as_slice())
-            );
-            assert_eq!(
                 bits(reused.information().as_slice()),
                 bits(fresh.information().as_slice())
             );
+            assert_eq!(
+                bits(reused.gradient(&w).as_slice()),
+                bits(fresh.gradient(&w).as_slice())
+            );
+        }
+    }
+
+    #[test]
+    fn cost_and_gradient_are_the_quadratic() {
+        // c − rpᵀδ + ½δᵀHpδ and Hp·δ − rp, against a dense evaluation.
+        let lin = states(2);
+        let dim = 2 * STATE_DIM;
+        let hp = spd_info(dim);
+        let rp = DVec::from((0..dim).map(|i| 0.3 - i as f64 * 0.01).collect::<Vec<_>>());
+        let mut slot = None;
+        Prior::rebuild(&mut slot, &mut hp.clone(), &mut rp.clone(), 2.5, &lin, 1e-9).unwrap();
+        let prior = slot.unwrap();
+
+        let mut w = SlidingWindow::new();
+        w.keyframes = lin;
+        assert_eq!(prior.cost(&w), 2.5);
+        w.keyframes[1] = w.keyframes[1].boxplus(&[0.01; STATE_DIM]);
+        let mut delta = DVec::zeros(dim);
+        for i in 0..2 {
+            let d = w.keyframes[i].boxminus(&prior.lin_states[i]);
+            for (c, &v) in d.iter().enumerate() {
+                delta[i * STATE_DIM + c] = v;
+            }
+        }
+        let h_delta = prior.information().mat_vec(&delta);
+        let want = 2.5 - rp.dot(&delta) + 0.5 * delta.dot(&h_delta);
+        assert!((prior.cost(&w) - want).abs() < 1e-12);
+        let grad = prior.gradient(&w);
+        for i in 0..dim {
+            assert!((grad[i] - (h_delta[i] - rp[i])).abs() < 1e-12);
         }
     }
 
@@ -408,19 +360,30 @@ mod tests {
     }
 
     #[test]
-    fn regularization_rescues_singular_information() {
+    fn regularization_lifts_singular_information() {
         let lin = states(1);
         let hp = DMat::zeros(STATE_DIM, STATE_DIM); // completely uninformative
         let rp = DVec::zeros(STATE_DIM);
         let prior = Prior::from_information(&hp, &rp, lin, 1e-8);
         assert_eq!(prior.dim(), STATE_DIM);
+        assert!(prior.information().cholesky().is_ok());
+    }
+
+    #[test]
+    fn indefinite_information_is_kept_for_the_lm_factorization() {
+        // No factorization here: an indefinite Hp is stored as given and
+        // fails the factorization of the window it constrains instead.
+        let lin = states(1);
+        let hp = spd_info(STATE_DIM).add_diagonal(-1e3);
+        let prior = Prior::try_from_information(&hp, &DVec::zeros(STATE_DIM), lin, 1e-9)
+            .expect("finite information is accepted");
+        assert!(prior.information().cholesky().is_err());
     }
 
     #[test]
     fn non_finite_information_is_an_error_not_a_panic() {
         let lin = states(1);
-        // A NaN anywhere in `hp` (off the diagonal too, where `max_abs` would
-        // skip it) is rejected up front, not after the ε-escalation.
+        // A NaN anywhere in `hp`, off the diagonal too, is rejected.
         for (i, j) in [(0, 0), (3, 7)] {
             let mut hp = spd_info(STATE_DIM);
             hp.set(i, j, f64::NAN);

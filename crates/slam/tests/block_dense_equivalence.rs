@@ -9,8 +9,8 @@
 
 use archytas_math::{BlockSparseSystem, DMat, SchurScratch};
 use archytas_slam::{
-    build_block_normal_equations, build_normal_equations, marginalize_oldest, schur_linear_solver,
-    solve_in_workspace, solve_with_in_workspace, FactorWeights, ImuConstraint, ImuSample,
+    build_block_normal_equations, build_normal_equations, schur_linear_solver, solve_in_workspace,
+    solve_with_in_workspace, try_marginalize_oldest, FactorWeights, ImuConstraint, ImuSample,
     KeyframeState, Landmark, LmConfig, Observation, Pose, Preintegration, Prior, Quat,
     SlidingWindow, SolveReport, SolverWorkspace, Vec3, GRAVITY,
 };
@@ -278,7 +278,7 @@ fn full_solve_equivalent_visual_only() {
 fn full_solve_equivalent_with_imu_and_prior() {
     let weights = FactorWeights::default();
     let full = make_imu_window();
-    let result = marginalize_oldest(&full, &weights, None);
+    let result = try_marginalize_oldest(&full, &weights, None).unwrap();
     let mut w = result.window;
     // Perturb the survivors so the prior actually pulls on the solution.
     for kf in w.keyframes.iter_mut().skip(1) {
@@ -317,7 +317,7 @@ fn no_landmark_window_falls_back_identically() {
     // a dense Cholesky of the pose block (held together by the prior).
     let weights = FactorWeights::default();
     let full = make_imu_window();
-    let result = marginalize_oldest(&full, &weights, None);
+    let result = try_marginalize_oldest(&full, &weights, None).unwrap();
     let mut w = result.window;
     w.landmarks.clear();
     w.observations.clear();

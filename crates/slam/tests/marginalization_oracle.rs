@@ -1,19 +1,24 @@
-//! The M-type marginalization against the dense oracle it replaced, bit for
-//! bit.
+//! The arrow-inverse M-type marginalization against a dense oracle.
 //!
 //! [`dense_marginalize`] is the dense marginalization kept as a test oracle:
-//! a dense local `H`, a full `(am+15)²` inverse through the identity columns,
-//! two dense products, and a prior built from `add_diagonal → cholesky →
-//! into_l().transpose()` with its information recomputed by `gram()`. The
-//! library's [`try_marginalize_oldest`] must give `to_bits`-equal `J`, `r0`
-//! and information, and the same shrunk window, on generated windows that
-//! cover the structural corners: no marginalized landmarks, landmarks seen
-//! only by their anchor (all-zero `W` columns), with and without an incoming
-//! prior, Huber on and off, and a chained second marginalization.
+//! a dense local `H`, a full `(am+15)²` inverse through the identity columns
+//! and two dense products, giving `Hp + εI`, `rp` and the prior's cost `c`.
+//! The library's [`try_marginalize_oldest`] inverts `M` by its arrow
+//! structure instead, a different order of floating-point work, so the two
+//! must agree to a relative Frobenius error of [`REL_TOL`] on `Hp`, `rp` and
+//! `c`, and give the same shrunk window, on generated windows that cover the
+//! structural corners: no marginalized landmarks, landmarks seen only by
+//! their anchor (all-zero `W` columns), with and without an incoming prior,
+//! Huber on and off, a chained second marginalization, and the
+//! first-marginalization arrow of over a hundred kf0 landmarks.
 
 use std::collections::HashSet;
 
 use archytas_math::{split_vector, BlockSpec, Blocked2x2, Cholesky, DMat, DVec};
+
+/// Largest relative Frobenius error allowed between the library and the
+/// dense oracle, on each of `Hp`, `rp` and `c`.
+const REL_TOL: f64 = 1e-9;
 use archytas_slam::{
     evaluate_imu, evaluate_visual, try_marginalize_oldest, try_marginalize_oldest_in,
     FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, Observation, Pose,
@@ -21,11 +26,12 @@ use archytas_slam::{
     VISUAL_WEIGHT,
 };
 
-/// What the dense oracle produces: the new prior's `J` and `r0` and the
-/// shrunk window.
+/// What the dense oracle produces: the new prior's `Hp + εI`, `rp` and `c`,
+/// and the shrunk window.
 struct Dense {
-    jacobian: DMat,
-    residual0: DVec,
+    information: DMat,
+    rp: DVec,
+    cost0: f64,
     window: SlidingWindow,
     am: usize,
 }
@@ -57,6 +63,7 @@ fn dense_marginalize(
     };
     let mut h = DMat::zeros(dim, dim);
     let mut g = DVec::zeros(dim);
+    let mut cost = 0.0;
 
     let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
     for obs in &window.observations {
@@ -81,6 +88,7 @@ fn dense_marginalize(
             Some(_) => wv2 * weights.visual_robust_scale(ev.residual[0], ev.residual[1]),
         };
         for r in 0..2 {
+            cost += 0.5 * w2 * ev.residual[r] * ev.residual[r];
             let mut cols = [0usize; 13];
             let mut vals = [0f64; 13];
             cols[0] = slot;
@@ -102,6 +110,7 @@ fn dense_marginalize(
         );
         for r in 0..15 {
             let w = FactorWeights::imu_row(r);
+            cost += 0.5 * w * w * ev.residual[r] * ev.residual[r];
             let mut cols = [0usize; 30];
             let mut vals = [0f64; 30];
             for c in 0..15 {
@@ -114,10 +123,11 @@ fn dense_marginalize(
         }
     }
     if let Some(p) = prior {
-        let hp = p.jacobian().gram();
-        let jt_r = p.gradient(window);
+        let hp = p.information();
+        let grad = p.gradient(window);
+        cost += p.cost(window);
         for i in 0..p.dim() {
-            g[am + i] -= jt_r[i];
+            g[am + i] -= grad[i];
             for j in 0..p.dim() {
                 h.add_at(am + i, am + j, hp.get(i, j));
             }
@@ -147,31 +157,16 @@ fn dense_marginalize(
     let lm_inv = blocked.w.try_mul(&m_inv).unwrap();
     let prod = lm_inv.try_mul(&blocked.w.transpose()).unwrap();
     let hp = &blocked.v - &prod;
-    let rp = &by - &blocked.w.mat_vec(&m_inv.mat_vec(&bx));
-
-    // The prior in square-root form, as it used to be built.
-    if !rp.all_finite() {
+    let minv_bx = m_inv.mat_vec(&bx);
+    let rp = &by - &blocked.w.mat_vec(&minv_bx);
+    let cost0 = (cost - 0.5 * bx.dot(&minv_bx)).max(0.0);
+    if !rp.all_finite() || !hp.all_finite() || !cost0.is_finite() {
         return Err(SolveError::NonFinite);
     }
-    let mut eps: f64 = 1e-9;
-    let scale = hp.max_abs().max(1.0);
-    if !scale.is_finite() {
-        return Err(SolveError::NonFinite);
-    }
-    let l = loop {
-        match hp.add_diagonal(eps).cholesky() {
-            Ok(chol) => break chol.into_l(),
-            Err(e) => {
-                eps *= 100.0;
-                if eps > scale * 10.0 {
-                    return Err(SolveError::Linear(e));
-                }
-            }
-        }
-    };
     Ok(Dense {
-        jacobian: l.transpose(),
-        residual0: archytas_math::solve_lower(&l, &(-&rp)),
+        information: hp.add_diagonal(1e-9),
+        rp,
+        cost0,
         window: dense_shrink(window, &marg_landmarks),
         am,
     })
@@ -252,24 +247,20 @@ fn window_repr(w: &SlidingWindow) -> String {
     format!("{w:?}")
 }
 
-/// Asserts the cached information is bit for bit a fresh `gram()`, on the
-/// prior and on a clone of it (fleet checkpoints clone priors).
-fn assert_information_cached(prior: &Prior, case: &str) {
-    assert_eq!(
-        bits(prior.information()),
-        bits(&prior.jacobian().gram()),
-        "{case}: cached information != gram()"
-    );
-    let cloned = prior.clone();
-    assert_eq!(
-        bits(cloned.information()),
-        bits(&cloned.jacobian().gram()),
-        "{case}: cloned information != gram()"
-    );
+/// `‖a − b‖_F / ‖b‖_F` over two equally long slices (0 when both vanish).
+fn rel_frobenius(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let diff: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+    let norm: f64 = b.iter().map(|y| y * y).sum();
+    if diff == 0.0 {
+        0.0
+    } else {
+        (diff / norm).sqrt()
+    }
 }
 
-/// Marginalizes `window` both ways and asserts bit-equality; returns the
-/// library's result for chaining.
+/// Marginalizes `window` both ways and asserts agreement within
+/// [`REL_TOL`]; returns the library's result for chaining.
 fn check(
     window: &SlidingWindow,
     weights: &FactorWeights,
@@ -288,22 +279,30 @@ fn check(
         ),
     };
     assert_eq!(dense.am, fast.marginalized_landmarks, "{case}: am");
-    assert_eq!(
-        bits(&dense.jacobian),
-        bits(fast.prior.jacobian()),
-        "{case}: J differs"
+    // The shrunk window's keyframes are the new prior's linearization
+    // point, so there `δ = 0`: the gradient is `−rp` and the cost is `c`.
+    let prior = &fast.prior;
+    let rp = -&prior.gradient(&fast.window);
+    for (what, err) in [
+        (
+            "Hp",
+            rel_frobenius(prior.information().as_slice(), dense.information.as_slice()),
+        ),
+        ("rp", rel_frobenius(rp.as_slice(), dense.rp.as_slice())),
+        (
+            "c",
+            rel_frobenius(&[prior.cost(&fast.window)], &[dense.cost0]),
+        ),
+    ] {
+        assert!(
+            err <= REL_TOL,
+            "{case}: {what} relative error {err:e} over {REL_TOL:e}"
+        );
+    }
+    assert!(
+        prior.information().is_symmetric(0.0),
+        "{case}: Hp not symmetric"
     );
-    assert_eq!(
-        vbits(&dense.residual0),
-        vbits(fast.prior.residual0()),
-        "{case}: r0 differs"
-    );
-    assert_eq!(
-        bits(&dense.jacobian.gram()),
-        bits(fast.prior.information()),
-        "{case}: information differs"
-    );
-    assert_information_cached(&fast.prior, case);
     assert_eq!(
         window_repr(&dense.window),
         window_repr(&fast.window),
@@ -487,6 +486,22 @@ fn structured_marginalization_matches_dense_oracle() {
 }
 
 #[test]
+fn first_marginalization_arrow_matches_dense_oracle() {
+    // The first marginalization of a session: no incoming prior, the gauge
+    // prior on kf0, and over a hundred landmarks anchored at kf0, so `M` is
+    // a (100+15)² arrow.
+    for (wname, weights) in weight_sets() {
+        for seed in 1..=2u64 {
+            let case = format!("{wname}/arrow/seed {seed}");
+            let window = gen_window(seed, &shape(10, 104, 4, 40));
+            let (w1, p1) = check(&window, &weights, None, &case).expect("arrow marginalizes");
+            check(&w1, &weights, Some(&p1), &format!("{case}/chained"))
+                .expect("chained marginalization succeeds");
+        }
+    }
+}
+
+#[test]
 fn workspace_reuse_across_shapes_keeps_bits() {
     // One workspace marginalizing windows of changing shape (growing, then
     // shrinking) must give what a fresh workspace gives: every buffer is
@@ -507,10 +522,16 @@ fn workspace_reuse_across_shapes_keeps_bits() {
             try_marginalize_oldest_in(&mut ws, &mut w, &weights, &mut slot).expect("marginalizes");
         let reused = slot.expect("prior set");
         assert_eq!(am, fresh.marginalized_landmarks);
-        assert_eq!(bits(reused.jacobian()), bits(fresh.prior.jacobian()));
-        assert_eq!(vbits(reused.residual0()), vbits(fresh.prior.residual0()));
+        assert_eq!(bits(reused.information()), bits(fresh.prior.information()));
+        assert_eq!(
+            vbits(&reused.gradient(&w)),
+            vbits(&fresh.prior.gradient(&fresh.window))
+        );
+        assert_eq!(
+            reused.cost(&w).to_bits(),
+            fresh.prior.cost(&fresh.window).to_bits()
+        );
         assert_eq!(window_repr(&w), window_repr(&fresh.window));
-        assert_information_cached(&reused, "reused");
     }
 }
 
@@ -540,5 +561,9 @@ fn failed_marginalization_leaves_state_untouched() {
     assert!(r.is_err(), "NaN measurements must surface as SolveError");
     assert_eq!(window_repr(&window), before, "window touched on error");
     let kept = slot.expect("prior kept on error");
-    assert_eq!(bits(kept.jacobian()), bits(prior.jacobian()));
+    assert_eq!(bits(kept.information()), bits(prior.information()));
+    assert_eq!(
+        vbits(&kept.gradient(&window)),
+        vbits(&prior.gradient(&window))
+    );
 }

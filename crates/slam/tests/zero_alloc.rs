@@ -16,7 +16,7 @@
 //! The same proof covers the served precision: at [`Precision::F32`] the
 //! extra iterations (now including the cast into the workspace's f32 twin)
 //! and extra damping retries allocate nothing either. It also covers the
-//! served shape, a window carrying a marginalization prior (whose residual
+//! served shape, a window carrying a marginalization prior (whose delta
 //! and gradient temporaries live in the workspace), and the
 //! marginalize-and-slide that follows each served window, which must not
 //! allocate at all once the workspace and the prior have grown.
@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use archytas_slam::{
-    marginalize_oldest, solve_in_workspace, try_marginalize_oldest_in, DegradeReason,
+    solve_in_workspace, try_marginalize_oldest, try_marginalize_oldest_in, DegradeReason,
     FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, LmConfig, Observation, Pose,
     Precision, Preintegration, Prior, Quat, SlidingWindow, SolveOutcome, SolveReport,
     SolverWorkspace, Vec3,
@@ -204,7 +204,7 @@ fn lm_iterations_allocate_nothing_after_warmup() {
 
     // The served shape: a window that has slid once and carries the prior
     // its marginalization produced.
-    let slid = marginalize_oldest(&make_window(8, 80, 4), &weights, None);
+    let slid = try_marginalize_oldest(&make_window(8, 80, 4), &weights, None).unwrap();
     let (served, prior) = (slid.window, slid.prior);
     assert!(served.num_landmarks() > 0 && prior.dim() > 0);
     for precision in [Precision::F64, Precision::F32] {
