@@ -79,11 +79,6 @@ impl<T: Scalar> Vector<T> {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm (no square root; cheaper for comparisons).
-    pub fn norm_squared(&self) -> T {
-        self.dot(self)
-    }
-
     /// Inner product with `other`.
     ///
     /// # Panics
@@ -271,7 +266,6 @@ mod tests {
         let v = V::from(vec![3.0, 4.0]);
         assert_eq!(v.dot(&v), 25.0);
         assert_eq!(v.norm(), 5.0);
-        assert_eq!(v.norm_squared(), 25.0);
     }
 
     #[test]
