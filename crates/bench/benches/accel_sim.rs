@@ -7,8 +7,9 @@ use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_hw::{
     f32_linear_solver, jacobian_feature_latency, simulate_window, AcceleratorConfig, HIGH_PERF,
 };
+use archytas_math::{BlockSparseSystem, DMat, DVec};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{build_normal_equations, FactorWeights};
+use archytas_slam::{build_block_normal_equations, FactorWeights};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -45,19 +46,19 @@ fn bench_accel(c: &mut Criterion) {
             break;
         }
     }
-    let ne = build_normal_equations(pipeline.window(), &FactorWeights::default(), None);
+    let mut sys = BlockSparseSystem::new();
+    let info =
+        build_block_normal_equations(pipeline.window(), &FactorWeights::default(), None, &mut sys);
     // Damp exactly as the LM loop does before handing the system to the
     // datapath: the raw gauge-pinned normal equations mix scales beyond
     // f32's range.
-    let mut damped = ne.a.clone();
-    for i in 0..damped.rows() {
-        let d = damped.get(i, i).max(1e-9);
-        damped.add_at(i, i, 1e-3 * d);
-    }
+    sys.damp(1e-3, 1e-9);
+    let (mut damped, mut rhs) = (DMat::zeros(0, 0), DVec::zeros(0));
+    sys.to_dense_into(&mut damped, &mut rhs);
     group.sample_size(20);
     group.bench_function("f32_functional_solve", |b| {
         b.iter(|| {
-            f32_linear_solver(black_box(&damped), black_box(&ne.b), ne.num_landmarks)
+            f32_linear_solver(black_box(&damped), black_box(&rhs), info.num_landmarks)
                 .expect("solvable")
         })
     });

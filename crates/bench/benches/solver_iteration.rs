@@ -15,12 +15,12 @@ use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_fleet::fleet_pipeline_config;
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
 use archytas_math::kernels::sub_scaled;
-use archytas_math::{BlockSparseSystem, Cholesky, DMat, SchurScratch};
+use archytas_math::{BlockSparseSystem, Cholesky, DMat, DVec, SchurScratch};
 use archytas_par::{counters, Pool};
 use archytas_slam::{
-    build_block_normal_equations, build_normal_equations, schur_linear_solver, solve,
-    solve_in_workspace, try_marginalize_oldest_in, FactorWeights, LmConfig, Precision, Prior,
-    SlidingWindow, SolverWorkspace,
+    build_block_normal_equations, schur_linear_solver, solve, solve_in_workspace,
+    try_marginalize_oldest_in, FactorWeights, LmConfig, Precision, Prior, SlidingWindow,
+    SolverWorkspace,
 };
 use archytas_telemetry::phase_rows;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -63,20 +63,17 @@ fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver");
     group.sample_size(20);
 
-    group.bench_function("build_normal_equations", |b| {
-        b.iter(|| build_normal_equations(black_box(&window), &weights, None))
-    });
-
     // Damp as the LM loop does: the raw normal equations of a freshly
-    // initialized window can be rank-deficient before damping.
-    let ne = build_normal_equations(&window, &weights, None);
-    let mut damped = ne.a.clone();
-    for i in 0..damped.rows() {
-        damped.add_at(i, i, 1e-3 * ne.a.get(i, i).max(1e-9));
-    }
+    // initialized window can be rank-deficient before damping. The dense
+    // solve reads the damped system's dense image.
+    let mut sys = BlockSparseSystem::new();
+    let info = build_block_normal_equations(&window, &weights, None, &mut sys);
+    sys.damp(1e-3, 1e-9);
+    let (mut damped, mut rhs) = (DMat::zeros(0, 0), DVec::zeros(0));
+    sys.to_dense_into(&mut damped, &mut rhs);
     group.bench_function("schur_linear_solve", |b| {
         b.iter(|| {
-            schur_linear_solver(black_box(&damped), black_box(&ne.b), ne.num_landmarks)
+            schur_linear_solver(black_box(&damped), black_box(&rhs), info.num_landmarks)
                 .expect("solvable")
         })
     });
@@ -84,7 +81,6 @@ fn bench_solver(c: &mut Criterion) {
     // Block-sparse counterparts: same window, assembled into the
     // block-structured system and solved via Schur elimination that never
     // materializes the dense `A` (bit-identical outputs by construction).
-    let mut sys = BlockSparseSystem::new();
     group.bench_function("build_block_normal_equations", |b| {
         b.iter(|| build_block_normal_equations(black_box(&window), &weights, None, &mut sys))
     });
@@ -92,7 +88,7 @@ fn bench_solver(c: &mut Criterion) {
     build_block_normal_equations(&window, &weights, None, &mut sys);
     sys.damp(1e-3, 1e-9);
     let mut scratch = SchurScratch::default();
-    let mut delta = archytas_math::DVec::zeros(0);
+    let mut delta = DVec::zeros(0);
     group.bench_function("block_schur_linear_solve", |b| {
         b.iter(|| {
             sys.solve_into(&mut scratch, &mut delta).expect("solvable");

@@ -415,8 +415,8 @@ impl VioPipeline {
         )
     }
 
-    /// [`VioPipeline::optimize_and_slide_in`] through the dense reference
-    /// path with a caller-provided linear solver (see
+    /// [`VioPipeline::optimize_and_slide_in`] with a caller-provided dense
+    /// linear solver fed the damped system's dense image (see
     /// [`archytas_slam::solve_with_in_workspace`]); `PipelineConfig::precision`
     /// is unused, the solver decides. Bit-identical to the block-sparse path
     /// when `linear_solver` is the dense solver of the configured precision,

@@ -6,9 +6,10 @@
 //! system is assembled and damped in f64, then cast to f32 for the D-type
 //! Schur → Cholesky → substitution pipeline the fabric implements (Fig. 5).
 //! That is how the dynamic-optimization accuracy claims (Sec. 7.6) are
-//! checked. [`f32_linear_solver`] is the dense reference of that datapath,
-//! for `solve_with_in_workspace`: bit-identical, and kept for callers that
-//! time each linear solve and for the equivalence tests below.
+//! checked. [`f32_linear_solver`] is the same datapath on the dense image of
+//! the damped system, the callback of `solve_with_in_workspace`:
+//! bit-identical, and kept for callers that time each linear solve and for
+//! the equivalence tests below.
 
 use archytas_math::{BlockSpec, Cholesky, DMat, DVec, FMat, FVec, SchurSystem};
 use std::cell::RefCell;
@@ -52,8 +53,9 @@ fn f32_solve_staged(a32: &FMat, b32: &FVec, num_landmarks: usize) -> Option<DVec
 mod tests {
     use super::*;
     use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
+    use archytas_math::BlockSparseSystem;
     use archytas_slam::{
-        build_normal_equations, schur_linear_solver, solve, solve_in_workspace,
+        build_block_normal_equations, schur_linear_solver, solve, solve_in_workspace,
         solve_with_in_workspace, DegradeReason, FactorWeights, KeyframeState, Landmark, LmConfig,
         Observation, Pose, Precision, Prior, Quat, SlidingWindow, SolveOutcome, SolveReport,
         SolverWorkspace, Vec3, INITIAL_LAMBDA, LAMBDA_UP,
@@ -307,9 +309,12 @@ mod tests {
         let mut window = toy_window();
         window.observations[0].uv = [1e34, -1e34];
         let weights = FactorWeights::default();
-        let ne = build_normal_equations(&window, &weights, None);
-        assert!(ne.a.all_finite() && ne.b.all_finite());
-        assert!(ne.b.iter().any(|v| v.abs() > f64::from(f32::MAX)));
+        let mut sys = BlockSparseSystem::new();
+        build_block_normal_equations(&window, &weights, None, &mut sys);
+        let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
+        sys.to_dense_into(&mut a, &mut b);
+        assert!(a.all_finite() && b.all_finite());
+        assert!(b.iter().any(|v| v.abs() > f64::from(f32::MAX)));
 
         let mut ws = SolverWorkspace::new();
         // Every retry budget: the λ trajectory of the failing retries.

@@ -18,15 +18,15 @@
 //!
 //! # Bit-identity contract
 //!
-//! For a system whose dense image ([`BlockSparseSystem::to_dense`]) is handed
-//! to [`SchurSystem`](crate::SchurSystem), [`BlockSparseSystem::solve_into`]
-//! returns the *bit-identical* increment. This holds
-//! because every floating-point operation of the dense path is replayed with
-//! the same operands in the same order, except for additions of structural
-//! zeros — and those are exact no-ops: assembled entries are accumulated sums
-//! of nonzero terms, which under round-to-nearest can produce `+0.0` but
-//! never `-0.0`, so an accumulator never sits at `-0.0` where adding `+0.0`
-//! would flip its sign. The per-entry accumulation order matches because the
+//! For a system whose dense image ([`BlockSparseSystem::to_dense_into`]) is
+//! handed to [`SchurSystem`](crate::SchurSystem),
+//! [`BlockSparseSystem::solve_into`] returns the *bit-identical* increment.
+//! This holds because every floating-point operation of the dense path is
+//! replayed with the same operands in the same order, except for additions
+//! of structural zeros — and those are exact no-ops: assembled entries are
+//! accumulated sums of nonzero terms, which under round-to-nearest can
+//! produce `+0.0` but never `-0.0`, so an accumulator never sits at `-0.0`
+//! where adding `+0.0` would flip its sign. The per-entry accumulation order matches because the
 //! block lists are kept sorted by row and iterated in ascending landmark
 //! order, exactly the `i-k-j` order of the dense `try_mul` kernel.
 //!
@@ -336,14 +336,15 @@ impl<T: Scalar> BlockSparseSystem<T> {
     ///
     /// `jr` holds the two rows' inverse-depth Jacobians, `f`/`s` their
     /// 6-wide pose-tangent runs, `e` the residuals and `w2` the shared
-    /// squared weight. Bit-identical to the generic per-source-column
-    /// scatter (the `scatter_runs2` replay through the single-entry sink
-    /// methods): every destination cell receives the same guarded
-    /// multiply-adds in the same row-0-then-row-1 order, including the
-    /// single-row fallbacks where one residual row's Jacobian is zero at a
-    /// source column. What changes is only the plumbing — the `V` row is
-    /// resolved once per source column instead of once per sink call, and
-    /// the always-6-wide cross runs go straight to the unrolled kernels.
+    /// squared weight. Bit-identical to the per-source-column scatter
+    /// through the single-run writers ([`BlockSparseSystem::add_u`],
+    /// [`BlockSparseSystem::add_w_run2`], [`BlockSparseSystem::add_v_row2`]
+    /// and their one-row forms): every destination cell receives the same
+    /// guarded multiply-adds in the same row-0-then-row-1 order, including
+    /// the single-row fallbacks where one residual row's Jacobian is zero at
+    /// a source column. What changes is only the plumbing — the `V` row is
+    /// resolved once per source column instead of once per write, and the
+    /// always-6-wide cross runs go straight to the unrolled kernels.
     ///
     /// # Panics
     ///
@@ -774,35 +775,33 @@ impl<T: Scalar> BlockSparseSystem<T> {
         out.w_memo = (usize::MAX, 0, 0);
     }
 
-    /// Materializes the dense `(A, b)` this system represents (symmetric,
-    /// with `X = Wᵀ` filled in) — the input the dense
-    /// [`SchurSystem`](crate::SchurSystem) path partitions. For tests and the
-    /// equivalence suite.
-    pub fn to_dense(&self) -> (Matrix<T>, Vector<T>) {
-        let n = self.p + self.q;
-        let mut a = Matrix::zeros(n, n);
-        let mut b = Vector::zeros(n);
-        for j in 0..self.p {
+    /// Writes the dense `(A, b)` this system represents (symmetric, with
+    /// `X = Wᵀ` filled in) into `a` and `b`, reshaping them and reusing their
+    /// allocations. This is the input a dense solver such as
+    /// [`SchurSystem`](crate::SchurSystem) partitions: the LM loop's dense
+    /// callback path and the equivalence tests read it.
+    pub fn to_dense_into(&self, a: &mut Matrix<T>, b: &mut Vector<T>) {
+        let (p, n) = (self.p, self.p + self.q);
+        a.reset_zeros(n, n);
+        b.resize_fill(n, T::ZERO);
+        for j in 0..p {
             a.set(j, j, self.u[j]);
             b[j] = self.bx[j];
         }
-        for lm in 0..self.p {
+        for lm in 0..p {
             for (bi, &r0) in self.w_rows[lm].iter().enumerate() {
                 for t in 0..self.kb {
                     let val = self.w_vals[lm][bi * self.kb + t];
-                    let r = self.p + r0 as usize + t;
+                    let r = p + r0 as usize + t;
                     a.set(r, lm, val);
                     a.set(lm, r, val);
                 }
             }
         }
         for r in 0..self.q {
-            for c in 0..self.q {
-                a.set(self.p + r, self.p + c, self.v.get(r, c));
-            }
-            b[self.p + r] = self.by[r];
+            a.row_mut(p + r)[p..].copy_from_slice(self.v.row(r));
+            b[p + r] = self.by[r];
         }
-        (a, b)
     }
 }
 
@@ -849,6 +848,12 @@ mod tests {
 
     type Sys = BlockSparseSystem<f64>;
 
+    fn dense<T: Scalar>(s: &BlockSparseSystem<T>) -> (Matrix<T>, Vector<T>) {
+        let (mut a, mut b) = (Matrix::zeros(0, 0), Vector::zeros(0));
+        s.to_dense_into(&mut a, &mut b);
+        (a, b)
+    }
+
     /// A well-conditioned system: 3 landmarks, 2 pose blocks of stride 7 with
     /// kb = 4 (deliberately not the SLAM 15/6 to exercise generality).
     fn build() -> Sys {
@@ -882,7 +887,7 @@ mod tests {
     #[test]
     fn solve_matches_dense_schur_bitwise() {
         let s = build();
-        let (a, b) = s.to_dense();
+        let (a, b) = dense(&s);
         let spec = BlockSpec::new(s.p(), s.dim()).unwrap();
         let reference = SchurSystem::new(&a, &b, spec).unwrap().solve().unwrap();
         let mut scratch = SchurScratch::default();
@@ -894,10 +899,10 @@ mod tests {
     #[test]
     fn damp_matches_dense_damping_and_undamp_restores() {
         let mut s = build();
-        let (a0, _) = s.to_dense();
+        let (a0, _) = dense(&s);
         s.damp(1e-3, 1e-9);
         s.damp(10.0, 1e-9); // re-damp at a higher λ, no undo in between
-        let (ad, _) = s.to_dense();
+        let (ad, _) = dense(&s);
         for i in 0..s.dim() {
             let d = a0.get(i, i);
             assert_eq!(ad.get(i, i), d + 10.0 * d.max(1e-9), "diag {i}");
@@ -911,7 +916,7 @@ mod tests {
             }
         }
         s.undamp();
-        let (ar, _) = s.to_dense();
+        let (ar, _) = dense(&s);
         for i in 0..s.dim() {
             assert_eq!(ar.get(i, i), a0.get(i, i));
         }
@@ -921,7 +926,7 @@ mod tests {
     fn damped_solve_matches_dense_damped_solve() {
         let mut s = build();
         s.damp(0.37, 1e-9);
-        let (a, b) = s.to_dense();
+        let (a, b) = dense(&s);
         let reference = SchurSystem::new(&a, &b, BlockSpec::new(s.p(), s.dim()).unwrap())
             .unwrap()
             .solve()
@@ -936,7 +941,7 @@ mod tests {
     fn f32_twin_solve_matches_dense_solve_of_the_cast() {
         let mut s = build();
         s.damp(0.37, 1e-9);
-        let (a, b) = s.to_dense();
+        let (a, b) = dense(&s);
         let (a32, b32) = (a.cast::<f32>(), b.cast::<f32>());
         let reference = SchurSystem::new(&a32, &b32, BlockSpec::new(s.p(), s.dim()).unwrap())
             .unwrap()
@@ -948,7 +953,7 @@ mod tests {
         big.reset(5, 21, 4, 7);
         big.cast_into(&mut twin);
         s.cast_into(&mut twin);
-        let (ta, tb) = twin.to_dense();
+        let (ta, tb) = dense(&twin);
         assert_eq!(ta.as_slice(), a32.as_slice());
         assert_eq!(tb.as_slice(), b32.as_slice());
         let mut scratch = SchurScratch::default();
@@ -967,7 +972,7 @@ mod tests {
         }
         s.add_v(0, 1, 0.5);
         s.add_v(1, 0, 0.5);
-        let (a, b) = s.to_dense();
+        let (a, b) = dense(&s);
         let reference = Cholesky::factor(&a).unwrap().solve(&b);
         let mut scratch = SchurScratch::default();
         let mut out = Vector::zeros(0);
@@ -993,7 +998,7 @@ mod tests {
         let mut scratch = SchurScratch::default();
         let mut out = Vector::zeros(0);
         s1.solve_into(&mut scratch, &mut out).unwrap();
-        let (a, b) = s2.to_dense();
+        let (a, b) = dense(&s2);
         let reference = SchurSystem::new(&a, &b, BlockSpec::new(1, 8).unwrap())
             .unwrap()
             .solve()

@@ -23,10 +23,10 @@
 //!
 //! The zero-skip variants replicate the assembler's `v != 0` guard: skipped
 //! contributions are exact no-ops on the destination (see
-//! [`NormalEqSink::add_a_row`](../../archytas_slam) docs for why `±0.0`
-//! additions are bit-safe there), but the guard is part of the replayed
-//! operation sequence, so the kernels keep it rather than reason about it
-//! per call site. The guard is *evaluated branchlessly* (candidate
+//! [`BlockSparseSystem::add_v_row`](crate::BlockSparseSystem::add_v_row)
+//! for why `±0.0` additions are bit-safe there), but the guard is part of
+//! the replayed operation sequence, so the kernels keep it rather than
+//! reason about it per call site. The guard is *evaluated branchlessly* (candidate
 //! multiply-add plus a select, see [`crate::fixed`] module docs for the
 //! bit-identity argument) so the loop body stays branch-free for the
 //! autovectorizer.

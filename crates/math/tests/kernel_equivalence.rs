@@ -472,6 +472,13 @@ fn block_problem_strategy() -> impl Strategy<Value = BlockProblem> {
         )
 }
 
+/// The dense `(A, b)` image of `s`.
+fn dense(s: &BlockSparseSystem<f64>) -> (DMat, DVec) {
+    let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
+    s.to_dense_into(&mut a, &mut b);
+    (a, b)
+}
+
 /// Assembles the problem through the sparse build API, with the diagonal
 /// boosted to strict dominance (row sums of `|W|` and `|V|` plus a margin).
 #[allow(clippy::needless_range_loop)] // index math mirrors the matrix layout
@@ -547,7 +554,7 @@ proptest! {
     #[test]
     fn block_solve_matches_dense_schur_bitwise(pb in block_problem_strategy()) {
         let s = build_system(&pb);
-        let (a, b) = s.to_dense();
+        let (a, b) = dense(&s);
         let spec = BlockSpec::new(s.p(), s.dim()).unwrap();
         let reference = SchurSystem::new(&a, &b, spec).unwrap().solve().unwrap();
         let mut scratch = SchurScratch::default();
@@ -594,11 +601,10 @@ fn visual_obs_strategy(p: usize, nblocks: usize) -> impl Strategy<Value = Visual
         })
 }
 
-/// The generic per-source-column scatter of one visual factor — the exact
-/// sequence of single-run sink writes (`scatter_runs2` through the block
-/// sink) that [`BlockSparseSystem::add_visual_obs6`] fuses: guarded `b` and
-/// diagonal updates per column in row-0-then-row-1 order, the `W` mirrors as
-/// the cross-block storage, upper-triangle `V` runs only.
+/// The per-source-column scatter of one visual factor — the exact sequence
+/// of single-run writes that [`BlockSparseSystem::add_visual_obs6`] fuses:
+/// guarded `b` and diagonal updates per column in row-0-then-row-1 order,
+/// the `W` runs as the cross-block storage, upper-triangle `V` runs only.
 fn replay_visual_percolumn(sys: &mut BlockSparseSystem<f64>, o: &VisualObs) {
     let (e, w2) = (o.e, o.w2);
     // Source column 1: the inverse depth.
@@ -692,8 +698,8 @@ proptest! {
         }
         fused.reflect_v_upper();
         seq.reflect_v_upper();
-        let (fa, fb) = fused.to_dense();
-        let (sa, sb) = seq.to_dense();
+        let (fa, fb) = dense(&fused);
+        let (sa, sb) = dense(&seq);
         assert_bits_eq(fa.as_slice(), sa.as_slice())?;
         assert_bits_eq(fb.as_slice(), sb.as_slice())?;
     }

@@ -65,8 +65,8 @@ pub use marginalization::{
 pub use metrics::{mean_stdev, relative_error, rmse_translation, TrajectoryMetrics};
 pub use prior::Prior;
 pub use problem::{
-    apply_increment, build_block_normal_equations, build_normal_equations, evaluate_cost,
-    BlockNormalEqInfo, NormalEquations, POSE_TANGENT_DIM,
+    apply_increment, build_block_normal_equations, evaluate_cost, BlockNormalEqInfo,
+    POSE_TANGENT_DIM,
 };
 pub use solver::{
     schur_linear_solver, solve, solve_in_workspace, solve_with_in_workspace, DegradeReason,

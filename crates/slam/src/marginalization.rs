@@ -267,7 +267,7 @@ fn local_schur(
             }
         }
     } else {
-        // Gauge prior on kf0, matching `build_normal_equations`.
+        // Gauge prior on kf0, matching the LM assembly's.
         let off = kf_off(0);
         for c in 0..STATE_DIM {
             let w2 = if c < 6 { 1e8 } else { 1e2 };

@@ -11,7 +11,7 @@
 
 use crate::solver::SolveError;
 use crate::window::{KeyframeState, SlidingWindow, STATE_DIM};
-use archytas_math::{DMat, DVec};
+use archytas_math::{BlockSparseSystem, DMat, DVec};
 
 /// Prior over the keyframe states of a window, produced by marginalizing the
 /// previous window's oldest keyframe and its landmarks.
@@ -186,38 +186,20 @@ impl Prior {
         s.gradient
     }
 
-    /// Adds the prior's Gauss–Newton contribution to `(a, b)` and returns its
-    /// cost. The prior occupies the keyframe block of the window ordering
-    /// (columns `num_landmarks()..`).
-    pub fn add_to_normal_equations(
+    /// Adds the prior's Gauss–Newton contribution to the keyframe block of
+    /// `sys` (`Hp` onto `V`, the gradient off `by`) and returns its cost.
+    pub(crate) fn add_to_system(
         &self,
         window: &SlidingWindow,
-        a: &mut DMat,
-        b: &mut DVec,
-    ) -> f64 {
-        self.add_to_sink(
-            window,
-            &mut crate::problem::DenseSink { a, b },
-            &mut PriorScratch::default(),
-        )
-    }
-
-    /// Sink-generic form of [`Prior::add_to_normal_equations`]: the same
-    /// writes in the same order, routed through the assembly sink so the
-    /// dense and block-sparse paths stay bit-identical.
-    pub(crate) fn add_to_sink<S: crate::problem::NormalEqSink>(
-        &self,
-        window: &SlidingWindow,
-        sink: &mut S,
+        sys: &mut BlockSparseSystem<f64>,
         s: &mut PriorScratch,
     ) -> f64 {
-        let off = window.kf_offset(0);
         let (cost, grad) = self.evaluate_in(window, s);
         for (i, &gi) in grad.iter().enumerate() {
-            sink.sub_b(off + i, gi);
+            sys.sub_by(i, gi);
             // One dense run per row (scale 1 is exact; see the run method's
             // zero-skip note for why dropping `±0.0` entries is bit-safe).
-            sink.add_a_row(off + i, off, self.information.row(i), 1.0);
+            sys.add_v_row(i, 0, self.information.row(i), 1.0);
         }
         cost
     }
@@ -329,10 +311,11 @@ mod tests {
         let mut w = SlidingWindow::new();
         w.keyframes = lin;
         // At the linearization point the b-contribution must be exactly +rp.
-        let dim = w.state_dim();
-        let mut a = DMat::zeros(dim, dim);
-        let mut b = DVec::zeros(dim);
-        prior.add_to_normal_equations(&w, &mut a, &mut b);
+        let mut sys = BlockSparseSystem::new();
+        sys.reset(0, w.state_dim(), 6, STATE_DIM);
+        prior.add_to_system(&w, &mut sys, &mut PriorScratch::default());
+        let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
+        sys.to_dense_into(&mut a, &mut b);
         for i in 0..STATE_DIM {
             assert!(
                 (b[i] - rp[i]).abs() < 1e-9,

@@ -7,8 +7,10 @@
 //! (Sec. 3.2.2) and that the hardware template is organized around.
 //!
 //! `A` is assembled directly from per-factor blocks (as production BA solvers
-//! do) rather than materializing the global Jacobian; the per-factor flop
-//! counts still match the M-DFG cost model in `archytas-mdfg`.
+//! do) rather than materializing the global Jacobian, and straight into that
+//! block structure: a [`BlockSparseSystem`] with `U` diagonal, `W` in 6-high
+//! pose-tangent blocks and `V` dense. The per-factor flop counts still match
+//! the M-DFG cost model in `archytas-mdfg`.
 
 use crate::factors::{
     evaluate_imu, evaluate_visual_residual, evaluate_visual_with, keyframe_rotations,
@@ -17,324 +19,11 @@ use crate::factors::{
 use crate::geometry::Mat3;
 use crate::prior::{Prior, PriorScratch};
 use crate::window::{SlidingWindow, STATE_DIM};
-use archytas_math::{kernels, BlockSparseSystem, DMat, DVec};
+use archytas_math::{BlockSparseSystem, DVec};
 
 /// Height of the `W` blocks a visual factor writes: the pose-tangent slots of
 /// a keyframe state (rotation + translation, the first 6 of the 15).
 pub const POSE_TANGENT_DIM: usize = 6;
-
-/// Destination of normal-equation scatter writes.
-///
-/// The assembly loop is generic over this sink so the dense matrix and the
-/// block-sparse system are filled by the *same* factor iteration: every
-/// logical entry receives the same contributions in the same order, which is
-/// what makes the two solve paths bit-identical.
-pub(crate) trait NormalEqSink {
-    /// Adds `v` at `(i, j)` of `A` in the global state ordering. Raw — no
-    /// implicit mirroring; callers write both triangles explicitly.
-    fn add_a(&mut self, i: usize, j: usize, v: f64);
-    /// Subtracts `v` from `b[i]` (the `b -= Jᵀ·W·e` scatter convention).
-    fn sub_b(&mut self, i: usize, v: f64);
-    /// Adds `scale·vals[t]` at `(i, j0 + t)` for each nonzero `vals[t]` — the
-    /// contiguous-run form of [`NormalEqSink::add_a`] that lets sinks use
-    /// slice writes on matrix rows.
-    ///
-    /// Skipping the zero entries mirrors the per-pair scatter's zero guard
-    /// and is bit-safe even where the per-element path did not skip:
-    /// accumulated entries are sums of nonzero terms, hence never `-0.0`,
-    /// and adding `±0.0` to anything that is not `-0.0` leaves its bit
-    /// pattern alone.
-    fn add_a_row(&mut self, i: usize, j0: usize, vals: &[f64], scale: f64) {
-        for (t, &v) in vals.iter().enumerate() {
-            if v != 0.0 {
-                self.add_a(i, j0 + t, scale * v);
-            }
-        }
-    }
-    /// Mirror of an [`NormalEqSink::add_a_row`]: the symmetric counterpart
-    /// writes `scale·vals[t]` at `(i0 + t, j)`, below the diagonal (the
-    /// assembler emits runs in ascending column order, so row writes land in
-    /// the upper triangle and mirrors in the lower).
-    ///
-    /// Because the mirror of every contribution carries the exact same value
-    /// as its primary, the accumulated lower triangle is bitwise equal to
-    /// the transposed upper one. Sinks may therefore ignore these calls and
-    /// instead copy the lower triangle from the upper in
-    /// [`NormalEqSink::reflect_upper`] — *except* where the mirrored region
-    /// is their only storage for a block (the block-sparse `W`).
-    fn mirror_a_col(&mut self, i0: usize, j: usize, vals: &[f64], scale: f64) {
-        for (t, &v) in vals.iter().enumerate() {
-            if v != 0.0 {
-                self.add_a(i0 + t, j, scale * v);
-            }
-        }
-    }
-    /// Called once after the factor loop (before the prior and gauge
-    /// writes, which land raw on both triangles). Sinks that ignored
-    /// [`NormalEqSink::mirror_a_col`] writes reconstruct the lower triangle
-    /// here by copying the upper.
-    fn reflect_upper(&mut self) {}
-
-    /// Fused pair form of [`NormalEqSink::add_a_row`]: row 0's contribution
-    /// then row 1's at the same `(i, j0)` run. The default is the two
-    /// sequential calls; sinks override it with a single-traversal kernel
-    /// that applies both guarded multiply-adds per cell in the same order —
-    /// bit-identical by construction, half the row walks.
-    fn add_a_row2(&mut self, i: usize, j0: usize, vals0: &[f64], s0: f64, vals1: &[f64], s1: f64) {
-        self.add_a_row(i, j0, vals0, s0);
-        self.add_a_row(i, j0, vals1, s1);
-    }
-
-    /// Fused pair form of [`NormalEqSink::mirror_a_col`], with the same
-    /// contract as [`NormalEqSink::add_a_row2`].
-    fn mirror_a_col2(
-        &mut self,
-        i0: usize,
-        j: usize,
-        vals0: &[f64],
-        s0: f64,
-        vals1: &[f64],
-        s1: f64,
-    ) {
-        self.mirror_a_col(i0, j, vals0, s0);
-        self.mirror_a_col(i0, j, vals1, s1);
-    }
-
-    /// Fused many-row form of [`NormalEqSink::add_a_row`]: every `(vals,
-    /// scale)` source row — `len` leading entries of each — applied at the
-    /// same `(i, j0)` run, in slice order. Default is the sequential calls;
-    /// overrides keep the per-cell contribution order and bits.
-    fn add_a_row_fused(&mut self, i: usize, j0: usize, len: usize, rows: &[(&[f64], f64)]) {
-        for &(vals, s) in rows {
-            self.add_a_row(i, j0, &vals[..len], s);
-        }
-    }
-
-    /// Fused many-row form of [`NormalEqSink::mirror_a_col`], with the same
-    /// contract as [`NormalEqSink::add_a_row_fused`].
-    fn mirror_a_col_fused(&mut self, i0: usize, j: usize, len: usize, rows: &[(&[f64], f64)]) {
-        for &(vals, s) in rows {
-            self.mirror_a_col(i0, j, &vals[..len], s);
-        }
-    }
-
-    /// Whole-observation scatter of one visual factor: a 1-wide inverse-depth
-    /// run plus two pose-tangent runs (`first.0 < second.0`), shared by both
-    /// residual rows. The default is exactly the generic per-source-column
-    /// scatter ([`scatter_runs2`]); sinks that store the factor's destination
-    /// regions directly override it with a fused routine that replays the
-    /// same per-cell guarded multiply-add sequence — bit-identical by
-    /// construction — without the per-column sink-call plumbing.
-    fn scatter_visual(
-        &mut self,
-        rho: (usize, &[f64], &[f64]),
-        first: (usize, &[f64], &[f64]),
-        second: (usize, &[f64], &[f64]),
-        e: [f64; 2],
-        w2: f64,
-    ) where
-        Self: Sized,
-    {
-        scatter_runs2(self, &[rho, first, second], e, w2);
-    }
-}
-
-pub(crate) struct DenseSink<'a> {
-    pub a: &'a mut DMat,
-    pub b: &'a mut DVec,
-}
-
-impl NormalEqSink for DenseSink<'_> {
-    fn add_a(&mut self, i: usize, j: usize, v: f64) {
-        self.a.add_at(i, j, v);
-    }
-    fn sub_b(&mut self, i: usize, v: f64) {
-        self.b[i] -= v;
-    }
-    fn add_a_row(&mut self, i: usize, j0: usize, vals: &[f64], scale: f64) {
-        kernels::add_scaled_skip(&mut self.a.row_mut(i)[j0..j0 + vals.len()], vals, scale);
-    }
-    fn mirror_a_col(&mut self, _i0: usize, _j: usize, _vals: &[f64], _scale: f64) {
-        // Deferred: the whole lower triangle is copied in `reflect_upper`.
-    }
-    fn add_a_row2(&mut self, i: usize, j0: usize, vals0: &[f64], s0: f64, vals1: &[f64], s1: f64) {
-        kernels::add_scaled_skip2(
-            &mut self.a.row_mut(i)[j0..j0 + vals0.len()],
-            vals0,
-            s0,
-            vals1,
-            s1,
-        );
-    }
-    fn mirror_a_col2(
-        &mut self,
-        _i0: usize,
-        _j: usize,
-        _vals0: &[f64],
-        _s0: f64,
-        _vals1: &[f64],
-        _s1: f64,
-    ) {
-        // Deferred, like the single-row mirror.
-    }
-    fn add_a_row_fused(&mut self, i: usize, j0: usize, len: usize, rows: &[(&[f64], f64)]) {
-        kernels::add_scaled_skip_rows(&mut self.a.row_mut(i)[j0..j0 + len], rows);
-    }
-    fn mirror_a_col_fused(&mut self, _i0: usize, _j: usize, _len: usize, _rows: &[(&[f64], f64)]) {
-        // Deferred, like the single-row mirror.
-    }
-    fn reflect_upper(&mut self) {
-        let n = self.a.rows();
-        for r in 0..n {
-            for c in (r + 1)..n {
-                let v = self.a.get(r, c);
-                self.a.set(c, r, v);
-            }
-        }
-    }
-}
-
-/// Routes global-ordering writes into a [`BlockSparseSystem`]: the leading
-/// `p` indices are landmarks, the rest the pose region. Upper-right (`X`)
-/// writes are dropped — that block is implied by symmetry and never stored —
-/// so the `W` entries receive exactly the mirror-write sequence the dense
-/// lower-left block gets.
-struct BlockSink<'a> {
-    sys: &'a mut BlockSparseSystem<f64>,
-    p: usize,
-}
-
-impl NormalEqSink for BlockSink<'_> {
-    fn add_a(&mut self, i: usize, j: usize, v: f64) {
-        let p = self.p;
-        match (i < p, j < p) {
-            (true, true) => {
-                debug_assert_eq!(i, j, "off-diagonal landmark–landmark entry");
-                self.sys.add_u(i, v);
-            }
-            (false, false) => self.sys.add_v(i - p, j - p, v),
-            (false, true) => self.sys.add_w(j, i - p, v),
-            (true, false) => {}
-        }
-    }
-    fn sub_b(&mut self, i: usize, v: f64) {
-        if i < self.p {
-            self.sys.sub_bx(i, v);
-        } else {
-            self.sys.sub_by(i - self.p, v);
-        }
-    }
-    fn add_a_row(&mut self, i: usize, j0: usize, vals: &[f64], scale: f64) {
-        let p = self.p;
-        if i >= p && j0 >= p {
-            self.sys.add_v_row(i - p, j0 - p, vals, scale);
-        } else if i < p && j0 >= p {
-            // X block: implied by symmetry, never stored.
-        } else {
-            for (t, &v) in vals.iter().enumerate() {
-                if v != 0.0 {
-                    self.add_a(i, j0 + t, scale * v);
-                }
-            }
-        }
-    }
-    fn mirror_a_col(&mut self, i0: usize, j: usize, vals: &[f64], scale: f64) {
-        let p = self.p;
-        if i0 >= p && j < p {
-            // The mirror writes *are* the `W` block's storage (the upper
-            // `X` primaries are dropped), so they cannot be deferred.
-            self.sys.add_w_run(j, i0 - p, vals, scale);
-        } else if i0 >= p {
-            // Pose–pose mirror: deferred, `reflect_upper` copies `V`'s
-            // lower triangle from the upper.
-        } else {
-            for (t, &v) in vals.iter().enumerate() {
-                if v != 0.0 {
-                    self.add_a(i0 + t, j, scale * v);
-                }
-            }
-        }
-    }
-    fn add_a_row2(&mut self, i: usize, j0: usize, vals0: &[f64], s0: f64, vals1: &[f64], s1: f64) {
-        let p = self.p;
-        if i >= p && j0 >= p {
-            self.sys.add_v_row2(i - p, j0 - p, vals0, s0, vals1, s1);
-        } else if i < p && j0 >= p {
-            // X block: implied by symmetry, never stored.
-        } else {
-            // Landmark-region runs are single-entry; the sequential calls
-            // keep the per-cell row-0-then-row-1 order.
-            self.add_a_row(i, j0, vals0, s0);
-            self.add_a_row(i, j0, vals1, s1);
-        }
-    }
-    fn mirror_a_col2(
-        &mut self,
-        i0: usize,
-        j: usize,
-        vals0: &[f64],
-        s0: f64,
-        vals1: &[f64],
-        s1: f64,
-    ) {
-        let p = self.p;
-        if i0 >= p && j < p {
-            // One block lookup for both rows of the W run.
-            self.sys.add_w_run2(j, i0 - p, vals0, s0, vals1, s1);
-        } else if i0 >= p {
-            // Pose–pose mirror: deferred.
-        } else {
-            self.mirror_a_col(i0, j, vals0, s0);
-            self.mirror_a_col(i0, j, vals1, s1);
-        }
-    }
-    fn add_a_row_fused(&mut self, i: usize, j0: usize, len: usize, rows: &[(&[f64], f64)]) {
-        let p = self.p;
-        if i >= p && j0 >= p {
-            self.sys.add_v_row_fused(i - p, j0 - p, len, rows);
-        } else if i < p && j0 >= p {
-            // X block: implied by symmetry, never stored.
-        } else {
-            for &(vals, s) in rows {
-                self.add_a_row(i, j0, &vals[..len], s);
-            }
-        }
-    }
-    fn reflect_upper(&mut self) {
-        self.sys.reflect_v_upper();
-    }
-    fn scatter_visual(
-        &mut self,
-        rho: (usize, &[f64], &[f64]),
-        first: (usize, &[f64], &[f64]),
-        second: (usize, &[f64], &[f64]),
-        e: [f64; 2],
-        w2: f64,
-    ) {
-        let p = self.p;
-        // The SLAM layout: rho is a landmark column, both pose runs are
-        // 6-wide (= the block-sparse `W` height) and inside the pose region.
-        // Anything else falls back to the generic per-column scatter.
-        if rho.0 < p && first.0 >= p && first.1.len() == POSE_TANGENT_DIM && rho.1.len() == 1 {
-            let (f0, f1): (&[f64; 6], &[f64; 6]) =
-                (first.1.try_into().unwrap(), first.2.try_into().unwrap());
-            let (s0, s1): (&[f64; 6], &[f64; 6]) =
-                (second.1.try_into().unwrap(), second.2.try_into().unwrap());
-            self.sys.add_visual_obs6(
-                rho.0,
-                first.0 - p,
-                second.0 - p,
-                [rho.1[0], rho.2[0]],
-                [f0, f1],
-                [s0, s1],
-                e,
-                w2,
-            );
-        } else {
-            scatter_runs2(self, &[rho, first, second], e, w2);
-        }
-    }
-}
 
 /// Reused temporaries of one linearization: each keyframe's rotation
 /// matrix and its transpose, and the prior's temporaries.
@@ -344,55 +33,7 @@ pub(crate) struct LinScratch {
     pub(crate) prior: PriorScratch,
 }
 
-/// Assembled normal equations plus bookkeeping for one linearization.
-#[derive(Debug, Clone)]
-pub struct NormalEquations {
-    /// Gauss–Newton matrix `A = JᵀWJ` (+ prior information).
-    pub a: DMat,
-    /// Right-hand side `b = −JᵀWe` (+ prior contribution).
-    pub b: DVec,
-    /// One-half squared weighted residual norm (the MAP cost, Eq. 2).
-    pub cost: f64,
-    /// Number of landmark (diagonal-block) parameters.
-    pub num_landmarks: usize,
-    /// Visual observations actually used (in front of both cameras).
-    pub used_observations: usize,
-}
-
-/// Builds the normal equations of a window at its current estimate.
-///
-/// `prior` carries the marginalization product from the previous window
-/// (`Hp`, `rp` of Eq. 2); `gauge` adds a strong pose prior on keyframe 0 when
-/// no marginalization prior exists, fixing the global gauge freedom.
-pub fn build_normal_equations(
-    window: &SlidingWindow,
-    weights: &FactorWeights,
-    prior: Option<&Prior>,
-) -> NormalEquations {
-    let a_dim = window.state_dim();
-    let mut a = DMat::zeros(a_dim, a_dim);
-    let mut b = DVec::zeros(a_dim);
-    let (cost, used) = assemble(
-        window,
-        weights,
-        prior,
-        &mut DenseSink {
-            a: &mut a,
-            b: &mut b,
-        },
-        &mut LinScratch::default(),
-    );
-    NormalEquations {
-        a,
-        b,
-        cost,
-        num_landmarks: window.num_landmarks(),
-        used_observations: used,
-    }
-}
-
-/// Assembly metadata of one block-sparse linearization (the block analogue of
-/// the bookkeeping fields of [`NormalEquations`]).
+/// Assembly metadata of one block-sparse linearization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockNormalEqInfo {
     /// One-half squared weighted residual norm (the MAP cost, Eq. 2).
@@ -403,15 +44,16 @@ pub struct BlockNormalEqInfo {
     pub used_observations: usize,
 }
 
-/// Builds the normal equations of a window directly in block-sparse form,
-/// skipping the dense `state_dim × state_dim` assembly entirely.
+/// Builds the normal equations of a window at its current estimate, in
+/// block-sparse form.
 ///
-/// `sys` is reset to the window's shape (reusing its allocations) and filled
-/// through the same factor loop as [`build_normal_equations`], so its dense
-/// image is bit-identical to the matrix that function produces — and
-/// [`BlockSparseSystem::solve_into`] on it is bit-identical to the dense
-/// Schur path. Its temporaries are thread-local, so once they have grown a
-/// call allocates nothing.
+/// `sys` is reset to the window's shape (reusing its allocations) and
+/// filled factor by factor. `prior` carries the marginalization product
+/// from the previous window (`Hp`, `rp` of Eq. 2); without one, a strong
+/// pose prior on keyframe 0 fixes the global gauge freedom. The dense
+/// `(A, b)` it represents is [`BlockSparseSystem::to_dense_into`]. Its
+/// temporaries are thread-local, so once they have grown a call allocates
+/// nothing.
 pub fn build_block_normal_equations(
     window: &SlidingWindow,
     weights: &FactorWeights,
@@ -441,8 +83,7 @@ pub(crate) fn build_block_normal_equations_in(
         POSE_TANGENT_DIM,
         STATE_DIM,
     );
-    let sink = &mut BlockSink { sys, p: num_l };
-    let (cost, used) = assemble(window, weights, prior, sink, scratch);
+    let (cost, used) = assemble(window, weights, prior, sys, scratch);
     BlockNormalEqInfo {
         cost,
         num_landmarks: num_l,
@@ -450,13 +91,19 @@ pub(crate) fn build_block_normal_equations_in(
     }
 }
 
-/// The shared factor loop: linearizes every factor and scatters it into
-/// `sink`. Returns `(cost, used_observations)`.
-fn assemble<S: NormalEqSink>(
+/// The factor loop: linearizes every factor and scatters it into `sys`,
+/// whose pose rows are indexed locally (keyframe `k` starts at row
+/// `15·k`). Returns `(cost, used_observations)`.
+///
+/// Factor writes touch only the upper triangle of `V` (the mirror of every
+/// contribution carries the same value, so the lower triangle is copied once
+/// at the end); the `W` blocks hold the landmark–pose cross terms, whose
+/// transpose `X` is never stored.
+fn assemble(
     window: &SlidingWindow,
     weights: &FactorWeights,
     prior: Option<&Prior>,
-    sink: &mut S,
+    sys: &mut BlockSparseSystem<f64>,
     scratch: &mut LinScratch,
 ) -> (f64, usize) {
     let mut cost = 0.0;
@@ -493,35 +140,29 @@ fn assemble<S: NormalEqSink>(
             Some(_) => wv2 * weights.visual_robust_scale(ev.residual[0], ev.residual[1]),
         };
 
-        let col_rho = obs.landmark;
-        let col_anchor = window.kf_offset(lm.anchor);
-        let col_obs = window.kf_offset(obs.keyframe);
-
         for r in 0..2 {
             let e = ev.residual[r];
             cost += 0.5 * w2 * e * e;
         }
-        // The sparse rows: 1 rho column + two 6-wide pose-tangent runs,
-        // ordered by column (re-anchoring can place the anchor after the
-        // observer). Pose tangent occupies the first 6 slots of the
-        // 15-dim state. Guard against the anchor and observer being the
-        // same state (excluded above, but keep the invariant explicit).
-        // Both residual rows share the column structure, so they scatter
-        // in one fused pass.
-        debug_assert_ne!(col_anchor, col_obs);
-        let j_rho0 = [ev.j_rho[0]];
-        let j_rho1 = [ev.j_rho[1]];
-        let anchor_run = (col_anchor, &ev.j_anchor[0][..], &ev.j_anchor[1][..]);
-        let obs_run = (col_obs, &ev.j_obs[0][..], &ev.j_obs[1][..]);
-        let (first, second) = if col_anchor < col_obs {
+        // One rho column plus two 6-wide pose-tangent runs (the first 6
+        // slots of each 15-dim state), ordered by row: re-anchoring can
+        // place the anchor after the observer. Both residual rows share
+        // this structure, so they scatter in one fused pass.
+        debug_assert_ne!(lm.anchor, obs.keyframe);
+        let anchor_run = (STATE_DIM * lm.anchor, &ev.j_anchor);
+        let obs_run = (STATE_DIM * obs.keyframe, &ev.j_obs);
+        let (first, second) = if lm.anchor < obs.keyframe {
             (anchor_run, obs_run)
         } else {
             (obs_run, anchor_run)
         };
-        sink.scatter_visual(
-            (col_rho, &j_rho0[..], &j_rho1[..]),
-            first,
-            second,
+        sys.add_visual_obs6(
+            obs.landmark,
+            first.0,
+            second.0,
+            ev.j_rho,
+            [&first.1[0], &first.1[1]],
+            [&second.1[0], &second.1[1]],
             ev.residual,
             w2,
         );
@@ -532,8 +173,6 @@ fn assemble<S: NormalEqSink>(
         let si = &window.keyframes[cons.first];
         let sj = &window.keyframes[cons.first + 1];
         let ev = evaluate_imu(si, sj, &cons.preintegration);
-        let off_i = window.kf_offset(cons.first);
-        let off_j = window.kf_offset(cons.first + 1);
         let mut w2s = [0.0; STATE_DIM];
         for (r, w2) in w2s.iter_mut().enumerate() {
             let w = FactorWeights::imu_row(r);
@@ -543,123 +182,51 @@ fn assemble<S: NormalEqSink>(
         }
         // All 15 residual rows share the two state-wide runs, so they
         // scatter in one fused pass over the destination rows.
-        scatter_imu_runs(sink, off_i, off_j, &ev, &w2s);
+        let off_i = STATE_DIM * cons.first;
+        scatter_imu_runs(sys, off_i, off_i + STATE_DIM, &ev, &w2s);
     }
 
     // Factor scatter done: materialize the (bitwise-symmetric) lower
-    // triangle before the raw prior/gauge writes land on both triangles.
-    sink.reflect_upper();
+    // triangle before the prior/gauge writes land on both triangles.
+    sys.reflect_v_upper();
 
     // --- marginalization prior ---
     if let Some(p) = prior {
-        cost += p.add_to_sink(window, sink, &mut scratch.prior);
+        cost += p.add_to_system(window, sys, &mut scratch.prior);
     } else {
         // Gauge fixation: strongly pin keyframe 0's pose (and weakly its
         // velocity/biases so the very first window is well-conditioned).
-        let off = window.kf_offset(0);
         for c in 0..STATE_DIM {
             let w2 = if c < 6 { 1e8 } else { 1e2 };
-            sink.add_a(off + c, off + c, w2);
+            sys.add_v(c, c, w2);
         }
     }
 
     (cost, used)
 }
 
-/// Rank-2 update of `A` and `b` from the two residual rows of one visual
-/// factor, which share the same sparse column structure.
-///
-/// `runs` lists `(first_column, row-0 values, row-1 values)` segments — they
-/// must be disjoint and in ascending column order, so that `add_a_row*`
-/// primaries land in the upper triangle and `mirror_a_col*` writes below the
-/// diagonal. `e` holds the two residuals and `w2` the shared squared weight.
-///
-/// Equivalent to the historical per-row scatter (row 0's full rank-1 update,
-/// then row 1's): each unordered column pair appears exactly once per row,
-/// and the fused sink writes apply row 0's guarded multiply-add before
-/// row 1's at every cell — the same per-destination operation sequence, so
-/// the assembled bits are unchanged. The destination rows of `A` are walked
-/// once instead of twice; sources where only one row is nonzero fall back to
-/// that row's single-row writes, exactly the calls the per-row scatter would
-/// have made.
-fn scatter_runs2<S: NormalEqSink>(
-    sink: &mut S,
-    runs: &[(usize, &[f64], &[f64])],
-    e: [f64; 2],
-    w2: f64,
-) {
-    for (ri, &(c0i, v0s, v1s)) in runs.iter().enumerate() {
-        for ti in 0..v0s.len() {
-            let (v0, v1) = (v0s[ti], v1s[ti]);
-            let (nz0, nz1) = (v0 != 0.0, v1 != 0.0);
-            if !nz0 && !nz1 {
-                continue;
-            }
-            let ci = c0i + ti;
-            let wv0 = w2 * v0;
-            let wv1 = w2 * v1;
-            if nz0 {
-                sink.sub_b(ci, wv0 * e[0]);
-            }
-            if nz1 {
-                sink.sub_b(ci, wv1 * e[1]);
-            }
-            let t0 = &v0s[ti..];
-            let t1 = &v1s[ti..];
-            if nz0 && nz1 {
-                // Diagonal plus the rest of this run, then the mirror of
-                // the off-diagonal part, then the cross runs — all fused.
-                sink.add_a_row2(ci, ci, t0, wv0, t1, wv1);
-                if t0.len() > 1 {
-                    sink.mirror_a_col2(ci + 1, ci, &t0[1..], wv0, &t1[1..], wv1);
-                }
-                for &(c0j, vj0, vj1) in &runs[ri + 1..] {
-                    sink.add_a_row2(ci, c0j, vj0, wv0, vj1, wv1);
-                    sink.mirror_a_col2(c0j, ci, vj0, wv0, vj1, wv1);
-                }
-            } else {
-                // Only one residual row is nonzero at this source column:
-                // replay exactly its single-row writes.
-                let (tail, wv, pick0) = if nz0 {
-                    (t0, wv0, true)
-                } else {
-                    (t1, wv1, false)
-                };
-                sink.add_a_row(ci, ci, tail, wv);
-                if tail.len() > 1 {
-                    sink.mirror_a_col(ci + 1, ci, &tail[1..], wv);
-                }
-                for &(c0j, vj0, vj1) in &runs[ri + 1..] {
-                    let vj = if pick0 { vj0 } else { vj1 };
-                    sink.add_a_row(ci, c0j, vj, wv);
-                    sink.mirror_a_col(c0j, ci, vj, wv);
-                }
-            }
-        }
-    }
-}
-
-/// Rank-15 update of `A` and `b` from all residual rows of one IMU factor,
-/// whose rows all share the same two state-wide runs `(off_i, off_j)`.
+/// Rank-15 update of `V` and `by` from all residual rows of one IMU factor,
+/// whose rows all share the same two state-wide runs at pose rows `off_i`
+/// and `off_j` (`off_i < off_j`); only the upper triangle is written.
 ///
 /// Equivalent to 15 sequential single-row scatters in ascending row order:
-/// for every cell of `A` (and entry of `b`) the active rows' guarded
-/// multiply-adds are applied in that same order by the fused sink writes, so
-/// the assembled bits are unchanged, while each destination row of `A` is
-/// walked once per source column instead of once per (source column,
-/// residual row) pair. `w2s` holds the per-row squared weights; rows whose
-/// Jacobian is zero at a source column contribute nothing there, exactly as
-/// their single-row scatter would have skipped that source.
-fn scatter_imu_runs<S: NormalEqSink>(
-    sink: &mut S,
+/// for every cell of `V` (and entry of `by`) the active rows' guarded
+/// multiply-adds are applied in that same order by the fused row writes, so
+/// the assembled bits are unchanged, while each destination row is walked
+/// once per source column instead of once per (source column, residual row)
+/// pair. `w2s` holds the per-row squared weights; rows whose Jacobian is zero
+/// at a source column contribute nothing there, exactly as their single-row
+/// scatter would have skipped that source.
+fn scatter_imu_runs(
+    sys: &mut BlockSparseSystem<f64>,
     off_i: usize,
     off_j: usize,
     ev: &crate::factors::ImuEval,
     w2s: &[f64; STATE_DIM],
 ) {
     const EMPTY: (&[f64], f64) = (&[], 0.0);
-    // Sources in run i: diagonal tail within run i, its mirror, and the
-    // cross block against the full run j.
+    // Sources in run i: diagonal tail within run i, and the cross block
+    // against the full run j.
     for ti in 0..STATE_DIM {
         let ci = off_i + ti;
         let mut tails = [EMPTY; STATE_DIM];
@@ -672,7 +239,7 @@ fn scatter_imu_runs<S: NormalEqSink>(
                 continue;
             }
             let wv = w2s[r] * v;
-            sink.sub_b(ci, wv * ev.residual[r]);
+            sys.sub_by(ci, wv * ev.residual[r]);
             tails[n] = (&ev.j_i[r][ti..], wv);
             crosses[n] = (&ev.j_j[r][..], wv);
             n += 1;
@@ -680,17 +247,8 @@ fn scatter_imu_runs<S: NormalEqSink>(
         if n == 0 {
             continue;
         }
-        let tail_len = STATE_DIM - ti;
-        sink.add_a_row_fused(ci, ci, tail_len, &tails[..n]);
-        if tail_len > 1 {
-            let mut mirrors = [EMPTY; STATE_DIM];
-            for (m, t) in mirrors.iter_mut().zip(&tails[..n]) {
-                *m = (&t.0[1..], t.1);
-            }
-            sink.mirror_a_col_fused(ci + 1, ci, tail_len - 1, &mirrors[..n]);
-        }
-        sink.add_a_row_fused(ci, off_j, STATE_DIM, &crosses[..n]);
-        sink.mirror_a_col_fused(off_j, ci, STATE_DIM, &crosses[..n]);
+        sys.add_v_row_fused(ci, ci, STATE_DIM - ti, &tails[..n]);
+        sys.add_v_row_fused(ci, off_j, STATE_DIM, &crosses[..n]);
     }
     // Sources in run j: only the diagonal tail within run j remains.
     for tj in 0..STATE_DIM {
@@ -704,22 +262,14 @@ fn scatter_imu_runs<S: NormalEqSink>(
                 continue;
             }
             let wv = w2s[r] * v;
-            sink.sub_b(ci, wv * ev.residual[r]);
+            sys.sub_by(ci, wv * ev.residual[r]);
             tails[n] = (&ev.j_j[r][tj..], wv);
             n += 1;
         }
         if n == 0 {
             continue;
         }
-        let tail_len = STATE_DIM - tj;
-        sink.add_a_row_fused(ci, ci, tail_len, &tails[..n]);
-        if tail_len > 1 {
-            let mut mirrors = [EMPTY; STATE_DIM];
-            for (m, t) in mirrors.iter_mut().zip(&tails[..n]) {
-                *m = (&t.0[1..], t.1);
-            }
-            sink.mirror_a_col_fused(ci + 1, ci, tail_len - 1, &mirrors[..n]);
-        }
+        sys.add_v_row_fused(ci, ci, STATE_DIM - tj, &tails[..n]);
     }
 }
 
@@ -803,6 +353,31 @@ mod tests {
     use super::*;
     use crate::geometry::{Pose, Quat, Vec3};
     use crate::window::{KeyframeState, Landmark, Observation};
+    use archytas_math::DMat;
+
+    /// Dense image of a window's normal equations plus the assembly
+    /// metadata: what the assertions below read.
+    struct Dense {
+        a: DMat,
+        b: DVec,
+        cost: f64,
+        num_landmarks: usize,
+        used_observations: usize,
+    }
+
+    fn build_dense(w: &SlidingWindow, weights: &FactorWeights) -> Dense {
+        let mut sys = BlockSparseSystem::new();
+        let info = build_block_normal_equations(w, weights, None, &mut sys);
+        let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
+        sys.to_dense_into(&mut a, &mut b);
+        Dense {
+            a,
+            b,
+            cost: info.cost,
+            num_landmarks: info.num_landmarks,
+            used_observations: info.used_observations,
+        }
+    }
 
     /// Two keyframes observing a handful of landmarks, no IMU.
     fn toy_window(perturb: bool) -> SlidingWindow {
@@ -849,7 +424,7 @@ mod tests {
     #[test]
     fn cost_zero_at_ground_truth() {
         let w = toy_window(false);
-        let ne = build_normal_equations(&w, &FactorWeights::default(), None);
+        let ne = build_dense(&w, &FactorWeights::default());
         assert!(ne.cost < 1e-15, "cost {}", ne.cost);
         assert_eq!(ne.used_observations, 4);
         assert!(ne.b.norm() < 1e-9);
@@ -858,7 +433,7 @@ mod tests {
     #[test]
     fn leading_block_is_diagonal() {
         let w = toy_window(true);
-        let ne = build_normal_equations(&w, &FactorWeights::default(), None);
+        let ne = build_dense(&w, &FactorWeights::default());
         let a = ne.num_landmarks;
         for i in 0..a {
             for j in 0..a {
@@ -876,7 +451,7 @@ mod tests {
     #[test]
     fn a_is_symmetric() {
         let w = toy_window(true);
-        let ne = build_normal_equations(&w, &FactorWeights::default(), None);
+        let ne = build_dense(&w, &FactorWeights::default());
         assert!(ne.a.is_symmetric(1e-9));
     }
 
@@ -884,7 +459,7 @@ mod tests {
     fn gradient_points_downhill() {
         let mut w = toy_window(true);
         let weights = FactorWeights::default();
-        let ne = build_normal_equations(&w, &weights, None);
+        let ne = build_dense(&w, &weights);
         assert!(ne.cost > 0.0);
         // Step a small distance along b (the negative gradient).
         let step = ne.b.scale(1e-12);
@@ -897,7 +472,7 @@ mod tests {
     fn evaluate_cost_matches_build() {
         let w = toy_window(true);
         let weights = FactorWeights::default();
-        let ne = build_normal_equations(&w, &weights, None);
+        let ne = build_dense(&w, &weights);
         let c = evaluate_cost(&w, &weights, None);
         assert!((ne.cost - c).abs() < 1e-12);
     }
@@ -908,8 +483,8 @@ mod tests {
         w.observations[0].uv[0] += 5.0; // gross outlier on one track
         let plain = FactorWeights::default();
         let robust = plain.with_huber(0.01);
-        let ne_p = build_normal_equations(&w, &plain, None);
-        let ne_r = build_normal_equations(&w, &robust, None);
+        let ne_p = build_dense(&w, &plain);
+        let ne_r = build_dense(&w, &robust);
         // The outlier dominates the quadratic cost; Huber bounds its pull.
         assert!(
             ne_r.cost < ne_p.cost * 0.01,
@@ -928,8 +503,8 @@ mod tests {
         let w = toy_window(true); // inliers only
         let plain = FactorWeights::default();
         let robust = plain.with_huber(1e9); // threshold above every residual
-        let ne_p = build_normal_equations(&w, &plain, None);
-        let ne_r = build_normal_equations(&w, &robust, None);
+        let ne_p = build_dense(&w, &plain);
+        let ne_r = build_dense(&w, &robust);
         assert_eq!(ne_p.cost.to_bits(), ne_r.cost.to_bits());
         for i in 0..ne_p.b.len() {
             assert_eq!(ne_p.b[i].to_bits(), ne_r.b[i].to_bits(), "b[{i}]");

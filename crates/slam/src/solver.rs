@@ -12,8 +12,7 @@ use crate::factors::FactorWeights;
 use crate::marginalization::MargWorkspace;
 use crate::prior::Prior;
 use crate::problem::{
-    apply_increment, build_block_normal_equations_in, build_normal_equations, evaluate_cost_in,
-    LinScratch, NormalEquations,
+    apply_increment, build_block_normal_equations_in, evaluate_cost_in, LinScratch,
 };
 use crate::window::SlidingWindow;
 use archytas_math::{
@@ -241,18 +240,20 @@ impl OutcomeTracker {
 
 /// A pluggable dense linear solver for the damped normal equations.
 ///
-/// Arguments are `(A_damped, b, num_landmarks)`; `None` signals a
-/// factorization failure (the LM loop responds by raising λ). This is the
-/// dense reference path of [`solve_with_in_workspace`]: [`schur_linear_solver`]
-/// in f64, or the accelerator's f32 functional model. Served windows pick
-/// their precision with [`LmConfig::precision`] instead.
+/// Arguments are `(A_damped, b, num_landmarks)`: the dense image of the
+/// damped block-sparse system. `None` signals a factorization failure (the
+/// LM loop responds by raising λ). This is the callback of
+/// [`solve_with_in_workspace`]: [`schur_linear_solver`] in f64, or the
+/// accelerator's f32 functional model. Served windows pick their precision
+/// with [`LmConfig::precision`] instead.
 pub type LinearSolver<'a> = &'a dyn Fn(&DMat, &DVec, usize) -> Option<DVec>;
 
 /// Reusable buffers for the LM solve: the block-structured normal equations,
 /// the Schur-elimination scratch and increment at both precisions, the
 /// candidate window of the step-acceptance test, the linearization's
-/// rotation matrices and prior temporaries, the damped matrix of the dense reference path, and
-/// the marginalization buffers of [`crate::try_marginalize_oldest_in`].
+/// rotation matrices and prior temporaries, the dense image handed to a
+/// [`LinearSolver`], and the marginalization buffers of
+/// [`crate::try_marginalize_oldest_in`].
 ///
 /// Allocate once and pass to [`solve_in_workspace`] for every window — all
 /// buffers grow to the largest window seen and stay allocated, so steady-state
@@ -272,10 +273,10 @@ pub struct SolverWorkspace {
     candidate: SlidingWindow,
     pub(crate) lin: LinScratch,
     pub(crate) marg: MargWorkspace,
-    /// Normal equations and damped matrix of the dense reference path
+    /// Dense image of the damped system handed to a [`LinearSolver`]
     /// ([`solve_with_in_workspace`]); unused by the block-sparse path.
-    dense: Option<NormalEquations>,
-    dense_damped: DMat,
+    dense_a: DMat,
+    dense_b: DVec,
 }
 
 impl SolverWorkspace {
@@ -284,66 +285,45 @@ impl SolverWorkspace {
         Self::default()
     }
 
-    /// Linearizes `window` for `backend` and returns the cost at the current
-    /// estimate.
+    /// Linearizes `window` into the block-sparse system and returns the cost
+    /// at the current estimate.
     fn linearize(
         &mut self,
-        backend: Backend<'_>,
         window: &SlidingWindow,
         weights: &FactorWeights,
         prior: Option<&Prior>,
     ) -> f64 {
-        counters::time(Phase::Assembly, || match backend {
-            Backend::Block(_) => {
-                build_block_normal_equations_in(
-                    window,
-                    weights,
-                    prior,
-                    &mut self.sys,
-                    &mut self.lin,
-                )
+        counters::time(Phase::Assembly, || {
+            build_block_normal_equations_in(window, weights, prior, &mut self.sys, &mut self.lin)
                 .cost
-            }
-            Backend::Dense(_) => {
-                let ne = build_normal_equations(window, weights, prior);
-                // Copied once per linearization; each retry rewrites only the
-                // diagonal (see `damp_in_place`).
-                self.dense_damped.clone_from(&ne.a);
-                self.dense.insert(ne).cost
-            }
         })
     }
 
     /// Damps the linearized system at `lambda` and solves it into
     /// `self.delta`.
     fn solve_damped(&mut self, backend: Backend<'_>, lambda: f64) -> Result<(), Rejection> {
+        counters::time(Phase::Damp, || self.sys.damp(lambda, DAMP_FLOOR));
         match backend {
-            Backend::Block(precision) => {
-                counters::time(Phase::Damp, || self.sys.damp(lambda, DAMP_FLOOR));
-                match precision {
-                    Precision::F64 => self
-                        .sys
-                        .solve_into(&mut self.scratch, &mut self.delta)
-                        .map_err(|_| Rejection::SolveFailed)?,
-                    Precision::F32 => {
-                        counters::time(Phase::Damp, || self.sys.cast_into(&mut self.sys32));
-                        // Like the accelerator, a failed f32 factorization
-                        // and a non-finite f32 increment both mean "no
-                        // solution at this damping".
-                        let solved = self
-                            .sys32
-                            .solve_into(&mut self.scratch32, &mut self.delta32);
-                        if solved.is_err() || !self.delta32.all_finite() {
-                            return Err(Rejection::SolveFailed);
-                        }
-                        self.delta32.cast_into(&mut self.delta);
-                    }
+            Backend::Block(Precision::F64) => self
+                .sys
+                .solve_into(&mut self.scratch, &mut self.delta)
+                .map_err(|_| Rejection::SolveFailed)?,
+            Backend::Block(Precision::F32) => {
+                counters::time(Phase::Damp, || self.sys.cast_into(&mut self.sys32));
+                // Like the accelerator, a failed f32 factorization and a
+                // non-finite f32 increment both mean "no solution at this
+                // damping".
+                let solved = self
+                    .sys32
+                    .solve_into(&mut self.scratch32, &mut self.delta32);
+                if solved.is_err() || !self.delta32.all_finite() {
+                    return Err(Rejection::SolveFailed);
                 }
+                self.delta32.cast_into(&mut self.delta);
             }
             Backend::Dense(linear_solver) => {
-                let ne = self.dense.as_ref().expect("linearized before solving");
-                damp_in_place(&mut self.dense_damped, &ne.a, lambda);
-                self.delta = linear_solver(&self.dense_damped, &ne.b, ne.num_landmarks)
+                self.sys.to_dense_into(&mut self.dense_a, &mut self.dense_b);
+                self.delta = linear_solver(&self.dense_a, &self.dense_b, self.sys.p())
                     .ok_or(Rejection::SolveFailed)?;
             }
         }
@@ -355,12 +335,12 @@ impl SolverWorkspace {
     }
 }
 
-/// How the LM loop assembles and solves its damped normal equations.
+/// How the LM loop solves its damped block-sparse normal equations.
 #[derive(Clone, Copy)]
 enum Backend<'a> {
-    /// Block-sparse assembly and D-type Schur solve at this precision.
+    /// Block-sparse D-type Schur solve at this precision.
     Block(Precision),
-    /// Dense assembly handed to a caller's linear solver (the reference path).
+    /// The dense image handed to a caller's linear solver.
     Dense(LinearSolver<'a>),
 }
 
@@ -382,9 +362,10 @@ enum Rejection {
 /// buffers instead of re-faulting ~1 MB of fresh pages per solve; callers
 /// who want explicit control of the buffers' lifetime should hold a
 /// workspace and call [`solve_in_workspace`]. Either way the result is
-/// bit-identical to the dense reference path ([`solve_with_in_workspace`]
-/// with [`schur_linear_solver`] at f64, or the accelerator's f32 solver at
-/// f32): every buffer is fully overwritten before use.
+/// bit-identical to a dense solve of the same system
+/// ([`solve_with_in_workspace`] with [`schur_linear_solver`] at f64, or the
+/// accelerator's f32 solver at f32): every buffer is fully overwritten
+/// before use.
 pub fn solve(
     window: &mut SlidingWindow,
     weights: &FactorWeights,
@@ -406,8 +387,9 @@ pub fn solve(
 /// [`Precision::F32`] the damped blocks are then cast into the workspace's
 /// f32 twin, solved there and the increment cast back. The candidate window
 /// of the acceptance test is a reused buffer swapped in on accept. Every
-/// floating-point operation matches the dense reference, so the report and
-/// the optimized window are bit-identical to [`solve_with_in_workspace`]'s.
+/// floating-point operation of the Schur solve matches its dense form, so
+/// the report and the optimized window are bit-identical to
+/// [`solve_with_in_workspace`]'s with the matching dense solver.
 pub fn solve_in_workspace(
     ws: &mut SolverWorkspace,
     window: &mut SlidingWindow,
@@ -419,12 +401,13 @@ pub fn solve_in_workspace(
     lm_loop(ws, window, weights, prior, config, backend)
 }
 
-/// The dense reference path: the same LM loop, with the normal equations
-/// assembled dense and each damped system handed to `linear_solver` (see
-/// [`LinearSolver`]); `config.precision` is unused, the callback decides.
+/// The same LM loop with a caller's linear solve: each damped block-sparse
+/// system is written out as its dense image and handed to `linear_solver`
+/// (see [`LinearSolver`]); `config.precision` is unused, the callback
+/// decides.
 ///
-/// Kept as the oracle the block-sparse path is tested against, and for
-/// callers that time or replace the linear solve itself.
+/// Kept for the dense solvers the block-sparse solve is tested against, and
+/// for callers that time or replace the linear solve itself.
 pub fn solve_with_in_workspace(
     ws: &mut SolverWorkspace,
     window: &mut SlidingWindow,
@@ -463,7 +446,7 @@ fn lm_loop(
 
     for _ in 0..config.max_iterations {
         tracker.begin_iteration();
-        let cost = ws.linearize(backend, window, weights, prior);
+        let cost = ws.linearize(window, weights, prior);
         if report.initial_cost.is_nan() {
             report.initial_cost = cost;
         }
@@ -517,19 +500,6 @@ fn lm_loop(
     }
     report.outcome = tracker.classify(&report, report.iterations > 0);
     report
-}
-
-/// Marquardt damping `A + λ·diag(A)` (with [`DAMP_FLOOR`]) written onto the
-/// diagonal of `out`, whose off-diagonal content already equals `a`'s.
-///
-/// Rewriting the diagonal from the undamped source each call makes re-damping
-/// at a new λ (after a rejected step) its own undo — no full-matrix clone per
-/// retry, same bits as the historical clone-based `damp()`.
-fn damp_in_place(out: &mut DMat, a: &DMat, lambda: f64) {
-    for i in 0..a.rows() {
-        let d = a.get(i, i);
-        out.set(i, i, d + lambda * d.max(DAMP_FLOOR));
-    }
 }
 
 /// The default linear solver: D-type Schur elimination when landmarks are

@@ -1,18 +1,21 @@
-//! Bit-identity of the block-sparse solver pipeline against the dense
-//! reference path.
+//! Bit-identity of the block-sparse solver pipeline against dense
+//! references.
 //!
-//! The block-sparse assembler + reused-workspace solve (`solve_in_workspace`)
-//! must produce bit-for-bit the same reports and optimized windows as the
-//! dense path (`solve_with_in_workspace` + `schur_linear_solver`), on fixed and
-//! property-generated window shapes, with and without an IMU/marginalization
-//! prior.
+//! The block-sparse assembler must produce bit-for-bit the `(A, b)` and cost
+//! of an independent dense assembly written straight from the factor
+//! evaluators, and the reused-workspace block solve (`solve_in_workspace`)
+//! must produce bit-for-bit the same reports and optimized windows as a
+//! dense solve of the same damped systems (`solve_with_in_workspace` +
+//! `schur_linear_solver`), on fixed and property-generated window shapes,
+//! with and without an IMU/marginalization prior.
 
-use archytas_math::{BlockSparseSystem, DMat, SchurScratch};
+use archytas_math::{BlockSparseSystem, DMat, DVec, SchurScratch};
 use archytas_slam::{
-    build_block_normal_equations, build_normal_equations, schur_linear_solver, solve_in_workspace,
-    solve_with_in_workspace, try_marginalize_oldest, FactorWeights, ImuConstraint, ImuSample,
-    KeyframeState, Landmark, LmConfig, Observation, Pose, Preintegration, Prior, Quat,
-    SlidingWindow, SolveReport, SolverWorkspace, Vec3, GRAVITY,
+    build_block_normal_equations, evaluate_imu, evaluate_visual, schur_linear_solver,
+    solve_in_workspace, solve_with_in_workspace, try_marginalize_oldest, FactorWeights,
+    ImuConstraint, ImuSample, KeyframeState, Landmark, LmConfig, Observation, Pose, Preintegration,
+    Prior, Quat, SlidingWindow, SolveReport, SolverWorkspace, Vec3, GRAVITY, STATE_DIM,
+    VISUAL_WEIGHT,
 };
 use proptest::prelude::*;
 
@@ -137,6 +140,123 @@ fn make_imu_window() -> SlidingWindow {
     w
 }
 
+/// Normal equations of the dense oracle, with the assembly metadata.
+struct DenseNormalEquations {
+    a: DMat,
+    b: DVec,
+    cost: f64,
+    num_landmarks: usize,
+    used_observations: usize,
+}
+
+/// One weighted residual row `e` with Jacobian entries `cols` (ascending
+/// global columns): `b[i] -= (w²·Jᵢ)·e` and `A[i][j] += (w²·Jᵢ)·Jⱼ` for
+/// `i ≤ j`.
+fn add_row(a: &mut DMat, b: &mut DVec, cols: &[(usize, f64)], e: f64, w2: f64) {
+    for (k, &(i, ji)) in cols.iter().enumerate() {
+        let wj = w2 * ji;
+        b[i] -= wj * e;
+        for &(j, jj) in &cols[k..] {
+            a.add_at(i, j, wj * jj);
+        }
+    }
+}
+
+/// Dense assembly of a window's normal equations from the public factor
+/// evaluators, independent of the library's assembler: every factor row in
+/// turn (visual factors, then IMU factors) onto the upper triangle, the
+/// triangle mirrored, then the marginalization prior — or, without one,
+/// the gauge pin on keyframe 0.
+fn dense_normal_equations(
+    w: &SlidingWindow,
+    weights: &FactorWeights,
+    prior: Option<&Prior>,
+) -> DenseNormalEquations {
+    let n = w.state_dim();
+    let (mut a, mut b) = (DMat::zeros(n, n), DVec::zeros(n));
+    let (mut cost, mut used) = (0.0, 0);
+    for obs in &w.observations {
+        let lm = &w.landmarks[obs.landmark];
+        if lm.anchor == obs.keyframe {
+            continue;
+        }
+        let Some(ev) = evaluate_visual(
+            &w.keyframes[lm.anchor].pose,
+            &w.keyframes[obs.keyframe].pose,
+            &lm.bearing,
+            lm.inv_depth,
+            obs.uv,
+        ) else {
+            continue;
+        };
+        used += 1;
+        let w2 = VISUAL_WEIGHT
+            * VISUAL_WEIGHT
+            * weights.visual_robust_scale(ev.residual[0], ev.residual[1]);
+        let mut runs = [
+            (w.kf_offset(lm.anchor), ev.j_anchor),
+            (w.kf_offset(obs.keyframe), ev.j_obs),
+        ];
+        runs.sort_by_key(|r| r.0);
+        for r in 0..2 {
+            let e = ev.residual[r];
+            cost += 0.5 * w2 * e * e;
+            let mut cols = vec![(obs.landmark, ev.j_rho[r])];
+            for (off, j) in &runs {
+                cols.extend(j[r].iter().enumerate().map(|(c, &v)| (off + c, v)));
+            }
+            add_row(&mut a, &mut b, &cols, e, w2);
+        }
+    }
+    for cons in &w.imu {
+        let ev = evaluate_imu(
+            &w.keyframes[cons.first],
+            &w.keyframes[cons.first + 1],
+            &cons.preintegration,
+        );
+        let (off_i, off_j) = (w.kf_offset(cons.first), w.kf_offset(cons.first + 1));
+        for r in 0..STATE_DIM {
+            let wr = FactorWeights::imu_row(r);
+            let (w2, e) = (wr * wr, ev.residual[r]);
+            cost += 0.5 * w2 * e * e;
+            let cols: Vec<(usize, f64)> = ev.j_i[r]
+                .iter()
+                .enumerate()
+                .map(|(c, &v)| (off_i + c, v))
+                .chain(ev.j_j[r].iter().enumerate().map(|(c, &v)| (off_j + c, v)))
+                .collect();
+            add_row(&mut a, &mut b, &cols, e, w2);
+        }
+    }
+    for i in 0..n {
+        for j in i + 1..n {
+            a.set(j, i, a.get(i, j));
+        }
+    }
+    let off = w.kf_offset(0);
+    if let Some(p) = prior {
+        let (info, grad) = (p.information(), p.gradient(w));
+        for i in 0..p.dim() {
+            b[off + i] -= grad[i];
+            for j in 0..p.dim() {
+                a.add_at(off + i, off + j, info.get(i, j));
+            }
+        }
+        cost += p.cost(w);
+    } else {
+        for c in 0..STATE_DIM {
+            a.add_at(off + c, off + c, if c < 6 { 1e8 } else { 1e2 });
+        }
+    }
+    DenseNormalEquations {
+        a,
+        b,
+        cost,
+        num_landmarks: w.num_landmarks(),
+        used_observations: used,
+    }
+}
+
 /// Dense reference damping, replicating the solver's in-place rule
 /// `d + λ·max(d, floor)` on a fresh copy of `a`.
 fn damp_dense(a: &DMat, lambda: f64) -> DMat {
@@ -148,7 +268,7 @@ fn damp_dense(a: &DMat, lambda: f64) -> DMat {
     out
 }
 
-/// The dense reference solve in a fresh workspace.
+/// The dense-callback solve in a fresh workspace.
 fn dense_solve(
     window: &mut SlidingWindow,
     weights: &FactorWeights,
@@ -205,27 +325,65 @@ fn assert_windows_equal(dense: &SlidingWindow, block: &SlidingWindow) {
     assert_eq!(dense.observations, block.observations);
 }
 
+/// The IMU window after one marginalization, its survivors perturbed so
+/// the prior pulls on the solution, with that prior.
+fn imu_window_with_prior() -> (SlidingWindow, Prior) {
+    let result = try_marginalize_oldest(&make_imu_window(), &FactorWeights::default(), None)
+        .expect("the IMU fixture marginalizes");
+    let mut w = result.window;
+    for kf in w.keyframes.iter_mut().skip(1) {
+        kf.pose.trans = kf.pose.trans + Vec3::new(0.01, -0.005, 0.004);
+    }
+    for lm in &mut w.landmarks {
+        lm.inv_depth *= 1.05;
+    }
+    (w, result.prior)
+}
+
+/// A visual window with every third observation shifted far off its
+/// projection, under a Huber threshold that the clean observations pass
+/// and the shifted ones exceed.
+fn huber_window() -> (SlidingWindow, FactorWeights) {
+    let mut w = make_window(4, 12, 7);
+    for obs in w.observations.iter_mut().step_by(3) {
+        obs.uv[0] += 0.05;
+    }
+    (w, FactorWeights::default().with_huber(0.005))
+}
+
 #[test]
 fn block_assembly_matches_dense_bitwise() {
+    let mut cases: Vec<(String, SlidingWindow, FactorWeights, Option<Prior>)> = Vec::new();
     for (num_kf, num_lm, seed) in [(2, 1, 3), (3, 7, 11), (4, 12, 7), (5, 20, 42)] {
         let w = make_window(num_kf, num_lm, seed);
-        let weights = FactorWeights::default();
-        let ne = build_normal_equations(&w, &weights, None);
+        let label = format!("{num_kf} kf, {num_lm} lm");
+        cases.push((label, w, FactorWeights::default(), None));
+    }
+    let weights = FactorWeights::default();
+    cases.push(("IMU, gauge".into(), make_imu_window(), weights, None));
+    let (w, prior) = imu_window_with_prior();
+    cases.push(("IMU, prior".into(), w, weights, Some(prior)));
+    let (w, huber) = huber_window();
+    cases.push(("Huber".into(), w, huber, None));
+
+    for (label, w, weights, prior) in &cases {
+        let ne = dense_normal_equations(w, weights, prior.as_ref());
 
         let mut sys = BlockSparseSystem::new();
-        let info = build_block_normal_equations(&w, &weights, None, &mut sys);
+        let info = build_block_normal_equations(w, weights, prior.as_ref(), &mut sys);
         assert_eq!(info.cost.to_bits(), ne.cost.to_bits());
         assert_eq!(info.num_landmarks, ne.num_landmarks);
         assert_eq!(info.used_observations, ne.used_observations);
 
-        let (a, b) = sys.to_dense();
+        let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
+        sys.to_dense_into(&mut a, &mut b);
         assert_eq!(a.rows(), ne.a.rows());
         for i in 0..a.rows() {
             for j in 0..a.cols() {
                 assert_eq!(
                     a.get(i, j).to_bits(),
                     ne.a.get(i, j).to_bits(),
-                    "A[{i}][{j}] differs ({num_kf} kf, {num_lm} lm)"
+                    "A[{i}][{j}] differs ({label})"
                 );
             }
             assert_eq!(b[i].to_bits(), ne.b[i].to_bits(), "b[{i}] differs");
@@ -234,10 +392,34 @@ fn block_assembly_matches_dense_bitwise() {
 }
 
 #[test]
+fn huber_case_downweights_only_the_shifted_observations() {
+    // Guards the Huber assembly case above: it must exercise both sides of
+    // the threshold, or it would only repeat the quadratic cases.
+    let (w, huber) = huber_window();
+    let scales: Vec<f64> = w
+        .observations
+        .iter()
+        .filter_map(|obs| {
+            let lm = &w.landmarks[obs.landmark];
+            let ev = evaluate_visual(
+                &w.keyframes[lm.anchor].pose,
+                &w.keyframes[obs.keyframe].pose,
+                &lm.bearing,
+                lm.inv_depth,
+                obs.uv,
+            )?;
+            Some(huber.visual_robust_scale(ev.residual[0], ev.residual[1]))
+        })
+        .collect();
+    assert!(scales.contains(&1.0));
+    assert!(scales.iter().any(|&s| s < 1.0));
+}
+
+#[test]
 fn damped_linear_solve_matches_dense() {
     let w = make_window(4, 14, 9);
     let weights = FactorWeights::default();
-    let ne = build_normal_equations(&w, &weights, None);
+    let ne = dense_normal_equations(&w, &weights, None);
 
     let mut sys = BlockSparseSystem::new();
     build_block_normal_equations(&w, &weights, None, &mut sys);
@@ -276,18 +458,8 @@ fn full_solve_equivalent_visual_only() {
 
 #[test]
 fn full_solve_equivalent_with_imu_and_prior() {
-    let weights = FactorWeights::default();
-    let full = make_imu_window();
-    let result = try_marginalize_oldest(&full, &weights, None).unwrap();
-    let mut w = result.window;
-    // Perturb the survivors so the prior actually pulls on the solution.
-    for kf in w.keyframes.iter_mut().skip(1) {
-        kf.pose.trans = kf.pose.trans + Vec3::new(0.01, -0.005, 0.004);
-    }
-    for lm in &mut w.landmarks {
-        lm.inv_depth *= 1.05;
-    }
-    assert_solve_equivalent(&w, Some(&result.prior), &LmConfig::default());
+    let (w, prior) = imu_window_with_prior();
+    assert_solve_equivalent(&w, Some(&prior), &LmConfig::default());
 }
 
 #[test]

@@ -30,7 +30,9 @@
 # measured at N threads or N workers is gated only on a machine with >= N
 # CPUs; below that it is timeslicing noise and reported as "info". The DET
 # check is an equality, so it runs on any CPU count and fails on its own,
-# whatever the timing verdicts say.
+# whatever the timing verdicts say. A timing record committed at HEAD with
+# no fresh counterpart (a bench case that was removed or renamed) prints as
+# "gone", for information only.
 #
 # Usage: scripts/perf_gate.sh [criterion.jsonl] [serve.jsonl]
 #   (defaults BENCH_criterion.jsonl BENCH_serve.jsonl; "-" skips that
@@ -132,6 +134,10 @@ for name in fresh_paths:
         limit = ref[2] / tol if higher else ref[2] * tol
         checks.append((phase, label, threads, value, limit, higher,
                        f"baseline {ref[2]:.6g}, tolerance {tol:.2f}x"))
+    for label in sorted(base.keys() - fresh.keys()):
+        phase, value = base[label][0], base[label][2]
+        print(f"  gone  [{phase}] {label}: baseline {value:.6g} (no fresh record)",
+              file=sys.stderr)
     if name == "BENCH_criterion.jsonl":
         for rname, ceiling in sorted(CEILINGS_NS.items()):
             value = fresh.get(f"{rname} (1t)", (0, 0, float("inf")))[2]

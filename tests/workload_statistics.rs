@@ -5,7 +5,8 @@
 
 use archytas_dataset::{euroc_sequences, kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_hw::f32_linear_solver;
-use archytas_slam::{build_normal_equations, schur_linear_solver, FactorWeights};
+use archytas_math::{BlockSparseSystem, DMat, DVec};
+use archytas_slam::{build_block_normal_equations, schur_linear_solver, FactorWeights};
 
 #[test]
 fn paper_profiling_ratios_hold() {
@@ -65,18 +66,19 @@ fn f32_datapath_tracks_f64_across_real_windows() {
     let mut pipeline = VioPipeline::new(PipelineConfig::default());
     let weights = FactorWeights::default();
     let mut checked = 0usize;
+    let mut sys = BlockSparseSystem::new();
+    let (mut damped, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
     for frame in &data.frames {
         if !pipeline.push_frame(frame) {
             continue;
         }
         // Damped normal equations, as LM produces them.
-        let ne = build_normal_equations(pipeline.window(), &weights, pipeline.prior());
-        let mut damped = ne.a.clone();
-        for i in 0..damped.rows() {
-            damped.add_at(i, i, 1e-3 * ne.a.get(i, i).max(1e-9));
-        }
-        let x64 = schur_linear_solver(&damped, &ne.b, ne.num_landmarks).expect("f64 solvable");
-        let x32 = f32_linear_solver(&damped, &ne.b, ne.num_landmarks).expect("f32 solvable");
+        let info =
+            build_block_normal_equations(pipeline.window(), &weights, pipeline.prior(), &mut sys);
+        sys.damp(1e-3, 1e-9);
+        sys.to_dense_into(&mut damped, &mut b);
+        let x64 = schur_linear_solver(&damped, &b, info.num_landmarks).expect("f64 solvable");
+        let x32 = f32_linear_solver(&damped, &b, info.num_landmarks).expect("f32 solvable");
         let rel = (&x64 - &x32).norm() / x64.norm().max(1e-12);
         assert!(rel < 5e-3, "window {checked}: f32 divergence {rel:.2e}");
         checked += 1;
