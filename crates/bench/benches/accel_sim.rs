@@ -4,10 +4,8 @@
 //! keyframe-stationary Jacobian unit).
 
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
-use archytas_hw::{
-    f32_linear_solver, jacobian_feature_latency, simulate_window, AcceleratorConfig, HIGH_PERF,
-};
-use archytas_math::{BlockSparseSystem, DMat, DVec};
+use archytas_hw::{jacobian_feature_latency, simulate_window, AcceleratorConfig, HIGH_PERF};
+use archytas_math::{BlockSparseSystem, FVec, SchurScratch};
 use archytas_mdfg::ProblemShape;
 use archytas_slam::{build_block_normal_equations, FactorWeights};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -38,7 +36,9 @@ fn bench_accel(c: &mut Criterion) {
         })
     });
 
-    // f32 functional datapath on a realistic window's normal equations.
+    // f32 functional datapath on a realistic window's normal equations, as
+    // a served window runs it on every damping retry: cast the damped
+    // block system into the f32 twin, then solve there.
     let data = kitti_sequences()[1].truncated(2.0).build();
     let mut pipeline = VioPipeline::new(PipelineConfig::default());
     for frame in &data.frames {
@@ -47,19 +47,22 @@ fn bench_accel(c: &mut Criterion) {
         }
     }
     let mut sys = BlockSparseSystem::new();
-    let info =
-        build_block_normal_equations(pipeline.window(), &FactorWeights::default(), None, &mut sys);
+    build_block_normal_equations(pipeline.window(), &FactorWeights::default(), None, &mut sys);
     // Damp exactly as the LM loop does before handing the system to the
     // datapath: the raw gauge-pinned normal equations mix scales beyond
     // f32's range.
     sys.damp(1e-3, 1e-9);
-    let (mut damped, mut rhs) = (DMat::zeros(0, 0), DVec::zeros(0));
-    sys.to_dense_into(&mut damped, &mut rhs);
+    let mut sys32 = BlockSparseSystem::<f32>::new();
+    let mut scratch32 = SchurScratch::default();
+    let mut delta32 = FVec::zeros(0);
     group.sample_size(20);
     group.bench_function("f32_functional_solve", |b| {
         b.iter(|| {
-            f32_linear_solver(black_box(&damped), black_box(&rhs), info.num_landmarks)
-                .expect("solvable")
+            sys.cast_into(&mut sys32);
+            sys32
+                .solve_into(&mut scratch32, &mut delta32)
+                .expect("solvable");
+            black_box(&delta32);
         })
     });
 

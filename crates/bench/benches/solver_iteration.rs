@@ -14,13 +14,11 @@ use archytas_bench::json::{phase_array, rec_line, JsonLine};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_fleet::fleet_pipeline_config;
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
-use archytas_math::kernels::sub_scaled;
 use archytas_math::{BlockSparseSystem, Cholesky, DMat, DVec, SchurScratch};
 use archytas_par::{counters, Pool};
 use archytas_slam::{
-    build_block_normal_equations, schur_linear_solver, solve, solve_in_workspace,
-    try_marginalize_oldest_in, FactorWeights, LmConfig, Precision, Prior, SlidingWindow,
-    SolverWorkspace,
+    build_block_normal_equations, solve, solve_in_workspace, try_marginalize_oldest_in,
+    FactorWeights, LmConfig, Precision, Prior, SlidingWindow, SolverWorkspace,
 };
 use archytas_telemetry::phase_rows;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -64,23 +62,10 @@ fn bench_solver(c: &mut Criterion) {
     group.sample_size(20);
 
     // Damp as the LM loop does: the raw normal equations of a freshly
-    // initialized window can be rank-deficient before damping. The dense
-    // solve reads the damped system's dense image.
+    // initialized window can be rank-deficient before damping.
     let mut sys = BlockSparseSystem::new();
-    let info = build_block_normal_equations(&window, &weights, None, &mut sys);
-    sys.damp(1e-3, 1e-9);
-    let (mut damped, mut rhs) = (DMat::zeros(0, 0), DVec::zeros(0));
-    sys.to_dense_into(&mut damped, &mut rhs);
-    group.bench_function("schur_linear_solve", |b| {
-        b.iter(|| {
-            schur_linear_solver(black_box(&damped), black_box(&rhs), info.num_landmarks)
-                .expect("solvable")
-        })
-    });
-
-    // Block-sparse counterparts: same window, assembled into the
-    // block-structured system and solved via Schur elimination that never
-    // materializes the dense `A` (bit-identical outputs by construction).
+    // The window assembled into the block-structured system and solved via
+    // Schur elimination that never materializes the dense `A`.
     group.bench_function("build_block_normal_equations", |b| {
         b.iter(|| build_block_normal_equations(black_box(&window), &weights, None, &mut sys))
     });
@@ -96,10 +81,8 @@ fn bench_solver(c: &mut Criterion) {
         })
     });
 
-    // Per-kernel microbenches: each deployed fixed-width form against an
-    // open-coded replay of the slice predecessor on identical operands, so
-    // BENCH_criterion.jsonl records the two means side by side and the perf gate
-    // tracks the kernels independently of the end-to-end phases.
+    // Per-kernel microbenches of the deployed fixed-width forms, so the perf
+    // gate tracks the kernels independently of the end-to-end phases.
     let n_blk6 = 64;
     let mut dst6 = vec![0.25f64; 6 * n_blk6];
     let src6a: Vec<f64> = (0..6 * n_blk6)
@@ -122,22 +105,6 @@ fn bench_solver(c: &mut Criterion) {
             black_box(&mut dst6);
         })
     });
-    group.bench_function("kernel_mac6_slice", |b| {
-        b.iter(|| {
-            for blk in 0..n_blk6 {
-                let at = blk * 6;
-                for (src, s) in [(&src6a, 0.75), (&src6b, -0.25)] {
-                    for t in 0..6 {
-                        let v = src[at + t];
-                        if v != 0.0 {
-                            dst6[at + t] += s * v;
-                        }
-                    }
-                }
-            }
-            black_box(&mut dst6);
-        })
-    });
 
     let n_blk15 = 32;
     let mut dst15 = vec![0.25f64; 15 * n_blk15];
@@ -150,20 +117,6 @@ fn bench_solver(c: &mut Criterion) {
                 let at = blk * 15;
                 fixed::Vec::<f64, 15>::from_mut_slice(&mut dst15[at..])
                     .axpy_skip(fixed::Vec::from_slice(&src15[at..]), 0.375);
-            }
-            black_box(&mut dst15);
-        })
-    });
-    group.bench_function("kernel_mac15_slice", |b| {
-        b.iter(|| {
-            for blk in 0..n_blk15 {
-                let at = blk * 15;
-                for t in 0..15 {
-                    let v = src15[at + t];
-                    if v != 0.0 {
-                        dst15[at + t] += 0.375 * v;
-                    }
-                }
             }
             black_box(&mut dst15);
         })
@@ -182,23 +135,8 @@ fn bench_solver(c: &mut Criterion) {
             black_box(&mut syrk_rows);
         })
     });
-    group.bench_function("kernel_syrk6_slice", |b| {
-        b.iter(|| {
-            for t in 0..6 {
-                if syrk_s[t] == 0.0 {
-                    continue;
-                }
-                for (bj, &c0) in syrk_cols.iter().enumerate() {
-                    for i in 0..6 {
-                        syrk_rows[t * pitch + c0 as usize + i] += syrk_s[t] * syrk_vals[bj * 6 + i];
-                    }
-                }
-            }
-            black_box(&mut syrk_rows);
-        })
-    });
 
-    // PANEL-wide fused trailing update vs eight sequential rank-1 sweeps.
+    // PANEL-wide fused trailing update: eight rank-1 sweeps in one pass.
     let mut panel_dst = vec![1.0f64; 256];
     let panel_srcs: Vec<Vec<f64>> = (0..8)
         .map(|k| {
@@ -212,14 +150,6 @@ fn bench_solver(c: &mut Criterion) {
         b.iter(|| {
             let refs: [&[f64]; 8] = std::array::from_fn(|k| panel_srcs[k].as_slice());
             sub_scaled_panel::<f64, 8>(&mut panel_dst, &refs, &panel_a);
-            black_box(&mut panel_dst);
-        })
-    });
-    group.bench_function("kernel_panel8_slice", |b| {
-        b.iter(|| {
-            for k in 0..8 {
-                sub_scaled(&mut panel_dst, &panel_srcs[k], panel_a[k]);
-            }
             black_box(&mut panel_dst);
         })
     });

@@ -6,47 +6,37 @@
 //! system is assembled and damped in f64, then cast to f32 for the D-type
 //! Schur → Cholesky → substitution pipeline the fabric implements (Fig. 5).
 //! That is how the dynamic-optimization accuracy claims (Sec. 7.6) are
-//! checked. [`f32_linear_solver`] is the same datapath on the dense image of
-//! the damped system, the callback of `solve_with_in_workspace`:
-//! bit-identical, and kept for callers that time each linear solve and for
-//! the equivalence tests below.
+//! checked. [`f32_linear_solver`] is the same datapath behind the dense
+//! callback of `solve_with_in_workspace`: it loads the dense image of the
+//! damped system into an f32 `BlockSparseSystem` and runs the same
+//! `solve_into`, so its increments are bit-identical to the served ones. It
+//! is kept for callers that time each linear solve and for the equivalence
+//! tests below.
 
-use archytas_math::{BlockSpec, Cholesky, DMat, DVec, FMat, FVec, SchurSystem};
+use archytas_math::{BlockSparseSystem, DMat, DVec, FVec, SchurScratch};
 use std::cell::RefCell;
 
 thread_local! {
-    // Reused f64→f32 staging buffers: the LM loop calls the linear solver
-    // once per damping retry, and the (q+p)² matrix cast dominated its
-    // allocation traffic. The `LinearSolver` signature is a plain fn, so the
-    // reuse lives in thread-local storage rather than a workspace argument.
-    static F32_STAGE: RefCell<(FMat, FVec)> =
-        RefCell::new((FMat::zeros(0, 0), FVec::zeros(0)));
+    // Reused f32 system, Schur scratch and increment: the LM loop calls the
+    // linear solver once per damping retry, and the (q+p)² load and solve
+    // buffers would otherwise dominate its allocation traffic. The
+    // `LinearSolver` signature is a plain fn, so the reuse lives in
+    // thread-local storage rather than a workspace argument.
+    static F32_STAGE: RefCell<(BlockSparseSystem<f32>, SchurScratch<f32>, FVec)> =
+        RefCell::new((BlockSparseSystem::new(), SchurScratch::default(), FVec::zeros(0)));
 }
 
 /// Solves the damped normal equations in the accelerator's single-precision
-/// datapath. Returns `None` when the f32 factorization fails or the f32
-/// solution is not finite (the LM loop raises λ, exactly as on the FPGA).
+/// datapath. Returns `None` when the f32 factorization fails, when the f32
+/// solution is not finite (the LM loop raises λ, exactly as on the FPGA), or
+/// when `a`, `b` and `num_landmarks` do not describe one square system.
 pub fn f32_linear_solver(a: &DMat, b: &DVec, num_landmarks: usize) -> Option<DVec> {
     F32_STAGE.with(|stage| {
-        let (a32, b32) = &mut *stage.borrow_mut();
-        a.cast_into(a32);
-        b.cast_into(b32);
-        f32_solve_staged(a32, b32, num_landmarks)
+        let (sys, scratch, x32) = &mut *stage.borrow_mut();
+        sys.load_dense(a, b, num_landmarks).ok()?;
+        sys.solve_into(scratch, x32).ok()?;
+        x32.all_finite().then(|| x32.cast())
     })
-}
-
-fn f32_solve_staged(a32: &FMat, b32: &FVec, num_landmarks: usize) -> Option<DVec> {
-    let x32 = if num_landmarks == 0 {
-        Cholesky::factor(a32).ok()?.solve(b32)
-    } else {
-        let spec = BlockSpec::new(num_landmarks, a32.rows()).ok()?;
-        let sys = SchurSystem::new(a32, b32, spec).ok()?;
-        sys.solve().ok()?
-    };
-    if !x32.all_finite() {
-        return None;
-    }
-    Some(x32.cast())
 }
 
 #[cfg(test)]
@@ -58,7 +48,7 @@ mod tests {
         build_block_normal_equations, schur_linear_solver, solve, solve_in_workspace,
         solve_with_in_workspace, DegradeReason, FactorWeights, KeyframeState, Landmark, LmConfig,
         Observation, Pose, Precision, Prior, Quat, SlidingWindow, SolveOutcome, SolveReport,
-        SolverWorkspace, Vec3, INITIAL_LAMBDA, LAMBDA_UP,
+        SolverWorkspace, Vec3, INITIAL_LAMBDA, LAMBDA_UP, MAX_RETRIES,
     };
 
     fn spd_system(n: usize, landmarks: usize) -> (DMat, DVec) {
@@ -109,6 +99,21 @@ mod tests {
         let mut a = DMat::identity(4);
         a.set(2, 2, -1.0);
         assert!(f32_linear_solver(&a, &DVec::zeros(4), 0).is_none());
+    }
+
+    /// Both dense-callback solvers refuse inputs that are not one square
+    /// system split at `num_landmarks`, rather than panicking.
+    #[test]
+    fn dense_callback_solvers_reject_malformed_input() {
+        let (a, b) = spd_system(12, 5);
+        let non_square = a.submatrix(0, 0, 12, 11);
+        let short_b: DVec = b.iter().take(11).copied().collect();
+        for solver in [f32_linear_solver, schur_linear_solver] {
+            assert!(solver(&a, &b, 5).is_some());
+            assert!(solver(&a, &b, 13).is_none(), "more landmarks than rows");
+            assert!(solver(&non_square, &b, 5).is_none(), "non-square a");
+            assert!(solver(&a, &short_b, 5).is_none(), "short b");
+        }
     }
 
     /// The toy window of the accuracy check: three keyframes, twenty
@@ -264,8 +269,8 @@ mod tests {
             assert!(!r.step_norms.is_empty());
         }
 
-        // Zero landmarks: the dense solver runs a plain `Cholesky::factor`,
-        // the block path `refactor_diff` against an empty Schur product.
+        // Zero landmarks: both paths run `refactor_diff` against an empty
+        // Schur product.
         let mut bare = window;
         bare.landmarks.clear();
         bare.observations.clear();
@@ -316,24 +321,19 @@ mod tests {
         assert!(a.all_finite() && b.all_finite());
         assert!(b.iter().any(|v| v.abs() > f64::from(f32::MAX)));
 
+        // The λ trajectory of the failing retries: every one of the
+        // `MAX_RETRIES + 1` dampings fails and raises λ.
         let mut ws = SolverWorkspace::new();
-        // Every retry budget: the λ trajectory of the failing retries.
-        for max_retries in 0..=5 {
-            let config = LmConfig {
-                max_retries,
-                ..f32_config(3)
-            };
-            let r = assert_f32_paths_agree(&mut ws, &window, &weights, None, &config);
-            assert_eq!(
-                r.outcome,
-                SolveOutcome::Degraded {
-                    reason: DegradeReason::LinearSolveFailed
-                }
-            );
-            assert_eq!(r.iterations, 1);
-            let expected = INITIAL_LAMBDA * LAMBDA_UP.powi(max_retries as i32 + 1);
-            assert!((r.lambda / expected - 1.0).abs() < 1e-12, "λ {}", r.lambda);
-        }
+        let r = assert_f32_paths_agree(&mut ws, &window, &weights, None, &f32_config(3));
+        assert_eq!(
+            r.outcome,
+            SolveOutcome::Degraded {
+                reason: DegradeReason::LinearSolveFailed
+            }
+        );
+        assert_eq!(r.iterations, 1);
+        let expected = INITIAL_LAMBDA * LAMBDA_UP.powi(MAX_RETRIES as i32 + 1);
+        assert!((r.lambda / expected - 1.0).abs() < 1e-12, "λ {}", r.lambda);
     }
 
     /// End-to-end: the accelerator's estimate must match the software's to

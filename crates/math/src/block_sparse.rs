@@ -1,13 +1,13 @@
 //! Block-sparse normal equations for the sliding-window solver.
 //!
-//! [`SchurSystem`](crate::SchurSystem) consumes a *dense* `A` and pays three
-//! O(n²)–O(n³) round-trips per solve: partitioning copies every block,
-//! `W·U⁻¹·Wᵀ` runs through a dense `try_mul` against a materialized
-//! `transpose()`, and each retry of the LM damping loop re-clones the whole
-//! matrix. But the window's normal equations are never dense (paper Fig. 3b):
-//! `U` is diagonal (one inverse depth per landmark), and each landmark's `W`
-//! column intersects only the few keyframes that observe it, in fixed-height
-//! blocks (the pose-tangent slots of each 15-dim keyframe state).
+//! The window's normal equations are never dense (paper Fig. 3b): `U` is
+//! diagonal (one inverse depth per landmark), and each landmark's `W` column
+//! intersects only the few keyframes that observe it, in fixed-height blocks
+//! (the pose-tangent slots of each 15-dim keyframe state). A dense D-type
+//! Schur solve pays three O(n²)–O(n³) round-trips per solve that this
+//! structure avoids: partitioning copies every block, `W·U⁻¹·Wᵀ` runs through
+//! a dense product against a materialized transpose, and each retry of the LM
+//! damping loop re-clones the whole matrix.
 //!
 //! [`BlockSparseSystem`] stores exactly that structure — `U` as a diagonal
 //! vector, `W` as per-landmark block lists (block-CSR with a fixed block
@@ -18,17 +18,27 @@
 //!
 //! # Bit-identity contract
 //!
-//! For a system whose dense image ([`BlockSparseSystem::to_dense_into`]) is
-//! handed to [`SchurSystem`](crate::SchurSystem),
-//! [`BlockSparseSystem::solve_into`] returns the *bit-identical* increment.
+//! [`BlockSparseSystem::solve_into`] returns the *bit-identical* increment to
+//! the dense D-type Schur solve of the system's dense image
+//! ([`BlockSparseSystem::to_dense_into`]) written with [`Matrix`] operations:
+//! partition `[U Wᵀ; W V]`, invert `U`'s diagonal entrywise, form
+//! `(W·U⁻¹)·Wᵀ` with [`Matrix::try_mul`], factor `V − W·U⁻¹·Wᵀ` with
+//! [`Cholesky`], solve against `by − W·(U⁻¹·bx)` ([`Matrix::mat_vec`]) and
+//! back-substitute `U⁻¹·(bx − Wᵀ·δpy)` ([`Matrix::transpose_mat_vec`]). The
+//! `kernel_equivalence` test suite keeps that dense solve as its oracle.
 //! This holds because every floating-point operation of the dense path is
 //! replayed with the same operands in the same order, except for additions
 //! of structural zeros — and those are exact no-ops: assembled entries are
 //! accumulated sums of nonzero terms, which under round-to-nearest can
 //! produce `+0.0` but never `-0.0`, so an accumulator never sits at `-0.0`
-//! where adding `+0.0` would flip its sign. The per-entry accumulation order matches because the
-//! block lists are kept sorted by row and iterated in ascending landmark
-//! order, exactly the `i-k-j` order of the dense `try_mul` kernel.
+//! where adding `+0.0` would flip its sign. The per-entry accumulation order
+//! matches because the block lists are kept sorted by row and iterated in
+//! ascending landmark order, exactly the `i-k-j` order of the dense
+//! `try_mul` kernel.
+//!
+//! [`BlockSparseSystem::load_dense`] is the inverse of `to_dense_into`: it
+//! lays a dense `(A, b)` out with one full-height `W` block per landmark, so
+//! a solver handed a dense matrix runs this same elimination.
 //!
 //! # Damping without clones
 //!
@@ -571,8 +581,8 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// Solves the system by D-type Schur elimination into `out`
     /// (`δp = [δpx; δpy]`), using `scratch` for every intermediate buffer.
     ///
-    /// Bit-identical to [`SchurSystem::solve`](crate::SchurSystem::solve) on
-    /// the dense image of this system (see the module docs).
+    /// Bit-identical to the dense D-type Schur solve of this system's dense
+    /// image (see the module docs).
     ///
     /// # Errors
     ///
@@ -643,7 +653,7 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// identical operands, so the result matches the dense path bit for bit.
     fn schur_reduce(&self, scratch: &mut SchurScratch<T>) -> Result<()> {
         let (p, q, kb) = (self.p, self.q, self.kb);
-        // U⁻¹, with DiagMat::inverse's exact singularity test.
+        // U⁻¹: a zero or non-finite entry is singular.
         scratch.uinv.clear();
         for (i, &d) in self.u[..p].iter().enumerate() {
             if d == T::ZERO || !d.is_finite() {
@@ -777,9 +787,8 @@ impl<T: Scalar> BlockSparseSystem<T> {
 
     /// Writes the dense `(A, b)` this system represents (symmetric, with
     /// `X = Wᵀ` filled in) into `a` and `b`, reshaping them and reusing their
-    /// allocations. This is the input a dense solver such as
-    /// [`SchurSystem`](crate::SchurSystem) partitions: the LM loop's dense
-    /// callback path and the equivalence tests read it.
+    /// allocations. The LM loop's dense callback path and the equivalence
+    /// tests read it; [`BlockSparseSystem::load_dense`] reads it back.
     pub fn to_dense_into(&self, a: &mut Matrix<T>, b: &mut Vector<T>) {
         let (p, n) = (self.p, self.p + self.q);
         a.reset_zeros(n, n);
@@ -802,6 +811,60 @@ impl<T: Scalar> BlockSparseSystem<T> {
             a.row_mut(p + r)[p..].copy_from_slice(self.v.row(r));
             b[p + r] = self.by[r];
         }
+    }
+
+    /// Loads a dense `(a, b)` with a `p × p` diagonal leading block, casting
+    /// each entry to `T`: the inverse of [`BlockSparseSystem::to_dense_into`].
+    ///
+    /// The system is laid out with `kb = stride = q` (`q = n − p`), one
+    /// `q`-high `W` block per landmark at row 0, and every entry is assigned
+    /// rather than accumulated, so each stored value is exactly the cast of
+    /// its dense entry, signed zeros included. Only the diagonal of the
+    /// leading block and the lower-left `W` are read; the upper-right block is
+    /// taken to be `Wᵀ`. [`BlockSparseSystem::solve_into`] then replays the
+    /// dense D-type Schur solve of the cast `(a, b)` bit for bit. Every
+    /// buffer's allocation is reused, as by [`BlockSparseSystem::reset`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::DimensionMismatch`] when `a` is not square, when
+    /// `b.len()` differs from its dimension `n`, or when `p > n`.
+    pub fn load_dense<U: Scalar>(&mut self, a: &Matrix<U>, b: &Vector<U>, p: usize) -> Result<()> {
+        let n = a.rows();
+        if !a.is_square() || b.len() != n {
+            return Err(MathError::DimensionMismatch {
+                op: "load_dense",
+                lhs: a.shape(),
+                rhs: (b.len(), 1),
+            });
+        }
+        if p > n {
+            return Err(MathError::DimensionMismatch {
+                op: "load_dense_split",
+                lhs: (p, p),
+                rhs: a.shape(),
+            });
+        }
+        let q = n - p;
+        let kb = q.max(1);
+        self.reset(p, q, kb, kb);
+        let cast = |v: U| T::from_f64(v.to_f64());
+        for j in 0..p {
+            self.u[j] = cast(a.get(j, j));
+            self.bx[j] = cast(b[j]);
+            if q > 0 {
+                self.w_rows[j].push(0);
+                self.w_vals[j].extend((p..n).map(|r| cast(a.get(r, j))));
+            }
+        }
+        for r in 0..q {
+            let src = &a.row(p + r)[p..];
+            for (dst, &v) in self.v.row_mut(r).iter_mut().zip(src) {
+                *dst = cast(v);
+            }
+            self.by[r] = cast(b[p + r]);
+        }
+        Ok(())
     }
 }
 
@@ -843,8 +906,6 @@ impl<T: Scalar> Default for SchurScratch<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockSpec;
-    use crate::schur::SchurSystem;
 
     type Sys = BlockSparseSystem<f64>;
 
@@ -885,18 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_matches_dense_schur_bitwise() {
-        let s = build();
-        let (a, b) = dense(&s);
-        let spec = BlockSpec::new(s.p(), s.dim()).unwrap();
-        let reference = SchurSystem::new(&a, &b, spec).unwrap().solve().unwrap();
-        let mut scratch = SchurScratch::default();
-        let mut out = Vector::zeros(0);
-        s.solve_into(&mut scratch, &mut out).unwrap();
-        assert_eq!(out.as_slice(), reference.as_slice());
-    }
-
-    #[test]
     fn damp_matches_dense_damping_and_undamp_restores() {
         let mut s = build();
         let (a0, _) = dense(&s);
@@ -923,46 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn damped_solve_matches_dense_damped_solve() {
-        let mut s = build();
-        s.damp(0.37, 1e-9);
-        let (a, b) = dense(&s);
-        let reference = SchurSystem::new(&a, &b, BlockSpec::new(s.p(), s.dim()).unwrap())
-            .unwrap()
-            .solve()
-            .unwrap();
-        let mut scratch = SchurScratch::default();
-        let mut out = Vector::zeros(0);
-        s.solve_into(&mut scratch, &mut out).unwrap();
-        assert_eq!(out.as_slice(), reference.as_slice());
-    }
-
-    #[test]
-    fn f32_twin_solve_matches_dense_solve_of_the_cast() {
-        let mut s = build();
-        s.damp(0.37, 1e-9);
-        let (a, b) = dense(&s);
-        let (a32, b32) = (a.cast::<f32>(), b.cast::<f32>());
-        let reference = SchurSystem::new(&a32, &b32, BlockSpec::new(s.p(), s.dim()).unwrap())
-            .unwrap()
-            .solve()
-            .unwrap();
-        // A twin that last held a larger system: stale blocks must not leak.
-        let mut twin = BlockSparseSystem::<f32>::new();
-        let mut big = Sys::new();
-        big.reset(5, 21, 4, 7);
-        big.cast_into(&mut twin);
-        s.cast_into(&mut twin);
-        let (ta, tb) = dense(&twin);
-        assert_eq!(ta.as_slice(), a32.as_slice());
-        assert_eq!(tb.as_slice(), b32.as_slice());
-        let mut scratch = SchurScratch::default();
-        let mut out = Vector::zeros(0);
-        twin.solve_into(&mut scratch, &mut out).unwrap();
-        assert_eq!(out.as_slice(), reference.as_slice());
-    }
-
-    #[test]
     fn empty_landmark_block_degenerates_to_dense_cholesky() {
         let mut s = Sys::new();
         s.reset(0, 4, 2, 2);
@@ -977,33 +986,6 @@ mod tests {
         let mut scratch = SchurScratch::default();
         let mut out = Vector::zeros(0);
         s.solve_into(&mut scratch, &mut out).unwrap();
-        assert_eq!(out.as_slice(), reference.as_slice());
-    }
-
-    #[test]
-    fn scratch_reuse_across_shapes_is_clean() {
-        let s1 = build();
-        let mut s2 = Sys::new();
-        // Smaller system after a bigger one: stale scratch rows must not leak.
-        s2.reset(1, 7, 4, 7);
-        s2.add_u(0, 4.0);
-        s2.sub_bx(0, -1.0);
-        for r in 0..7 {
-            s2.add_v(r, r, 9.0);
-            s2.sub_by(r, -0.5);
-        }
-        for t in 0..4 {
-            s2.add_w(0, t, 0.1 + 0.1 * t as f64);
-        }
-        let mut scratch = SchurScratch::default();
-        let mut out = Vector::zeros(0);
-        s1.solve_into(&mut scratch, &mut out).unwrap();
-        let (a, b) = dense(&s2);
-        let reference = SchurSystem::new(&a, &b, BlockSpec::new(1, 8).unwrap())
-            .unwrap()
-            .solve()
-            .unwrap();
-        s2.solve_into(&mut scratch, &mut out).unwrap();
         assert_eq!(out.as_slice(), reference.as_slice());
     }
 

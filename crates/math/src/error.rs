@@ -30,13 +30,6 @@ pub enum MathError {
         /// Index of the offending entry.
         index: usize,
     },
-    /// A block specification does not tile the matrix it is applied to.
-    InvalidBlockSpec {
-        /// Requested split point.
-        split: usize,
-        /// Dimension being split.
-        dim: usize,
-    },
 }
 
 impl fmt::Display for MathError {
@@ -52,9 +45,6 @@ impl fmt::Display for MathError {
             }
             MathError::SingularDiagonal { index } => {
                 write!(f, "diagonal entry {index} is zero or not finite")
-            }
-            MathError::InvalidBlockSpec { split, dim } => {
-                write!(f, "block split {split} exceeds dimension {dim}")
             }
         }
     }

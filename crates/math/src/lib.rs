@@ -32,27 +32,21 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod block;
 mod block_sparse;
 mod cholesky;
-mod diag;
 mod error;
 pub mod fixed;
 pub mod kernels;
 mod matrix;
 mod scalar;
-mod schur;
 mod triangular;
 mod vector;
 
-pub use block::{split_vector, BlockSpec, Blocked2x2};
 pub use block_sparse::{BlockSparseSystem, SchurScratch};
 pub use cholesky::Cholesky;
-pub use diag::DiagMat;
 pub use error::{MathError, Result};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
-pub use schur::{diag_schur_complement, SchurSystem};
 pub use triangular::{solve_lower, solve_lower_into, solve_upper, solve_upper_into};
 pub use vector::Vector;
 

@@ -4,7 +4,7 @@ use crate::error::{MathError, Result};
 use crate::scalar::Scalar;
 use crate::vector::Vector;
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Add, Index, IndexMut, Sub};
 
 /// Dense row-major matrix over a [`Scalar`].
 ///
@@ -383,23 +383,6 @@ impl<T: Scalar> Matrix<T> {
         Self::from_fn(rows, cols, |i, j| self.get(row0 + i, col0 + j))
     }
 
-    /// Writes `block` at offset `(row0, col0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the block exceeds the matrix bounds.
-    pub fn set_submatrix(&mut self, row0: usize, col0: usize, block: &Self) {
-        assert!(
-            row0 + block.rows <= self.rows && col0 + block.cols <= self.cols,
-            "set_submatrix: window out of bounds"
-        );
-        for i in 0..block.rows {
-            for j in 0..block.cols {
-                self.set(row0 + i, col0 + j, block.get(i, j));
-            }
-        }
-    }
-
     /// Adds `block` into the window at `(row0, col0)`.
     ///
     /// # Panics
@@ -559,29 +542,6 @@ impl<T: Scalar> Sub for &Matrix<T> {
     }
 }
 
-impl<T: Scalar> Neg for &Matrix<T> {
-    type Output = Matrix<T>;
-    fn neg(self) -> Matrix<T> {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| -v).collect(),
-        }
-    }
-}
-
-impl<T: Scalar> Mul for &Matrix<T> {
-    type Output = Matrix<T>;
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch; use [`Matrix::try_mul`] for a
-    /// fallible variant.
-    fn mul(self, rhs: Self) -> Matrix<T> {
-        self.try_mul(rhs)
-            .expect("matrix product dimension mismatch")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,7 +614,7 @@ mod tests {
     fn identity_is_multiplicative_identity() {
         let m = sample();
         let i3 = M::identity(3);
-        assert_eq!(&m * &i3, m);
+        assert_eq!(m.try_mul(&i3).unwrap(), m);
     }
 
     #[test]
@@ -669,7 +629,7 @@ mod tests {
     fn mul_matches_manual() {
         let a = M::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = M::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = &a * &b;
+        let c = a.try_mul(&b).unwrap();
         assert_eq!(c, M::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 
@@ -701,7 +661,7 @@ mod tests {
     fn gram_equals_explicit_product() {
         let m = sample();
         let g = m.gram();
-        let explicit = &m.transpose() * &m;
+        let explicit = m.transpose().try_mul(&m).unwrap();
         assert_eq!(g, explicit);
         assert!(g.is_symmetric(0.0));
     }
@@ -712,11 +672,10 @@ mod tests {
         let s = m.submatrix(0, 1, 2, 2);
         assert_eq!(s, M::from_rows(&[&[2.0, 3.0], &[5.0, 6.0]]));
         let mut z = M::zeros(3, 3);
-        z.set_submatrix(1, 1, &s);
-        assert_eq!(z.get(1, 1), 2.0);
-        assert_eq!(z.get(2, 2), 6.0);
+        z.add_submatrix(1, 1, &s);
         z.add_submatrix(1, 1, &s);
         assert_eq!(z.get(1, 1), 4.0);
+        assert_eq!(z.get(2, 2), 12.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::scalar::Scalar;
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Add, Index, IndexMut, Neg, Sub};
 
 /// Dense column vector over a [`Scalar`].
 ///
@@ -69,11 +69,6 @@ impl<T: Scalar> Vector<T> {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_inner(self) -> Vec<T> {
-        self.data
-    }
-
     /// Euclidean norm.
     pub fn norm(&self) -> T {
         self.dot(self).sqrt()
@@ -93,46 +88,11 @@ impl<T: Scalar> Vector<T> {
             .sum()
     }
 
-    /// Returns `self + alpha * other` (the BLAS `axpy` shape).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn axpy(&self, alpha: T, other: &Self) -> Self {
-        assert_eq!(self.len(), other.len(), "axpy: length mismatch");
-        Self {
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| a + alpha * b)
-                .collect(),
-        }
-    }
-
     /// Scales every element by `alpha`.
     pub fn scale(&self, alpha: T) -> Self {
         Self {
             data: self.data.iter().map(|&a| a * alpha).collect(),
         }
-    }
-
-    /// Contiguous sub-vector `[start, start + len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn segment(&self, start: usize, len: usize) -> Self {
-        Self {
-            data: self.data[start..start + len].to_vec(),
-        }
-    }
-
-    /// Concatenates two vectors.
-    pub fn concat(&self, other: &Self) -> Self {
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Self { data }
     }
 
     /// Largest absolute element, or zero for the empty vector.
@@ -240,13 +200,6 @@ impl<T: Scalar> Neg for &Vector<T> {
     }
 }
 
-impl<T: Scalar> Mul<T> for &Vector<T> {
-    type Output = Vector<T>;
-    fn mul(self, rhs: T) -> Vector<T> {
-        self.scale(rhs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,17 +222,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_manual() {
-        let a = V::from(vec![1.0, 2.0]);
-        let b = V::from(vec![10.0, 20.0]);
-        let c = a.axpy(0.5, &b);
-        assert_eq!(c.as_slice(), &[6.0, 12.0]);
-    }
-
-    #[test]
-    fn segment_roundtrip() {
+    fn indexing() {
         let v = V::from(vec![0.0, 0.0, 1.0, 2.0, 0.0]);
-        assert_eq!(v.segment(2, 2).as_slice(), &[1.0, 2.0]);
         assert_eq!(v[0], 0.0);
         assert_eq!(v[2], 1.0);
     }
@@ -291,7 +235,6 @@ mod tests {
         assert_eq!((&a + &b).as_slice(), &[4.0, 7.0]);
         assert_eq!((&b - &a).as_slice(), &[2.0, 3.0]);
         assert_eq!((-&a).as_slice(), &[-1.0, -2.0]);
-        assert_eq!((&a * 2.0).as_slice(), &[2.0, 4.0]);
     }
 
     #[test]
@@ -312,11 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_collect() {
-        let a = V::from(vec![1.0]);
-        let b = V::from(vec![2.0, 3.0]);
-        let c = a.concat(&b);
-        assert_eq!(c.len(), 3);
+    fn collect() {
         let collected: V = (0..3).map(|i| i as f64).collect();
         assert_eq!(collected.as_slice(), &[0.0, 1.0, 2.0]);
     }

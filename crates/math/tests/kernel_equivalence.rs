@@ -13,7 +13,7 @@ use archytas_math::kernels::{
     add_scaled_skip_rows, sub_scaled, sub_scaled4,
 };
 use archytas_math::{
-    BlockSparseSystem, BlockSpec, Cholesky, DMat, DVec, SchurScratch, SchurSystem,
+    BlockSparseSystem, Cholesky, DMat, DVec, MathError, Matrix, Scalar, SchurScratch, Vector,
 };
 use proptest::prelude::*;
 
@@ -473,10 +473,40 @@ fn block_problem_strategy() -> impl Strategy<Value = BlockProblem> {
 }
 
 /// The dense `(A, b)` image of `s`.
-fn dense(s: &BlockSparseSystem<f64>) -> (DMat, DVec) {
-    let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
+fn dense<T: Scalar>(s: &BlockSparseSystem<T>) -> (Matrix<T>, Vector<T>) {
+    let (mut a, mut b) = (Matrix::zeros(0, 0), Vector::zeros(0));
     s.to_dense_into(&mut a, &mut b);
     (a, b)
+}
+
+/// The dense D-type Schur solve of `[U Wᵀ; W V]·x = [bx; by]` over `Matrix`
+/// operations, with `U` the diagonal of the leading `p × p` block: invert `U`
+/// entrywise, form `(W·U⁻¹)·Wᵀ` with `try_mul`, factor `V − W·U⁻¹·Wᵀ`, solve
+/// against `by − W·(U⁻¹·bx)`, then back-substitute `U⁻¹·(bx − Wᵀ·δpy)`.
+/// The bitwise oracle of `BlockSparseSystem::solve_into`.
+fn dense_schur_solve<T: Scalar>(a: &Matrix<T>, b: &Vector<T>, p: usize) -> Vector<T> {
+    let q = a.rows() - p;
+    let w = a.submatrix(p, 0, q, p);
+    let v = a.submatrix(p, p, q, q);
+    let bx: Vector<T> = b.iter().take(p).copied().collect();
+    let by: Vector<T> = b.iter().skip(p).copied().collect();
+    let u_inv: Vec<T> = (0..p).map(|i| T::ONE / a.get(i, i)).collect();
+    let wu_inv = Matrix::from_fn(q, p, |i, k| w.get(i, k) * u_inv[k]);
+    let schur = &v - &wu_inv.try_mul(&w.transpose()).unwrap();
+    let s2: Vector<T> = (0..p).map(|k| u_inv[k] * bx[k]).collect();
+    let rhs = &by - &w.mat_vec(&s2);
+    let dy = Cholesky::factor(&schur).expect("SPD").solve(&rhs);
+    let r = &bx - &w.transpose_mat_vec(&dy);
+    let dx = (0..p).map(|k| u_inv[k] * r[k]);
+    dx.chain(dy.iter().copied()).collect()
+}
+
+/// The block-sparse solve of `s` into a fresh scratch.
+fn block_solve<T: Scalar>(s: &BlockSparseSystem<T>) -> Vector<T> {
+    let mut out = Vector::zeros(0);
+    s.solve_into(&mut SchurScratch::default(), &mut out)
+        .unwrap();
+    out
 }
 
 /// Assembles the problem through the sparse build API, with the diagonal
@@ -548,20 +578,164 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The block-sparse Schur solve — assembled through the kernel-backed
-    /// elimination and triangular paths — equals the dense `SchurSystem`
-    /// reference bitwise for random shapes, sparsity patterns (including
-    /// empty `W` rows and partial edge blocks) and damping.
+    /// elimination and triangular paths — equals the dense Schur reference
+    /// bitwise for random shapes, sparsity patterns (including empty `W` rows
+    /// and partial edge blocks) and damping.
     #[test]
     fn block_solve_matches_dense_schur_bitwise(pb in block_problem_strategy()) {
         let s = build_system(&pb);
         let (a, b) = dense(&s);
-        let spec = BlockSpec::new(s.p(), s.dim()).unwrap();
-        let reference = SchurSystem::new(&a, &b, spec).unwrap().solve().unwrap();
-        let mut scratch = SchurScratch::default();
-        let mut out = DVec::zeros(0);
-        s.solve_into(&mut scratch, &mut out).unwrap();
-        assert_bits_eq(out.as_slice(), reference.as_slice())?;
+        let reference = dense_schur_solve(&a, &b, s.p());
+        assert_bits_eq(block_solve(&s).as_slice(), reference.as_slice())?;
     }
+
+    /// A system loaded from its own dense image (one full-height `W` block
+    /// per landmark) solves bitwise equal to the block-sparse original — at
+    /// f64, and at f32 against the original's f32 cast.
+    #[test]
+    fn loaded_dense_image_solves_bitwise_equal(pb in block_problem_strategy()) {
+        let s = build_system(&pb);
+        let (a, b) = dense(&s);
+        let mut loaded = BlockSparseSystem::<f64>::new();
+        loaded.load_dense(&a, &b, s.p()).unwrap();
+        assert_bits_eq(block_solve(&loaded).as_slice(), block_solve(&s).as_slice())?;
+
+        let mut s32 = BlockSparseSystem::<f32>::new();
+        s.cast_into(&mut s32);
+        let mut loaded32 = BlockSparseSystem::<f32>::new();
+        loaded32.load_dense(&a, &b, s.p()).unwrap();
+        let bits = |v: &Vector<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&block_solve(&loaded32)), bits(&block_solve(&s32)));
+    }
+
+    /// `to_dense_into` after `load_dense` gives back the loaded `(a, b)` bit
+    /// for bit.
+    #[test]
+    fn load_dense_round_trips_the_dense_image(pb in block_problem_strategy()) {
+        let (a, b) = dense(&build_system(&pb));
+        let mut loaded = BlockSparseSystem::<f64>::new();
+        loaded.load_dense(&a, &b, pb.p).unwrap();
+        let (ra, rb) = dense(&loaded);
+        prop_assert_eq!(ra.shape(), a.shape());
+        assert_bits_eq(ra.as_slice(), a.as_slice())?;
+        assert_bits_eq(rb.as_slice(), b.as_slice())?;
+    }
+}
+
+/// A well-conditioned system: 3 landmarks, 2 pose blocks of stride 7 with
+/// kb = 4 (deliberately not the SLAM 15/6 to exercise generality).
+fn fixed_system() -> BlockSparseSystem<f64> {
+    let (p, q, kb, stride) = (3, 14, 4, 7);
+    let mut s = BlockSparseSystem::new();
+    s.reset(p, q, kb, stride);
+    for j in 0..p {
+        s.add_u(j, 5.0 + j as f64);
+        s.sub_bx(j, -(0.3 + 0.1 * j as f64));
+    }
+    for r in 0..q {
+        s.add_v(r, r, 10.0 + r as f64 * 0.5);
+        s.sub_by(r, -(r as f64 * 0.7 - 2.0));
+        for c in (r + 1)..q {
+            let v = 0.3 / (1.0 + (r as f64 - c as f64).abs());
+            s.add_v(r, c, v);
+            s.add_v(c, r, v);
+        }
+    }
+    // Landmark 0 seen by both keyframe blocks, 1 only by the first,
+    // 2 only by the second; insert out of order to exercise sorting.
+    for t in 0..kb {
+        s.add_w(0, 7 + t, 0.2 * t as f64 - 0.3);
+        s.add_w(0, t, 0.1 * t as f64 + 0.05);
+        s.add_w(1, t, -0.15 + 0.07 * t as f64);
+        s.add_w(2, 7 + t, 0.12 - 0.04 * t as f64);
+    }
+    s
+}
+
+#[test]
+fn solve_matches_dense_schur_bitwise() {
+    let s = fixed_system();
+    let (a, b) = dense(&s);
+    let reference = dense_schur_solve(&a, &b, s.p());
+    assert_eq!(block_solve(&s).as_slice(), reference.as_slice());
+}
+
+#[test]
+fn damped_solve_matches_dense_damped_solve() {
+    let mut s = fixed_system();
+    s.damp(0.37, 1e-9);
+    let (a, b) = dense(&s);
+    let reference = dense_schur_solve(&a, &b, s.p());
+    assert_eq!(block_solve(&s).as_slice(), reference.as_slice());
+}
+
+#[test]
+fn f32_twin_solve_matches_dense_solve_of_the_cast() {
+    let mut s = fixed_system();
+    s.damp(0.37, 1e-9);
+    let (a, b) = dense(&s);
+    let (a32, b32) = (a.cast::<f32>(), b.cast::<f32>());
+    let reference = dense_schur_solve(&a32, &b32, s.p());
+    // A twin that last held a larger system: stale blocks must not leak.
+    let mut twin = BlockSparseSystem::<f32>::new();
+    let mut big = BlockSparseSystem::<f64>::new();
+    big.reset(5, 21, 4, 7);
+    big.cast_into(&mut twin);
+    s.cast_into(&mut twin);
+    let (ta, tb) = dense(&twin);
+    assert_eq!(ta.as_slice(), a32.as_slice());
+    assert_eq!(tb.as_slice(), b32.as_slice());
+    assert_eq!(block_solve(&twin).as_slice(), reference.as_slice());
+}
+
+#[test]
+fn scratch_reuse_across_shapes_is_clean() {
+    let s1 = fixed_system();
+    let mut s2 = BlockSparseSystem::<f64>::new();
+    // Smaller system after a bigger one: stale scratch rows must not leak.
+    s2.reset(1, 7, 4, 7);
+    s2.add_u(0, 4.0);
+    s2.sub_bx(0, -1.0);
+    for r in 0..7 {
+        s2.add_v(r, r, 9.0);
+        s2.sub_by(r, -0.5);
+    }
+    for t in 0..4 {
+        s2.add_w(0, t, 0.1 + 0.1 * t as f64);
+    }
+    let mut scratch = SchurScratch::default();
+    let mut out = DVec::zeros(0);
+    s1.solve_into(&mut scratch, &mut out).unwrap();
+    let (a, b) = dense(&s2);
+    let reference = dense_schur_solve(&a, &b, 1);
+    s2.solve_into(&mut scratch, &mut out).unwrap();
+    assert_eq!(out.as_slice(), reference.as_slice());
+}
+
+/// `load_dense` rejects what a dense D-type Schur solve cannot partition: a
+/// non-square matrix, a right-hand side of the wrong length, and a split
+/// beyond the dimension. Every boundary case loads.
+#[test]
+fn load_dense_checks_its_input() {
+    let (a, b) = dense(&fixed_system());
+    let n = a.rows();
+    let mut sys = BlockSparseSystem::<f64>::new();
+    let mismatch = |r: Result<(), MathError>| matches!(r, Err(MathError::DimensionMismatch { .. }));
+    assert!(mismatch(sys.load_dense(&a, &b, n + 1)));
+    assert!(mismatch(sys.load_dense(
+        &a.submatrix(0, 0, n, n - 1),
+        &b,
+        3
+    )));
+    let short_b: DVec = b.iter().take(n - 1).copied().collect();
+    assert!(mismatch(sys.load_dense(&a, &short_b, 3)));
+    for p in [0, 3, n] {
+        sys.load_dense(&a, &b, p).unwrap();
+        assert_eq!((sys.p(), sys.q()), (p, n - p));
+    }
+    sys.load_dense(&DMat::zeros(0, 0), &DVec::zeros(0), 0)
+        .unwrap();
+    assert_eq!(sys.dim(), 0);
 }
 
 /// One randomized visual factor in the SLAM layout: a landmark column, two

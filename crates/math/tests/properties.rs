@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use archytas_math::{
-    solve_lower, solve_upper, BlockSpec, Blocked2x2, Cholesky, DMat, DVec, DiagMat, SchurSystem,
+    solve_lower, solve_upper, BlockSparseSystem, Cholesky, DMat, DVec, SchurScratch,
 };
 use proptest::prelude::*;
 
@@ -80,24 +80,6 @@ proptest! {
         prop_assert!((&u.mat_vec(&z) - &b).norm() < 1e-8 * (1.0 + b.norm()));
     }
 
-    #[test]
-    fn diag_inverse_roundtrips(d in proptest::collection::vec(0.1..10.0f64, 1..12)) {
-        let dm = DiagMat::new(d);
-        let inv = dm.inverse().unwrap();
-        let product = inv.mul_dense(&dm.to_dense());
-        prop_assert!((&product - &DMat::identity(dm.dim())).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn block_partition_roundtrips((a, p) in DIM.prop_flat_map(|n| {
-        (mat_strategy(n, n), 0..=n)
-    })) {
-        let n = a.rows();
-        let spec = BlockSpec::new(p, n).unwrap();
-        let blocked = Blocked2x2::partition(&a, spec).unwrap();
-        prop_assert_eq!(blocked.assemble(), a);
-    }
-
     /// Schur elimination must agree with a direct dense solve on any SPD
     /// system whose leading block has been diagonalized — the core soundness
     /// property behind the paper's D-type Schur optimization.
@@ -121,9 +103,10 @@ proptest! {
             .map(|i| (0..n).filter(|&j| j != i).map(|j| a.get(i, j).abs()).sum::<f64>())
             .fold(0.0f64, f64::max);
         let a = a.add_diagonal(max_off_row_sum + 1.0);
-        let spec = BlockSpec::new(p, n).unwrap();
-        let sys = SchurSystem::new(&a, &b, spec).unwrap();
-        let x_schur = sys.solve().unwrap();
+        let mut sys = BlockSparseSystem::new();
+        sys.load_dense(&a, &b, p).unwrap();
+        let mut x_schur = DVec::zeros(0);
+        sys.solve_into(&mut SchurScratch::default(), &mut x_schur).unwrap();
         let x_direct = Cholesky::factor(&a).unwrap().solve(&b);
         prop_assert!((&x_schur - &x_direct).norm() < 1e-6 * (1.0 + x_direct.norm()));
     }

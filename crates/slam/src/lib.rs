@@ -71,7 +71,7 @@ pub use problem::{
 pub use solver::{
     schur_linear_solver, solve, solve_in_workspace, solve_with_in_workspace, DegradeReason,
     LinearSolver, LmConfig, Precision, SolveError, SolveOutcome, SolveReport, SolverWorkspace,
-    INITIAL_LAMBDA, LAMBDA_UP,
+    INITIAL_LAMBDA, LAMBDA_UP, MAX_RETRIES,
 };
 pub use window::{
     ImuConstraint, KeyframeState, Landmark, Observation, SlidingWindow, WindowWorkload, STATE_DIM,

@@ -15,9 +15,7 @@ use crate::problem::{
     apply_increment, build_block_normal_equations_in, evaluate_cost_in, LinScratch,
 };
 use crate::window::SlidingWindow;
-use archytas_math::{
-    BlockSparseSystem, BlockSpec, Cholesky, DMat, DVec, FVec, MathError, SchurScratch, SchurSystem,
-};
+use archytas_math::{BlockSparseSystem, DMat, DVec, FVec, MathError, SchurScratch};
 use archytas_par::counters::{self, Phase};
 use std::fmt;
 
@@ -29,6 +27,10 @@ pub const INITIAL_LAMBDA: f64 = 1e-4;
 
 /// Multiplier applied to λ after a rejected step.
 pub const LAMBDA_UP: f64 = 10.0;
+
+/// Rejected steps an iteration may take after its first attempt before it
+/// gives up: each iteration tries at most `MAX_RETRIES + 1` dampings.
+pub const MAX_RETRIES: usize = 5;
 
 /// Multiplier applied to λ after an accepted step.
 const LAMBDA_DOWN: f64 = 0.5;
@@ -42,8 +44,6 @@ pub struct LmConfig {
     /// Maximum number of outer iterations (the paper's `Iter` knob; the
     /// run-time system tunes this between 1 and 6).
     pub max_iterations: usize,
-    /// Maximum consecutive rejected steps before giving up an iteration.
-    pub max_retries: usize,
     /// Arithmetic width of the linear solve.
     pub precision: Precision,
 }
@@ -65,7 +65,6 @@ impl Default for LmConfig {
     fn default() -> Self {
         Self {
             max_iterations: 6,
-            max_retries: 5,
             precision: Precision::F64,
         }
     }
@@ -238,14 +237,16 @@ impl OutcomeTracker {
     }
 }
 
-/// A pluggable dense linear solver for the damped normal equations.
+/// A pluggable linear solver for the damped normal equations, handed their
+/// dense image.
 ///
 /// Arguments are `(A_damped, b, num_landmarks)`: the dense image of the
 /// damped block-sparse system. `None` signals a factorization failure (the
 /// LM loop responds by raising λ). This is the callback of
 /// [`solve_with_in_workspace`]: [`schur_linear_solver`] in f64, or the
-/// accelerator's f32 functional model. Served windows pick their precision
-/// with [`LmConfig::precision`] instead.
+/// accelerator's f32 functional model. Both load the image back into a
+/// [`BlockSparseSystem`] and run the served Schur solve. Served windows pick
+/// their precision with [`LmConfig::precision`] instead.
 pub type LinearSolver<'a> = &'a dyn Fn(&DMat, &DVec, usize) -> Option<DVec>;
 
 /// Reusable buffers for the LM solve: the block-structured normal equations,
@@ -362,7 +363,7 @@ enum Rejection {
 /// buffers instead of re-faulting ~1 MB of fresh pages per solve; callers
 /// who want explicit control of the buffers' lifetime should hold a
 /// workspace and call [`solve_in_workspace`]. Either way the result is
-/// bit-identical to a dense solve of the same system
+/// bit-identical to the dense-callback solve of the same system
 /// ([`solve_with_in_workspace`] with [`schur_linear_solver`] at f64, or the
 /// accelerator's f32 solver at f32): every buffer is fully overwritten
 /// before use.
@@ -386,10 +387,10 @@ pub fn solve(
 /// dense `A`) and damped in place with snapshot-undo in f64. At
 /// [`Precision::F32`] the damped blocks are then cast into the workspace's
 /// f32 twin, solved there and the increment cast back. The candidate window
-/// of the acceptance test is a reused buffer swapped in on accept. Every
-/// floating-point operation of the Schur solve matches its dense form, so
-/// the report and the optimized window are bit-identical to
-/// [`solve_with_in_workspace`]'s with the matching dense solver.
+/// of the acceptance test is a reused buffer swapped in on accept. The
+/// dense-callback solvers reload the same system and run the same Schur
+/// solve, so the report and the optimized window are bit-identical to
+/// [`solve_with_in_workspace`]'s with the matching callback.
 pub fn solve_in_workspace(
     ws: &mut SolverWorkspace,
     window: &mut SlidingWindow,
@@ -406,8 +407,8 @@ pub fn solve_in_workspace(
 /// (see [`LinearSolver`]); `config.precision` is unused, the callback
 /// decides.
 ///
-/// Kept for the dense solvers the block-sparse solve is tested against, and
-/// for callers that time or replace the linear solve itself.
+/// Kept for callers that time or replace the linear solve itself, and for
+/// the tests that check the callback path against the served one.
 pub fn solve_with_in_workspace(
     ws: &mut SolverWorkspace,
     window: &mut SlidingWindow,
@@ -453,7 +454,7 @@ fn lm_loop(
         report.final_cost = cost;
 
         let mut accepted = false;
-        for _ in 0..=config.max_retries {
+        for _ in 0..=MAX_RETRIES {
             if let Err(rejection) = ws.solve_damped(backend, lambda) {
                 match rejection {
                     Rejection::SolveFailed => tracker.solve_failed = true,
@@ -502,16 +503,17 @@ fn lm_loop(
     report
 }
 
-/// The default linear solver: D-type Schur elimination when landmarks are
-/// present, dense Cholesky otherwise. Returns `None` when the system is not
-/// positive definite at this damping level.
+/// The f64 dense-callback solver: loads the dense image into a
+/// [`BlockSparseSystem`] and runs its D-type Schur solve, which reduces to a
+/// dense Cholesky solve when there are no landmarks. Returns `None` when the
+/// system is not positive definite at this damping level, or when `a`, `b`
+/// and `num_landmarks` do not describe one square system.
 pub fn schur_linear_solver(a: &DMat, b: &DVec, num_landmarks: usize) -> Option<DVec> {
-    if num_landmarks == 0 {
-        return Cholesky::factor(a).ok().map(|ch| ch.solve(b));
-    }
-    let spec = BlockSpec::new(num_landmarks, a.rows()).ok()?;
-    let sys = SchurSystem::new(a, b, spec).ok()?;
-    sys.solve().ok()
+    let mut sys = BlockSparseSystem::new();
+    sys.load_dense(a, b, num_landmarks).ok()?;
+    let mut x = DVec::zeros(0);
+    sys.solve_into(&mut SchurScratch::default(), &mut x).ok()?;
+    Some(x)
 }
 
 #[cfg(test)]
@@ -721,7 +723,7 @@ mod tests {
         let e = SolveError::Linear(MathError::NotPositiveDefinite { pivot: 3 });
         assert!(e.to_string().contains("linear solve failed"));
         assert!(std::error::Error::source(&e).is_some());
-        let spec_err = MathError::InvalidBlockSpec { split: 3, dim: 2 };
+        let spec_err = MathError::SingularDiagonal { index: 3 };
         assert_eq!(
             SolveError::from(spec_err.clone()),
             SolveError::Linear(spec_err)

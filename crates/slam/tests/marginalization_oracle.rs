@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use archytas_math::{split_vector, BlockSpec, Blocked2x2, Cholesky, DMat, DVec};
+use archytas_math::{Cholesky, DMat, DVec};
 
 /// Largest relative Frobenius error allowed between the library and the
 /// dense oracle, on each of `Hp`, `rp` and `c`.
@@ -139,10 +139,12 @@ fn dense_marginalize(
         }
     }
 
-    let spec = BlockSpec::new(marg_dim, dim).unwrap();
-    let blocked = Blocked2x2::partition(&h, spec).unwrap();
-    let (bx, by) = split_vector(&g, spec).unwrap();
-    let m = blocked.u.add_diagonal(1e-9);
+    let keep = dim - marg_dim;
+    let w = h.submatrix(marg_dim, 0, keep, marg_dim);
+    let v = h.submatrix(marg_dim, marg_dim, keep, keep);
+    let bx: DVec = g.iter().take(marg_dim).copied().collect();
+    let by: DVec = g.iter().skip(marg_dim).copied().collect();
+    let m = h.submatrix(0, 0, marg_dim, marg_dim).add_diagonal(1e-9);
     // The inverse as it used to be taken: one `solve` per identity column.
     let m_chol = Cholesky::factor(&m)?;
     let mut m_inv = DMat::zeros(marg_dim, marg_dim);
@@ -154,11 +156,11 @@ fn dense_marginalize(
             m_inv.set(i, j, col[i]);
         }
     }
-    let lm_inv = blocked.w.try_mul(&m_inv).unwrap();
-    let prod = lm_inv.try_mul(&blocked.w.transpose()).unwrap();
-    let hp = &blocked.v - &prod;
+    let lm_inv = w.try_mul(&m_inv).unwrap();
+    let prod = lm_inv.try_mul(&w.transpose()).unwrap();
+    let hp = &v - &prod;
     let minv_bx = m_inv.mat_vec(&bx);
-    let rp = &by - &blocked.w.mat_vec(&minv_bx);
+    let rp = &by - &w.mat_vec(&minv_bx);
     let cost0 = (cost - 0.5 * bx.dot(&minv_bx)).max(0.0);
     if !rp.all_finite() || !hp.all_finite() || !cost0.is_finite() {
         return Err(SolveError::NonFinite);

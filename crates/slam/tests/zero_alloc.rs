@@ -28,7 +28,7 @@ use archytas_slam::{
     solve_in_workspace, try_marginalize_oldest, try_marginalize_oldest_in, DegradeReason,
     FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, LmConfig, Observation, Pose,
     Precision, Preintegration, Prior, Quat, SlidingWindow, SolveOutcome, SolveReport,
-    SolverWorkspace, Vec3,
+    SolverWorkspace, Vec3, INITIAL_LAMBDA, LAMBDA_UP, MAX_RETRIES,
 };
 
 struct CountingAlloc;
@@ -234,27 +234,31 @@ fn lm_iterations_allocate_nothing_after_warmup() {
     // F32 damping retries. One observation 1e34 off its projection puts
     // right-hand-side entries beyond f32 range, so every retry runs the full
     // damp → cast → Schur → Cholesky → substitution cycle and then rejects
-    // the non-finite f32 increment. Five extra retries must allocate exactly
-    // as much as none.
+    // the non-finite f32 increment. All `MAX_RETRIES + 1` failing retries
+    // together must allocate no more than a 1-iteration solve of the clean
+    // window, whose single damping is accepted.
     let mut overflowing = window.clone();
     overflowing.observations[0].uv = [1e34, -1e34];
-    let retries = |max_retries| LmConfig {
-        max_retries,
+    let f32_config = |iterations| LmConfig {
         precision: Precision::F32,
-        ..LmConfig::with_iterations(6)
+        ..LmConfig::with_iterations(iterations)
     };
-    let (none_allocs, none) = measure(&mut ws, &overflowing, None, &weights, &retries(0));
-    let (five_allocs, five) = measure(&mut ws, &overflowing, None, &weights, &retries(5));
+    let (clean_allocs, clean) = measure(&mut ws, &window, None, &weights, &f32_config(1));
+    let (retry_allocs, retried) = measure(&mut ws, &overflowing, None, &weights, &f32_config(6));
     let failed = SolveOutcome::Degraded {
         reason: DegradeReason::LinearSolveFailed,
     };
-    assert_eq!((none.outcome, five.outcome), (failed, failed));
-    assert!(five.lambda > none.lambda * 1e4, "five retries ran");
-    assert_eq!(
-        five_allocs,
-        none_allocs,
-        "5 extra F32 damping retries allocated {} times",
-        five_allocs as i64 - none_allocs as i64,
+    assert_eq!((clean.step_norms.len(), retried.outcome), (1, failed));
+    let expected = INITIAL_LAMBDA * LAMBDA_UP.powi(MAX_RETRIES as i32 + 1);
+    assert!(
+        (retried.lambda / expected - 1.0).abs() < 1e-12,
+        "every retry ran"
+    );
+    assert!(
+        retry_allocs <= clean_allocs,
+        "{} failing F32 damping retries allocated {retry_allocs} times, \
+         a clean 1-iteration solve {clean_allocs}",
+        MAX_RETRIES + 1,
     );
 
     // The fixed-width dispatch path in isolation: on this window the block

@@ -32,7 +32,8 @@
 # check is an equality, so it runs on any CPU count and fails on its own,
 # whatever the timing verdicts say. A timing record committed at HEAD with
 # no fresh counterpart (a bench case that was removed or renamed) prints as
-# "gone", for information only.
+# "gone", for information only; a fresh record with no committed counterpart
+# prints as "new" and is not gated, and the last line counts those.
 #
 # Usage: scripts/perf_gate.sh [criterion.jsonl] [serve.jsonl]
 #   (defaults BENCH_criterion.jsonl BENCH_serve.jsonl; "-" skips that
@@ -121,6 +122,7 @@ def parse_det(text):
 
 # checks: (phase, label, threads, fresh value, limit, higher_is_better, note)
 checks = []
+unbaselined = 0
 for name in fresh_paths:
     fresh, base = load(name, parse)
     if fresh is None:
@@ -130,6 +132,7 @@ for name in fresh_paths:
         if ref is None or ref[2] <= 0:
             print(f"  new   [{phase}] {label}: {value:.6g} (no baseline record)",
                   file=sys.stderr)
+            unbaselined += 1
             continue
         limit = ref[2] / tol if higher else ref[2] * tol
         checks.append((phase, label, threads, value, limit, higher,
@@ -170,14 +173,21 @@ for phase, label, threads, value, limit, higher, note in checks:
     if gated and bad:
         failures.setdefault(phase, []).append(label)
 
+
+def finish(code, verdict):
+    """Prints the verdict, then how many fresh records went ungated, and exits."""
+    print(verdict, file=sys.stderr)
+    print(f"perf gate: {unbaselined} fresh record(s) have no baseline at HEAD",
+          file=sys.stderr)
+    sys.exit(code)
+
+
 if compared == 0 and not failures:
-    print("perf gate SKIPPED: no comparable timing records", file=sys.stderr)
-    sys.exit(0)
+    finish(0, "perf gate SKIPPED: no comparable timing records")
 if failures:
     for phase in sorted(failures):
         print(f"perf gate: {phase} phase regressed: {', '.join(failures[phase])}",
               file=sys.stderr)
-    print(f"perf gate FAILED in phase(s): {', '.join(sorted(failures))}", file=sys.stderr)
-    sys.exit(1)
-print(f"perf gate passed ({compared} check(s))", file=sys.stderr)
+    finish(1, f"perf gate FAILED in phase(s): {', '.join(sorted(failures))}")
+finish(0, f"perf gate passed ({compared} check(s))")
 PY
