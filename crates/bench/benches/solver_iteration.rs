@@ -14,7 +14,7 @@ use archytas_bench::json::{phase_array, rec_line, JsonLine};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_fleet::fleet_pipeline_config;
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
-use archytas_math::{BlockSparseSystem, Cholesky, DMat, DVec, SchurScratch};
+use archytas_math::{BlockSparseSystem, Cholesky, DVec, FMat, SchurScratch};
 use archytas_par::{counters, Pool};
 use archytas_slam::{
     build_block_normal_equations, solve, solve_in_workspace, try_marginalize_oldest_in,
@@ -154,24 +154,27 @@ fn bench_solver(c: &mut Criterion) {
         })
     });
 
-    // The blocked in-place refactorization the LM loop runs every iteration
-    // (panel sweeps + fused trailing updates) on a Schur-complement-sized
-    // SPD matrix.
-    let nq = 64;
-    let spd = {
-        let mut m = DMat::zeros(nq, nq);
+    // The factorization the served solve runs on every damping attempt: the
+    // blocked f32 `refactor_diff` of `V − W·U⁻¹·Wᵀ` at a served window's
+    // reduced dimension (q = 150: ten 15-dim keyframe states), seeded from
+    // the upper triangles of its two operands.
+    let nq = 150;
+    let band = |scale: f32, diag: f32| {
+        let mut m = FMat::zeros(nq, nq);
         for r in 0..nq {
             for c in 0..nq {
-                let v = 0.02 / (1.0 + (r as f64 - c as f64).abs());
-                m.set(r, c, if r == c { 2.0 + v } else { v });
+                let v = scale / (1.0 + (r as f32 - c as f32).abs());
+                m.set(r, c, if r == c { diag + v } else { v });
             }
         }
         m
     };
-    let mut chol = Cholesky::factor(&spd).expect("SPD");
+    let (v, prod) = (band(0.02, 2.0), band(0.01, 0.0));
+    let mut chol = Cholesky::<f32>::default();
     group.bench_function("kernel_panel_factor", |b| {
         b.iter(|| {
-            chol.refactor(black_box(&spd)).expect("SPD");
+            chol.refactor_diff(black_box(&v), black_box(&prod))
+                .expect("SPD");
             black_box(&mut chol);
         })
     });

@@ -34,7 +34,10 @@
 //! where adding `+0.0` would flip its sign. The per-entry accumulation order
 //! matches because the block lists are kept sorted by row and iterated in
 //! ascending landmark order, exactly the `i-k-j` order of the dense
-//! `try_mul` kernel.
+//! `try_mul` kernel. Only the upper triangle of `W·U⁻¹·Wᵀ` is formed: the
+//! Cholesky reads `V − W·U⁻¹·Wᵀ` at column ≥ row only
+//! ([`Cholesky::refactor_diff`]), so the dense product's lower triangle
+//! never reaches the solve.
 //!
 //! [`BlockSparseSystem::load_dense`] is the inverse of `to_dense_into`: it
 //! lays a dense `(A, b)` out with one full-height `W` block per landmark, so
@@ -641,16 +644,23 @@ impl<T: Scalar> BlockSparseSystem<T> {
     }
 
     /// The Schur-reduction half of [`BlockSparseSystem::solve_into`]: fills
-    /// `scratch` with `U⁻¹`, the elimination product `W·U⁻¹·Wᵀ` and the
-    /// reduced right-hand side. The reduced system `S = V − W·U⁻¹·Wᵀ` itself
-    /// is never materialized — the factorization seeds its work buffer with
-    /// the difference directly ([`Cholesky::refactor_diff`]).
+    /// `scratch` with `U⁻¹`, the upper triangle of the elimination product
+    /// `W·U⁻¹·Wᵀ` and the reduced right-hand side. The reduced system
+    /// `S = V − W·U⁻¹·Wᵀ` itself is never materialized — the factorization
+    /// seeds its work buffer with the difference directly
+    /// ([`Cholesky::refactor_diff`]).
     ///
     /// The elimination sweeps landmark-major: for each landmark, one rank-1
     /// update of the block pattern with fused `kb`-wide row writes. Per
     /// output cell, contributions arrive in ascending landmark order — the
     /// dense kernel's `i-k-j` order restricted to the nonzero pattern — with
     /// identical operands, so the result matches the dense path bit for bit.
+    ///
+    /// Only cells with column ≥ row are computed, because `refactor_diff`
+    /// reads nothing else; the strict lower triangle of the product stays
+    /// zero, unread. Blocks start on multiples of `stride ≥ kb`, so a block
+    /// pair with `c0 > r0` lies wholly above the diagonal and one with
+    /// `c0 < r0` wholly below it; only the diagonal block pair is split.
     fn schur_reduce(&self, scratch: &mut SchurScratch<T>) -> Result<()> {
         let (p, q, kb) = (self.p, self.q, self.kb);
         // U⁻¹: a zero or non-finite entry is singular.
@@ -677,15 +687,16 @@ impl<T: Scalar> BlockSparseSystem<T> {
             let vals = &self.w_vals[lm];
             let ui = scratch.uinv[lm];
             if kb == 6 {
-                // The sliding window's block height: the whole 6-high
-                // block-pair update runs through the unrolled
-                // fixed-width SYRK kernel. Per destination cell one
+                // The sliding window's block height: the 6-high block-pair
+                // update runs through the unrolled fixed-width SYRK kernel,
+                // over the pairs `bj ≥ bi` (column block at or right of the
+                // row block; `rows` is sorted). Per destination cell one
                 // landmark contributes exactly one multiply-add, so the
-                // kernel's block-column-major loop order is
-                // bit-identical to the row-major fallback below (see
+                // kernel's block-column-major loop order is bit-identical
+                // to the row-major fallback below (see
                 // `fixed::syrk_scatter`); the per-row scale is the same
-                // `(w·u⁻¹)`-first product, with zero rows skipped like
-                // the fallback's `continue`.
+                // `(w·u⁻¹)`-first product, with zero rows skipped like the
+                // fallback's `continue`.
                 for (bi, &r0) in rows.iter().enumerate() {
                     let r0 = r0 as usize;
                     let s: [T; 6] = core::array::from_fn(|t| vals[bi * 6 + t] * ui);
@@ -693,8 +704,8 @@ impl<T: Scalar> BlockSparseSystem<T> {
                         &mut prod_s[r0 * q..(r0 + 6) * q],
                         q,
                         &s,
-                        rows,
-                        vals,
+                        &rows[bi..],
+                        &vals[bi * 6..],
                     );
                 }
             } else {
@@ -708,8 +719,15 @@ impl<T: Scalar> BlockSparseSystem<T> {
                         if s == T::ZERO {
                             continue;
                         }
+                        // Row r0 + t from its diagonal on: the rest of the
+                        // diagonal block, then every block to its right.
                         let prow = &mut prod_s[(r0 + t) * q..(r0 + t + 1) * q];
-                        for (bj, &c0) in rows.iter().enumerate() {
+                        kernels::add_scaled(
+                            &mut prow[r0 + t..r0 + kb],
+                            &vals[bi * kb + t..(bi + 1) * kb],
+                            s,
+                        );
+                        for (bj, &c0) in rows.iter().enumerate().skip(bi + 1) {
                             let c0 = c0 as usize;
                             kernels::add_scaled(
                                 &mut prow[c0..c0 + kb],
@@ -879,6 +897,8 @@ pub struct SchurScratch<T: Scalar> {
     s2: Vec<T>,
     /// RHS gather buffer of the landmark-major elimination.
     racc: Vec<T>,
+    /// `W·U⁻¹·Wᵀ`, upper triangle only: the factorization reads nothing
+    /// else, and the strict lower triangle stays zero.
     prod: Matrix<T>,
     rhs: Vector<T>,
     chol: Cholesky<T>,

@@ -12,7 +12,7 @@ use crate::fixed;
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::triangular::{solve_lower, solve_upper};
+use crate::triangular::solve_upper_into;
 use crate::vector::Vector;
 
 /// Column-panel width of the blocked trailing update in
@@ -26,13 +26,17 @@ use crate::vector::Vector;
 const PANEL: usize = 8;
 
 /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite matrix.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The factor is stored once, as `Lᵀ` (row-major, upper triangular): the
+/// factorization writes each column of `L` as one contiguous row of it, the
+/// forward substitution sweeps those rows, and the back-substitution reads
+/// it as the upper-triangular system it is.
+#[derive(Debug, Clone)]
 pub struct Cholesky<T: Scalar> {
-    l: Matrix<T>,
-    /// `Lᵀ`, kept row-major: the factorization writes columns of `L`
-    /// contiguously into it, and back-substitution reads it without the
-    /// per-solve transpose it would otherwise re-materialize.
     lt: Matrix<T>,
+    /// The trailing sub-matrix the factorization updates in place (see
+    /// `refactor_seeded`); only its upper triangle is ever read or written.
+    work: Matrix<T>,
 }
 
 /// Operation counts of one factorization, split by the hardware template's
@@ -57,8 +61,8 @@ impl<T: Scalar> Default for Cholesky<T> {
     /// [`Cholesky::refactor`].
     fn default() -> Self {
         Self {
-            l: Matrix::zeros(0, 0),
             lt: Matrix::zeros(0, 0),
+            work: Matrix::zeros(0, 0),
         }
     }
 }
@@ -115,9 +119,8 @@ impl<T: Scalar> Cholesky<T> {
         let n = a.rows();
         // The trailing sub-matrix S_k is stored TRANSPOSED (see
         // `refactor_seeded`); seeding it from `a`'s rows reads the upper
-        // triangle (symmetry is assumed). `self.l` doubles as the buffer; it
-        // is overwritten with the final row-major factor afterwards.
-        self.l.clone_from(a);
+        // triangle (symmetry is assumed).
+        self.work.clone_from(a);
         self.refactor_seeded(n)
     }
 
@@ -126,14 +129,21 @@ impl<T: Scalar> Cholesky<T> {
     /// the Schur complement `S = V − W·U⁻¹·Wᵀ` never exists as a separate
     /// matrix (saving two full-matrix passes per solve).
     ///
-    /// Each seeded element is the identical single rounded `v[i] − prod[i]`
-    /// a materialized subtraction would store, so the factor is bit-identical
-    /// to `refactor` on the explicit difference.
+    /// Only the upper triangle (column ≥ row) of `v` and `prod` is read —
+    /// the factorization reads nothing else — so a caller may leave the
+    /// strict lower triangles of both unwritten. Each seeded element is the
+    /// identical single rounded `v[i] − prod[i]` a materialized subtraction
+    /// would store, so the factor is bit-identical to `refactor` on the
+    /// explicit difference.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Cholesky::factor`] (the difference must be
     /// square, symmetric and positive definite).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `prod` and `v` differ in shape.
     pub fn refactor_diff(&mut self, v: &Matrix<T>, prod: &Matrix<T>) -> Result<CholeskyOpCounts> {
         if !v.is_square() {
             return Err(MathError::DimensionMismatch {
@@ -142,23 +152,35 @@ impl<T: Scalar> Cholesky<T> {
                 rhs: prod.shape(),
             });
         }
+        assert_eq!(v.shape(), prod.shape(), "refactor_diff shape mismatch");
         let n = v.rows();
-        self.l.set_sub_of(v, prod);
+        // The strict lower triangle of `work` keeps whatever it held: the
+        // factorization never reads it.
+        self.work.reshape(n, n);
+        for i in 0..n {
+            let (vr, pr) = (&v.row(i)[i..], &prod.row(i)[i..]);
+            for ((w, &a), &b) in self.work.row_mut(i)[i..].iter_mut().zip(vr).zip(pr) {
+                *w = a - b;
+            }
+        }
         self.refactor_seeded(n)
     }
 
-    /// The shared factorization body: `self.l` holds the seeded work matrix
-    /// (the input, upper triangle valid), `self.lt` receives the factor.
+    /// The shared factorization body: `self.work` holds the seeded work
+    /// matrix (the input; only its upper triangle is read), `self.lt`
+    /// receives the factor.
     fn refactor_seeded(&mut self, n: usize) -> Result<CholeskyOpCounts> {
         // The factor is accumulated as `Lᵀ` (row-major): the Evaluate phase
         // then writes column k of `L` into one contiguous row, and the Update
         // phase reads that same row sequentially — the strided column
         // traffic of a row-major `L` would cost a cache line per element.
-        self.lt.reset_zeros(n, n);
+        // Each row is written in full by its Evaluate step, zeros below the
+        // diagonal included, so the buffer is not cleared first.
+        self.lt.reshape(n, n);
         // The trailing sub-matrix S_k, also stored TRANSPOSED: row j holds
         // the elements (i, j), i ≥ j, contiguously, so the Evaluate phase's
         // column read and the Update phase's row walks are all sequential.
-        let work = &mut self.l;
+        let work = &mut self.work;
         let mut counts = CholeskyOpCounts {
             iterations: n,
             ..Default::default()
@@ -198,6 +220,7 @@ impl<T: Scalar> Cholesky<T> {
                 {
                     let wrow = work.row(k);
                     let col = self.lt.row_mut(k);
+                    col[..k].fill(T::ZERO);
                     col[k] = d;
                     for i in (k + 1)..n {
                         col[i] = wrow[i] / d;
@@ -241,24 +264,18 @@ impl<T: Scalar> Cholesky<T> {
             }
             k0 = kend;
         }
-        self.lt.transpose_into(&mut self.l);
         Ok(counts)
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix<T> {
-        &self.l
-    }
-
     /// The transposed factor `Lᵀ` (upper triangular, zeros below the
-    /// diagonal).
+    /// diagonal) — the only stored form of the factor.
     pub fn lt(&self) -> &Matrix<T> {
         &self.lt
     }
 
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
-        self.l.rows()
+        self.lt.rows()
     }
 
     /// Solves `A·x = b` by forward then backward substitution.
@@ -267,21 +284,40 @@ impl<T: Scalar> Cholesky<T> {
     ///
     /// Panics when `b.len()` differs from the matrix dimension.
     pub fn solve(&self, b: &Vector<T>) -> Vector<T> {
-        let y = solve_lower(&self.l, b);
-        solve_upper(&self.lt, &y)
+        let (mut y, mut x) = (Vector::zeros(0), Vector::zeros(0));
+        self.solve_into(b, &mut y, &mut x);
+        x
     }
 
     /// [`Cholesky::solve`] into caller-owned buffers: `y` holds the forward
     /// substitution intermediate, `x` the solution (both resized to fit).
     /// With reused buffers the whole triangular solve performs no heap
-    /// allocation; the arithmetic is identical to the allocating form.
+    /// allocation.
+    ///
+    /// The forward substitution `L·y = b` is a column sweep over the rows of
+    /// `Lᵀ`: `y = b`, then for each `k`, `y[k] /= l_kk` and
+    /// `y[k+1..] −= L[k+1.., k]·y[k]`. Each `y[i]` thereby receives exactly
+    /// the sequence of the row-form substitution on `L` — `y[i] −= l_ik·y[k]`
+    /// for ascending `k`, then one division by `l_ii` — so the bits are
+    /// those of the row form, while every step is an independent-element
+    /// update that vectorizes. The back-substitution `Lᵀ·x = y` reads `Lᵀ`
+    /// row by row.
     ///
     /// # Panics
     ///
     /// Panics when `b.len()` differs from the matrix dimension.
     pub fn solve_into(&self, b: &Vector<T>, y: &mut Vector<T>, x: &mut Vector<T>) {
-        crate::triangular::solve_lower_into(&self.l, b, y);
-        crate::triangular::solve_upper_into(&self.lt, y, x);
+        let n = self.dim();
+        assert_eq!(b.len(), n, "cholesky solve: rhs length mismatch");
+        y.clone_from(b);
+        let ys = y.as_mut_slice();
+        for k in 0..n {
+            let row = self.lt.row(k);
+            ys[k] /= row[k];
+            let (head, tail) = ys.split_at_mut(k + 1);
+            kernels::sub_scaled(tail, &row[k + 1..], head[k]);
+        }
+        solve_upper_into(&self.lt, y, x);
     }
 }
 
@@ -301,17 +337,17 @@ mod tests {
     fn reconstruction() {
         let a = spd(8);
         let ch = Cholesky::factor(&a).unwrap();
-        let rec = &ch.l().try_mul(&ch.l().transpose()).unwrap() - &a;
+        let rec = &ch.lt().transpose().try_mul(ch.lt()).unwrap() - &a;
         assert!(rec.max_abs() < 1e-10);
     }
 
     #[test]
-    fn factor_is_lower_triangular() {
+    fn factor_is_upper_triangular() {
         let a = spd(6);
         let ch = Cholesky::factor(&a).unwrap();
         for i in 0..6 {
-            for j in (i + 1)..6 {
-                assert_eq!(ch.l().get(i, j), 0.0);
+            for j in 0..i {
+                assert_eq!(ch.lt().get(i, j), 0.0);
             }
         }
     }
@@ -360,7 +396,7 @@ mod tests {
     fn works_in_f32() {
         let a = spd(4).cast::<f32>();
         let ch = Cholesky::factor(&a).unwrap();
-        let rec = &ch.l().try_mul(&ch.l().transpose()).unwrap() - &a;
+        let rec = &ch.lt().transpose().try_mul(ch.lt()).unwrap() - &a;
         assert!(rec.max_abs() < 1e-4);
     }
 }

@@ -47,7 +47,7 @@ pub use cholesky::Cholesky;
 pub use error::{MathError, Result};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
-pub use triangular::{solve_lower, solve_lower_into, solve_upper, solve_upper_into};
+pub use triangular::solve_upper_into;
 pub use vector::Vector;
 
 /// Double-precision dense matrix, the workhorse of the software solver.

@@ -66,21 +66,13 @@ impl<T: Scalar> Matrix<T> {
         self.data.resize(rows * cols, T::ZERO);
     }
 
-    /// Sets `self = a − b` elementwise, reshaping to `a`'s shape and reusing
-    /// the allocation — one fused pass instead of a zero-fill, a copy and an
-    /// in-place subtraction. Each element is the single rounded difference
-    /// `a[i] − b[i]`, exactly as the unfused formulation stores it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a` and `b` differ in shape.
-    pub fn set_sub_of(&mut self, a: &Self, b: &Self) {
-        assert_eq!(a.shape(), b.shape(), "set_sub_of shape mismatch");
-        self.rows = a.rows;
-        self.cols = a.cols;
-        self.data.clear();
-        self.data
-            .extend(a.data.iter().zip(&b.data).map(|(&x, &y)| x - y));
+    /// Reshapes to `rows × cols` reusing the allocation, *without* clearing
+    /// it: elements keep whatever the buffer held (zero where it grew). For
+    /// work buffers that never read an element they have not written.
+    pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, T::ZERO);
     }
 
     /// Creates the `n × n` identity matrix.
@@ -210,25 +202,12 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data
     }
 
-    /// Transposed copy.
+    /// Transposed copy. The copy walks `16 × 16` blocks so the strided reads
+    /// of a block stay in cache while its output rows are written in order.
     pub fn transpose(&self) -> Self {
-        let mut t = Self::zeros(self.cols, self.rows);
-        self.transpose_into(&mut t);
-        t
-    }
-
-    /// Writes this matrix's transpose into `out`, reshaping and reusing its
-    /// allocation.
-    ///
-    /// Every element of `out` is overwritten, so its old contents are not
-    /// zeroed first; the copy walks `16 × 16` blocks so the strided reads of
-    /// a block stay in cache while its output rows are written in order.
-    pub fn transpose_into(&self, out: &mut Self) {
         const B: usize = 16;
         let (rows, cols) = (self.rows, self.cols);
-        out.rows = cols;
-        out.cols = rows;
-        out.data.resize(rows * cols, T::ZERO);
+        let mut out = Self::zeros(cols, rows);
         for j0 in (0..cols).step_by(B) {
             for i0 in (0..rows).step_by(B) {
                 let i1 = (i0 + B).min(rows);
@@ -240,6 +219,7 @@ impl<T: Scalar> Matrix<T> {
                 }
             }
         }
+        out
     }
 
     /// Matrix product, dimension-checked.
@@ -553,13 +533,11 @@ mod tests {
     }
 
     #[test]
-    fn transpose_into_overwrites_a_stale_buffer() {
-        // Shapes around the 16-wide blocking, into a buffer holding a larger,
-        // differently shaped matrix.
+    fn transpose_is_elementwise_across_block_edges() {
+        // Shapes around the 16-wide blocking.
         for (r, c) in [(1, 1), (3, 17), (17, 3), (16, 16), (33, 20)] {
             let m = M::from_fn(r, c, |i, j| (i * 100 + j) as f64 - 0.5);
-            let mut out = M::from_fn(40, 40, |_, _| f64::NAN);
-            m.transpose_into(&mut out);
+            let out = m.transpose();
             assert_eq!(out.shape(), (c, r));
             for i in 0..r {
                 for j in 0..c {

@@ -354,9 +354,9 @@ fn unblocked_cholesky_lt(a: &DMat) -> DMat {
 /// `n(n+1)/2` column evaluations and `sum_k (n-k-1)(n-k)/2` trailing updates.
 fn assert_cholesky_matches_unblocked(a: &DMat) -> std::result::Result<(), TestCaseError> {
     let n = a.rows();
-    let reference = unblocked_cholesky_lt(a).transpose();
+    let reference = unblocked_cholesky_lt(a);
     let (ch, counts) = Cholesky::factor_counting(a).unwrap();
-    assert_bits_eq(ch.l().as_slice(), reference.as_slice())?;
+    assert_bits_eq(ch.lt().as_slice(), reference.as_slice())?;
     prop_assert_eq!(counts.iterations, n);
     prop_assert_eq!(counts.evaluate_ops, n * (n + 1) / 2);
     prop_assert_eq!(
@@ -397,6 +397,142 @@ proptest! {
         let mut x = DVec::zeros(17);
         ch.solve_into(&b, &mut y, &mut x);
         assert_bits_eq(x.as_slice(), reference.as_slice())?;
+    }
+}
+
+/// Row-form forward substitution `L·x = b` — `acc = b[i]`, then
+/// `acc −= l_ij·x_j` for ascending `j < i`, then one division by `l_ii` —
+/// reading only the lower triangle of `l`. The oracle of the column sweep in
+/// `Cholesky::solve_into`.
+fn solve_lower_into<T: Scalar>(l: &Matrix<T>, b: &Vector<T>, x: &mut Vector<T>) {
+    let n = l.rows();
+    x.resize_fill(n, T::ZERO);
+    for i in 0..n {
+        let row = l.row(i);
+        let mut acc = b[i];
+        for j in 0..i {
+            acc -= row[j] * x[j];
+        }
+        x[i] = acc / row[i];
+    }
+}
+
+#[test]
+fn row_form_oracle_solves_a_lower_system_ignoring_the_upper_triangle() {
+    let l = DMat::from_rows(&[&[2.0, 999.0], &[1.0, 3.0]]);
+    let mut x = DVec::zeros(0);
+    solve_lower_into(&l, &DVec::from(vec![4.0, 11.0]), &mut x);
+    assert_eq!(x.as_slice(), &[2.0, 3.0]);
+}
+
+/// A deterministic stream of signed, scale-diverse values with a mass of
+/// `+0.0` and `-0.0`, for matrices too large to draw entry by entry.
+fn signed_stream(seed: u64) -> impl FnMut() -> f64 {
+    let mut z = seed;
+    move || {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut h = z;
+        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^= h >> 31;
+        let v = (h >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0;
+        match h % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => v * 1e-7,
+            3 => v * 1e5,
+            _ => v,
+        }
+    }
+}
+
+/// A symmetric, strictly diagonally dominant (hence SPD) `n × n` matrix
+/// whose off-diagonal entries come from [`signed_stream`].
+fn signed_spd(n: usize, seed: u64) -> DMat {
+    let mut next = signed_stream(seed);
+    let mut a = DMat::zeros(n, n);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let v = next();
+            a.set(i, j, v);
+            a.set(j, i, v);
+        }
+    }
+    for i in 0..n {
+        let off: f64 = a.row(i).iter().map(|v| v.abs()).sum();
+        a.set(i, i, off + 1.0 + next().abs());
+    }
+    a
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The column-sweep forward substitution of `Cholesky::solve_into`
+    /// equals the row-form substitution on `L = (Lᵀ)ᵀ` bitwise — in the
+    /// intermediate `y` and, through `solve_upper_into(Lᵀ)`, in `x` — at
+    /// the served shapes, with signed zeros in the matrix and right-hand side.
+    #[test]
+    fn column_sweep_solve_matches_row_form_oracle_bitwise(
+        (n, seed) in (0usize..4, 0u64..u64::MAX).prop_map(|(i, seed)| ([1, 6, 15, 150][i], seed))
+    ) {
+        let a = signed_spd(n, seed);
+        let mut next = signed_stream(seed ^ 0x5555);
+        let b: DVec = (0..n).map(|_| next()).collect();
+        let ch = Cholesky::factor(&a).unwrap();
+        let (mut y_ref, mut x_ref) = (DVec::zeros(0), DVec::zeros(0));
+        solve_lower_into(&ch.lt().transpose(), &b, &mut y_ref);
+        archytas_math::solve_upper_into(ch.lt(), &y_ref, &mut x_ref);
+        // Stale, differently shaped buffers must not leak into the result.
+        let (mut y, mut x) = (DVec::from(vec![f64::NAN; 7]), DVec::zeros(n + 3));
+        ch.solve_into(&b, &mut y, &mut x);
+        assert_bits_eq(y.as_slice(), y_ref.as_slice())?;
+        assert_bits_eq(x.as_slice(), x_ref.as_slice())?;
+        assert_bits_eq(ch.solve(&b).as_slice(), x_ref.as_slice())?;
+    }
+
+    /// `refactor_diff` reads only the upper triangles of `v` and `prod`:
+    /// overwriting both strict lower triangles with NaN leaves `Lᵀ` bitwise
+    /// unchanged, and both equal `refactor` on the explicit difference —
+    /// also through a factorization that last held a larger matrix.
+    #[test]
+    fn refactor_diff_reads_only_the_upper_triangle(
+        (n, seed) in (1usize..=41, 0u64..u64::MAX)
+            .prop_map(|(n, seed)| (if n == 41 { 150 } else { n }, seed))
+    ) {
+        // A symmetric product, and `v` boosted on the diagonal by the row
+        // sums of `|prod|` so that `v − prod` stays dominant.
+        let mut next = signed_stream(seed ^ 0xAAAA);
+        let mut prod = DMat::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let x = next();
+                prod.set(i, j, x);
+                prod.set(j, i, x);
+            }
+        }
+        let mut v = signed_spd(n, seed);
+        for i in 0..n {
+            let boost: f64 = prod.row(i).iter().map(|x| x.abs()).sum();
+            v.set(i, i, v.get(i, i) + boost);
+        }
+        let mut reference = Cholesky::default();
+        reference.refactor(&(&v - &prod)).unwrap();
+
+        let mut ch = Cholesky::default();
+        ch.refactor(&signed_spd(n + 5, seed ^ 1)).unwrap();
+        ch.refactor_diff(&v, &prod).unwrap();
+        assert_bits_eq(ch.lt().as_slice(), reference.lt().as_slice())?;
+
+        let (mut v_nan, mut prod_nan) = (v.clone(), prod.clone());
+        for i in 0..n {
+            for j in 0..i {
+                v_nan.set(i, j, f64::NAN);
+                prod_nan.set(i, j, f64::NAN);
+            }
+        }
+        ch.refactor_diff(&v_nan, &prod_nan).unwrap();
+        assert_bits_eq(ch.lt().as_slice(), reference.lt().as_slice())?;
     }
 }
 
@@ -619,6 +755,33 @@ proptest! {
         prop_assert_eq!(ra.shape(), a.shape());
         assert_bits_eq(ra.as_slice(), a.as_slice())?;
         assert_bits_eq(rb.as_slice(), b.as_slice())?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Landmarks whose `W` blocks are not adjacent (a keyframe skipped
+    /// between two observers) solve bitwise equal to the dense Schur oracle,
+    /// at the SLAM layout (`kb = 6`, stride 15) and at a generic one — the
+    /// upper-triangle product must still fill every cross-block cell the
+    /// factorization reads.
+    #[test]
+    fn non_adjacent_w_blocks_match_dense_schur_bitwise(
+        ((kb, stride), (u, v_upper, w), (bx, by)) in (0u8..2).prop_flat_map(|sel| {
+            let (kb, stride) = if sel == 0 { (6usize, 15usize) } else { (4, 7) };
+            let q = 4 * stride;
+            (Just((kb, stride)), (vals(3usize), vals(q * q), vals(3 * 4 * kb)), (vals(3usize), vals(q)))
+        })
+    ) {
+        // Landmark 0 sees blocks 0 and 2, landmark 1 blocks 1 and 3, and
+        // landmark 2 blocks 0 and 3.
+        let pattern = vec![vec![1, 0, 1, 0], vec![0, 1, 0, 1], vec![1, 0, 0, 1]];
+        let pb = BlockProblem { p: 3, kb, stride, nblocks: 4, u, v_upper, pattern, w, bx, by, lambda: Some(0.1) };
+        let s = build_system(&pb);
+        let (a, b) = dense(&s);
+        let reference = dense_schur_solve(&a, &b, s.p());
+        assert_bits_eq(block_solve(&s).as_slice(), reference.as_slice())?;
     }
 }
 

@@ -1,8 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use archytas_math::{
-    solve_lower, solve_upper, BlockSparseSystem, Cholesky, DMat, DVec, SchurScratch,
-};
+use archytas_math::{solve_upper_into, BlockSparseSystem, Cholesky, DMat, DVec, SchurScratch};
 use proptest::prelude::*;
 
 const DIM: std::ops::RangeInclusive<usize> = 1..=10;
@@ -56,7 +54,7 @@ proptest! {
     #[test]
     fn cholesky_reconstructs(a in DIM.prop_flat_map(spd_strategy)) {
         let ch = Cholesky::factor(&a).unwrap();
-        let rec = ch.l().try_mul(&ch.l().transpose()).unwrap();
+        let rec = ch.lt().transpose().try_mul(ch.lt()).unwrap();
         prop_assert!((&rec - &a).max_abs() < 1e-8 * (1.0 + a.max_abs()));
     }
 
@@ -72,11 +70,15 @@ proptest! {
     fn triangular_solvers_invert((a, b) in DIM.prop_flat_map(|n| {
         (spd_strategy(n), vec_strategy(n))
     })) {
-        let l = Cholesky::factor(&a).unwrap().l().clone();
-        let y = solve_lower(&l, &b);
+        // Forward: the intermediate of the factor's own solve.
+        let ch = Cholesky::factor(&a).unwrap();
+        let (mut y, mut x) = (DVec::zeros(0), DVec::zeros(0));
+        ch.solve_into(&b, &mut y, &mut x);
+        let l = ch.lt().transpose();
         prop_assert!((&l.mat_vec(&y) - &b).norm() < 1e-8 * (1.0 + b.norm()));
-        let u = l.transpose();
-        let z = solve_upper(&u, &b);
+        let u = ch.lt();
+        let mut z = DVec::zeros(0);
+        solve_upper_into(u, &b, &mut z);
         prop_assert!((&u.mat_vec(&z) - &b).norm() < 1e-8 * (1.0 + b.norm()));
     }
 

@@ -339,16 +339,12 @@ fn reduce(ws: &mut MargWorkspace, am: usize) -> Result<f64, SolveError> {
         return Err(SolveError::NonFinite);
     }
     ws.s_chol.refactor(&ws.s)?;
-    let (l, lt) = (ws.s_chol.l(), ws.s_chol.lt());
-    // x ← L⁻¹·x.
+    let lt = ws.s_chol.lt();
+    // x ← L⁻¹·x, reading row r of L as column r of the stored Lᵀ.
     let forward = |x: &mut [f64; K]| {
         for r in 0..K {
-            let t: f64 = l.row(r)[..r]
-                .iter()
-                .zip(&x[..r])
-                .map(|(&a, &b)| a * b)
-                .sum();
-            x[r] = (x[r] - t) / l.get(r, r);
+            let t: f64 = (0..r).map(|j| lt.get(j, r) * x[j]).sum();
+            x[r] = (x[r] - t) / lt.get(r, r);
         }
     };
 
