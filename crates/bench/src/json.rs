@@ -3,8 +3,8 @@
 //!
 //! Every machine-readable line is
 //! `REC {"mode":…,"kind":…,"det":{…},"timing":{…}}` ([`rec_line`]): the
-//! serving bins, the criterion benches (cases, synthesizer `search`
-//! counters, solver `phases`) and the `perf_phases` bin. The smoke scripts
+//! serving bins and the criterion benches (cases, synthesizer `search`
+//! counters, solver `phases`). The smoke scripts
 //! strip the `REC ` prefix into JSON-lines files, and the determinism gates
 //! byte-compare `det` payloads across pool sizes, so every record must be a
 //! single line of valid JSON with a stable field order. [`JsonLine`] holds

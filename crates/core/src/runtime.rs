@@ -209,70 +209,6 @@ impl GatingTable {
     }
 }
 
-/// Observed per-window iteration decisions — the runtime profiler.
-///
-/// The dynamic optimizer's whole premise (Sec. 6) is that workload
-/// statistics drive cost; this is where those statistics are collected.
-/// One fixed slot per possible budget (`1..=ITER_CAP`; slot 0 stays
-/// empty), recorded on every decision with a single array increment, so
-/// profiling rides the hot path for free. [`RuntimeSystem::profile`] keeps
-/// one per runtime, and [`crate::run_sequence`] records every closed window
-/// into its `RunSummary`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IterationProfile {
-    counts: [u64; ITER_CAP + 1],
-}
-
-impl Default for IterationProfile {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IterationProfile {
-    /// An empty profile.
-    pub const fn new() -> Self {
-        Self {
-            counts: [0; ITER_CAP + 1],
-        }
-    }
-
-    /// Records one window's iteration decision (clamped to the cap).
-    #[inline]
-    pub fn record(&mut self, iterations: usize) {
-        self.counts[iterations.min(ITER_CAP)] += 1;
-    }
-
-    /// Windows recorded.
-    pub fn windows(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Total iterations across all recorded windows.
-    pub fn total_iterations(&self) -> u64 {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| i as u64 * c)
-            .sum()
-    }
-
-    /// The raw per-budget counts (index = iteration budget).
-    pub fn counts(&self) -> &[u64; ITER_CAP + 1] {
-        &self.counts
-    }
-
-    /// Mean iterations per window (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let w = self.windows();
-        if w == 0 {
-            0.0
-        } else {
-            self.total_iterations() as f64 / w as f64
-        }
-    }
-}
-
 /// Safety watchdog over the run-time knob (the runtime half of the
 /// degradation ladder).
 ///
@@ -353,7 +289,6 @@ pub struct RuntimeSystem {
     gating: Arc<GatingTable>,
     power: PowerModel,
     watchdog: RuntimeWatchdog,
-    profile: IterationProfile,
 }
 
 impl RuntimeSystem {
@@ -394,7 +329,6 @@ impl RuntimeSystem {
             power: PowerModel::for_platform(platform),
             policy: policy.into(),
             watchdog: RuntimeWatchdog::default(),
-            profile: IterationProfile::new(),
         }
     }
 
@@ -404,7 +338,6 @@ impl RuntimeSystem {
         let target = self.policy.iterations_for(features);
         let iterations = self.counter.observe(target);
         let active = self.gating.active_for(iterations);
-        self.profile.record(iterations);
         RuntimeDecision {
             iterations,
             active,
@@ -424,7 +357,6 @@ impl RuntimeSystem {
         if self.watchdog.observe(healthy) {
             self.counter.force(ITER_CAP);
             let active = self.gating.built();
-            self.profile.record(ITER_CAP);
             return RuntimeDecision {
                 iterations: ITER_CAP,
                 active,
@@ -442,13 +374,6 @@ impl RuntimeSystem {
     /// The gating table (for reports).
     pub fn gating(&self) -> &GatingTable {
         &self.gating
-    }
-
-    /// Observed iteration-decision counts since construction (the runtime
-    /// profiler). Cloned with the system, so checkpointed sessions restore
-    /// the profile to the checkpoint's exact bits.
-    pub fn profile(&self) -> &IterationProfile {
-        &self.profile
     }
 }
 
@@ -686,52 +611,6 @@ mod tests {
             assert_eq!(da.active, db.active);
             assert_eq!(da.gated_power_w.to_bits(), db.gated_power_w.to_bits());
         }
-    }
-
-    #[test]
-    fn profiler_counts_every_decision() {
-        let shape = ProblemShape::typical();
-        let platform = FpgaPlatform::zc706();
-        let mut rt = RuntimeSystem::new(
-            HIGH_PERF,
-            &shape,
-            2.5,
-            &platform,
-            IterPolicy::default_table(),
-        );
-        let mut expected = IterationProfile::new();
-        for (w, &f) in [260usize, 260, 40, 40, 150, 260, 20, 260]
-            .iter()
-            .enumerate()
-        {
-            let healthy = w != 4;
-            let d = rt.step_with_health(f, healthy);
-            expected.record(d.iterations);
-        }
-        assert_eq!(rt.profile(), &expected);
-        assert_eq!(rt.profile().windows(), 8);
-        assert_eq!(
-            rt.profile().total_iterations(),
-            expected
-                .counts()
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| i as u64 * c)
-                .sum::<u64>()
-        );
-        assert!(rt.profile().mean() >= 1.0);
-        // Cloning the system (the checkpoint path) clones the profile bits.
-        let cloned = rt.clone();
-        assert_eq!(cloned.profile(), rt.profile());
-    }
-
-    #[test]
-    fn profile_clamps_to_cap() {
-        let mut p = IterationProfile::new();
-        p.record(100);
-        assert_eq!(p.windows(), 1);
-        assert_eq!(p.total_iterations(), ITER_CAP as u64);
-        assert_eq!(IterationProfile::new().mean(), 0.0);
     }
 
     #[test]

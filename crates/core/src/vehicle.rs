@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use crate::runtime::{IterationProfile, RuntimeSystem, ITER_CAP};
+use crate::runtime::{RuntimeSystem, ITER_CAP};
 use archytas_baselines::CpuPlatform;
 use archytas_dataset::{
     DegradationCause, Frame, HealthState, PipelineConfig, SequenceData, VioPipeline,
@@ -177,10 +177,6 @@ pub struct RunSummary {
     pub rmse_m: f64,
     /// Mean per-window relative error.
     pub mean_relative_error: f64,
-    /// Per-budget window counts (index = iteration budget): the runtime
-    /// profiler's view of the run, also populated on static-accelerator
-    /// and CPU runs from each window's fixed budget.
-    pub iteration_profile: IterationProfile,
 }
 
 impl RunSummary {
@@ -193,9 +189,14 @@ impl RunSummary {
         }
     }
 
-    /// Mean NLS iterations per window.
+    /// Mean NLS iterations per window (0 when no window closed).
     pub fn mean_iterations(&self) -> f64 {
-        self.iteration_profile.mean()
+        if self.windows.is_empty() {
+            0.0
+        } else {
+            let total: usize = self.windows.iter().map(|w| w.iterations).sum();
+            total as f64 / self.windows.len() as f64
+        }
     }
 
     /// Mean power over the run (W).
@@ -239,7 +240,6 @@ pub fn run_sequence(data: &SequenceData, executor: Executor) -> RunSummary {
     let mut metrics = TrajectoryMetrics::new();
     let mut total_time = 0.0;
     let mut total_energy = 0.0;
-    let mut profile = IterationProfile::new();
 
     for frame in &data.frames {
         if !vehicle.push_frame(frame) {
@@ -248,7 +248,6 @@ pub fn run_sequence(data: &SequenceData, executor: Executor) -> RunSummary {
         let w = vehicle.close_window(&mut workspace);
         total_time += w.latency_ms;
         total_energy += w.energy_mj;
-        profile.record(w.iterations);
         metrics.record(&w.estimate, &w.ground_truth, w.relative_error);
         windows.push(w);
     }
@@ -260,7 +259,6 @@ pub fn run_sequence(data: &SequenceData, executor: Executor) -> RunSummary {
         total_energy_mj: total_energy,
         rmse_m: metrics.rmse(),
         mean_relative_error: metrics.mean_relative_error(),
-        iteration_profile: profile,
     }
 }
 
@@ -359,16 +357,27 @@ mod tests {
     #[test]
     fn summary_iterations_match_window_records() {
         let data = short_sequence();
-        for dynamic in [false, true] {
-            let summary = run_sequence(&data, accel_executor(dynamic));
+        let cpu = Executor::Cpu {
+            platform: CpuPlatform::intel_comet_lake(),
+            iterations: ITER_CAP,
+        };
+        for executor in [accel_executor(false), accel_executor(true), cpu] {
+            let summary = run_sequence(&data, executor);
+            assert!(!summary.windows.is_empty());
             let from_windows: u64 = summary.windows.iter().map(|w| w.iterations as u64).sum();
-            assert_eq!(summary.iteration_profile.total_iterations(), from_windows);
-            assert_eq!(
-                summary.iteration_profile.windows(),
-                summary.windows.len() as u64
-            );
+            let expected = from_windows as f64 / summary.windows.len() as f64;
+            assert_eq!(summary.mean_iterations().to_bits(), expected.to_bits());
             assert!(summary.mean_iterations() >= 1.0);
             assert!(summary.mean_iterations() <= ITER_CAP as f64);
         }
+        let empty = RunSummary {
+            sequence: String::new(),
+            windows: Vec::new(),
+            total_time_ms: 0.0,
+            total_energy_mj: 0.0,
+            rmse_m: 0.0,
+            mean_relative_error: 0.0,
+        };
+        assert_eq!(empty.mean_iterations(), 0.0);
     }
 }

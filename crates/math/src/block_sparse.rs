@@ -46,10 +46,10 @@
 //! # Damping without clones
 //!
 //! [`BlockSparseSystem::damp`] applies the Marquardt diagonal scaling
-//! `A + λ·diag(A)` in place: the first call snapshots the undamped diagonal,
-//! and every call (including re-damps at a higher λ after a rejected step)
-//! rewrites the diagonal from that snapshot. [`BlockSparseSystem::undamp`]
-//! restores it. No full-matrix copy is ever taken.
+//! `A + λ·diag(A)` in place: the first call after an assembly snapshots the
+//! undamped diagonal, and every call (including re-damps at a higher λ after
+//! a rejected step) rewrites the diagonal from that snapshot. No full-matrix
+//! copy is ever taken.
 
 use crate::cholesky::Cholesky;
 use crate::error::{MathError, Result};
@@ -95,13 +95,6 @@ pub struct BlockSparseSystem<T: Scalar> {
     saved_u: Vec<T>,
     saved_v: Vec<T>,
     damp_saved: bool,
-    /// Memo of the last `W` block located by [`add_w`]: `(lm, b0, pos)`.
-    /// Scatter writes arrive in per-block runs (a visual row touches up to
-    /// `kb` consecutive rows of one block), so this absorbs most lookups.
-    /// Refreshed on every call, so it can never go stale across inserts.
-    ///
-    /// [`add_w`]: BlockSparseSystem::add_w
-    w_memo: (usize, u32, usize),
 }
 
 impl<T: Scalar> Default for BlockSparseSystem<T> {
@@ -127,7 +120,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
             saved_u: Vec::new(),
             saved_v: Vec::new(),
             damp_saved: false,
-            w_memo: (usize::MAX, 0, 0),
         }
     }
 
@@ -170,7 +162,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
         self.by.clear();
         self.by.resize(q, T::ZERO);
         self.damp_saved = false;
-        self.w_memo = (usize::MAX, 0, 0);
     }
 
     /// Size of the diagonal (eliminated) block.
@@ -186,17 +177,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// Full system dimension `p + q`.
     pub fn dim(&self) -> usize {
         self.p + self.q
-    }
-
-    /// Number of `W` blocks currently stored.
-    pub fn nnz_blocks(&self) -> usize {
-        self.w_rows[..self.p].iter().map(Vec::len).sum()
-    }
-
-    /// Scalars stored for the matrix (`U` diagonal + `W` blocks + dense `V`),
-    /// versus the `(p + q)²` a dense assembly would hold.
-    pub fn stored_entries(&self) -> usize {
-        self.p + self.nnz_blocks() * self.kb + self.q * self.q
     }
 
     /// Adds `val` to the diagonal `U` entry of landmark `j`.
@@ -219,29 +199,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// `-0.0` leaves its bit pattern alone.
     pub fn add_v_row(&mut self, r: usize, c0: usize, vals: &[T], scale: T) {
         kernels::add_scaled_skip(&mut self.v.row_mut(r)[c0..c0 + vals.len()], vals, scale);
-    }
-
-    /// Fused pair form of [`BlockSparseSystem::add_v_row`]: applies
-    /// `scale0·vals0` then `scale1·vals1` at the same `(r, c0)` run in one
-    /// traversal. Per cell the contribution order matches two sequential
-    /// `add_v_row` calls bit for bit (see [`kernels::add_scaled_skip2`]).
-    pub fn add_v_row2(
-        &mut self,
-        r: usize,
-        c0: usize,
-        vals0: &[T],
-        scale0: T,
-        vals1: &[T],
-        scale1: T,
-    ) {
-        debug_assert_eq!(vals0.len(), vals1.len());
-        kernels::add_scaled_skip2(
-            &mut self.v.row_mut(r)[c0..c0 + vals0.len()],
-            vals0,
-            scale0,
-            vals1,
-            scale1,
-        );
     }
 
     /// Fused many-row form of [`BlockSparseSystem::add_v_row`]: applies every
@@ -282,66 +239,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
         *self.w_entry_mut(lm, r) += val;
     }
 
-    /// Adds `scale·vals[t]` to `W[r0 + t][lm]` for each nonzero `vals[t]`,
-    /// resolving the enclosing block once for the whole run (the run form of
-    /// [`BlockSparseSystem::add_w`], with the zero-skip semantics of
-    /// [`BlockSparseSystem::add_v_row`]).
-    ///
-    /// The run must stay inside the leading `kb` rows of one
-    /// `stride`-aligned block — an assembler invariant, checked in debug
-    /// builds only (this is the per-observation hot path).
-    pub fn add_w_run(&mut self, lm: usize, r0: usize, vals: &[T], scale: T) {
-        if vals.is_empty() {
-            return;
-        }
-        let b0 = r0 - r0 % self.stride;
-        let local = r0 - b0;
-        debug_assert!(
-            local + vals.len() <= self.kb,
-            "w run {r0}..{} leaves the {}-high block starting at {b0}",
-            r0 + vals.len(),
-            self.kb
-        );
-        let pos = self.w_block_pos(lm, b0);
-        let at = pos * self.kb + local;
-        kernels::add_scaled_skip(&mut self.w_vals[lm][at..at + vals.len()], vals, scale);
-    }
-
-    /// Fused pair form of [`BlockSparseSystem::add_w_run`]: one block lookup
-    /// and one traversal for two scaled source rows at the same `(lm, r0)`
-    /// run, bit-identical to two sequential `add_w_run` calls.
-    pub fn add_w_run2(
-        &mut self,
-        lm: usize,
-        r0: usize,
-        vals0: &[T],
-        scale0: T,
-        vals1: &[T],
-        scale1: T,
-    ) {
-        debug_assert_eq!(vals0.len(), vals1.len());
-        if vals0.is_empty() {
-            return;
-        }
-        let b0 = r0 - r0 % self.stride;
-        let local = r0 - b0;
-        debug_assert!(
-            local + vals0.len() <= self.kb,
-            "w run {r0}..{} leaves the {}-high block starting at {b0}",
-            r0 + vals0.len(),
-            self.kb
-        );
-        let pos = self.w_block_pos(lm, b0);
-        let at = pos * self.kb + local;
-        kernels::add_scaled_skip2(
-            &mut self.w_vals[lm][at..at + vals0.len()],
-            vals0,
-            scale0,
-            vals1,
-            scale1,
-        );
-    }
-
     /// Fused whole-observation scatter of one visual factor in the SLAM
     /// layout: landmark `lm`'s rank-2 contribution through its two residual
     /// rows, touching the `U` diagonal, `bx`, two 6-high `W` runs (pose rows
@@ -350,14 +247,14 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// `jr` holds the two rows' inverse-depth Jacobians, `f`/`s` their
     /// 6-wide pose-tangent runs, `e` the residuals and `w2` the shared
     /// squared weight. Bit-identical to the per-source-column scatter
-    /// through the single-run writers ([`BlockSparseSystem::add_u`],
-    /// [`BlockSparseSystem::add_w_run2`], [`BlockSparseSystem::add_v_row2`]
-    /// and their one-row forms): every destination cell receives the same
-    /// guarded multiply-adds in the same row-0-then-row-1 order, including
-    /// the single-row fallbacks where one residual row's Jacobian is zero at
-    /// a source column. What changes is only the plumbing — the `V` row is
-    /// resolved once per source column instead of once per write, and the
-    /// always-6-wide cross runs go straight to the unrolled kernels.
+    /// through the single-entry writers ([`BlockSparseSystem::add_u`],
+    /// [`BlockSparseSystem::add_w`], [`BlockSparseSystem::add_v_row`]):
+    /// every destination cell receives the same guarded multiply-adds in the
+    /// same row-0-then-row-1 order, including the single-row fallbacks where
+    /// one residual row's Jacobian is zero at a source column. What changes
+    /// is only the plumbing — each `W` block and `V` row is resolved once
+    /// instead of once per write, and every run goes straight to the
+    /// unrolled kernels.
     ///
     /// # Panics
     ///
@@ -389,9 +286,8 @@ impl<T: Scalar> BlockSparseSystem<T> {
                 self.bx[lm] -= wv1 * e[1];
             }
             // Pose runs start at keyframe offsets, i.e. block starts — no
-            // `% stride` round-down needed. Resolving `rf` before `rs`
-            // matches the sequential `add_w_run*` lookups (and `rs > rf`
-            // keeps the first position valid across a second-block insert).
+            // `% stride` round-down needed. `rs > rf` keeps the first
+            // position valid across a second-block insert.
             debug_assert_eq!(rf % self.stride, 0);
             debug_assert_eq!(rs % self.stride, 0);
             let pf = 6 * self.w_block_pos(lm, rf);
@@ -523,14 +419,10 @@ impl<T: Scalar> BlockSparseSystem<T> {
     }
 
     /// Index of the block starting at pose row `b0` in landmark `lm`'s block
-    /// list, inserting a zeroed block on first touch. Memoizes the last
-    /// lookup — the assembler writes each block as a burst of entries.
+    /// list, inserting a zeroed block on first touch.
     fn w_block_pos(&mut self, lm: usize, b0: usize) -> usize {
-        if self.w_memo.0 == lm && self.w_memo.1 == b0 as u32 {
-            return self.w_memo.2;
-        }
         let rows = &mut self.w_rows[lm];
-        let pos = match rows.binary_search(&(b0 as u32)) {
+        match rows.binary_search(&(b0 as u32)) {
             Ok(pos) => pos,
             Err(pos) => {
                 rows.insert(pos, b0 as u32);
@@ -538,9 +430,7 @@ impl<T: Scalar> BlockSparseSystem<T> {
                 self.w_vals[lm].splice(at..at, std::iter::repeat_n(T::ZERO, self.kb));
                 pos
             }
-        };
-        self.w_memo = (lm, b0 as u32, pos);
-        pos
+        }
     }
 
     /// Applies Marquardt damping `A + λ·diag(A)` (with `floor` as the minimum
@@ -566,19 +456,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
             let d = if s > floor { s } else { floor };
             self.v.set(i, i, s + lambda * d);
         }
-    }
-
-    /// Restores the undamped diagonal captured by the first
-    /// [`BlockSparseSystem::damp`]; a no-op when no damping is active.
-    pub fn undamp(&mut self) {
-        if !self.damp_saved {
-            return;
-        }
-        self.u.copy_from_slice(&self.saved_u);
-        for (i, &s) in self.saved_v.iter().enumerate() {
-            self.v.set(i, i, s);
-        }
-        self.damp_saved = false;
     }
 
     /// Solves the system by D-type Schur elimination into `out`
@@ -800,7 +677,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
         out.by.clear();
         out.by.extend(self.by.iter().map(cast));
         out.damp_saved = false;
-        out.w_memo = (usize::MAX, 0, 0);
     }
 
     /// Writes the dense `(A, b)` this system represents (symmetric, with
@@ -966,7 +842,7 @@ mod tests {
     }
 
     #[test]
-    fn damp_matches_dense_damping_and_undamp_restores() {
+    fn damp_matches_dense_damping() {
         let mut s = build();
         let (a0, _) = dense(&s);
         s.damp(1e-3, 1e-9);
@@ -983,11 +859,6 @@ mod tests {
                     assert_eq!(ad.get(i, j), a0.get(i, j));
                 }
             }
-        }
-        s.undamp();
-        let (ar, _) = dense(&s);
-        for i in 0..s.dim() {
-            assert_eq!(ar.get(i, i), a0.get(i, i));
         }
     }
 
@@ -1018,13 +889,6 @@ mod tests {
             s.solve_into(&mut SchurScratch::default(), &mut Vector::zeros(0)),
             Err(MathError::SingularDiagonal { index: 1 })
         ));
-    }
-
-    #[test]
-    fn storage_is_sparse() {
-        let s = build();
-        assert_eq!(s.nnz_blocks(), 4);
-        assert!(s.stored_entries() < s.dim() * s.dim());
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! The factorization is written in the Evaluate/Update formulation the
 //! Archytas hardware template uses (paper Sec. 4.3, Fig. 8): iteration `i`
 //! first *evaluates* column `i` of `L` and then *updates* the trailing
-//! `(n−i−1)²/2` sub-matrix. The hardware crate reuses this exact structure to
-//! count per-phase operations, so the software factorization and the cycle
-//! model cannot drift apart.
+//! `(n−i−1)²/2` sub-matrix.
 
 use crate::error::{MathError, Result};
 use crate::fixed;
@@ -39,23 +37,6 @@ pub struct Cholesky<T: Scalar> {
     work: Matrix<T>,
 }
 
-/// Operation counts of one factorization, split by the hardware template's
-/// two pipeline phases.
-///
-/// At iteration `i` of an `m × m` factorization the Evaluate phase performs
-/// `m − i` operations (one square root plus divisions) and the Update phase
-/// performs `(m − i − 1)(m − i)/2` multiply-subtract operations; these counts
-/// feed the latency model of the Cholesky hardware block (paper Eq. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CholeskyOpCounts {
-    /// Total Evaluate-phase operations across all iterations.
-    pub evaluate_ops: usize,
-    /// Total Update-phase operations across all iterations.
-    pub update_ops: usize,
-    /// Number of Evaluate/Update iterations (the matrix dimension).
-    pub iterations: usize,
-}
-
 impl<T: Scalar> Default for Cholesky<T> {
     /// An empty (0-dimensional) factorization, as a reusable-buffer seed for
     /// [`Cholesky::refactor`].
@@ -83,31 +64,14 @@ impl<T: Scalar> Cholesky<T> {
                 rhs: a.shape(),
             });
         }
-        let (l, _) = Self::factor_counting(a)?;
-        Ok(l)
-    }
-
-    /// Factors `a` and reports the per-phase operation counts used by the
-    /// hardware latency model.
-    ///
-    /// The Evaluate phase is inherently sequential (each pivot depends on all
-    /// previous updates); the Update phase's trailing rows are mutually
-    /// independent — the property the hardware template's parallel Update
-    /// lanes exploit (paper Fig. 8). `CholeskyOpCounts` carries the exact
-    /// closed form `(n−k−1)(n−k)/2` per Update iteration.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cholesky::factor`].
-    pub fn factor_counting(a: &Matrix<T>) -> Result<(Self, CholeskyOpCounts)> {
         let mut fact = Self::default();
-        let counts = fact.refactor(a)?;
-        Ok((fact, counts))
+        fact.refactor(a)?;
+        Ok(fact)
     }
 
     /// Re-runs the factorization on `a`, reusing this value's buffers — no
     /// allocation when `a` has the shape of the previous factorization. The
-    /// arithmetic is identical to [`Cholesky::factor_counting`].
+    /// arithmetic is identical to [`Cholesky::factor`].
     ///
     /// On error the value is left in an unspecified (but safe) state; run
     /// another `refactor` before using it again.
@@ -115,7 +79,7 @@ impl<T: Scalar> Cholesky<T> {
     /// # Errors
     ///
     /// Same conditions as [`Cholesky::factor`].
-    pub fn refactor(&mut self, a: &Matrix<T>) -> Result<CholeskyOpCounts> {
+    pub fn refactor(&mut self, a: &Matrix<T>) -> Result<()> {
         let n = a.rows();
         // The trailing sub-matrix S_k is stored TRANSPOSED (see
         // `refactor_seeded`); seeding it from `a`'s rows reads the upper
@@ -144,7 +108,7 @@ impl<T: Scalar> Cholesky<T> {
     /// # Panics
     ///
     /// Panics when `prod` and `v` differ in shape.
-    pub fn refactor_diff(&mut self, v: &Matrix<T>, prod: &Matrix<T>) -> Result<CholeskyOpCounts> {
+    pub fn refactor_diff(&mut self, v: &Matrix<T>, prod: &Matrix<T>) -> Result<()> {
         if !v.is_square() {
             return Err(MathError::DimensionMismatch {
                 op: "cholesky",
@@ -169,7 +133,7 @@ impl<T: Scalar> Cholesky<T> {
     /// The shared factorization body: `self.work` holds the seeded work
     /// matrix (the input; only its upper triangle is read), `self.lt`
     /// receives the factor.
-    fn refactor_seeded(&mut self, n: usize) -> Result<CholeskyOpCounts> {
+    fn refactor_seeded(&mut self, n: usize) -> Result<()> {
         // The factor is accumulated as `Lᵀ` (row-major): the Evaluate phase
         // then writes column k of `L` into one contiguous row, and the Update
         // phase reads that same row sequentially — the strided column
@@ -181,10 +145,6 @@ impl<T: Scalar> Cholesky<T> {
         // the elements (i, j), i ≥ j, contiguously, so the Evaluate phase's
         // column read and the Update phase's row walks are all sequential.
         let work = &mut self.work;
-        let mut counts = CholeskyOpCounts {
-            iterations: n,
-            ..Default::default()
-        };
         // The factorization proceeds in column panels of width PANEL: each
         // panel is evaluated column by column (applying the panel's earlier
         // columns to each pivot row as it is reached), then the whole panel
@@ -216,7 +176,6 @@ impl<T: Scalar> Cholesky<T> {
                     return Err(MathError::NotPositiveDefinite { pivot: k });
                 }
                 let d = pivot.sqrt();
-                counts.evaluate_ops += n - k;
                 {
                     let wrow = work.row(k);
                     let col = self.lt.row_mut(k);
@@ -226,11 +185,6 @@ impl<T: Scalar> Cholesky<T> {
                         col[i] = wrow[i] / d;
                     }
                 }
-                // The per-iteration Update cost of the hardware model
-                // (paper Eq. 7) — the closed form the fused sweeps below
-                // sum to, kept per column so the counts cannot drift from
-                // the unblocked formulation.
-                counts.update_ops += (n - 1 - k) * (n - k) / 2;
             }
             // --- Update phase: S ← S − L_panel·L_panelᵀ on rows kend..n ---
             // Transposed row j of the trailing block only reads rows
@@ -264,7 +218,7 @@ impl<T: Scalar> Cholesky<T> {
             }
             k0 = kend;
         }
-        Ok(counts)
+        Ok(())
     }
 
     /// The transposed factor `Lᵀ` (upper triangular, zeros below the
@@ -376,20 +330,6 @@ mod tests {
             Cholesky::factor(&a),
             Err(MathError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn op_counts_match_closed_form() {
-        // Paper Sec. 4.3: Evaluate at iteration i costs (n-i) ops; Update
-        // costs (n-i-1)(n-i)/2. Summing i = 0..n gives the totals below.
-        let n = 9;
-        let a = spd(n);
-        let (_, counts) = Cholesky::factor_counting(&a).unwrap();
-        let expected_eval: usize = (1..=n).sum();
-        let expected_update: usize = (0..n).map(|k| (n - k - 1) * (n - k) / 2).sum();
-        assert_eq!(counts.iterations, n);
-        assert_eq!(counts.evaluate_ops, expected_eval);
-        assert_eq!(counts.update_ops, expected_update);
     }
 
     #[test]

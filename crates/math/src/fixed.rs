@@ -4,11 +4,11 @@
 //! structure — `stride = 15` state columns, `kb = 6` pose-tangent rows per
 //! `W` block, scalar inverse-depth landmarks — and Archytas's synthesized
 //! accelerators win precisely by specializing datapaths to those widths
-//! (paper Sec. 4–5). This module is the software analogue: [`Vec`] and
-//! [`Mat`] wrap `[F; N]` / `[[F; N]; M]` behind `#[repr(transparent)]` so a
-//! slice of a larger row can be reinterpreted as a fixed-width block in
-//! place, and every kernel below runs over compile-time trip counts that
-//! LLVM fully unrolls and autovectorizes.
+//! (paper Sec. 4–5). This module is the software analogue: [`Vec`] wraps
+//! `[F; N]` behind `#[repr(transparent)]` so a slice of a larger row can be
+//! reinterpreted as a fixed-width block in place, and every kernel below
+//! runs over compile-time trip counts that LLVM fully unrolls and
+//! autovectorizes.
 //!
 //! # Bit-identity rules
 //!
@@ -44,13 +44,6 @@ use crate::scalar::Scalar;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vec<F, const N: usize>(pub [F; N]);
 
-/// Fixed-shape matrix: `M` rows of `N` elements, row-major, contiguous.
-/// `#[repr(transparent)]` over `[[F; N]; M]`, so an `M·N`-long slice (or a
-/// nested array such as a Jacobian block) reinterprets in place.
-#[repr(transparent)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mat<F, const M: usize, const N: usize>(pub [[F; N]; M]);
-
 impl<F: Scalar, const N: usize> Vec<F, N> {
     /// Reinterprets the first `N` elements of `s` as a fixed-width vector.
     ///
@@ -74,12 +67,6 @@ impl<F: Scalar, const N: usize> Vec<F, N> {
         let arr: &mut [F; N] = (&mut s[..N]).try_into().unwrap();
         // SAFETY: repr(transparent) over [F; N].
         unsafe { &mut *(arr as *mut [F; N] as *mut Self) }
-    }
-
-    /// The elements as a plain slice.
-    #[inline(always)]
-    pub fn as_slice(&self) -> &[F] {
-        &self.0
     }
 
     /// `self[i] += s * src[i]` — [`crate::kernels::add_scaled`] at width `N`.
@@ -113,8 +100,9 @@ impl<F: Scalar, const N: usize> Vec<F, N> {
         }
     }
 
-    /// Branchless fixed-width [`crate::kernels::add_scaled_skip2`]: row 0's
-    /// guarded multiply-add then row 1's, per element, in one traversal.
+    /// Fused pair form of [`Vec::axpy_skip`]: row 0's guarded multiply-add
+    /// then row 1's, per element, in one traversal — bit-identical to two
+    /// sequential [`crate::kernels::add_scaled_skip`] calls.
     #[inline(always)]
     pub fn axpy_skip2(&mut self, src0: &Self, s0: F, src1: &Self, s1: F) {
         for i in 0..N {
@@ -170,28 +158,6 @@ impl<F: Scalar, const N: usize> Vec<F, N> {
             }
         }
         self.0 = acc;
-    }
-}
-
-impl<F: Scalar, const M: usize, const N: usize> Mat<F, M, N> {
-    /// Reinterprets the first `M·N` elements of `s` as an `M × N` row-major
-    /// block (rows must be contiguous, i.e. pitch `N`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `s.len() < M * N`.
-    #[inline(always)]
-    pub fn from_slice(s: &[F]) -> &Self {
-        assert!(s.len() >= M * N);
-        // SAFETY: [[F; N]; M] is M·N contiguous Fs; repr(transparent).
-        unsafe { &*(s.as_ptr() as *const Self) }
-    }
-
-    /// Row `i` as a fixed-width vector.
-    #[inline(always)]
-    pub fn row(&self, i: usize) -> &Vec<F, N> {
-        // SAFETY: repr(transparent) over [F; N].
-        unsafe { &*(&self.0[i] as *const [F; N] as *const Vec<F, N>) }
     }
 }
 
@@ -255,8 +221,8 @@ pub fn add_scaled_panel<F: Scalar, const K: usize>(dst: &mut [F], srcs: &[&[F]; 
     }
 }
 
-/// Fused rank-`K` trailing-update kernel — [`crate::kernels::sub_scaled4`]
-/// generalized to a const panel width, for the blocked Cholesky.
+/// Fused rank-`K` trailing-update kernel of the blocked Cholesky: `K`
+/// [`crate::kernels::sub_scaled`] calls in one traversal.
 ///
 /// Per element the `K` subtractions happen sequentially in slice order
 /// (`w −= srcs[0]·a[0]`, then `srcs[1]·a[1]`, …), each with its own rounding
@@ -401,7 +367,8 @@ mod tests {
         let s1 = vals(15, 5);
         let mut a = vals(15, 11);
         let mut b = a.clone();
-        kernels::add_scaled_skip2(&mut a, &s0, 0.7, &s1, -0.2);
+        kernels::add_scaled_skip(&mut a, &s0, 0.7);
+        kernels::add_scaled_skip(&mut a, &s1, -0.2);
         Vec::<f64, 15>::from_mut_slice(&mut b).axpy_skip2(
             Vec::from_slice(&s0),
             0.7,
@@ -442,7 +409,8 @@ mod tests {
             }
             let prow = &mut a[t * pitch..(t + 1) * pitch];
             for (bj, &c0) in cols.iter().enumerate() {
-                kernels::add_scaled_fixed::<f64, 6>(&mut prow[c0 as usize..], &vals_[bj * 6..], st);
+                let c0 = c0 as usize;
+                kernels::add_scaled(&mut prow[c0..c0 + 6], &vals_[bj * 6..], st);
             }
         }
         syrk_scatter::<f64, 6>(&mut b, pitch, &s, &cols, &vals_);
@@ -461,13 +429,5 @@ mod tests {
             kernels::sub_scaled(&mut seq, &srcs[k], a[k]);
         }
         assert_bits(&fused, &seq);
-    }
-
-    #[test]
-    fn mat_view_rows() {
-        let s = vals(12, 2);
-        let m = Mat::<f64, 2, 6>::from_slice(&s);
-        assert_eq!(m.row(0).as_slice(), &s[..6]);
-        assert_eq!(m.row(1).as_slice(), &s[6..12]);
     }
 }

@@ -89,21 +89,6 @@ pub fn add_scaled_rows<'a, T: Scalar + 'a>(
     }
 }
 
-/// [`add_scaled`] with a compile-time length, for fully unrolled fixed-size
-/// block runs (`N = 6` is the `W` block height of the sliding window).
-///
-/// # Panics
-///
-/// Panics when either slice is shorter than `N`.
-#[inline]
-pub fn add_scaled_fixed<T: Scalar, const N: usize>(dst: &mut [T], src: &[T], s: T) {
-    let dst: &mut [T; N] = (&mut dst[..N]).try_into().unwrap();
-    let src: &[T; N] = (&src[..N]).try_into().unwrap();
-    for i in 0..N {
-        dst[i] += s * src[i];
-    }
-}
-
 /// `dst[i] += s * src[i]` for every element with `src[i] != 0` — the
 /// contiguous-run scatter write of the normal-equation assemblers.
 #[inline(always)]
@@ -117,45 +102,6 @@ pub fn add_scaled_skip<T: Scalar>(dst: &mut [T], src: &[T], s: T) {
                 let v = src[i];
                 let cand = dst[i] + s * v;
                 dst[i] = if v != T::ZERO { cand } else { dst[i] };
-            }
-        }
-    }
-}
-
-/// Fused pair form of [`add_scaled_skip`]: applies source row 0 then source
-/// row 1 to each element in one traversal.
-///
-/// Per element the operation sequence — row 0's guarded multiply-add, then
-/// row 1's — is exactly that of two sequential [`add_scaled_skip`] calls, so
-/// the result is bit-identical while the destination is walked (and its
-/// bounds checked) once instead of twice.
-#[inline(always)]
-pub fn add_scaled_skip2<T: Scalar>(dst: &mut [T], src0: &[T], s0: T, src1: &[T], s1: T) {
-    match dst.len() {
-        6 => fixed::Vec::<T, 6>::from_mut_slice(dst).axpy_skip2(
-            fixed::Vec::from_slice(src0),
-            s0,
-            fixed::Vec::from_slice(src1),
-            s1,
-        ),
-        15 => fixed::Vec::<T, 15>::from_mut_slice(dst).axpy_skip2(
-            fixed::Vec::from_slice(src0),
-            s0,
-            fixed::Vec::from_slice(src1),
-            s1,
-        ),
-        n => {
-            let src0 = &src0[..n];
-            let src1 = &src1[..n];
-            for i in 0..n {
-                let mut acc = dst[i];
-                let v0 = src0[i];
-                let c0 = acc + s0 * v0;
-                acc = if v0 != T::ZERO { c0 } else { acc };
-                let v1 = src1[i];
-                let c1 = acc + s1 * v1;
-                acc = if v1 != T::ZERO { c1 } else { acc };
-                dst[i] = acc;
             }
         }
     }
@@ -199,42 +145,6 @@ pub fn sub_scaled<T: Scalar>(dst: &mut [T], src: &[T], a: T) {
     }
 }
 
-/// Fused rank-4 form of [`sub_scaled`]: subtracts four scaled source rows
-/// from `dst` in one traversal, in argument order.
-///
-/// Per element the four subtractions happen sequentially (`w −= src0·a0`,
-/// then `src1·a1`, …) — each with its own rounding, exactly as four
-/// [`sub_scaled`] calls would — so a blocked Cholesky trailing update built
-/// on this kernel is bit-identical to the unblocked column-at-a-time loop
-/// while touching the trailing row once per four columns.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn sub_scaled4<T: Scalar>(
-    dst: &mut [T],
-    src0: &[T],
-    a0: T,
-    src1: &[T],
-    a1: T,
-    src2: &[T],
-    a2: T,
-    src3: &[T],
-    a3: T,
-) {
-    let n = dst.len();
-    let src0 = &src0[..n];
-    let src1 = &src1[..n];
-    let src2 = &src2[..n];
-    let src3 = &src3[..n];
-    for i in 0..n {
-        let mut w = dst[i];
-        w -= src0[i] * a0;
-        w -= src1[i] * a1;
-        w -= src2[i] * a2;
-        w -= src3[i] * a3;
-        dst[i] = w;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,30 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_fixed_matches_generic() {
-        let src = vals(6, 3);
-        let mut a = vals(6, 5);
-        let mut b = a.clone();
-        add_scaled(&mut a, &src, -0.3);
-        add_scaled_fixed::<f64, 6>(&mut b, &src, -0.3);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn skip2_matches_two_sequential_calls() {
-        let s0 = vals(29, 1);
-        let s1 = vals(29, 2);
-        let mut fused = vals(29, 9);
-        let mut seq = fused.clone();
-        add_scaled_skip2(&mut fused, &s0, 0.9, &s1, -1.1);
-        add_scaled_skip(&mut seq, &s0, 0.9);
-        add_scaled_skip(&mut seq, &s1, -1.1);
-        for (f, s) in fused.iter().zip(&seq) {
-            assert_eq!(f.to_bits(), s.to_bits());
-        }
-    }
-
-    #[test]
     fn skip_rows_matches_sequential_calls() {
         let srcs: Vec<Vec<f64>> = (0..15).map(|k| vals(15, 100 + k)).collect();
         let scales: Vec<f64> = (0..15).map(|k| 0.1 * k as f64 - 0.7).collect();
@@ -311,23 +197,6 @@ mod tests {
         }
         for (f, s) in fused.iter().zip(&seq) {
             assert_eq!(f.to_bits(), s.to_bits());
-        }
-    }
-
-    #[test]
-    fn sub_scaled4_matches_four_sequential_calls() {
-        let s: Vec<Vec<f64>> = (0..4).map(|k| vals(41, 50 + k)).collect();
-        let a = [0.3, -2.5, 1e-3, 7.0];
-        let mut fused = vals(41, 77);
-        let mut seq = fused.clone();
-        sub_scaled4(
-            &mut fused, &s[0], a[0], &s[1], a[1], &s[2], a[2], &s[3], a[3],
-        );
-        for k in 0..4 {
-            sub_scaled(&mut seq, &s[k], a[k]);
-        }
-        for (f, q) in fused.iter().zip(&seq) {
-            assert_eq!(f.to_bits(), q.to_bits());
         }
     }
 

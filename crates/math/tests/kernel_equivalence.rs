@@ -9,8 +9,7 @@
 
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
 use archytas_math::kernels::{
-    add_scaled, add_scaled_fixed, add_scaled_rows, add_scaled_skip, add_scaled_skip2,
-    add_scaled_skip_rows, sub_scaled, sub_scaled4,
+    add_scaled, add_scaled_rows, add_scaled_skip, add_scaled_skip_rows, sub_scaled,
 };
 use archytas_math::{
     BlockSparseSystem, Cholesky, DMat, DVec, MathError, Matrix, Scalar, SchurScratch, Vector,
@@ -48,33 +47,6 @@ fn assert_bits_eq(actual: &[f64], expected: &[f64]) -> std::result::Result<(), T
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The unrolled fixed-width kernel is the generic one at N = 6.
-    #[test]
-    fn fixed6_matches_generic_bitwise(
-        (dst, src, s) in (6usize..=16).prop_flat_map(|n| (vals(n), vals(n), val()))
-    ) {
-        let mut fixed = dst.clone();
-        let mut generic = dst;
-        add_scaled_fixed::<f64, 6>(&mut fixed, &src, s);
-        add_scaled(&mut generic[..6], &src[..6], s);
-        assert_bits_eq(&fixed, &generic)?;
-    }
-
-    /// Fused two-row scatter == two sequential guarded scatters.
-    #[test]
-    fn skip2_matches_sequential_bitwise(
-        (dst, s0, s1, a0, a1) in (0usize..=40).prop_flat_map(|n| {
-            (vals(n), vals(n), vals(n), val(), val())
-        })
-    ) {
-        let mut fused = dst.clone();
-        let mut seq = dst;
-        add_scaled_skip2(&mut fused, &s0, a0, &s1, a1);
-        add_scaled_skip(&mut seq, &s0, a0);
-        add_scaled_skip(&mut seq, &s1, a1);
-        assert_bits_eq(&fused, &seq)?;
-    }
-
     /// Fused many-row scatter == sequential guarded scatters, in row order —
     /// every source row aliases the same destination element.
     #[test]
@@ -93,24 +65,6 @@ proptest! {
         add_scaled_skip_rows(&mut fused, &rows);
         for &(src, a) in &rows {
             add_scaled_skip(&mut seq, src, a);
-        }
-        assert_bits_eq(&fused, &seq)?;
-    }
-
-    /// Fused rank-4 trailing update == four sequential rank-1 updates.
-    #[test]
-    fn sub_scaled4_matches_sequential_bitwise(
-        (dst, srcs, a) in (0usize..=40).prop_flat_map(|n| {
-            (vals(n), proptest::collection::vec(vals(n), 4), vals(4usize))
-        })
-    ) {
-        let mut fused = dst.clone();
-        let mut seq = dst;
-        sub_scaled4(
-            &mut fused, &srcs[0], a[0], &srcs[1], a[1], &srcs[2], a[2], &srcs[3], a[3],
-        );
-        for k in 0..4 {
-            sub_scaled(&mut seq, &srcs[k], a[k]);
         }
         assert_bits_eq(&fused, &seq)?;
     }
@@ -349,21 +303,11 @@ fn unblocked_cholesky_lt(a: &DMat) -> DMat {
     lt
 }
 
-/// `factor_counting` equals the unblocked loop bitwise and reports the
-/// closed-form op counts of an `n x n` factorization: `n` iterations,
-/// `n(n+1)/2` column evaluations and `sum_k (n-k-1)(n-k)/2` trailing updates.
+/// `factor` equals the unblocked loop bitwise.
 fn assert_cholesky_matches_unblocked(a: &DMat) -> std::result::Result<(), TestCaseError> {
-    let n = a.rows();
     let reference = unblocked_cholesky_lt(a);
-    let (ch, counts) = Cholesky::factor_counting(a).unwrap();
-    assert_bits_eq(ch.lt().as_slice(), reference.as_slice())?;
-    prop_assert_eq!(counts.iterations, n);
-    prop_assert_eq!(counts.evaluate_ops, n * (n + 1) / 2);
-    prop_assert_eq!(
-        counts.update_ops,
-        (0..n).map(|k| (n - k - 1) * (n - k) / 2).sum::<usize>()
-    );
-    Ok(())
+    let ch = Cholesky::factor(a).unwrap();
+    assert_bits_eq(ch.lt().as_slice(), reference.as_slice())
 }
 
 #[test]
@@ -939,9 +883,10 @@ fn visual_obs_strategy(p: usize, nblocks: usize) -> impl Strategy<Value = Visual
 }
 
 /// The per-source-column scatter of one visual factor — the exact sequence
-/// of single-run writes that [`BlockSparseSystem::add_visual_obs6`] fuses:
-/// guarded `b` and diagonal updates per column in row-0-then-row-1 order,
-/// the `W` runs as the cross-block storage, upper-triangle `V` runs only.
+/// of guarded multiply-adds that [`BlockSparseSystem::add_visual_obs6`]
+/// fuses, replayed through the single-entry and single-row writers: `b` and
+/// diagonal updates per column in row-0-then-row-1 order, the `W` runs as
+/// the cross-block storage, upper-triangle `V` runs only.
 fn replay_visual_percolumn(sys: &mut BlockSparseSystem<f64>, o: &VisualObs) {
     let (e, w2) = (o.e, o.w2);
     // Source column 1: the inverse depth.
@@ -954,19 +899,23 @@ fn replay_visual_percolumn(sys: &mut BlockSparseSystem<f64>, o: &VisualObs) {
         if v1 != 0.0 {
             sys.sub_bx(o.lm, wv1 * e[1]);
         }
-        if v0 != 0.0 && v1 != 0.0 {
+        if v0 != 0.0 {
             sys.add_u(o.lm, wv0 * v0);
+        }
+        if v1 != 0.0 {
             sys.add_u(o.lm, wv1 * v1);
-            sys.add_w_run2(o.lm, o.rf, &o.f[0], wv0, &o.f[1], wv1);
-            sys.add_w_run2(o.lm, o.rs, &o.s[0], wv0, &o.s[1], wv1);
-        } else if v0 != 0.0 {
-            sys.add_u(o.lm, wv0 * v0);
-            sys.add_w_run(o.lm, o.rf, &o.f[0], wv0);
-            sys.add_w_run(o.lm, o.rs, &o.s[0], wv0);
-        } else {
-            sys.add_u(o.lm, wv1 * v1);
-            sys.add_w_run(o.lm, o.rf, &o.f[1], wv1);
-            sys.add_w_run(o.lm, o.rs, &o.s[1], wv1);
+        }
+        // One entry at a time, with the run kernels' zero-entry guard:
+        // row 0's contribution, then row 1's.
+        for (r0, run) in [(o.rf, &o.f), (o.rs, &o.s)] {
+            for (t, (&j0, &j1)) in run[0].iter().zip(&run[1]).enumerate() {
+                if v0 != 0.0 && j0 != 0.0 {
+                    sys.add_w(o.lm, r0 + t, wv0 * j0);
+                }
+                if v1 != 0.0 && j1 != 0.0 {
+                    sys.add_w(o.lm, r0 + t, wv1 * j1);
+                }
+            }
         }
     }
     // Source columns in the pose runs (first run carries the cross block).
@@ -984,19 +933,17 @@ fn replay_visual_percolumn(sys: &mut BlockSparseSystem<f64>, o: &VisualObs) {
             if v1 != 0.0 {
                 sys.sub_by(ri, wv1 * e[1]);
             }
-            if v0 != 0.0 && v1 != 0.0 {
-                sys.add_v_row2(ri, ri, &run[0][ti..], wv0, &run[1][ti..], wv1);
-                if cross {
-                    sys.add_v_row2(ri, o.rs, &o.s[0], wv0, &o.s[1], wv1);
-                }
-            } else if v0 != 0.0 {
+            if v0 != 0.0 {
                 sys.add_v_row(ri, ri, &run[0][ti..], wv0);
-                if cross {
+            }
+            if v1 != 0.0 {
+                sys.add_v_row(ri, ri, &run[1][ti..], wv1);
+            }
+            if cross {
+                if v0 != 0.0 {
                     sys.add_v_row(ri, o.rs, &o.s[0], wv0);
                 }
-            } else {
-                sys.add_v_row(ri, ri, &run[1][ti..], wv1);
-                if cross {
+                if v1 != 0.0 {
                     sys.add_v_row(ri, o.rs, &o.s[1], wv1);
                 }
             }
@@ -1009,9 +956,9 @@ proptest! {
 
     /// The fused whole-observation visual scatter equals the generic
     /// per-source-column scatter bitwise — across repeated observations per
-    /// landmark (so the memoized block lookup sees hits, misses and
-    /// mid-stream block inserts) and zero Jacobian entries (so every
-    /// single-row fallback runs).
+    /// landmark (so block lookups find existing blocks, insert new ones and
+    /// insert mid-stream) and zero Jacobian entries (so every single-row
+    /// fallback runs).
     #[test]
     fn fused_visual_scatter_matches_percolumn_bitwise(
         (p, nblocks, obs) in (1usize..=3, 2usize..=4).prop_flat_map(|(p, nblocks)| {

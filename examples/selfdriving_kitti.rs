@@ -85,25 +85,26 @@ fn main() {
         (accel_run.rmse_m - cpu_run.rmse_m).abs() * 100.0
     );
 
-    // Show the run-time knob at work: the runtime profiler's iteration
-    // histogram, with the modelled energy each budget bucket cost.
+    // Show the run-time knob at work: the per-window iteration histogram,
+    // with the modelled energy each budget bucket cost.
+    let mut windows_by_iter = [0usize; ITER_CAP + 1];
     let mut energy_by_iter = [0.0f64; ITER_CAP + 1];
     for w in &accel_run.windows {
-        energy_by_iter[w.iterations.min(ITER_CAP)] += w.energy_mj;
+        let i = w.iterations.min(ITER_CAP);
+        windows_by_iter[i] += 1;
+        energy_by_iter[i] += w.energy_mj;
     }
     println!(
         "\nper-window NLS iterations chosen by the run-time system \
          ({} total over {} windows):",
-        accel_run.iteration_profile.total_iterations(),
-        accel_run.iteration_profile.windows()
+        accel_run
+            .windows
+            .iter()
+            .map(|w| w.iterations)
+            .sum::<usize>(),
+        accel_run.windows.len()
     );
-    for (iter, &count) in accel_run
-        .iteration_profile
-        .counts()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| **c > 0)
-    {
+    for (iter, &count) in windows_by_iter.iter().enumerate().filter(|(_, c)| **c > 0) {
         println!(
             "  Iter = {iter}: {count} windows ({:.1} mJ)",
             energy_by_iter[iter]

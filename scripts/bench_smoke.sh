@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Quick benchmark smoke: formatting, lint and rustdoc gates, the standalone
-# benchmark's unit tests, then the synthesizer criterion bench in --quick
+# Quick benchmark smoke: formatting, lint and rustdoc gates, the workspace
+# tests, the standalone benchmark's unit tests, then the synthesizer criterion bench in --quick
 # mode at ARCHYTAS_THREADS=1 and =4 (its `nd` stripes fan out over the
 # pool) and the solver-iteration and
 # accelerator-simulation benches once (their kernels are serial). Every
@@ -42,6 +42,12 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "documenting (cargo doc)..." >&2
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace \
     --exclude criterion --exclude proptest --exclude rand
+
+# Test gate: the workspace tests hold the bitwise contracts (kernel and
+# block-vs-dense equivalence, fleet determinism, the frozen session digests,
+# zero allocation after warmup), so they run before any timing.
+echo "testing the workspace (cargo test, release)..." >&2
+cargo test -q --workspace --release
 
 # Benchmark compile gate: benchmark/ is a workspace of its own, so neither
 # gate above compiles it. Its unit tests include the catalog/BENCHMARK.json
