@@ -109,12 +109,6 @@ impl HealthMonitor {
         self.state
     }
 
-    /// `true` when fully nominal (the only state in which power gating and
-    /// landmark instantiation run unrestricted).
-    pub fn is_nominal(&self) -> bool {
-        self.state == HealthState::Nominal
-    }
-
     /// Cumulative number of windows that closed with a fault observed.
     pub fn degraded_windows(&self) -> usize {
         self.degraded_windows
@@ -306,28 +300,22 @@ impl VioPipeline {
         let suspect = self.health.is_suspect();
 
         let kf_index = self.window.num_keyframes();
-        let state = if kf_index == 0 {
+        if kf_index == 0 {
             // First keyframe: initialized from ground truth (plays the role
             // of the known initial condition every VIO system assumes).
-            frame.gt
+            self.window.keyframes.push(frame.gt);
         } else {
+            // One integration serves both the prediction and the factor.
             let last = self.window.keyframes[kf_index - 1];
-            let pre = Preintegration::integrate(&imu, last.bg, last.ba);
-            propagate(&last, &pre, frame.timestamp)
-        };
-        self.window.keyframes.push(state);
-        self.gt_window.push(frame.gt);
-
-        if kf_index > 0 {
+            let preintegration = Preintegration::integrate(&imu, last.bg, last.ba);
+            let state = propagate(&last, &preintegration, frame.timestamp);
+            self.window.keyframes.push(state);
             self.window.imu.push(ImuConstraint {
                 first: kf_index - 1,
-                preintegration: Preintegration::integrate(
-                    &imu,
-                    self.window.keyframes[kf_index - 1].bg,
-                    self.window.keyframes[kf_index - 1].ba,
-                ),
+                preintegration,
             });
         }
+        self.gt_window.push(frame.gt);
 
         // A stale frame contributes no measurements at all: its IMU interval
         // was real, its features are a replay.
@@ -745,7 +733,7 @@ mod tests {
     #[test]
     fn nominal_run_stays_nominal() {
         let (results, pipeline) = run_pipeline(4.0, 3);
-        assert!(pipeline.health().is_nominal());
+        assert_eq!(pipeline.health().state(), HealthState::Nominal);
         assert_eq!(pipeline.health().degraded_windows(), 0);
         assert!(results.iter().all(|r| r.health == HealthState::Nominal));
     }
@@ -902,12 +890,10 @@ mod tests {
             let dim = prior.dim();
             let hp = archytas_math::DMat::identity(dim).scale(-1e12);
             let lin = p.window.keyframes[..prior.num_keyframes()].to_vec();
-            p.prior = Some(Prior::from_information(
-                &hp,
-                &archytas_math::DVec::zeros(dim),
-                lin,
-                1e-9,
-            ));
+            p.prior = Some(
+                Prior::try_from_information(&hp, &archytas_math::DVec::zeros(dim), lin, 1e-9)
+                    .unwrap(),
+            );
         });
         let bad = &results[8];
         assert_eq!(
@@ -926,7 +912,7 @@ mod tests {
     #[test]
     fn health_ladder_hysteresis() {
         let mut m = HealthMonitor::default();
-        assert!(m.is_nominal());
+        assert_eq!(m.state(), HealthState::Nominal);
         m.note_event(DegradationCause::SensorFault);
         assert!(m.is_suspect());
         assert_eq!(m.end_window(false), Some(DegradationCause::SensorFault));

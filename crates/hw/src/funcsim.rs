@@ -8,10 +8,11 @@
 //! That is how the dynamic-optimization accuracy claims (Sec. 7.6) are
 //! checked. [`f32_linear_solver`] is the same datapath behind the dense
 //! callback of `solve_with_in_workspace`: it loads the dense image of the
-//! damped system into an f32 `BlockSparseSystem` and runs the same
-//! `solve_into`, so its increments are bit-identical to the served ones. It
-//! is kept for callers that time each linear solve and for the equivalence
-//! tests below.
+//! damped system into an f32 `BlockSparseSystem`, in the window's 6-high
+//! `W` block layout, and runs the same `solve_into` with the same
+//! fixed-width kernels, so its increments are bit-identical to the served
+//! ones. It is kept for callers that time each linear solve and for the
+//! equivalence tests below.
 
 use archytas_math::{BlockSparseSystem, DMat, DVec, FVec, SchurScratch};
 use std::cell::RefCell;
@@ -29,7 +30,8 @@ thread_local! {
 /// Solves the damped normal equations in the accelerator's single-precision
 /// datapath. Returns `None` when the f32 factorization fails, when the f32
 /// solution is not finite (the LM loop raises λ, exactly as on the FPGA), or
-/// when `a`, `b` and `num_landmarks` do not describe one square system.
+/// when `a`, `b` and `num_landmarks` do not describe one square system in
+/// the window layout (see `BlockSparseSystem::load_dense`).
 pub fn f32_linear_solver(a: &DMat, b: &DVec, num_landmarks: usize) -> Option<DVec> {
     F32_STAGE.with(|stage| {
         let (sys, scratch, x32) = &mut *stage.borrow_mut();
@@ -48,18 +50,25 @@ mod tests {
         build_block_normal_equations, schur_linear_solver, solve, solve_in_workspace,
         solve_with_in_workspace, DegradeReason, FactorWeights, KeyframeState, Landmark, LmConfig,
         Observation, Pose, Precision, Prior, Quat, SlidingWindow, SolveOutcome, SolveReport,
-        SolverWorkspace, Vec3, INITIAL_LAMBDA, LAMBDA_UP, MAX_RETRIES,
+        SolverWorkspace, Vec3, INITIAL_LAMBDA, LAMBDA_UP, MAX_RETRIES, STATE_DIM,
     };
 
-    fn spd_system(n: usize, landmarks: usize) -> (DMat, DVec) {
+    /// A dense SPD system in the window layout: `landmarks` inverse depths
+    /// and `keyframes` 15-dim states, each landmark coupled only to the
+    /// 6 pose-tangent rows of every keyframe slot.
+    fn spd_system(landmarks: usize, keyframes: usize) -> (DMat, DVec) {
+        let n = landmarks + STATE_DIM * keyframes;
         let b = DMat::from_fn(n, n, |i, j| ((i * 7 + j * 3) % 11) as f64 * 0.1);
         let mut a = b.gram().add_diagonal(n as f64);
-        // Diagonalize the landmark block, then restore positive definiteness
+        // Diagonalize the landmark block and clear the landmark columns
+        // outside the pose-tangent rows, then restore positive definiteness
         // by making the matrix strictly diagonally dominant.
         for i in 0..landmarks {
-            for j in 0..landmarks {
-                if i != j {
+            for j in 0..n {
+                let off_tangent = j >= landmarks && (j - landmarks) % STATE_DIM >= 6;
+                if i != j && (j < landmarks || off_tangent) {
                     a.set(i, j, 0.0);
+                    a.set(j, i, 0.0);
                 }
             }
         }
@@ -78,7 +87,7 @@ mod tests {
 
     #[test]
     fn f32_solution_close_to_f64() {
-        let (a, b) = spd_system(40, 25);
+        let (a, b) = spd_system(25, 1);
         let x64 = schur_linear_solver(&a, &b, 25).unwrap();
         let x32 = f32_linear_solver(&a, &b, 25).unwrap();
         let rel = (&x64 - &x32).norm() / x64.norm();
@@ -89,28 +98,32 @@ mod tests {
 
     #[test]
     fn f32_handles_no_landmarks() {
-        let (a, b) = spd_system(12, 0);
+        let (a, b) = spd_system(0, 1);
         let x = f32_linear_solver(&a, &b, 0).unwrap();
         assert!((&a.mat_vec(&x) - &b).norm() < 1e-2);
     }
 
     #[test]
     fn f32_reports_indefinite_systems() {
-        let mut a = DMat::identity(4);
+        let mut a = DMat::identity(STATE_DIM);
         a.set(2, 2, -1.0);
-        assert!(f32_linear_solver(&a, &DVec::zeros(4), 0).is_none());
+        let mut sys = BlockSparseSystem::<f32>::new();
+        // The layout loads; the factorization is what refuses it.
+        sys.load_dense(&a, &DVec::zeros(STATE_DIM), 0).unwrap();
+        assert!(f32_linear_solver(&a, &DVec::zeros(STATE_DIM), 0).is_none());
     }
 
     /// Both dense-callback solvers refuse inputs that are not one square
-    /// system split at `num_landmarks`, rather than panicking.
+    /// window-shaped system split at `num_landmarks`, rather than panicking.
     #[test]
     fn dense_callback_solvers_reject_malformed_input() {
-        let (a, b) = spd_system(12, 5);
-        let non_square = a.submatrix(0, 0, 12, 11);
-        let short_b: DVec = b.iter().take(11).copied().collect();
+        let (a, b) = spd_system(5, 1);
+        let non_square = a.submatrix(0, 0, 20, 19);
+        let short_b: DVec = b.iter().take(19).copied().collect();
         for solver in [f32_linear_solver, schur_linear_solver] {
             assert!(solver(&a, &b, 5).is_some());
-            assert!(solver(&a, &b, 13).is_none(), "more landmarks than rows");
+            assert!(solver(&a, &b, 21).is_none(), "more landmarks than rows");
+            assert!(solver(&a, &b, 6).is_none(), "pose rows not whole slots");
             assert!(solver(&non_square, &b, 5).is_none(), "non-square a");
             assert!(solver(&a, &short_b, 5).is_none(), "short b");
         }

@@ -2,17 +2,18 @@
 //!
 //! The window's normal equations are never dense (paper Fig. 3b): `U` is
 //! diagonal (one inverse depth per landmark), and each landmark's `W` column
-//! intersects only the few keyframes that observe it, in fixed-height blocks
-//! (the pose-tangent slots of each 15-dim keyframe state). A dense D-type
+//! intersects only the few keyframes that observe it, in 6-high blocks (the
+//! pose-tangent slots of each 15-dim keyframe state). A dense D-type
 //! Schur solve pays three O(n²)–O(n³) round-trips per solve that this
 //! structure avoids: partitioning copies every block, `W·U⁻¹·Wᵀ` runs through
 //! a dense product against a materialized transpose, and each retry of the LM
 //! damping loop re-clones the whole matrix.
 //!
 //! [`BlockSparseSystem`] stores exactly that structure — `U` as a diagonal
-//! vector, `W` as per-landmark block lists (block-CSR with a fixed block
-//! height `kb` and row pitch `stride`), `V` dense — and solves by Schur
-//! elimination directly on it, skipping the dense assembly entirely. The
+//! vector, `W` as per-landmark block lists (block-CSR with blocks
+//! [`W_BLOCK_ROWS`] high starting on multiples of [`W_BLOCK_PITCH`]), `V`
+//! dense — and solves by Schur elimination directly on it, skipping the
+//! dense assembly entirely. The
 //! upper-right block `X = Wᵀ` is implied by symmetry and never stored, the
 //! storage saving the paper notes for the diagonal-`U` blocking.
 //!
@@ -34,14 +35,19 @@
 //! where adding `+0.0` would flip its sign. The per-entry accumulation order
 //! matches because the block lists are kept sorted by row and iterated in
 //! ascending landmark order, exactly the `i-k-j` order of the dense
-//! `try_mul` kernel. Only the upper triangle of `W·U⁻¹·Wᵀ` is formed: the
-//! Cholesky reads `V − W·U⁻¹·Wᵀ` at column ≥ row only
-//! ([`Cholesky::refactor_diff`]), so the dense product's lower triangle
-//! never reaches the solve.
+//! `try_mul` kernel. Only the upper triangle of `W·U⁻¹·Wᵀ` (and the lower
+//! halves of its 6 × 6 diagonal blocks) is formed: the Cholesky reads
+//! `V − W·U⁻¹·Wᵀ` at column ≥ row only ([`Cholesky::refactor_diff`]), so the
+//! dense product's lower triangle never reaches the solve.
 //!
 //! [`BlockSparseSystem::load_dense`] is the inverse of `to_dense_into`: it
-//! lays a dense `(A, b)` out with one full-height `W` block per landmark, so
-//! a solver handed a dense matrix runs this same elimination.
+//! lays a dense `(A, b)` of the window's shape out in this same layout,
+//! storing a block wherever the dense `W` has a nonzero entry, so a solver
+//! handed a dense matrix runs the same fixed-width kernels. The only blocks
+//! it does not rebuild are all-`+0.0` ones, and dropping those is a no-op by
+//! the structural-zero argument above: their rows scale to zero and are
+//! skipped, and their `±0` products land on accumulators that start at
+//! `+0.0`.
 //!
 //! # Damping without clones
 //!
@@ -60,11 +66,20 @@ use crate::scalar::Scalar;
 use crate::vector::Vector;
 use archytas_par::counters::{self, Phase};
 
+/// Height of every `W` block: the pose-tangent slots (rotation and
+/// translation) of a keyframe state, the only pose rows a visual factor's
+/// landmark column touches.
+pub const W_BLOCK_ROWS: usize = 6;
+
+/// Row pitch of the `W` blocks: the 15-dim keyframe state, so keyframe `k`'s
+/// block starts at pose row `15·k`.
+pub const W_BLOCK_PITCH: usize = 15;
+
 /// Normal equations `[U Wᵀ; W V]·δp = [bx; by]` in block-sparse form.
 ///
 /// Dimensions: `U` is `p × p` diagonal, `V` is `q × q` dense, `W` is `q × p`
-/// with each landmark column holding a sorted list of `kb`-high blocks whose
-/// start rows are multiples of `stride` (the per-keyframe state pitch).
+/// with each landmark column holding a sorted list of [`W_BLOCK_ROWS`]-high
+/// blocks whose start rows are multiples of [`W_BLOCK_PITCH`].
 ///
 /// Build one with [`BlockSparseSystem::reset`] followed by the `add_*`
 /// scatter methods, then [`BlockSparseSystem::damp`] and
@@ -75,13 +90,11 @@ use archytas_par::counters::{self, Phase};
 pub struct BlockSparseSystem<T: Scalar> {
     p: usize,
     q: usize,
-    kb: usize,
-    stride: usize,
     /// Diagonal of `U` (one entry per landmark).
     u: Vec<T>,
     /// Per-landmark sorted block start rows (within the `q`-dim pose region).
     w_rows: Vec<Vec<u32>>,
-    /// Per-landmark block values, `kb` contiguous entries per block, in the
+    /// Per-landmark block values, 6 contiguous entries per block, in the
     /// same order as `w_rows`.
     w_vals: Vec<Vec<T>>,
     /// Dense keyframe block `V`.
@@ -109,8 +122,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
         Self {
             p: 0,
             q: 0,
-            kb: 1,
-            stride: 1,
             u: Vec::new(),
             w_rows: Vec::new(),
             w_vals: Vec::new(),
@@ -125,27 +136,16 @@ impl<T: Scalar> BlockSparseSystem<T> {
 
     /// Clears the system to an all-zero `p`/`q` shape, reusing allocations.
     ///
-    /// `kb` is the `W` block height and `stride` the row pitch blocks are
-    /// aligned to (`stride = 15`, `kb = 6` for the sliding window: visual
-    /// factors touch only the pose-tangent slots of each keyframe state).
-    ///
     /// # Panics
     ///
-    /// Panics when `kb` is zero or exceeds `stride`, or when `q` is not a
-    /// multiple of `stride`.
-    pub fn reset(&mut self, p: usize, q: usize, kb: usize, stride: usize) {
+    /// Panics when `q` is not a multiple of [`W_BLOCK_PITCH`].
+    pub fn reset(&mut self, p: usize, q: usize) {
         assert!(
-            kb >= 1 && kb <= stride,
-            "block height {kb} must be in 1..={stride}"
-        );
-        assert!(
-            q.is_multiple_of(stride),
-            "pose dimension {q} is not a multiple of the stride {stride}"
+            q.is_multiple_of(W_BLOCK_PITCH),
+            "pose dimension {q} is not a multiple of the keyframe pitch {W_BLOCK_PITCH}"
         );
         self.p = p;
         self.q = q;
-        self.kb = kb;
-        self.stride = stride;
         self.u.clear();
         self.u.resize(p, T::ZERO);
         if self.w_rows.len() < p {
@@ -232,11 +232,18 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// Adds `val` to `W[r][lm]` (`r` relative to the pose region), creating
     /// the enclosing block on first touch.
     ///
-    /// `r` must fall inside the leading `kb` rows of its `stride`-aligned
-    /// block — an assembler invariant, checked in debug builds only (this
-    /// is the per-observation hot path).
+    /// # Panics
+    ///
+    /// Panics when `r` falls outside the leading [`W_BLOCK_ROWS`] rows of its
+    /// keyframe slot.
     pub fn add_w(&mut self, lm: usize, r: usize, val: T) {
-        *self.w_entry_mut(lm, r) += val;
+        let local = r % W_BLOCK_PITCH;
+        assert!(
+            local < W_BLOCK_ROWS,
+            "w row {r} falls outside the {W_BLOCK_ROWS}-high block of its slot"
+        );
+        let pos = self.w_block_pos(lm, r - local);
+        self.w_vals[lm][pos * W_BLOCK_ROWS + local] += val;
     }
 
     /// Fused whole-observation scatter of one visual factor in the SLAM
@@ -255,10 +262,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// is only the plumbing — each `W` block and `V` row is resolved once
     /// instead of once per write, and every run goes straight to the
     /// unrolled kernels.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics unless `kb == 6` (callers dispatch on the layout).
     #[allow(clippy::too_many_arguments)]
     pub fn add_visual_obs6(
         &mut self,
@@ -271,7 +274,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
         e: [T; 2],
         w2: T,
     ) {
-        debug_assert_eq!(self.kb, 6, "fused visual scatter requires kb = 6");
         debug_assert!(rf < rs, "pose runs must arrive in ascending order");
         // Source column 1: the inverse depth. Primaries land on U and bx;
         // the mirrors of the pose cross terms are the W runs' only storage.
@@ -286,10 +288,10 @@ impl<T: Scalar> BlockSparseSystem<T> {
                 self.bx[lm] -= wv1 * e[1];
             }
             // Pose runs start at keyframe offsets, i.e. block starts — no
-            // `% stride` round-down needed. `rs > rf` keeps the first
-            // position valid across a second-block insert.
-            debug_assert_eq!(rf % self.stride, 0);
-            debug_assert_eq!(rs % self.stride, 0);
+            // round-down needed. `rs > rf` keeps the first position valid
+            // across a second-block insert.
+            debug_assert_eq!(rf % W_BLOCK_PITCH, 0);
+            debug_assert_eq!(rs % W_BLOCK_PITCH, 0);
             let pf = 6 * self.w_block_pos(lm, rf);
             let ps = 6 * self.w_block_pos(lm, rs);
             let wv = &mut self.w_vals[lm];
@@ -406,18 +408,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
         self.by[r] -= val;
     }
 
-    fn w_entry_mut(&mut self, lm: usize, r: usize) -> &mut T {
-        let b0 = r - r % self.stride;
-        let local = r - b0;
-        assert!(
-            local < self.kb,
-            "w row {r} falls outside the {}-high block starting at {b0}",
-            self.kb
-        );
-        let pos = self.w_block_pos(lm, b0);
-        &mut self.w_vals[lm][pos * self.kb + local]
-    }
-
     /// Index of the block starting at pose row `b0` in landmark `lm`'s block
     /// list, inserting a zeroed block on first touch.
     fn w_block_pos(&mut self, lm: usize, b0: usize) -> usize {
@@ -426,8 +416,8 @@ impl<T: Scalar> BlockSparseSystem<T> {
             Ok(pos) => pos,
             Err(pos) => {
                 rows.insert(pos, b0 as u32);
-                let at = pos * self.kb;
-                self.w_vals[lm].splice(at..at, std::iter::repeat_n(T::ZERO, self.kb));
+                let at = pos * W_BLOCK_ROWS;
+                self.w_vals[lm].splice(at..at, [T::ZERO; W_BLOCK_ROWS]);
                 pos
             }
         }
@@ -470,7 +460,7 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// not finite, and [`MathError::NotPositiveDefinite`] when the reduced
     /// system fails to factor (the LM loop responds by raising λ).
     pub fn solve_into(&self, scratch: &mut SchurScratch<T>, out: &mut Vector<T>) -> Result<()> {
-        let (p, q, kb) = (self.p, self.q, self.kb);
+        let (p, q) = (self.p, self.q);
         counters::time(Phase::SchurProduct, || self.schur_reduce(scratch))?;
         // The reduced system S = V − prod is factored straight from its two
         // operands — never materialized — with the identical per-element
@@ -497,21 +487,10 @@ impl<T: Scalar> BlockSparseSystem<T> {
                 let mut acc = T::ZERO;
                 let vals = &self.w_vals[lm];
                 for (bi, &r0) in self.w_rows[lm].iter().enumerate() {
-                    if kb == 6 {
-                        // Unrolled branchless fold; same serial accumulation
-                        // order and skip guard as the loop below.
-                        acc = fixed::Vec::<T, 6>::from_slice(&vals[bi * 6..])
-                            .dot_skip_fold(fixed::Vec::from_slice(&dy_s[r0 as usize..]), acc);
-                    } else {
-                        for t in 0..kb {
-                            let vi = dy_s[r0 as usize + t];
-                            // transpose_mat_vec's zero-row skip.
-                            if vi == T::ZERO {
-                                continue;
-                            }
-                            acc += vals[bi * kb + t] * vi;
-                        }
-                    }
+                    // Unrolled branchless fold: transpose_mat_vec's serial
+                    // accumulation order and zero-row skip.
+                    acc = fixed::Vec::<T, W_BLOCK_ROWS>::from_slice(&vals[bi * W_BLOCK_ROWS..])
+                        .dot_skip_fold(fixed::Vec::from_slice(&dy_s[r0 as usize..]), acc);
                 }
                 o[lm] = uinv[lm] * (self.bx[lm] - acc);
             }
@@ -528,18 +507,22 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// ([`Cholesky::refactor_diff`]).
     ///
     /// The elimination sweeps landmark-major: for each landmark, one rank-1
-    /// update of the block pattern with fused `kb`-wide row writes. Per
-    /// output cell, contributions arrive in ascending landmark order — the
-    /// dense kernel's `i-k-j` order restricted to the nonzero pattern — with
-    /// identical operands, so the result matches the dense path bit for bit.
+    /// update of the block pattern through the unrolled 6-high SYRK kernel
+    /// ([`fixed::syrk_scatter`]). Per output cell, contributions arrive in
+    /// ascending landmark order — the dense kernel's `i-k-j` order
+    /// restricted to the nonzero pattern — one multiply-add per landmark,
+    /// with identical operands (the `(w·u⁻¹)`-first row scale, zero rows
+    /// skipped like `try_mul`'s zero-multiplicand test), so the result
+    /// matches the dense path bit for bit.
     ///
     /// Only cells with column ≥ row are computed, because `refactor_diff`
     /// reads nothing else; the strict lower triangle of the product stays
-    /// zero, unread. Blocks start on multiples of `stride ≥ kb`, so a block
-    /// pair with `c0 > r0` lies wholly above the diagonal and one with
-    /// `c0 < r0` wholly below it; only the diagonal block pair is split.
+    /// zero, unread. Blocks start on multiples of 15 and are 6 high, so a
+    /// block pair with `c0 > r0` lies wholly above the diagonal; the kernel
+    /// gets the pairs `bj ≥ bi` (`rows` is sorted), and of the diagonal pair
+    /// it also writes the strict lower part, which nothing reads.
     fn schur_reduce(&self, scratch: &mut SchurScratch<T>) -> Result<()> {
-        let (p, q, kb) = (self.p, self.q, self.kb);
+        let (p, q) = (self.p, self.q);
         // U⁻¹: a zero or non-finite entry is singular.
         scratch.uinv.clear();
         for (i, &d) in self.u[..p].iter().enumerate() {
@@ -556,64 +539,24 @@ impl<T: Scalar> BlockSparseSystem<T> {
 
         scratch.prod.reset_zeros(q, q);
         scratch.rhs.resize_fill(q, T::ZERO);
-        // Landmark-major blocked SYRK: `s` is computed once per W row and
-        // every inner write is a fused kb-wide row run.
+        // Landmark-major blocked SYRK: the row scales are computed once per
+        // block row, and the kernel takes the block pairs `bj ≥ bi`.
         let prod_s = scratch.prod.as_mut_slice();
         for lm in 0..p {
             let rows = &self.w_rows[lm];
             let vals = &self.w_vals[lm];
             let ui = scratch.uinv[lm];
-            if kb == 6 {
-                // The sliding window's block height: the 6-high block-pair
-                // update runs through the unrolled fixed-width SYRK kernel,
-                // over the pairs `bj ≥ bi` (column block at or right of the
-                // row block; `rows` is sorted). Per destination cell one
-                // landmark contributes exactly one multiply-add, so the
-                // kernel's block-column-major loop order is bit-identical
-                // to the row-major fallback below (see
-                // `fixed::syrk_scatter`); the per-row scale is the same
-                // `(w·u⁻¹)`-first product, with zero rows skipped like the
-                // fallback's `continue`.
-                for (bi, &r0) in rows.iter().enumerate() {
-                    let r0 = r0 as usize;
-                    let s: [T; 6] = core::array::from_fn(|t| vals[bi * 6 + t] * ui);
-                    fixed::syrk_scatter::<T, 6>(
-                        &mut prod_s[r0 * q..(r0 + 6) * q],
-                        q,
-                        &s,
-                        &rows[bi..],
-                        &vals[bi * 6..],
-                    );
-                }
-            } else {
-                for (bi, &r0) in rows.iter().enumerate() {
-                    let r0 = r0 as usize;
-                    for t in 0..kb {
-                        // Same operand order as the dense path: (w·u⁻¹)
-                        // first, and the same skip as try_mul's
-                        // zero-multiplicand test.
-                        let s = vals[bi * kb + t] * ui;
-                        if s == T::ZERO {
-                            continue;
-                        }
-                        // Row r0 + t from its diagonal on: the rest of the
-                        // diagonal block, then every block to its right.
-                        let prow = &mut prod_s[(r0 + t) * q..(r0 + t + 1) * q];
-                        kernels::add_scaled(
-                            &mut prow[r0 + t..r0 + kb],
-                            &vals[bi * kb + t..(bi + 1) * kb],
-                            s,
-                        );
-                        for (bj, &c0) in rows.iter().enumerate().skip(bi + 1) {
-                            let c0 = c0 as usize;
-                            kernels::add_scaled(
-                                &mut prow[c0..c0 + kb],
-                                &vals[bj * kb..(bj + 1) * kb],
-                                s,
-                            );
-                        }
-                    }
-                }
+            for (bi, &r0) in rows.iter().enumerate() {
+                let r0 = r0 as usize;
+                let s: [T; W_BLOCK_ROWS] =
+                    core::array::from_fn(|t| vals[bi * W_BLOCK_ROWS + t] * ui);
+                fixed::syrk_scatter::<T, W_BLOCK_ROWS>(
+                    &mut prod_s[r0 * q..(r0 + W_BLOCK_ROWS) * q],
+                    q,
+                    &s,
+                    &rows[bi..],
+                    &vals[bi * W_BLOCK_ROWS..],
+                );
             }
         }
         // Reduced RHS by the same landmark-major sweep: racc[r] gathers its
@@ -626,16 +569,9 @@ impl<T: Scalar> BlockSparseSystem<T> {
             let s2 = scratch.s2[lm];
             let vals = &self.w_vals[lm];
             for (bi, &r0) in self.w_rows[lm].iter().enumerate() {
-                let r0 = r0 as usize;
-                if kb == 6 {
-                    // Unrolled, with the sweep's src-first operand order.
-                    fixed::Vec::<T, 6>::from_mut_slice(&mut scratch.racc[r0..])
-                        .axpy_src_s(fixed::Vec::from_slice(&vals[bi * 6..]), s2);
-                } else {
-                    for t in 0..kb {
-                        scratch.racc[r0 + t] += vals[bi * kb + t] * s2;
-                    }
-                }
+                // Unrolled, with the sweep's src-first operand order.
+                fixed::Vec::<T, W_BLOCK_ROWS>::from_mut_slice(&mut scratch.racc[r0 as usize..])
+                    .axpy_src_s(fixed::Vec::from_slice(&vals[bi * W_BLOCK_ROWS..]), s2);
             }
         }
         let rhs = scratch.rhs.as_mut_slice();
@@ -658,8 +594,6 @@ impl<T: Scalar> BlockSparseSystem<T> {
         let p = self.p;
         out.p = p;
         out.q = self.q;
-        out.kb = self.kb;
-        out.stride = self.stride;
         out.u.clear();
         out.u.extend(self.u[..p].iter().map(cast));
         if out.w_rows.len() < p {
@@ -693,8 +627,8 @@ impl<T: Scalar> BlockSparseSystem<T> {
         }
         for lm in 0..p {
             for (bi, &r0) in self.w_rows[lm].iter().enumerate() {
-                for t in 0..self.kb {
-                    let val = self.w_vals[lm][bi * self.kb + t];
+                for t in 0..W_BLOCK_ROWS {
+                    let val = self.w_vals[lm][bi * W_BLOCK_ROWS + t];
                     let r = p + r0 as usize + t;
                     a.set(r, lm, val);
                     a.set(lm, r, val);
@@ -710,50 +644,54 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// Loads a dense `(a, b)` with a `p × p` diagonal leading block, casting
     /// each entry to `T`: the inverse of [`BlockSparseSystem::to_dense_into`].
     ///
-    /// The system is laid out with `kb = stride = q` (`q = n − p`), one
-    /// `q`-high `W` block per landmark at row 0, and every entry is assigned
-    /// rather than accumulated, so each stored value is exactly the cast of
-    /// its dense entry, signed zeros included. Only the diagonal of the
-    /// leading block and the lower-left `W` are read; the upper-right block is
-    /// taken to be `Wᵀ`. [`BlockSparseSystem::solve_into`] then replays the
-    /// dense D-type Schur solve of the cast `(a, b)` bit for bit. Every
-    /// buffer's allocation is reused, as by [`BlockSparseSystem::reset`].
+    /// The `q = n − p` pose rows are read as keyframe slots of
+    /// [`W_BLOCK_PITCH`] rows. For each landmark and slot, a `W` block is
+    /// stored when any of the slot's first [`W_BLOCK_ROWS`] rows is nonzero.
+    /// Every entry is assigned rather than accumulated, so each stored value
+    /// is exactly the cast of its dense entry, signed zeros included. Only
+    /// the diagonal of the leading block and the lower-left `W` are read; the
+    /// upper-right block is taken to be `Wᵀ`. [`BlockSparseSystem::solve_into`]
+    /// then replays the dense D-type Schur solve of the cast `(a, b)` bit for
+    /// bit. Every buffer's allocation is reused, as by
+    /// [`BlockSparseSystem::reset`].
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::DimensionMismatch`] when `a` is not square, when
-    /// `b.len()` differs from its dimension `n`, or when `p > n`.
+    /// Returns [`MathError::DimensionMismatch`] (`a`'s shape against
+    /// `(b.len(), p)`) when `a` is not square, when `b.len()` differs from its
+    /// dimension `n`, when `p > n`, or when the image does not fit the
+    /// layout: `q` is not a multiple of [`W_BLOCK_PITCH`], or a `W` entry in
+    /// rows 6..15 of a slot is nonzero. After that last error the system
+    /// holds a partial load.
     pub fn load_dense<U: Scalar>(&mut self, a: &Matrix<U>, b: &Vector<U>, p: usize) -> Result<()> {
         let n = a.rows();
-        if !a.is_square() || b.len() != n {
-            return Err(MathError::DimensionMismatch {
-                op: "load_dense",
-                lhs: a.shape(),
-                rhs: (b.len(), 1),
-            });
-        }
-        if p > n {
-            return Err(MathError::DimensionMismatch {
-                op: "load_dense_split",
-                lhs: (p, p),
-                rhs: a.shape(),
-            });
+        let mismatch = MathError::DimensionMismatch {
+            op: "load_dense",
+            lhs: a.shape(),
+            rhs: (b.len(), p),
+        };
+        if !a.is_square() || b.len() != n || p > n || !(n - p).is_multiple_of(W_BLOCK_PITCH) {
+            return Err(mismatch);
         }
         let q = n - p;
-        let kb = q.max(1);
-        self.reset(p, q, kb, kb);
+        self.reset(p, q);
         let cast = |v: U| T::from_f64(v.to_f64());
         for j in 0..p {
             self.u[j] = cast(a.get(j, j));
             self.bx[j] = cast(b[j]);
-            if q > 0 {
-                self.w_rows[j].push(0);
-                self.w_vals[j].extend((p..n).map(|r| cast(a.get(r, j))));
+            for r0 in (p..n).step_by(W_BLOCK_PITCH) {
+                let slot = |t: usize| a.get(r0 + t, j);
+                if (W_BLOCK_ROWS..W_BLOCK_PITCH).any(|t| slot(t) != U::ZERO) {
+                    return Err(mismatch);
+                }
+                if (0..W_BLOCK_ROWS).any(|t| slot(t) != U::ZERO) {
+                    self.w_rows[j].push((r0 - p) as u32);
+                    self.w_vals[j].extend((0..W_BLOCK_ROWS).map(|t| cast(slot(t))));
+                }
             }
         }
         for r in 0..q {
-            let src = &a.row(p + r)[p..];
-            for (dst, &v) in self.v.row_mut(r).iter_mut().zip(src) {
+            for (dst, &v) in self.v.row_mut(r).iter_mut().zip(&a.row(p + r)[p..]) {
                 *dst = cast(v);
             }
             self.by[r] = cast(b[p + r]);
@@ -773,8 +711,8 @@ pub struct SchurScratch<T: Scalar> {
     s2: Vec<T>,
     /// RHS gather buffer of the landmark-major elimination.
     racc: Vec<T>,
-    /// `W·U⁻¹·Wᵀ`, upper triangle only: the factorization reads nothing
-    /// else, and the strict lower triangle stays zero.
+    /// `W·U⁻¹·Wᵀ`, upper triangle only (plus the lower halves of the
+    /// diagonal blocks): the factorization reads nothing else.
     prod: Matrix<T>,
     rhs: Vector<T>,
     chol: Cholesky<T>,
@@ -811,12 +749,11 @@ mod tests {
         (a, b)
     }
 
-    /// A well-conditioned system: 3 landmarks, 2 pose blocks of stride 7 with
-    /// kb = 4 (deliberately not the SLAM 15/6 to exercise generality).
+    /// A well-conditioned system: 3 landmarks, 2 keyframe slots.
     fn build() -> Sys {
-        let (p, q, kb, stride) = (3, 14, 4, 7);
+        let (p, q) = (3, 2 * W_BLOCK_PITCH);
         let mut s = Sys::new();
-        s.reset(p, q, kb, stride);
+        s.reset(p, q);
         for j in 0..p {
             s.add_u(j, 5.0 + j as f64);
             s.sub_bx(j, -(0.3 + 0.1 * j as f64));
@@ -832,11 +769,11 @@ mod tests {
         }
         // Landmark 0 seen by both keyframe blocks, 1 only by the first,
         // 2 only by the second; insert out of order to exercise sorting.
-        for t in 0..kb {
-            s.add_w(0, 7 + t, 0.2 * t as f64 - 0.3);
+        for t in 0..W_BLOCK_ROWS {
+            s.add_w(0, 15 + t, 0.2 * t as f64 - 0.3);
             s.add_w(0, t, 0.1 * t as f64 + 0.05);
             s.add_w(1, t, -0.15 + 0.07 * t as f64);
-            s.add_w(2, 7 + t, 0.12 - 0.04 * t as f64);
+            s.add_w(2, 15 + t, 0.12 - 0.04 * t as f64);
         }
         s
     }
@@ -865,8 +802,8 @@ mod tests {
     #[test]
     fn empty_landmark_block_degenerates_to_dense_cholesky() {
         let mut s = Sys::new();
-        s.reset(0, 4, 2, 2);
-        for r in 0..4 {
+        s.reset(0, W_BLOCK_PITCH);
+        for r in 0..W_BLOCK_PITCH {
             s.add_v(r, r, 6.0 + r as f64);
             s.sub_by(r, -(1.0 + r as f64));
         }
@@ -883,7 +820,7 @@ mod tests {
     #[test]
     fn singular_u_is_reported_with_index() {
         let mut s = build();
-        s.reset(2, 7, 4, 7);
+        s.reset(2, W_BLOCK_PITCH);
         s.add_u(0, 3.0); // landmark 1 left at zero
         assert!(matches!(
             s.solve_into(&mut SchurScratch::default(), &mut Vector::zeros(0)),
@@ -895,7 +832,7 @@ mod tests {
     #[should_panic(expected = "falls outside")]
     fn out_of_block_row_is_rejected() {
         let mut s = Sys::new();
-        s.reset(1, 7, 4, 7);
-        s.add_w(0, 5, 1.0); // rows 4..7 of the stride-7 block are not in kb=4
+        s.reset(1, 2 * W_BLOCK_PITCH);
+        s.add_w(0, 15 + 9, 1.0); // rows 6..15 of a slot hold no W block
     }
 }

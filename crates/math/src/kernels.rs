@@ -34,11 +34,11 @@
 //! # Fixed-width dispatch
 //!
 //! The SLAM layout's run widths are compile-time constants — `6` (the
-//! pose-tangent block height `kb`) and `15` (the full state `stride`) — so
+//! pose-tangent `W` block height) and `15` (the full keyframe state) — so
 //! the zero-skip kernels dispatch those lengths to the fully unrolled
 //! const-generic forms in [`crate::fixed`] and keep the runtime-width loop
-//! as the generic fallback (any other `kb`/`stride`, e.g. the block tests'
-//! kb = 4 layout). Both forms replay the identical per-element operation
+//! as the fallback for every other run length (a row of the prior, a tail
+//! of an IMU run). Both forms replay the identical per-element operation
 //! sequence, so dispatch is invisible in the stored bits — the
 //! `kernel_equivalence` proptests pin this.
 
@@ -47,8 +47,9 @@ use crate::scalar::Scalar;
 
 /// `dst[i] += s * src[i]` for every element — no zero skip.
 ///
-/// The Schur-product inner loop: one multiply-add per element, operand order
-/// `s * src[i]` first, then the add. `src` must be at least as long as `dst`.
+/// One multiply-add per element, operand order `s * src[i]` first, then the
+/// add (the dense product's inner loop). `src` must be at least as long as
+/// `dst`.
 #[inline(always)]
 pub fn add_scaled<T: Scalar>(dst: &mut [T], src: &[T], s: T) {
     if dst.len() == 6 {

@@ -42,7 +42,7 @@ mod scalar;
 mod triangular;
 mod vector;
 
-pub use block_sparse::{BlockSparseSystem, SchurScratch};
+pub use block_sparse::{BlockSparseSystem, SchurScratch, W_BLOCK_PITCH, W_BLOCK_ROWS};
 pub use cholesky::Cholesky;
 pub use error::{MathError, Result};
 pub use matrix::Matrix;

@@ -13,6 +13,7 @@ use archytas_math::kernels::{
 };
 use archytas_math::{
     BlockSparseSystem, Cholesky, DMat, DVec, MathError, Matrix, Scalar, SchurScratch, Vector,
+    W_BLOCK_PITCH, W_BLOCK_ROWS,
 };
 use proptest::prelude::*;
 
@@ -480,18 +481,18 @@ proptest! {
     }
 }
 
-/// A randomly shaped D-type block system: `p` landmarks, `nblocks` pose
-/// blocks of `stride` rows with `kb`-row observation blocks, a random `W`
-/// sparsity pattern (possibly empty rows), and diagonals boosted to strict
-/// dominance so the assembled matrix is SPD.
+/// A randomly shaped D-type block system in the window layout: `p`
+/// landmarks, `nblocks` keyframe slots of 15 rows, a random block mask per
+/// landmark (absent, random 6-high block, or a block of stored `+0.0`s), and
+/// diagonals boosted to strict dominance so the assembled matrix is SPD.
 #[derive(Debug, Clone)]
 struct BlockProblem {
     p: usize,
-    kb: usize,
-    stride: usize,
     nblocks: usize,
     u: Vec<f64>,
     v_upper: Vec<f64>,
+    /// Per landmark and slot: 0 no block, 1 the block's `w` values, 2 an
+    /// all-zero block.
     pattern: Vec<Vec<u8>>,
     w: Vec<f64>,
     bx: Vec<f64>,
@@ -499,36 +500,19 @@ struct BlockProblem {
     lambda: Option<f64>,
 }
 
-/// Problem shapes: mostly small random `(kb, stride)` pairs exercising the
-/// generic slice path, plus a weighted share of the deployed SLAM layout
-/// (15-row pose blocks, 6-high observation blocks) so the `kb == 6`
-/// fixed-width dispatch in assembly, Schur elimination and back-substitution
-/// runs under the same dense-reference check.
-fn block_shape_strategy() -> impl Strategy<Value = (usize, usize, usize, usize)> {
-    (0u8..4, (1usize..=5, 1usize..=3, 1usize..=4), 0usize..=2).prop_map(
-        |(sel, (p, nblocks, kb), extra)| {
-            if sel == 0 {
-                (p.min(4), nblocks.min(2), 6, 15)
-            } else {
-                (p, nblocks, kb, kb + extra)
-            }
-        },
-    )
-}
-
 fn block_problem_strategy() -> impl Strategy<Value = BlockProblem> {
-    block_shape_strategy()
-        .prop_flat_map(|(p, nblocks, kb, stride)| {
-            let q = nblocks * stride;
+    (1usize..=5, 1usize..=3)
+        .prop_flat_map(|(p, nblocks)| {
+            let q = nblocks * W_BLOCK_PITCH;
             (
-                Just((p, nblocks, kb, stride)),
+                Just((p, nblocks)),
                 (
                     vals(p),
                     vals(q * q),
-                    proptest::collection::vec(proptest::collection::vec(0u8..2, nblocks), p),
+                    proptest::collection::vec(proptest::collection::vec(0u8..3, nblocks), p),
                 ),
                 (
-                    vals(p * nblocks * kb),
+                    vals(p * nblocks * W_BLOCK_ROWS),
                     vals(p),
                     vals(q),
                     (0u8..3, 0.01..10.0f64).prop_map(|(sel, l)| (sel == 0).then_some(l)),
@@ -536,10 +520,8 @@ fn block_problem_strategy() -> impl Strategy<Value = BlockProblem> {
             )
         })
         .prop_map(
-            |((p, nblocks, kb, stride), (u, v_upper, pattern), (w, bx, by, lambda))| BlockProblem {
+            |((p, nblocks), (u, v_upper, pattern), (w, bx, by, lambda))| BlockProblem {
                 p,
-                kb,
-                stride,
                 nblocks,
                 u,
                 v_upper,
@@ -589,12 +571,29 @@ fn block_solve<T: Scalar>(s: &BlockSparseSystem<T>) -> Vector<T> {
     out
 }
 
+/// The block-sparse solve of the system `load_dense` lays out from `s`'s
+/// dense image, at `s`'s precision.
+fn loaded_solve<T: Scalar>(s: &BlockSparseSystem<T>) -> Vector<T> {
+    let (a, b) = dense(s);
+    let mut loaded = BlockSparseSystem::<T>::new();
+    loaded.load_dense(&a, &b, s.p()).unwrap();
+    block_solve(&loaded)
+}
+
+fn bits32(v: &Vector<f32>) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Assembles the problem through the sparse build API, with the diagonal
 /// boosted to strict dominance (row sums of `|W|` and `|V|` plus a margin).
 #[allow(clippy::needless_range_loop)] // index math mirrors the matrix layout
 fn build_system(pb: &BlockProblem) -> BlockSparseSystem<f64> {
-    let q = pb.nblocks * pb.stride;
-    let widx = |lm: usize, b: usize, t: usize| (lm * pb.nblocks + b) * pb.kb + t;
+    let q = pb.nblocks * W_BLOCK_PITCH;
+    let widx = |lm: usize, b: usize, t: usize| (lm * pb.nblocks + b) * W_BLOCK_ROWS + t;
+    let wval = |lm: usize, b: usize, t: usize| match pb.pattern[lm][b] {
+        1 => pb.w[widx(lm, b, t)],
+        _ => 0.0,
+    };
     let vsym = |r: usize, c: usize| {
         let (lo, hi) = if r <= c { (r, c) } else { (c, r) };
         pb.v_upper[lo * q + hi]
@@ -606,12 +605,10 @@ fn build_system(pb: &BlockProblem) -> BlockSparseSystem<f64> {
     let mut pose_row = vec![0.0f64; q];
     for lm in 0..pb.p {
         for b in 0..pb.nblocks {
-            if pb.pattern[lm][b] != 0 {
-                for t in 0..pb.kb {
-                    let v = pb.w[widx(lm, b, t)];
-                    lm_row[lm] += v.abs();
-                    pose_row[b * pb.stride + t] += v.abs();
-                }
+            for t in 0..W_BLOCK_ROWS {
+                let v = wval(lm, b, t);
+                lm_row[lm] += v.abs();
+                pose_row[b * W_BLOCK_PITCH + t] += v.abs();
             }
         }
     }
@@ -624,7 +621,7 @@ fn build_system(pb: &BlockProblem) -> BlockSparseSystem<f64> {
     }
 
     let mut s = BlockSparseSystem::new();
-    s.reset(pb.p, q, pb.kb, pb.stride);
+    s.reset(pb.p, q);
     for j in 0..pb.p {
         s.add_u(j, pb.u[j].abs() + lm_row[j] + 1.0);
         s.sub_bx(j, -pb.bx[j]);
@@ -642,8 +639,8 @@ fn build_system(pb: &BlockProblem) -> BlockSparseSystem<f64> {
     for lm in 0..pb.p {
         for b in 0..pb.nblocks {
             if pb.pattern[lm][b] != 0 {
-                for t in 0..pb.kb {
-                    s.add_w(lm, b * pb.stride + t, pb.w[widx(lm, b, t)]);
+                for t in 0..W_BLOCK_ROWS {
+                    s.add_w(lm, b * W_BLOCK_PITCH + t, wval(lm, b, t));
                 }
             }
         }
@@ -659,8 +656,9 @@ proptest! {
 
     /// The block-sparse Schur solve — assembled through the kernel-backed
     /// elimination and triangular paths — equals the dense Schur reference
-    /// bitwise for random shapes, sparsity patterns (including empty `W` rows
-    /// and partial edge blocks) and damping.
+    /// bitwise for random landmark and keyframe counts, block masks
+    /// (including landmarks with no block and blocks of stored zeros) and
+    /// damping.
     #[test]
     fn block_solve_matches_dense_schur_bitwise(pb in block_problem_strategy()) {
         let s = build_system(&pb);
@@ -669,23 +667,20 @@ proptest! {
         assert_bits_eq(block_solve(&s).as_slice(), reference.as_slice())?;
     }
 
-    /// A system loaded from its own dense image (one full-height `W` block
-    /// per landmark) solves bitwise equal to the block-sparse original — at
+    /// A system loaded from its own dense image — which drops the blocks of
+    /// stored zeros — solves bitwise equal to the block-sparse original: at
     /// f64, and at f32 against the original's f32 cast.
     #[test]
     fn loaded_dense_image_solves_bitwise_equal(pb in block_problem_strategy()) {
         let s = build_system(&pb);
-        let (a, b) = dense(&s);
-        let mut loaded = BlockSparseSystem::<f64>::new();
-        loaded.load_dense(&a, &b, s.p()).unwrap();
-        assert_bits_eq(block_solve(&loaded).as_slice(), block_solve(&s).as_slice())?;
+        assert_bits_eq(loaded_solve(&s).as_slice(), block_solve(&s).as_slice())?;
 
         let mut s32 = BlockSparseSystem::<f32>::new();
         s.cast_into(&mut s32);
+        let (a, b) = dense(&s);
         let mut loaded32 = BlockSparseSystem::<f32>::new();
         loaded32.load_dense(&a, &b, s.p()).unwrap();
-        let bits = |v: &Vector<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&block_solve(&loaded32)), bits(&block_solve(&s32)));
+        prop_assert_eq!(bits32(&block_solve(&loaded32)), bits32(&block_solve(&s32)));
     }
 
     /// `to_dense_into` after `load_dense` gives back the loaded `(a, b)` bit
@@ -706,22 +701,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Landmarks whose `W` blocks are not adjacent (a keyframe skipped
-    /// between two observers) solve bitwise equal to the dense Schur oracle,
-    /// at the SLAM layout (`kb = 6`, stride 15) and at a generic one — the
-    /// upper-triangle product must still fill every cross-block cell the
-    /// factorization reads.
+    /// between two observers) solve bitwise equal to the dense Schur oracle
+    /// — the upper-triangle product must still fill every cross-block cell
+    /// the factorization reads.
     #[test]
     fn non_adjacent_w_blocks_match_dense_schur_bitwise(
-        ((kb, stride), (u, v_upper, w), (bx, by)) in (0u8..2).prop_flat_map(|sel| {
-            let (kb, stride) = if sel == 0 { (6usize, 15usize) } else { (4, 7) };
-            let q = 4 * stride;
-            (Just((kb, stride)), (vals(3usize), vals(q * q), vals(3 * 4 * kb)), (vals(3usize), vals(q)))
-        })
+        ((u, v_upper, w), (bx, by)) in (
+            (vals(3usize), vals(60usize * 60), vals(3 * 4 * W_BLOCK_ROWS)),
+            (vals(3usize), vals(60usize)),
+        )
     ) {
         // Landmark 0 sees blocks 0 and 2, landmark 1 blocks 1 and 3, and
         // landmark 2 blocks 0 and 3.
         let pattern = vec![vec![1, 0, 1, 0], vec![0, 1, 0, 1], vec![1, 0, 0, 1]];
-        let pb = BlockProblem { p: 3, kb, stride, nblocks: 4, u, v_upper, pattern, w, bx, by, lambda: Some(0.1) };
+        let pb = BlockProblem { p: 3, nblocks: 4, u, v_upper, pattern, w, bx, by, lambda: Some(0.1) };
         let s = build_system(&pb);
         let (a, b) = dense(&s);
         let reference = dense_schur_solve(&a, &b, s.p());
@@ -729,12 +722,11 @@ proptest! {
     }
 }
 
-/// A well-conditioned system: 3 landmarks, 2 pose blocks of stride 7 with
-/// kb = 4 (deliberately not the SLAM 15/6 to exercise generality).
+/// A well-conditioned system: 3 landmarks, 2 keyframe slots.
 fn fixed_system() -> BlockSparseSystem<f64> {
-    let (p, q, kb, stride) = (3, 14, 4, 7);
+    let (p, q) = (3, 2 * W_BLOCK_PITCH);
     let mut s = BlockSparseSystem::new();
-    s.reset(p, q, kb, stride);
+    s.reset(p, q);
     for j in 0..p {
         s.add_u(j, 5.0 + j as f64);
         s.sub_bx(j, -(0.3 + 0.1 * j as f64));
@@ -748,13 +740,13 @@ fn fixed_system() -> BlockSparseSystem<f64> {
             s.add_v(c, r, v);
         }
     }
-    // Landmark 0 seen by both keyframe blocks, 1 only by the first,
+    // Landmark 0 seen by both keyframe slots, 1 only by the first,
     // 2 only by the second; insert out of order to exercise sorting.
-    for t in 0..kb {
-        s.add_w(0, 7 + t, 0.2 * t as f64 - 0.3);
+    for t in 0..W_BLOCK_ROWS {
+        s.add_w(0, 15 + t, 0.2 * t as f64 - 0.3);
         s.add_w(0, t, 0.1 * t as f64 + 0.05);
         s.add_w(1, t, -0.15 + 0.07 * t as f64);
-        s.add_w(2, 7 + t, 0.12 - 0.04 * t as f64);
+        s.add_w(2, 15 + t, 0.12 - 0.04 * t as f64);
     }
     s
 }
@@ -776,6 +768,25 @@ fn damped_solve_matches_dense_damped_solve() {
     assert_eq!(block_solve(&s).as_slice(), reference.as_slice());
 }
 
+/// A served system can hold a `W` block whose entries all sum to `+0.0`
+/// (its contributions cancel exactly); `load_dense` does not rebuild it.
+/// Dropping it moves no bit of the solve, at f64 and at f32.
+#[test]
+fn all_zero_w_block_solves_bitwise_equal_to_its_loaded_image() {
+    let mut s = fixed_system();
+    for t in 0..W_BLOCK_ROWS {
+        s.add_w(1, 15 + t, 0.25);
+        s.add_w(1, 15 + t, -0.25);
+    }
+    s.damp(0.37, 1e-9);
+    let (a, _) = dense(&s);
+    assert!((0..W_BLOCK_ROWS).all(|t| a.get(3 + 15 + t, 1).to_bits() == 0));
+    assert_eq!(block_solve(&s).as_slice(), loaded_solve(&s).as_slice());
+    let mut s32 = BlockSparseSystem::<f32>::new();
+    s.cast_into(&mut s32);
+    assert_eq!(bits32(&block_solve(&s32)), bits32(&loaded_solve(&s32)));
+}
+
 #[test]
 fn f32_twin_solve_matches_dense_solve_of_the_cast() {
     let mut s = fixed_system();
@@ -786,7 +797,7 @@ fn f32_twin_solve_matches_dense_solve_of_the_cast() {
     // A twin that last held a larger system: stale blocks must not leak.
     let mut twin = BlockSparseSystem::<f32>::new();
     let mut big = BlockSparseSystem::<f64>::new();
-    big.reset(5, 21, 4, 7);
+    big.reset(5, 3 * W_BLOCK_PITCH);
     big.cast_into(&mut twin);
     s.cast_into(&mut twin);
     let (ta, tb) = dense(&twin);
@@ -800,14 +811,14 @@ fn scratch_reuse_across_shapes_is_clean() {
     let s1 = fixed_system();
     let mut s2 = BlockSparseSystem::<f64>::new();
     // Smaller system after a bigger one: stale scratch rows must not leak.
-    s2.reset(1, 7, 4, 7);
+    s2.reset(1, W_BLOCK_PITCH);
     s2.add_u(0, 4.0);
     s2.sub_bx(0, -1.0);
-    for r in 0..7 {
+    for r in 0..W_BLOCK_PITCH {
         s2.add_v(r, r, 9.0);
         s2.sub_by(r, -0.5);
     }
-    for t in 0..4 {
+    for t in 0..W_BLOCK_ROWS {
         s2.add_w(0, t, 0.1 + 0.1 * t as f64);
     }
     let mut scratch = SchurScratch::default();
@@ -819,9 +830,11 @@ fn scratch_reuse_across_shapes_is_clean() {
     assert_eq!(out.as_slice(), reference.as_slice());
 }
 
-/// `load_dense` rejects what a dense D-type Schur solve cannot partition: a
-/// non-square matrix, a right-hand side of the wrong length, and a split
-/// beyond the dimension. Every boundary case loads.
+/// `load_dense` rejects what a dense D-type Schur solve cannot partition — a
+/// non-square matrix, a right-hand side of the wrong length, a split beyond
+/// the dimension — and what does not fit the window layout: a pose block
+/// that is not whole 15-row slots, or a `W` entry in rows 6..15 of a slot.
+/// Every boundary case loads.
 #[test]
 fn load_dense_checks_its_input() {
     let (a, b) = dense(&fixed_system());
@@ -836,10 +849,22 @@ fn load_dense_checks_its_input() {
     )));
     let short_b: DVec = b.iter().take(n - 1).copied().collect();
     assert!(mismatch(sys.load_dense(&a, &short_b, 3)));
-    for p in [0, 3, n] {
+    // Pose rows that are not whole keyframe slots.
+    for p in [0, 2, 4, n - 1] {
+        assert!(mismatch(sys.load_dense(&a, &b, p)), "split at {p}");
+    }
+    // A landmark–pose entry outside the pose-tangent rows of its slot.
+    let mut stray = a.clone();
+    stray.set(3 + 15 + 8, 1, 0.5);
+    stray.set(1, 3 + 15 + 8, 0.5);
+    assert!(mismatch(sys.load_dense(&stray, &b, 3)));
+    for p in [3, n] {
         sys.load_dense(&a, &b, p).unwrap();
         assert_eq!((sys.p(), sys.q()), (p, n - p));
     }
+    sys.load_dense(&DMat::identity(15), &DVec::zeros(15), 0)
+        .unwrap();
+    assert_eq!((sys.p(), sys.q()), (0, 15));
     sys.load_dense(&DMat::zeros(0, 0), &DVec::zeros(0), 0)
         .unwrap();
     assert_eq!(sys.dim(), 0);
@@ -969,11 +994,11 @@ proptest! {
             )
         })
     ) {
-        let q = nblocks * 15;
+        let q = nblocks * W_BLOCK_PITCH;
         let mut fused = BlockSparseSystem::new();
         let mut seq = BlockSparseSystem::new();
-        fused.reset(p, q, 6, 15);
-        seq.reset(p, q, 6, 15);
+        fused.reset(p, q);
+        seq.reset(p, q);
         for o in &obs {
             fused.add_visual_obs6(
                 o.lm, o.rf, o.rs, o.jr, [&o.f[0], &o.f[1]], [&o.s[0], &o.s[1]], o.e, o.w2,

@@ -1,6 +1,9 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use archytas_math::{solve_upper_into, BlockSparseSystem, Cholesky, DMat, DVec, SchurScratch};
+use archytas_math::{
+    solve_upper_into, BlockSparseSystem, Cholesky, DMat, DVec, SchurScratch, W_BLOCK_PITCH,
+    W_BLOCK_ROWS,
+};
 use proptest::prelude::*;
 
 const DIM: std::ops::RangeInclusive<usize> = 1..=10;
@@ -83,24 +86,33 @@ proptest! {
     }
 
     /// Schur elimination must agree with a direct dense solve on any SPD
-    /// system whose leading block has been diagonalized — the core soundness
-    /// property behind the paper's D-type Schur optimization.
+    /// system in the window layout — a diagonal landmark block, and landmark
+    /// columns that touch only the 6 pose-tangent rows of the 15-row
+    /// keyframe slots observing them — the core soundness property behind
+    /// the paper's D-type Schur optimization.
     #[test]
-    fn schur_solve_equals_direct((a0, b, p) in (2..=10usize).prop_flat_map(|n| {
-        (spd_strategy(n), vec_strategy(n), 1..n)
+    fn schur_solve_equals_direct((v, w, seen, b, p) in (1..=5usize, 1..=2usize).prop_flat_map(|(p, k)| {
+        let q = k * W_BLOCK_PITCH;
+        (spd_strategy(q), mat_strategy(q, p), proptest::collection::vec(0u8..2, p * k), vec_strategy(p + q), Just(p))
     })) {
-        // Zero the off-diagonal entries of the leading p×p block (symmetry is
-        // preserved), then boost the diagonal so the result is strictly
-        // diagonally dominant and therefore still SPD.
-        let n = a0.rows();
-        let mut a = a0.clone();
-        for i in 0..p {
-            for j in 0..p {
-                if i != j {
-                    a.set(i, j, 0.0);
+        let q = v.rows();
+        let n = p + q;
+        let mut a = DMat::zeros(n, n);
+        for r in 0..q {
+            for c in 0..q {
+                a.set(p + r, p + c, v.get(r, c));
+            }
+        }
+        for lm in 0..p {
+            for r in (0..q).filter(|r| r % W_BLOCK_PITCH < W_BLOCK_ROWS) {
+                if seen[lm * (q / W_BLOCK_PITCH) + r / W_BLOCK_PITCH] != 0 {
+                    a.set(p + r, lm, w.get(r, lm));
+                    a.set(lm, p + r, w.get(r, lm));
                 }
             }
         }
+        // Boost the diagonal so the result is strictly diagonally dominant
+        // and therefore SPD.
         let max_off_row_sum = (0..n)
             .map(|i| (0..n).filter(|&j| j != i).map(|j| a.get(i, j).abs()).sum::<f64>())
             .fold(0.0f64, f64::max);

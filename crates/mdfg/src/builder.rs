@@ -437,13 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_below_total() {
-        let built = build_mdfg(&ProblemShape::typical());
-        assert!(built.nls.critical_path_cost() <= built.nls.total_cost());
-        assert!(built.nls.critical_path_cost() > 0);
-    }
-
-    #[test]
     fn shape_from_workload() {
         let w = archytas_slam::WindowWorkload {
             features: 120,

@@ -85,16 +85,6 @@ impl MDfg {
         self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n))
     }
 
-    /// Successors of a node.
-    pub fn successors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.edges[id.0].iter().map(|&i| NodeId(i))
-    }
-
-    /// Predecessors of a node.
-    pub fn predecessors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.redges[id.0].iter().map(|&i| NodeId(i))
-    }
-
     /// Topological order of the nodes.
     ///
     /// # Errors
@@ -126,29 +116,6 @@ impl MDfg {
     /// Total arithmetic cost of the whole graph.
     pub fn total_cost(&self) -> u64 {
         self.nodes.iter().map(|n| node_cost(n.kind, n.dims)).sum()
-    }
-
-    /// Critical-path cost: the most expensive dependency chain, assuming
-    /// unlimited parallelism across independent nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the graph is cyclic.
-    pub fn critical_path_cost(&self) -> u64 {
-        let order = self.topo_order().expect("M-DFG must be acyclic");
-        let mut finish: Vec<u64> = vec![0; self.nodes.len()];
-        let mut best = 0;
-        for id in order {
-            let own = node_cost(self.nodes[id.0].kind, self.nodes[id.0].dims);
-            let ready = self.redges[id.0]
-                .iter()
-                .map(|&p| finish[p])
-                .max()
-                .unwrap_or(0);
-            finish[id.0] = ready + own;
-            best = best.max(finish[id.0]);
-        }
-        best
     }
 
     /// Histogram of node kinds (how many of each primitive the graph uses).
@@ -219,10 +186,8 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_takes_slow_branch() {
+    fn total_cost_sums_every_node() {
         let (g, _) = diamond();
-        // a(600) + max(b=64, c=512) + d(16)
-        assert_eq!(g.critical_path_cost(), 600 + 512 + 16);
         assert_eq!(g.total_cost(), 600 + 64 + 512 + 16);
     }
 
@@ -232,14 +197,6 @@ mod tests {
         let h = g.kind_histogram();
         assert_eq!(h[&NodeKind::MatMul], 2);
         assert_eq!(h[&NodeKind::VJac], 1);
-    }
-
-    #[test]
-    fn predecessors_and_successors() {
-        let (g, [a, _, _, d]) = diamond();
-        assert_eq!(g.successors(a).count(), 2);
-        assert_eq!(g.predecessors(d).count(), 2);
-        assert_eq!(g.predecessors(a).count(), 0);
     }
 
     #[test]

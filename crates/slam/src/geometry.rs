@@ -358,14 +358,6 @@ impl Pose {
         self.rot.inverse().rotate(&(*p - self.trans))
     }
 
-    /// Pose composition `self ∘ o` (first apply `o`, then `self`).
-    pub fn compose(&self, o: &Pose) -> Pose {
-        Pose {
-            rot: self.rot.mul(&o.rot),
-            trans: self.rot.rotate(&o.trans) + self.trans,
-        }
-    }
-
     /// Inverse pose.
     pub fn inverse(&self) -> Pose {
         let rot_inv = self.rot.inverse();
@@ -485,26 +477,6 @@ mod tests {
         // inverse() agrees with inverse_transform().
         let via_inv = pose.inverse().transform(&world);
         assert!((via_inv - p).norm() < 1e-12);
-    }
-
-    #[test]
-    fn pose_compose_associates() {
-        let a = Pose::new(
-            Quat::exp(&Vec3::new(0.1, 0.0, 0.2)),
-            Vec3::new(1.0, 0.0, 0.0),
-        );
-        let b = Pose::new(
-            Quat::exp(&Vec3::new(0.0, 0.3, 0.0)),
-            Vec3::new(0.0, 2.0, 0.0),
-        );
-        let c = Pose::new(
-            Quat::exp(&Vec3::new(0.2, 0.1, 0.0)),
-            Vec3::new(0.0, 0.0, 3.0),
-        );
-        let p = Vec3::new(0.5, 0.5, 0.5);
-        let lhs = a.compose(&b).compose(&c).transform(&p);
-        let rhs = a.compose(&b.compose(&c)).transform(&p);
-        assert!((lhs - rhs).norm() < 1e-12);
     }
 
     #[test]

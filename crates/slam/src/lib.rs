@@ -66,7 +66,6 @@ pub use metrics::{mean_stdev, relative_error, rmse_translation, TrajectoryMetric
 pub use prior::Prior;
 pub use problem::{
     apply_increment, build_block_normal_equations, evaluate_cost, BlockNormalEqInfo,
-    POSE_TANGENT_DIM,
 };
 pub use solver::{
     schur_linear_solver, solve, solve_in_workspace, solve_with_in_workspace, DegradeReason,

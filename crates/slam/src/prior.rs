@@ -45,28 +45,16 @@ impl Prior {
     /// (at least `1e-12`) is added to its diagonal so that gauge-deficient
     /// information stays positive definite in the LM system.
     ///
+    /// # Errors
+    ///
+    /// A non-finite `hp` or `rp` is [`SolveError::NonFinite`], so the
+    /// pipeline's degradation ladder survives a corrupted information
+    /// matrix. Definiteness is not checked here: an indefinite `hp` fails
+    /// the LM factorization of the window it constrains.
+    ///
     /// # Panics
     ///
-    /// Panics when the dimensions disagree or `hp`/`rp` hold a non-finite
-    /// value. Callers that must survive a corrupted information matrix (the
-    /// pipeline's degradation ladder) use [`Prior::try_from_information`]
-    /// instead.
-    pub fn from_information(
-        hp: &DMat,
-        rp: &DVec,
-        lin_states: Vec<KeyframeState>,
-        epsilon: f64,
-    ) -> Self {
-        Self::try_from_information(hp, rp, lin_states, epsilon)
-            .expect("prior: non-finite information")
-    }
-
-    /// Fallible form of [`Prior::from_information`]: a non-finite `hp` or
-    /// `rp` is [`SolveError::NonFinite`] instead of a panic. Definiteness is
-    /// not checked here: an indefinite `hp` fails the LM factorization of
-    /// the window it constrains.
-    ///
-    /// Dimension mismatches remain programmer errors and still panic.
+    /// Panics when the dimensions disagree (a programmer error).
     pub fn try_from_information(
         hp: &DMat,
         rp: &DVec,
@@ -231,7 +219,7 @@ mod tests {
         let lin = states(1);
         let hp = spd_info(STATE_DIM);
         let rp = DVec::from((0..STATE_DIM).map(|i| i as f64 * 0.01).collect::<Vec<_>>());
-        let prior = Prior::from_information(&hp, &rp, lin, 0.0);
+        let prior = Prior::try_from_information(&hp, &rp, lin, 0.0).unwrap();
         assert!((prior.information() - &hp).max_abs() < 1e-9);
     }
 
@@ -251,7 +239,7 @@ mod tests {
             Prior::rebuild(&mut slot, &mut hp.clone(), &mut rp.clone(), 0.0, &lin, 1e-9).unwrap();
             let mut w = SlidingWindow::new();
             w.keyframes = lin.clone();
-            let fresh = Prior::from_information(&hp, &rp, lin, 1e-9);
+            let fresh = Prior::try_from_information(&hp, &rp, lin, 1e-9).unwrap();
             let reused = slot.as_ref().unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(reused.dim(), fresh.dim());
@@ -306,13 +294,13 @@ mod tests {
                 .map(|i| (i as f64) * 0.1 - 0.5)
                 .collect::<Vec<_>>(),
         );
-        let prior = Prior::from_information(&hp, &rp, lin.clone(), 0.0);
+        let prior = Prior::try_from_information(&hp, &rp, lin.clone(), 0.0).unwrap();
 
         let mut w = SlidingWindow::new();
         w.keyframes = lin;
         // At the linearization point the b-contribution must be exactly +rp.
         let mut sys = BlockSparseSystem::new();
-        sys.reset(0, w.state_dim(), 6, STATE_DIM);
+        sys.reset(0, w.state_dim());
         prior.add_to_system(&w, &mut sys, &mut PriorScratch::default());
         let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
         sys.to_dense_into(&mut a, &mut b);
@@ -332,7 +320,7 @@ mod tests {
         let dim = STATE_DIM * 2;
         let hp = spd_info(dim);
         let rp = DVec::zeros(dim); // minimum exactly at the linearization point
-        let prior = Prior::from_information(&hp, &rp, lin.clone(), 0.0);
+        let prior = Prior::try_from_information(&hp, &rp, lin.clone(), 0.0).unwrap();
 
         let mut w = SlidingWindow::new();
         w.keyframes = lin;
@@ -347,7 +335,7 @@ mod tests {
         let lin = states(1);
         let hp = DMat::zeros(STATE_DIM, STATE_DIM); // completely uninformative
         let rp = DVec::zeros(STATE_DIM);
-        let prior = Prior::from_information(&hp, &rp, lin, 1e-8);
+        let prior = Prior::try_from_information(&hp, &rp, lin, 1e-8).unwrap();
         assert_eq!(prior.dim(), STATE_DIM);
         assert!(prior.information().cholesky().is_ok());
     }

@@ -21,9 +21,9 @@ use crate::prior::{Prior, PriorScratch};
 use crate::window::{SlidingWindow, STATE_DIM};
 use archytas_math::{BlockSparseSystem, DVec};
 
-/// Height of the `W` blocks a visual factor writes: the pose-tangent slots of
-/// a keyframe state (rotation + translation, the first 6 of the 15).
-pub const POSE_TANGENT_DIM: usize = 6;
+// The block system's fixed layout is this window's: keyframe `k`'s state
+// starts at pose row `15·k`.
+const _: () = assert!(STATE_DIM == archytas_math::W_BLOCK_PITCH);
 
 /// Reused temporaries of one linearization: each keyframe's rotation
 /// matrix and its transpose, and the prior's temporaries.
@@ -77,12 +77,7 @@ pub(crate) fn build_block_normal_equations_in(
     scratch: &mut LinScratch,
 ) -> BlockNormalEqInfo {
     let num_l = window.num_landmarks();
-    sys.reset(
-        num_l,
-        STATE_DIM * window.num_keyframes(),
-        POSE_TANGENT_DIM,
-        STATE_DIM,
-    );
+    sys.reset(num_l, STATE_DIM * window.num_keyframes());
     let (cost, used) = assemble(window, weights, prior, sys, scratch);
     BlockNormalEqInfo {
         cost,

@@ -507,7 +507,8 @@ fn lm_loop(
 /// [`BlockSparseSystem`] and runs its D-type Schur solve, which reduces to a
 /// dense Cholesky solve when there are no landmarks. Returns `None` when the
 /// system is not positive definite at this damping level, or when `a`, `b`
-/// and `num_landmarks` do not describe one square system.
+/// and `num_landmarks` do not describe one square system in the window
+/// layout (see [`BlockSparseSystem::load_dense`]).
 pub fn schur_linear_solver(a: &DMat, b: &DVec, num_landmarks: usize) -> Option<DVec> {
     let mut sys = BlockSparseSystem::new();
     sys.load_dense(a, b, num_landmarks).ok()?;

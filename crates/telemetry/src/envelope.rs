@@ -72,11 +72,6 @@ impl PowerEnvelope {
         }
         (self.budget_w / self.session_draw_w).floor().max(0.0) as usize
     }
-
-    /// Watts drawn by `admitted` concurrent sessions under this pricing.
-    pub fn draw_w(&self, admitted: usize) -> f64 {
-        admitted as f64 * self.session_draw_w
-    }
 }
 
 #[cfg(test)]
@@ -100,13 +95,6 @@ mod tests {
         assert!(cap >= 1, "10 W should admit at least one HIGH_PERF session");
         assert!(e.fits(cap - 1), "one below capacity must fit");
         assert!(!e.fits(cap), "at capacity the next session must not fit");
-    }
-
-    #[test]
-    fn draw_is_linear_in_admissions() {
-        let e = PowerEnvelope::new(10.0, &HIGH_PERF, &FpgaPlatform::zc706());
-        assert_eq!(e.draw_w(0), 0.0);
-        assert!((e.draw_w(3) - 3.0 * e.session_draw_w).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Quick benchmark smoke: formatting, lint and rustdoc gates, the workspace
-# tests, the standalone benchmark's unit tests, then the synthesizer criterion bench in --quick
+# tests, the standalone benchmark's unit tests and one traced fleet-steady
+# run of it (its "correct"/"failed" verdict gates), then the synthesizer criterion bench in --quick
 # mode at ARCHYTAS_THREADS=1 and =4 (its `nd` stripes fan out over the
 # pool) and the solver-iteration and
 # accelerator-simulation benches once (their kernels are serial). Every
@@ -59,6 +60,20 @@ LOCK_BACKUP="$(mktemp)"
 cp benchmark/Cargo.lock "$LOCK_BACKUP"
 trap 'mv "$LOCK_BACKUP" benchmark/Cargo.lock' EXIT
 CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
+# Benchmark correctness gate: one traced fleet-steady run. Its correctness
+# check replays every session through the dense callback
+# (`f32_linear_solver`) and compares it with the served sessions, the only
+# gate that holds that path to the served bits on real fleet sessions. The
+# last line of its output must report `"correct": true` and `"failed": 0`.
+echo "running the standalone benchmark once (fleet-steady, traced)..." >&2
+BENCH_LAST="$(CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline \
+    --manifest-path benchmark/Cargo.toml -- \
+    --workload fleet-steady --seed 7 --seconds 2 --trace 1 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$BENCH_LAST" || ! grep -q '"failed": 0[,}]' <<<"$BENCH_LAST"; then
+    echo "benchmark correctness gate FAILED: ${BENCH_LAST:0:200}" >&2
+    exit 1
+fi
 mv "$LOCK_BACKUP" benchmark/Cargo.lock
 trap - EXIT
 
