@@ -33,7 +33,7 @@ impl std::fmt::Display for DatasetFamily {
 }
 
 /// Static description of a benchmark sequence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequenceSpec {
     /// Sequence name, e.g. `kitti-00` or `euroc-mh-03`.
     pub name: String,

@@ -6,15 +6,18 @@
 //! a work-stealing worker pool, and throttled by bounded
 //! backpressure. Per-session state is deliberately small — the estimator
 //! `Core` (a [`archytas_dataset::VioPipeline`] shell plus the private
-//! iteration counter + watchdog of its [`archytas_core::RuntimeSystem`]):
-//! the frame stream is materialized lazily at first activation, solver
-//! scratch is checked out of a bounded per-worker pool per quantum, and
-//! all read-only derived state is built once per fleet and shared through
-//! an `Arc` — the accelerator latency/energy model
+//! iteration counter + watchdog of its [`archytas_core::RuntimeSystem`]).
+//! Solver scratch is checked out of a bounded per-worker pool per
+//! quantum, and all read-only derived state is shared through an `Arc`:
+//! the accelerator latency/energy model
 //! ([`archytas_hw::AcceleratorModel`]), the deployment's gating table
-//! ([`archytas_core::GatingTable`]) and the iteration policy. That split
-//! is what makes 1000-session fleets cheap: admission costs a `Core`, not
-//! a sequence replay plus a ~1 MB solver workspace.
+//! ([`archytas_core::GatingTable`]) and the iteration policy, built once
+//! per fleet, and the frame stream, built once per distinct recipe
+//! (sequence, fault plan, chaos plan) in a [`run_fleet`] batch, at the
+//! first activation of any session on it. That split is what makes
+//! 1000-session fleets cheap: admission costs a `Core`, not a sequence
+//! replay plus a ~1 MB solver workspace, and sessions on one route replay
+//! it once between them.
 //!
 //! **The hard contract:** every session's output is bitwise identical to
 //! running that session alone, serially, at any pool size and any
@@ -197,7 +200,8 @@ pub struct FleetReport {
     pub sessions: Vec<SessionReport>,
     /// Worker threads the pool ran with.
     pub threads: usize,
-    /// Wall-clock serving time (s), excluding sequence construction.
+    /// Wall-clock serving time (s). Includes building the frame streams,
+    /// which happens at first activation, once per distinct recipe.
     pub serving_wall_s: f64,
     /// Frames processed across all sessions.
     pub frames_processed: usize,
@@ -248,13 +252,7 @@ pub fn run_fleet(specs: &[SessionSpec], config: &FleetConfig) -> FleetReport {
     let envelope = PowerEnvelope::new(config.power_envelope_w, &config.design, &config.platform);
     let decisions = admission::plan(specs, config.max_active, config.shed_watermark, &envelope);
     let services = FleetServices::new(config);
-    let states: Vec<Option<SessionState>> = specs
-        .iter()
-        .zip(&decisions)
-        .map(|(spec, d)| {
-            (*d != AdmissionDecision::Shed).then(|| SessionState::new(spec, &services))
-        })
-        .collect();
+    let states = admitted_states(specs, &decisions, &services);
     let defer_at_start: Vec<bool> = decisions
         .iter()
         .map(|d| *d == AdmissionDecision::Defer)
@@ -342,6 +340,24 @@ pub fn run_fleet(specs: &[SessionSpec], config: &FleetConfig) -> FleetReport {
     }
 }
 
+/// Builds the admitted sessions of a batch, `None` for a shed one. Sessions
+/// with equal recipes share one unbuilt frame stream, so each distinct
+/// stream is built once, at the first activation of any of its sessions.
+fn admitted_states(
+    specs: &[SessionSpec],
+    decisions: &[AdmissionDecision],
+    services: &FleetServices,
+) -> Vec<Option<SessionState>> {
+    specs
+        .iter()
+        .zip(decisions)
+        .zip(session::share_streams(specs))
+        .map(|((spec, d), stream)| {
+            (*d != AdmissionDecision::Shed).then(|| SessionState::new(spec, stream, services))
+        })
+        .collect()
+}
+
 /// The serial reference: runs one session to completion on the calling
 /// thread with private (unshared) services. Fleet output must match this
 /// bitwise, session by session.
@@ -352,7 +368,7 @@ pub fn run_fleet(specs: &[SessionSpec], config: &FleetConfig) -> FleetReport {
 /// with fleet execution. Failures walk the same restart ladder.
 pub fn run_session_alone(spec: &SessionSpec, config: &FleetConfig) -> SessionReport {
     let services = FleetServices::new(config);
-    let mut state = SessionState::new(spec, &services);
+    let mut state = SessionState::with_private_stream(spec, &services);
     let mut workspace = archytas_slam::SolverWorkspace::new();
     loop {
         match state.step_guarded(&mut workspace) {

@@ -5,11 +5,13 @@
 //! A session owns *all* of its mutable state — pipeline, sliding window,
 //! iteration counter, watchdog — so the scheduler can migrate it freely
 //! between workers: whichever worker holds the session's lock sees exactly
-//! the state the previous quantum left behind. The only things a session
-//! shares with its neighbours are immutable values built once per
-//! deployment ([`AcceleratorModel`], [`archytas_core::GatingTable`]), which
-//! is why fleet execution is bitwise identical to running each session
-//! alone.
+//! the state the previous quantum left behind. A session shares only
+//! immutable values with its neighbours: those built once per deployment
+//! ([`AcceleratorModel`], [`archytas_core::GatingTable`]) and its frame
+//! stream, built once per distinct recipe (sequence, fault plan, chaos
+//! plan) and read by every session of the batch with that recipe. Each is
+//! a pure function of what it is built from, which is why fleet execution
+//! is bitwise identical to running each session alone.
 //!
 //! # Fault isolation
 //!
@@ -20,8 +22,9 @@
 //! periodically as a checkpoint — the restart ladder overwrites a torn
 //! core with the checkpoint, so mid-assembly wreckage is never observable.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use archytas_core::{Executor, GatingTable, IterPolicy, RuntimeSystem, Vehicle};
@@ -543,32 +546,112 @@ impl Core {
     }
 }
 
+/// A frame stream as a pure function of its recipe: the sequence spec, the
+/// fault plan applied to it and the chaos plan whose poisoned observations
+/// are written into it. Built on the first call to [`FrameStream::frames`]
+/// and immutable afterwards, so every session with an equal recipe reads
+/// one copy through an `Arc` ([`share_streams`]): who builds it, and when,
+/// cannot change a frame.
+#[derive(Debug)]
+pub(crate) struct FrameStream {
+    sequence: SequenceSpec,
+    fault_plan: Option<FaultPlan>,
+    chaos: Option<ChaosPlan>,
+    frames: OnceLock<Vec<Frame>>,
+}
+
+impl FrameStream {
+    /// The unbuilt stream of `spec`'s recipe.
+    pub(crate) fn new(spec: &SessionSpec) -> Self {
+        Self {
+            sequence: spec.sequence.clone(),
+            fault_plan: spec.fault_plan.clone(),
+            chaos: spec.chaos.clone(),
+            frames: OnceLock::new(),
+        }
+    }
+
+    /// Whether `spec` has this stream's recipe. A NaN duration compares
+    /// unequal to itself, so such a spec never shares a stream.
+    fn is_recipe_of(&self, spec: &SessionSpec) -> bool {
+        self.sequence == spec.sequence
+            && self.fault_plan == spec.fault_plan
+            && self.chaos == spec.chaos
+    }
+
+    /// The whole stream, built on the first call: the sequence replayed
+    /// into frames, the fault plan applied, the chaos poisoning written in.
+    /// A concurrent first call waits for that one build.
+    pub(crate) fn frames(&self) -> &[Frame] {
+        self.frames.get_or_init(|| {
+            let mut frames = self.sequence.build().frames;
+            if let Some(plan) = &self.fault_plan {
+                frames = archytas_faults::apply(plan, &frames);
+            }
+            if let Some(plan) = &self.chaos {
+                plan.poison_frames(&mut frames);
+            }
+            frames
+        })
+    }
+
+    #[cfg(test)]
+    pub(crate) fn is_built(&self) -> bool {
+        self.frames.get().is_some()
+    }
+}
+
+/// One stream per spec: each spec gets the stream of the first earlier spec
+/// with an equal recipe, or a new one. Specs are bucketed on `(sequence
+/// name, seed)` and compared in full inside the bucket. Builds nothing.
+pub(crate) fn share_streams(specs: &[SessionSpec]) -> Vec<Arc<FrameStream>> {
+    let mut buckets: HashMap<(&str, u64), Vec<Arc<FrameStream>>> = HashMap::new();
+    specs
+        .iter()
+        .map(|spec| {
+            let bucket = buckets
+                .entry((spec.sequence.name.as_str(), spec.sequence.seed))
+                .or_default();
+            match bucket.iter().find(|stream| stream.is_recipe_of(spec)) {
+                Some(stream) => Arc::clone(stream),
+                None => {
+                    let stream = Arc::new(FrameStream::new(spec));
+                    bucket.push(Arc::clone(&stream));
+                    stream
+                }
+            }
+        })
+        .collect()
+}
+
 /// Live state of one admitted session.
 ///
 /// Admission is cheap by design: an admitted-but-idle session holds only the
 /// estimator [`Core`] (pipeline shell, runtime handles onto the shared
-/// services, telemetry) plus the *spec* of its frame stream. The stream itself
-/// — the dominant per-session allocation — is materialized lazily by
-/// [`SessionState::ensure_started`] on first activation, and solver scratch
-/// is never owned at all: every step borrows a [`SolverWorkspace`] from the
-/// caller (the scheduler's bounded pool, sized by workers not sessions).
+/// services, telemetry) plus an `Arc` to its unbuilt [`FrameStream`]. The
+/// stream — the dominant allocation — is built at the first activation of
+/// any session that holds it and freed with the last of them, and solver
+/// scratch is never owned at all: every step borrows a [`SolverWorkspace`]
+/// from the caller (the scheduler's bounded pool, sized by workers not
+/// sessions).
 pub(crate) struct SessionState {
     name: String,
     priority: Priority,
     /// Mid-run priority flips from the spec, keyed on frames processed.
     priority_flips: Vec<(usize, Priority)>,
-    /// Recipe for the frame stream (sequence + fault plan + early leave),
-    /// kept so `ensure_started` can build it on first activation.
-    sequence: SequenceSpec,
-    fault_plan: Option<FaultPlan>,
+    /// The (possibly fault-injected and chaos-poisoned) frame stream, shared
+    /// with every session of the batch that has the same recipe. Its chaos
+    /// plan is this session's. Immutable once built — restarts replay it
+    /// from the checkpoint cursor.
+    stream: Arc<FrameStream>,
     leave_after_frames: Option<usize>,
-    /// The (possibly fault-injected and chaos-poisoned) frame stream.
-    /// `None` until first activation; immutable once built — restarts
-    /// replay it from the checkpoint cursor.
-    frames: Option<Vec<Frame>>,
+    /// Frames this session serves: the stream's length, capped by
+    /// `leave_after_frames`. `None` until this session's own first
+    /// activation, which also seeds the restart checkpoint — another
+    /// session may have built the shared stream long before.
+    served_len: Option<usize>,
     deadline: DeadlinePolicy,
     restart: RestartPolicy,
-    chaos: Option<ChaosPlan>,
     /// One-shot latch per chaos event. Lives outside the checkpoint: chaos
     /// models *transient* defects, so a restarted session replays the
     /// trigger frame cleanly instead of dying in a loop.
@@ -588,11 +671,17 @@ pub(crate) struct SessionState {
 
 impl SessionState {
     /// Admits the session: wires a fresh pipeline to a runtime over the
-    /// shared gating table. Deliberately does *not* build the frame stream or
-    /// seed the restart checkpoint — both happen at first activation
+    /// shared gating table and takes `stream`, which must have been made
+    /// from `spec`'s recipe (its chaos plan is the one this session fires).
+    /// Deliberately does *not* build the frame stream or seed the
+    /// restart checkpoint — both happen at first activation
     /// ([`SessionState::ensure_started`]), so admitting a session costs a
     /// [`Core`], not a sequence replay.
-    pub(crate) fn new(spec: &SessionSpec, services: &FleetServices) -> Self {
+    pub(crate) fn new(
+        spec: &SessionSpec,
+        stream: Arc<FrameStream>,
+        services: &FleetServices,
+    ) -> Self {
         let executor = Executor::Accelerator {
             model: Arc::clone(&services.model),
             runtime: Some(services.runtime()),
@@ -616,14 +705,12 @@ impl SessionState {
             name: spec.name.clone(),
             priority: spec.priority,
             priority_flips: spec.priority_flips.clone(),
-            sequence: spec.sequence.clone(),
-            fault_plan: spec.fault_plan.clone(),
+            stream,
             leave_after_frames: spec.leave_after_frames,
-            frames: None,
+            served_len: None,
             deadline: services.deadline,
             restart: services.restart,
             chaos_fired: vec![false; spec.chaos.as_ref().map_or(0, |p| p.events.len())],
-            chaos: spec.chaos.clone(),
             pending_stall: 0,
             core,
             checkpoint: None,
@@ -633,6 +720,11 @@ impl SessionState {
             deadline_misses_total: 0,
             frame_wall_ns: Vec::new(),
         }
+    }
+
+    /// Admits the session with a stream of its own, shared with no one.
+    pub(crate) fn with_private_stream(spec: &SessionSpec, services: &FleetServices) -> Self {
+        Self::new(spec, Arc::new(FrameStream::new(spec)), services)
     }
 
     /// Current scheduling priority: the spec priority, overridden by the
@@ -646,31 +738,25 @@ impl SessionState {
             .map_or(self.priority, |&(_, p)| p)
     }
 
-    /// First-activation work, deferred out of admission: replays the
-    /// sequence spec into frames, applies the fault plan, chaos poisoning
-    /// and the early-leave truncation, and seeds the restart checkpoint
-    /// with the pristine core (so a failure before the first periodic
-    /// checkpoint can still restart from frame 0). Idempotent; the stream
-    /// is a pure function of the spec, so *when* it is built can never
-    /// change the session's bits.
-    pub(crate) fn ensure_started(&mut self) {
-        if self.frames.is_some() {
-            return;
+    /// First-activation work, deferred out of admission: builds the shared
+    /// stream unless a session with the same recipe already did, fixes the
+    /// served length (the early leave is a prefix of the stream, not a
+    /// copy), and seeds the restart checkpoint with the pristine core (so a
+    /// failure before the first periodic checkpoint can still restart from
+    /// frame 0). Idempotent; returns the served length. The stream is a
+    /// pure function of its recipe, so *when* it is built, and by whom, can
+    /// never change the session's bits.
+    pub(crate) fn ensure_started(&mut self) -> usize {
+        if let Some(len) = self.served_len {
+            return len;
         }
-        let mut frames = self.sequence.build().frames;
-        if let Some(plan) = &self.fault_plan {
-            frames = archytas_faults::apply(plan, &frames);
-        }
-        if let Some(plan) = &self.chaos {
-            plan.poison_frames(&mut frames);
-        }
-        if let Some(n) = self.leave_after_frames {
-            frames.truncate(n);
-        }
-        self.frames = Some(frames);
+        let built = self.stream.frames().len();
+        let len = self.leave_after_frames.map_or(built, |n| n.min(built));
+        self.served_len = Some(len);
         if self.restart.max_restarts > 0 {
             self.checkpoint = Some(Box::new(self.core.clone()));
         }
+        len
     }
 
     /// One guarded step: burns a pending stall round, fires due chaos,
@@ -678,7 +764,7 @@ impl SessionState {
     /// the deadline watchdog and checkpoint schedule. Solver scratch is
     /// borrowed from the caller for just this step — sessions own none.
     pub(crate) fn step_guarded(&mut self, workspace: &mut SolverWorkspace) -> StepOutcome {
-        self.ensure_started();
+        let len = self.ensure_started();
         if self.phase == SessionPhase::Quarantined {
             // Defensive: a quarantined session must never be stepped.
             return StepOutcome::Failed;
@@ -690,7 +776,7 @@ impl SessionState {
         }
         let frame_idx = self.core.cursor;
         let mut inject_panic = false;
-        if let Some(plan) = &self.chaos {
+        if let Some(plan) = &self.stream.chaos {
             if let Some((ev, rounds)) = plan.stall_event_at(frame_idx) {
                 if !self.chaos_fired[ev] {
                     self.chaos_fired[ev] = true;
@@ -717,7 +803,7 @@ impl SessionState {
         }
         let t0 = Instant::now();
         let core = &mut self.core;
-        let frames = self.frames.as_deref().expect("ensure_started ran");
+        let frames = &self.stream.frames()[..len];
         // AssertUnwindSafe: a panic can leave `core` torn mid-assembly, but
         // a torn core is never observed afterwards — the failure path
         // either overwrites it with a checkpoint clone or quarantines the
@@ -855,19 +941,20 @@ impl SessionState {
 ///
 /// [`AdmittedSession::admit`] performs exactly the work `run_fleet` does per
 /// admitted session before its first quantum: build the estimator `Core`
-/// against the shared services. Frames and the restart checkpoint are
-/// materialized by [`AdmittedSession::activate`]; solver scratch is borrowed
-/// per step, never owned.
+/// against the shared services. The session's frame stream is its own
+/// (`run_fleet` shares one per distinct recipe); it and the restart
+/// checkpoint are materialized by [`AdmittedSession::activate`]; solver
+/// scratch is borrowed per step, never owned.
 pub struct AdmittedSession {
     state: SessionState,
 }
 
 impl AdmittedSession {
-    /// Admits the session against the shared services (idle: no frame
-    /// stream yet).
+    /// Admits the session against the shared services (idle: its frame
+    /// stream is not built yet).
     pub fn admit(spec: &SessionSpec, services: &FleetServices) -> Self {
         Self {
-            state: SessionState::new(spec, services),
+            state: SessionState::with_private_stream(spec, services),
         }
     }
 
@@ -911,8 +998,10 @@ fn panic_payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archytas_dataset::kitti_sequences;
-    use archytas_faults::ChaosKind;
+    use crate::AdmissionDecision;
+    use archytas_dataset::{euroc_sequences, kitti_sequences};
+    use archytas_faults::{ChaosKind, FaultKind};
+    use std::collections::HashSet;
 
     #[test]
     fn digest_is_sensitive_to_every_deterministic_field() {
@@ -947,7 +1036,7 @@ mod tests {
     fn session_alone_produces_windows() {
         let spec = SessionSpec::new("alone", kitti_sequences()[3].truncated(2.5), Priority::High);
         let services = FleetServices::new(&FleetConfig::default());
-        let mut st = SessionState::new(&spec, &services);
+        let mut st = SessionState::with_private_stream(&spec, &services);
         let mut ws = SolverWorkspace::new();
         loop {
             match st.step_guarded(&mut ws) {
@@ -980,7 +1069,7 @@ mod tests {
             restart: RestartPolicy { max_restarts: 0 },
             ..FleetConfig::default()
         });
-        let mut st = SessionState::new(&spec, &services);
+        let mut st = SessionState::with_private_stream(&spec, &services);
         let mut ws = SolverWorkspace::new();
         silence_chaos_panics();
         let outcome = loop {
@@ -1006,7 +1095,7 @@ mod tests {
         let seq = kitti_sequences()[3].truncated(2.5);
         let clean_spec = SessionSpec::new("s", seq.clone(), Priority::Normal);
         let services = FleetServices::new(&FleetConfig::default());
-        let mut clean = SessionState::new(&clean_spec, &services);
+        let mut clean = SessionState::with_private_stream(&clean_spec, &services);
         let mut ws = SolverWorkspace::new();
         loop {
             if let StepOutcome::Done = clean.step_guarded(&mut ws) {
@@ -1017,7 +1106,7 @@ mod tests {
 
         let chaotic_spec = SessionSpec::new("s", seq, Priority::Normal)
             .with_chaos(ChaosPlan::new(1).with(ChaosKind::SessionPanic { frame: 15 }));
-        let mut chaotic = SessionState::new(&chaotic_spec, &services);
+        let mut chaotic = SessionState::with_private_stream(&chaotic_spec, &services);
         silence_chaos_panics();
         let report = loop {
             match chaotic.step_guarded(&mut ws) {
@@ -1034,5 +1123,150 @@ mod tests {
         // event does not re-fire, so the final bits equal a clean run's.
         assert_eq!(report.digest(), clean_report.digest());
         clean_report.assert_bitwise_eq(&report);
+    }
+
+    /// Whether streams `i` and `j` are one `Arc`.
+    fn shared(streams: &[Arc<FrameStream>], i: usize, j: usize) -> bool {
+        Arc::ptr_eq(&streams[i], &streams[j])
+    }
+
+    #[test]
+    fn churn_shaped_batch_builds_one_stream_per_route() {
+        // 1,536 vehicles over 48 one-second routes, interleaved. Route
+        // names repeat (48 routes over 16 base sequences) but seeds do not,
+        // so the `(name, seed)` buckets hold one recipe each.
+        let (kitti, euroc) = (kitti_sequences(), euroc_sequences());
+        let routes: Vec<SequenceSpec> = (0..48)
+            .map(|r| {
+                let base = if r % 3 == 2 {
+                    &euroc[r % euroc.len()]
+                } else {
+                    &kitti[r % kitti.len()]
+                };
+                SequenceSpec {
+                    seed: 7_000 + r as u64,
+                    ..base.truncated(1.0)
+                }
+            })
+            .collect();
+        let specs: Vec<SessionSpec> = (0..1536)
+            .map(|v| {
+                let route = (v * 29) % routes.len();
+                SessionSpec::new(format!("v-{v:04}"), routes[route].clone(), Priority::Low)
+                    .leaving_after(6)
+            })
+            .collect();
+        let streams = share_streams(&specs);
+        assert_eq!(streams.len(), specs.len());
+        let distinct: HashSet<*const FrameStream> = streams.iter().map(Arc::as_ptr).collect();
+        assert_eq!(distinct.len(), routes.len());
+        for (i, spec) in specs.iter().enumerate() {
+            let first = specs
+                .iter()
+                .position(|s| s.sequence == spec.sequence)
+                .unwrap();
+            assert!(shared(&streams, i, first), "{}", spec.name);
+        }
+        assert!(streams.iter().all(|s| !s.is_built()));
+    }
+
+    #[test]
+    fn only_the_recipe_decides_sharing() {
+        let seq = kitti_sequences()[2].truncated(2.0);
+        let base = SessionSpec::new("base", seq.clone(), Priority::Normal);
+        let recipe_twins = [
+            SessionSpec {
+                name: "renamed".into(),
+                ..base.clone()
+            },
+            SessionSpec {
+                priority: Priority::High,
+                ..base.clone()
+            },
+            base.clone().arriving_at(9),
+            base.clone().with_priority_flip(4, Priority::Low),
+            base.clone().leaving_after(6),
+            base.clone().leaving_after(0),
+        ];
+        let fault = FaultPlan::new(3).with(FaultKind::VisionDropout, 4, 8);
+        let chaos = ChaosPlan::new(3).with(ChaosKind::PoisonedObservation { start: 4, end: 6 });
+        let recipe_strangers = [
+            base.clone().with_faults(fault.clone()),
+            base.clone().with_faults(FaultPlan { seed: 4, ..fault }),
+            base.clone().with_chaos(chaos.clone()),
+            base.clone().with_chaos(ChaosPlan { seed: 4, ..chaos }),
+            base.clone()
+                .with_chaos(ChaosPlan::new(3).with(ChaosKind::SessionPanic { frame: 5 })),
+            SessionSpec::new(
+                "reseeded",
+                SequenceSpec {
+                    seed: 1,
+                    ..seq.clone()
+                },
+                Priority::Normal,
+            ),
+            SessionSpec::new("shorter", seq.truncated(1.5), Priority::Normal),
+            SessionSpec::new(
+                "nan",
+                SequenceSpec {
+                    duration: f64::NAN,
+                    ..seq.clone()
+                },
+                Priority::Normal,
+            ),
+            SessionSpec::new(
+                "nan-twin",
+                SequenceSpec {
+                    duration: f64::NAN,
+                    ..seq
+                },
+                Priority::Normal,
+            ),
+        ];
+        let mut specs = vec![base];
+        specs.extend(recipe_twins.iter().cloned());
+        specs.extend(recipe_strangers.iter().cloned());
+        let streams = share_streams(&specs);
+        for i in 1..=recipe_twins.len() {
+            assert!(shared(&streams, 0, i), "twin {i} got its own stream");
+        }
+        let strangers = recipe_twins.len() + 1..specs.len();
+        for i in strangers.clone() {
+            for j in (0..specs.len()).filter(|&j| j != i) {
+                assert!(!shared(&streams, i, j), "stranger {i} shares with {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn admission_builds_no_stream() {
+        let kitti = kitti_sequences();
+        let specs: Vec<SessionSpec> = (0..12)
+            .map(|i| SessionSpec::new(format!("s-{i}"), kitti[i % 3].truncated(1.0), Priority::Low))
+            .collect();
+        let services = FleetServices::new(&FleetConfig::default());
+        let decisions = vec![AdmissionDecision::Admit; specs.len()];
+        let states = crate::admitted_states(&specs, &decisions, &services);
+        assert!(states.iter().flatten().all(|st| !st.stream.is_built()));
+
+        let mut admitted = AdmittedSession::admit(&specs[0], &services);
+        assert!(!admitted.state.stream.is_built());
+        admitted.activate();
+        assert!(admitted.state.stream.is_built());
+    }
+
+    #[test]
+    fn activation_after_a_sibling_built_the_stream_still_seeds_the_checkpoint() {
+        let spec = SessionSpec::new("a", kitti_sequences()[1].truncated(2.0), Priority::Normal);
+        let services = FleetServices::new(&FleetConfig::default());
+        let stream = Arc::new(FrameStream::new(&spec));
+        let mut first = SessionState::new(&spec, Arc::clone(&stream), &services);
+        let mut second = SessionState::new(&spec.clone().leaving_after(6), stream, &services);
+        let full = first.ensure_started();
+        assert!(first.checkpoint.is_some());
+        assert!(second.stream.is_built() && second.checkpoint.is_none());
+        assert_eq!(second.ensure_started(), 6);
+        assert!(second.checkpoint.is_some());
+        assert_eq!(full, second.stream.frames().len());
     }
 }

@@ -4,7 +4,7 @@
 
 use archytas_core::{Executor, Vehicle};
 use archytas_dataset::{euroc_sequences, kitti_sequences, VioPipeline};
-use archytas_faults::{ChaosKind, ChaosPlan};
+use archytas_faults::{ChaosKind, ChaosPlan, FaultKind, FaultPlan};
 use archytas_fleet::{
     fleet_pipeline_config, run_fleet, run_session_alone, silence_chaos_panics,
     standard_fleet_specs, DeadlinePolicy, FailureCause, FleetConfig, FleetServices, Priority,
@@ -395,6 +395,120 @@ fn churn_schedule_matches_serial_alone_across_pools_and_orders() {
             assert_eq!(report.session_restarts, 2, "{order_name}, {threads}t");
             // Digests must also be identical *across* pool sizes and
             // admission orders, not only against the serial reference.
+            let digests: HashMap<String, u64> = report
+                .sessions
+                .iter()
+                .map(|s| (s.name.clone(), s.digest()))
+                .collect();
+            match &frozen {
+                None => frozen = Some(digests),
+                Some(f) => assert_eq!(*f, digests, "{order_name}, {threads}t"),
+            }
+        }
+    }
+}
+
+/// Three routes, each driven by several sessions that share its frame
+/// stream: early leavers at 0 frames, 6 frames and one past the stream's
+/// end, full runs, mixed priorities and arrivals. Each route also carries
+/// copies whose recipe differs — a fault plan (route 0), a poisoned
+/// observation (route 1), a panic the restart ladder recovers from (route
+/// 2) — twice each, so those share a stream among themselves too.
+fn shared_route_specs() -> Vec<SessionSpec> {
+    let (kitti, euroc) = (kitti_sequences(), euroc_sequences());
+    let routes = [
+        kitti[0].truncated(2.0),
+        kitti[5].truncated(2.0),
+        euroc[2].truncated(2.0),
+    ];
+    let mut specs = Vec::new();
+    for (r, route) in routes.iter().enumerate() {
+        let len = route.build().frames.len();
+        let copy = |name: &str, priority| {
+            SessionSpec::new(format!("r{r}-{name}"), route.clone(), priority)
+        };
+        let odd = match r {
+            0 => copy("faulted", Priority::Normal).with_faults(FaultPlan::new(17).with(
+                FaultKind::VisionDropout,
+                8,
+                12,
+            )),
+            1 => copy("poisoned", Priority::High).with_chaos(
+                ChaosPlan::new(19).with(ChaosKind::PoisonedObservation { start: 8, end: 10 }),
+            ),
+            _ => copy("restarted", Priority::Normal)
+                .with_chaos(ChaosPlan::new(23).with(ChaosKind::SessionPanic { frame: 12 })),
+        };
+        specs.extend([
+            odd.clone().arriving_at(2),
+            copy("full", Priority::High),
+            copy("leave-0", Priority::Low)
+                .leaving_after(0)
+                .arriving_at(3),
+            copy("leave-6", Priority::Normal)
+                .leaving_after(6)
+                .arriving_at(1)
+                .with_priority_flip(3, Priority::High),
+            copy("past-end", Priority::Low)
+                .leaving_after(len + 1)
+                .arriving_at(5),
+            SessionSpec {
+                name: format!("{}-twin", odd.name),
+                priority: Priority::Low,
+                ..odd.leaving_after(len - 3).arriving_at(7)
+            },
+            copy("full-late", Priority::Normal).arriving_at(9),
+        ]);
+    }
+    specs
+}
+
+#[test]
+fn sessions_sharing_a_route_match_serial_alone_across_pools_and_orders() {
+    silence_chaos_panics();
+    let specs = shared_route_specs();
+    let alone = alone_reports(&specs);
+    let len = kitti_sequences()[0].truncated(2.0).build().frames.len();
+    assert_eq!(alone["r0-leave-0"].frames, 0);
+    assert_eq!(alone["r0-leave-6"].frames, 6);
+    assert_eq!(alone["r0-past-end"].frames, len);
+    assert_eq!(alone["r0-full"].frames, len);
+    assert_eq!(alone["r0-faulted-twin"].frames, len - 3);
+    // The odd copies really differ from their clean siblings, so a stream
+    // handed to the wrong session would show in the bits.
+    assert_ne!(alone["r0-faulted"].digest(), alone["r0-full"].digest());
+    assert_ne!(alone["r1-poisoned"].digest(), alone["r1-full"].digest());
+    for name in ["r2-restarted", "r2-restarted-twin"] {
+        assert_eq!(alone[name].outcome, SessionOutcome::Completed, "{name}");
+        assert_eq!(alone[name].restarts, 1, "{name}");
+    }
+    alone["r2-full"].assert_bitwise_eq(&SessionReport {
+        name: "r2-full".into(),
+        ..alone["r2-restarted"].clone()
+    });
+
+    let mut reversed = specs.clone();
+    reversed.reverse();
+    let mut frozen: Option<HashMap<String, u64>> = None;
+    for threads in [1usize, 2, 8] {
+        for (order_name, order) in [("forward", &specs), ("reversed", &reversed)] {
+            let report = run_fleet(
+                order,
+                &FleetConfig {
+                    threads,
+                    ..base_config()
+                },
+            );
+            assert_eq!(report.session_restarts, 2, "{order_name}, {threads}t");
+            for (spec, session) in order.iter().zip(&report.sessions) {
+                assert_eq!(session.frames, alone[&spec.name].frames, "{}", spec.name);
+                assert_eq!(
+                    session.restarts, alone[&spec.name].restarts,
+                    "{}",
+                    spec.name
+                );
+                session.assert_bitwise_eq(&alone[&spec.name]);
+            }
             let digests: HashMap<String, u64> = report
                 .sessions
                 .iter()

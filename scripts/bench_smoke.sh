@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Quick benchmark smoke: formatting, lint and rustdoc gates, the workspace
-# tests, the standalone benchmark's unit tests and one traced fleet-steady
-# run of it (its "correct"/"failed" verdict gates), then the synthesizer criterion bench in --quick
+# tests, the standalone benchmark's unit tests, one traced fleet-steady run
+# and one fleet-churn run of it (their "correct"/"failed" verdicts gate),
+# then the synthesizer criterion bench in --quick
 # mode at ARCHYTAS_THREADS=1 and =4 (its `nd` stripes fan out over the
 # pool) and the solver-iteration and
 # accelerator-simulation benches once (their kernels are serial). Every
@@ -61,19 +62,29 @@ cp benchmark/Cargo.lock "$LOCK_BACKUP"
 trap 'mv "$LOCK_BACKUP" benchmark/Cargo.lock' EXIT
 CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
-# Benchmark correctness gate: one traced fleet-steady run. Its correctness
-# check replays every session through the dense callback
-# (`f32_linear_solver`) and compares it with the served sessions, the only
-# gate that holds that path to the served bits on real fleet sessions. The
-# last line of its output must report `"correct": true` and `"failed": 0`.
-echo "running the standalone benchmark once (fleet-steady, traced)..." >&2
-BENCH_LAST="$(CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline \
-    --manifest-path benchmark/Cargo.toml -- \
-    --workload fleet-steady --seed 7 --seconds 2 --trace 1 | tail -n 1)"
-if ! grep -q '"correct": true' <<<"$BENCH_LAST" || ! grep -q '"failed": 0[,}]' <<<"$BENCH_LAST"; then
-    echo "benchmark correctness gate FAILED: ${BENCH_LAST:0:200}" >&2
-    exit 1
-fi
+# Benchmark correctness gates: the last line of each run must report
+# `"correct": true` and `"failed": 0`.
+# - One traced fleet-steady run. Its correctness check replays every
+#   session through the dense callback (`f32_linear_solver`) and compares
+#   it with the served sessions, the only gate that holds that path to the
+#   served bits on real fleet sessions.
+# - One untraced fleet-churn run: 1,536 sessions on 48 routes, so each
+#   route's frame stream is shared by 32 sessions per batch. Its check
+#   compares every served session with `run_session_alone` (a private
+#   stream), the only gate that holds shared-route sessions to their
+#   serial-alone bits on the real churn mix.
+bench_gate() {
+    echo "running the standalone benchmark once ($*)..." >&2
+    local last
+    last="$(CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline \
+        --manifest-path benchmark/Cargo.toml -- "$@" --seed 7 --seconds 2 | tail -n 1)"
+    if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0[,}]' <<<"$last"; then
+        echo "benchmark correctness gate FAILED ($*): ${last:0:200}" >&2
+        exit 1
+    fi
+}
+bench_gate --workload fleet-steady --trace 1
+bench_gate --workload fleet-churn --trace 0
 mv "$LOCK_BACKUP" benchmark/Cargo.lock
 trap - EXIT
 
