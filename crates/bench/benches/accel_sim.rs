@@ -7,7 +7,7 @@ use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_hw::{jacobian_feature_latency, simulate_window, AcceleratorConfig, HIGH_PERF};
 use archytas_math::{BlockSparseSystem, FVec, SchurScratch};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{build_block_normal_equations, FactorWeights};
+use archytas_slam::{build_block_normal_equations, FactorWeights, SolverWorkspace};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -46,8 +46,9 @@ fn bench_accel(c: &mut Criterion) {
             break;
         }
     }
-    let mut sys = BlockSparseSystem::new();
-    build_block_normal_equations(pipeline.window(), &FactorWeights::default(), None, &mut sys);
+    let mut ws = SolverWorkspace::new();
+    let (sys, _) =
+        build_block_normal_equations(&mut ws, pipeline.window(), &FactorWeights::default(), None);
     // Damp exactly as the LM loop does before handing the system to the
     // datapath: the raw gauge-pinned normal equations mix scales beyond
     // f32's range.

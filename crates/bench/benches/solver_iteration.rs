@@ -14,11 +14,11 @@ use archytas_bench::json::{phase_array, rec_line, JsonLine};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_fleet::fleet_pipeline_config;
 use archytas_math::fixed::{self, sub_scaled_panel, syrk_scatter};
-use archytas_math::{BlockSparseSystem, Cholesky, DVec, FMat, SchurScratch};
+use archytas_math::{Cholesky, DVec, FMat, SchurScratch};
 use archytas_par::{counters, Pool};
 use archytas_slam::{
-    build_block_normal_equations, solve, solve_in_workspace, try_marginalize_oldest_in,
-    FactorWeights, LmConfig, Precision, Prior, SlidingWindow, SolverWorkspace,
+    build_block_normal_equations, solve_in_workspace, try_marginalize_oldest_in, FactorWeights,
+    LmConfig, Precision, Prior, SlidingWindow, SolverWorkspace,
 };
 use archytas_telemetry::phase_rows;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -43,6 +43,7 @@ fn steady_window_with_prior() -> (PipelineConfig, SlidingWindow, Prior) {
     let data = kitti_sequences()[2].truncated(4.0).build();
     let config = fleet_pipeline_config();
     let mut pipeline = VioPipeline::new(config);
+    let mut ws = SolverWorkspace::new();
     for frame in &data.frames {
         if !pipeline.push_frame(frame) {
             continue;
@@ -50,7 +51,7 @@ fn steady_window_with_prior() -> (PipelineConfig, SlidingWindow, Prior) {
         if let Some(prior) = pipeline.prior() {
             return (config, pipeline.window().clone(), prior.clone());
         }
-        pipeline.optimize_and_slide(6);
+        pipeline.optimize_and_slide_in(&mut ws, 6);
     }
     panic!("sequence too short to slide a window");
 }
@@ -61,16 +62,17 @@ fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver");
     group.sample_size(20);
 
-    // Damp as the LM loop does: the raw normal equations of a freshly
-    // initialized window can be rank-deficient before damping.
-    let mut sys = BlockSparseSystem::new();
+    // One workspace serves every case below, as it serves a whole run.
+    let mut ws = SolverWorkspace::new();
     // The window assembled into the block-structured system and solved via
     // Schur elimination that never materializes the dense `A`.
     group.bench_function("build_block_normal_equations", |b| {
-        b.iter(|| build_block_normal_equations(black_box(&window), &weights, None, &mut sys))
+        b.iter(|| build_block_normal_equations(&mut ws, black_box(&window), &weights, None).1)
     });
 
-    build_block_normal_equations(&window, &weights, None, &mut sys);
+    // Damp as the LM loop does: the raw normal equations of a freshly
+    // initialized window can be rank-deficient before damping.
+    let (sys, _) = build_block_normal_equations(&mut ws, &window, &weights, None);
     sys.damp(1e-3, 1e-9);
     let mut scratch = SchurScratch::default();
     let mut delta = DVec::zeros(0);
@@ -188,7 +190,13 @@ fn bench_solver(c: &mut Criterion) {
     group.bench_function("lm_full_window_6_iterations", |b| {
         b.iter(|| {
             let mut w = window.clone();
-            solve(&mut w, &weights, None, &LmConfig::with_iterations(6))
+            solve_in_workspace(
+                &mut ws,
+                &mut w,
+                &weights,
+                None,
+                &LmConfig::with_iterations(6),
+            )
         })
     });
     counters::disable();
@@ -202,7 +210,7 @@ fn bench_solver(c: &mut Criterion) {
     group.bench_function("lm_full_window_6_iterations_f32", |b| {
         b.iter(|| {
             let mut w = window.clone();
-            solve(&mut w, &weights, None, &served)
+            solve_in_workspace(&mut ws, &mut w, &weights, None, &served)
         })
     });
 
@@ -211,7 +219,6 @@ fn bench_solver(c: &mut Criterion) {
     // into the same workspace. Each iteration clones the window (and, for
     // the marginalization, the prior it rebuilds in place).
     let (config, steady, prior) = steady_window_with_prior();
-    let mut ws = SolverWorkspace::new();
     let steady_lm = LmConfig {
         precision: config.precision,
         ..LmConfig::with_iterations(6)

@@ -7,6 +7,7 @@
 
 use archytas_bench::{banner, mean, print_table};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
+use archytas_slam::SolverWorkspace;
 
 /// Lag (in windows) over which the relative error is measured: 1 s of
 /// motion, matching the scale of KITTI's segment-relative error metric.
@@ -24,13 +25,14 @@ fn main() {
     let (duration, first_window, last_window) = (100.0, 10usize, usize::MAX);
     let data = kitti_sequences()[0].truncated(duration).build();
     let mut pipeline = VioPipeline::new(PipelineConfig::default());
+    let mut ws = SolverWorkspace::new();
 
     let mut history: Vec<(usize, usize, archytas_slam::Pose, archytas_slam::Pose)> = Vec::new();
     for frame in &data.frames {
         if !pipeline.push_frame(frame) {
             continue;
         }
-        let r = pipeline.optimize_and_slide(4);
+        let r = pipeline.optimize_and_slide_in(&mut ws, 4);
         history.push((r.window_id, r.workload.features, r.estimate, r.ground_truth));
     }
     // Relative error over a LAG-window (≈1 s) span ending at each window.

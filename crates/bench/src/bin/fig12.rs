@@ -5,7 +5,7 @@
 
 use archytas_bench::{banner, full_run, print_table};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
-use archytas_slam::TrajectoryMetrics;
+use archytas_slam::{SolverWorkspace, TrajectoryMetrics};
 
 fn main() {
     banner("Fig. 12", "RMSE vs NLS iteration count (KITTI profiling)");
@@ -16,6 +16,7 @@ fn main() {
     let duration = if full_run() { 100.0 } else { 40.0 };
     let data = kitti_sequences()[0].truncated(duration).build();
 
+    let mut ws = SolverWorkspace::new();
     let mut rows = Vec::new();
     let mut series = Vec::new();
     for iterations in 1..=6usize {
@@ -23,7 +24,7 @@ fn main() {
         let mut metrics = TrajectoryMetrics::new();
         for frame in &data.frames {
             if pipeline.push_frame(frame) {
-                let r = pipeline.optimize_and_slide(iterations);
+                let r = pipeline.optimize_and_slide_in(&mut ws, iterations);
                 metrics.record(&r.estimate, &r.ground_truth, 0.0);
             }
         }

@@ -10,7 +10,7 @@ use archytas_baselines::CpuPlatform;
 use archytas_bench::{banner, full_run, print_table};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{EkfVio, TrajectoryMetrics};
+use archytas_slam::{EkfVio, SolverWorkspace, TrajectoryMetrics};
 
 fn main() {
     banner(
@@ -21,12 +21,13 @@ fn main() {
     let data = kitti_sequences()[0].truncated(duration).build();
 
     // --- MAP (sliding-window LM, the paper's target) ---
+    let mut ws = SolverWorkspace::new();
     let mut pipeline = VioPipeline::new(PipelineConfig::default());
     let mut map_metrics = TrajectoryMetrics::new();
     let mut map_ops: u64 = 0;
     for frame in &data.frames {
         if pipeline.push_frame(frame) {
-            let r = pipeline.optimize_and_slide(4);
+            let r = pipeline.optimize_and_slide_in(&mut ws, 4);
             map_metrics.record(&r.estimate, &r.ground_truth, 0.0);
             let shape = ProblemShape::from_workload(&r.workload);
             map_ops += CpuPlatform::window_work_ops(&shape, r.report.iterations.max(1));
@@ -57,7 +58,7 @@ fn main() {
         let mut ops = 0u64;
         for frame in &data.frames {
             if p.push_frame(frame) {
-                let r = p.optimize_and_slide(iterations);
+                let r = p.optimize_and_slide_in(&mut ws, iterations);
                 m.record(&r.estimate, &r.ground_truth, 0.0);
                 ops += CpuPlatform::window_work_ops(
                     &ProblemShape::from_workload(&r.workload),

@@ -20,7 +20,7 @@ use archytas_core::{
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_hw::{AcceleratorModel, FpgaPlatform, PowerModel, HIGH_PERF};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{Precision, TrajectoryMetrics};
+use archytas_slam::{Precision, SolverWorkspace, TrajectoryMetrics};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Policy {
@@ -60,6 +60,7 @@ fn run(policy: Policy) -> (f64, f64, f64) {
         precision: Precision::F32,
         ..PipelineConfig::default()
     });
+    let mut ws = SolverWorkspace::new();
     let mut metrics = TrajectoryMetrics::new();
     let mut energy = 0.0;
     let mut iter_sum = 0usize;
@@ -71,7 +72,7 @@ fn run(policy: Policy) -> (f64, f64, f64) {
         }
         let features = pipeline.window().num_landmarks();
         let iterations = adaptive.iterations_for(features);
-        let result = pipeline.optimize_and_slide(iterations);
+        let result = pipeline.optimize_and_slide_in(&mut ws, iterations);
         adaptive.observe(features, &result.report);
         let shape = ProblemShape::from_workload(&result.workload);
         let latency = model.window_latency_ms(&shape, iterations);

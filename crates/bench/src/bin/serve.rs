@@ -32,10 +32,10 @@ use archytas_bench::serve::{compare_det, cpus, run_timing, session_det, Args};
 use archytas_bench::table;
 use archytas_faults::{long_horizon_scenarios, run_scenario, scenarios, ChaosKind, ChaosPlan};
 use archytas_fleet::{
-    plan_admission, run_fleet, run_session_alone, scaling_fleet_specs, silence_chaos_panics,
-    standard_fleet_specs, AdmissionDecision, DeadlinePolicy, FleetConfig, FleetReport,
-    PowerEnvelope, Priority, RestartPolicy, SessionOutcome, SessionReport, SessionSpec,
-    TrafficClass,
+    fleet_platform, plan_admission, run_fleet, run_session_alone, scaling_fleet_specs,
+    silence_chaos_panics, standard_fleet_specs, AdmissionDecision, DeadlinePolicy, FleetConfig,
+    FleetReport, PowerEnvelope, Priority, RestartPolicy, SessionOutcome, SessionReport,
+    SessionSpec, TrafficClass, FLEET_DESIGN,
 };
 use archytas_par::counters;
 use archytas_telemetry::{phase_rows, Histogram, PhaseRow, ScopeAggregate};
@@ -209,9 +209,9 @@ fn obs(args: &Args) -> Vec<String> {
     let base = FleetConfig::default();
     // Default budget: two sessions' Eq. 17 draw, so admission must shed
     // Low and defer Normal arrivals past the boundary.
-    let draw = PowerEnvelope::new(f64::INFINITY, &base.design, &base.platform).session_draw_w;
+    let draw = PowerEnvelope::new(f64::INFINITY, &FLEET_DESIGN, &fleet_platform()).session_draw_w;
     let budget_w = args.budget_w.unwrap_or(2.0 * draw + 1e-9);
-    let envelope = PowerEnvelope::new(budget_w, &base.design, &base.platform);
+    let envelope = PowerEnvelope::new(budget_w, &FLEET_DESIGN, &fleet_platform());
     let decisions = plan_admission(&specs, base.max_active, base.shed_watermark, &envelope);
 
     let mut verdicts: Vec<(usize, usize, usize, f64)> = Vec::new();

@@ -5,11 +5,13 @@
 //! provides the first stage of that pipeline: it parses the emitted Verilog
 //! into module definitions (ports, parameters, nets, instances and generate
 //! loops), resolves the instance hierarchy from the top module, and checks
-//! connectivity — named port connections must exist on the instantiated
-//! module, connected signals must be declared in the parent, and generate
-//! widths must resolve against parameter values.
+//! it: every `module` must close with `endmodule`, the top module's
+//! `ND`/`NM`/`S` defaults must equal the design's configuration, named port
+//! connections must exist on the instantiated module, connected signals
+//! must be declared in the parent, and generate widths must resolve against
+//! parameter values.
 
-use crate::verilog::VerilogDesign;
+use crate::verilog::{VerilogDesign, VerilogFile};
 use std::collections::{BTreeMap, HashMap};
 
 /// Direction of a port.
@@ -65,7 +67,9 @@ pub struct Elaboration {
     pub modules: HashMap<String, Module>,
     /// Hierarchy lines (`top/u_cholesky:cholesky_unit`).
     pub hierarchy: Vec<String>,
-    /// Hard errors (undefined modules, bad connections, unresolved bounds).
+    /// Hard errors (unterminated or undefined modules, top parameter
+    /// defaults that differ from the configuration, bad connections,
+    /// unresolved bounds).
     pub errors: Vec<String>,
     /// Soft warnings (unconnected child ports).
     pub warnings: Vec<String>,
@@ -96,20 +100,23 @@ fn ident(s: &str) -> String {
         .collect()
 }
 
-/// Parses one source file's modules into `out`.
-fn parse_file(contents: &str, out: &mut HashMap<String, Module>) {
+/// Parses one source file's modules into `out`; a module with no
+/// `endmodule` is reported in `errors` and left out.
+fn parse_file(file: &VerilogFile, out: &mut HashMap<String, Module>, errors: &mut Vec<String>) {
     let mut current: Option<Module> = None;
-    for raw in contents.lines() {
+    let unterminated = |m: Module| format!("{}: module {} has no endmodule", file.name, m.name);
+    for raw in file.contents.lines() {
         let line = raw.trim();
         if line.starts_with("//") || line.is_empty() {
             continue;
         }
         if let Some(rest) = line.strip_prefix("module ") {
             let name = ident(rest);
-            current = Some(Module {
+            let open = current.replace(Module {
                 name,
                 ..Module::default()
             });
+            errors.extend(open.map(unterminated));
             continue;
         }
         if line.starts_with("endmodule") {
@@ -232,6 +239,7 @@ fn parse_file(contents: &str, out: &mut HashMap<String, Module>) {
             }
         }
     }
+    errors.extend(current.map(unterminated));
 }
 
 fn strip_port_prefix(line: &str) -> Option<(PortDir, &str)> {
@@ -245,19 +253,25 @@ fn strip_port_prefix(line: &str) -> Option<(PortDir, &str)> {
 
 /// Elaborates an emitted design from its top module.
 pub fn elaborate(design: &VerilogDesign) -> Elaboration {
-    let mut modules = HashMap::new();
+    let mut elab = Elaboration::default();
     for file in &design.files {
-        parse_file(&file.contents, &mut modules);
+        parse_file(file, &mut elab.modules, &mut elab.errors);
     }
-    let mut elab = Elaboration {
-        modules,
-        ..Elaboration::default()
-    };
 
     let Some(top) = elab.modules.get("archytas_top").cloned() else {
         elab.errors.push("top module archytas_top not found".into());
         return elab;
     };
+    let config = &design.config;
+    for (param, value) in [("ND", config.nd), ("NM", config.nm), ("S", config.s)] {
+        let default = top.parameters.get(param).copied();
+        if default != i64::try_from(value).ok() {
+            elab.errors.push(format!(
+                "archytas_top: parameter {param} default {default:?} does not match \
+                 configuration ({value})"
+            ));
+        }
+    }
     let mut stack = vec![(String::from("archytas_top"), top)];
     while let Some((path, module)) = stack.pop() {
         for inst in &module.instances {
@@ -383,6 +397,48 @@ mod tests {
         design.files.retain(|f| f.name != "mac_unit.v");
         let e = elaborate(&design);
         assert!(e.errors.iter().any(|m| m.contains("mac_unit")));
+    }
+
+    #[test]
+    fn corrupted_design_is_caught() {
+        let mut design = emit_verilog(&AcceleratorConfig::new(28, 19, 97));
+        design.files[0].contents = design.files[0]
+            .contents
+            .replace("dschur_unit #(.ND(ND)) u_dschur", "phantom_unit u_phantom");
+        let e = elaborate(&design);
+        assert!(!e.is_ok());
+        assert!(e.errors.iter().any(|m| m.contains("phantom_unit")));
+    }
+
+    #[test]
+    fn mismatched_parameter_is_caught() {
+        let mut design = emit_verilog(&AcceleratorConfig::new(28, 19, 97));
+        design.files[0].contents = design.files[0]
+            .contents
+            .replace("parameter ND = 28", "parameter ND = 4");
+        let e = elaborate(&design);
+        assert!(e.errors.iter().any(|m| m.contains("ND")), "{:?}", e.errors);
+    }
+
+    #[test]
+    fn unterminated_module_is_caught() {
+        let mut design = emit_verilog(&AcceleratorConfig::new(4, 4, 4));
+        for file in &mut design.files {
+            match file.name.as_str() {
+                // Followed by another module in the same file.
+                "buffers.v" => file.contents = file.contents.replacen("endmodule", "", 1),
+                // The last module of its file.
+                "mac_unit.v" => file.contents = file.contents.replace("endmodule", ""),
+                _ => {}
+            }
+        }
+        let e = elaborate(&design);
+        for expected in [
+            "buffers.v: module input_buffer has no endmodule",
+            "mac_unit.v: module mac_unit has no endmodule",
+        ] {
+            assert!(e.errors.iter().any(|m| m == expected), "{:?}", e.errors);
+        }
     }
 
     #[test]

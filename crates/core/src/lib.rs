@@ -14,13 +14,13 @@
 //! # Example
 //!
 //! ```
-//! use archytas_core::{AlgorithmDescription, Archytas, DesignSpec};
+//! use archytas_core::{elaborate, AlgorithmDescription, Archytas, DesignSpec};
 //!
 //! let slam = AlgorithmDescription::slam_typical();
 //! let spec = DesignSpec::zc706_power_optimal(5.0);
 //! let accelerator = Archytas::generate(&slam, &spec)?;
 //! assert!(accelerator.design.latency_ms <= 5.0);
-//! assert!(accelerator.verilog.structural_check().is_clean());
+//! assert!(elaborate(&accelerator.verilog).is_ok());
 //! # Ok::<(), archytas_core::SynthesisError>(())
 //! ```
 
@@ -46,4 +46,4 @@ pub use synth::{
     SynthesizedDesign, ND_MAX, NM_MAX, S_MAX,
 };
 pub use vehicle::{run_sequence, Executor, RunSummary, Vehicle, WindowRecord};
-pub use verilog::{emit_verilog, StructuralReport, VerilogDesign, VerilogFile};
+pub use verilog::{emit_verilog, VerilogDesign, VerilogFile};

@@ -13,13 +13,16 @@
 //!
 //! ```
 //! use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
+//! use archytas_slam::SolverWorkspace;
 //!
 //! let data = kitti_sequences()[0].truncated(2.0).build();
 //! let mut pipeline = VioPipeline::new(PipelineConfig::default());
+//! // Solver scratch for the whole run, reused by every window.
+//! let mut ws = SolverWorkspace::new();
 //! let mut done = 0;
 //! for frame in &data.frames {
 //!     if pipeline.push_frame(frame) {
-//!         let result = pipeline.optimize_and_slide(3);
+//!         let result = pipeline.optimize_and_slide_in(&mut ws, 3);
 //!         assert!(result.workload.features > 0);
 //!         done += 1;
 //!     }

@@ -12,17 +12,7 @@ use archytas_slam::{
     Landmark, LmConfig, Observation, Pose, Precision, Preintegration, Prior, SlidingWindow,
     SolveReport, SolverWorkspace, WindowWorkload, GRAVITY,
 };
-use std::cell::RefCell;
 use std::collections::HashMap;
-
-thread_local! {
-    /// Per-thread solver scratch backing the workspace-less
-    /// `optimize_and_slide*` entry points. Sessions no longer own a
-    /// workspace (a grown one is ~1 MB — it would dominate per-session
-    /// resident bytes at fleet scale); scratch is per-executing-thread here
-    /// or checked out of the fleet's bounded pool via the `*_in` variants.
-    static SCRATCH: RefCell<SolverWorkspace> = RefCell::new(SolverWorkspace::new());
-}
 
 /// Relative noise applied to the front-end depth initialization.
 const DEPTH_INIT_ERROR: f64 = 0.1;
@@ -367,24 +357,15 @@ impl VioPipeline {
     }
 
     /// Optimizes the full window with the given iteration budget and then
-    /// slides it (marginalizing the oldest keyframe). Returns the window
-    /// result.
+    /// slides it (marginalizing the oldest keyframe), with all solver
+    /// scratch in `workspace`. Returns the window result.
     ///
-    /// Solver scratch comes from a per-thread [`SolverWorkspace`]; callers
-    /// that manage their own scratch pool (the fleet serving layer) use
-    /// [`VioPipeline::optimize_and_slide_in`] instead. The workspace is pure
-    /// scratch — every buffer is fully rewritten before it is read — so which
-    /// workspace executes a window never changes its bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before the window is full.
-    pub fn optimize_and_slide(&mut self, iterations: usize) -> WindowResult {
-        SCRATCH.with(|ws| self.optimize_and_slide_in(&mut ws.borrow_mut(), iterations))
-    }
-
-    /// [`VioPipeline::optimize_and_slide`] with caller-provided solver
-    /// scratch.
+    /// The pipeline owns no workspace (a grown one is ~1 MB, which would
+    /// dominate per-session resident bytes at fleet scale): a serial caller
+    /// holds one for its whole run, the fleet checks one out of its bounded
+    /// pool per window. The workspace is pure scratch — every buffer is
+    /// fully rewritten before it is read — so which workspace executes a
+    /// window never changes its bits.
     ///
     /// # Panics
     ///
@@ -665,10 +646,11 @@ mod tests {
     fn run_pipeline(seconds: f64, iterations: usize) -> (Vec<WindowResult>, VioPipeline) {
         let frames = kitti_frames(seconds);
         let mut pipeline = VioPipeline::new(PipelineConfig::default());
+        let mut ws = SolverWorkspace::new();
         let mut results = Vec::new();
         for frame in &frames {
             if pipeline.push_frame(frame) {
-                results.push(pipeline.optimize_and_slide(iterations));
+                results.push(pipeline.optimize_and_slide_in(&mut ws, iterations));
             }
         }
         (results, pipeline)
@@ -727,7 +709,7 @@ mod tests {
     #[should_panic(expected = "window not full")]
     fn premature_optimize_panics() {
         let mut pipeline = VioPipeline::new(PipelineConfig::default());
-        let _ = pipeline.optimize_and_slide(1);
+        let _ = pipeline.optimize_and_slide_in(&mut SolverWorkspace::new(), 1);
     }
 
     #[test]
@@ -746,10 +728,11 @@ mod tests {
             frame.features.clear();
         }
         let mut pipeline = VioPipeline::new(PipelineConfig::default());
+        let mut ws = SolverWorkspace::new();
         let mut results = Vec::new();
         for frame in &frames {
             if pipeline.push_frame(frame) {
-                results.push(pipeline.optimize_and_slide(3));
+                results.push(pipeline.optimize_and_slide_in(&mut ws, 3));
             }
         }
         assert!(
@@ -774,10 +757,11 @@ mod tests {
             s.accel = archytas_slam::Vec3::new(f64::NAN, 0.0, f64::INFINITY);
         }
         let mut pipeline = VioPipeline::new(PipelineConfig::default());
+        let mut ws = SolverWorkspace::new();
         let mut results = Vec::new();
         for frame in &frames {
             if pipeline.push_frame(frame) {
-                results.push(pipeline.optimize_and_slide(3));
+                results.push(pipeline.optimize_and_slide_in(&mut ws, 3));
             }
         }
         assert!(!results.is_empty());
@@ -854,6 +838,7 @@ mod tests {
     fn run_poisoned(at: usize, poison: impl FnOnce(&mut VioPipeline)) -> Vec<WindowResult> {
         let mut pipeline = VioPipeline::new(PipelineConfig::default());
         let mut poison = Some(poison);
+        let mut ws = SolverWorkspace::new();
         let mut results = Vec::new();
         for frame in &kitti_frames(6.0) {
             if pipeline.push_frame(frame) {
@@ -861,7 +846,7 @@ mod tests {
                     assert!(pipeline.prior().is_some(), "window {at} carries a prior");
                     (poison.take().unwrap())(&mut pipeline);
                 }
-                results.push(pipeline.optimize_and_slide(6));
+                results.push(pipeline.optimize_and_slide_in(&mut ws, 6));
             }
         }
         assert!(results.len() > at + RECOVERY_WINDOWS + 2);

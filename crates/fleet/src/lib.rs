@@ -85,17 +85,24 @@ use archytas_hw::{AcceleratorConfig, FpgaPlatform, HIGH_PERF};
 use session::{SessionState, StepOutcome};
 use std::time::Instant;
 
-/// Deployment-wide configuration of the serving layer.
+/// The accelerator design every vehicle in a fleet deploys.
+pub const FLEET_DESIGN: AcceleratorConfig = HIGH_PERF;
+
+/// Per-window latency bound handed to the fleet's runtime optimizer (ms).
+pub const FLEET_LATENCY_BOUND_MS: f64 = 2.5;
+
+/// The FPGA platform hosting a fleet's accelerator instances.
+pub fn fleet_platform() -> FpgaPlatform {
+    FpgaPlatform::zc706()
+}
+
+/// Deployment-wide configuration of the serving layer. The deployed
+/// design, its platform and latency bound are fixed ([`FLEET_DESIGN`],
+/// [`fleet_platform`], [`FLEET_LATENCY_BOUND_MS`]).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Worker threads (`0` runs as `1`).
     pub threads: usize,
-    /// The accelerator design every vehicle in the fleet deploys.
-    pub design: AcceleratorConfig,
-    /// The FPGA platform hosting the accelerator instances.
-    pub platform: FpgaPlatform,
-    /// Per-window latency bound handed to the runtime optimizer (ms).
-    pub latency_bound_ms: f64,
     /// Maximum concurrently active sessions (admission cap).
     pub max_active: usize,
     /// Arrival-backlog watermark beyond which `Low` sessions are shed
@@ -121,9 +128,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             threads: 1,
-            design: HIGH_PERF,
-            platform: FpgaPlatform::zc706(),
-            latency_bound_ms: 2.5,
             max_active: 8,
             shed_watermark: usize::MAX,
             power_envelope_w: f64::INFINITY,
@@ -249,7 +253,7 @@ pub struct FleetReport {
 /// gathers per-session reports plus fleet-level metrics.
 pub fn run_fleet(specs: &[SessionSpec], config: &FleetConfig) -> FleetReport {
     let threads = config.threads.max(1);
-    let envelope = PowerEnvelope::new(config.power_envelope_w, &config.design, &config.platform);
+    let envelope = PowerEnvelope::new(config.power_envelope_w, &FLEET_DESIGN, &fleet_platform());
     let decisions = admission::plan(specs, config.max_active, config.shed_watermark, &envelope);
     let services = FleetServices::new(config);
     let states = admitted_states(specs, &decisions, &services);

@@ -41,7 +41,7 @@ use crate::isolation::{
     backoff_rounds, fnv1a, DeadlinePolicy, DeadlineVerdict, DeadlineWatchdog, FailureCause,
     FailureRecord, RestartPolicy, SessionPhase,
 };
-use crate::FleetConfig;
+use crate::{fleet_platform, FleetConfig, FLEET_DESIGN, FLEET_LATENCY_BOUND_MS};
 
 /// Windows between session checkpoints (restart granularity) when the
 /// restart ladder is enabled.
@@ -386,15 +386,12 @@ impl FleetServices {
     /// Builds the shared services for one fleet deployment.
     pub fn new(config: &FleetConfig) -> Self {
         Self {
-            model: Arc::new(AcceleratorModel::new(
-                config.design,
-                config.platform.clone(),
-            )),
+            model: Arc::new(AcceleratorModel::new(FLEET_DESIGN, fleet_platform())),
             gating: Arc::new(GatingTable::build(
-                &config.design,
+                &FLEET_DESIGN,
                 &ProblemShape::typical(),
-                config.latency_bound_ms,
-                &config.platform,
+                FLEET_LATENCY_BOUND_MS,
+                &fleet_platform(),
             )),
             policy: Arc::new(IterPolicy::default_table()),
             deadline: config.deadline,

@@ -6,15 +6,16 @@
 
 use archytas_dataset::{euroc_sequences, kitti_sequences};
 use archytas_fleet::{
-    run_fleet, run_session_alone, FleetConfig, PowerEnvelope, Priority, SessionOutcome, SessionSpec,
+    fleet_platform, run_fleet, run_session_alone, FleetConfig, PowerEnvelope, Priority,
+    SessionOutcome, SessionSpec, FLEET_DESIGN,
 };
 use std::collections::HashMap;
 
-/// A budget that fits exactly `n` concurrent sessions of the default
-/// deployed design (HIGH_PERF on zc706), with a sliver of headroom so
-/// float pricing can't flap on the boundary.
-fn watts_for(n: usize, config: &FleetConfig) -> f64 {
-    let draw = PowerEnvelope::new(f64::INFINITY, &config.design, &config.platform).session_draw_w;
+/// A budget that fits exactly `n` concurrent sessions of the deployed
+/// design (HIGH_PERF on zc706), with a sliver of headroom so float pricing
+/// can't flap on the boundary.
+fn watts_for(n: usize) -> f64 {
+    let draw = PowerEnvelope::new(f64::INFINITY, &FLEET_DESIGN, &fleet_platform()).session_draw_w;
     n as f64 * draw + 1e-9
 }
 
@@ -38,7 +39,7 @@ fn tight_envelope_sheds_the_same_sessions_at_every_pool_size() {
     let specs = envelope_specs();
     let base = FleetConfig::default();
     let config = FleetConfig {
-        power_envelope_w: watts_for(2, &base),
+        power_envelope_w: watts_for(2),
         ..base.clone()
     };
     // Serial-alone references bypass admission, so the envelope is
@@ -107,7 +108,7 @@ fn sub_single_session_budget_still_serves_high_priority() {
     let base = FleetConfig::default();
     let config = FleetConfig {
         // Below one session's draw: capacity 0.
-        power_envelope_w: watts_for(1, &base) / 2.0,
+        power_envelope_w: watts_for(1) / 2.0,
         ..base.clone()
     };
     let alone: HashMap<String, _> = specs

@@ -47,7 +47,7 @@ mod tests {
     use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
     use archytas_math::BlockSparseSystem;
     use archytas_slam::{
-        build_block_normal_equations, schur_linear_solver, solve, solve_in_workspace,
+        build_block_normal_equations, schur_linear_solver, solve_in_workspace,
         solve_with_in_workspace, DegradeReason, FactorWeights, KeyframeState, Landmark, LmConfig,
         Observation, Pose, Precision, Prior, Quat, SlidingWindow, SolveOutcome, SolveReport,
         SolverWorkspace, Vec3, INITIAL_LAMBDA, LAMBDA_UP, MAX_RETRIES, STATE_DIM,
@@ -194,6 +194,7 @@ mod tests {
         let config = served_config();
         let data = kitti_sequences()[2].truncated(4.0).build();
         let mut pipeline = VioPipeline::new(config);
+        let mut ws = SolverWorkspace::new();
         for frame in &data.frames {
             if !pipeline.push_frame(frame) {
                 continue;
@@ -202,7 +203,7 @@ mod tests {
                 let prior = pipeline.prior().expect("a slid window carries a prior");
                 return (pipeline.window().clone(), prior.clone(), config.weights);
             }
-            pipeline.optimize_and_slide(3);
+            pipeline.optimize_and_slide_in(&mut ws, 3);
         }
         panic!("sequence too short for three windows");
     }
@@ -327,8 +328,8 @@ mod tests {
         let mut window = toy_window();
         window.observations[0].uv = [1e34, -1e34];
         let weights = FactorWeights::default();
-        let mut sys = BlockSparseSystem::new();
-        build_block_normal_equations(&window, &weights, None, &mut sys);
+        let mut ws = SolverWorkspace::new();
+        let (sys, _) = build_block_normal_equations(&mut ws, &window, &weights, None);
         let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
         sys.to_dense_into(&mut a, &mut b);
         assert!(a.all_finite() && b.all_finite());
@@ -336,7 +337,6 @@ mod tests {
 
         // The λ trajectory of the failing retries: every one of the
         // `MAX_RETRIES + 1` dampings fails and raises λ.
-        let mut ws = SolverWorkspace::new();
         let r = assert_f32_paths_agree(&mut ws, &window, &weights, None, &f32_config(3));
         assert_eq!(
             r.outcome,
@@ -357,10 +357,12 @@ mod tests {
         let weights = FactorWeights::default();
         let cfg = LmConfig::default();
 
+        let mut ws = SolverWorkspace::new();
         let mut sw = toy_window();
-        let r_sw = solve(&mut sw, &weights, None, &cfg);
+        let r_sw = solve_in_workspace(&mut ws, &mut sw, &weights, None, &cfg);
         let mut acc = toy_window();
-        let r_acc = solve(
+        let r_acc = solve_in_workspace(
+            &mut ws,
             &mut acc,
             &weights,
             None,

@@ -307,22 +307,20 @@ impl FactorWeights {
         }
     }
 
-    /// IRLS robust scale for a visual residual `(e0, e1)`: `1` inside the
-    /// Huber threshold, `δ/‖e‖` outside, `1` when robust weighting is off.
+    /// Squared weight of a visual residual `(e0, e1)`, the one every visual
+    /// factor is scaled by (assembly, cost and marginalization):
+    /// `VISUAL_WEIGHT²`, times the IRLS robust scale when Huber weighting is
+    /// on (`1` inside the threshold, `δ/‖e‖` outside).
     ///
-    /// The off case returns the constant `1.0` without touching the
-    /// residual, so multiplying by it preserves the historical bit pattern
-    /// of every weighted product.
-    pub fn visual_robust_scale(&self, e0: f64, e1: f64) -> f64 {
+    /// The off case returns `VISUAL_WEIGHT²` itself without touching the
+    /// residual, so the quadratic path keeps its historical bit pattern.
+    pub fn visual_weight_sq(&self, e0: f64, e1: f64) -> f64 {
+        let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
         match self.huber_delta {
-            None => 1.0,
+            None => wv2,
             Some(delta) => {
                 let rn = (e0 * e0 + e1 * e1).sqrt();
-                if rn <= delta {
-                    1.0
-                } else {
-                    delta / rn
-                }
+                wv2 * if rn <= delta { 1.0 } else { delta / rn }
             }
         }
     }

@@ -14,7 +14,7 @@
 //! ```
 //! use archytas_slam::{
 //!     FactorWeights, KeyframeState, Landmark, LmConfig, Observation, Pose, Quat, SlidingWindow,
-//!     Vec3, solve,
+//!     SolverWorkspace, Vec3, solve_in_workspace,
 //! };
 //!
 //! let mut w = SlidingWindow::new();
@@ -31,7 +31,10 @@
 //!     landmark: 0, keyframe: 1,
 //!     uv: [p_c1.x() / p_c1.z(), p_c1.y() / p_c1.z()],
 //! });
-//! let report = solve(&mut w, &FactorWeights::default(), None, &LmConfig::default());
+//! // One workspace serves every window: hold it across solves.
+//! let mut ws = SolverWorkspace::new();
+//! let report =
+//!     solve_in_workspace(&mut ws, &mut w, &FactorWeights::default(), None, &LmConfig::default());
 //! assert!(report.final_cost < 1e-9);
 //! ```
 
@@ -59,18 +62,14 @@ pub use geometry::{Mat3, Pose, Quat, Vec3};
 pub use imu::{
     ImuSample, Preintegration, ACCEL_BIAS_WALK, ACCEL_NOISE, GRAVITY, GYRO_BIAS_WALK, GYRO_NOISE,
 };
-pub use marginalization::{
-    drop_oldest, try_marginalize_oldest, try_marginalize_oldest_in, MarginalizationResult,
-};
+pub use marginalization::{drop_oldest, try_marginalize_oldest_in};
 pub use metrics::{mean_stdev, relative_error, rmse_translation, TrajectoryMetrics};
 pub use prior::Prior;
-pub use problem::{
-    apply_increment, build_block_normal_equations, evaluate_cost, BlockNormalEqInfo,
-};
+pub use problem::{apply_increment, build_block_normal_equations, BlockNormalEqInfo};
 pub use solver::{
-    schur_linear_solver, solve, solve_in_workspace, solve_with_in_workspace, DegradeReason,
-    LinearSolver, LmConfig, Precision, SolveError, SolveOutcome, SolveReport, SolverWorkspace,
-    INITIAL_LAMBDA, LAMBDA_UP, MAX_RETRIES,
+    schur_linear_solver, solve_in_workspace, solve_with_in_workspace, DegradeReason, LinearSolver,
+    LmConfig, Precision, SolveError, SolveOutcome, SolveReport, SolverWorkspace, INITIAL_LAMBDA,
+    LAMBDA_UP, MAX_RETRIES,
 };
 pub use window::{
     ImuConstraint, KeyframeState, Landmark, Observation, SlidingWindow, WindowWorkload, STATE_DIM,

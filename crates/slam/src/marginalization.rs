@@ -9,7 +9,7 @@
 //! *partially* diagonal; the M-DFG builder picks the blocking with the
 //! diagonal `M₁₁`, which is exactly the landmark sub-block here).
 
-use crate::factors::{evaluate_imu, evaluate_visual, FactorWeights, VISUAL_WEIGHT};
+use crate::factors::{evaluate_imu, evaluate_visual, FactorWeights};
 use crate::prior::{Prior, PriorScratch};
 use crate::solver::{SolveError, SolverWorkspace};
 use crate::window::{SlidingWindow, STATE_DIM};
@@ -22,18 +22,6 @@ const M_REG: f64 = 1e-9;
 
 /// Diagonal regularization of the new prior's information.
 const PRIOR_EPS: f64 = 1e-9;
-
-/// Outcome of marginalizing the oldest keyframe out of a window.
-#[derive(Debug, Clone)]
-pub struct MarginalizationResult {
-    /// The shrunk window (oldest keyframe and its landmarks removed, indices
-    /// re-based).
-    pub window: SlidingWindow,
-    /// The new prior over the remaining keyframes.
-    pub prior: Prior,
-    /// Number of landmarks marginalized (`am` in the paper's Eq. 10/15).
-    pub marginalized_landmarks: usize,
-}
 
 /// Reused buffers of [`try_marginalize_oldest_in`], held inside
 /// [`SolverWorkspace`]: the local information system, the arrow inverse of
@@ -73,44 +61,18 @@ pub(crate) struct MargWorkspace {
     new_index: Vec<usize>,
 }
 
-/// Marginalizes keyframe 0 (and every landmark anchored there) out of a
-/// copy of `window`, producing the shrunk window and the prior for the next
-/// optimization; `prior`, the previous window's prior, is folded in.
-///
-/// A copying convenience over [`try_marginalize_oldest_in`], with the same
-/// bits. A marginalized block that is not positive definite, or a
-/// non-finite value, comes back as an `Err`, letting the pipeline drop the
-/// prior and continue (see [`drop_oldest`] for the prior-free window
-/// shrink).
-///
-/// # Panics
-///
-/// Still panics when the window has fewer than two keyframes — a programmer
-/// error, not a data condition.
-pub fn try_marginalize_oldest(
-    window: &SlidingWindow,
-    weights: &FactorWeights,
-    prior: Option<&Prior>,
-) -> Result<MarginalizationResult, SolveError> {
-    let mut window = window.clone();
-    let mut slot = prior.cloned();
-    let am =
-        try_marginalize_oldest_in(&mut SolverWorkspace::new(), &mut window, weights, &mut slot)?;
-    Ok(MarginalizationResult {
-        window,
-        prior: slot.expect("marginalization fills the prior on success"),
-        marginalized_landmarks: am,
-    })
-}
-
-/// Marginalizes keyframe 0 and its landmarks in place: `prior` (the
-/// previous window's prior, if any) is folded in and then replaced by the
-/// new prior over the remaining keyframes, reusing its buffers, and
-/// `window` is shrunk. Returns the number of marginalized landmarks.
+/// Marginalizes keyframe 0 and every landmark anchored there in place:
+/// `prior` (the previous window's prior, if any) is folded in and then
+/// replaced by the new prior over the remaining keyframes, reusing its
+/// buffers, and `window` is shrunk. Returns the number of marginalized
+/// landmarks (`am` in the paper's Eq. 10/15).
 ///
 /// All scratch lives in `ws`, so once its buffers and the prior's have grown
 /// to the window's shape the whole marginalize-and-slide allocates nothing.
-/// On `Err` neither `window` nor `prior` is touched.
+/// A marginalized block that is not positive definite, or a non-finite
+/// value, comes back as an `Err`, letting the pipeline drop the prior and
+/// continue (see [`drop_oldest`] for the prior-free window shrink); on `Err`
+/// neither `window` nor `prior` is touched.
 ///
 /// # Panics
 ///
@@ -182,7 +144,6 @@ fn local_schur(
     let mut cost = 0.0;
 
     // --- visual factors of marginalized landmarks ---
-    let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
     for obs in &window.observations {
         let slot = ws.slot[obs.landmark];
         if slot == usize::MAX {
@@ -201,12 +162,9 @@ fn local_schur(
         ) else {
             continue;
         };
-        // Same robust gate as the assembler (`None` reuses `wv2` bit for
-        // bit), so an outlier's information is bounded in the prior too.
-        let w2 = match weights.huber_delta {
-            None => wv2,
-            Some(_) => wv2 * weights.visual_robust_scale(ev.residual[0], ev.residual[1]),
-        };
+        // Same weight as the assembler, so an outlier's information is
+        // bounded in the prior too.
+        let w2 = weights.visual_weight_sq(ev.residual[0], ev.residual[1]);
         // Columns ascending: inverse depth, kf0 pose, observer pose.
         let mut cols = [0usize; 13];
         let mut rows = [[0f64; 13]; 2];
@@ -436,7 +394,7 @@ fn reduce(ws: &mut MargWorkspace, am: usize) -> Result<f64, SolveError> {
 /// landmarks are simply discarded, in place. Returns the number of landmarks
 /// dropped.
 ///
-/// This is the degradation fallback when [`try_marginalize_oldest`] fails —
+/// This is the degradation fallback when [`try_marginalize_oldest_in`] fails —
 /// the departed keyframe's information is lost (the next window re-fixes the
 /// gauge instead), but the estimator keeps running rather than carrying a
 /// poisoned prior into every subsequent window.
@@ -583,12 +541,22 @@ mod tests {
         w
     }
 
+    /// Marginalizes keyframe 0 out of `w` in place with default weights,
+    /// folding in `prior` and replacing it with the new one.
+    fn marginalize(w: &mut SlidingWindow, prior: &mut Option<Prior>) -> Result<usize, SolveError> {
+        try_marginalize_oldest_in(
+            &mut SolverWorkspace::new(),
+            w,
+            &FactorWeights::default(),
+            prior,
+        )
+    }
+
     #[test]
     fn window_shrinks_consistently() {
-        let w = build_window();
-        let result = try_marginalize_oldest(&w, &FactorWeights::default(), None).unwrap();
-        assert_eq!(result.marginalized_landmarks, 2);
-        let nw = &result.window;
+        let mut nw = build_window();
+        let am = marginalize(&mut nw, &mut None).unwrap();
+        assert_eq!(am, 2);
         assert_eq!(nw.num_keyframes(), 2);
         assert_eq!(nw.num_landmarks(), 1);
         assert!(nw.validate(), "shrunk window has consistent indices");
@@ -599,17 +567,19 @@ mod tests {
 
     #[test]
     fn prior_covers_remaining_keyframes() {
-        let w = build_window();
-        let result = try_marginalize_oldest(&w, &FactorWeights::default(), None).unwrap();
-        assert_eq!(result.prior.num_keyframes(), 2);
-        assert_eq!(result.prior.dim(), 30);
+        let mut prior = None;
+        marginalize(&mut build_window(), &mut prior).unwrap();
+        let prior = prior.unwrap();
+        assert_eq!(prior.num_keyframes(), 2);
+        assert_eq!(prior.dim(), 30);
     }
 
     #[test]
     fn prior_information_is_psd_and_nontrivial() {
-        let w = build_window();
-        let result = try_marginalize_oldest(&w, &FactorWeights::default(), None).unwrap();
-        let hp = result.prior.information();
+        let mut prior = None;
+        marginalize(&mut build_window(), &mut prior).unwrap();
+        let prior = prior.unwrap();
+        let hp = prior.information();
         assert!(hp.is_symmetric(1e-6));
         // PSD check via Cholesky of Hp + εI.
         assert!(hp.add_diagonal(1e-6).cholesky().is_ok());
@@ -621,9 +591,10 @@ mod tests {
     /// remaining states must be (numerically) zero.
     #[test]
     fn prior_gradient_zero_at_consistent_states() {
-        let w = build_window();
-        let result = try_marginalize_oldest(&w, &FactorWeights::default(), None).unwrap();
-        let g = result.prior.gradient(&result.window);
+        let mut w = build_window();
+        let mut prior = None;
+        marginalize(&mut w, &mut prior).unwrap();
+        let g = prior.unwrap().gradient(&w);
         assert!(
             g.max_abs() < 1e-3,
             "gradient at the optimum should vanish, got {}",
@@ -637,7 +608,7 @@ mod tests {
         for obs in &mut w.observations {
             obs.uv = [f64::NAN, f64::NAN];
         }
-        let r = try_marginalize_oldest(&w, &FactorWeights::default(), None);
+        let r = marginalize(&mut w, &mut None);
         assert!(r.is_err(), "NaN measurements must surface as SolveError");
     }
 
@@ -647,32 +618,34 @@ mod tests {
         // it must surface as `NonFinite`, not as a failed factorization.
         let mut w = build_window();
         w.keyframes[1].velocity = Vec3::new(f64::NAN, 0.0, 0.0);
-        let r = try_marginalize_oldest(&w, &FactorWeights::default(), None);
+        let r = marginalize(&mut w, &mut None);
         assert!(matches!(r, Err(SolveError::NonFinite)), "{:?}", r.err());
     }
 
     #[test]
     fn drop_oldest_matches_marginalize_shrink() {
         let w = build_window();
-        let full = try_marginalize_oldest(&w, &FactorWeights::default(), None).unwrap();
+        let mut full = w.clone();
+        let full_am = marginalize(&mut full, &mut None).unwrap();
         let mut dropped = w.clone();
         let am = drop_oldest(&mut dropped);
-        assert_eq!(am, full.marginalized_landmarks);
-        assert_eq!(dropped.num_keyframes(), full.window.num_keyframes());
-        assert_eq!(dropped.num_landmarks(), full.window.num_landmarks());
+        assert_eq!(am, full_am);
+        assert_eq!(dropped.num_keyframes(), full.num_keyframes());
+        assert_eq!(dropped.num_landmarks(), full.num_landmarks());
         assert!(dropped.validate());
     }
 
     #[test]
     fn chained_marginalization_folds_prior() {
-        let w = build_window();
-        let weights = FactorWeights::default();
-        let r1 = try_marginalize_oldest(&w, &weights, None).unwrap();
+        let mut w = build_window();
+        let mut prior = None;
+        marginalize(&mut w, &mut prior).unwrap();
         // Second marginalization consumes the first prior.
-        let r2 = try_marginalize_oldest(&r1.window, &weights, Some(&r1.prior)).unwrap();
-        assert_eq!(r2.window.num_keyframes(), 1);
-        assert_eq!(r2.prior.num_keyframes(), 1);
-        let hp = r2.prior.information();
+        marginalize(&mut w, &mut prior).unwrap();
+        let prior = prior.unwrap();
+        assert_eq!(w.num_keyframes(), 1);
+        assert_eq!(prior.num_keyframes(), 1);
+        let hp = prior.information();
         assert!(hp.max_abs() > 1.0);
     }
 }

@@ -13,11 +13,11 @@
 //! the M-DFG cost model in `archytas-mdfg`.
 
 use crate::factors::{
-    evaluate_imu, evaluate_visual_residual, evaluate_visual_with, keyframe_rotations,
-    FactorWeights, VISUAL_WEIGHT,
+    evaluate_imu, evaluate_visual_residual, evaluate_visual_with, keyframe_rotations, FactorWeights,
 };
 use crate::geometry::Mat3;
 use crate::prior::{Prior, PriorScratch};
+use crate::solver::SolverWorkspace;
 use crate::window::{SlidingWindow, STATE_DIM};
 use archytas_math::{BlockSparseSystem, DVec};
 
@@ -45,45 +45,31 @@ pub struct BlockNormalEqInfo {
 }
 
 /// Builds the normal equations of a window at its current estimate, in
-/// block-sparse form.
+/// block-sparse form, into `ws`'s own system and returns that system with
+/// the assembly metadata.
 ///
-/// `sys` is reset to the window's shape (reusing its allocations) and
-/// filled factor by factor. `prior` carries the marginalization product
-/// from the previous window (`Hp`, `rp` of Eq. 2); without one, a strong
-/// pose prior on keyframe 0 fixes the global gauge freedom. The dense
-/// `(A, b)` it represents is [`BlockSparseSystem::to_dense_into`]. Its
-/// temporaries are thread-local, so once they have grown a call allocates
-/// nothing.
-pub fn build_block_normal_equations(
+/// The system is reset to the window's shape (reusing its allocations) and
+/// filled factor by factor; the linearization's temporaries are `ws`'s too,
+/// so once they have grown a call allocates nothing. `prior` carries the
+/// marginalization product from the previous window (`Hp`, `rp` of Eq. 2);
+/// without one, a strong pose prior on keyframe 0 fixes the global gauge
+/// freedom. The dense `(A, b)` it represents is
+/// [`BlockSparseSystem::to_dense_into`].
+pub fn build_block_normal_equations<'w>(
+    ws: &'w mut SolverWorkspace,
     window: &SlidingWindow,
     weights: &FactorWeights,
     prior: Option<&Prior>,
-    sys: &mut BlockSparseSystem<f64>,
-) -> BlockNormalEqInfo {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<LinScratch> = Default::default();
-    }
-    SCRATCH
-        .with(|s| build_block_normal_equations_in(window, weights, prior, sys, &mut s.borrow_mut()))
-}
-
-/// [`build_block_normal_equations`] with the linearization's temporaries in
-/// `scratch` (the LM loop's allocation-free form).
-pub(crate) fn build_block_normal_equations_in(
-    window: &SlidingWindow,
-    weights: &FactorWeights,
-    prior: Option<&Prior>,
-    sys: &mut BlockSparseSystem<f64>,
-    scratch: &mut LinScratch,
-) -> BlockNormalEqInfo {
+) -> (&'w mut BlockSparseSystem<f64>, BlockNormalEqInfo) {
     let num_l = window.num_landmarks();
-    sys.reset(num_l, STATE_DIM * window.num_keyframes());
-    let (cost, used) = assemble(window, weights, prior, sys, scratch);
-    BlockNormalEqInfo {
+    ws.sys.reset(num_l, STATE_DIM * window.num_keyframes());
+    let (cost, used) = assemble(window, weights, prior, &mut ws.sys, &mut ws.lin);
+    let info = BlockNormalEqInfo {
         cost,
         num_landmarks: num_l,
         used_observations: used,
-    }
+    };
+    (&mut ws.sys, info)
 }
 
 /// The factor loop: linearizes every factor and scatters it into `sys`,
@@ -106,7 +92,6 @@ fn assemble(
     keyframe_rotations(window, &mut scratch.rotations);
 
     // --- visual factors ---
-    let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
     for obs in &window.observations {
         let lm = &window.landmarks[obs.landmark];
         if lm.anchor == obs.keyframe {
@@ -127,13 +112,8 @@ fn assemble(
         };
         used += 1;
 
-        // Robust (Huber/IRLS) re-weighting of outlier observations. With
-        // `huber_delta: None` the match arm reuses `wv2` itself, so the
-        // nominal path is bit-identical to the pre-robust assembler.
-        let w2 = match weights.huber_delta {
-            None => wv2,
-            Some(_) => wv2 * weights.visual_robust_scale(ev.residual[0], ev.residual[1]),
-        };
+        // Robust (Huber/IRLS) re-weighting of outlier observations.
+        let w2 = weights.visual_weight_sq(ev.residual[0], ev.residual[1]);
 
         for r in 0..2 {
             let e = ev.residual[r];
@@ -269,16 +249,8 @@ fn scatter_imu_runs(
 }
 
 /// Evaluates only the cost of the window at its current estimate (used for
-/// LM step acceptance without paying for a full re-linearization).
-pub fn evaluate_cost(
-    window: &SlidingWindow,
-    weights: &FactorWeights,
-    prior: Option<&Prior>,
-) -> f64 {
-    evaluate_cost_in(window, weights, prior, &mut PriorScratch::default())
-}
-
-/// [`evaluate_cost`] with the prior's temporaries in `scratch`.
+/// LM step acceptance without paying for a full re-linearization), with the
+/// prior's temporaries in `scratch`.
 pub(crate) fn evaluate_cost_in(
     window: &SlidingWindow,
     weights: &FactorWeights,
@@ -286,7 +258,6 @@ pub(crate) fn evaluate_cost_in(
     scratch: &mut PriorScratch,
 ) -> f64 {
     let mut cost = 0.0;
-    let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
     for obs in &window.observations {
         let lm = &window.landmarks[obs.landmark];
         if lm.anchor == obs.keyframe {
@@ -299,14 +270,10 @@ pub(crate) fn evaluate_cost_in(
             lm.inv_depth,
             obs.uv,
         ) {
-            // Same robust gate as `assemble` so LM step acceptance compares
-            // like against like (and the `None` path keeps its exact bits).
-            // The residual-only evaluator skips the Jacobian chain rule but
-            // is bit-identical on the residual itself.
-            let w2 = match weights.huber_delta {
-                None => wv2,
-                Some(_) => wv2 * weights.visual_robust_scale(e[0], e[1]),
-            };
+            // Same weight as `assemble` so LM step acceptance compares like
+            // against like. The residual-only evaluator skips the Jacobian
+            // chain rule but is bit-identical on the residual itself.
+            let w2 = weights.visual_weight_sq(e[0], e[1]);
             cost += 0.5 * w2 * (e[0].powi(2) + e[1].powi(2));
         }
     }
@@ -350,6 +317,10 @@ mod tests {
     use crate::window::{KeyframeState, Landmark, Observation};
     use archytas_math::DMat;
 
+    fn evaluate_cost(w: &SlidingWindow, weights: &FactorWeights) -> f64 {
+        evaluate_cost_in(w, weights, None, &mut PriorScratch::default())
+    }
+
     /// Dense image of a window's normal equations plus the assembly
     /// metadata: what the assertions below read.
     struct Dense {
@@ -361,8 +332,8 @@ mod tests {
     }
 
     fn build_dense(w: &SlidingWindow, weights: &FactorWeights) -> Dense {
-        let mut sys = BlockSparseSystem::new();
-        let info = build_block_normal_equations(w, weights, None, &mut sys);
+        let mut ws = SolverWorkspace::new();
+        let (sys, info) = build_block_normal_equations(&mut ws, w, weights, None);
         let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
         sys.to_dense_into(&mut a, &mut b);
         Dense {
@@ -459,7 +430,7 @@ mod tests {
         // Step a small distance along b (the negative gradient).
         let step = ne.b.scale(1e-12);
         apply_increment(&mut w, &step);
-        let after = evaluate_cost(&w, &weights, None);
+        let after = evaluate_cost(&w, &weights);
         assert!(after < ne.cost, "cost {} -> {}", ne.cost, after);
     }
 
@@ -468,7 +439,7 @@ mod tests {
         let w = toy_window(true);
         let weights = FactorWeights::default();
         let ne = build_dense(&w, &weights);
-        let c = evaluate_cost(&w, &weights, None);
+        let c = evaluate_cost(&w, &weights);
         assert!((ne.cost - c).abs() < 1e-12);
     }
 
@@ -490,7 +461,7 @@ mod tests {
         assert!(ne_r.b.norm() < ne_p.b.norm());
         // Step-acceptance consistency: evaluate_cost applies the same
         // weighting as the assembler.
-        assert!((evaluate_cost(&w, &robust, None) - ne_r.cost).abs() < 1e-9);
+        assert!((evaluate_cost(&w, &robust) - ne_r.cost).abs() < 1e-9);
     }
 
     #[test]

@@ -11,9 +11,7 @@
 use crate::factors::FactorWeights;
 use crate::marginalization::MargWorkspace;
 use crate::prior::Prior;
-use crate::problem::{
-    apply_increment, build_block_normal_equations_in, evaluate_cost_in, LinScratch,
-};
+use crate::problem::{apply_increment, build_block_normal_equations, evaluate_cost_in, LinScratch};
 use crate::window::SlidingWindow;
 use archytas_math::{BlockSparseSystem, DMat, DVec, FVec, MathError, SchurScratch};
 use archytas_par::counters::{self, Phase};
@@ -86,7 +84,7 @@ impl LmConfig {
 /// Data-dependent numerical failures (a non-SPD Hessian, a diagonal entry
 /// driven to zero, non-finite residuals) surface as values of this type so
 /// callers can degrade gracefully instead of unwinding; see
-/// [`crate::try_marginalize_oldest`] and
+/// [`crate::try_marginalize_oldest_in`] and
 /// [`Prior::try_from_information`](crate::Prior::try_from_information).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -263,7 +261,7 @@ pub type LinearSolver<'a> = &'a dyn Fn(&DMat, &DVec, usize) -> Option<DVec>;
 /// marginalize-and-slide allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
-    sys: BlockSparseSystem<f64>,
+    pub(crate) sys: BlockSparseSystem<f64>,
     scratch: SchurScratch<f64>,
     delta: DVec,
     /// f32 twin of `sys` with its scratch and increment, used by
@@ -295,7 +293,8 @@ impl SolverWorkspace {
         prior: Option<&Prior>,
     ) -> f64 {
         counters::time(Phase::Assembly, || {
-            build_block_normal_equations_in(window, weights, prior, &mut self.sys, &mut self.lin)
+            build_block_normal_equations(self, window, weights, prior)
+                .1
                 .cost
         })
     }
@@ -353,35 +352,14 @@ enum Rejection {
     NonFinite,
 }
 
-/// Solves the sliding-window MAP problem in place at `config.precision`.
+/// Solves the sliding-window MAP problem in place through the block-sparse
+/// normal equations at `config.precision`, reusing `ws` for every buffer.
 ///
 /// Returns a [`SolveReport`]; the window's keyframes and landmarks are left
-/// at the optimized estimate.
-///
-/// This goes through the block-sparse pipeline with a thread-local
-/// [`SolverWorkspace`], so repeated calls on one thread reuse the grown
-/// buffers instead of re-faulting ~1 MB of fresh pages per solve; callers
-/// who want explicit control of the buffers' lifetime should hold a
-/// workspace and call [`solve_in_workspace`]. Either way the result is
-/// bit-identical to the dense-callback solve of the same system
-/// ([`solve_with_in_workspace`] with [`schur_linear_solver`] at f64, or the
-/// accelerator's f32 solver at f32): every buffer is fully overwritten
-/// before use.
-pub fn solve(
-    window: &mut SlidingWindow,
-    weights: &FactorWeights,
-    prior: Option<&Prior>,
-    config: &LmConfig,
-) -> SolveReport {
-    thread_local! {
-        static WS: std::cell::RefCell<SolverWorkspace> =
-            std::cell::RefCell::new(SolverWorkspace::new());
-    }
-    WS.with(|ws| solve_in_workspace(&mut ws.borrow_mut(), window, weights, prior, config))
-}
-
-/// Solves the sliding-window MAP problem through the block-sparse normal
-/// equations at `config.precision`, reusing `ws` for every buffer.
+/// at the optimized estimate. Hold one workspace across windows: its
+/// buffers grow to the largest window seen and stay allocated, and since
+/// every buffer is fully overwritten before use, which workspace runs a
+/// solve never changes its bits.
 ///
 /// The normal equations are assembled block-sparse (never materializing the
 /// dense `A`) and damped in place with snapshot-undo in f64. At
@@ -574,7 +552,8 @@ mod tests {
         for lm in &mut w.landmarks {
             lm.inv_depth *= 1.15;
         }
-        let report = solve(
+        let report = solve_in_workspace(
+            &mut SolverWorkspace::new(),
             &mut w,
             &FactorWeights::default(),
             None,
@@ -602,7 +581,8 @@ mod tests {
     fn zero_iterations_is_a_noop() {
         let (mut w, _) = make_window(3, 10);
         let before = w.clone();
-        let report = solve(
+        let report = solve_in_workspace(
+            &mut SolverWorkspace::new(),
             &mut w,
             &FactorWeights::default(),
             None,
@@ -615,7 +595,8 @@ mod tests {
     #[test]
     fn already_converged_stops_early() {
         let (mut w, _) = make_window(3, 15);
-        let report = solve(
+        let report = solve_in_workspace(
+            &mut SolverWorkspace::new(),
             &mut w,
             &FactorWeights::default(),
             None,
@@ -642,16 +623,30 @@ mod tests {
         };
         let weights = FactorWeights::default();
         let mut w1 = perturb(&w0);
-        let r1 = solve(&mut w1, &weights, None, &LmConfig::with_iterations(1));
+        let mut ws = SolverWorkspace::new();
+        let r1 = solve_in_workspace(
+            &mut ws,
+            &mut w1,
+            &weights,
+            None,
+            &LmConfig::with_iterations(1),
+        );
         let mut w6 = perturb(&w0);
-        let r6 = solve(&mut w6, &weights, None, &LmConfig::with_iterations(6));
+        let r6 = solve_in_workspace(
+            &mut ws,
+            &mut w6,
+            &weights,
+            None,
+            &LmConfig::with_iterations(6),
+        );
         assert!(r6.final_cost <= r1.final_cost * 1.0001);
     }
 
     #[test]
     fn outcome_converged_on_clean_window() {
         let (mut w, _) = make_window(3, 15);
-        let report = solve(
+        let report = solve_in_workspace(
+            &mut SolverWorkspace::new(),
             &mut w,
             &FactorWeights::default(),
             None,
@@ -664,7 +659,8 @@ mod tests {
     #[test]
     fn outcome_zero_budget_is_converged() {
         let (mut w, _) = make_window(3, 10);
-        let report = solve(
+        let report = solve_in_workspace(
+            &mut SolverWorkspace::new(),
             &mut w,
             &FactorWeights::default(),
             None,
@@ -679,7 +675,8 @@ mod tests {
         for obs in &mut w.observations {
             obs.uv = [f64::NAN, f64::NAN];
         }
-        let report = solve(
+        let report = solve_in_workspace(
+            &mut SolverWorkspace::new(),
             &mut w,
             &FactorWeights::default(),
             None,
@@ -706,7 +703,8 @@ mod tests {
         for lm in &mut w.landmarks {
             lm.inv_depth *= 1.4;
         }
-        let report = solve(
+        let report = solve_in_workspace(
+            &mut SolverWorkspace::new(),
             &mut w,
             &FactorWeights::default(),
             None,
@@ -738,7 +736,8 @@ mod tests {
         for lm in &mut w.landmarks {
             lm.inv_depth *= 1.3;
         }
-        let report = solve(
+        let report = solve_in_workspace(
+            &mut SolverWorkspace::new(),
             &mut w,
             &FactorWeights::default(),
             None,

@@ -9,10 +9,10 @@
 //! `schur_linear_solver`), on fixed and property-generated window shapes,
 //! with and without an IMU/marginalization prior.
 
-use archytas_math::{BlockSparseSystem, DMat, DVec, SchurScratch};
+use archytas_math::{DMat, DVec, SchurScratch};
 use archytas_slam::{
     build_block_normal_equations, evaluate_imu, evaluate_visual, schur_linear_solver,
-    solve_in_workspace, solve_with_in_workspace, try_marginalize_oldest, FactorWeights,
+    solve_in_workspace, solve_with_in_workspace, try_marginalize_oldest_in, FactorWeights,
     ImuConstraint, ImuSample, KeyframeState, Landmark, LmConfig, Observation, Pose, Preintegration,
     Prior, Quat, SlidingWindow, SolveReport, SolverWorkspace, Vec3, GRAVITY, STATE_DIM,
     VISUAL_WEIGHT,
@@ -190,9 +190,7 @@ fn dense_normal_equations(
             continue;
         };
         used += 1;
-        let w2 = VISUAL_WEIGHT
-            * VISUAL_WEIGHT
-            * weights.visual_robust_scale(ev.residual[0], ev.residual[1]);
+        let w2 = weights.visual_weight_sq(ev.residual[0], ev.residual[1]);
         let mut runs = [
             (w.kf_offset(lm.anchor), ev.j_anchor),
             (w.kf_offset(obs.keyframe), ev.j_obs),
@@ -328,16 +326,22 @@ fn assert_windows_equal(dense: &SlidingWindow, block: &SlidingWindow) {
 /// The IMU window after one marginalization, its survivors perturbed so
 /// the prior pulls on the solution, with that prior.
 fn imu_window_with_prior() -> (SlidingWindow, Prior) {
-    let result = try_marginalize_oldest(&make_imu_window(), &FactorWeights::default(), None)
-        .expect("the IMU fixture marginalizes");
-    let mut w = result.window;
+    let mut w = make_imu_window();
+    let mut prior = None;
+    try_marginalize_oldest_in(
+        &mut SolverWorkspace::new(),
+        &mut w,
+        &FactorWeights::default(),
+        &mut prior,
+    )
+    .expect("the IMU fixture marginalizes");
     for kf in w.keyframes.iter_mut().skip(1) {
         kf.pose.trans = kf.pose.trans + Vec3::new(0.01, -0.005, 0.004);
     }
     for lm in &mut w.landmarks {
         lm.inv_depth *= 1.05;
     }
-    (w, result.prior)
+    (w, prior.expect("marginalization fills the prior"))
 }
 
 /// A visual window with every third observation shifted far off its
@@ -369,8 +373,8 @@ fn block_assembly_matches_dense_bitwise() {
     for (label, w, weights, prior) in &cases {
         let ne = dense_normal_equations(w, weights, prior.as_ref());
 
-        let mut sys = BlockSparseSystem::new();
-        let info = build_block_normal_equations(w, weights, prior.as_ref(), &mut sys);
+        let mut ws = SolverWorkspace::new();
+        let (sys, info) = build_block_normal_equations(&mut ws, w, weights, prior.as_ref());
         assert_eq!(info.cost.to_bits(), ne.cost.to_bits());
         assert_eq!(info.num_landmarks, ne.num_landmarks);
         assert_eq!(info.used_observations, ne.used_observations);
@@ -396,7 +400,8 @@ fn huber_case_downweights_only_the_shifted_observations() {
     // Guards the Huber assembly case above: it must exercise both sides of
     // the threshold, or it would only repeat the quadratic cases.
     let (w, huber) = huber_window();
-    let scales: Vec<f64> = w
+    let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
+    let weights_sq: Vec<f64> = w
         .observations
         .iter()
         .filter_map(|obs| {
@@ -408,11 +413,11 @@ fn huber_case_downweights_only_the_shifted_observations() {
                 lm.inv_depth,
                 obs.uv,
             )?;
-            Some(huber.visual_robust_scale(ev.residual[0], ev.residual[1]))
+            Some(huber.visual_weight_sq(ev.residual[0], ev.residual[1]))
         })
         .collect();
-    assert!(scales.contains(&1.0));
-    assert!(scales.iter().any(|&s| s < 1.0));
+    assert!(weights_sq.contains(&wv2));
+    assert!(weights_sq.iter().any(|&s| s < wv2));
 }
 
 #[test]
@@ -421,8 +426,8 @@ fn damped_linear_solve_matches_dense() {
     let weights = FactorWeights::default();
     let ne = dense_normal_equations(&w, &weights, None);
 
-    let mut sys = BlockSparseSystem::new();
-    build_block_normal_equations(&w, &weights, None, &mut sys);
+    let mut ws = SolverWorkspace::new();
+    let (sys, _) = build_block_normal_equations(&mut ws, &w, &weights, None);
     let mut scratch = SchurScratch::default();
     let mut out = archytas_math::DVec::zeros(0);
 
@@ -488,12 +493,12 @@ fn no_landmark_window_falls_back_identically() {
     // p = 0: the Schur split degenerates and both paths go straight through
     // a dense Cholesky of the pose block (held together by the prior).
     let weights = FactorWeights::default();
-    let full = make_imu_window();
-    let result = try_marginalize_oldest(&full, &weights, None).unwrap();
-    let mut w = result.window;
+    let mut w = make_imu_window();
+    let mut prior = None;
+    try_marginalize_oldest_in(&mut SolverWorkspace::new(), &mut w, &weights, &mut prior).unwrap();
     w.landmarks.clear();
     w.observations.clear();
-    assert_solve_equivalent(&w, Some(&result.prior), &LmConfig::default());
+    assert_solve_equivalent(&w, prior.as_ref(), &LmConfig::default());
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 //! [`dense_marginalize`] is the dense marginalization kept as a test oracle:
 //! a dense local `H`, a full `(am+15)²` inverse through the identity columns
 //! and two dense products, giving `Hp + εI`, `rp` and the prior's cost `c`.
-//! The library's [`try_marginalize_oldest`] inverts `M` by its arrow
+//! The library's [`try_marginalize_oldest_in`] inverts `M` by its arrow
 //! structure instead, a different order of floating-point work, so the two
 //! must agree to a relative Frobenius error of [`REL_TOL`] on `Hp`, `rp` and
 //! `c`, and give the same shrunk window, on generated windows that cover the
@@ -20,10 +20,9 @@ use archytas_math::{Cholesky, DMat, DVec};
 /// dense oracle, on each of `Hp`, `rp` and `c`.
 const REL_TOL: f64 = 1e-9;
 use archytas_slam::{
-    evaluate_imu, evaluate_visual, try_marginalize_oldest, try_marginalize_oldest_in,
-    FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, Observation, Pose,
-    Preintegration, Prior, Quat, SlidingWindow, SolveError, SolverWorkspace, Vec3, STATE_DIM,
-    VISUAL_WEIGHT,
+    evaluate_imu, evaluate_visual, try_marginalize_oldest_in, FactorWeights, ImuConstraint,
+    ImuSample, KeyframeState, Landmark, Observation, Pose, Preintegration, Prior, Quat,
+    SlidingWindow, SolveError, SolverWorkspace, Vec3, STATE_DIM,
 };
 
 /// What the dense oracle produces: the new prior's `Hp + εI`, `rp` and `c`,
@@ -65,7 +64,6 @@ fn dense_marginalize(
     let mut g = DVec::zeros(dim);
     let mut cost = 0.0;
 
-    let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
     for obs in &window.observations {
         let Some(&slot) = lm_slot.get(&obs.landmark) else {
             continue;
@@ -83,10 +81,7 @@ fn dense_marginalize(
         ) else {
             continue;
         };
-        let w2 = match weights.huber_delta {
-            None => wv2,
-            Some(_) => wv2 * weights.visual_robust_scale(ev.residual[0], ev.residual[1]),
-        };
+        let w2 = weights.visual_weight_sq(ev.residual[0], ev.residual[1]);
         for r in 0..2 {
             cost += 0.5 * w2 * ev.residual[r] * ev.residual[r];
             let mut cols = [0usize; 13];
@@ -270,8 +265,15 @@ fn check(
     case: &str,
 ) -> Option<(SlidingWindow, Prior)> {
     let dense = dense_marginalize(window, weights, prior);
-    let fast = try_marginalize_oldest(window, weights, prior);
-    let (dense, fast) = match (dense, fast) {
+    let mut fast_window = window.clone();
+    let mut fast_prior = prior.cloned();
+    let fast = try_marginalize_oldest_in(
+        &mut SolverWorkspace::new(),
+        &mut fast_window,
+        weights,
+        &mut fast_prior,
+    );
+    let (dense, am) = match (dense, fast) {
         (Ok(d), Ok(f)) => (d, f),
         (Err(_), Err(_)) => return None,
         (d, f) => panic!(
@@ -280,11 +282,11 @@ fn check(
             f.is_ok()
         ),
     };
-    assert_eq!(dense.am, fast.marginalized_landmarks, "{case}: am");
+    assert_eq!(dense.am, am, "{case}: am");
     // The shrunk window's keyframes are the new prior's linearization
     // point, so there `δ = 0`: the gradient is `−rp` and the cost is `c`.
-    let prior = &fast.prior;
-    let rp = -&prior.gradient(&fast.window);
+    let prior = fast_prior.expect("marginalization fills the prior on success");
+    let rp = -&prior.gradient(&fast_window);
     for (what, err) in [
         (
             "Hp",
@@ -293,7 +295,7 @@ fn check(
         ("rp", rel_frobenius(rp.as_slice(), dense.rp.as_slice())),
         (
             "c",
-            rel_frobenius(&[prior.cost(&fast.window)], &[dense.cost0]),
+            rel_frobenius(&[prior.cost(&fast_window)], &[dense.cost0]),
         ),
     ] {
         assert!(
@@ -307,11 +309,11 @@ fn check(
     );
     assert_eq!(
         window_repr(&dense.window),
-        window_repr(&fast.window),
+        window_repr(&fast_window),
         "{case}: shrunk window differs"
     );
-    assert!(fast.window.validate(), "{case}: shrunk window invalid");
-    Some((fast.window, fast.prior))
+    assert!(fast_window.validate(), "{case}: shrunk window invalid");
+    Some((fast_window, prior))
 }
 
 /// Deterministic generator (64-bit LCG, top bits as a unit float).
@@ -517,23 +519,28 @@ fn workspace_reuse_across_shapes_keeps_bits() {
         (10, shape(10, 20, 3, 50)),
     ] {
         let window = gen_window(seed, &sh);
-        let fresh = try_marginalize_oldest(&window, &weights, None).expect("marginalizes");
+        let (mut fresh_w, mut fresh_slot) = (window.clone(), None);
+        let fresh_am = try_marginalize_oldest_in(
+            &mut SolverWorkspace::new(),
+            &mut fresh_w,
+            &weights,
+            &mut fresh_slot,
+        )
+        .expect("marginalizes");
+        let fresh = fresh_slot.expect("prior set");
         let mut w = window.clone();
         let mut slot = None;
         let am =
             try_marginalize_oldest_in(&mut ws, &mut w, &weights, &mut slot).expect("marginalizes");
         let reused = slot.expect("prior set");
-        assert_eq!(am, fresh.marginalized_landmarks);
-        assert_eq!(bits(reused.information()), bits(fresh.prior.information()));
+        assert_eq!(am, fresh_am);
+        assert_eq!(bits(reused.information()), bits(fresh.information()));
         assert_eq!(
             vbits(&reused.gradient(&w)),
-            vbits(&fresh.prior.gradient(&fresh.window))
+            vbits(&fresh.gradient(&fresh_w))
         );
-        assert_eq!(
-            reused.cost(&w).to_bits(),
-            fresh.prior.cost(&fresh.window).to_bits()
-        );
-        assert_eq!(window_repr(&w), window_repr(&fresh.window));
+        assert_eq!(reused.cost(&w).to_bits(), fresh.cost(&fresh_w).to_bits());
+        assert_eq!(window_repr(&w), window_repr(&fresh_w));
     }
 }
 

@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use archytas_slam::{
-    solve_in_workspace, try_marginalize_oldest, try_marginalize_oldest_in, DegradeReason,
+    build_block_normal_equations, solve_in_workspace, try_marginalize_oldest_in, DegradeReason,
     FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, LmConfig, Observation, Pose,
     Precision, Preintegration, Prior, Quat, SlidingWindow, SolveOutcome, SolveReport,
     SolverWorkspace, Vec3, INITIAL_LAMBDA, LAMBDA_UP, MAX_RETRIES,
@@ -204,8 +204,16 @@ fn lm_iterations_allocate_nothing_after_warmup() {
 
     // The served shape: a window that has slid once and carries the prior
     // its marginalization produced.
-    let slid = try_marginalize_oldest(&make_window(8, 80, 4), &weights, None).unwrap();
-    let (served, prior) = (slid.window, slid.prior);
+    let mut served = make_window(8, 80, 4);
+    let mut slot = None;
+    try_marginalize_oldest_in(
+        &mut SolverWorkspace::new(),
+        &mut served,
+        &weights,
+        &mut slot,
+    )
+    .unwrap();
+    let prior = slot.unwrap();
     assert!(served.num_landmarks() > 0 && prior.dim() > 0);
     for precision in [Precision::F64, Precision::F32] {
         assert_iterations_allocate_nothing(&mut ws, &served, Some(&prior), &weights, precision);
@@ -269,26 +277,26 @@ fn lm_iterations_allocate_nothing_after_warmup() {
     // discipline as above for counter noise.
     // The f32 leg repeats it through the cast: damp in f64, cast into the
     // warmed f32 twin, solve there, cast the increment back.
-    let mut sys = archytas_math::BlockSparseSystem::new();
     let mut scratch = archytas_math::SchurScratch::default();
     let mut delta = archytas_math::DVec::zeros(0);
     let mut sys32 = archytas_math::BlockSparseSystem::<f32>::new();
     let mut scratch32 = archytas_math::SchurScratch::default();
     let mut delta32 = archytas_math::FVec::zeros(0);
-    let mut cycle = |sys: &mut archytas_math::BlockSparseSystem<f64>| {
-        archytas_slam::build_block_normal_equations(&window, &weights, None, sys);
+    let mut cycle = |ws: &mut SolverWorkspace| {
+        let (sys, _) = build_block_normal_equations(ws, &window, &weights, None);
         sys.damp(1e-3, 1e-9);
         sys.solve_into(&mut scratch, &mut delta).unwrap();
         sys.cast_into(&mut sys32);
         sys32.solve_into(&mut scratch32, &mut delta32).unwrap();
         delta32.cast_into(&mut delta);
     };
-    cycle(&mut sys);
+    let mut lin_ws = SolverWorkspace::new();
+    cycle(&mut lin_ws);
 
     let mut direct_best = u64::MAX;
     for _ in 0..5 {
         let before = allocations();
-        cycle(&mut sys);
+        cycle(&mut lin_ws);
         direct_best = direct_best.min(allocations() - before);
     }
     assert_eq!(

@@ -4,7 +4,7 @@
 //! Run: `cargo run --release --example design_space [output_dir]`
 
 use archytas_core::{
-    emit_verilog, knob_bounds, pareto_frontier, synthesize, DesignSpec, Objective,
+    elaborate, emit_verilog, knob_bounds, pareto_frontier, synthesize, DesignSpec, Objective,
 };
 use archytas_hw::FpgaPlatform;
 
@@ -65,12 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::write(format!("{out_dir}/{}", file.name), &file.contents)?;
     }
     println!(
-        "\nwrote {} Verilog files for (nd={}, nm={}, s={}) to {out_dir}/ (structural check: {})",
+        "\nwrote {} Verilog files for (nd={}, nm={}, s={}) to {out_dir}/ (elaboration: {})",
         verilog.files.len(),
         design.config.nd,
         design.config.nm,
         design.config.s,
-        if verilog.structural_check().is_clean() {
+        if elaborate(&verilog).is_ok() {
             "clean"
         } else {
             "PROBLEMS"

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use archytas_core::{AlgorithmDescription, Archytas, DesignSpec};
+use archytas_core::{elaborate, AlgorithmDescription, Archytas, DesignSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Describe the algorithm: sliding-window visual-inertial MAP
@@ -38,18 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         d.latency_ms, d.power_w, d.resources.dsp, d.candidates_examined
     );
 
-    let check = accelerator.verilog.structural_check();
     println!(
-        "emitted Verilog: {} files, {} bytes, structural check: {}",
+        "emitted Verilog: {} files, {} bytes",
         accelerator.verilog.files.len(),
         accelerator.verilog.total_bytes(),
-        if check.is_clean() {
-            "clean"
-        } else {
-            "PROBLEMS"
-        }
     );
-    let elab = accelerator.elaborate();
+    let elab = elaborate(&accelerator.verilog);
     println!(
         "elaboration: {} modules, {} hierarchy levels, {} errors, {} warnings",
         elab.modules.len(),
@@ -57,6 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         elab.errors.len(),
         elab.warnings.len()
     );
+    if !elab.is_ok() {
+        return Err(format!("elaboration failed: {}", elab.errors.join("; ")).into());
+    }
     println!("\n--- archytas_top.v (first 24 lines) ---");
     for line in accelerator.verilog.files[0].contents.lines().take(24) {
         println!("{line}");

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Quick benchmark smoke: formatting, lint and rustdoc gates, the workspace
-# tests, the standalone benchmark's unit tests, one traced fleet-steady run
+# tests, the quickstart (fails when its emitted Verilog does not
+# elaborate), the standalone benchmark's unit tests, one traced fleet-steady run
 # and one fleet-churn run of it (their "correct"/"failed" verdicts gate),
 # then the synthesizer criterion bench in --quick
 # mode at ARCHYTAS_THREADS=1 and =4 (its `nd` stripes fan out over the
@@ -50,6 +51,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace \
 # zero allocation after warmup), so they run before any timing.
 echo "testing the workspace (cargo test, release)..." >&2
 cargo test -q --workspace --release
+
+# Generator gate: the quickstart generates a design and exits non-zero when
+# elaborating its emitted Verilog reports an error.
+echo "running the quickstart (generate + elaborate)..." >&2
+cargo run -q --release --example quickstart > /dev/null
 
 # Benchmark compile gate: benchmark/ is a workspace of its own, so neither
 # gate above compiles it. Its unit tests include the catalog/BENCHMARK.json

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use archytas_baselines::CpuPlatform;
 use archytas_core::{
-    run_sequence, AlgorithmDescription, Archytas, DesignSpec, Executor, IterPolicy, RuntimeSystem,
-    ITER_CAP,
+    elaborate, run_sequence, AlgorithmDescription, Archytas, DesignSpec, Executor, IterPolicy,
+    RuntimeSystem, ITER_CAP,
 };
 use archytas_dataset::{euroc_sequences, kitti_sequences};
 use archytas_hw::{AcceleratorModel, FpgaPlatform, HIGH_PERF};
@@ -19,7 +19,8 @@ fn generate_then_drive_kitti() {
     let spec = DesignSpec::zc706_power_optimal(4.0);
     let acc =
         Archytas::generate(&AlgorithmDescription::slam_typical(), &spec).expect("feasible design");
-    assert!(acc.verilog.structural_check().is_clean());
+    let elab = elaborate(&acc.verilog);
+    assert!(elab.is_ok(), "{:?}", elab.errors);
 
     // Drive a short KITTI-like sequence through it.
     let data = kitti_sequences()[3].truncated(4.0).build();
@@ -114,6 +115,7 @@ fn non_slam_algorithms_generate_and_fit() {
         let acc = Archytas::generate(&desc, &spec).expect("feasible");
         assert!(acc.design.resources.fits(&FpgaPlatform::zc706().capacity));
         assert!(acc.design.latency_ms <= 2.0);
-        assert!(acc.verilog.structural_check().is_clean());
+        let elab = elaborate(&acc.verilog);
+        assert!(elab.is_ok(), "{:?}", elab.errors);
     }
 }

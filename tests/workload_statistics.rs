@@ -5,8 +5,10 @@
 
 use archytas_dataset::{euroc_sequences, kitti_sequences, PipelineConfig, VioPipeline};
 use archytas_hw::f32_linear_solver;
-use archytas_math::{BlockSparseSystem, DMat, DVec};
-use archytas_slam::{build_block_normal_equations, schur_linear_solver, FactorWeights};
+use archytas_math::{DMat, DVec};
+use archytas_slam::{
+    build_block_normal_equations, schur_linear_solver, FactorWeights, SolverWorkspace,
+};
 
 #[test]
 fn paper_profiling_ratios_hold() {
@@ -45,11 +47,12 @@ fn paper_profiling_ratios_hold() {
 fn marginalization_count_tracks_window_slide() {
     let data = kitti_sequences()[4].truncated(5.0).build();
     let mut pipeline = VioPipeline::new(PipelineConfig::default());
+    let mut ws = SolverWorkspace::new();
     let mut total_marginalized = 0usize;
     let mut windows = 0usize;
     for frame in &data.frames {
         if pipeline.push_frame(frame) {
-            let r = pipeline.optimize_and_slide(2);
+            let r = pipeline.optimize_and_slide_in(&mut ws, 2);
             total_marginalized += r.workload.marginalized_features;
             windows += 1;
         }
@@ -66,15 +69,15 @@ fn f32_datapath_tracks_f64_across_real_windows() {
     let mut pipeline = VioPipeline::new(PipelineConfig::default());
     let weights = FactorWeights::default();
     let mut checked = 0usize;
-    let mut sys = BlockSparseSystem::new();
+    let mut ws = SolverWorkspace::new();
     let (mut damped, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
     for frame in &data.frames {
         if !pipeline.push_frame(frame) {
             continue;
         }
         // Damped normal equations, as LM produces them.
-        let info =
-            build_block_normal_equations(pipeline.window(), &weights, pipeline.prior(), &mut sys);
+        let (sys, info) =
+            build_block_normal_equations(&mut ws, pipeline.window(), &weights, pipeline.prior());
         sys.damp(1e-3, 1e-9);
         sys.to_dense_into(&mut damped, &mut b);
         let x64 = schur_linear_solver(&damped, &b, info.num_landmarks).expect("f64 solvable");
@@ -83,7 +86,7 @@ fn f32_datapath_tracks_f64_across_real_windows() {
         assert!(rel < 5e-3, "window {checked}: f32 divergence {rel:.2e}");
         checked += 1;
         // Keep the sequence moving.
-        let _ = pipeline.optimize_and_slide(2);
+        let _ = pipeline.optimize_and_slide_in(&mut ws, 2);
         if checked >= 8 {
             break;
         }
