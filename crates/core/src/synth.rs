@@ -31,9 +31,11 @@
 //!    stripes, `(nm, s)` subranges and `s`-blocks are cut when their
 //!    monotonicity-safe *lower bound* (term-wise minima summed in the same
 //!    expression shape — see `LatencyTables::window_cycles_lower_bound`)
-//!    strictly exceeds the incumbent. Cuts are value-strict, so any
-//!    candidate that could tie the optimum is never skipped, and the fold
-//!    over per-stripe winners replays the strict serial [`beats`] order —
+//!    strictly exceeds the incumbent. Under Eq. 11 the same latency lower
+//!    bounds also cut stripes, rows and `s`-blocks that strictly miss the
+//!    latency constraint, once an incumbent exists. Cuts are value-strict,
+//!    so any candidate that could tie the optimum is never skipped, and the
+//!    fold over per-stripe winners replays the strict serial [`beats`] order —
 //!    the selected design is therefore identical at every pool size, even
 //!    though *which* candidates get cut depends on thread timing (the
 //!    [`SynthesizedDesign::candidates_examined`] /
@@ -442,12 +444,31 @@ impl<'a> Search<'a> {
     }
 
     /// Total resource-feasible extent of one stripe — the points a bound
-    /// cut of the whole stripe skips. O(`nm_max`) via the closed-form
-    /// `max_feasible_s`.
+    /// cut of the whole stripe skips. Rows that fit at `s_max` hold
+    /// `s_max` points each and are found by bisection (O(log `nm_max`)
+    /// `fits` calls); only the rows past them, where the lane count
+    /// shrinks, take one closed-form `max_feasible_s` each.
     fn stripe_extent(&self, nd: usize) -> usize {
-        let mut total = 0usize;
+        // Resources are monotone in nm, so the rows whose every s up to
+        // s_max fits are a prefix 1..=full of the nm axis: bisect for it.
+        let fits_all = |nm: usize| {
+            self.resources.fits(
+                &AcceleratorConfig::new(nd, nm, self.s_max),
+                &self.spec.platform,
+            )
+        };
+        let (mut full, mut hi) = (0usize, self.nm_max + 1);
+        while hi - full > 1 {
+            let mid = (full + hi) / 2;
+            if fits_all(mid) {
+                full = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let mut total = full * self.s_max;
         let mut s_cap = self.s_max;
-        for nm in 1..=self.nm_max {
+        for nm in full + 1..=self.nm_max {
             let s_limit = self
                 .resources
                 .max_feasible_s(nd, nm, &self.spec.platform, s_cap);
@@ -460,30 +481,47 @@ impl<'a> Search<'a> {
         total
     }
 
+    /// Whether a subrange whose `window_cycles` lower bound is `cycles_lb`
+    /// and whose power lower bound is `power_lb` can hold no candidate that
+    /// beats or ties the incumbent (both comparisons strict).
+    ///
+    /// Eq. 12 cuts on latency against the incumbent. Eq. 11 cuts on power
+    /// against the incumbent and, once an incumbent exists, on latency
+    /// against the constraint: a subrange whose every point misses the
+    /// latency bound holds no feasible point. Gating that cut on an
+    /// incumbent keeps an infeasible search exhaustive, so it reports the
+    /// exhaustive scan's exact best-achievable latency.
+    #[inline]
+    fn cut(&self, cycles_lb: f64, power_lb: f64) -> bool {
+        let incumbent = self.bound();
+        let lat_lb = cycles_lb / self.clock_khz;
+        match self.spec.objective {
+            Objective::MinLatency => lat_lb > incumbent,
+            Objective::MinPowerUnderLatency(bound) => {
+                power_lb > incumbent || (incumbent.is_finite() && lat_lb > bound)
+            }
+        }
+    }
+
     /// The pruned `(nm, s)` scan of one `nd` stripe.
     ///
     /// Every cut compares a monotonicity-safe *lower bound* of the skipped
-    /// subrange **strictly** against the shared incumbent: a skipped
-    /// candidate therefore has primary value strictly above some
-    /// already-achieved feasible value, so it can neither beat nor tie the
-    /// eventual optimum — which is why the fold over stripe winners still
-    /// selects the exhaustive scan's design no matter how the bound
-    /// tightens across threads.
+    /// subrange **strictly** against the shared incumbent or, under Eq. 11,
+    /// the latency constraint: a skipped candidate therefore has primary
+    /// value strictly above some already-achieved feasible value, or is
+    /// infeasible, so it can neither beat nor tie the eventual optimum —
+    /// which is why the fold over stripe winners still selects the
+    /// exhaustive scan's design no matter how the bound tightens across
+    /// threads.
     fn scan_stripe(&self, nd: usize) -> StripeScan {
         let mut scan = StripeScan::empty();
         let objective = self.spec.objective;
-        // Stripe-level cut: O(1) bound against the whole (nm, s) plane.
-        let stripe_bound = match objective {
-            Objective::MinLatency => {
-                self.tables
-                    .window_cycles_lower_bound(nd, self.nm_max, self.s_max)
-                    / self.clock_khz
-            }
-            Objective::MinPowerUnderLatency(_) => {
-                self.power.power_with_s(self.power.power_prefix_w(nd, 1), 1)
-            }
-        };
-        if stripe_bound > self.bound() {
+        // Stripe-level cut: O(1) bounds against the whole (nm, s) plane.
+        if self.cut(
+            self.tables
+                .window_cycles_lower_bound(nd, self.nm_max, self.s_max),
+            self.power.power_with_s(self.power.power_prefix_w(nd, 1), 1),
+        ) {
             scan.pruned += self.stripe_extent(nd);
             return scan;
         }
@@ -500,19 +538,14 @@ impl<'a> Search<'a> {
             }
             s_cap = s_limit;
             // (nm, s)-subrange cut.
-            let nm_bound = match objective {
-                Objective::MinLatency => {
-                    self.tables.window_cycles_lower_bound(nd, nm, s_limit) / self.clock_khz
-                }
-                Objective::MinPowerUnderLatency(_) => self
-                    .power
-                    .power_with_s(self.power.power_prefix_w(nd, nm), 1),
-            };
-            if nm_bound > self.bound() {
+            let p_prefix = self.power.power_prefix_w(nd, nm);
+            if self.cut(
+                self.tables.window_cycles_lower_bound(nd, nm, s_limit),
+                self.power.power_with_s(p_prefix, 1),
+            ) {
                 scan.pruned += s_limit;
                 continue;
             }
-            let p_prefix = self.power.power_prefix_w(nd, nm);
             let pruning_active = self.bound().is_finite();
             let mut s = 1usize;
             's_axis: while s <= s_limit {

@@ -108,9 +108,10 @@ proptest! {
 }
 
 /// The virtex7 scaled lattice (5.76M points) is the cold-sweep perf target;
-/// this pins down that the pruned search actually covers it — every lattice
-/// point is either examined or accounted to a bound cut — and that pruning
-/// does the heavy lifting.
+/// this pins down that the pruned search selects the exhaustive design there
+/// and that pruning does the heavy lifting (that every lattice point is
+/// either examined or accounted to a cut is
+/// `counters_cover_the_feasible_lattice`).
 #[test]
 fn virtex7_cold_sweep_prunes_most_of_the_lattice() {
     let spec = DesignSpec {
@@ -132,4 +133,70 @@ fn virtex7_cold_sweep_prunes_most_of_the_lattice() {
         "pruned only {} of {lattice}",
         pruned.candidates_pruned
     );
+}
+
+/// The typical-shape spec on the Virtex-7 lattice with `objective`.
+fn virtex7_spec(objective: Objective) -> DesignSpec {
+    DesignSpec {
+        platform: FpgaPlatform::virtex7_690t(),
+        objective,
+        ..DesignSpec::zc706_power_optimal(0.0)
+    }
+}
+
+/// Eq. 11 on the large lattice, where the latency-constraint cuts fire on
+/// most stripes: at the minimum latency itself, just above it, loose, and
+/// just below it (infeasible, so the search must stay exhaustive and report
+/// the oracle's best-achievable latency bit for bit).
+#[test]
+fn virtex7_min_power_matches_exhaustive() {
+    let min_latency = synthesize_exhaustive(&virtex7_spec(Objective::MinLatency))
+        .expect("feasible")
+        .latency_ms;
+    for factor in [1.0, 1.25, 4.0, 0.99] {
+        let spec = virtex7_spec(Objective::MinPowerUnderLatency(factor * min_latency));
+        let oracle = synthesize_exhaustive(&spec);
+        assert_eq!(oracle.is_ok(), factor >= 1.0, "{factor}x: {oracle:?}");
+        for pool in [Pool::with_threads(1), Pool::with_threads(2)] {
+            let got = synthesize_with(&spec, &pool);
+            let label = format!("{factor}x min latency, {} threads", pool.threads());
+            assert_same_outcome(&got, &oracle, &label);
+        }
+    }
+}
+
+/// On a 1-thread pool the search counters are deterministic and account for
+/// the whole lattice: every resource-feasible point (the exhaustive scan
+/// evaluates exactly those) is either examined or added to `pruned` by one
+/// cut, and `examined` also counts the incumbent-seeding probes (at most 5
+/// `nd` × 3 `nm` × 2 `s`).
+#[test]
+fn counters_cover_the_feasible_lattice() {
+    for platform in [
+        FpgaPlatform::zc706(),
+        FpgaPlatform::kintex7_160t(),
+        FpgaPlatform::virtex7_690t(),
+    ] {
+        let spec = |objective| DesignSpec {
+            platform: platform.clone(),
+            objective,
+            ..DesignSpec::zc706_power_optimal(0.0)
+        };
+        let oracle = synthesize_exhaustive(&spec(Objective::MinLatency)).expect("feasible");
+        let feasible = oracle.candidates_examined;
+        for objective in [
+            Objective::MinLatency,
+            Objective::MinPowerUnderLatency(1.25 * oracle.latency_ms),
+        ] {
+            let d = synthesize_with(&spec(objective), &Pool::with_threads(1)).expect("feasible");
+            let covered = d.candidates_examined + d.candidates_pruned;
+            assert!(
+                (feasible + 1..=feasible + 30).contains(&covered),
+                "{} {objective:?}: examined {} + pruned {} vs {feasible} feasible points",
+                platform.name,
+                d.candidates_examined,
+                d.candidates_pruned
+            );
+        }
+    }
 }

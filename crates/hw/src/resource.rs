@@ -42,6 +42,7 @@ impl ResourceModel {
     }
 
     /// Total resources of a configuration (Eq. 16).
+    #[inline]
     pub fn resources(&self, config: &AcceleratorConfig) -> ResourceVector {
         self.base
             .plus(&self.per_nd.times(config.nd as f64))
@@ -52,6 +53,7 @@ impl ResourceModel {
     /// `true` when the configuration fits the platform in *all four*
     /// resource kinds (Sec. 5: exceeding even one means the design cannot be
     /// instantiated).
+    #[inline]
     pub fn fits(&self, config: &AcceleratorConfig, platform: &FpgaPlatform) -> bool {
         self.resources(config).fits(&platform.capacity)
     }
@@ -62,10 +64,15 @@ impl ResourceModel {
     /// O(`s_max`).
     ///
     /// Eq. 16 is linear with non-negative per-lane cost, so feasibility is
-    /// monotone in `s`: an algebraic estimate (`⌊headroom / per-lane⌋` over
-    /// the four kinds) lands within a step or two of the boundary, and a
-    /// short fix-up walk against the *same* `fits` predicate the scan uses
-    /// makes the result exact — no float-division rounding can shift it.
+    /// monotone in `s`: an algebraic estimate (the least `headroom /
+    /// per-lane` over the four kinds, capped at `s_max` and truncated toward
+    /// zero — a saturating cast, so a negative headroom gives 0) lands
+    /// within a step or two of the boundary, and a short fix-up walk against
+    /// the *same* `fits` predicate the scan uses makes the result exact — no
+    /// float-division rounding can shift it. The truncating cast stands in
+    /// for `floor`, which baseline x86-64 (no SSE4.1 `roundsd`) turns into a
+    /// libm call per resource kind.
+    #[inline]
     pub fn max_feasible_s(
         &self,
         nd: usize,
@@ -84,10 +91,10 @@ impl ResourceModel {
         for k in RESOURCE_KINDS {
             let per = self.per_s.get(k);
             if per > 0.0 {
-                est = est.min(((platform.capacity.get(k) - partial.get(k)) / per).floor());
+                est = est.min((platform.capacity.get(k) - partial.get(k)) / per);
             }
         }
-        let mut s = est.clamp(0.0, s_max as f64) as usize;
+        let mut s = est as usize;
         while s < s_max && self.fits(&AcceleratorConfig::new(nd, nm, s + 1), platform) {
             s += 1;
         }
@@ -178,28 +185,53 @@ mod tests {
         assert!(r.lut < p.capacity.lut && r.ff < p.capacity.ff && r.bram < p.capacity.bram);
     }
 
+    /// The descending [`ResourceModel::fits`] scan `max_feasible_s` must
+    /// reproduce.
+    fn descending_scan(
+        m: &ResourceModel,
+        nd: usize,
+        nm: usize,
+        p: &FpgaPlatform,
+        s_max: usize,
+    ) -> usize {
+        (1..=s_max)
+            .rev()
+            .find(|&s| m.fits(&AcceleratorConfig::new(nd, nm, s), p))
+            .unwrap_or(0)
+    }
+
     #[test]
     fn max_feasible_s_matches_descending_scan() {
         let m = ResourceModel::calibrated();
-        for platform in [
-            FpgaPlatform::zc706(),
-            FpgaPlatform::kintex7_160t(),
-            FpgaPlatform::virtex7_690t(),
+        // Each board with its synthesizer lattice (`archytas_core::knob_bounds`:
+        // the ZC706's 30 × 24 × 125 scaled by DSP capacity). Every `(nd, nm)`
+        // row is checked at the board's own `s` bound, at half of it and at a
+        // small cap; the sampled rows beyond the lattice add rows where no
+        // lane count fits and caps far above the feasible range.
+        for (platform, (nd_max, nm_max, s_max)) in [
+            (FpgaPlatform::zc706(), (30, 24, 125)),
+            (FpgaPlatform::kintex7_160t(), (20, 16, 83)),
+            (FpgaPlatform::virtex7_690t(), (120, 96, 500)),
         ] {
-            for nd in [1, 8, 21, 28, 60, 120] {
-                for nm in [1, 4, 8, 19, 50, 96] {
-                    for s_max in [1, 34, 125, 500] {
-                        let mut expect = 0usize;
-                        for s in (1..=s_max).rev() {
-                            if m.fits(&AcceleratorConfig::new(nd, nm, s), &platform) {
-                                expect = s;
-                                break;
-                            }
-                        }
+            for nd in 1..=nd_max {
+                for nm in 1..=nm_max {
+                    for cap in [s_max, s_max / 2, 7] {
                         assert_eq!(
-                            m.max_feasible_s(nd, nm, &platform, s_max),
-                            expect,
-                            "({nd},{nm}) on {} with s_max {s_max}",
+                            m.max_feasible_s(nd, nm, &platform, cap),
+                            descending_scan(&m, nd, nm, &platform, cap),
+                            "({nd},{nm}) on {} with s cap {cap}",
+                            platform.name
+                        );
+                    }
+                }
+            }
+            for nd in [1, 8, 21, 28, 60, 120, 400] {
+                for nm in [1, 4, 8, 19, 50, 96, 400] {
+                    for cap in [0, 1, 34, 125, 500] {
+                        assert_eq!(
+                            m.max_feasible_s(nd, nm, &platform, cap),
+                            descending_scan(&m, nd, nm, &platform, cap),
+                            "({nd},{nm}) on {} with s cap {cap}",
                             platform.name
                         );
                     }

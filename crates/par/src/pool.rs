@@ -59,9 +59,11 @@ fn hardware_threads() -> usize {
 /// A scoped worker pool.
 ///
 /// The pool is a *policy* object (a thread count), not a set of persistent
-/// threads: each [`Pool::par_map`] spawns scoped workers for its own call
-/// and joins them before returning, so borrows of caller data need no
-/// `'static` lifetime and no shutdown protocol.
+/// threads: each parallel [`Pool::par_map`] spawns `threads − 1` scoped
+/// workers for its own call, runs the same chunk-claiming loop on the
+/// calling thread as the last worker, and joins the spawned ones before
+/// returning, so borrows of caller data need no `'static` lifetime and no
+/// shutdown protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -114,6 +116,12 @@ impl Pool {
     /// Bit-identical to `items.iter().map(f).collect()` for any thread
     /// count: each element is mapped exactly once and results are reassembled
     /// by index.
+    ///
+    /// On the parallel path the calling thread claims chunks too, marked as
+    /// a worker while it does (a nested map inside `f` runs serially on it
+    /// as on every spawned worker). A panic in `f` — on any thread —
+    /// propagates to the caller only after every spawned worker has joined,
+    /// and the caller's worker mark is cleared on return and on unwind.
     pub fn par_map<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
         if !self.should_parallelize(items.len()) {
             return items.iter().map(f).collect();
@@ -124,29 +132,33 @@ impl Pool {
         let n_chunks = items.len().div_ceil(chunk_size);
         let next = AtomicUsize::new(0);
         let f = &f;
+        // One chunk-claiming loop, run by every spawned worker and by the
+        // calling thread itself, which would otherwise only wait at the join.
+        let claim_chunks = || {
+            let _guard = WorkerGuard::enter();
+            let mut local: Vec<(usize, Vec<U>)> = Vec::new();
+            loop {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                if c >= n_chunks {
+                    break;
+                }
+                let lo = c * chunk_size;
+                let hi = (lo + chunk_size).min(items.len());
+                local.push((c, items[lo..hi].iter().map(f).collect()));
+            }
+            local
+        };
         let mut pieces: Vec<(usize, Vec<U>)> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..self.threads.min(n_chunks))
-                .map(|_| {
-                    s.spawn(|| {
-                        let _guard = WorkerGuard::enter();
-                        let mut local: Vec<(usize, Vec<U>)> = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let lo = c * chunk_size;
-                            let hi = (lo + chunk_size).min(items.len());
-                            local.push((c, items[lo..hi].iter().map(f).collect()));
-                        }
-                        local
-                    })
-                })
+            let workers: Vec<_> = (1..self.threads.min(n_chunks))
+                .map(|_| s.spawn(claim_chunks))
                 .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("par_map worker panicked"))
-                .collect()
+            // A panic here unwinds out of the scope, which joins the
+            // spawned workers before it propagates.
+            let mut pieces = claim_chunks();
+            for w in workers {
+                pieces.extend(w.join().expect("par_map worker panicked"));
+            }
+            pieces
         });
         pieces.sort_unstable_by_key(|(c, _)| *c);
         let mut out = Vec::with_capacity(items.len());
@@ -198,5 +210,70 @@ mod tests {
         assert!(!p.should_parallelize(1), "one item runs serially");
         assert!(p.should_parallelize(2), "two items run in parallel");
         assert!(!Pool::with_threads(1).should_parallelize(1_000_000));
+    }
+
+    #[test]
+    fn caller_panic_propagates_after_workers_join() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        /// Waits on the barrier when dropped, i.e. while the caller's chunk
+        /// unwinds.
+        struct MeetOnUnwind<'a>(&'a Barrier);
+        impl Drop for MeetOnUnwind<'_> {
+            fn drop(&mut self) {
+                self.0.wait();
+            }
+        }
+        // Two threads, two items, chunk size 1: the `claimed` barrier holds
+        // each thread to one chunk, so the caller maps one item and the
+        // spawned worker the other. The worker finishes its item only after
+        // the caller's chunk has started to unwind (`unwinding`), so the
+        // panic is in flight while the worker still runs.
+        let claimed = Barrier::new(2);
+        let unwinding = Barrier::new(2);
+        let worker_finished = AtomicBool::new(false);
+        let caller = std::thread::current().id();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Pool::with_threads(2).par_map(&[0usize, 1], |&i| {
+                claimed.wait();
+                if std::thread::current().id() == caller {
+                    let _meet = MeetOnUnwind(&unwinding);
+                    panic!("item {i} failed on the calling thread");
+                }
+                unwinding.wait();
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                worker_finished.store(true, Ordering::SeqCst);
+                i
+            })
+        }));
+        assert!(result.is_err(), "the caller's panic must propagate");
+        assert!(
+            worker_finished.load(Ordering::SeqCst),
+            "the panic surfaced before the spawned worker joined"
+        );
+        assert!(
+            Pool::with_threads(2).should_parallelize(2),
+            "worker mark cleared on unwind"
+        );
+    }
+
+    #[test]
+    fn caller_is_a_worker_only_inside_the_map() {
+        use std::sync::Barrier;
+        // Two threads, two items, chunk size 1: the barrier holds each
+        // thread to one item, so the caller maps exactly one of them.
+        let p = Pool::with_threads(2);
+        let claimed = Barrier::new(2);
+        let caller = std::thread::current().id();
+        let got = p.par_map(&[0usize, 1], |&i| {
+            claimed.wait();
+            let on_caller = std::thread::current().id() == caller;
+            // A nested map stays serial on the caller as on the worker.
+            assert!(!p.should_parallelize(1_000));
+            (i, on_caller)
+        });
+        assert_eq!(got.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(got.iter().filter(|&&(_, c)| c).count(), 1);
+        assert!(p.should_parallelize(2), "worker mark cleared on return");
     }
 }
