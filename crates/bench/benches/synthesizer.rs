@@ -7,18 +7,16 @@
 //! outside the sampling loop — `zc706_min_latency`'s historical
 //! 748 µs-on-3.8 ms stddev was exactly this first-sample pollution.
 //!
-//! Each case also prints one `REC` line of kind `search`: the selected
-//! design (`nd`, `nm`, `s` and the latency and power bit patterns) in
-//! `det`, identical at every pool size, and the `examined`/`pruned` search
-//! counters in `timing`, which depend on thread timing (see
-//! `archytas_core::synth`). `scripts/bench_smoke.sh` collects them into
-//! `BENCH_criterion.jsonl` and byte-compares the `det` payloads of its
-//! 1-thread and 4-thread runs.
+//! Each case also prints one `REC` line of kind `search` whose `det` holds
+//! the selected design (`nd`, `nm`, `s` and the latency and power bit
+//! patterns) and the `examined`/`pruned` search counters; the search is
+//! serial, so all of it is deterministic. `scripts/bench_smoke.sh` collects
+//! them into `BENCH_criterion.jsonl`, and `scripts/perf_gate.sh` byte-checks
+//! each against the committed record at the same position.
 
 use archytas_bench::json::{rec_line, JsonLine};
 use archytas_core::{synthesize, DesignSpec, Objective, SynthesizedDesign};
 use archytas_hw::FpgaPlatform;
-use archytas_par::Pool;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -58,13 +56,10 @@ fn search_rec(name: &str, d: &SynthesizedDesign) -> String {
         .uint("s", d.config.s as u64)
         .bits("latency_bits", d.latency_ms.to_bits())
         .bits("power_bits", d.power_w.to_bits())
-        .finish();
-    let timing = JsonLine::new()
-        .uint("threads", Pool::global().threads() as u64)
         .uint("examined", d.candidates_examined as u64)
         .uint("pruned", d.candidates_pruned as u64)
         .finish();
-    rec_line("criterion", "search", &det, &timing)
+    rec_line("criterion", "search", &det, "{}")
 }
 
 fn bench_synthesizer(c: &mut Criterion) {

@@ -41,9 +41,8 @@ pub use runtime::{
     GatingTable, IterCounter, IterPolicy, RuntimeDecision, RuntimeSystem, RuntimeWatchdog, ITER_CAP,
 };
 pub use synth::{
-    knob_bounds, pareto_frontier, pareto_frontier_with, synthesize, synthesize_exhaustive,
-    synthesize_with, validate_by_perturbation, DesignSpec, Objective, ParetoPoint, SynthesisError,
-    SynthesizedDesign, ND_MAX, NM_MAX, S_MAX,
+    knob_bounds, pareto_frontier, synthesize, synthesize_exhaustive, validate_by_perturbation,
+    DesignSpec, Objective, ParetoPoint, SynthesisError, SynthesizedDesign, ND_MAX, NM_MAX, S_MAX,
 };
 pub use vehicle::{run_sequence, Executor, RunSummary, Vehicle, WindowRecord};
 pub use verilog::{emit_verilog, VerilogDesign, VerilogFile};

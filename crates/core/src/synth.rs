@@ -26,31 +26,31 @@
 //!    distinct sub-term once and replays the exact floating-point summation
 //!    order per lattice point — bit-identical to calling
 //!    [`window_cycles`] directly, at a few flops per candidate.
-//! 2. **Incumbent-bound pruning.** The best primary-objective value found
-//!    so far is shared across stripes through a tighten-only atomic. Whole
-//!    stripes, `(nm, s)` subranges and `s`-blocks are cut when their
-//!    monotonicity-safe *lower bound* (term-wise minima summed in the same
-//!    expression shape — see `LatencyTables::window_cycles_lower_bound`)
-//!    strictly exceeds the incumbent. Under Eq. 11 the same latency lower
-//!    bounds also cut stripes, rows and `s`-blocks that strictly miss the
-//!    latency constraint, once an incumbent exists. Cuts are value-strict,
-//!    so any candidate that could tie the optimum is never skipped, and the
-//!    fold over per-stripe winners replays the strict serial [`beats`] order —
-//!    the selected design is therefore identical at every pool size, even
-//!    though *which* candidates get cut depends on thread timing (the
-//!    [`SynthesizedDesign::candidates_examined`] /
-//!    [`SynthesizedDesign::candidates_pruned`] counters are diagnostics,
-//!    deterministic only on a 1-thread pool).
+//! 2. **Incumbent-bound pruning.** The scan keeps the best
+//!    primary-objective value found so far. Whole `nd` stripes, `(nm, s)`
+//!    subranges and `s`-blocks are cut when their monotonicity-safe *lower
+//!    bound* (term-wise minima summed in the same expression shape — see
+//!    `LatencyTables::window_cycles_lower_bound`) strictly exceeds it. Under
+//!    Eq. 11 the same latency lower bounds also cut stripes, rows and
+//!    `s`-blocks that strictly miss the latency constraint, once an
+//!    incumbent exists. Cuts are value-strict, so any candidate that could
+//!    tie the optimum is never skipped, and the scan keeps the best under
+//!    the strict serial [`beats`] order in the exhaustive scan's
+//!    `(nd, nm, s)` order.
+//!
+//! The search is serial: a cold search takes tens to hundreds of
+//! microseconds, and splitting it over threads costs a scoped spawn and
+//! join per call (≈ 35 µs on a 2-CPU host), more than the split saves on
+//! all but the largest tight-bound lattices (DESIGN.md "Design-space
+//! search").
 
 use archytas_hw::{
     window_cycles, AcceleratorConfig, FpgaPlatform, LatencyTables, PowerModel, ResourceModel,
     ResourceVector, S_BLOCK,
 };
 use archytas_mdfg::ProblemShape;
-use archytas_par::Pool;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bounds of the synthesizer's search lattice on the ZC706.
 /// `30 × 24 × 125 = 90,000` candidate designs — the space quoted in
@@ -117,13 +117,11 @@ pub struct SynthesizedDesign {
     /// Modelled resources.
     pub resources: ResourceVector,
     /// Lattice points the latency model was evaluated on (including
-    /// incumbent-seeding probes). Run-dependent under parallel pruning —
-    /// the shared bound tightens at thread-timing-dependent moments — and
-    /// deterministic on a 1-thread pool.
+    /// incumbent-seeding probes).
     pub candidates_examined: usize,
     /// Resource-feasible lattice points skipped wholesale by
     /// incumbent-bound cuts (stripe, `(nm, s)`-subrange and `s`-block
-    /// extents). Same determinism caveat as `candidates_examined`.
+    /// extents); 0 from [`synthesize_exhaustive`].
     pub candidates_pruned: usize,
 }
 
@@ -131,7 +129,7 @@ impl SynthesizedDesign {
     /// `true` when `other` selects the same configuration with bit-equal
     /// modelled latency, power and resources — the equivalence contract of
     /// the pruned path against [`synthesize_exhaustive`]
-    /// (the search counters are run-dependent and deliberately excluded).
+    /// (the search counters differ between the two and are excluded).
     pub fn same_design(&self, other: &SynthesizedDesign) -> bool {
         self.config == other.config
             && self.latency_ms.to_bits() == other.latency_ms.to_bits()
@@ -168,8 +166,8 @@ impl fmt::Display for SynthesisError {
 
 impl Error for SynthesisError {}
 
-/// Strict "candidate beats incumbent" predicate shared by the serial and
-/// striped scans. Lexicographic on (power, latency) for Eq. 11 and
+/// Strict "candidate beats incumbent" predicate shared by the exhaustive
+/// and pruned scans. Lexicographic on (power, latency) for Eq. 11 and
 /// (latency, power) for Eq. 12; ties keep the incumbent, so the earliest
 /// candidate in `(nd, nm, s)` scan order wins — exactly the serial
 /// best-so-far semantics.
@@ -182,10 +180,9 @@ fn beats(objective: Objective, lat: f64, p: f64, b: &SynthesizedDesign) -> bool 
     }
 }
 
-/// Partial scan result of one `nd` stripe of the lattice.
+/// Partial result of the exhaustive scan of one `nd` stripe.
 struct StripeScan {
     examined: usize,
-    pruned: usize,
     best_latency_any: f64,
     best: Option<SynthesizedDesign>,
 }
@@ -194,7 +191,6 @@ impl StripeScan {
     fn empty() -> Self {
         StripeScan {
             examined: 0,
-            pruned: 0,
             best_latency_any: f64::INFINITY,
             best: None,
         }
@@ -261,7 +257,7 @@ fn scan_stripe_exhaustive(
 
 /// The exhaustive serial scan: every resource-feasible lattice point is
 /// evaluated directly against the Eq. 13–17 models in `(nd, nm, s)` order,
-/// with no tables, no pruning and no parallelism.
+/// with no tables and no pruning.
 ///
 /// This is the semantic oracle of the synthesizer — the pruned path
 /// promises to return a design for which
@@ -307,8 +303,8 @@ pub fn synthesize_exhaustive(spec: &DesignSpec) -> Result<SynthesizedDesign, Syn
     }
 }
 
-/// Shared state of one pruned search: the memoized models plus the
-/// tighten-only incumbent bound the stripes race against.
+/// State of one pruned search: the memoized models, the incumbent bound
+/// the cuts compare against, and the running best and counters.
 struct Search<'a> {
     spec: &'a DesignSpec,
     resources: ResourceModel,
@@ -318,12 +314,14 @@ struct Search<'a> {
     nd_max: usize,
     nm_max: usize,
     s_max: usize,
-    /// Bit pattern of the best primary-objective value (latency for
-    /// Eq. 12, power for Eq. 11) achieved by any feasible candidate so
-    /// far. Latencies and powers are positive finite, so the IEEE-754 bit
-    /// order equals the value order and an atomic min over bits is an
-    /// atomic min over values. Starts at `+inf`; only ever tightens.
-    incumbent_bits: AtomicU64,
+    /// Best primary-objective value (latency for Eq. 12, power for Eq. 11)
+    /// achieved by any feasible candidate so far, seeding probes included.
+    /// Starts at `+inf`; only ever tightens.
+    incumbent: f64,
+    examined: usize,
+    pruned: usize,
+    best_latency_any: f64,
+    best: Option<SynthesizedDesign>,
 }
 
 impl<'a> Search<'a> {
@@ -337,33 +335,12 @@ impl<'a> Search<'a> {
             nd_max,
             nm_max,
             s_max,
-            incumbent_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            incumbent: f64::INFINITY,
+            examined: 0,
+            pruned: 0,
+            best_latency_any: f64::INFINITY,
+            best: None,
             spec,
-        }
-    }
-
-    /// Current incumbent bound (primary objective value), `+inf` until the
-    /// first feasible candidate is seen.
-    fn bound(&self) -> f64 {
-        f64::from_bits(self.incumbent_bits.load(Ordering::Relaxed))
-    }
-
-    /// Tightens the shared bound to `value` if it improves it. Lock-free
-    /// CAS-min; the bound can only ever decrease, so a stale read merely
-    /// prunes less.
-    fn tighten(&self, value: f64) {
-        let bits = value.to_bits();
-        let mut cur = self.incumbent_bits.load(Ordering::Relaxed);
-        while bits < cur {
-            match self.incumbent_bits.compare_exchange_weak(
-                cur,
-                bits,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
         }
     }
 
@@ -372,38 +349,34 @@ impl<'a> Search<'a> {
         self.tables.window_cycles_at(nd, nm, s) / self.clock_khz
     }
 
-    /// Evaluates one candidate and, when feasible, tightens the shared
-    /// bound with its primary value. Returns whether it was evaluated.
-    fn probe(&self, nd: usize, nm: usize, s: usize) -> bool {
+    /// Evaluates one candidate and, when feasible, tightens the incumbent
+    /// with its primary value. Counts it as examined when evaluated.
+    fn probe(&mut self, nd: usize, nm: usize, s: usize) {
         if nd == 0 || nm == 0 || s == 0 || nd > self.nd_max || nm > self.nm_max || s > self.s_max {
-            return false;
+            return;
         }
         if !self
             .resources
             .fits(&AcceleratorConfig::new(nd, nm, s), &self.spec.platform)
         {
-            return false;
+            return;
         }
+        self.examined += 1;
         let lat = self.latency_ms(nd, nm, s);
-        match self.spec.objective {
-            Objective::MinLatency => self.tighten(lat),
-            Objective::MinPowerUnderLatency(bound) => {
-                if lat <= bound {
-                    self.tighten(
-                        self.power
-                            .power_with_s(self.power.power_prefix_w(nd, nm), s),
-                    );
-                }
-            }
-        }
-        true
+        let value = match self.spec.objective {
+            Objective::MinLatency => lat,
+            Objective::MinPowerUnderLatency(bound) if lat <= bound => self
+                .power
+                .power_with_s(self.power.power_prefix_w(nd, nm), s),
+            Objective::MinPowerUnderLatency(_) => return,
+        };
+        self.incumbent = self.incumbent.min(value);
     }
 
     /// Seeds the incumbent bound before the sweep with a deterministic
     /// coarse probe grid over the lattice corners and the Cholesky sweet
-    /// spot. Returns the model evaluations spent.
-    fn seed(&self) -> usize {
-        let mut examined = 0usize;
+    /// spot.
+    fn seed(&mut self) {
         let s_star = self.tables.best_s_hint();
         let mut nd_probes = [
             self.nd_max,
@@ -434,13 +407,10 @@ impl<'a> Search<'a> {
                     continue;
                 }
                 for s in [s_star.min(s_limit), s_limit] {
-                    if self.probe(nd, nm, s) {
-                        examined += 1;
-                    }
+                    self.probe(nd, nm, s);
                 }
             }
         }
-        examined
     }
 
     /// Total resource-feasible extent of one stripe — the points a bound
@@ -493,28 +463,25 @@ impl<'a> Search<'a> {
     /// exhaustive scan's exact best-achievable latency.
     #[inline]
     fn cut(&self, cycles_lb: f64, power_lb: f64) -> bool {
-        let incumbent = self.bound();
         let lat_lb = cycles_lb / self.clock_khz;
         match self.spec.objective {
-            Objective::MinLatency => lat_lb > incumbent,
+            Objective::MinLatency => lat_lb > self.incumbent,
             Objective::MinPowerUnderLatency(bound) => {
-                power_lb > incumbent || (incumbent.is_finite() && lat_lb > bound)
+                power_lb > self.incumbent || (self.incumbent.is_finite() && lat_lb > bound)
             }
         }
     }
 
-    /// The pruned `(nm, s)` scan of one `nd` stripe.
+    /// The pruned `(nm, s)` scan of one `nd` stripe, folded into the
+    /// running best and counters.
     ///
     /// Every cut compares a monotonicity-safe *lower bound* of the skipped
-    /// subrange **strictly** against the shared incumbent or, under Eq. 11,
-    /// the latency constraint: a skipped candidate therefore has primary
-    /// value strictly above some already-achieved feasible value, or is
+    /// subrange **strictly** against the incumbent or, under Eq. 11, the
+    /// latency constraint: a skipped candidate therefore has primary value
+    /// strictly above some already-achieved feasible value, or is
     /// infeasible, so it can neither beat nor tie the eventual optimum —
-    /// which is why the fold over stripe winners still selects the
-    /// exhaustive scan's design no matter how the bound tightens across
-    /// threads.
-    fn scan_stripe(&self, nd: usize) -> StripeScan {
-        let mut scan = StripeScan::empty();
+    /// which is why the scan still selects the exhaustive scan's design.
+    fn scan_stripe(&mut self, nd: usize) {
         let objective = self.spec.objective;
         // Stripe-level cut: O(1) bounds against the whole (nm, s) plane.
         if self.cut(
@@ -522,8 +489,8 @@ impl<'a> Search<'a> {
                 .window_cycles_lower_bound(nd, self.nm_max, self.s_max),
             self.power.power_with_s(self.power.power_prefix_w(nd, 1), 1),
         ) {
-            scan.pruned += self.stripe_extent(nd);
-            return scan;
+            self.pruned += self.stripe_extent(nd);
+            return;
         }
         let mut s_cap = self.s_max;
         for nm in 1..=self.nm_max {
@@ -543,10 +510,10 @@ impl<'a> Search<'a> {
                 self.tables.window_cycles_lower_bound(nd, nm, s_limit),
                 self.power.power_with_s(p_prefix, 1),
             ) {
-                scan.pruned += s_limit;
+                self.pruned += s_limit;
                 continue;
             }
-            let pruning_active = self.bound().is_finite();
+            let pruning_active = self.incumbent.is_finite();
             let mut s = 1usize;
             's_axis: while s <= s_limit {
                 // s-block cut: the Cholesky terms are not monotone in s
@@ -562,18 +529,18 @@ impl<'a> Search<'a> {
                     let lat_lb = self.tables.window_cycles_lower_bound_s_block(nd, nm, block)
                         / self.clock_khz;
                     let cut = match objective {
-                        Objective::MinLatency => lat_lb > self.bound(),
+                        Objective::MinLatency => lat_lb > self.incumbent,
                         Objective::MinPowerUnderLatency(bound) => lat_lb > bound,
                     };
                     if cut {
-                        scan.pruned += block_end - s + 1;
+                        self.pruned += block_end - s + 1;
                         s = block_end + 1;
                         continue 's_axis;
                     }
                 }
-                scan.examined += 1;
+                self.examined += 1;
                 let lat = self.latency_ms(nd, nm, s);
-                scan.best_latency_any = scan.best_latency_any.min(lat);
+                self.best_latency_any = self.best_latency_any.min(lat);
                 let feasible = match objective {
                     Objective::MinPowerUnderLatency(bound) => lat <= bound,
                     Objective::MinLatency => true,
@@ -588,18 +555,18 @@ impl<'a> Search<'a> {
                     // latency-feasible candidate's power exceeds the
                     // incumbent, every later s in the run costs strictly
                     // more and can neither beat nor tie it.
-                    if p > self.bound() {
-                        scan.pruned += s_limit - s;
+                    if p > self.incumbent {
+                        self.pruned += s_limit - s;
                         break 's_axis;
                     }
                 }
-                let better = match &scan.best {
+                let better = match &self.best {
                     None => true,
                     Some(b) => beats(objective, lat, p, b),
                 };
                 if better {
                     let config = AcceleratorConfig::new(nd, nm, s);
-                    scan.best = Some(SynthesizedDesign {
+                    self.best = Some(SynthesizedDesign {
                         config,
                         latency_ms: lat,
                         power_w: p,
@@ -607,7 +574,7 @@ impl<'a> Search<'a> {
                         candidates_examined: 0,
                         candidates_pruned: 0,
                     });
-                    self.tighten(match objective {
+                    self.incumbent = self.incumbent.min(match objective {
                         Objective::MinLatency => lat,
                         Objective::MinPowerUnderLatency(_) => p,
                     });
@@ -615,66 +582,29 @@ impl<'a> Search<'a> {
                 s += 1;
             }
         }
-        scan
     }
 }
 
-/// Runs the synthesizer on the global pool.
+/// Runs the synthesizer: the pruned `(nm, s)` scan of every `nd` stripe in
+/// ascending `(nd, nm, s)` order against one incumbent bound, keeping the
+/// best design under the same strict `beats` predicate as the exhaustive
+/// scan. Returns a design for which [`SynthesizedDesign::same_design`]
+/// holds against [`synthesize_exhaustive`].
 ///
 /// # Errors
 ///
 /// Returns [`SynthesisError::Infeasible`] when no configuration meets the
 /// constraints on the target platform.
 pub fn synthesize(spec: &DesignSpec) -> Result<SynthesizedDesign, SynthesisError> {
-    synthesize_with(spec, &Pool::global())
-}
-
-/// Runs the synthesizer on an explicit pool.
-///
-/// The lattice is striped over `nd`; each stripe runs the pruned `(nm, s)`
-/// scan against the shared incumbent bound, and the per-stripe winners are
-/// folded in ascending `nd` order with the same strict `beats` predicate
-/// as the serial best-so-far loop. Returns a design for which
-/// [`SynthesizedDesign::same_design`] holds against
-/// [`synthesize_exhaustive`], for any thread count.
-///
-/// # Errors
-///
-/// Returns [`SynthesisError::Infeasible`] when no configuration meets the
-/// constraints on the target platform.
-pub fn synthesize_with(
-    spec: &DesignSpec,
-    pool: &Pool,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    let search = Search::new(spec);
-    let probe_examined = search.seed();
-    let nds: Vec<usize> = (1..=search.nd_max).collect();
-    let stripes = pool.par_map(&nds, |&nd| search.scan_stripe(nd));
-
-    // Stripes come back in ascending nd, the strict serial fold order.
-    let mut examined = probe_examined;
-    let mut pruned = 0usize;
-    let mut best: Option<SynthesizedDesign> = None;
-    let mut best_latency_any = f64::INFINITY;
-    for stripe in stripes {
-        examined += stripe.examined;
-        pruned += stripe.pruned;
-        best_latency_any = best_latency_any.min(stripe.best_latency_any);
-        if let Some(cand) = stripe.best {
-            let better = match &best {
-                None => true,
-                Some(b) => beats(spec.objective, cand.latency_ms, cand.power_w, b),
-            };
-            if better {
-                best = Some(cand);
-            }
-        }
+    let mut search = Search::new(spec);
+    search.seed();
+    for nd in 1..=search.nd_max {
+        search.scan_stripe(nd);
     }
-
-    match best {
+    match search.best {
         Some(mut d) => {
-            d.candidates_examined = examined;
-            d.candidates_pruned = pruned;
+            d.candidates_examined = search.examined;
+            d.candidates_pruned = search.pruned;
             Ok(d)
         }
         // No feasible candidate means the bound never left +inf, so no cut
@@ -682,7 +612,7 @@ pub fn synthesize_with(
         // reported best-achievable latency is the exhaustive scan's, bit
         // for bit.
         None => Err(SynthesisError::Infeasible {
-            best_achievable_latency_ms: best_latency_any,
+            best_achievable_latency_ms: search.best_latency_any,
         }),
     }
 }
@@ -697,45 +627,24 @@ pub struct ParetoPoint {
 }
 
 /// Sweeps the latency constraint to trace the power-optimal Pareto frontier
-/// (Fig. 14's square markers), on the global pool.
+/// (Fig. 14's square markers): one synthesis per bound, then a dominance
+/// filter in ascending-bound order.
 pub fn pareto_frontier(
     base: &DesignSpec,
     latency_range_ms: (f64, f64),
     steps: usize,
 ) -> Vec<ParetoPoint> {
-    pareto_frontier_with(base, latency_range_ms, steps, &Pool::global())
-}
-
-/// Pareto sweep on an explicit pool.
-///
-/// The per-bound synthesis runs are independent and fan out over the pool
-/// (each one scans its lattice serially — the nested-parallelism guard in
-/// `archytas-par` sees to that); the dominance filter then folds the results
-/// in ascending-bound order, which is the exact serial construction.
-pub fn pareto_frontier_with(
-    base: &DesignSpec,
-    latency_range_ms: (f64, f64),
-    steps: usize,
-    pool: &Pool,
-) -> Vec<ParetoPoint> {
     assert!(steps >= 2, "pareto_frontier: need at least two steps");
     let (lo, hi) = latency_range_ms;
-    let bounds: Vec<f64> = (0..steps)
-        .map(|i| lo + (hi - lo) * i as f64 / (steps - 1) as f64)
-        .collect();
-    let designs = pool.par_map(&bounds, |&bound| {
-        synthesize_with(
-            &DesignSpec {
-                objective: Objective::MinPowerUnderLatency(bound),
-                ..base.clone()
-            },
-            pool,
-        )
-        .ok()
-    });
     let mut out: Vec<ParetoPoint> = Vec::new();
-    for (&bound, design) in bounds.iter().zip(designs) {
-        let Some(design) = design else { continue };
+    for i in 0..steps {
+        let bound = lo + (hi - lo) * i as f64 / (steps - 1) as f64;
+        let Ok(design) = synthesize(&DesignSpec {
+            objective: Objective::MinPowerUnderLatency(bound),
+            ..base.clone()
+        }) else {
+            continue;
+        };
         // Keep only non-dominated points.
         let dominated = out.iter().any(|p| {
             p.design.latency_ms <= design.latency_ms && p.design.power_w <= design.power_w
@@ -770,11 +679,9 @@ pub fn validate_by_perturbation(
     let resources = ResourceModel::calibrated();
     let power = PowerModel::for_platform(&spec.platform);
     let clock_khz = spec.platform.clock_mhz * 1e3;
-    // Frontier points are validated independently; per-point results are
-    // concatenated in frontier order, matching the serial construction.
-    let per_point = Pool::global().par_map(frontier, |point| {
-        let mut perturbed = Vec::new();
-        let mut violations = 0usize;
+    let mut perturbed = Vec::new();
+    let mut violations = 0usize;
+    for point in frontier {
         let c = point.design.config;
         for (dnd, dnm, ds) in [
             (1i64, 0i64, 0i64),
@@ -807,13 +714,6 @@ pub fn validate_by_perturbation(
                 violations += 1;
             }
         }
-        (perturbed, violations)
-    });
-    let mut perturbed = Vec::new();
-    let mut violations = 0usize;
-    for (mut pts, v) in per_point {
-        perturbed.append(&mut pts);
-        violations += v;
     }
     (perturbed, violations)
 }
@@ -925,23 +825,20 @@ mod tests {
     }
 
     #[test]
-    fn pruned_scan_matches_exhaustive_for_any_thread_count() {
+    fn pruned_scan_matches_exhaustive() {
         for objective in [Objective::MinPowerUnderLatency(4.0), Objective::MinLatency] {
             let spec = DesignSpec {
                 objective,
                 ..DesignSpec::zc706_power_optimal(4.0)
             };
             let oracle = synthesize_exhaustive(&spec).expect("feasible");
-            for threads in [1, 2, 8] {
-                let pruned =
-                    synthesize_with(&spec, &Pool::with_threads(threads)).expect("feasible");
-                assert!(
-                    pruned.same_design(&oracle),
-                    "{objective:?} @ {threads} threads: {:?} vs {:?}",
-                    pruned.config,
-                    oracle.config
-                );
-            }
+            let pruned = synthesize(&spec).expect("feasible");
+            assert!(
+                pruned.same_design(&oracle),
+                "{objective:?}: {:?} vs {:?}",
+                pruned.config,
+                oracle.config
+            );
         }
     }
 
@@ -949,34 +846,35 @@ mod tests {
     fn infeasible_spec_reports_exhaustive_error_bits() {
         let spec = DesignSpec::zc706_power_optimal(0.001);
         let oracle = synthesize_exhaustive(&spec).expect_err("infeasible");
-        for threads in [1, 8] {
-            let pruned =
-                synthesize_with(&spec, &Pool::with_threads(threads)).expect_err("infeasible");
-            let (
-                SynthesisError::Infeasible {
-                    best_achievable_latency_ms: a,
-                },
-                SynthesisError::Infeasible {
-                    best_achievable_latency_ms: b,
-                },
-            ) = (&pruned, &oracle);
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let pruned = synthesize(&spec).expect_err("infeasible");
+        let (
+            SynthesisError::Infeasible {
+                best_achievable_latency_ms: a,
+            },
+            SynthesisError::Infeasible {
+                best_achievable_latency_ms: b,
+            },
+        ) = (&pruned, &oracle);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
-    fn parallel_frontier_matches_serial() {
+    fn frontier_points_match_exhaustive() {
         let base = DesignSpec::zc706_power_optimal(20.0);
-        let serial = pareto_frontier_with(&base, (2.2, 8.0), 10, &Pool::with_threads(1));
-        let par = pareto_frontier_with(&base, (2.2, 8.0), 10, &Pool::with_threads(8));
-        assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a.design.config, b.design.config);
-            assert_eq!(a.design.latency_ms.to_bits(), b.design.latency_ms.to_bits());
-            assert_eq!(a.design.power_w.to_bits(), b.design.power_w.to_bits());
-            assert_eq!(
-                a.latency_constraint_ms.to_bits(),
-                b.latency_constraint_ms.to_bits()
+        let frontier = pareto_frontier(&base, (2.2, 8.0), 10);
+        assert!(!frontier.is_empty());
+        for point in &frontier {
+            let oracle = synthesize_exhaustive(&DesignSpec {
+                objective: Objective::MinPowerUnderLatency(point.latency_constraint_ms),
+                ..base.clone()
+            })
+            .expect("feasible");
+            assert!(
+                point.design.same_design(&oracle),
+                "bound {} ms: {:?} vs {:?}",
+                point.latency_constraint_ms,
+                point.design.config,
+                oracle.config
             );
         }
     }

@@ -1,32 +1,18 @@
 //! Equivalence suite for the pruned design-space search.
 //!
-//! The incumbent-bound pruned synthesizer ([`synthesize_with`]) promises
-//! the **bitwise-identical design** the exhaustive serial scan
-//! ([`synthesize_exhaustive`]) returns: same
-//! configuration, bit-equal modelled latency, power and resources, at any
-//! pool size; infeasible specs must report a bit-equal best-achievable
-//! latency. These properties are exercised over random workload shapes,
-//! both objectives and pools of 1, 2 and 8 threads.
+//! The incumbent-bound pruned synthesizer ([`synthesize`]) promises the
+//! **bitwise-identical design** the exhaustive scan
+//! ([`synthesize_exhaustive`]) returns: same configuration, bit-equal
+//! modelled latency, power and resources; infeasible specs must report a
+//! bit-equal best-achievable latency. These properties are exercised over
+//! random workload shapes and both objectives.
 
 use archytas_core::{
-    synthesize_exhaustive, synthesize_with, DesignSpec, Objective, SynthesisError,
-    SynthesizedDesign,
+    synthesize, synthesize_exhaustive, DesignSpec, Objective, SynthesisError, SynthesizedDesign,
 };
 use archytas_hw::FpgaPlatform;
 use archytas_mdfg::ProblemShape;
-use archytas_par::Pool;
 use proptest::prelude::*;
-
-/// The pool gamut every equivalence property runs under: serial, and
-/// oversubscribed parallel so the striped path really executes on worker
-/// threads.
-fn pools() -> Vec<Pool> {
-    vec![
-        Pool::with_threads(1),
-        Pool::with_threads(2),
-        Pool::with_threads(8),
-    ]
-}
 
 fn shapes() -> impl Strategy<Value = ProblemShape> {
     (20usize..400, 2usize..12, 2usize..15, 0usize..40).prop_map(
@@ -95,15 +81,10 @@ fn assert_same_outcome(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The pruned striped scan returns the exhaustive scan's outcome at
-    /// every pool size.
+    /// The pruned scan returns the exhaustive scan's outcome.
     #[test]
     fn pruned_search_is_bitwise_exhaustive(spec in specs()) {
-        let oracle = synthesize_exhaustive(&spec);
-        for pool in pools() {
-            let got = synthesize_with(&spec, &pool);
-            assert_same_outcome(&got, &oracle, &format!("{} threads", pool.threads()));
-        }
+        assert_same_outcome(&synthesize(&spec), &synthesize_exhaustive(&spec), "pruned");
     }
 }
 
@@ -120,7 +101,7 @@ fn virtex7_cold_sweep_prunes_most_of_the_lattice() {
         ..DesignSpec::zc706_power_optimal(0.0)
     };
     let oracle = synthesize_exhaustive(&spec).expect("feasible");
-    let pruned = synthesize_with(&spec, &Pool::with_threads(1)).expect("feasible");
+    let pruned = synthesize(&spec).expect("feasible");
     assert!(pruned.same_design(&oracle));
     let lattice = 120 * 96 * 500; // knob_bounds(virtex7_690t)
     assert!(
@@ -157,19 +138,15 @@ fn virtex7_min_power_matches_exhaustive() {
         let spec = virtex7_spec(Objective::MinPowerUnderLatency(factor * min_latency));
         let oracle = synthesize_exhaustive(&spec);
         assert_eq!(oracle.is_ok(), factor >= 1.0, "{factor}x: {oracle:?}");
-        for pool in [Pool::with_threads(1), Pool::with_threads(2)] {
-            let got = synthesize_with(&spec, &pool);
-            let label = format!("{factor}x min latency, {} threads", pool.threads());
-            assert_same_outcome(&got, &oracle, &label);
-        }
+        let label = format!("{factor}x min latency");
+        assert_same_outcome(&synthesize(&spec), &oracle, &label);
     }
 }
 
-/// On a 1-thread pool the search counters are deterministic and account for
-/// the whole lattice: every resource-feasible point (the exhaustive scan
-/// evaluates exactly those) is either examined or added to `pruned` by one
-/// cut, and `examined` also counts the incumbent-seeding probes (at most 5
-/// `nd` × 3 `nm` × 2 `s`).
+/// The search counters account for the whole lattice: every
+/// resource-feasible point (the exhaustive scan evaluates exactly those) is
+/// either examined or added to `pruned` by one cut, and `examined` also
+/// counts the incumbent-seeding probes (at most 5 `nd` × 3 `nm` × 2 `s`).
 #[test]
 fn counters_cover_the_feasible_lattice() {
     for platform in [
@@ -188,7 +165,7 @@ fn counters_cover_the_feasible_lattice() {
             Objective::MinLatency,
             Objective::MinPowerUnderLatency(1.25 * oracle.latency_ms),
         ] {
-            let d = synthesize_with(&spec(objective), &Pool::with_threads(1)).expect("feasible");
+            let d = synthesize(&spec(objective)).expect("feasible");
             let covered = d.candidates_examined + d.candidates_pruned;
             assert!(
                 (feasible + 1..=feasible + 30).contains(&covered),

@@ -5,9 +5,11 @@
 //! actually profit from threads: a scoped worker pool over
 //! [`std::thread::scope`] (no external dependencies — DESIGN.md's sanctioned
 //! set has no threading crate) with one combinator, [`Pool::par_map`]. Its
-//! callers are the synthesizer's `nd` stripes, the Pareto sweeps and the
-//! experiment suite sweeps. The solver kernels in `archytas-math` are serial:
-//! a window-sized kernel is far below the cost of one fork/join.
+//! callers are the sweeps of the experiment binaries in `archytas-bench`:
+//! one item per suite sequence, and in `fig15` one per frontier design
+//! priced over a sequence. The solver kernels in `archytas-math` and the
+//! synthesizer's design-space search are serial: a window-sized kernel or a
+//! cold search is far below the cost of one fork/join.
 //!
 //! # Determinism contract
 //!

@@ -69,12 +69,6 @@ pub struct Pool {
     threads: usize,
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::global()
-    }
-}
-
 impl Pool {
     /// The environment-configured pool: `ARCHYTAS_THREADS` threads (0,
     /// unset or garbage → the hardware thread count). The variable is
@@ -127,7 +121,8 @@ impl Pool {
             return items.iter().map(f).collect();
         }
         // Small fixed chunks + dynamic claiming load-balance uneven items
-        // (e.g. synthesizer stripes) without affecting output order.
+        // (e.g. suite sequences of different lengths) without affecting
+        // output order.
         let chunk_size = (items.len() / (4 * self.threads)).max(1);
         let n_chunks = items.len().div_ceil(chunk_size);
         let next = AtomicUsize::new(0);

@@ -3,17 +3,14 @@
 # tests, the quickstart (fails when its emitted Verilog does not
 # elaborate), the standalone benchmark's unit tests, one traced fleet-steady run
 # and one fleet-churn run of it (their "correct"/"failed" verdicts gate),
-# then the synthesizer criterion bench in --quick
-# mode at ARCHYTAS_THREADS=1 and =4 (its `nd` stripes fan out over the
-# pool) and the solver-iteration and
-# accelerator-simulation benches once (their kernels are serial). Every
-# bench prints `REC {"mode":"criterion",...}` lines: one `case` per
-# benchmark, a `search` per synthesizer case and the solver bench's
-# `phases`. Their bare payloads go to one JSON-lines file
-# (BENCH_criterion.jsonl).
-#
-# Determinism gate: the synthesizer's `search` det payloads (the selected
-# design) of the 1-thread and 4-thread runs must be byte-identical.
+# then the synthesizer, solver-iteration and accelerator-simulation
+# criterion benches in --quick mode at ARCHYTAS_THREADS=1 (no bench has a
+# parallel path). Every bench prints `REC {"mode":"criterion",...}` lines:
+# one `case` per benchmark, a `search` per synthesizer case and the solver
+# bench's `phases`. Their bare payloads go to one JSON-lines file
+# (BENCH_criterion.jsonl); perf_gate.sh byte-checks each `search` det
+# payload (the selected design and the search counters) against the
+# committed one.
 #
 # Precision oracle: every suite sequence at f32 and at f64, each family's
 # |ΔRMSE| within its bound B (EXPERIMENTS.md Sec. 7.6).
@@ -100,29 +97,13 @@ cargo test -q --release -p archytas-bench --lib -- --ignored precision_oracle_fu
 echo "building benches (release)..." >&2
 cargo build -q --release -p archytas-bench --benches
 
-# Thread counts innermost so each bench's 1-thread and 4-thread runs are
-# adjacent in time: back-to-back runs share machine state (load, thermals)
-# far better than sweeps that are minutes apart. Only the synthesizer has
-# a parallel path, so only it runs at 4 threads.
 : > "$OUT"
 for bench in "${BENCHES[@]}"; do
-    if [ "$bench" = synthesizer ]; then THREAD_COUNTS=(1 4); else THREAD_COUNTS=(1); fi
-    for threads in "${THREAD_COUNTS[@]}"; do
-        echo "running $bench (ARCHYTAS_THREADS=$threads, --quick)..." >&2
-        ARCHYTAS_THREADS="$threads" cargo bench -q -p archytas-bench --bench "$bench" -- --quick |
-            sed -n 's/^REC //p' >> "$OUT"
-    done
+    echo "running $bench (ARCHYTAS_THREADS=1, --quick)..." >&2
+    ARCHYTAS_THREADS=1 cargo bench -q -p archytas-bench --bench "$bench" -- --quick |
+        sed -n 's/^REC //p' >> "$OUT"
 done
 echo "wrote $OUT ($(wc -l < "$OUT") records)" >&2
-
-# The det payload of every synthesizer `search` record at one pool size.
-search_det() {
-    sed -n "s/^{\"mode\":\"criterion\",\"kind\":\"search\",\"det\":\({[^}]*}\),\"timing\":{\"threads\":$1,.*/\1/p" "$OUT"
-}
-if [ "$(search_det 1 | wc -l)" -eq 0 ] || ! cmp <(search_det 1) <(search_det 4) >&2; then
-    echo "synthesizer determinism gate FAILED: 1-thread and 4-thread designs differ" >&2
-    exit 1
-fi
 
 scripts/serve_smoke.sh --quick
 scripts/perf_gate.sh "$OUT" BENCH_serve.jsonl

@@ -17,13 +17,13 @@
 #   admission                      `admit` record                  admit ns 1.30x,
 #                                                                  idle bytes 1.10x
 #   DET                            every serve record with a       equal to the
-#                                  non-empty `det`                 committed record
-#                                                                  at the same
-#                                                                  position of its
-#                                                                  (mode, kind)
+#                                  non-empty `det`, and every      committed record
+#                                  criterion `search` record       at the same
+#                                  (selected design and search     position of its
+#                                  counters)                       (mode, kind)
 #
-# The other accel_sim cases, the synthesizer `search` counters and the
-# solver `phases` records are recorded but not gated.
+# The other accel_sim cases and the solver `phases` records are recorded
+# but not gated.
 #
 # Whole-fleet wall clock is noisier than a criterion mean, hence 1.30x;
 # heap layout is near-deterministic, hence 1.10x on idle bytes. A record
@@ -111,11 +111,12 @@ def parse(text):
 
 
 def parse_det(text):
-    """Non-empty det payloads by (mode, kind), in file order, as JSON text."""
+    """Gated det payloads by (mode, kind), in file order, as JSON text: every
+    non-empty one except a criterion `case`'s, which holds only its name."""
     out = {}
     for line in text.splitlines():
         rec = json.loads(line)
-        if rec["det"]:
+        if rec["det"] and (rec["mode"], rec["kind"]) != ("criterion", "case"):
             out.setdefault((rec["mode"], rec["kind"]), []).append(json.dumps(rec["det"]))
     return out
 
@@ -148,19 +149,21 @@ for name in fresh_paths:
                            "absolute ceiling"))
 
 # DET: a det payload is deterministic, so any change is a behaviour change,
-# and so is a record that appears or vanishes on either side. Skipped when
-# HEAD has no committed serve file (`load` then returns an empty baseline).
+# and so is a record that appears or vanishes on either side. Skipped for a
+# source with no committed file at HEAD (`load` then returns an empty
+# baseline).
 det_bad = []
-fresh, base = load("BENCH_serve.jsonl", parse_det)
-for key in sorted((fresh or {}).keys() | base.keys()) if base else []:
-    dets, committed = fresh.get(key, []), base.get(key, [])
-    differ = [i for i, (a, b) in enumerate(zip(dets, committed)) if a != b]
-    bad = [f"#{i}" for i in differ]
-    if len(dets) != len(committed):
-        bad.append(f"{len(dets)} record(s) vs HEAD's {len(committed)}")
-    det_bad += [f"{key[0]}/{key[1]} {b}" for b in bad]
-    print(f"  {'FAIL' if bad else 'ok':<4}  [DET] {key[0]}/{key[1]}: {len(dets)} fresh vs "
-          f"{len(committed)} HEAD record(s), {len(differ)} differ", file=sys.stderr)
+for name in fresh_paths:
+    fresh, base = load(name, parse_det)
+    for key in sorted((fresh or {}).keys() | base.keys()) if base else []:
+        dets, committed = fresh.get(key, []), base.get(key, [])
+        differ = [i for i, (a, b) in enumerate(zip(dets, committed)) if a != b]
+        bad = [f"#{i}" for i in differ]
+        if len(dets) != len(committed):
+            bad.append(f"{len(dets)} record(s) vs HEAD's {len(committed)}")
+        det_bad += [f"{key[0]}/{key[1]} {b}" for b in bad]
+        print(f"  {'FAIL' if bad else 'ok':<4}  [DET] {key[0]}/{key[1]}: {len(dets)} fresh vs "
+              f"{len(committed)} HEAD record(s), {len(differ)} differ", file=sys.stderr)
 failures = {"DET": det_bad} if det_bad else {}
 compared = 0
 for phase, label, threads, value, limit, higher, note in checks:
