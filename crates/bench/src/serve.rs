@@ -169,13 +169,9 @@ pub fn run_timing(r: &FleetReport) -> JsonLine {
         .float("p95_us", r.latency.p95_ns as f64 / 1_000.0, 1)
         .float("p99_us", r.latency.p99_ns as f64 / 1_000.0, 1)
         .uint("quanta", sched.quanta as u64)
-        .uint("steals", sched.steals as u64)
-        .uint("contended_probes", sched.contended_probes as u64)
         .uint("deferrals", sched.deferrals as u64)
         .uint("envelope_deferrals", sched.envelope_deferrals as u64)
         .uint("resurrections", sched.resurrections as u64)
-        .uint("workspaces_created", sched.scratch.created as u64)
-        .uint("workspace_checkouts", sched.scratch.checkouts as u64)
 }
 
 /// The first position where two pool sizes' `det` payloads differ.
@@ -294,13 +290,9 @@ mod tests {
             "p95_us",
             "p99_us",
             "quanta",
-            "steals",
-            "contended_probes",
             "deferrals",
             "envelope_deferrals",
             "resurrections",
-            "workspaces_created",
-            "workspace_checkouts",
         ];
         for config in &configs {
             let timing = run_timing(&run_fleet(&specs, config)).finish();

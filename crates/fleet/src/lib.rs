@@ -3,12 +3,12 @@
 //!
 //! The paper generates one accelerator per vehicle; this crate serves a
 //! *fleet*. `N` independent vehicle sessions are admitted, scheduled onto
-//! a work-stealing worker pool, and throttled by bounded
+//! a few worker threads sharing one run queue, and throttled by bounded
 //! backpressure. Per-session state is deliberately small — the estimator
 //! `Core` (a [`archytas_dataset::VioPipeline`] shell plus the private
 //! iteration counter + watchdog of its [`archytas_core::RuntimeSystem`]).
-//! Solver scratch is checked out of a bounded per-worker pool per
-//! quantum, and all read-only derived state is shared through an `Arc`:
+//! Each worker owns one solver workspace for the whole run, and all
+//! read-only derived state is shared through an `Arc`:
 //! the accelerator latency/energy model
 //! ([`archytas_hw::AcceleratorModel`]), the deployment's gating table
 //! ([`archytas_core::GatingTable`]) and the iteration policy, built once
@@ -62,7 +62,6 @@
 
 mod admission;
 mod isolation;
-mod pool;
 mod scheduler;
 mod session;
 
@@ -72,8 +71,7 @@ pub use isolation::{
     fnv1a, DeadlinePolicy, DeadlineVerdict, DeadlineWatchdog, FailureCause, FailureRecord,
     RestartPolicy, SessionPhase,
 };
-pub use pool::ScratchStats;
-pub use scheduler::SchedulerStats;
+pub use scheduler::{SchedulerStats, ScratchStats};
 pub use session::{
     fleet_pipeline_config, silence_chaos_panics, AdmittedSession, FleetServices, Priority,
     SessionOutcome, SessionReport, SessionSpec,
@@ -244,7 +242,7 @@ pub struct FleetReport {
     /// over total modelled busy time (the Eq. 17 gated power averaged over
     /// every served window).
     pub fleet_power_w: f64,
-    /// Work-stealing / backpressure counters.
+    /// Scheduling and backpressure counters.
     pub scheduler: SchedulerStats,
 }
 
@@ -264,17 +262,7 @@ pub fn run_fleet(specs: &[SessionSpec], config: &FleetConfig) -> FleetReport {
     let arrival: Vec<usize> = specs.iter().map(|s| s.arrival_round).collect();
 
     let started = Instant::now();
-    let (reports, stats) = scheduler::run(
-        states,
-        defer_at_start,
-        arrival,
-        &scheduler::SchedulerConfig {
-            threads,
-            max_active: config.max_active,
-            frames_per_quantum: config.frames_per_quantum,
-            defer_watermark: config.defer_watermark,
-        },
-    );
+    let (reports, stats) = scheduler::run(states, defer_at_start, arrival, config);
     let serving_wall_s = started.elapsed().as_secs_f64();
 
     let sessions: Vec<SessionReport> = reports

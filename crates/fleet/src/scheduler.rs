@@ -1,28 +1,25 @@
-//! The fleet scheduler: a work-stealing pool that time-slices many
-//! sessions over a few worker threads.
+//! The fleet scheduler: one shared run queue that time-slices many
+//! sessions over a few worker threads, each owning one solver workspace.
 //!
 //! # Queues
 //!
-//! Each worker owns a local deque; activations land on one shared
-//! injector. A worker looks for work close to home first — its own deque,
-//! then its siblings' — before it takes the injector lock. Steal probes use
-//! `try_lock`, so a busy victim costs a counter bump, not a convoy. The
-//! canonical pop order lives on [`acquire`] — the *only* statement of it;
-//! everything else links here.
+//! Runnable sessions wait on one run queue shared by every worker:
+//! activations join at the back, a worker requeues the session it just ran
+//! at the front. The canonical pop order lives on [`acquire`] — the *only*
+//! statement of it; everything else links here.
 //!
 //! # Why any schedule produces the same bits
 //!
-//! A session index lives in **exactly one** place at a time — one worker's
-//! local deque, the injector, the deferred queue, the resurrect queue,
-//! or held by the worker currently executing a quantum. Workers therefore
+//! A session index lives in **exactly one** place at a time — the run
+//! queue, the deferred queue, the resurrect queue, the admission queue, or
+//! held by the worker currently executing a quantum. Workers therefore
 //! never run two quanta of the same session concurrently, and a session's
 //! frames are processed strictly in order. Since a quantum is a pure
 //! function of the session's own state (sessions share only immutable
-//! caches, and solver scratch from the bounded pool is rewritten before it
-//! is read), the stream of per-session results is independent of which
-//! worker ran which quantum, of steal order, and of the pool size.
-//! Scheduling decides only *interleaving*, and interleaving is
-//! unobservable to a session.
+//! caches, and a worker's solver workspace is rewritten before it is read),
+//! the stream of per-session results is independent of which worker ran
+//! which quantum and of the pool size. Scheduling decides only
+//! *interleaving*, and interleaving is unobservable to a session.
 //!
 //! # Backpressure
 //!
@@ -55,28 +52,24 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, TryLockError};
+use std::sync::Mutex;
 
-use crate::pool::{ScratchPool, ScratchStats};
+use archytas_slam::SolverWorkspace;
+
 use crate::session::{Priority, SessionReport, SessionState, StepOutcome};
-
-/// Knobs the scheduler needs (a subset of [`crate::FleetConfig`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SchedulerConfig {
-    pub threads: usize,
-    pub max_active: usize,
-    pub frames_per_quantum: usize,
-    pub defer_watermark: usize,
-}
+use crate::FleetConfig;
 
 /// Counters describing how the run was scheduled (timing-dependent;
 /// excluded from the determinism contract).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedulerStats {
-    /// Quanta stolen from another worker's deque.
+    /// Always 0: the scheduler has one run queue and nothing to steal from.
+    /// Kept only because the standalone benchmark reads it; removed with
+    /// the benchmark's next change.
     pub steals: usize,
-    /// Steal probes skipped because the victim's lock was busy (`try_lock`
-    /// miss).
+    /// Always 0: no queue is probed with `try_lock`. Kept only because the
+    /// standalone benchmark reads it; removed with the benchmark's next
+    /// change.
     pub contended_probes: usize,
     /// Times a `Low` session was parked on the deferred queue.
     pub deferrals: usize,
@@ -85,20 +78,24 @@ pub struct SchedulerStats {
     /// Sessions parked on the resurrect queue (restart ladder).
     pub resurrections: usize,
     /// Sessions whose *start* was deferred by the power envelope: on first
-    /// activation they park on the deferred queue instead of an injector.
+    /// activation they park on the deferred queue instead of the run queue.
     pub envelope_deferrals: usize,
-    /// Solver-scratch pool traffic (checkouts / workspaces ever created).
+    /// Solver-workspace counts, fixed by the worker count and the quanta.
+    /// Kept only because the standalone benchmark reads it; removed with
+    /// the benchmark's next change.
     pub scratch: ScratchStats,
 }
 
-/// What one executed quantum decided about its session.
-enum QuantumVerdict {
-    /// More frames remain; requeue.
-    Requeue,
-    /// The session completed every frame.
-    Done,
-    /// The session failed (panic or deadline quarantine).
-    Failed,
+/// Solver-workspace counts of one run: each worker owns one workspace and
+/// runs every quantum it executes with it. Kept only because the
+/// standalone benchmark reads it; removed with the benchmark's next change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScratchStats {
+    /// Quanta run with a worker's workspace: equal to
+    /// [`SchedulerStats::quanta`].
+    pub checkouts: usize,
+    /// Workspaces created: one per worker.
+    pub created: usize,
 }
 
 struct Shared {
@@ -112,10 +109,8 @@ struct Shared {
     /// admission-eligible once the clock reaches it. Atomic so the
     /// anti-livelock fast-forward can promote one without extra locking.
     arrival: Vec<AtomicUsize>,
-    /// Per-worker local deques.
-    locals: Vec<Mutex<VecDeque<usize>>>,
-    /// Activation injector shared by every worker.
-    injector: Mutex<VecDeque<usize>>,
+    /// Runnable sessions, shared by every worker.
+    queue: Mutex<VecDeque<usize>>,
     /// Backpressured `Low` sessions.
     deferred: Mutex<VecDeque<usize>>,
     /// Failed sessions awaiting restart: `(slot, ready_at_quanta)`.
@@ -124,18 +119,12 @@ struct Shared {
     /// start, so its *first* activation routes to the deferred queue. The
     /// flag clears on use — a later restart re-enters like anyone else.
     defer_at_start: Vec<AtomicBool>,
-    /// Bounded solver-scratch pool; workers check out one workspace per
-    /// executed quantum, so residency is one workspace per worker.
-    scratch: ScratchPool,
-    threads: usize,
     /// Sessions currently activated and unfinished.
     active: AtomicUsize,
     /// Admitted sessions not yet finished (workers exit at zero).
     live: AtomicUsize,
-    /// Runnable sessions: enqueued in a local deque or an injector.
+    /// Runnable sessions: enqueued on the run queue.
     runnable: AtomicUsize,
-    steals: AtomicUsize,
-    contended_probes: AtomicUsize,
     deferrals: AtomicUsize,
     quanta: AtomicUsize,
     resurrections: AtomicUsize,
@@ -148,9 +137,7 @@ impl Shared {
         defer_at_start: Vec<bool>,
         arrival: Vec<usize>,
         order: VecDeque<usize>,
-        cfg: &SchedulerConfig,
     ) -> Self {
-        let threads = cfg.threads.max(1);
         let live = order.len();
         let slot_count = sessions.len();
         Self {
@@ -159,17 +146,12 @@ impl Shared {
             waiting: Mutex::new(order),
             arrival: arrival.into_iter().map(AtomicUsize::new).collect(),
             defer_at_start: defer_at_start.into_iter().map(AtomicBool::new).collect(),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(VecDeque::new()),
             deferred: Mutex::new(VecDeque::new()),
             resurrect: Mutex::new(Vec::new()),
-            scratch: ScratchPool::new(threads),
-            threads,
             active: AtomicUsize::new(0),
             live: AtomicUsize::new(live),
             runnable: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
-            contended_probes: AtomicUsize::new(0),
             deferrals: AtomicUsize::new(0),
             quanta: AtomicUsize::new(0),
             resurrections: AtomicUsize::new(0),
@@ -192,7 +174,7 @@ pub(crate) fn run(
     sessions: Vec<Option<SessionState>>,
     defer_at_start: Vec<bool>,
     arrival: Vec<usize>,
-    cfg: &SchedulerConfig,
+    cfg: &FleetConfig,
 ) -> (Vec<Option<SessionReport>>, SchedulerStats) {
     let threads = cfg.threads.max(1);
     let live_slots: Vec<usize> = sessions
@@ -206,28 +188,32 @@ pub(crate) fn run(
         .chain(live_slots.iter().filter(|&&i| defer_at_start[i]))
         .copied()
         .collect();
-    let shared = Shared::new(sessions, defer_at_start, arrival, order, cfg);
+    let shared = Shared::new(sessions, defer_at_start, arrival, order);
 
     if threads == 1 {
         // Serial fast path: same code, no thread spawn.
-        worker(&shared, 0, cfg);
+        worker(&shared, cfg);
     } else {
         std::thread::scope(|scope| {
-            for w in 0..threads {
+            for _ in 0..threads {
                 let shared = &shared;
-                scope.spawn(move || archytas_par::run_as_worker(|| worker(shared, w, cfg)));
+                scope.spawn(move || worker(shared, cfg));
             }
         });
     }
 
+    let quanta = shared.quanta.load(Ordering::Relaxed);
     let stats = SchedulerStats {
-        steals: shared.steals.load(Ordering::Relaxed),
-        contended_probes: shared.contended_probes.load(Ordering::Relaxed),
+        steals: 0,
+        contended_probes: 0,
         deferrals: shared.deferrals.load(Ordering::Relaxed),
-        quanta: shared.quanta.load(Ordering::Relaxed),
+        quanta,
         resurrections: shared.resurrections.load(Ordering::Relaxed),
         envelope_deferrals: shared.envelope_deferrals.load(Ordering::Relaxed),
-        scratch: shared.scratch.stats(),
+        scratch: ScratchStats {
+            checkouts: quanta,
+            created: threads,
+        },
     };
     let reports = shared
         .reports
@@ -237,11 +223,15 @@ pub(crate) fn run(
     (reports, stats)
 }
 
-fn worker(sh: &Shared, w: usize, cfg: &SchedulerConfig) {
+fn worker(sh: &Shared, cfg: &FleetConfig) {
+    // Pure scratch: every buffer is rewritten before it is read, so which
+    // worker's workspace a quantum runs with never changes the session's
+    // bits, and the fleet holds one workspace per worker, not per session.
+    let mut workspace = SolverWorkspace::new();
     while sh.live.load(Ordering::SeqCst) != 0 {
         promote_resurrections(sh);
         admit_up_to_capacity(sh, cfg);
-        let Some(i) = acquire(sh, w, cfg) else {
+        let Some(i) = acquire(sh, cfg) else {
             fast_forward_if_idle(sh);
             std::thread::yield_now();
             continue;
@@ -251,36 +241,26 @@ fn worker(sh: &Shared, w: usize, cfg: &SchedulerConfig) {
         let state = slot
             .as_mut()
             .expect("a queued session index always has live state");
-        let mut verdict = QuantumVerdict::Requeue;
-        let mut workspace = sh.scratch.checkout();
+        let mut outcome = StepOutcome::Progress;
         for _ in 0..cfg.frames_per_quantum.max(1) {
-            match state.step_guarded(&mut workspace) {
-                StepOutcome::Progress => {}
-                StepOutcome::Done => {
-                    verdict = QuantumVerdict::Done;
-                    break;
-                }
-                // A wedged step consumes the rest of this quantum — one
-                // Stalled return costs exactly one scheduler round, the
-                // same unit the serial-alone loop charges, so the logical
-                // deadline clock agrees between fleet and alone.
-                StepOutcome::Stalled => break,
-                StepOutcome::Failed => {
-                    verdict = QuantumVerdict::Failed;
-                    break;
-                }
+            outcome = state.step_guarded(&mut workspace);
+            // A wedged step (Stalled) consumes the rest of this quantum —
+            // one Stalled return costs exactly one scheduler round, the
+            // same unit the serial-alone loop charges, so the logical
+            // deadline clock agrees between fleet and alone.
+            if outcome != StepOutcome::Progress {
+                break;
             }
         }
-        sh.scratch.restore(workspace);
-        match verdict {
-            QuantumVerdict::Done => {
+        match outcome {
+            StepOutcome::Done => {
                 let state = slot.take().unwrap();
                 drop(slot);
                 *sh.reports[i].lock().unwrap() = Some(state.finish());
                 sh.active.fetch_sub(1, Ordering::SeqCst);
                 sh.live.fetch_sub(1, Ordering::SeqCst);
             }
-            QuantumVerdict::Failed => {
+            StepOutcome::Failed => {
                 let restart = slot.as_mut().unwrap().try_schedule_restart();
                 match restart {
                     Some(backoff) => {
@@ -305,15 +285,14 @@ fn worker(sh: &Shared, w: usize, cfg: &SchedulerConfig) {
                     }
                 }
             }
-            QuantumVerdict::Requeue => {
+            StepOutcome::Progress | StepOutcome::Stalled => {
                 let low = slot.as_ref().unwrap().priority() == Priority::Low;
                 drop(slot);
-                release(sh, w, i, low, cfg);
+                release(sh, i, low, cfg);
             }
         }
     }
 }
-
 /// Moves restart-ladder sessions whose backoff has expired (on the
 /// executed-quanta clock) back onto the admission queue, so a revived
 /// session re-enters through the same capacity gate as a new arrival.
@@ -336,13 +315,13 @@ fn promote_resurrections(sh: &Shared) {
 
 /// Activates arrival-eligible waiting sessions while the active set has
 /// capacity. `active` is only incremented under the `waiting` lock, so the
-/// cap holds. Activations go to the back of the injector.
+/// cap holds. Activations go to the back of the run queue.
 ///
 /// An envelope-deferred session activates into the *deferred* queue (its
 /// one-shot flag clears here): it consumes an active slot — so completion
 /// accounting stays uniform — but is not runnable, and therefore only
 /// starts once the runnable backlog drains below the resume watermark.
-fn admit_up_to_capacity(sh: &Shared, cfg: &SchedulerConfig) {
+fn admit_up_to_capacity(sh: &Shared, cfg: &FleetConfig) {
     let now = sh.quanta.load(Ordering::Relaxed);
     let mut waiting = sh.waiting.lock().unwrap();
     let mut idx = 0;
@@ -357,7 +336,7 @@ fn admit_up_to_capacity(sh: &Shared, cfg: &SchedulerConfig) {
             sh.deferred.lock().unwrap().push_back(i);
             sh.envelope_deferrals.fetch_add(1, Ordering::Relaxed);
         } else {
-            sh.injector.lock().unwrap().push_back(i);
+            sh.queue.lock().unwrap().push_back(i);
             sh.runnable.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -408,39 +387,24 @@ fn fast_forward_if_idle(sh: &Shared) {
     }
 }
 
-/// Takes the next session for worker `w`.
+/// Takes the next session for a worker.
 ///
 /// **Canonical pop order** (the single authoritative statement — module
-/// docs, DESIGN.md and the `pop_order_is_canonical` test all defer to this
-/// list):
+/// docs, DESIGN.md and the `pop_order_is_one_queue_then_deferred` test all
+/// defer to this list):
 ///
-/// 1. own local deque (front: newest-first FIFO for cache warmth);
-/// 2. steal from a sibling's deque (back — the oldest, coldest work), in
-///    ring order `(w + k) % threads`, probing with `try_lock` so a
-///    contended victim is skipped and counted rather than waited on;
-/// 3. the injector (front);
-/// 4. the deferred queue (front), only once the runnable backlog has
+/// 1. the run queue (front): a session a worker just requeued, then the
+///    activations in arrival order;
+/// 2. the deferred queue (front), only once the runnable backlog has
 ///    drained below the resume watermark.
-fn acquire(sh: &Shared, w: usize, cfg: &SchedulerConfig) -> Option<usize> {
-    // 1. own deque.
-    if let Some(i) = sh.locals[w].lock().unwrap().pop_front() {
+///
+/// At one worker the session that just ran is therefore run again until it
+/// finishes, fails or is deferred.
+fn acquire(sh: &Shared, cfg: &FleetConfig) -> Option<usize> {
+    if let Some(i) = sh.queue.lock().unwrap().pop_front() {
         sh.runnable.fetch_sub(1, Ordering::SeqCst);
         return Some(i);
     }
-    // 2. siblings, ring order after `w`.
-    for k in 1..sh.threads {
-        let victim = (w + k) % sh.threads;
-        if let Some(i) = try_steal(sh, &sh.locals[victim]) {
-            sh.steals.fetch_add(1, Ordering::Relaxed);
-            return Some(i);
-        }
-    }
-    // 3. injector.
-    if let Some(i) = sh.injector.lock().unwrap().pop_front() {
-        sh.runnable.fetch_sub(1, Ordering::SeqCst);
-        return Some(i);
-    }
-    // 4. deferred, below the resume watermark only.
     if sh.runnable.load(Ordering::SeqCst) < resume_watermark(cfg) {
         if let Some(i) = sh.deferred.lock().unwrap().pop_front() {
             return Some(i);
@@ -449,34 +413,15 @@ fn acquire(sh: &Shared, w: usize, cfg: &SchedulerConfig) -> Option<usize> {
     None
 }
 
-/// One steal probe: `try_lock` the victim's deque and take its oldest
-/// entry. A busy victim is skipped (counted as a contended probe) — the
-/// thief has other tiers to try, and waiting here would convoy workers
-/// behind one lock.
-fn try_steal(sh: &Shared, victim: &Mutex<VecDeque<usize>>) -> Option<usize> {
-    match victim.try_lock() {
-        Ok(mut q) => {
-            let i = q.pop_back()?;
-            sh.runnable.fetch_sub(1, Ordering::SeqCst);
-            Some(i)
-        }
-        Err(TryLockError::WouldBlock) => {
-            sh.contended_probes.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-        Err(TryLockError::Poisoned(e)) => panic!("poisoned deque: {e}"),
-    }
-}
-
 /// Requeues an unfinished session: `Low` sessions park on the deferred
 /// queue while the runnable backlog is at or above the watermark;
-/// everything else goes back on the worker's own deque.
-fn release(sh: &Shared, w: usize, i: usize, low: bool, cfg: &SchedulerConfig) {
+/// everything else goes back on the front of the run queue.
+fn release(sh: &Shared, i: usize, low: bool, cfg: &FleetConfig) {
     if low && sh.runnable.load(Ordering::SeqCst) >= cfg.defer_watermark {
         sh.deferred.lock().unwrap().push_back(i);
         sh.deferrals.fetch_add(1, Ordering::Relaxed);
     } else {
-        sh.locals[w].lock().unwrap().push_back(i);
+        sh.queue.lock().unwrap().push_front(i);
         sh.runnable.fetch_add(1, Ordering::SeqCst);
     }
 }
@@ -484,7 +429,7 @@ fn release(sh: &Shared, w: usize, i: usize, low: bool, cfg: &SchedulerConfig) {
 /// Deferred sessions resume once fewer runnable sessions remain than half
 /// the defer watermark (at least one, so a deferred-only fleet always
 /// makes progress).
-fn resume_watermark(cfg: &SchedulerConfig) -> usize {
+fn resume_watermark(cfg: &FleetConfig) -> usize {
     (cfg.defer_watermark / 2).max(1)
 }
 
@@ -492,59 +437,60 @@ fn resume_watermark(cfg: &SchedulerConfig) -> usize {
 mod tests {
     use super::*;
 
-    fn test_shared(cfg: &SchedulerConfig) -> Shared {
-        Shared::new(Vec::new(), Vec::new(), Vec::new(), VecDeque::new(), cfg)
+    /// Empty slots with the given start-deferral flags, all arrived at
+    /// startup and waiting for admission in slot order.
+    fn test_shared(defer_at_start: &[bool]) -> Shared {
+        let n = defer_at_start.len();
+        Shared::new(
+            (0..n).map(|_| None).collect(),
+            defer_at_start.to_vec(),
+            vec![0; n],
+            (0..n).collect(),
+        )
     }
 
-    /// Single-thread replay of [`acquire`]'s canonical pop order at 8
-    /// workers: candidates are planted in the own deque, two siblings, the
-    /// injector and the deferred queue, and the drain order must match the
-    /// documented list exactly — deterministically, every run.
+    /// Single-thread replay of [`acquire`]'s canonical pop order through
+    /// the real admission and requeue paths: a requeued session pops before
+    /// an earlier activation, activations pop in arrival order, and the
+    /// deferred queue pops last.
     #[test]
-    fn pop_order_is_canonical() {
-        let cfg = SchedulerConfig {
-            threads: 8,
+    fn pop_order_is_one_queue_then_deferred() {
+        let cfg = FleetConfig {
             max_active: 8,
-            frames_per_quantum: 1,
             defer_watermark: 16,
+            ..FleetConfig::default()
         };
-        let sh = test_shared(&cfg);
+        // Slot 3's start is envelope-deferred.
+        let sh = test_shared(&[false, false, false, true]);
+        admit_up_to_capacity(&sh, &cfg);
+        assert_eq!(sh.runnable.load(Ordering::SeqCst), 3);
 
-        // From worker 5's point of view: ring order visits 6, 7, 0, ..., 4.
-        sh.locals[5].lock().unwrap().push_back(1); // tier 1: own deque
-        sh.locals[1].lock().unwrap().push_back(3); // tier 2: later in the ring
-        sh.locals[7].lock().unwrap().push_back(2); // tier 2: earlier in the ring
-        sh.injector.lock().unwrap().push_back(4); // tier 3: injector
-        sh.deferred.lock().unwrap().push_back(5); // tier 4: deferred
-        sh.runnable.store(4, Ordering::SeqCst);
-
-        let drained: Vec<Option<usize>> = (0..6).map(|_| acquire(&sh, 5, &cfg)).collect();
+        assert_eq!(acquire(&sh, &cfg), Some(0));
+        release(&sh, 0, false, &cfg);
+        let drained: Vec<Option<usize>> = (0..5).map(|_| acquire(&sh, &cfg)).collect();
         assert_eq!(
             drained,
-            vec![Some(1), Some(2), Some(3), Some(4), Some(5), None],
-            "pop order must be: own deque, sibling steals in ring order, \
-             injector, deferred"
+            vec![Some(0), Some(1), Some(2), Some(3), None],
+            "pop order must be: requeued session, activations in arrival \
+             order, deferred"
         );
         assert_eq!(sh.runnable.load(Ordering::SeqCst), 0);
-        assert_eq!(sh.steals.load(Ordering::Relaxed), 2);
-        assert_eq!(sh.contended_probes.load(Ordering::Relaxed), 0);
     }
 
     /// The deferred tier stays fenced while the runnable backlog is at or
     /// above the resume watermark.
     #[test]
     fn deferred_tier_respects_resume_watermark() {
-        let cfg = SchedulerConfig {
-            threads: 1,
+        let cfg = FleetConfig {
             max_active: 8,
-            frames_per_quantum: 1,
             defer_watermark: 4,
+            ..FleetConfig::default()
         };
-        let sh = test_shared(&cfg);
+        let sh = test_shared(&[]);
         sh.deferred.lock().unwrap().push_back(9);
         sh.runnable.store(2, Ordering::SeqCst); // watermark/2 = 2: fenced
-        assert_eq!(acquire(&sh, 0, &cfg), None);
+        assert_eq!(acquire(&sh, &cfg), None);
         sh.runnable.store(1, Ordering::SeqCst); // below: resumes
-        assert_eq!(acquire(&sh, 0, &cfg), Some(9));
+        assert_eq!(acquire(&sh, &cfg), Some(9));
     }
 }

@@ -629,8 +629,8 @@ pub(crate) fn share_streams(specs: &[SessionSpec]) -> Vec<Arc<FrameStream>> {
 /// stream — the dominant allocation — is built at the first activation of
 /// any session that holds it and freed with the last of them, and solver
 /// scratch is never owned at all: every step borrows a [`SolverWorkspace`]
-/// from the caller (the scheduler's bounded pool, sized by workers not
-/// sessions).
+/// from the caller (the scheduler's worker that runs the step: one
+/// workspace per worker, not per session).
 pub(crate) struct SessionState {
     name: String,
     priority: Priority,

@@ -164,7 +164,7 @@ fn watchdog_engagement_never_leaks_between_sessions() {
 fn racing_panics_on_a_saturated_pool_leave_survivors_bit_exact() {
     // Unwind-safety under pressure: four sessions panic at *different*
     // frames on an 8-worker pool with single-frame quanta — panics racing
-    // each other, racing steals, and racing completions. Every panic must
+    // each other, racing requeues, and racing completions. Every panic must
     // be caught inside the slot's critical section (no poisoned locks, no
     // worker death), quarantine exactly its own session, and leave every
     // survivor's bits untouched.

@@ -33,12 +33,10 @@ impl Drop for WorkerGuard {
 /// Runs `f` with this thread marked as a pool worker, so any nested
 /// [`Pool::par_map`] inside `f` degrades to serial.
 ///
-/// This is for *embedding* schedulers (e.g. the fleet serving layer) that
-/// spawn their own threads outside this crate: each of their workers already
-/// occupies a core, so letting a nested sweep fork another scope inside one
-/// would oversubscribe the machine. Marking the thread costs one
-/// thread-local write and changes no results — `par_map` is bit-identical
-/// serial vs parallel by contract.
+/// This is for work on threads this crate did not spawn that must not fork
+/// another scope (the standalone benchmark wraps its serial replays in it).
+/// Marking the thread costs one thread-local write and changes no results —
+/// `par_map` is bit-identical serial vs parallel by contract.
 pub fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
     let _guard = WorkerGuard::enter();
     f()
