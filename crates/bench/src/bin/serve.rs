@@ -30,7 +30,7 @@
 use archytas_bench::json::{array, phase_array, rec_line, JsonLine};
 use archytas_bench::serve::{compare_det, cpus, run_timing, session_det, Args};
 use archytas_bench::table;
-use archytas_faults::{long_horizon_scenarios, run_scenario, scenarios, ChaosKind, ChaosPlan};
+use archytas_faults::{long_horizon_scenarios, run_matrix, scenarios, ChaosKind, ChaosPlan};
 use archytas_fleet::{
     fleet_platform, plan_admission, run_fleet, run_session_alone, scaling_fleet_specs,
     silence_chaos_panics, standard_fleet_specs, AdmissionDecision, DeadlinePolicy, FleetConfig,
@@ -799,11 +799,9 @@ fn faults(args: &Args) -> Vec<String> {
     let mut violations = Vec::new();
     // The standard seconds-scale matrix, then the long-horizon scenarios
     // (which pin their own sequence and duration, ignoring `seconds`).
-    for sc in scenarios(seed)
-        .into_iter()
-        .chain(long_horizon_scenarios(seed))
-    {
-        let r = run_scenario(&sc, seconds);
+    let mut matrix = scenarios(seed);
+    matrix.extend(long_horizon_scenarios(seed));
+    for r in run_matrix(&matrix, seconds) {
         let ok = r.within_rmse_bound(RMSE_BOUND);
         if !ok {
             violations.push(format!(

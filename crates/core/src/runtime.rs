@@ -332,38 +332,25 @@ impl RuntimeSystem {
         }
     }
 
-    /// Per-window step: feature count in, decision out. Pure table lookups —
-    /// the "effectively no overhead" of Sec. 6.2.
-    pub fn step(&mut self, features: usize) -> RuntimeDecision {
-        let target = self.policy.iterations_for(features);
-        let iterations = self.counter.observe(target);
-        let active = self.gating.active_for(iterations);
+    /// Per-window step: feature count and the estimator's health verdict
+    /// in, decision out. Pure table lookups — the "effectively no
+    /// overhead" of Sec. 6.2. While the watchdog is engaged the budget is
+    /// pinned to [`ITER_CAP`] and the full built configuration is ungated —
+    /// a degraded estimator gets maximum compute, not a power optimization
+    /// tuned for clean data.
+    pub fn step_with_health(&mut self, features: usize, healthy: bool) -> RuntimeDecision {
+        let (iterations, active) = if self.watchdog.observe(healthy) {
+            self.counter.force(ITER_CAP);
+            (ITER_CAP, self.gating.built())
+        } else {
+            let iterations = self.counter.observe(self.policy.iterations_for(features));
+            (iterations, self.gating.active_for(iterations))
+        };
         RuntimeDecision {
             iterations,
             active,
             gated_power_w: self.power.gated_power_w(&self.gating.built(), &active),
         }
-    }
-
-    /// Like [`RuntimeSystem::step`] but fed the estimator's per-window
-    /// health verdict. A healthy window behaves exactly like [`step`]
-    /// (bit-identical decisions); while the watchdog is engaged the budget
-    /// is pinned to [`ITER_CAP`] and the full built configuration is
-    /// ungated — a degraded estimator gets maximum compute, not a power
-    /// optimization tuned for clean data.
-    ///
-    /// [`step`]: RuntimeSystem::step
-    pub fn step_with_health(&mut self, features: usize, healthy: bool) -> RuntimeDecision {
-        if self.watchdog.observe(healthy) {
-            self.counter.force(ITER_CAP);
-            let active = self.gating.built();
-            return RuntimeDecision {
-                iterations: ITER_CAP,
-                active,
-                gated_power_w: self.power.gated_power_w(&self.gating.built(), &active),
-            };
-        }
-        self.step(features)
     }
 
     /// The safety watchdog (for reports).
@@ -589,31 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn step_with_health_healthy_matches_step() {
-        let shape = ProblemShape::typical();
-        let platform = FpgaPlatform::zc706();
-        let mk = || {
-            RuntimeSystem::new(
-                HIGH_PERF,
-                &shape,
-                2.5,
-                &platform,
-                IterPolicy::default_table(),
-            )
-        };
-        let mut a = mk();
-        let mut b = mk();
-        let features = [260usize, 240, 40, 30, 150, 170, 260, 20, 90, 260];
-        for &f in &features {
-            let da = a.step(f);
-            let db = b.step_with_health(f, true);
-            assert_eq!(da.iterations, db.iterations);
-            assert_eq!(da.active, db.active);
-            assert_eq!(da.gated_power_w.to_bits(), db.gated_power_w.to_bits());
-        }
-    }
-
-    #[test]
     fn gating_table_monotone_in_iterations() {
         let shape = ProblemShape::typical();
         let platform = FpgaPlatform::zc706();
@@ -648,7 +610,7 @@ mod tests {
         // Feed a long run of feature-rich windows.
         let mut last = None;
         for _ in 0..10 {
-            last = Some(rt.step(260));
+            last = Some(rt.step_with_health(260, true));
         }
         let d = last.unwrap();
         assert!(d.iterations <= 3);
@@ -671,12 +633,12 @@ mod tests {
             IterPolicy::default_table(),
         );
         for _ in 0..10 {
-            rt.step(260);
+            rt.step_with_health(260, true);
         }
         // Drought: the budget climbs back to the cap.
-        let mut d = rt.step(30);
+        let mut d = rt.step_with_health(30, true);
         for _ in 0..20 {
-            d = rt.step(30);
+            d = rt.step_with_health(30, true);
         }
         assert_eq!(d.iterations, ITER_CAP);
     }

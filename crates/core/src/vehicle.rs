@@ -3,10 +3,12 @@
 //! (with or without the run-time optimizer) or on a CPU baseline.
 //!
 //! [`Vehicle`] is the per-window step of the paper's Sec. 6 run-time loop,
-//! with the estimation arithmetic actually executed. Its callers are
+//! with the estimation arithmetic actually executed, and [`Vehicle::run`]
+//! is the one loop that drives it over a frame stream. Its callers are
 //! [`run_sequence`] (`sec6_ablation`, `sec7_6`, the `drone_euroc` and
-//! `selfdriving_kitti` examples, the end-to-end tests), every served window
-//! of an `archytas-fleet` session, and the `archytas-faults` scenario matrix.
+//! `selfdriving_kitti` examples, the end-to-end tests) and the
+//! `archytas-faults` scenario matrix; every served window of an
+//! `archytas-fleet` session takes the per-window step directly.
 
 use std::sync::Arc;
 
@@ -115,10 +117,9 @@ impl Vehicle {
     pub fn close_window(&mut self, workspace: &mut SolverWorkspace) -> WindowRecord {
         let features = self.pipeline.window().num_landmarks();
         // The pre-solve health verdict feeds the runtime watchdog (the
-        // degradation ladder's runtime half): on a clean stream
-        // `step_with_health` is bit-identical to `step`, so nominal runs
-        // are unchanged, while a faulted window already runs at full
-        // capacity.
+        // degradation ladder's runtime half): on a clean stream the watchdog
+        // never engages and the budget is the policy's, while a faulted
+        // window already runs at full capacity.
         let healthy = !self.pipeline.health().is_suspect();
         let (iterations, power_w, watchdog_engaged) = match &mut self.executor {
             Executor::Accelerator { model, runtime } => match runtime {
@@ -160,10 +161,40 @@ impl Vehicle {
             degradation_cause: result.cause,
         }
     }
+
+    /// Drives every frame through the vehicle, closing each full window,
+    /// and folds the windows into a [`RunSummary`] whose `sequence` is left
+    /// empty for the caller to name.
+    pub fn run(mut self, frames: &[Frame]) -> RunSummary {
+        let mut workspace = SolverWorkspace::new();
+        let mut windows = Vec::new();
+        let mut metrics = TrajectoryMetrics::new();
+        let mut total_time = 0.0;
+        let mut total_energy = 0.0;
+        for frame in frames {
+            if !self.push_frame(frame) {
+                continue;
+            }
+            let w = self.close_window(&mut workspace);
+            total_time += w.latency_ms;
+            total_energy += w.energy_mj;
+            metrics.record(&w.estimate, &w.ground_truth, w.relative_error);
+            windows.push(w);
+        }
+        RunSummary {
+            sequence: String::new(),
+            windows,
+            total_time_ms: total_time,
+            total_energy_mj: total_energy,
+            rmse_m: metrics.rmse(),
+            mean_relative_error: metrics.mean_relative_error(),
+        }
+    }
 }
 
-/// Aggregate result of one sequence run.
-#[derive(Debug, Clone)]
+/// Aggregate result of one sequence run; the default is a run in which no
+/// window closed.
+#[derive(Debug, Clone, Default)]
 pub struct RunSummary {
     /// Sequence name.
     pub sequence: String,
@@ -223,9 +254,9 @@ impl RunSummary {
 }
 
 /// Runs one sequence end-to-end under the given executor: the
-/// [`Vehicle`] step over every frame, folded into a [`RunSummary`].
+/// [`Vehicle`] step over every frame, folded into a [`RunSummary`]. The
+/// accelerator solves each window in its f32 datapath, the CPU in f64.
 pub fn run_sequence(data: &SequenceData, executor: Executor) -> RunSummary {
-    // The accelerator solves each window in its f32 datapath, the CPU in f64.
     let precision = match executor {
         Executor::Accelerator { .. } => Precision::F32,
         Executor::Cpu { .. } => Precision::F64,
@@ -234,31 +265,9 @@ pub fn run_sequence(data: &SequenceData, executor: Executor) -> RunSummary {
         precision,
         ..PipelineConfig::default()
     });
-    let mut vehicle = Vehicle::new(pipeline, executor);
-    let mut workspace = SolverWorkspace::new();
-    let mut windows = Vec::new();
-    let mut metrics = TrajectoryMetrics::new();
-    let mut total_time = 0.0;
-    let mut total_energy = 0.0;
-
-    for frame in &data.frames {
-        if !vehicle.push_frame(frame) {
-            continue;
-        }
-        let w = vehicle.close_window(&mut workspace);
-        total_time += w.latency_ms;
-        total_energy += w.energy_mj;
-        metrics.record(&w.estimate, &w.ground_truth, w.relative_error);
-        windows.push(w);
-    }
-
     RunSummary {
         sequence: data.spec.name.clone(),
-        windows,
-        total_time_ms: total_time,
-        total_energy_mj: total_energy,
-        rmse_m: metrics.rmse(),
-        mean_relative_error: metrics.mean_relative_error(),
+        ..Vehicle::new(pipeline, executor).run(&data.frames)
     }
 }
 
@@ -370,14 +379,6 @@ mod tests {
             assert!(summary.mean_iterations() >= 1.0);
             assert!(summary.mean_iterations() <= ITER_CAP as f64);
         }
-        let empty = RunSummary {
-            sequence: String::new(),
-            windows: Vec::new(),
-            total_time_ms: 0.0,
-            total_energy_mj: 0.0,
-            rmse_m: 0.0,
-            mean_relative_error: 0.0,
-        };
-        assert_eq!(empty.mean_iterations(), 0.0);
+        assert_eq!(RunSummary::default().mean_iterations(), 0.0);
     }
 }

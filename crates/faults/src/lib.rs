@@ -14,11 +14,15 @@
 //!   and gross observation outliers;
 //! * [`inject::apply`] rewrites a frame stream under a plan, deterministic
 //!   for a given seed regardless of thread count;
-//! * [`matrix::scenarios`] is the standard fault matrix and
-//!   [`matrix::run_scenario`] drives the full pipeline + runtime stack
-//!   through one scenario, reporting accuracy against the fault-free run;
-//!   [`matrix::long_horizon_scenarios`] adds minutes-scale regimes pinned
-//!   to their own sequences (tunnel feature droughts);
+//! * [`scenarios`] is the standard fault matrix and
+//!   [`long_horizon_scenarios`] adds minutes-scale regimes pinned to their
+//!   own sequences (tunnel feature droughts). [`run_matrix`] drives a list
+//!   of scenarios through `archytas-core`'s one window loop
+//!   (`Vehicle::run`) on the HIGH_PERF design with the run-time system
+//!   armed, Huber weighting and an f64 solve, and reports each one's
+//!   accuracy against the fault-free run of its sequence. One executor is
+//!   built per call and cloned per run, and each distinct (sequence,
+//!   duration) runs fault-free once;
 //! * a [`ChaosPlan`] schedules *execution-level* faults for the fleet
 //!   layer — session panics, step stalls, poisoned observations, worker
 //!   jitter — with the same per-(event, frame) RNG discipline.
@@ -26,10 +30,10 @@
 //! # Example: a vision dropout survives
 //!
 //! ```
-//! use archytas_faults::{run_scenario, FaultKind, FaultPlan, Scenario};
+//! use archytas_faults::{run_matrix, FaultKind, FaultPlan, Scenario};
 //!
 //! let plan = FaultPlan::new(7).with(FaultKind::VisionDropout, 24, 28);
-//! let result = run_scenario(&Scenario::new("dropout", plan), 4.0);
+//! let result = &run_matrix(&[Scenario::new("dropout", plan)], 4.0)[0];
 //! assert!(result.completed);
 //! assert!(result.rmse_m.is_finite());
 //! ```
@@ -43,8 +47,5 @@ mod plan;
 
 pub use chaos::{ChaosKind, ChaosPlan};
 pub use inject::apply;
-pub use matrix::{
-    long_horizon_scenarios, run_nominal, run_nominal_on, run_scenario, scenarios, NominalRun,
-    Scenario, ScenarioResult,
-};
+pub use matrix::{long_horizon_scenarios, run_matrix, scenarios, Scenario, ScenarioResult};
 pub use plan::{FaultEpisode, FaultKind, FaultPlan};

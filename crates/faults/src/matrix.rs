@@ -2,14 +2,14 @@
 
 use crate::inject::apply;
 use crate::plan::{FaultKind, FaultPlan};
-use archytas_core::{Executor, IterPolicy, RuntimeSystem, Vehicle, WindowRecord};
+use archytas_core::{Executor, IterPolicy, RunSummary, RuntimeSystem, Vehicle};
 use archytas_dataset::{
-    kitti_sequences, tunnel_sequences, Frame, HealthState, PipelineConfig, SequenceSpec,
-    VioPipeline,
+    kitti_sequences, tunnel_sequences, Frame, HealthState, PipelineConfig, SequenceData,
+    SequenceSpec, VioPipeline,
 };
 use archytas_hw::{AcceleratorModel, FpgaPlatform, HIGH_PERF};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{rmse_translation, FactorWeights, Pose, SolverWorkspace};
+use archytas_slam::{FactorWeights, Pose};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ pub struct Scenario {
     /// sequence (`kitti-01`).
     pub sequence: Option<SequenceSpec>,
     /// Duration override in seconds; `None` defers to the caller of
-    /// [`run_scenario`]. Long-horizon scenarios pin their own duration —
+    /// [`run_matrix`]. Long-horizon scenarios pin their own duration —
     /// a tunnel drought does not fit in a 4-second episode.
     pub seconds: Option<f64>,
 }
@@ -199,7 +199,9 @@ pub fn long_horizon_scenarios(seed: u64) -> Vec<Scenario> {
 
 /// Pipeline configuration of every matrix run: the default pipeline with
 /// Huber robust weighting armed (a fault harness without a robust kernel
-/// would just measure the outlier magnitude).
+/// would just measure the outlier magnitude), solving each window in f64.
+/// Faulted fleet sessions run the same weights in the accelerator's f32
+/// datapath (`archytas_fleet::fleet_pipeline_config`).
 fn matrix_config() -> PipelineConfig {
     PipelineConfig {
         weights: FactorWeights::default().with_huber(0.004),
@@ -207,10 +209,11 @@ fn matrix_config() -> PipelineConfig {
     }
 }
 
-/// Runs the pipeline + runtime stack over a frame stream, one record per
-/// window, on the HIGH_PERF design on a ZC706 (the design the runtime's
-/// gating table is built for).
-fn drive(frames: &[Frame]) -> Vec<WindowRecord> {
+/// The HIGH_PERF design on a ZC706 with the run-time system armed (the
+/// design the runtime's gating table is built for). Built once per
+/// [`run_matrix`] call; each run clones it, and an unstepped clone shares
+/// the gating table and starts from the same counter and watchdog state.
+fn matrix_executor() -> Executor {
     let platform = FpgaPlatform::zc706();
     let runtime = RuntimeSystem::new(
         HIGH_PERF,
@@ -219,103 +222,78 @@ fn drive(frames: &[Frame]) -> Vec<WindowRecord> {
         &platform,
         IterPolicy::default_table(),
     );
-    let executor = Executor::Accelerator {
+    Executor::Accelerator {
         model: Arc::new(AcceleratorModel::new(HIGH_PERF, platform)),
         runtime: Some(runtime),
-    };
-    let mut vehicle = Vehicle::new(VioPipeline::new(matrix_config()), executor);
-    let mut workspace = SolverWorkspace::new();
-    let mut windows = Vec::new();
-    for frame in frames {
-        if vehicle.push_frame(frame) {
-            windows.push(vehicle.close_window(&mut workspace));
-        }
     }
-    windows
 }
 
-/// Estimates of a run's windows, with their trajectory RMSE (infinite when
-/// the run produced no window).
-fn trajectory(windows: &[WindowRecord]) -> (Vec<Pose>, f64) {
-    let (estimates, ground_truths): (Vec<Pose>, Vec<Pose>) =
-        windows.iter().map(|w| (w.estimate, w.ground_truth)).unzip();
-    let rmse_m = if windows.is_empty() {
-        f64::INFINITY
-    } else {
-        rmse_translation(&estimates, &ground_truths)
-    };
-    (estimates, rmse_m)
-}
-
-/// A fault-free reference run.
-#[derive(Debug, Clone)]
-pub struct NominalRun {
-    /// Newest-keyframe estimates, one per window.
-    pub estimates: Vec<Pose>,
-    /// Trajectory RMSE (m).
-    pub rmse_m: f64,
-}
-
-/// Runs the standard matrix sequence for `seconds` with no faults injected.
-pub fn run_nominal(seconds: f64) -> NominalRun {
-    run_nominal_on(&kitti_sequences()[1], seconds)
-}
-
-/// Runs an arbitrary sequence for `seconds` with no faults injected — the
-/// fault-free reference for long-horizon scenarios pinned to their own
-/// sequence.
-pub fn run_nominal_on(spec: &SequenceSpec, seconds: f64) -> NominalRun {
-    let windows = drive(&spec.truncated(seconds).build().frames);
-    let (estimates, rmse_m) = trajectory(&windows);
-    NominalRun { estimates, rmse_m }
-}
-
-/// Runs one scenario over `seconds` of its sequence (the standard matrix
+/// Runs each scenario over `seconds` of its sequence (the standard matrix
 /// sequence unless the scenario pins its own sequence/duration), comparing
-/// against the fault-free run of the same sequence and configuration. A
-/// panic anywhere in the faulted run is caught and reported as
+/// against the fault-free run of the same sequence and configuration. Each
+/// distinct (sequence, duration) is built and run fault-free once per call.
+/// A panic anywhere in a faulted run is caught and reported as
 /// `completed: false` rather than propagated.
-pub fn run_scenario(scenario: &Scenario, seconds: f64) -> ScenarioResult {
+pub fn run_matrix(scenarios: &[Scenario], seconds: f64) -> Vec<ScenarioResult> {
+    let executor = matrix_executor();
+    let run = |frames: &[Frame]| {
+        Vehicle::new(VioPipeline::new(matrix_config()), executor.clone()).run(frames)
+    };
     let standard = kitti_sequences()[1].clone();
-    let spec = scenario.sequence.as_ref().unwrap_or(&standard);
-    let seconds = scenario.seconds.unwrap_or(seconds);
-    let nominal = run_nominal_on(spec, seconds);
-    let data = spec.truncated(seconds).build();
-    let frames = apply(&scenario.plan, &data.frames);
-
-    match catch_unwind(AssertUnwindSafe(|| drive(&frames))) {
-        Ok(windows) => {
-            let (estimates, rmse_m) = trajectory(&windows);
-            let degraded = |w: &WindowRecord| w.health == HealthState::Degraded;
-            let recovery_latency_windows = windows.iter().rposition(degraded).and_then(|i| {
-                windows[i + 1..]
-                    .iter()
-                    .position(|w| w.health == HealthState::Nominal)
-                    .map(|k| k + 1)
-            });
+    // (fault-free data, nominal RMSE) per distinct truncated spec.
+    let mut nominals: Vec<(SequenceData, f64)> = Vec::new();
+    scenarios
+        .iter()
+        .map(|scenario| {
+            let spec = scenario.sequence.as_ref().unwrap_or(&standard);
+            let spec = spec.truncated(scenario.seconds.unwrap_or(seconds));
+            let i = match nominals.iter().position(|(data, _)| data.spec == spec) {
+                Some(i) => i,
+                None => {
+                    let data = spec.build();
+                    let rmse_m = rmse_m(&run(&data.frames));
+                    nominals.push((data, rmse_m));
+                    nominals.len() - 1
+                }
+            };
+            let (data, nominal_rmse_m) = &nominals[i];
+            let frames = apply(&scenario.plan, &data.frames);
+            // A panicked run reports as an empty one that did not complete.
+            let (completed, summary) = match catch_unwind(AssertUnwindSafe(|| run(&frames))) {
+                Ok(summary) => (true, summary),
+                Err(_) => (false, RunSummary::default()),
+            };
+            let windows = &summary.windows;
+            let recovery_latency_windows = windows
+                .iter()
+                .rposition(|w| w.health == HealthState::Degraded)
+                .and_then(|i| {
+                    windows[i + 1..]
+                        .iter()
+                        .position(|w| w.health == HealthState::Nominal)
+                        .map(|k| k + 1)
+                });
             ScenarioResult {
                 name: scenario.name.clone(),
-                rmse_m,
-                nominal_rmse_m: nominal.rmse_m,
+                rmse_m: rmse_m(&summary),
+                nominal_rmse_m: *nominal_rmse_m,
                 windows: windows.len(),
-                degraded_windows: windows.iter().filter(|w| degraded(w)).count(),
-                watchdog_windows: windows.iter().filter(|w| w.watchdog_engaged).count(),
+                degraded_windows: summary.degraded_windows(),
+                watchdog_windows: summary.watchdog_windows(),
                 recovery_latency_windows,
-                completed: true,
-                estimates,
+                completed,
+                estimates: windows.iter().map(|w| w.estimate).collect(),
             }
-        }
-        Err(_) => ScenarioResult {
-            name: scenario.name.clone(),
-            rmse_m: f64::INFINITY,
-            nominal_rmse_m: nominal.rmse_m,
-            windows: 0,
-            degraded_windows: 0,
-            watchdog_windows: 0,
-            recovery_latency_windows: None,
-            completed: false,
-            estimates: Vec::new(),
-        },
+        })
+        .collect()
+}
+
+/// A run's trajectory RMSE, infinite when no window closed.
+fn rmse_m(summary: &RunSummary) -> f64 {
+    if summary.windows.is_empty() {
+        f64::INFINITY
+    } else {
+        summary.rmse_m
     }
 }
 
@@ -333,18 +311,20 @@ mod tests {
     }
 
     #[test]
-    fn nominal_run_is_clean() {
-        let n = run_nominal(4.0);
-        assert!(!n.estimates.is_empty());
-        assert!(n.rmse_m.is_finite());
-        assert!(n.rmse_m < 1.0, "nominal rmse {}", n.rmse_m);
-    }
-
-    #[test]
     fn dropout_scenario_degrades_and_recovers() {
         let sc = &scenarios(7)[1]; // vision-dropout
-        let r = run_scenario(sc, 4.0);
+        let shorter = sc.clone().on_sequence(kitti_sequences()[1].clone(), 3.0);
+        let results = run_matrix(&[sc.clone(), shorter], 4.0);
+        let r = &results[0];
         assert!(r.completed);
+        // The fault-free reference run is clean (a finite RMSE means at
+        // least one window closed), and a different duration of the same
+        // sequence gets its own.
+        assert!(r.nominal_rmse_m < 1.0, "nominal rmse {}", r.nominal_rmse_m);
+        assert_ne!(
+            r.nominal_rmse_m.to_bits(),
+            results[1].nominal_rmse_m.to_bits()
+        );
         assert!(r.degraded_windows > 0, "dropout never degraded health");
         assert!(
             r.recovery_latency_windows.is_some(),

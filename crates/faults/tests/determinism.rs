@@ -1,11 +1,7 @@
-//! Bitwise determinism of faulted runs across worker-pool sizes.
-//!
-//! The parallel layer reads `ARCHYTAS_THREADS` when a pool is created, so
-//! this file must stay a *separate* integration-test binary with a single
-//! `#[test]`: cargo runs test binaries sequentially, but tests inside one
-//! binary share the process environment concurrently.
+//! Bitwise run-to-run determinism of faulted runs: two passes over the same
+//! scenarios produce the same trajectory bits.
 
-use archytas_faults::{run_scenario, scenarios};
+use archytas_faults::{run_matrix, scenarios};
 use archytas_slam::Pose;
 
 fn bits(poses: &[Pose]) -> Vec<[u64; 7]> {
@@ -26,27 +22,21 @@ fn bits(poses: &[Pose]) -> Vec<[u64; 7]> {
 }
 
 #[test]
-fn faulted_runs_are_bit_identical_across_pools() {
-    let matrix = scenarios(7);
-    for name in ["vision-dropout", "stacked"] {
-        let sc = matrix
-            .iter()
-            .find(|s| s.name == name)
-            .expect("scenario present");
-        let mut reference: Option<Vec<[u64; 7]>> = None;
-        for threads in ["1", "2", "8"] {
-            std::env::set_var("ARCHYTAS_THREADS", threads);
-            let r = run_scenario(sc, 4.0);
-            assert!(r.completed, "{name} @ {threads} threads panicked");
-            let b = bits(&r.estimates);
-            match &reference {
-                None => reference = Some(b),
-                Some(r0) => assert_eq!(
-                    r0, &b,
-                    "{name}: pool size {threads} changed the trajectory bits"
-                ),
-            }
-        }
-        std::env::remove_var("ARCHYTAS_THREADS");
+fn faulted_runs_are_bit_identical_run_to_run() {
+    let matrix: Vec<_> = scenarios(7)
+        .into_iter()
+        .filter(|s| ["vision-dropout", "stacked"].contains(&s.name.as_str()))
+        .collect();
+    assert_eq!(matrix.len(), 2, "scenarios present");
+    let first = run_matrix(&matrix, 4.0);
+    let second = run_matrix(&matrix, 4.0);
+    for (a, b) in first.iter().zip(&second) {
+        let name = &a.name;
+        assert!(a.completed && b.completed, "{name} panicked");
+        assert_eq!(
+            bits(&a.estimates),
+            bits(&b.estimates),
+            "{name}: a second run changed the trajectory bits"
+        );
     }
 }

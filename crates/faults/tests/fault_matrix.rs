@@ -1,12 +1,11 @@
 //! The acceptance gate of the fault harness: every scenario in the standard
 //! matrix completes without panicking and stays within the accuracy bound.
 
-use archytas_faults::{long_horizon_scenarios, run_scenario, scenarios};
+use archytas_faults::{long_horizon_scenarios, run_matrix, scenarios};
 
 #[test]
 fn every_scenario_completes_within_rmse_bound() {
-    for sc in scenarios(7) {
-        let r = run_scenario(&sc, 4.0);
+    for r in run_matrix(&scenarios(7), 4.0) {
         assert!(r.completed, "{}: run panicked", r.name);
         assert!(r.windows > 0, "{}: no windows completed", r.name);
         assert!(r.rmse_m.is_finite(), "{}: non-finite RMSE", r.name);
@@ -63,12 +62,13 @@ fn faults_are_actually_detected() {
     // degradation ladder at least once; the matrix would be vacuous if the
     // pipeline never noticed. (Drought/outlier/duplicate scenarios degrade
     // softly and may stay under the detection thresholds by design.)
-    for name in ["vision-dropout", "imu-nan"] {
-        let sc = scenarios(7)
-            .into_iter()
-            .find(|s| s.name == name)
-            .expect("scenario present");
-        let r = run_scenario(&sc, 4.0);
+    let matrix: Vec<_> = scenarios(7)
+        .into_iter()
+        .filter(|s| ["vision-dropout", "imu-nan"].contains(&s.name.as_str()))
+        .collect();
+    assert_eq!(matrix.len(), 2, "scenarios present");
+    for r in run_matrix(&matrix, 4.0) {
+        let name = &r.name;
         assert!(r.degraded_windows > 0, "{name}: ladder never engaged");
         assert!(
             r.recovery_latency_windows.is_some(),
@@ -79,11 +79,15 @@ fn faults_are_actually_detected() {
 
 #[test]
 fn different_seeds_change_stochastic_scenarios() {
-    let a = scenarios(7);
-    let b = scenarios(8);
-    let drought_a = run_scenario(&a[0], 4.0);
-    let drought_b = run_scenario(&b[0], 4.0);
+    let droughts = [scenarios(7).swap_remove(0), scenarios(8).swap_remove(0)];
+    let runs = run_matrix(&droughts, 4.0);
+    let (drought_a, drought_b) = (&runs[0], &runs[1]);
     assert!(drought_a.completed && drought_b.completed);
+    // Both run on the same sequence, so they share one fault-free nominal.
+    assert_eq!(
+        drought_a.nominal_rmse_m.to_bits(),
+        drought_b.nominal_rmse_m.to_bits()
+    );
     // Same sequence, different injected stream → different trajectories.
     let same = drought_a
         .estimates

@@ -412,9 +412,10 @@ impl FleetServices {
 }
 
 /// The pipeline configuration every fleet session runs: the default VIO
-/// stack with a Huber robust kernel, matching the fault-injection matrix so
+/// stack with the fault matrix's Huber robust kernel (δ = 0.004), so
 /// faulted sessions stay well-conditioned, solving each window in the
-/// accelerator's f32 datapath.
+/// accelerator's f32 datapath. The fault matrix (`archytas_faults`) solves
+/// the same weights in f64.
 pub fn fleet_pipeline_config() -> PipelineConfig {
     PipelineConfig {
         weights: FactorWeights::default().with_huber(0.004),

@@ -10,7 +10,6 @@ use archytas_fleet::{
     standard_fleet_specs, DeadlinePolicy, FailureCause, FleetConfig, FleetServices, Priority,
     RestartPolicy, SessionOutcome, SessionPhase, SessionReport, SessionSpec,
 };
-use archytas_slam::SolverWorkspace;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -78,27 +77,16 @@ fn served_session_is_the_bare_window_step_bit_for_bit() {
         model: Arc::clone(&services.model),
         runtime: Some(services.runtime()),
     };
-    let mut vehicle = Vehicle::new(VioPipeline::new(fleet_pipeline_config()), executor);
-    let mut workspace = SolverWorkspace::new();
-    let (mut estimates, mut iterations) = (Vec::new(), Vec::new());
-    let (mut latency_ms, mut energy_mj) = (0.0f64, 0.0f64);
-    for frame in &spec.sequence.build().frames {
-        if vehicle.push_frame(frame) {
-            let w = vehicle.close_window(&mut workspace);
-            estimates.push(w.estimate);
-            iterations.push(w.iterations);
-            latency_ms += w.latency_ms;
-            energy_mj += w.energy_mj;
-        }
-    }
-    assert!(!estimates.is_empty());
+    let bare = Vehicle::new(VioPipeline::new(fleet_pipeline_config()), executor)
+        .run(&spec.sequence.build().frames);
+    assert!(!bare.windows.is_empty());
     assert_eq!(served.outcome, SessionOutcome::Completed);
     served.assert_bitwise_eq(&SessionReport {
-        windows: estimates.len(),
-        estimates,
-        iterations,
-        modelled_latency_ms: latency_ms,
-        modelled_energy_mj: energy_mj,
+        windows: bare.windows.len(),
+        estimates: bare.windows.iter().map(|w| w.estimate).collect(),
+        iterations: bare.windows.iter().map(|w| w.iterations).collect(),
+        modelled_latency_ms: bare.total_time_ms,
+        modelled_energy_mj: bare.total_energy_mj,
         ..served.clone()
     });
 }

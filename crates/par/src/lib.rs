@@ -24,12 +24,10 @@
 //! process). A map of fewer than two items runs serially. A parallel map
 //! spawns `threads − 1` scoped workers and puts the calling thread to work
 //! as the last one: a 2-thread map costs one spawn, not two, and the caller
-//! maps chunks instead of only waiting at the join. Nested calls (a map
-//! invoked from inside a worker — the calling thread included while it
-//! maps — or inside [`run_as_worker`]) automatically degrade to serial — on
-//! the inner level only; the enclosing region keeps its workers. A panic in
-//! the mapped closure reaches the caller after every spawned worker has
-//! joined.
+//! maps chunks instead of only waiting at the join. No `par_map` nests: the
+//! sweeps' closures build sequences, price models or run one sequence. A
+//! panic in the mapped closure reaches the caller after every spawned
+//! worker has joined.
 //!
 //! The crate also hosts [`counters`], the per-phase solver timers.
 

@@ -1,44 +1,11 @@
 //! Scoped worker pool over [`std::thread::scope`].
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-thread_local! {
-    // Set while a closure runs inside one of our workers; nested par_map
-    // calls observe it and degrade to serial instead of oversubscribing the
-    // machine with scopes-within-scopes.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
-struct WorkerGuard;
-
-impl WorkerGuard {
-    fn enter() -> WorkerGuard {
-        IN_WORKER.with(|f| f.set(true));
-        WorkerGuard
-    }
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        IN_WORKER.with(|f| f.set(false));
-    }
-}
-
-/// Runs `f` with this thread marked as a pool worker, so any nested
-/// [`Pool::par_map`] inside `f` degrades to serial.
-///
-/// This is for work on threads this crate did not spawn that must not fork
-/// another scope (the standalone benchmark wraps its serial replays in it).
-/// Marking the thread costs one thread-local write and changes no results —
-/// `par_map` is bit-identical serial vs parallel by contract.
+/// Runs `f`. A pass-through, kept only because the standalone benchmark
+/// (`benchmark/src/fleet.rs`) calls it around its serial replays.
 pub fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = WorkerGuard::enter();
     f()
 }
 
@@ -93,14 +60,9 @@ impl Pool {
     }
 
     /// Whether a job of `work_items` independent items takes the parallel
-    /// path on this pool (more than one thread, at least two items, and not
-    /// already inside a worker).
-    ///
-    /// Nested dispatch degrades to serial on the *inner* level only: a map
-    /// called from inside one of this crate's workers sees `false` here, but
-    /// the enclosing (outer) parallel region is unaffected.
+    /// path on this pool (more than one thread and at least two items).
     pub fn should_parallelize(&self, work_items: usize) -> bool {
-        self.threads > 1 && work_items >= 2 && !in_worker()
+        self.threads > 1 && work_items >= 2
     }
 
     /// Maps `f` over `items`, returning results in input order.
@@ -109,11 +71,9 @@ impl Pool {
     /// count: each element is mapped exactly once and results are reassembled
     /// by index.
     ///
-    /// On the parallel path the calling thread claims chunks too, marked as
-    /// a worker while it does (a nested map inside `f` runs serially on it
-    /// as on every spawned worker). A panic in `f` — on any thread —
-    /// propagates to the caller only after every spawned worker has joined,
-    /// and the caller's worker mark is cleared on return and on unwind.
+    /// On the parallel path the calling thread claims chunks too. A panic
+    /// in `f` — on any thread — propagates to the caller only after every
+    /// spawned worker has joined.
     pub fn par_map<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
         if !self.should_parallelize(items.len()) {
             return items.iter().map(f).collect();
@@ -128,7 +88,6 @@ impl Pool {
         // One chunk-claiming loop, run by every spawned worker and by the
         // calling thread itself, which would otherwise only wait at the join.
         let claim_chunks = || {
-            let _guard = WorkerGuard::enter();
             let mut local: Vec<(usize, Vec<U>)> = Vec::new();
             loop {
                 let c = next.fetch_add(1, Ordering::Relaxed);
@@ -184,20 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_calls_degrade_to_serial() {
-        let outer: Vec<usize> = (0..64).collect();
-        let got = Pool::with_threads(4).par_map(&outer, |&i| {
-            // should_parallelize must report false inside a worker.
-            assert!(!Pool::with_threads(4).should_parallelize(1_000_000));
-            let inner: Vec<usize> = (0..100).collect();
-            Pool::with_threads(4)
-                .par_map(&inner, move |&j| i * 1000 + j)
-                .len()
-        });
-        assert!(got.iter().all(|&n| n == 100));
-    }
-
-    #[test]
     fn item_count_gates_parallelism() {
         let p = Pool::with_threads(8);
         assert!(!p.should_parallelize(1), "one item runs serially");
@@ -244,29 +189,5 @@ mod tests {
             worker_finished.load(Ordering::SeqCst),
             "the panic surfaced before the spawned worker joined"
         );
-        assert!(
-            Pool::with_threads(2).should_parallelize(2),
-            "worker mark cleared on unwind"
-        );
-    }
-
-    #[test]
-    fn caller_is_a_worker_only_inside_the_map() {
-        use std::sync::Barrier;
-        // Two threads, two items, chunk size 1: the barrier holds each
-        // thread to one item, so the caller maps exactly one of them.
-        let p = Pool::with_threads(2);
-        let claimed = Barrier::new(2);
-        let caller = std::thread::current().id();
-        let got = p.par_map(&[0usize, 1], |&i| {
-            claimed.wait();
-            let on_caller = std::thread::current().id() == caller;
-            // A nested map stays serial on the caller as on the worker.
-            assert!(!p.should_parallelize(1_000));
-            (i, on_caller)
-        });
-        assert_eq!(got.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [0, 1]);
-        assert_eq!(got.iter().filter(|&&(_, c)| c).count(), 1);
-        assert!(p.should_parallelize(2), "worker mark cleared on return");
     }
 }

@@ -63,7 +63,7 @@ pub use imu::{
     ImuSample, Preintegration, ACCEL_BIAS_WALK, ACCEL_NOISE, GRAVITY, GYRO_BIAS_WALK, GYRO_NOISE,
 };
 pub use marginalization::{drop_oldest, try_marginalize_oldest_in};
-pub use metrics::{mean_stdev, relative_error, rmse_translation, TrajectoryMetrics};
+pub use metrics::{mean_stdev, relative_error, TrajectoryMetrics};
 pub use prior::Prior;
 pub use problem::{apply_increment, build_block_normal_equations, BlockNormalEqInfo};
 pub use solver::{

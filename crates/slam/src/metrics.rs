@@ -6,30 +6,6 @@
 
 use crate::geometry::Pose;
 
-/// Root-mean-square translational error between two equally-long pose
-/// sequences.
-///
-/// # Panics
-///
-/// Panics when the sequences differ in length or are empty.
-pub fn rmse_translation(estimate: &[Pose], ground_truth: &[Pose]) -> f64 {
-    assert_eq!(
-        estimate.len(),
-        ground_truth.len(),
-        "rmse: sequence length mismatch"
-    );
-    assert!(!estimate.is_empty(), "rmse: empty sequences");
-    let sum_sq: f64 = estimate
-        .iter()
-        .zip(ground_truth)
-        .map(|(e, g)| {
-            let d = e.translation_distance(g);
-            d * d
-        })
-        .sum();
-    (sum_sq / estimate.len() as f64).sqrt()
-}
-
 /// Per-window relative error: the estimated displacement between two poses
 /// compared to the ground-truth displacement, normalized by the latter
 /// (Fig. 11's left y-axis).
@@ -119,20 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn rmse_of_identical_sequences_is_zero() {
-        let seq = vec![pose_at(0.0), pose_at(1.0)];
-        assert_eq!(rmse_translation(&seq, &seq), 0.0);
-    }
-
-    #[test]
-    fn rmse_matches_manual() {
-        let est = vec![pose_at(0.0), pose_at(1.0)];
-        let gt = vec![pose_at(0.0), pose_at(2.0)];
-        // errors: 0 and 1 → rmse = sqrt(0.5)
-        assert!((rmse_translation(&est, &gt) - 0.5f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
     fn relative_error_scales_with_drift() {
         let e = relative_error(&pose_at(0.0), &pose_at(1.1), &pose_at(0.0), &pose_at(1.0));
         assert!((e - 0.1).abs() < 1e-9);
@@ -150,6 +112,13 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert!((m.rmse() - (0.5f64).sqrt()).abs() < 1e-12);
         assert!((m.mean_relative_error() - 0.3).abs() < 1e-12);
+
+        // Identical sequences give exactly zero.
+        let mut same = TrajectoryMetrics::new();
+        for x in [0.0, 1.0] {
+            same.record(&pose_at(x), &pose_at(x), 0.0);
+        }
+        assert_eq!(same.rmse(), 0.0);
     }
 
     #[test]
@@ -158,11 +127,5 @@ mod tests {
         assert!((m - 5.0).abs() < 1e-12);
         assert!((s - 2.0).abs() < 1e-12);
         assert_eq!(mean_stdev(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn rmse_checks_lengths() {
-        let _ = rmse_translation(&[pose_at(0.0)], &[]);
     }
 }

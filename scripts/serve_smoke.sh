@@ -7,8 +7,9 @@
 # status: det byte-compares across pool sizes (batch, obs, chaos), the obs
 # envelope checks, the chaos and soak serial-alone contracts, the per-point
 # sweep efficiency verdicts, the 3x-nominal fault RMSE bound and the 10%
-# admitted-idle byte ceiling. The fault matrix runs at ARCHYTAS_THREADS=1
-# and =4 here, and the two outputs must be byte-identical.
+# admitted-idle byte ceiling. The fault matrix runs twice here and the two
+# outputs must be byte-identical: a run-to-run check. (The two runs set
+# ARCHYTAS_THREADS=1 and =4, but no worker pool reaches the matrix path.)
 #
 # Usage: scripts/serve_smoke.sh [--quick] [output.jsonl]
 #   --quick  trims the sweep to {1,4} workers x {8,64} sessions
@@ -37,7 +38,7 @@ for threads in 1 4; do
     ARCHYTAS_THREADS="$threads" ./target/release/serve faults > "$TMP_DIR/faults_$threads.txt"
 done
 if ! cmp "$TMP_DIR/faults_1.txt" "$TMP_DIR/faults_4.txt" >&2; then
-    echo "fault matrix determinism gate FAILED: 1-thread and 4-thread records differ" >&2
+    echo "fault matrix determinism gate FAILED: two runs of the same matrix differ" >&2
     exit 1
 fi
 
