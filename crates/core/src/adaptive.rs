@@ -133,6 +133,7 @@ mod tests {
             lambda: 1e-4,
             last_step_norm: step_norms.last().copied().unwrap_or(0.1),
             step_norms,
+            rejected: 0,
             outcome: archytas_slam::SolveOutcome::Converged,
         }
     }

@@ -219,6 +219,7 @@ mod tests {
                 r.lambda.to_bits(),
                 r.last_step_norm.to_bits(),
                 r.step_norms.iter().map(|n| n.to_bits()).collect::<Vec<_>>(),
+                r.rejected,
                 r.outcome,
             )
         };

@@ -176,6 +176,10 @@ pub struct SolveReport {
     /// step was accepted). Run-time policies use the settle point of this
     /// trajectory to learn iteration requirements.
     pub step_norms: Vec<f64>,
+    /// Damping attempts that did not end in an accepted step: a failed or
+    /// non-finite linear solve, or a candidate whose cost did not decrease.
+    /// Each one paid for a damped solve that moved nothing.
+    pub rejected: usize,
     /// How the solve ended — the signal the degradation ladder consumes.
     pub outcome: SolveOutcome,
 }
@@ -419,6 +423,7 @@ fn lm_loop(
         // One accepted step per iteration at most: sized up front so pushes
         // never reallocate mid-solve.
         step_norms: Vec::with_capacity(config.max_iterations),
+        rejected: 0,
         outcome: SolveOutcome::Converged,
     };
     let mut tracker = OutcomeTracker::default();
@@ -438,6 +443,7 @@ fn lm_loop(
                     Rejection::SolveFailed => tracker.solve_failed = true,
                     Rejection::NonFinite => tracker.non_finite = true,
                 }
+                report.rejected += 1;
                 lambda *= LAMBDA_UP;
                 continue;
             }
@@ -458,6 +464,7 @@ fn lm_loop(
                 accepted = true;
                 break;
             }
+            report.rejected += 1;
             lambda *= LAMBDA_UP;
         }
         tracker.accepted = accepted;

@@ -8,8 +8,7 @@
 # envelope checks, the chaos and soak serial-alone contracts, the per-point
 # sweep efficiency verdicts, the 3x-nominal fault RMSE bound and the 10%
 # admitted-idle byte ceiling. The fault matrix runs twice here and the two
-# outputs must be byte-identical: a run-to-run check. (The two runs set
-# ARCHYTAS_THREADS=1 and =4, but no worker pool reaches the matrix path.)
+# outputs must be byte-identical: a run-to-run check.
 #
 # Usage: scripts/serve_smoke.sh [--quick] [output.jsonl]
 #   --quick  trims the sweep to {1,4} workers x {8,64} sessions
@@ -33,11 +32,11 @@ for mode in batch obs chaos sweep soak; do
     ./target/release/serve "$mode" $QUICK > "$TMP_DIR/$mode.txt"
 done
 
-for threads in 1 4; do
-    echo "serve faults (ARCHYTAS_THREADS=$threads)..." >&2
-    ARCHYTAS_THREADS="$threads" ./target/release/serve faults > "$TMP_DIR/faults_$threads.txt"
+for run in a b; do
+    echo "serve faults (run $run)..." >&2
+    ./target/release/serve faults > "$TMP_DIR/faults_$run.txt"
 done
-if ! cmp "$TMP_DIR/faults_1.txt" "$TMP_DIR/faults_4.txt" >&2; then
+if ! cmp "$TMP_DIR/faults_a.txt" "$TMP_DIR/faults_b.txt" >&2; then
     echo "fault matrix determinism gate FAILED: two runs of the same matrix differ" >&2
     exit 1
 fi
@@ -45,5 +44,5 @@ fi
 echo "session_admit_cost..." >&2
 ./target/release/session_admit_cost > "$TMP_DIR/admit.txt"
 
-cat "$TMP_DIR"/{batch,obs,chaos,sweep,soak,faults_1,admit}.txt | sed -n 's/^REC //p' > "$OUT"
+cat "$TMP_DIR"/{batch,obs,chaos,sweep,soak,faults_a,admit}.txt | sed -n 's/^REC //p' > "$OUT"
 echo "wrote $OUT ($(wc -l < "$OUT") records); all serve gates passed" >&2
