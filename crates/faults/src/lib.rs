@@ -19,7 +19,8 @@
 //!   own sequences (tunnel feature droughts). [`run_matrix`] drives a list
 //!   of scenarios through `archytas-core`'s one window loop
 //!   (`Vehicle::run`) on the HIGH_PERF design with the run-time system
-//!   armed, Huber weighting and an f64 solve, and reports each one's
+//!   armed, Huber weighting and the f32 window solve that fleet sessions
+//!   are served with, and reports each one's
 //!   accuracy against the fault-free run of its sequence. One executor is
 //!   built per call and cloned per run, and each distinct (sequence,
 //!   duration) runs fault-free once;

@@ -414,8 +414,8 @@ impl FleetServices {
 /// The pipeline configuration every fleet session runs: the default VIO
 /// stack with the fault matrix's Huber robust kernel (δ = 0.004), so
 /// faulted sessions stay well-conditioned, solving each window in the
-/// accelerator's f32 datapath. The fault matrix (`archytas_faults`) solves
-/// the same weights in f64.
+/// accelerator's f32 datapath. The fault matrix (`archytas_faults`) runs
+/// the same weights at the same precision.
 pub fn fleet_pipeline_config() -> PipelineConfig {
     PipelineConfig {
         weights: FactorWeights::default().with_huber(0.004),

@@ -278,12 +278,31 @@ const IMU_BIAS_WEIGHT: f64 = 700.0;
 /// is configurable.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FactorWeights {
-    /// Huber threshold for visual residuals, in normalized-plane units
+    /// Huber threshold `δ` for visual residuals, in normalized-plane units
     /// (`None` disables robust weighting — the exact historical quadratic
-    /// path, bit for bit). Observations whose residual norm exceeds the
-    /// threshold are down-weighted by `δ/‖r‖` (IRLS), bounding the influence
-    /// of outlier tracks.
+    /// path, bit for bit). A visual residual `e` with `r = ‖e‖` then costs
+    /// the Huber loss, weighted by `wv² = VISUAL_WEIGHT²`:
+    ///
+    /// `ρ(r) = ½·wv²·r²` for `r ≤ δ`, `ρ(r) = wv²·(δ·r − ½·δ²)` beyond,
+    ///
+    /// and its Gauss–Newton rows carry the IRLS weight
+    /// `w² = ρ'(r)/r = wv²·min(1, δ/r)`, so the assembled gradient is the
+    /// gradient of `ρ` and an outlier track's pull is bounded. See
+    /// [`FactorWeights::visual_loss`].
     pub huber_delta: Option<f64>,
+}
+
+/// The loss of one visual residual `e` and its IRLS weight, from
+/// [`FactorWeights::visual_loss`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VisualLoss {
+    /// The loss as the weight it puts on `½·‖e‖²`: `ρ(‖e‖) = ½·rho_w2·‖e‖²`.
+    /// Carried in this form so every cost site sums `½·rho_w2·eᵣ²` with the
+    /// quadratic path's own arithmetic, and that path keeps its bits.
+    pub rho_w2: f64,
+    /// IRLS squared weight `ρ'(‖e‖)/‖e‖` that scales the factor's
+    /// Gauss–Newton rows (assembly and marginalization).
+    pub w2: f64,
 }
 
 impl FactorWeights {
@@ -307,21 +326,31 @@ impl FactorWeights {
         }
     }
 
-    /// Squared weight of a visual residual `(e0, e1)`, the one every visual
-    /// factor is scaled by (assembly, cost and marginalization):
-    /// `VISUAL_WEIGHT²`, times the IRLS robust scale when Huber weighting is
-    /// on (`1` inside the threshold, `δ/‖e‖` outside).
+    /// The loss of a visual residual `(e0, e1)` and its IRLS weight, the one
+    /// pair every visual factor is scored and scaled by (assembly, the LM
+    /// cost evaluation and marginalization), so the cost the LM acceptance
+    /// test compares is the cost whose gradient the step descends.
     ///
-    /// The off case returns `VISUAL_WEIGHT²` itself without touching the
-    /// residual, so the quadratic path keeps its historical bit pattern.
-    pub fn visual_weight_sq(&self, e0: f64, e1: f64) -> f64 {
+    /// Inside the Huber threshold (and with Huber off) both weights are
+    /// `VISUAL_WEIGHT²`, returned without touching the residual, so the
+    /// quadratic path keeps its historical bit pattern. Beyond it, with
+    /// `s = δ/‖e‖`, `w2 = wv²·s` and `rho_w2 = wv²·s·(2 − s)`, which puts
+    /// `½·rho_w2·‖e‖² = wv²·(δ·‖e‖ − ½·δ²)`.
+    pub fn visual_loss(&self, e0: f64, e1: f64) -> VisualLoss {
         let wv2 = VISUAL_WEIGHT * VISUAL_WEIGHT;
-        match self.huber_delta {
-            None => wv2,
-            Some(delta) => {
-                let rn = (e0 * e0 + e1 * e1).sqrt();
-                wv2 * if rn <= delta { 1.0 } else { delta / rn }
+        if let Some(delta) = self.huber_delta {
+            let rn = (e0 * e0 + e1 * e1).sqrt();
+            if rn > delta {
+                let s = delta / rn;
+                return VisualLoss {
+                    rho_w2: wv2 * s * (2.0 - s),
+                    w2: wv2 * s,
+                };
             }
+        }
+        VisualLoss {
+            rho_w2: wv2,
+            w2: wv2,
         }
     }
 }

@@ -56,7 +56,7 @@ pub use camera::PinholeCamera;
 pub use ekf::EkfVio;
 pub use factors::{
     evaluate_imu, evaluate_visual, evaluate_visual_residual, FactorWeights, ImuEval, VisualEval,
-    BA, BG, THETA, TRANS, VEL, VISUAL_WEIGHT,
+    VisualLoss, BA, BG, THETA, TRANS, VEL, VISUAL_WEIGHT,
 };
 pub use geometry::{Mat3, Pose, Quat, Vec3};
 pub use imu::{

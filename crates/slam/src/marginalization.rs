@@ -139,8 +139,9 @@ fn local_schur(
     let g = &mut ws.g;
     h.reset_zeros(dim, dim);
     g.resize_fill(dim, 0.0);
-    // The local system's cost at the linearization point: ½·w²·e² of every
-    // row folded into `h`, plus the incoming prior's cost.
+    // The local system's cost at the linearization point: the loss of every
+    // factor folded into `h` (½·w²·e² per row, the visual loss `ρ` per
+    // visual factor), plus the incoming prior's cost.
     let mut cost = 0.0;
 
     // --- visual factors of marginalized landmarks ---
@@ -162,9 +163,9 @@ fn local_schur(
         ) else {
             continue;
         };
-        // Same weight as the assembler, so an outlier's information is
-        // bounded in the prior too.
-        let w2 = weights.visual_weight_sq(ev.residual[0], ev.residual[1]);
+        // Same loss and weight as the assembler, so an outlier's
+        // information is bounded in the prior too.
+        let loss = weights.visual_loss(ev.residual[0], ev.residual[1]);
         // Columns ascending: inverse depth, kf0 pose, observer pose.
         let mut cols = [0usize; 13];
         let mut rows = [[0f64; 13]; 2];
@@ -174,12 +175,12 @@ fn local_schur(
             cols[7 + c] = kf_off(obs.keyframe) + c;
         }
         for (r, row) in rows.iter_mut().enumerate() {
-            cost += 0.5 * w2 * ev.residual[r] * ev.residual[r];
+            cost += 0.5 * loss.rho_w2 * ev.residual[r] * ev.residual[r];
             row[0] = ev.j_rho[r];
             row[1..7].copy_from_slice(&ev.j_anchor[r]);
             row[7..].copy_from_slice(&ev.j_obs[r]);
         }
-        accumulate_upper(h, g, &cols, &rows, &ev.residual, &[w2; 2]);
+        accumulate_upper(h, g, &cols, &rows, &ev.residual, &[loss.w2; 2]);
     }
 
     // --- the IMU factor attached to keyframe 0 ---
@@ -242,8 +243,10 @@ fn local_schur(
     }
 
     // `c = cost − ½·bₘᵀM⁻¹bₘ` is the minimum over the marginalized states
-    // of a sum of squares, so it is never negative; the clamp only absorbs
-    // rounding (and lets a NaN through to the prior's finiteness check).
+    // of the local model, a sum of squares plus, per Huber outlier, the
+    // non-negative `ρ − ½·w²·‖e‖² = ½·wv²·δ·(‖e‖ − δ)`, so it is never
+    // negative; the clamp only absorbs rounding (and lets a NaN through to
+    // the prior's finiteness check).
     let c = cost - 0.5 * reduce(ws, am)?;
     Ok((am, if c < 0.0 { 0.0 } else { c }))
 }

@@ -36,7 +36,8 @@ pub(crate) struct LinScratch {
 /// Assembly metadata of one block-sparse linearization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockNormalEqInfo {
-    /// One-half squared weighted residual norm (the MAP cost, Eq. 2).
+    /// The MAP cost (Eq. 2): one-half squared weighted residual norm, with
+    /// each visual factor scored by its loss ([`FactorWeights::visual_loss`]).
     pub cost: f64,
     /// Number of landmark (diagonal-block) parameters.
     pub num_landmarks: usize,
@@ -112,12 +113,11 @@ fn assemble(
         };
         used += 1;
 
-        // Robust (Huber/IRLS) re-weighting of outlier observations.
-        let w2 = weights.visual_weight_sq(ev.residual[0], ev.residual[1]);
-
+        // The visual loss and its IRLS weight (Huber re-weights outliers).
+        let loss = weights.visual_loss(ev.residual[0], ev.residual[1]);
         for r in 0..2 {
             let e = ev.residual[r];
-            cost += 0.5 * w2 * e * e;
+            cost += 0.5 * loss.rho_w2 * e * e;
         }
         // One rho column plus two 6-wide pose-tangent runs (the first 6
         // slots of each 15-dim state), ordered by row: re-anchoring can
@@ -139,7 +139,7 @@ fn assemble(
             [&first.1[0], &first.1[1]],
             [&second.1[0], &second.1[1]],
             ev.residual,
-            w2,
+            loss.w2,
         );
     }
 
@@ -270,11 +270,11 @@ pub(crate) fn evaluate_cost_in(
             lm.inv_depth,
             obs.uv,
         ) {
-            // Same weight as `assemble` so LM step acceptance compares like
-            // against like. The residual-only evaluator skips the Jacobian
-            // chain rule but is bit-identical on the residual itself.
-            let w2 = weights.visual_weight_sq(e[0], e[1]);
-            cost += 0.5 * w2 * (e[0].powi(2) + e[1].powi(2));
+            // Same loss as `assemble`, so LM step acceptance scores the cost
+            // the step descends. The residual-only evaluator skips the
+            // Jacobian chain rule but is bit-identical on the residual itself.
+            let rho_w2 = weights.visual_loss(e[0], e[1]).rho_w2;
+            cost += 0.5 * rho_w2 * (e[0].powi(2) + e[1].powi(2));
         }
     }
     for cons in &window.imu {
@@ -314,7 +314,9 @@ pub fn apply_increment(window: &mut SlidingWindow, delta: &DVec) {
 mod tests {
     use super::*;
     use crate::geometry::{Pose, Quat, Vec3};
-    use crate::window::{KeyframeState, Landmark, Observation};
+    use crate::imu::{ImuSample, Preintegration, GRAVITY};
+    use crate::solver::{solve_in_workspace, LmConfig};
+    use crate::window::{ImuConstraint, KeyframeState, Landmark, Observation};
     use archytas_math::DMat;
 
     fn evaluate_cost(w: &SlidingWindow, weights: &FactorWeights) -> f64 {
@@ -478,6 +480,229 @@ mod tests {
                 assert_eq!(ne_p.a.get(i, j).to_bits(), ne_r.a.get(i, j).to_bits());
             }
         }
+    }
+
+    /// Three keyframes observing twelve landmarks anchored at keyframe 0,
+    /// started off the truth (inverse depths 10 % high, keyframes 1 and 2
+    /// displaced), with every fourth observation shifted off its
+    /// projection, under a Huber threshold that splits the residuals across
+    /// δ (checked by `huber_fixture_spans_both_sides_of_delta`).
+    fn huber_window() -> (SlidingWindow, FactorWeights) {
+        let truth = [
+            Pose::IDENTITY,
+            Pose::new(
+                Quat::exp(&Vec3::new(0.0, 0.02, 0.0)),
+                Vec3::new(0.5, 0.0, 0.0),
+            ),
+            Pose::new(
+                Quat::exp(&Vec3::new(0.01, 0.04, 0.0)),
+                Vec3::new(1.0, 0.05, 0.0),
+            ),
+        ];
+        let mut w = SlidingWindow::new();
+        for (k, pose) in truth.iter().enumerate() {
+            let s = k as f64;
+            let mut offset = [0.0; STATE_DIM];
+            offset[..6].copy_from_slice(&[
+                0.002 * s,
+                -0.003 * s,
+                0.001 * s,
+                0.02 * s,
+                -0.01 * s,
+                0.015 * s,
+            ]);
+            w.keyframes
+                .push(KeyframeState::at_pose(*pose, 0.1 * s).boxplus(&offset));
+        }
+        for l in 0..12 {
+            let bearing = Vec3::new(0.1 * (l % 4) as f64 - 0.15, 0.1 * (l / 4) as f64 - 0.1, 1.0);
+            let depth = 4.0 + (l % 5) as f64;
+            let p_w = truth[0].transform(&(bearing * depth));
+            w.landmarks.push(Landmark {
+                id: l as u64,
+                anchor: 0,
+                bearing,
+                inv_depth: 1.1 / depth,
+            });
+            for (k, pose) in truth.iter().enumerate().skip(1) {
+                let p_c = pose.inverse_transform(&p_w);
+                w.observations.push(Observation {
+                    landmark: l,
+                    keyframe: k,
+                    uv: [p_c.x() / p_c.z(), p_c.y() / p_c.z()],
+                });
+            }
+        }
+        for obs in w.observations.iter_mut().step_by(4) {
+            obs.uv[0] += 0.02;
+        }
+        (w, FactorWeights::default().with_huber(0.01))
+    }
+
+    /// Three keyframes in uniform motion along +x joined by two IMU
+    /// factors, no landmarks, with keyframes 1 and 2 pushed off the motion
+    /// in every state block so each IMU residual row is live.
+    fn imu_window() -> SlidingWindow {
+        let mut w = SlidingWindow::new();
+        for i in 0..3 {
+            let mut kf = KeyframeState::at_pose(
+                Pose::new(Quat::IDENTITY, Vec3::new(i as f64 * 0.4, 0.0, 0.0)),
+                i as f64 * 0.1,
+            );
+            kf.velocity = Vec3::new(4.0, 0.0, 0.0);
+            w.keyframes.push(kf);
+        }
+        let samples = vec![
+            ImuSample {
+                gyro: Vec3::ZERO,
+                accel: -GRAVITY,
+                dt: 0.005,
+            };
+            20
+        ];
+        for first in 0..2 {
+            w.imu.push(ImuConstraint {
+                first,
+                preintegration: Preintegration::integrate(&samples, Vec3::ZERO, Vec3::ZERO),
+            });
+        }
+        for (k, kf) in w.keyframes.iter_mut().enumerate().skip(1) {
+            let s = k as f64;
+            *kf = kf.boxplus(&[
+                0.01 * s,
+                -0.02,
+                0.015,
+                0.03,
+                -0.02 * s,
+                0.01,
+                0.05,
+                -0.04 * s,
+                0.02,
+                0.001,
+                -0.002,
+                0.001 * s,
+                0.01,
+                0.02 * s,
+                -0.01,
+            ]);
+        }
+        w
+    }
+
+    /// The IMU window after marginalizing keyframe 0, with that prior, its
+    /// IMU factor dropped so only the prior's rows remain, and its
+    /// keyframes moved off the prior's linearization point. The rotation
+    /// offsets are small: the prior's gradient takes the Jacobian of the
+    /// rotation log as the identity, which is exact only to first order in
+    /// the offset angle.
+    fn prior_window() -> (SlidingWindow, Prior) {
+        let mut w = imu_window();
+        let mut prior = None;
+        crate::try_marginalize_oldest_in(
+            &mut SolverWorkspace::new(),
+            &mut w,
+            &FactorWeights::default(),
+            &mut prior,
+        )
+        .expect("the IMU fixture marginalizes");
+        w.imu.clear();
+        for kf in &mut w.keyframes {
+            *kf = kf.boxplus(&[
+                1e-5, -2e-5, 1e-5, 0.05, -0.03, 0.02, 0.1, 0.05, -0.05, 0.001, 0.0, -0.001, 0.01,
+                0.0, 0.02,
+            ]);
+        }
+        (w, prior.expect("marginalization fills the prior"))
+    }
+
+    /// Largest relative 2-norm error allowed between the assembled `b` and
+    /// minus the central finite-difference gradient of `evaluate_cost_in`
+    /// (step [`FD_STEP`] on every error-state coordinate). The difference
+    /// is truncation and rounding; a loss scored at half (or twice) its
+    /// IRLS gradient misses by a factor of order one.
+    const GRADIENT_REL_TOL: f64 = 1e-4;
+    const FD_STEP: f64 = 1e-6;
+
+    /// Asserts that the assembled `b` is minus the gradient of the cost
+    /// the LM acceptance test compares: `‖b + ∇c‖ ≤ GRADIENT_REL_TOL·‖b‖`.
+    fn assert_b_is_cost_descent(w: &SlidingWindow, weights: &FactorWeights, prior: Option<&Prior>) {
+        let mut ws = SolverWorkspace::new();
+        let (sys, _) = build_block_normal_equations(&mut ws, w, weights, prior);
+        let (mut a, mut b) = (DMat::zeros(0, 0), DVec::zeros(0));
+        sys.to_dense_into(&mut a, &mut b);
+        let n = w.state_dim();
+        let mut descent = DVec::zeros(n);
+        for i in 0..n {
+            let cost_at = |h: f64| {
+                let mut step = DVec::zeros(n);
+                step[i] = h;
+                let mut moved = w.clone();
+                apply_increment(&mut moved, &step);
+                evaluate_cost_in(&moved, weights, prior, &mut PriorScratch::default())
+            };
+            descent[i] = -(cost_at(FD_STEP) - cost_at(-FD_STEP)) / (2.0 * FD_STEP);
+        }
+        assert!(b.norm() > 0.0, "the window must be off its minimum");
+        let rel = (&b - &descent).norm() / b.norm();
+        assert!(
+            rel <= GRADIENT_REL_TOL,
+            "b differs from -grad(cost) by {rel:e} relative (tolerance {GRADIENT_REL_TOL:e})"
+        );
+    }
+
+    #[test]
+    fn huber_fixture_spans_both_sides_of_delta() {
+        let (w, huber) = huber_window();
+        let delta = huber.huber_delta.unwrap();
+        let norms: Vec<f64> = w
+            .observations
+            .iter()
+            .map(|obs| {
+                let lm = &w.landmarks[obs.landmark];
+                let e = evaluate_visual_residual(
+                    &w.keyframes[lm.anchor].pose,
+                    &w.keyframes[obs.keyframe].pose,
+                    &lm.bearing,
+                    lm.inv_depth,
+                    obs.uv,
+                )
+                .unwrap();
+                e[0].hypot(e[1])
+            })
+            .collect();
+        assert!(norms.iter().any(|&r| r < delta), "{norms:?}");
+        assert!(norms.iter().any(|&r| r > delta), "{norms:?}");
+    }
+
+    #[test]
+    fn visual_b_is_minus_cost_gradient_under_huber() {
+        let (w, huber) = huber_window();
+        assert_b_is_cost_descent(&w, &huber, None);
+    }
+
+    #[test]
+    fn imu_b_is_minus_cost_gradient() {
+        assert_b_is_cost_descent(&imu_window(), &FactorWeights::default(), None);
+    }
+
+    #[test]
+    fn prior_b_is_minus_cost_gradient() {
+        let (w, prior) = prior_window();
+        assert_b_is_cost_descent(&w, &FactorWeights::default(), Some(&prior));
+    }
+
+    #[test]
+    fn huber_solve_rejects_no_damping_attempt() {
+        // With the cost and its IRLS gradient consistent, every damped step
+        // of this window decreases the cost: no solve is paid for twice.
+        let (mut w, huber) = huber_window();
+        let config = LmConfig {
+            max_iterations: 6,
+            ..LmConfig::default()
+        };
+        let report = solve_in_workspace(&mut SolverWorkspace::new(), &mut w, &huber, None, &config);
+        assert_eq!(report.rejected, 0, "{report:?}");
+        assert_eq!(report.iterations, 6, "{report:?}");
     }
 
     #[test]

@@ -81,9 +81,9 @@ fn dense_marginalize(
         ) else {
             continue;
         };
-        let w2 = weights.visual_weight_sq(ev.residual[0], ev.residual[1]);
+        let loss = weights.visual_loss(ev.residual[0], ev.residual[1]);
         for r in 0..2 {
-            cost += 0.5 * w2 * ev.residual[r] * ev.residual[r];
+            cost += 0.5 * loss.rho_w2 * ev.residual[r] * ev.residual[r];
             let mut cols = [0usize; 13];
             let mut vals = [0f64; 13];
             cols[0] = slot;
@@ -94,7 +94,7 @@ fn dense_marginalize(
                 cols[2 + 2 * c] = kf_off(obs.keyframe) + c;
                 vals[2 + 2 * c] = ev.j_obs[r][c];
             }
-            accumulate(&mut h, &mut g, &cols, &vals, ev.residual[r], w2);
+            accumulate(&mut h, &mut g, &cols, &vals, ev.residual[r], loss.w2);
         }
     }
     for cons in window.imu.iter().filter(|c| c.first == 0) {
