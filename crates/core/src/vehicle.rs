@@ -54,7 +54,9 @@ pub struct WindowRecord {
     pub window_id: usize,
     /// Feature points in the window.
     pub features: usize,
-    /// Iterations actually executed.
+    /// The NLS iteration budget handed to the solver for this window (the
+    /// runtime's choice, or the fixed budget), which pricing bills; the
+    /// solver may stop earlier.
     pub iterations: usize,
     /// Modelled latency (ms).
     pub latency_ms: f64,

@@ -35,10 +35,15 @@
 //! where adding `+0.0` would flip its sign. The per-entry accumulation order
 //! matches because the block lists are kept sorted by row and iterated in
 //! ascending landmark order, exactly the `i-k-j` order of the dense
-//! `try_mul` kernel. Only the upper triangle of `W·U⁻¹·Wᵀ` (and the lower
-//! halves of its 6 × 6 diagonal blocks) is formed: the Cholesky reads
-//! `V − W·U⁻¹·Wᵀ` at column ≥ row only ([`Cholesky::refactor_diff`]), so the
-//! dense product's lower triangle never reaches the solve.
+//! `try_mul` kernel.
+//!
+//! # Upper triangle only
+//!
+//! The Cholesky reads `V − W·U⁻¹·Wᵀ` at column ≥ row only
+//! ([`Cholesky::refactor_diff`]), so `V` is written, zeroed and cast, and
+//! `W·U⁻¹·Wᵀ` formed, at column ≥ row only (the product also in the lower
+//! halves of its 6 × 6 diagonal blocks). `V`'s strict lower triangle holds
+//! stale values; [`BlockSparseSystem::to_dense_into`] mirrors the upper one.
 //!
 //! [`BlockSparseSystem::load_dense`] is the inverse of `to_dense_into`: it
 //! lays a dense `(A, b)` of the window's shape out in this same layout,
@@ -97,7 +102,7 @@ pub struct BlockSparseSystem<T: Scalar> {
     /// Per-landmark block values, 6 contiguous entries per block, in the
     /// same order as `w_rows`.
     w_vals: Vec<Vec<T>>,
-    /// Dense keyframe block `V`.
+    /// Dense keyframe block `V`; only column ≥ row is kept.
     v: Matrix<T>,
     bx: Vec<T>,
     by: Vec<T>,
@@ -156,7 +161,10 @@ impl<T: Scalar> BlockSparseSystem<T> {
             self.w_rows[lm].clear();
             self.w_vals[lm].clear();
         }
-        self.v.reset_zeros(q, q);
+        self.v.reshape(q, q);
+        for r in 0..q {
+            self.v.row_mut(r)[r..].fill(T::ZERO);
+        }
         self.bx.clear();
         self.bx.resize(p, T::ZERO);
         self.by.clear();
@@ -184,12 +192,12 @@ impl<T: Scalar> BlockSparseSystem<T> {
         self.u[j] += val;
     }
 
-    /// Adds `val` to `V[r][c]` (`r`, `c` relative to the pose region).
+    /// Adds `val` to `V[r][c]` (pose-relative; only `c ≥ r` is ever read).
     pub fn add_v(&mut self, r: usize, c: usize, val: T) {
         self.v.add_at(r, c, val);
     }
 
-    /// Adds `scale·vals[t]` to `V[r][c0 + t]` for each nonzero `vals[t]`.
+    /// Adds `scale·vals[t]` to `V[r][c0 + t]` for each nonzero `vals[t]` (`c0 ≥ r`).
     ///
     /// Run form of [`BlockSparseSystem::add_v`]: one contiguous row write per
     /// call instead of a bounds-checked scatter per element. Skipping the
@@ -198,6 +206,7 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// terms, hence never `-0.0`, and adding `±0.0` to anything that is not
     /// `-0.0` leaves its bit pattern alone.
     pub fn add_v_row(&mut self, r: usize, c0: usize, vals: &[T], scale: T) {
+        debug_assert!(c0 >= r, "V run ({r}, {c0}) starts below the diagonal");
         kernels::add_scaled_skip(&mut self.v.row_mut(r)[c0..c0 + vals.len()], vals, scale);
     }
 
@@ -210,23 +219,9 @@ impl<T: Scalar> BlockSparseSystem<T> {
     ///
     /// Panics (in debug builds) when the sources do not all share `len`.
     pub fn add_v_row_fused(&mut self, r: usize, c0: usize, len: usize, rows: &[(&[T], T)]) {
+        debug_assert!(c0 >= r, "V run ({r}, {c0}) starts below the diagonal");
         debug_assert!(rows.iter().all(|(v, _)| v.len() >= len));
         kernels::add_scaled_skip_rows(&mut self.v.row_mut(r)[c0..c0 + len], rows);
-    }
-
-    /// Copies `V`'s strict upper triangle onto its lower one.
-    ///
-    /// Assemblers that accumulate only upper-triangle pose–pose writes (the
-    /// mirror of every contribution carries the exact same value, so the
-    /// eagerly-mirrored lower triangle would be bitwise equal anyway) call
-    /// this once at the end instead of paying a strided write per entry.
-    pub fn reflect_v_upper(&mut self) {
-        for r in 0..self.q {
-            for c in (r + 1)..self.q {
-                let v = self.v.get(r, c);
-                self.v.set(c, r, v);
-            }
-        }
     }
 
     /// Adds `val` to `W[r][lm]` (`r` relative to the pose region), creating
@@ -586,9 +581,10 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// buffers: allocation-free once `out` has held a system this large.
     ///
     /// The current diagonal is copied as is, damping included; `out` starts
-    /// undamped. Casting is elementwise, so the dense image of `out` is the
-    /// cast of this system's dense image and [`BlockSparseSystem::solve_into`]
-    /// on `out` replays the dense solve of that cast bit for bit.
+    /// undamped, and only `V`'s upper triangle is cast. Casting is elementwise,
+    /// so the dense image of `out` is the cast of this system's dense image
+    /// and [`BlockSparseSystem::solve_into`] on `out` replays the dense solve
+    /// of that cast bit for bit.
     pub fn cast_into<U: Scalar>(&self, out: &mut BlockSparseSystem<U>) {
         let cast = |v: &T| U::from_f64(v.to_f64());
         let p = self.p;
@@ -605,7 +601,12 @@ impl<T: Scalar> BlockSparseSystem<T> {
             out.w_vals[lm].clear();
             out.w_vals[lm].extend(self.w_vals[lm].iter().map(cast));
         }
-        self.v.cast_into(&mut out.v);
+        out.v.reshape(self.q, self.q);
+        for r in 0..self.q {
+            for (o, v) in out.v.row_mut(r)[r..].iter_mut().zip(&self.v.row(r)[r..]) {
+                *o = cast(v);
+            }
+        }
         out.bx.clear();
         out.bx.extend(self.bx.iter().map(cast));
         out.by.clear();
@@ -614,9 +615,10 @@ impl<T: Scalar> BlockSparseSystem<T> {
     }
 
     /// Writes the dense `(A, b)` this system represents (symmetric, with
-    /// `X = Wᵀ` filled in) into `a` and `b`, reshaping them and reusing their
-    /// allocations. The LM loop's dense callback path and the equivalence
-    /// tests read it; [`BlockSparseSystem::load_dense`] reads it back.
+    /// `X = Wᵀ` filled in and `V`'s upper triangle mirrored) into `a` and
+    /// `b`, reshaping them and reusing their allocations. The LM loop's dense
+    /// callback path and the equivalence tests read it;
+    /// [`BlockSparseSystem::load_dense`] reads it back.
     pub fn to_dense_into(&self, a: &mut Matrix<T>, b: &mut Vector<T>) {
         let (p, n) = (self.p, self.p + self.q);
         a.reset_zeros(n, n);
@@ -636,7 +638,11 @@ impl<T: Scalar> BlockSparseSystem<T> {
             }
         }
         for r in 0..self.q {
-            a.row_mut(p + r)[p..].copy_from_slice(self.v.row(r));
+            let vr = &self.v.row(r)[r..];
+            a.row_mut(p + r)[p + r..].copy_from_slice(vr);
+            for (c, &val) in vr.iter().enumerate().skip(1) {
+                a.set(p + r + c, p + r, val);
+            }
             b[p + r] = self.by[r];
         }
     }
@@ -762,9 +768,7 @@ mod tests {
             s.add_v(r, r, 10.0 + r as f64 * 0.5);
             s.sub_by(r, -(r as f64 * 0.7 - 2.0));
             for c in (r + 1)..q {
-                let v = 0.3 / (1.0 + (r as f64 - c as f64).abs());
-                s.add_v(r, c, v);
-                s.add_v(c, r, v);
+                s.add_v(r, c, 0.3 / (1.0 + (r as f64 - c as f64).abs()));
             }
         }
         // Landmark 0 seen by both keyframe blocks, 1 only by the first,
@@ -808,7 +812,6 @@ mod tests {
             s.sub_by(r, -(1.0 + r as f64));
         }
         s.add_v(0, 1, 0.5);
-        s.add_v(1, 0, 0.5);
         let (a, b) = dense(&s);
         let reference = Cholesky::factor(&a).unwrap().solve(&b);
         let mut scratch = SchurScratch::default();

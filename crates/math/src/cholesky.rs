@@ -4,6 +4,16 @@
 //! Archytas hardware template uses (paper Sec. 4.3, Fig. 8): iteration `i`
 //! first *evaluates* column `i` of `L` and then *updates* the trailing
 //! `(n−i−1)²/2` sub-matrix.
+//!
+//! # Zero multipliers
+//!
+//! A trailing row whose panel multipliers are all zero, and an in-panel
+//! source row whose multiplier is zero, are skipped. The skipped `w − s·0`
+//! would leave `w` unchanged unless `s` is not finite (the factorization
+//! still fails, possibly at another `pivot`) or `w` is `−0.0`. A rounded
+//! sum or difference is `−0.0` only when an operand is, so an input with
+//! no `−0.0` keeps every bit (the block solver's f64 input has none, by its
+//! structural-zero argument); otherwise only the sign of a zero can change.
 
 use crate::error::{MathError, Result};
 use crate::fixed;
@@ -167,8 +177,9 @@ impl<T: Scalar> Cholesky<T> {
                 // panel columns evaluated before it (ascending, as always).
                 for kk in k0..k {
                     let ljk = self.lt.get(kk, k);
-                    let lrow = self.lt.row(kk);
-                    kernels::sub_scaled(&mut work.row_mut(k)[k..], &lrow[k..], ljk);
+                    if ljk != T::ZERO {
+                        kernels::sub_scaled(&mut work.row_mut(k)[k..], &self.lt.row(kk)[k..], ljk);
+                    }
                 }
                 // --- Evaluate phase: column k of L ---
                 let pivot = work.get(k, k);
@@ -189,32 +200,30 @@ impl<T: Scalar> Cholesky<T> {
             // --- Update phase: S ← S − L_panel·L_panelᵀ on rows kend..n ---
             // Transposed row j of the trailing block only reads rows
             // k0..kend of Lᵀ (fully written above) and writes elements
-            // (i, j) for i ≥ j.
-            // A full panel updates two trailing rows per sweep, sharing the
-            // panel's source loads (`sub_scaled_panel_pair`: per element
+            // (i, j) for i ≥ j; only a full panel has trailing rows. A row
+            // with all-zero multipliers is skipped; two live neighbours share
+            // the panel's source loads (`sub_scaled_panel_pair`: per element
             // the same sequence as one row at a time).
+            let lt = &self.lt;
+            let mults = |j: usize| -> [T; PANEL] { core::array::from_fn(|kk| lt.get(k0 + kk, j)) };
+            let live = |a: &[T; PANEL]| a.iter().any(|&x| x != T::ZERO);
             let mut j = kend;
             while j < n {
-                if kend - k0 < PANEL {
-                    let w = &mut work.row_mut(j)[j..];
-                    for kk in k0..kend {
-                        kernels::sub_scaled(w, &self.lt.row(kk)[j..], self.lt.get(kk, j));
-                    }
+                let a = mults(j);
+                if !live(&a) {
                     j += 1;
                     continue;
                 }
-                let srcs: [&[T]; PANEL] = core::array::from_fn(|kk| &self.lt.row(k0 + kk)[j..]);
-                let a: [T; PANEL] = core::array::from_fn(|kk| self.lt.get(k0 + kk, j));
-                if j + 1 < n {
-                    let a1: [T; PANEL] = core::array::from_fn(|kk| self.lt.get(k0 + kk, j + 1));
+                let srcs: [&[T]; PANEL] = core::array::from_fn(|kk| &lt.row(k0 + kk)[j..]);
+                let a1 = mults((j + 1).min(n - 1));
+                if j + 1 < n && live(&a1) {
                     let (head, tail) = work.as_mut_slice().split_at_mut((j + 1) * n);
                     let (w0, w1) = (&mut head[j * n + j..], &mut tail[j + 1..n]);
                     fixed::sub_scaled_panel_pair::<T, PANEL>(w0, w1, &srcs, &a, &a1);
-                    j += 2;
                 } else {
                     fixed::sub_scaled_panel::<T, PANEL>(&mut work.row_mut(j)[j..], &srcs, &a);
-                    j += 1;
                 }
+                j += 2; // row j + 1 went with row j, or has nothing to do
             }
             k0 = kend;
         }

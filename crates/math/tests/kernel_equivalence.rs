@@ -281,12 +281,12 @@ fn spd_strategy(n: usize) -> impl Strategy<Value = DMat> {
 
 /// Textbook unblocked column-at-a-time Cholesky in the same transposed
 /// formulation as [`Cholesky::refactor`]: evaluate column `k`, then
-/// immediately apply it to every trailing row. Returns `Lᵀ`. This is the
-/// pre-blocking reference the `PANEL`-wide fused sweeps must reproduce bit
-/// for bit.
-fn unblocked_cholesky_lt(a: &DMat) -> DMat {
+/// immediately apply it to every trailing row, zero multipliers included.
+/// Returns `Lᵀ`. This is the pre-blocking reference the `PANEL`-wide fused
+/// sweeps, with their zero-row skips, must reproduce bit for bit.
+fn unblocked_cholesky_lt<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
     let n = a.rows();
-    let mut lt = DMat::zeros(n, n);
+    let mut lt = Matrix::zeros(n, n);
     let mut work = a.clone();
     for k in 0..n {
         let d = work.get(k, k).sqrt();
@@ -304,11 +304,42 @@ fn unblocked_cholesky_lt(a: &DMat) -> DMat {
     lt
 }
 
-/// `factor` equals the unblocked loop bitwise.
-fn assert_cholesky_matches_unblocked(a: &DMat) -> std::result::Result<(), TestCaseError> {
-    let reference = unblocked_cholesky_lt(a);
+/// `factor` equals the unblocked loop bitwise (compared through the exact
+/// widening to f64).
+fn assert_cholesky_matches_unblocked<T: Scalar>(
+    a: &Matrix<T>,
+) -> std::result::Result<(), TestCaseError> {
+    let wide = |m: &Matrix<T>| m.as_slice().iter().map(|v| v.to_f64()).collect::<Vec<_>>();
     let ch = Cholesky::factor(a).unwrap();
-    assert_bits_eq(ch.lt().as_slice(), reference.as_slice())
+    assert_bits_eq(&wide(ch.lt()), &wide(&unblocked_cholesky_lt(a)))
+}
+
+/// An SPD matrix with the window's keyframe pattern: `kfs` states of 15
+/// slots, the 6 pose slots coupled across every keyframe, the 9 speed/bias
+/// slots only within their keyframe and its neighbours. Like an assembled
+/// system it holds no `−0.0`.
+fn keyframe_spd(kfs: usize, seed: u64) -> DMat {
+    let n = kfs * W_BLOCK_PITCH;
+    let pose = |i: usize| i % W_BLOCK_PITCH < W_BLOCK_ROWS;
+    let coupled = |r: usize, c: usize| {
+        (pose(r) && pose(c)) || (r / W_BLOCK_PITCH).abs_diff(c / W_BLOCK_PITCH) <= 1
+    };
+    let mut next = signed_stream(seed);
+    let mut a = DMat::zeros(n, n);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if coupled(i, j) {
+                let v = next() + 0.0; // -0.0 + 0.0 is +0.0
+                a.set(i, j, v);
+                a.set(j, i, v);
+            }
+        }
+    }
+    for i in 0..n {
+        let off: f64 = a.row(i).iter().map(|v| v.abs()).sum();
+        a.set(i, i, 1.5 * off + 1.0 + next().abs());
+    }
+    a
 }
 
 #[test]
@@ -317,6 +348,23 @@ fn blocked_cholesky_matches_unblocked_on_many_panels() {
     let n = 90;
     let b = DMat::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 23) as f64 - 11.0);
     assert_cholesky_matches_unblocked(&b.gram().add_diagonal(n as f64)).unwrap();
+
+    // The keyframe pattern, up to the served n = 150: a panel of keyframe
+    // `i` has exact-zero multipliers on every speed/bias row of keyframe
+    // `≥ i + 2`, so the zero-row skip and the unpaired-row sweep both run.
+    for (kfs, seed) in [(1, 1), (2, 2), (3, 3), (10, 4)] {
+        let a = keyframe_spd(kfs, seed);
+        let lt = unblocked_cholesky_lt(&a);
+        for k in 0..a.rows() {
+            for j in (k + 1)..a.rows() {
+                if j % W_BLOCK_PITCH >= W_BLOCK_ROWS && j / W_BLOCK_PITCH >= k / W_BLOCK_PITCH + 2 {
+                    assert_eq!(lt.get(k, j).to_bits(), 0, "multiplier ({k}, {j})");
+                }
+            }
+        }
+        assert_cholesky_matches_unblocked(&a).unwrap();
+        assert_cholesky_matches_unblocked(&a.cast::<f32>()).unwrap();
+    }
 }
 
 proptest! {
@@ -627,12 +675,9 @@ fn build_system(pb: &BlockProblem) -> BlockSparseSystem<f64> {
         s.sub_bx(j, -pb.bx[j]);
     }
     for r in 0..q {
-        for c in 0..q {
-            if r == c {
-                s.add_v(r, r, vsym(r, r).abs() + pose_row[r] + 1.0);
-            } else {
-                s.add_v(r, c, vsym(r, c));
-            }
+        s.add_v(r, r, vsym(r, r).abs() + pose_row[r] + 1.0);
+        for c in (r + 1)..q {
+            s.add_v(r, c, vsym(r, c));
         }
         s.sub_by(r, -pb.by[r]);
     }
@@ -735,9 +780,7 @@ fn fixed_system() -> BlockSparseSystem<f64> {
         s.add_v(r, r, 10.0 + r as f64 * 0.5);
         s.sub_by(r, -(r as f64 * 0.7 - 2.0));
         for c in (r + 1)..q {
-            let v = 0.3 / (1.0 + (r as f64 - c as f64).abs());
-            s.add_v(r, c, v);
-            s.add_v(c, r, v);
+            s.add_v(r, c, 0.3 / (1.0 + (r as f64 - c as f64).abs()));
         }
     }
     // Landmark 0 seen by both keyframe slots, 1 only by the first,
@@ -1005,8 +1048,6 @@ proptest! {
             );
             replay_visual_percolumn(&mut seq, o);
         }
-        fused.reflect_v_upper();
-        seq.reflect_v_upper();
         let (fa, fb) = dense(&fused);
         let (sa, sb) = dense(&seq);
         assert_bits_eq(fa.as_slice(), sa.as_slice())?;

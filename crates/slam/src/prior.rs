@@ -175,7 +175,8 @@ impl Prior {
     }
 
     /// Adds the prior's Gauss–Newton contribution to the keyframe block of
-    /// `sys` (`Hp` onto `V`, the gradient off `by`) and returns its cost.
+    /// `sys` (`Hp`'s upper triangle onto `V`'s, the gradient off `by`) and
+    /// returns its cost.
     pub(crate) fn add_to_system(
         &self,
         window: &SlidingWindow,
@@ -185,9 +186,10 @@ impl Prior {
         let (cost, grad) = self.evaluate_in(window, s);
         for (i, &gi) in grad.iter().enumerate() {
             sys.sub_by(i, gi);
-            // One dense run per row (scale 1 is exact; see the run method's
-            // zero-skip note for why dropping `±0.0` entries is bit-safe).
-            sys.add_v_row(i, 0, self.information.row(i), 1.0);
+            // One dense upper-triangle run per row (scale 1 is exact; see
+            // the run method's zero-skip note for why dropping `±0.0`
+            // entries is bit-safe).
+            sys.add_v_row(i, i, &self.information.row(i)[i..], 1.0);
         }
         cost
     }

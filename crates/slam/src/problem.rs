@@ -77,10 +77,10 @@ pub fn build_block_normal_equations<'w>(
 /// whose pose rows are indexed locally (keyframe `k` starts at row
 /// `15·k`). Returns `(cost, used_observations)`.
 ///
-/// Factor writes touch only the upper triangle of `V` (the mirror of every
-/// contribution carries the same value, so the lower triangle is copied once
-/// at the end); the `W` blocks hold the landmark–pose cross terms, whose
-/// transpose `X` is never stored.
+/// Every write touches only the upper triangle of `V`, the only part the
+/// solve reads (the mirror of every contribution carries the same value);
+/// the `W` blocks hold the landmark–pose cross terms, whose transpose `X` is
+/// never stored.
 fn assemble(
     window: &SlidingWindow,
     weights: &FactorWeights,
@@ -160,10 +160,6 @@ fn assemble(
         let off_i = STATE_DIM * cons.first;
         scatter_imu_runs(sys, off_i, off_i + STATE_DIM, &ev, &w2s);
     }
-
-    // Factor scatter done: materialize the (bitwise-symmetric) lower
-    // triangle before the prior/gauge writes land on both triangles.
-    sys.reflect_v_upper();
 
     // --- marginalization prior ---
     if let Some(p) = prior {

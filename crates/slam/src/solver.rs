@@ -33,7 +33,10 @@ pub const MAX_RETRIES: usize = 5;
 /// Multiplier applied to λ after an accepted step.
 const LAMBDA_DOWN: f64 = 0.5;
 
-/// Relative cost-decrease threshold for convergence.
+/// Convergence threshold: a window converges when its cost falls to it or,
+/// from the second iteration on, when the relative decrease
+/// `|initial − final| / initial` falls below it. That decrease is
+/// cumulative since the window's initial cost, not the last step's.
 const COST_TOLERANCE: f64 = 1e-6;
 
 /// Configuration of the LM solver.

@@ -9,7 +9,7 @@
 //! `schur_linear_solver`), on fixed and property-generated window shapes,
 //! with and without an IMU/marginalization prior.
 
-use archytas_math::{DMat, DVec, SchurScratch};
+use archytas_math::{BlockSparseSystem, DMat, DVec, Scalar, SchurScratch, Vector};
 use archytas_slam::{
     build_block_normal_equations, evaluate_imu, evaluate_visual, schur_linear_solver,
     solve_in_workspace, solve_with_in_workspace, try_marginalize_oldest_in, FactorWeights,
@@ -451,6 +451,52 @@ fn damped_linear_solve_matches_dense() {
             );
         }
     }
+}
+
+/// Nothing the served solve reads lies below `V`'s diagonal: NaN added to
+/// every strict-lower entry of an assembled, damped window with a prior
+/// leaves the bits of the f64 solve and of the f32 solve of its cast
+/// unchanged, and so does a re-assembly over the poisoned system.
+#[test]
+fn solves_never_read_below_the_v_diagonal() {
+    let (w, prior) = imu_window_with_prior();
+    let weights = FactorWeights::default();
+    fn poison<T: Scalar>(sys: &mut BlockSparseSystem<T>) {
+        for r in 0..sys.q() {
+            for c in 0..r {
+                sys.add_v(r, c, T::from_f64(f64::NAN));
+            }
+        }
+    }
+    let solve = |sys: &BlockSparseSystem<f64>, poisoned: bool| {
+        let mut out = DVec::zeros(0);
+        sys.solve_into(&mut SchurScratch::default(), &mut out)
+            .expect("f64 solve succeeds");
+        let mut sys32 = BlockSparseSystem::<f32>::new();
+        sys.cast_into(&mut sys32);
+        if poisoned {
+            poison(&mut sys32);
+        }
+        let mut out32 = Vector::<f32>::zeros(0);
+        sys32
+            .solve_into(&mut SchurScratch::default(), &mut out32)
+            .expect("f32 solve succeeds");
+        let bits64: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        let bits32: Vec<u32> = out32.iter().map(|v| v.to_bits()).collect();
+        (bits64, bits32)
+    };
+
+    let mut ws = SolverWorkspace::new();
+    let (sys, _) = build_block_normal_equations(&mut ws, &w, &weights, Some(&prior));
+    sys.damp(1e-4, DAMP_FLOOR);
+    let clean = solve(sys, false);
+    poison(sys);
+    assert_eq!(solve(sys, true), clean);
+
+    // `reset` zeroes the upper triangle only: the NaNs stay, unread.
+    let (sys, _) = build_block_normal_equations(&mut ws, &w, &weights, Some(&prior));
+    sys.damp(1e-4, DAMP_FLOOR);
+    assert_eq!(solve(sys, true), clean);
 }
 
 #[test]

@@ -19,7 +19,8 @@
 #
 # Then the serving smoke (scripts/serve_smoke.sh --quick, which writes
 # BENCH_serve.jsonl and runs every serving gate) and the baseline
-# regression gate (scripts/perf_gate.sh) over both files.
+# regression gate (scripts/perf_gate.sh) over both files, after the
+# self-check of the det re-freeze tool (scripts/refreeze_det.sh).
 #
 # Usage: scripts/bench_smoke.sh [output.jsonl]
 set -euo pipefail
@@ -110,4 +111,5 @@ done
 echo "wrote $OUT ($(wc -l < "$OUT") records)" >&2
 
 scripts/serve_smoke.sh --quick
+scripts/refreeze_det.sh --self-check
 scripts/perf_gate.sh "$OUT" BENCH_serve.jsonl
