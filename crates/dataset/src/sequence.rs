@@ -344,3 +344,134 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod frozen_stream {
+    use super::*;
+
+    /// FNV-1a over 64-bit words, fed little-endian.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn floats(&mut self, xs: &[f64]) {
+            xs.iter().for_each(|x| self.word(x.to_bits()));
+        }
+    }
+
+    /// Digest of every bit a frame stream delivers: indices, timestamps,
+    /// ground truth, each feature's id, `uv`, `uv_true` and depth, and every
+    /// IMU sample.
+    fn digest(frames: &[Frame]) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for f in frames {
+            h.word(f.index as u64);
+            let gt = &f.gt;
+            h.floats(&[f.timestamp, gt.timestamp, gt.pose.rot.w]);
+            for v in [gt.pose.rot.v, gt.pose.trans, gt.velocity, gt.bg, gt.ba] {
+                h.floats(&v.0);
+            }
+            h.word(f.features.len() as u64);
+            for t in &f.features {
+                h.word(t.id);
+                h.floats(&[t.uv[0], t.uv[1], t.uv_true[0], t.uv_true[1], t.depth]);
+            }
+            h.word(f.imu.len() as u64);
+            for s in &f.imu {
+                h.floats(&s.gyro.0);
+                h.floats(&s.accel.0);
+                h.floats(&[s.dt]);
+            }
+        }
+        h.0
+    }
+
+    /// The stream `spec.build()` generates, at feature budget `budget`.
+    fn frames(spec: &SequenceSpec, budget: usize) -> Vec<Frame> {
+        let seed = spec.seed;
+        let config = FrontendConfig {
+            seed: seed.wrapping_mul(0x9e3779b97f4a7c15),
+            max_features: budget,
+        };
+        match spec.family {
+            DatasetFamily::Euroc => {
+                let traj = HallTrajectory::euroc_like(spec.duration);
+                let world = World::machine_hall(seed, |a| drought_profile(a * 60.0, seed));
+                generate_frames(&traj, &world, &PinholeCamera::euroc_like(), &config)
+            }
+            family => {
+                let traj = RoadTrajectory::kitti_like(spec.duration);
+                let length = traj.sample(spec.duration).pose.trans.x() + 100.0;
+                let world = if family == DatasetFamily::Tunnel {
+                    World::road_corridor(length, seed, |s| tunnel_profile(s, seed))
+                } else {
+                    World::road_corridor(length, seed, |s| drought_profile(s, seed))
+                };
+                generate_frames(&traj, &world, &PinholeCamera::kitti_like(), &config)
+            }
+        }
+    }
+
+    /// The generated stream is pinned bit for bit: one road, one hall and
+    /// one tunnel world, each at its family budget (where some frames
+    /// discard candidates), at a budget of zero (every candidate discarded, so
+    /// only the RNG stream's length reaches the IMU bits) and at an
+    /// unbounded budget (nothing discarded).
+    #[test]
+    fn generated_streams_are_frozen() {
+        let cases = [
+            (
+                kitti_sequences()[3].truncated(3.0),
+                180,
+                [
+                    0x957c_0e33_9831_56e1,
+                    0xadb1_122b_9cd6_7bc4,
+                    0x875a_2585_af43_9b24,
+                ],
+            ),
+            (
+                euroc_sequences()[1].truncated(3.0),
+                140,
+                [
+                    0x59ba_f5e1_6aad_4eb5,
+                    0xb0bc_d728_3c2d_6ba0,
+                    0xae34_e57c_843d_ab07,
+                ],
+            ),
+            (
+                tunnel_sequences()[1].truncated(20.0),
+                180,
+                [
+                    0x2e27_49c7_71b3_63e7,
+                    0xea51_476a_904a_84cd,
+                    0xad81_32d0_21ce_81e2,
+                ],
+            ),
+        ];
+        for (spec, family_budget, want) in cases {
+            let budgeted = frames(&spec, family_budget);
+            assert_eq!(
+                digest(&budgeted),
+                digest(&spec.build().frames),
+                "{}",
+                spec.name
+            );
+            let unbounded = frames(&spec, usize::MAX);
+            assert!(
+                budgeted
+                    .iter()
+                    .zip(&unbounded)
+                    .any(|(b, u)| b.features.len() < u.features.len()),
+                "{}: the family budget discards nothing",
+                spec.name
+            );
+            let got = [budgeted, frames(&spec, 0), unbounded].map(|f| digest(&f));
+            assert_eq!(got, want, "{}: {got:#018x?}", spec.name);
+        }
+    }
+}
