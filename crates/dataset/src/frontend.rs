@@ -99,6 +99,7 @@ pub fn generate_frames(
     let noise_n = PIXEL_NOISE_PX / camera.fx; // normalized-plane σ
 
     let mut frames = Vec::with_capacity(n_frames);
+    // Ids kept by the previous frame, sorted for binary search.
     let mut tracked_prev: Vec<u64> = Vec::new();
     // Biases random-walk at IMU rate; the per-frame ground truth snapshots
     // the walk so the estimator's bias states have a moving target.
@@ -110,7 +111,9 @@ pub fn generate_frames(
         let kin = trajectory.sample(t);
 
         // --- visual features ---
-        let mut candidates: Vec<TrackedFeature> = Vec::new();
+        // Every visible candidate draws its pixel-noise uniforms in world
+        // order; only the kept ones pay for the Box–Muller transform.
+        let mut candidates = Vec::new();
         for wp in world.near(&kin.pose.trans, MAX_RANGE) {
             let p_cam = kin.pose.inverse_transform(&wp.position);
             if camera.project(&p_cam).is_none() {
@@ -118,22 +121,27 @@ pub fn generate_frames(
             }
             let n =
                 PinholeCamera::project_normalized(&p_cam).expect("project() accepted the point");
-            candidates.push(TrackedFeature {
-                id: wp.id,
-                uv: [
-                    n[0] + noise_n * sample_normal(&mut rng),
-                    n[1] + noise_n * sample_normal(&mut rng),
-                ],
-                uv_true: n,
-                depth: p_cam.z(),
-            });
+            let u = [draw_uniforms(&mut rng), draw_uniforms(&mut rng)];
+            let tracked = tracked_prev.binary_search(&wp.id).is_ok();
+            candidates.push(((!tracked, wp.id), n, p_cam.z(), u));
         }
         // Track continuity: features seen last frame come first, then new
-        // detections fill the budget.
-        let prev: std::collections::HashSet<u64> = tracked_prev.iter().copied().collect();
-        candidates.sort_by_key(|f| (!prev.contains(&f.id), f.id));
+        // detections fill the budget. Ids are unique, so the unstable sort
+        // is deterministic.
+        candidates.sort_unstable_by_key(|c| c.0);
         candidates.truncate(config.max_features);
-        tracked_prev = candidates.iter().map(|f| f.id).collect();
+        let features: Vec<TrackedFeature> = candidates
+            .iter()
+            .map(|&((_, id), n, depth, u)| TrackedFeature {
+                id,
+                uv: [0, 1].map(|k| n[k] + noise_n * box_muller(u[k])),
+                uv_true: n,
+                depth,
+            })
+            .collect();
+        tracked_prev.clear();
+        tracked_prev.extend(features.iter().map(|f| f.id));
+        tracked_prev.sort_unstable();
 
         // --- IMU between the previous frame and this one ---
         let imu = if index == 0 {
@@ -166,7 +174,7 @@ pub fn generate_frames(
             index,
             timestamp: t,
             gt,
-            features: candidates,
+            features,
             imu,
         });
     }
@@ -174,11 +182,18 @@ pub fn generate_frames(
 }
 
 // A tiny Box–Muller normal sampler; keeps the dependency surface to `rand`
-// core (no rand_distr).
-fn sample_normal(rng: &mut SmallRng) -> f64 {
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+// core (no rand_distr). The uniforms are drawn apart from the transform so
+// a feature can draw them before it is known to be kept.
+fn draw_uniforms(rng: &mut SmallRng) -> [f64; 2] {
+    [rng.gen_range(1e-12..1.0), rng.gen_range(0.0..1.0)]
+}
+
+fn box_muller([u1, u2]: [f64; 2]) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+fn sample_normal(rng: &mut SmallRng) -> f64 {
+    box_muller(draw_uniforms(rng))
 }
 
 fn noise_vec(rng: &mut SmallRng, sigma: f64) -> Vec3 {

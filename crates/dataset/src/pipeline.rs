@@ -13,6 +13,7 @@ use archytas_slam::{
     SolveReport, SolverWorkspace, WindowWorkload, GRAVITY,
 };
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Relative noise applied to the front-end depth initialization.
 const DEPTH_INIT_ERROR: f64 = 0.1;
@@ -195,7 +196,7 @@ pub struct VioPipeline {
     window: SlidingWindow,
     prior: Option<Prior>,
     /// feature id → landmark index in the current window.
-    landmark_of: HashMap<u64, usize>,
+    landmark_of: HashMap<u64, usize, BuildHasherDefault<IdHasher>>,
     /// Ground-truth poses aligned with `window.keyframes`.
     gt_window: Vec<KeyframeState>,
     windows_processed: usize,
@@ -216,7 +217,7 @@ impl VioPipeline {
             config,
             window: SlidingWindow::new(),
             prior: None,
-            landmark_of: HashMap::new(),
+            landmark_of: HashMap::default(),
             gt_window: Vec::new(),
             windows_processed: 0,
             health: HealthMonitor::default(),
@@ -502,6 +503,30 @@ impl VioPipeline {
         for (idx, lm) in self.window.landmarks.iter().enumerate() {
             self.landmark_of.insert(lm.id, idx);
         }
+    }
+}
+
+/// Multiply-shift hash of a feature id. The ids come from our own
+/// generator, so SipHash's flooding resistance buys nothing, and the map is
+/// only probed, inserted into and cleared, never iterated, so its order
+/// cannot reach a result. The shift folds the high bits into the low ones
+/// (the bucket) and the multiply spreads them to the top ones (the tag).
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes
+            .iter()
+            .for_each(|&b| self.write_u64(self.0 ^ u64::from(b)));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (x ^ (x >> 29)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
