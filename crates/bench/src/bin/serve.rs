@@ -47,9 +47,11 @@ const USAGE: &str = "serve <batch|obs|chaos|sweep|soak|faults> [--workers N (swe
 /// Sweep floor per usable CPU: a multi-worker point must reach this
 /// fraction of linear speed-up over the 1-worker point.
 const EFF_FLOOR: f64 = 0.50;
-/// Sweep floor when workers outnumber CPUs (pure timeslicing):
-/// oversubscription may not collapse throughput below this share of the
-/// 1-worker point.
+/// Sweep floor when a multi-worker point has one usable CPU
+/// (`min(workers, cpus) <= 1`, pure timeslicing): oversubscription may not
+/// collapse throughput below this share of the 1-worker point. With two or
+/// more usable CPUs the point is held to `EFF_FLOOR` per usable CPU
+/// instead, so 4 workers on 2 CPUs must reach 1.00x.
 const NO_COLLAPSE: f64 = 0.70;
 /// Fault-matrix bound: a scenario's RMSE over its nominal RMSE.
 const RMSE_BOUND: f64 = 3.0;

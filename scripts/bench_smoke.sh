@@ -20,7 +20,8 @@
 # Then the serving smoke (scripts/serve_smoke.sh --quick, which writes
 # BENCH_serve.jsonl and runs every serving gate) and the baseline
 # regression gate (scripts/perf_gate.sh) over both files, after the
-# self-check of the det re-freeze tool (scripts/refreeze_det.sh).
+# self-checks of the det re-freeze tool (scripts/refreeze_det.sh) and of
+# the alternating A/B tool (scripts/ab_bench.sh).
 #
 # Usage: scripts/bench_smoke.sh [output.jsonl]
 set -euo pipefail
@@ -112,4 +113,5 @@ echo "wrote $OUT ($(wc -l < "$OUT") records)" >&2
 
 scripts/serve_smoke.sh --quick
 scripts/refreeze_det.sh --self-check
+scripts/ab_bench.sh --self-check
 scripts/perf_gate.sh "$OUT" BENCH_serve.jsonl
