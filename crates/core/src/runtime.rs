@@ -12,7 +12,7 @@
 //! 3. passes the three numbers to the FPGA, which clock-gates down to them —
 //!    no reconfiguration, effectively zero overhead.
 
-use archytas_hw::{window_cycles, AcceleratorConfig, FpgaPlatform, PowerModel};
+use archytas_hw::{AcceleratorConfig, FpgaPlatform, LatencyTables, PowerModel};
 use archytas_mdfg::ProblemShape;
 use std::sync::Arc;
 
@@ -173,12 +173,15 @@ impl GatingTable {
         let clock_khz = platform.clock_mhz * 1e3;
         let mut per_iter = Vec::with_capacity(ITER_CAP);
         for iter in 1..=ITER_CAP {
+            // Bit-identical to `window_cycles` at every point, at a few
+            // flops each.
+            let tables = LatencyTables::new(shape, iter, built.nd, built.nm, built.s);
             let mut best: Option<(f64, AcceleratorConfig)> = None;
             for nd in 1..=built.nd {
                 for nm in 1..=built.nm {
                     for s in 1..=built.s {
                         let c = AcceleratorConfig::new(nd, nm, s);
-                        let lat = window_cycles(shape, &c, iter) / clock_khz;
+                        let lat = tables.window_cycles_at(nd, nm, s) / clock_khz;
                         if lat > latency_bound_ms {
                             continue;
                         }

@@ -17,7 +17,7 @@
 //!
 //! # Search structure
 //!
-//! Two compounding layers make the search fast, while every path returns
+//! Three compounding layers make the search fast, while every path returns
 //! the **bitwise-identical design** the exhaustive serial scan
 //! ([`synthesize_exhaustive`]) returns:
 //!
@@ -25,7 +25,10 @@
 //!    single knob, so [`archytas_hw::LatencyTables`] evaluates every
 //!    distinct sub-term once and replays the exact floating-point summation
 //!    order per lattice point — bit-identical to calling
-//!    [`window_cycles`] directly, at a few flops per candidate.
+//!    [`window_cycles`] directly, at a few flops per candidate. Each row's
+//!    feasible `s` range comes from an exact integer walk of Eq. 16 in
+//!    half-resource units ([`ResourceModel::row_limits`]), a few additions
+//!    per `nm` step.
 //! 2. **Incumbent-bound pruning.** The scan keeps the best
 //!    primary-objective value found so far. Whole `nd` stripes, `(nm, s)`
 //!    subranges and `s`-blocks are cut when their monotonicity-safe *lower
@@ -33,10 +36,17 @@
 //!    `LatencyTables::window_cycles_lower_bound`) strictly exceeds it. Under
 //!    Eq. 11 the same latency lower bounds also cut stripes, rows and
 //!    `s`-blocks that strictly miss the latency constraint, once an
-//!    incumbent exists. Cuts are value-strict, so any candidate that could
-//!    tie the optimum is never skipped, and the scan keeps the best under
-//!    the strict serial [`beats`] order in the exhaustive scan's
-//!    `(nd, nm, s)` order.
+//!    incumbent exists, and each stripe only scans the rows, and each row
+//!    the lane counts, whose power does not exceed the incumbent power
+//!    (Eq. 17 increases in `nm` and in `s`).
+//!    Cuts are value-strict, so any candidate that could tie the optimum is
+//!    never skipped, and the scan keeps the best under the strict serial
+//!    [`beats`] order in the exhaustive scan's `(nd, nm, s)` order.
+//! 3. **Plateau cut.** A stripe whose `nd`-dependent latency terms equal the
+//!    previous stripe's bit for bit (Eq. 14's `max` bound by the Jacobian
+//!    unit, with no marginalized features) repeats that stripe's latencies
+//!    at no lower resource or power cost, so an earlier point ties or beats
+//!    each of its points and the whole stripe is skipped.
 //!
 //! The search is serial: a cold search takes tens to hundreds of
 //! microseconds, and splitting it over threads costs a scoped spawn and
@@ -46,7 +56,7 @@
 
 use archytas_hw::{
     window_cycles, AcceleratorConfig, FpgaPlatform, LatencyTables, PowerModel, ResourceModel,
-    ResourceVector, S_BLOCK,
+    ResourceVector, RowLimits, S_BLOCK,
 };
 use archytas_mdfg::ProblemShape;
 use std::error::Error;
@@ -119,9 +129,11 @@ pub struct SynthesizedDesign {
     /// Lattice points the latency model was evaluated on (including
     /// incumbent-seeding probes).
     pub candidates_examined: usize,
-    /// Resource-feasible lattice points skipped wholesale by
-    /// incumbent-bound cuts (stripe, `(nm, s)`-subrange and `s`-block
-    /// extents); 0 from [`synthesize_exhaustive`].
+    /// Resource-feasible lattice points skipped wholesale by cuts: the
+    /// incumbent-bound and constraint cuts (stripe, `(nm, s)`-subrange,
+    /// power-budget row tail and `s`-block extents) and the plateau
+    /// stripes whose latencies repeat the previous stripe's; 0 from
+    /// [`synthesize_exhaustive`].
     pub candidates_pruned: usize,
 }
 
@@ -178,6 +190,20 @@ fn beats(objective: Objective, lat: f64, p: f64, b: &SynthesizedDesign) -> bool 
         }
         Objective::MinLatency => lat < b.latency_ms || (lat == b.latency_ms && p < b.power_w),
     }
+}
+
+/// Largest `x ≤ hi` with `within(x)`, for a predicate that holds on a
+/// prefix of `1..=hi`, or 0 when it holds nowhere. The walk from
+/// `estimate` makes the result exact whatever the estimate's rounding.
+fn largest_within(estimate: usize, hi: usize, within: impl Fn(usize) -> bool) -> usize {
+    let mut x = estimate.min(hi);
+    while x < hi && within(x + 1) {
+        x += 1;
+    }
+    while x > 0 && !within(x) {
+        x -= 1;
+    }
+    x
 }
 
 /// Partial result of the exhaustive scan of one `nd` stripe.
@@ -308,6 +334,8 @@ pub fn synthesize_exhaustive(spec: &DesignSpec) -> Result<SynthesizedDesign, Syn
 struct Search<'a> {
     spec: &'a DesignSpec,
     resources: ResourceModel,
+    /// `resources` against the spec's platform, for exact row limits.
+    rows: RowLimits,
     power: PowerModel,
     tables: LatencyTables,
     clock_khz: f64,
@@ -327,8 +355,10 @@ struct Search<'a> {
 impl<'a> Search<'a> {
     fn new(spec: &'a DesignSpec) -> Self {
         let (nd_max, nm_max, s_max) = knob_bounds(&spec.platform);
+        let resources = ResourceModel::calibrated();
         Search {
-            resources: ResourceModel::calibrated(),
+            rows: resources.row_limits(&spec.platform),
+            resources,
             power: PowerModel::for_platform(&spec.platform),
             tables: LatencyTables::new(&spec.shape, spec.iterations, nd_max, nm_max, s_max),
             clock_khz: spec.platform.clock_mhz * 1e3,
@@ -400,9 +430,7 @@ impl<'a> Search<'a> {
                     continue;
                 }
                 last_nm = nm;
-                let s_limit =
-                    self.resources
-                        .max_feasible_s(nd, nm, &self.spec.platform, self.s_max);
+                let s_limit = self.rows.walk(nd, nm).max_s(self.s_max);
                 if s_limit == 0 {
                     continue;
                 }
@@ -413,11 +441,10 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Total resource-feasible extent of one stripe — the points a bound
-    /// cut of the whole stripe skips. Rows that fit at `s_max` hold
-    /// `s_max` points each and are found by bisection (O(log `nm_max`)
-    /// `fits` calls); only the rows past them, where the lane count
-    /// shrinks, take one closed-form `max_feasible_s` each.
+    /// Total resource-feasible extent of one stripe — the points a cut of
+    /// the whole stripe skips. Rows that fit at `s_max` hold `s_max` points
+    /// each and are found by bisection (O(log `nm_max`) `fits` calls); the
+    /// rows past them, where the lane count shrinks, are one row walk.
     fn stripe_extent(&self, nd: usize) -> usize {
         // Resources are monotone in nm, so the rows whose every s up to
         // s_max fits are a prefix 1..=full of the nm axis: bisect for it.
@@ -437,18 +464,30 @@ impl<'a> Search<'a> {
             }
         }
         let mut total = full * self.s_max;
-        let mut s_cap = self.s_max;
-        for nm in full + 1..=self.nm_max {
-            let s_limit = self
-                .resources
-                .max_feasible_s(nd, nm, &self.spec.platform, s_cap);
+        let mut rows = self.rows.walk(nd, full + 1);
+        for _ in full + 1..=self.nm_max {
+            let s_limit = rows.max_s(self.s_max);
             if s_limit == 0 {
                 break;
             }
-            s_cap = s_limit;
             total += s_limit;
+            rows.next_row();
         }
         total
+    }
+
+    /// Largest `s ≤ s_limit` whose Eq. 17 power `power_with_s(prefix, s)`
+    /// does not exceed the incumbent power: power increases in `s`
+    /// (positive lane cost, monotone rounding), so every larger `s` costs
+    /// strictly more than the incumbent and can neither beat nor tie it. An
+    /// estimate lands within a step or two and a walk against the same
+    /// `power_with_s` predicate the scan uses makes it exact.
+    fn power_budget_s(&self, prefix: f64, s_limit: usize) -> usize {
+        largest_within(
+            ((self.incumbent - prefix) / self.power.per_s_w) as usize,
+            s_limit,
+            |s| self.power.power_with_s(prefix, s) <= self.incumbent,
+        )
     }
 
     /// Whether a subrange whose `window_cycles` lower bound is `cycles_lb`
@@ -472,50 +511,100 @@ impl<'a> Search<'a> {
         }
     }
 
+    /// Largest `nm ≤ nm_max` whose cheapest point `(nd, nm, 1)` does not
+    /// exceed the incumbent power; Eq. 17 increases in `nm` too.
+    fn power_budget_nm(&self, nd: usize) -> usize {
+        let cheapest = |nm: usize| {
+            self.power
+                .power_with_s(self.power.power_prefix_w(nd, nm), 1)
+        };
+        largest_within(
+            ((self.incumbent - cheapest(0)) / self.power.per_nm_w) as usize,
+            self.nm_max,
+            |nm| cheapest(nm) <= self.incumbent,
+        )
+    }
+
     /// The pruned `(nm, s)` scan of one `nd` stripe, folded into the
     /// running best and counters.
     ///
-    /// Every cut compares a monotonicity-safe *lower bound* of the skipped
-    /// subrange **strictly** against the incumbent or, under Eq. 11, the
-    /// latency constraint: a skipped candidate therefore has primary value
-    /// strictly above some already-achieved feasible value, or is
+    /// Every bound cut compares a monotonicity-safe *lower bound* of the
+    /// skipped subrange **strictly** against the incumbent or, under Eq. 11,
+    /// the latency constraint: a skipped candidate therefore has primary
+    /// value strictly above some already-achieved feasible value, or is
     /// infeasible, so it can neither beat nor tie the eventual optimum —
     /// which is why the scan still selects the exhaustive scan's design.
+    /// The plateau cut skips points that an earlier point ties or beats
+    /// under [`beats`].
     fn scan_stripe(&mut self, nd: usize) {
         let objective = self.spec.objective;
-        // Stripe-level cut: O(1) bounds against the whole (nm, s) plane.
-        if self.cut(
-            self.tables
-                .window_cycles_lower_bound(nd, self.nm_max, self.s_max),
-            self.power.power_with_s(self.power.power_prefix_w(nd, 1), 1),
-        ) {
+        // Plateau cut: every (nd, nm, s) has the latency bits of
+        // (nd - 1, nm, s), which fits whenever this point does (resources
+        // grow with nd), costs no more power (positive coefficients,
+        // monotone rounding) and comes earlier in scan order, so `beats`
+        // never selects the later point and the best latency of an
+        // infeasible search is already among the earlier stripe's.
+        if self.tables.ties_previous_stripe(nd) {
             self.pruned += self.stripe_extent(nd);
             return;
         }
-        let mut s_cap = self.s_max;
+        // Power-budget clamp of the nm axis (Eq. 11): once an incumbent
+        // power exists, only rows whose cheapest point (s = 1) does not
+        // exceed it can beat or tie it.
+        let nm_hi = match objective {
+            Objective::MinPowerUnderLatency(_) if self.incumbent.is_finite() => {
+                self.power_budget_nm(nd)
+            }
+            _ => self.nm_max,
+        };
+        // Stripe-level cut: O(1) bounds against the whole (nm, s) plane.
+        if nm_hi == 0
+            || self.cut(
+                self.tables.window_cycles_lower_bound(nd, nm_hi, self.s_max),
+                self.power.power_with_s(self.power.power_prefix_w(nd, 1), 1),
+            )
+        {
+            self.pruned += self.stripe_extent(nd);
+            return;
+        }
+        let mut rows = self.rows.walk(nd, 1);
         for nm in 1..=self.nm_max {
-            // Resources are monotone in nm, so the feasible s range can
-            // only shrink stripe-inward — and once it vanishes, no larger
-            // nm fits either.
-            let s_limit = self
-                .resources
-                .max_feasible_s(nd, nm, &self.spec.platform, s_cap);
+            // Resources are monotone in nm, so once no lane count fits, no
+            // larger nm fits either.
+            let s_limit = rows.max_s(self.s_max);
             if s_limit == 0 {
                 break;
             }
-            s_cap = s_limit;
-            // (nm, s)-subrange cut.
-            let p_prefix = self.power.power_prefix_w(nd, nm);
-            if self.cut(
-                self.tables.window_cycles_lower_bound(nd, nm, s_limit),
-                self.power.power_with_s(p_prefix, 1),
-            ) {
+            rows.next_row();
+            if nm > nm_hi {
+                // Past the power budget: count the row's points only.
                 self.pruned += s_limit;
                 continue;
             }
+            let p_prefix = self.power.power_prefix_w(nd, nm);
+            // Power-budget clamp (Eq. 11): once an incumbent power exists,
+            // only s ≤ s_hi can beat or tie it, so the row's bounds cover
+            // 1..=s_hi and the rest of the row is pruned.
+            let s_hi = match objective {
+                Objective::MinPowerUnderLatency(_) if self.incumbent.is_finite() => {
+                    self.power_budget_s(p_prefix, s_limit)
+                }
+                _ => s_limit,
+            };
+            // (nm, s)-subrange cut.
+            if s_hi == 0
+                || self.cut(
+                    self.tables.window_cycles_lower_bound(nd, nm, s_hi),
+                    self.power.power_with_s(p_prefix, 1),
+                )
+            {
+                self.pruned += s_limit;
+                continue;
+            }
+            self.pruned += s_limit - s_hi;
             let pruning_active = self.incumbent.is_finite();
             let mut s = 1usize;
-            's_axis: while s <= s_limit {
+            's_axis: while s <= s_hi {
                 // s-block cut: the Cholesky terms are not monotone in s
                 // (Eq. 7's Evaluate serialization), so the s axis is tiled
                 // into S_BLOCK-wide blocks with precomputed term minima.
@@ -525,7 +614,7 @@ impl<'a> Search<'a> {
                 // scan's exact best-achievable latency.
                 if pruning_active && s % S_BLOCK == 1 {
                     let block = (s - 1) / S_BLOCK;
-                    let block_end = (s + S_BLOCK - 1).min(s_limit);
+                    let block_end = (s + S_BLOCK - 1).min(s_hi);
                     let lat_lb = self.tables.window_cycles_lower_bound_s_block(nd, nm, block)
                         / self.clock_khz;
                     let cut = match objective {
@@ -556,7 +645,7 @@ impl<'a> Search<'a> {
                     // incumbent, every later s in the run costs strictly
                     // more and can neither beat nor tie it.
                     if p > self.incumbent {
-                        self.pruned += s_limit - s;
+                        self.pruned += s_hi - s;
                         break 's_axis;
                     }
                 }

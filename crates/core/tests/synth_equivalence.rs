@@ -10,7 +10,7 @@
 use archytas_core::{
     synthesize, synthesize_exhaustive, DesignSpec, Objective, SynthesisError, SynthesizedDesign,
 };
-use archytas_hw::FpgaPlatform;
+use archytas_hw::{FpgaPlatform, LatencyTables};
 use archytas_mdfg::ProblemShape;
 use proptest::prelude::*;
 
@@ -85,6 +85,75 @@ proptest! {
     #[test]
     fn pruned_search_is_bitwise_exhaustive(spec in specs()) {
         assert_same_outcome(&synthesize(&spec), &synthesize_exhaustive(&spec), "pruned");
+    }
+}
+
+/// Specs on the Virtex-7 lattice, half of them without marginalized
+/// features: there every stripe past the Jacobian-bound `nd` ties the one
+/// before it, the regime of the plateau cut.
+fn virtex7_specs() -> impl Strategy<Value = DesignSpec> {
+    (shapes(), 0usize..2, 1usize..8, 0usize..2, 0.8f64..8.0).prop_map(
+        |(mut shape, no_marg, iterations, obj, bound)| {
+            if no_marg == 1 {
+                shape.marginalized_features = 0;
+            }
+            DesignSpec {
+                shape,
+                iterations,
+                platform: FpgaPlatform::virtex7_690t(),
+                objective: if obj == 0 {
+                    Objective::MinLatency
+                } else {
+                    Objective::MinPowerUnderLatency(bound)
+                },
+            }
+        },
+    )
+}
+
+proptest! {
+    // Each case runs the exhaustive oracle over the 5.76 M-point lattice.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The pruned scan returns the exhaustive scan's outcome on the
+    /// Virtex-7 lattice.
+    #[test]
+    fn virtex7_pruned_search_is_bitwise_exhaustive(spec in virtex7_specs()) {
+        assert_same_outcome(&synthesize(&spec), &synthesize_exhaustive(&spec), "virtex7");
+    }
+}
+
+/// A pose-estimation-like shape (no marginalized features, 4 observations
+/// per feature) on the Virtex-7 lattice, where the plateau cut skips every
+/// stripe past the Jacobian-bound `nd`, under both objectives and an
+/// infeasible bound: the pruned search still returns the exhaustive
+/// outcome.
+#[test]
+fn virtex7_plateau_stripes_are_cut_exactly() {
+    let mut shape = ProblemShape::typical();
+    shape.marginalized_features = 0;
+    shape.obs_per_feature = 4;
+    let tables = LatencyTables::new(&shape, 6, 120, 96, 500);
+    assert!((73..=120).all(|nd| tables.ties_previous_stripe(nd)));
+    let spec = |objective| DesignSpec {
+        shape,
+        platform: FpgaPlatform::virtex7_690t(),
+        objective,
+        ..DesignSpec::zc706_power_optimal(0.0)
+    };
+    let fastest = synthesize_exhaustive(&spec(Objective::MinLatency)).expect("feasible");
+    for objective in [
+        Objective::MinLatency,
+        Objective::MinPowerUnderLatency(fastest.latency_ms),
+        Objective::MinPowerUnderLatency(1.25 * fastest.latency_ms),
+        Objective::MinPowerUnderLatency(0.99 * fastest.latency_ms),
+    ] {
+        let oracle = synthesize_exhaustive(&spec(objective));
+        assert_same_outcome(
+            &synthesize(&spec(objective)),
+            &oracle,
+            &format!("{objective:?}"),
+        );
     }
 }
 

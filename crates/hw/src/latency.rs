@@ -214,6 +214,19 @@ impl LatencyTables {
         self.iterations * nls + marg + WINDOW_OVERHEAD_CYCLES
     }
 
+    /// `true` when stripe `nd`'s `nd`-dependent terms (the per-feature
+    /// pipeline term and the marginalization D-Schur term) equal stripe
+    /// `nd − 1`'s bit for bit, so [`LatencyTables::window_cycles_at`]
+    /// returns the same bits at `(nd, nm, s)` as at `(nd − 1, nm, s)` for
+    /// every `(nm, s)`. Once Eq. 14's `max` is bound by the Jacobian unit
+    /// this holds for every shape without marginalized features.
+    #[inline]
+    pub fn ties_previous_stripe(&self, nd: usize) -> bool {
+        nd >= 2
+            && self.per_feature[nd - 1].to_bits() == self.per_feature[nd - 2].to_bits()
+            && self.dschur_marg[nd - 1].to_bits() == self.dschur_marg[nd - 2].to_bits()
+    }
+
     /// The `s` minimizing the combined Cholesky contribution
     /// `Iter·L_Chol(kb, s) + L_Chol(am+k, s)` over `1..=s_max` (first
     /// minimizer on ties) — Eq. 7's `max(s·E, ·)` makes the term
@@ -372,6 +385,32 @@ mod tests {
                     let lb = t.window_cycles_lower_bound_s_block(nd, nm, (s - 1) / S_BLOCK);
                     let actual = t.window_cycles_at(nd, nm, s);
                     assert!(lb <= actual, "block bound {lb} > actual {actual} at s={s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stripe_ties_replay_equal_latency_bits() {
+        let mut shape = ProblemShape::typical();
+        let t = LatencyTables::new(&shape, 6, 120, 8, 40);
+        assert!(
+            (1..=120).all(|nd| !t.ties_previous_stripe(nd)),
+            "marginalized features make every stripe distinct"
+        );
+        // Eq. 14's max is Jacobian-bound from nd = 18·No = 72 on.
+        shape.marginalized_features = 0;
+        shape.obs_per_feature = 4;
+        let t = LatencyTables::new(&shape, 6, 120, 8, 40);
+        let ties: Vec<usize> = (1..=120).filter(|&nd| t.ties_previous_stripe(nd)).collect();
+        assert_eq!(ties, (73..=120).collect::<Vec<_>>());
+        for nd in ties {
+            for nm in [1, 8] {
+                for s in 1..=40 {
+                    assert_eq!(
+                        t.window_cycles_at(nd, nm, s).to_bits(),
+                        t.window_cycles_at(nd - 1, nm, s).to_bits()
+                    );
                 }
             }
         }

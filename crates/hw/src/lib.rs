@@ -49,4 +49,4 @@ pub use latency::{
 };
 pub use platform::{FpgaPlatform, ResourceKind, ResourceVector, RESOURCE_KINDS};
 pub use power::PowerModel;
-pub use resource::ResourceModel;
+pub use resource::{ResourceModel, RowLimits, RowWalk};

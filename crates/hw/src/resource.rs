@@ -61,17 +61,8 @@ impl ResourceModel {
     /// Largest `s ∈ 1..=s_max` for which `(nd, nm, s)` fits the platform,
     /// or 0 when no lane count fits — exactly the value a descending
     /// [`ResourceModel::fits`] scan would find, in O(1) instead of
-    /// O(`s_max`).
-    ///
-    /// Eq. 16 is linear with non-negative per-lane cost, so feasibility is
-    /// monotone in `s`: an algebraic estimate (the least `headroom /
-    /// per-lane` over the four kinds, capped at `s_max` and truncated toward
-    /// zero — a saturating cast, so a negative headroom gives 0) lands
-    /// within a step or two of the boundary, and a short fix-up walk against
-    /// the *same* `fits` predicate the scan uses makes the result exact — no
-    /// float-division rounding can shift it. The truncating cast stands in
-    /// for `floor`, which baseline x86-64 (no SSE4.1 `roundsd`) turns into a
-    /// libm call per resource kind.
+    /// O(`s_max`). A one-row [`RowWalk`]; a caller visiting consecutive
+    /// `nm` rows steps one walk instead.
     #[inline]
     pub fn max_feasible_s(
         &self,
@@ -80,28 +71,45 @@ impl ResourceModel {
         platform: &FpgaPlatform,
         s_max: usize,
     ) -> usize {
-        if s_max == 0 {
-            return 0;
+        self.row_limits(platform).walk(nd, nm).max_s(s_max)
+    }
+
+    /// Eq. 16 against one platform in half-resource units, the integer
+    /// form of [`ResourceModel::fits`] that [`RowWalk`]s step through.
+    ///
+    /// Precondition (`debug_assert`ed): every coefficient and capacity is a
+    /// multiple of ½ below 2⁵², as [`ResourceModel::calibrated`] is on all
+    /// three boards. Every partial sum of `fits` at lattice-sized knobs is
+    /// then a multiple of ½ far below 2⁵², so the f64 sums are exact and
+    /// the integer predicate is the same predicate.
+    pub fn row_limits(&self, platform: &FpgaPlatform) -> RowLimits {
+        let mut limits = RowLimits {
+            headroom: [0; 4],
+            per_nd: [0; 4],
+            per_nm: [0; 4],
+            lane: [0; 4],
+            step_quot: [0; 4],
+            step_rem: [0; 4],
+        };
+        for (i, k) in RESOURCE_KINDS.into_iter().enumerate() {
+            let lane = half_units(self.per_s.get(k));
+            let per_nm = half_units(self.per_nm.get(k));
+            debug_assert!(lane >= 0, "negative per-lane {k} cost");
+            limits.headroom[i] =
+                half_units(platform.capacity.get(k)) - half_units(self.base.get(k));
+            limits.per_nd[i] = half_units(self.per_nd.get(k));
+            limits.per_nm[i] = per_nm;
+            limits.lane[i] = lane;
+            // A kind with no per-lane cost keeps its headroom itself as
+            // the quotient (remainder 0): it bounds no `s`, and only its
+            // sign matters.
+            (limits.step_quot[i], limits.step_rem[i]) = if lane > 0 {
+                (per_nm.div_euclid(lane), per_nm.rem_euclid(lane))
+            } else {
+                (per_nm, 0)
+            };
         }
-        let partial = self
-            .base
-            .plus(&self.per_nd.times(nd as f64))
-            .plus(&self.per_nm.times(nm as f64));
-        let mut est = s_max as f64;
-        for k in RESOURCE_KINDS {
-            let per = self.per_s.get(k);
-            if per > 0.0 {
-                est = est.min((platform.capacity.get(k) - partial.get(k)) / per);
-            }
-        }
-        let mut s = est as usize;
-        while s < s_max && self.fits(&AcceleratorConfig::new(nd, nm, s + 1), platform) {
-            s += 1;
-        }
-        while s > 0 && !self.fits(&AcceleratorConfig::new(nd, nm, s), platform) {
-            s -= 1;
-        }
-        s
+        limits
     }
 
     /// Utilization report: `(kind, absolute, fraction)` per resource.
@@ -115,6 +123,102 @@ impl ResourceModel {
             .iter()
             .map(|&k| (k, r.get(k), platform.utilization(k, r.get(k))))
             .collect()
+    }
+}
+
+/// `x` in half-resource units. Exact when `x` is a multiple of ½ below
+/// 2⁵² ([`ResourceModel::row_limits`]'s precondition).
+#[inline]
+fn half_units(x: f64) -> i64 {
+    let half = 2.0 * x;
+    debug_assert!(
+        half.fract() == 0.0 && half.abs() < 2f64.powi(53),
+        "{x} is not a multiple of 1/2 below 2^52"
+    );
+    half as i64
+}
+
+/// [`ResourceModel::row_limits`]: per resource kind, in half-resource
+/// units, the platform's headroom over the fixed logic, the `nd` and `nm`
+/// unit costs, the per-lane cost, and the per-lane quotient and remainder
+/// of one `nm` step.
+#[derive(Debug, Clone)]
+pub struct RowLimits {
+    headroom: [i64; 4],
+    per_nd: [i64; 4],
+    per_nm: [i64; 4],
+    lane: [i64; 4],
+    step_quot: [i64; 4],
+    step_rem: [i64; 4],
+}
+
+impl RowLimits {
+    /// Starts a walk at row `(nd, nm)`: one division per resource kind.
+    #[inline]
+    pub fn walk(&self, nd: usize, nm: usize) -> RowWalk {
+        let mut walk = RowWalk {
+            quot: [0; 4],
+            rem: [0; 4],
+            lane: self.lane,
+            step_quot: self.step_quot,
+            step_rem: self.step_rem,
+        };
+        for i in 0..4 {
+            let room = self.headroom[i] - nd as i64 * self.per_nd[i] - nm as i64 * self.per_nm[i];
+            (walk.quot[i], walk.rem[i]) = if self.lane[i] > 0 {
+                (room.div_euclid(self.lane[i]), room.rem_euclid(self.lane[i]))
+            } else {
+                (room, 0)
+            };
+        }
+        walk
+    }
+}
+
+/// The exact feasible-`s` limit of consecutive `nm` rows of one `nd`
+/// stripe. Per resource kind it keeps `⌊room / lane⌋` and its remainder,
+/// where `room` is the half-unit headroom left at `(nd, nm, 0)`; a step to
+/// `nm + 1` updates both by additions, so a stripe pays one division per
+/// kind, at its first row.
+#[derive(Debug, Clone, Copy)]
+pub struct RowWalk {
+    quot: [i64; 4],
+    rem: [i64; 4],
+    lane: [i64; 4],
+    step_quot: [i64; 4],
+    step_rem: [i64; 4],
+}
+
+impl RowWalk {
+    /// Largest `s ∈ 1..=s_max` for which the current row fits, or 0 when no
+    /// lane count fits: `(nd, nm, s)` fits exactly when `s · lane ≤ room`
+    /// in every kind.
+    #[inline]
+    pub fn max_s(&self, s_max: usize) -> usize {
+        let mut limit = i64::try_from(s_max).unwrap_or(i64::MAX);
+        for i in 0..4 {
+            if self.lane[i] > 0 {
+                limit = limit.min(self.quot[i]);
+            } else if self.quot[i] < 0 {
+                return 0;
+            }
+        }
+        limit.max(0) as usize
+    }
+
+    /// Steps to row `nm + 1`: `room` falls by the `nm` cost, so each
+    /// quotient falls by the step's quotient, plus one when the remainder
+    /// borrows.
+    #[inline]
+    pub fn next_row(&mut self) {
+        for i in 0..4 {
+            self.quot[i] -= self.step_quot[i];
+            self.rem[i] -= self.step_rem[i];
+            if self.rem[i] < 0 {
+                self.rem[i] += self.lane[i];
+                self.quot[i] -= 1;
+            }
+        }
     }
 }
 
@@ -206,23 +310,34 @@ mod tests {
         // Each board with its synthesizer lattice (`archytas_core::knob_bounds`:
         // the ZC706's 30 × 24 × 125 scaled by DSP capacity). Every `(nd, nm)`
         // row is checked at the board's own `s` bound, at half of it and at a
-        // small cap; the sampled rows beyond the lattice add rows where no
-        // lane count fits and caps far above the feasible range.
+        // small cap, both by a fresh walk and by one walk stepped along the
+        // stripe; the sampled rows beyond the lattice add rows where no lane
+        // count fits and caps far above the feasible range.
         for (platform, (nd_max, nm_max, s_max)) in [
             (FpgaPlatform::zc706(), (30, 24, 125)),
             (FpgaPlatform::kintex7_160t(), (20, 16, 83)),
             (FpgaPlatform::virtex7_690t(), (120, 96, 500)),
         ] {
+            let limits = m.row_limits(&platform);
             for nd in 1..=nd_max {
+                let mut walk = limits.walk(nd, 1);
                 for nm in 1..=nm_max {
                     for cap in [s_max, s_max / 2, 7] {
+                        let want = descending_scan(&m, nd, nm, &platform, cap);
                         assert_eq!(
                             m.max_feasible_s(nd, nm, &platform, cap),
-                            descending_scan(&m, nd, nm, &platform, cap),
+                            want,
                             "({nd},{nm}) on {} with s cap {cap}",
                             platform.name
                         );
+                        assert_eq!(
+                            walk.max_s(cap),
+                            want,
+                            "stepped ({nd},{nm}) on {} with s cap {cap}",
+                            platform.name
+                        );
                     }
+                    walk.next_row();
                 }
             }
             for nd in [1, 8, 21, 28, 60, 120, 400] {
@@ -238,6 +353,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`ResourceModel::row_limits`]'s precondition: the calibrated
+    /// coefficients and the three boards' capacities are multiples of ½
+    /// below 2⁵², so half-units hold them exactly.
+    #[test]
+    fn calibrated_model_and_boards_are_exact_in_half_units() {
+        let exact = |x: f64| (2.0 * x).fract() == 0.0 && x.abs() < 2f64.powi(52);
+        let m = ResourceModel::calibrated();
+        for platform in [
+            FpgaPlatform::zc706(),
+            FpgaPlatform::kintex7_160t(),
+            FpgaPlatform::virtex7_690t(),
+        ] {
+            for v in [&m.base, &m.per_nd, &m.per_nm, &m.per_s, &platform.capacity] {
+                for k in RESOURCE_KINDS {
+                    assert!(
+                        exact(v.get(k)),
+                        "{k} amount {} on {}",
+                        v.get(k),
+                        platform.name
+                    );
+                }
+            }
+        }
+        // BRAM's base is a half, so whole units would not do.
+        assert_eq!(m.base.bram.fract(), 0.5);
     }
 
     #[test]
